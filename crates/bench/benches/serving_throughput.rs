@@ -1,13 +1,13 @@
 //! Serving-engine throughput: request-shaped workloads over a resident
-//! worker pool vs per-call pipeline spawns.
+//! worker pool vs a pool spawned per request.
 //!
 //! Same database/read corpus family as `streaming_throughput`, but the
 //! workload is *many small requests* (the serving shape) instead of one big
 //! stream, measured over a sessions × workers grid:
 //!
-//! * `spawn_per_request_w{N}` — the PR 2 path applied per request: every
-//!   request pays `StreamingClassifier`'s scoped thread spawn/join (~0.2 ms)
-//!   and cold worker scratch.
+//! * `spawn_per_request_w{N}` — a fresh `StreamingClassifier` per request:
+//!   every request pays an engine's worker-pool spawn/join (~0.2 ms) and
+//!   cold worker scratch.
 //! * `engine_session_w{N}` — one resident [`ServingEngine`] with `N`
 //!   long-lived workers; one warm session submits the same requests. The
 //!   spawn overhead is paid once at engine startup and amortised across all
@@ -46,7 +46,7 @@
 //! a shards × workers grid:
 //!
 //! * `sharded_s{S}_w{W}` — the identical request workload through a
-//!   [`ServingEngine::sharded`] engine over an `S`-way
+//!   [`ShardedBackend`] engine over an `S`-way
 //!   [`ShardedDatabase`] split with `W` workers; `s1` is the merge layer's
 //!   fixed cost over `engine_session_w{W}`, and larger `S` shows the
 //!   scatter-gather overhead staying bounded while the per-shard table
@@ -71,10 +71,10 @@ use mc_datagen::profiles::DatasetProfile;
 use mc_datagen::reads::ReadSimulator;
 use mc_datagen::taxonomy_gen::TaxonomySpec;
 use metacache::build::CpuBuilder;
-use metacache::pipeline::{StreamingClassifier, StreamingConfig};
+use metacache::pipeline::StreamingClassifier;
 use metacache::query::Classifier;
 use metacache::serving::{EngineConfig, ServingEngine};
-use metacache::{Database, MetaCacheConfig, ShardedDatabase};
+use metacache::{Database, MetaCacheConfig, ShardedBackend, ShardedDatabase};
 
 const REQUEST_READS: usize = 256;
 
@@ -107,7 +107,6 @@ fn engine_config(workers: usize) -> EngineConfig {
         queue_capacity: 4,
         batch_records: 64,
         session_max_in_flight: 0,
-        ..EngineConfig::default()
     }
 }
 
@@ -134,18 +133,16 @@ fn bench_serving_throughput(c: &mut Criterion) {
     group.throughput(Throughput::Elements(reads.len() as u64));
 
     for &workers in &worker_counts {
-        // Per-request pipeline spawn: the pre-engine serving cost.
-        let streaming_config = StreamingConfig {
-            batch_records: 64,
-            queue_capacity: 4,
-            workers,
-        };
+        // Per-request engine spawn: the cost a resident pool amortises.
         group.bench_function(format!("spawn_per_request_w{workers}"), |b| {
             b.iter(|| {
-                let streaming = StreamingClassifier::with_config(&*db, streaming_config);
                 requests
                     .iter()
                     .map(|request| {
+                        let streaming = StreamingClassifier::with_config(
+                            Arc::clone(&db),
+                            engine_config(workers),
+                        );
                         let (out, _) = streaming.classify_iter(request.iter().cloned());
                         out.iter().filter(|c| c.is_classified()).count()
                     })
@@ -525,7 +522,7 @@ fn bench_serving_net(c: &mut Criterion) {
 
 /// Scatter-gather overhead and per-shard memory over a shards × workers
 /// grid: the same request workload as `serving_throughput`, through
-/// [`ServingEngine::sharded`] engines over round-robin splits.
+/// [`ShardedBackend`] engines over round-robin splits.
 fn bench_serving_sharded(c: &mut Criterion) {
     let collection = community();
     let reads = ReadSimulator::new(DatasetProfile::hiseq(), 2_048)
@@ -581,7 +578,10 @@ fn bench_serving_sharded(c: &mut Criterion) {
         );
 
         for &workers in &[1usize, 2, 4] {
-            let engine = ServingEngine::sharded(Arc::clone(&split), engine_config(workers));
+            let engine = ServingEngine::new(
+                ShardedBackend::new(Arc::clone(&split)),
+                engine_config(workers),
+            );
             let mut session = engine.session();
             // Sharding must not change a single classification.
             let (got, _) = session.classify_iter(reads.iter().cloned());

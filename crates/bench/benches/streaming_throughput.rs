@@ -8,9 +8,10 @@
 //!   collect the source into a `Vec`, then fan it across rayon workers
 //!   ([`metacache::query::Classifier::classify_batch`]). Memory is O(input).
 //! * `streaming_pipeline` — the bounded-memory pipeline
-//!   ([`metacache::pipeline::StreamingClassifier`]): a producer thread feeds
-//!   batches through the `mc-seqio` queue, workers classify with per-worker
-//!   scratch, results are re-ordered by sequence number. Memory is
+//!   ([`metacache::pipeline::StreamingClassifier`]): the calling thread
+//!   feeds batches through a resident engine's bounded queue, pool workers
+//!   classify with per-worker scratch, results are re-ordered by sequence
+//!   number. Memory is
 //!   O(batch × (queue_capacity + workers)) — this is the serving-path
 //!   configuration, and the acceptance criterion compares it against the
 //!   materialised baseline (target: no regression below the PR 1 313k reads/s
@@ -21,6 +22,8 @@
 //! Run with `BENCH_JSON=BENCH_streaming.json cargo bench -p mc-bench --bench
 //! streaming_throughput` to record the measurements.
 
+use std::sync::Arc;
+
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use mc_datagen::community::{RefSeqLikeSpec, ReferenceCollection};
@@ -28,8 +31,9 @@ use mc_datagen::profiles::DatasetProfile;
 use mc_datagen::reads::ReadSimulator;
 use mc_datagen::taxonomy_gen::TaxonomySpec;
 use metacache::build::CpuBuilder;
-use metacache::pipeline::{StreamingClassifier, StreamingConfig};
+use metacache::pipeline::StreamingClassifier;
 use metacache::query::Classifier;
+use metacache::serving::EngineConfig;
 use metacache::{Database, MetaCacheConfig};
 
 fn community() -> ReferenceCollection {
@@ -57,19 +61,19 @@ fn build_database(collection: &ReferenceCollection) -> Database {
 
 fn bench_streaming_throughput(c: &mut Criterion) {
     let collection = community();
-    let db = build_database(&collection);
-    let classifier = Classifier::new(&db);
+    let db = Arc::new(build_database(&collection));
+    let classifier = Classifier::new(Arc::clone(&db));
     let reads = ReadSimulator::new(DatasetProfile::hiseq(), 2_000)
         .with_seed(7)
         .simulate(&collection)
         .reads;
 
-    let streaming = StreamingClassifier::new(&db);
+    let streaming = StreamingClassifier::new(Arc::clone(&db));
     let small_batches = StreamingClassifier::with_config(
-        &db,
-        StreamingConfig {
+        db,
+        EngineConfig {
             batch_records: 128,
-            ..StreamingConfig::default()
+            ..EngineConfig::default()
         },
     );
 

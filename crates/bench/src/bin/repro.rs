@@ -22,16 +22,88 @@
 
 use std::collections::BTreeSet;
 
+use serde::Serialize;
+
 use mc_bench::experiments::{
     accuracy, breakdown, build_perf, datasets, query_perf, serving, serving_chaos, serving_net,
     serving_reload, serving_sharded, streaming, tablemem, ttq,
 };
 use mc_bench::ExperimentScale;
 
+/// Run one experiment and print its result as JSON or as the rendered table.
+fn report<T: Serialize>(
+    scale: &ExperimentScale,
+    json: bool,
+    run: fn(&ExperimentScale) -> T,
+    render: fn(&T) -> String,
+) {
+    let result = run(scale);
+    if json {
+        println!("{}", serde_json::to_string_pretty(&result).unwrap());
+    } else {
+        println!("{}", render(&result));
+    }
+}
+
+/// One runnable experiment: the names that select it, and how to run and
+/// print it.
+type Experiment = (&'static [&'static str], fn(&ExperimentScale, bool));
+
+/// Every experiment, in output order. The usage string, the `all` expansion
+/// and the dispatch below all read this one table.
+const EXPERIMENTS: &[Experiment] = &[
+    (&["table1", "table2"], |s, j| {
+        report(s, j, datasets::run, datasets::render)
+    }),
+    (&["table3"], |s, j| {
+        report(s, j, build_perf::run, build_perf::render)
+    }),
+    (&["table4"], |s, j| {
+        report(s, j, query_perf::run, query_perf::render)
+    }),
+    (&["table5", "fig4"], |s, j| {
+        report(s, j, ttq::run, ttq::render)
+    }),
+    (&["table6", "abundance"], |s, j| {
+        report(s, j, accuracy::run, accuracy::render)
+    }),
+    (&["fig5"], |s, j| {
+        report(s, j, breakdown::run, breakdown::render)
+    }),
+    (&["tablemem", "ablation"], |s, j| {
+        report(s, j, tablemem::run, tablemem::render)
+    }),
+    (&["streaming"], |s, j| {
+        report(s, j, streaming::run, streaming::render)
+    }),
+    (&["serving"], |s, j| {
+        report(s, j, serving::run, serving::render)
+    }),
+    (&["serving_net"], |s, j| {
+        report(s, j, serving_net::run, serving_net::render)
+    }),
+    (&["serving_chaos"], |s, j| {
+        report(s, j, serving_chaos::run, serving_chaos::render)
+    }),
+    (&["serving_sharded"], |s, j| {
+        report(s, j, serving_sharded::run, serving_sharded::render)
+    }),
+    (&["serving_reload"], |s, j| {
+        report(s, j, serving_reload::run, serving_reload::render)
+    }),
+];
+
+/// Every name an experiment answers to.
+fn names() -> impl Iterator<Item = &'static str> {
+    EXPERIMENTS
+        .iter()
+        .flat_map(|(names, _)| names.iter().copied())
+}
+
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [--scale tiny|default] [--json] \
-         <table1|table2|table3|table4|table5|table6|fig4|fig5|abundance|tablemem|ablation|streaming|serving|serving_net|serving_chaos|serving_sharded|serving_reload|all>..."
+        "usage: repro [--scale tiny|default] [--json] <{}|all>...",
+        names().collect::<Vec<_>>().join("|")
     );
     std::process::exit(2);
 }
@@ -55,32 +127,14 @@ fn main() {
             }
         }
     }
-    if requested.is_empty() {
+    let all = requested.remove("all");
+    if !all && requested.is_empty() {
         usage();
     }
-    if requested.contains("all") {
-        for e in [
-            "table1",
-            "table2",
-            "table3",
-            "table4",
-            "table5",
-            "fig4",
-            "table6",
-            "abundance",
-            "fig5",
-            "tablemem",
-            "ablation",
-            "streaming",
-            "serving",
-            "serving_net",
-            "serving_chaos",
-            "serving_sharded",
-            "serving_reload",
-        ] {
-            requested.insert(e.to_string());
-        }
-        requested.remove("all");
+    // A name no experiment answers to is an error, not a silent no-op.
+    if let Some(unknown) = requested.iter().find(|name| !names().any(|n| n == *name)) {
+        eprintln!("repro: unknown experiment `{unknown}`");
+        usage();
     }
 
     eprintln!(
@@ -88,110 +142,9 @@ fn main() {
         scale.label, scale.reads_per_dataset
     );
 
-    let wants = |names: &[&str]| names.iter().any(|n| requested.contains(*n));
-
-    if wants(&["table1", "table2"]) {
-        let result = datasets::run(&scale);
-        if json {
-            println!("{}", serde_json::to_string_pretty(&result).unwrap());
-        } else {
-            println!("{}", datasets::render(&result));
-        }
-    }
-    if wants(&["table3"]) {
-        let result = build_perf::run(&scale);
-        if json {
-            println!("{}", serde_json::to_string_pretty(&result).unwrap());
-        } else {
-            println!("{}", build_perf::render(&result));
-        }
-    }
-    if wants(&["table4"]) {
-        let result = query_perf::run(&scale);
-        if json {
-            println!("{}", serde_json::to_string_pretty(&result).unwrap());
-        } else {
-            println!("{}", query_perf::render(&result));
-        }
-    }
-    if wants(&["table5", "fig4"]) {
-        let result = ttq::run(&scale);
-        if json {
-            println!("{}", serde_json::to_string_pretty(&result).unwrap());
-        } else {
-            println!("{}", ttq::render(&result));
-        }
-    }
-    if wants(&["table6", "abundance"]) {
-        let result = accuracy::run(&scale);
-        if json {
-            println!("{}", serde_json::to_string_pretty(&result).unwrap());
-        } else {
-            println!("{}", accuracy::render(&result));
-        }
-    }
-    if wants(&["fig5"]) {
-        let result = breakdown::run(&scale);
-        if json {
-            println!("{}", serde_json::to_string_pretty(&result).unwrap());
-        } else {
-            println!("{}", breakdown::render(&result));
-        }
-    }
-    if wants(&["tablemem", "ablation"]) {
-        let result = tablemem::run(&scale);
-        if json {
-            println!("{}", serde_json::to_string_pretty(&result).unwrap());
-        } else {
-            println!("{}", tablemem::render(&result));
-        }
-    }
-    if wants(&["streaming"]) {
-        let result = streaming::run(&scale);
-        if json {
-            println!("{}", serde_json::to_string_pretty(&result).unwrap());
-        } else {
-            println!("{}", streaming::render(&result));
-        }
-    }
-    if wants(&["serving"]) {
-        let result = serving::run(&scale);
-        if json {
-            println!("{}", serde_json::to_string_pretty(&result).unwrap());
-        } else {
-            println!("{}", serving::render(&result));
-        }
-    }
-    if wants(&["serving_net"]) {
-        let result = serving_net::run(&scale);
-        if json {
-            println!("{}", serde_json::to_string_pretty(&result).unwrap());
-        } else {
-            println!("{}", serving_net::render(&result));
-        }
-    }
-    if wants(&["serving_chaos"]) {
-        let result = serving_chaos::run(&scale);
-        if json {
-            println!("{}", serde_json::to_string_pretty(&result).unwrap());
-        } else {
-            println!("{}", serving_chaos::render(&result));
-        }
-    }
-    if wants(&["serving_sharded"]) {
-        let result = serving_sharded::run(&scale);
-        if json {
-            println!("{}", serde_json::to_string_pretty(&result).unwrap());
-        } else {
-            println!("{}", serving_sharded::render(&result));
-        }
-    }
-    if wants(&["serving_reload"]) {
-        let result = serving_reload::run(&scale);
-        if json {
-            println!("{}", serde_json::to_string_pretty(&result).unwrap());
-        } else {
-            println!("{}", serving_reload::render(&result));
+    for (names, run) in EXPERIMENTS {
+        if all || names.iter().any(|name| requested.contains(*name)) {
+            run(&scale, json);
         }
     }
 }

@@ -1,12 +1,13 @@
 //! Serving-engine experiment: request-shaped concurrent traffic over one
-//! resident worker pool vs per-call pipeline spawns.
+//! resident worker pool vs a pool spawned per request.
 //!
 //! The ROADMAP north star is a serving system for heavy concurrent traffic;
 //! this experiment measures the serving shape directly. A read set is split
 //! into many small requests and pushed through three paths:
 //!
-//! 1. **spawn-per-request** — a [`StreamingClassifier`] call per request:
-//!    every request pays scoped-thread spawn/join and cold scratch.
+//! 1. **spawn-per-request** — a fresh [`StreamingClassifier`] per request:
+//!    every request pays an engine's worker-pool spawn/join and cold
+//!    scratch.
 //! 2. **engine, one session** — the same requests through one warm
 //!    [`ServingEngine`] session: the pool is spawned once, scratch stays hot.
 //! 3. **engine, concurrent sessions** — the same total work multiplexed by
@@ -21,7 +22,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use metacache::pipeline::{StreamingClassifier, StreamingConfig};
+use metacache::pipeline::StreamingClassifier;
 use metacache::query::Classifier;
 use metacache::serving::{EngineConfig, ServingEngine};
 use metacache::MetaCacheConfig;
@@ -39,7 +40,7 @@ pub struct ServingRow {
     pub reads: usize,
     /// Number of requests the reads were split into.
     pub requests: usize,
-    /// Wall-clock seconds: one `StreamingClassifier` call per request.
+    /// Wall-clock seconds: one fresh `StreamingClassifier` per request.
     pub spawn_per_request_secs: f64,
     /// Wall-clock seconds: same requests through one warm engine session.
     pub engine_session_secs: f64,
@@ -85,21 +86,13 @@ pub fn run(scale: &ExperimentScale) -> ServingResult {
         .unwrap_or(1)
         .min(4);
     let sessions = 4;
-    let streaming_config = StreamingConfig {
-        batch_records: 64,
-        queue_capacity: 4,
+    let engine_config = EngineConfig {
         workers,
+        queue_capacity: 4,
+        batch_records: 64,
+        session_max_in_flight: 0,
     };
-    let engine = ServingEngine::host_with_config(
-        Arc::clone(db),
-        EngineConfig {
-            workers,
-            queue_capacity: 4,
-            batch_records: 64,
-            session_max_in_flight: 0,
-            ..EngineConfig::default()
-        },
-    );
+    let engine = ServingEngine::host_with_config(Arc::clone(db), engine_config);
     let classifier = Classifier::new(Arc::clone(db));
 
     let mut result = ServingResult {
@@ -114,11 +107,11 @@ pub fn run(scale: &ExperimentScale) -> ServingResult {
         let requests: Vec<&[mc_seqio::SequenceRecord]> =
             reads.reads.chunks(request_reads).collect();
 
-        // Path 1: per-request pipeline spawn.
+        // Path 1: per-request engine spawn.
         let start = Instant::now();
         let mut spawn_out = Vec::with_capacity(reads.len());
         for request in &requests {
-            let streaming = StreamingClassifier::with_config(Arc::clone(db), streaming_config);
+            let streaming = StreamingClassifier::with_config(Arc::clone(db), engine_config);
             let (out, _) = streaming.classify_iter(request.iter().cloned());
             spawn_out.extend(out);
         }
@@ -193,7 +186,7 @@ pub fn run(scale: &ExperimentScale) -> ServingResult {
 pub fn render(result: &ServingResult) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "Serving engine vs per-request pipeline spawn \
+        "Serving engine vs per-request engine spawn \
          ({} reads/request, {} workers, {} concurrent sessions)\n",
         result.request_reads, result.workers, result.sessions
     ));

@@ -143,7 +143,6 @@ pub fn run(scale: &ExperimentScale) -> ServingChaosResult {
         queue_capacity: 4,
         batch_records: 32,
         session_max_in_flight: 0,
-        ..EngineConfig::default()
     };
 
     let mut result = ServingChaosResult {

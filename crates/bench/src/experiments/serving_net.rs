@@ -111,7 +111,6 @@ pub fn run(scale: &ExperimentScale) -> ServingNetResult {
             queue_capacity: 4,
             batch_records: 64,
             session_max_in_flight: 0,
-            ..EngineConfig::default()
         },
     );
     let classifier = Classifier::new(Arc::clone(db));

@@ -187,7 +187,6 @@ pub fn run(scale: &ExperimentScale) -> ServingReloadResult {
         queue_capacity: 4,
         batch_records: BATCH,
         session_max_in_flight: 0,
-        ..EngineConfig::default()
     };
     let engine = ServingEngine::host_with_config(Arc::clone(&db_a), engine_config);
 

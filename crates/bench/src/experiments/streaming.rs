@@ -4,18 +4,19 @@
 //! sketching and classification without the whole input ever being resident
 //! (§5, Figure 2). This experiment runs the same read sets through
 //! [`metacache::query::Classifier::classify_batch`] (fully materialised
-//! input) and [`metacache::pipeline::StreamingClassifier`] (bounded batch
-//! queue, parse/classify overlap), verifies the classifications are
-//! identical, and reports wall-clock throughput plus the pipeline's observed
-//! memory bound.
+//! input) and [`metacache::pipeline::StreamingClassifier`] (one session on a
+//! resident engine: bounded batch queue, parse/classify overlap), verifies
+//! the classifications are identical, and reports wall-clock throughput plus
+//! the pipeline's observed memory bound.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use serde::Serialize;
 
-use metacache::pipeline::{StreamingClassifier, StreamingConfig};
+use metacache::pipeline::StreamingClassifier;
 use metacache::query::Classifier;
+use metacache::serving::EngineConfig;
 use metacache::MetaCacheConfig;
 
 use crate::experiments::{fmt_secs, reads_per_minute};
@@ -67,7 +68,7 @@ pub fn run(scale: &ExperimentScale) -> StreamingResult {
     let built = setup::build_metacache_cpu(MetaCacheConfig::default(), &refs.refseq);
     let db = built.metacache.as_ref().unwrap();
 
-    let config = StreamingConfig::default();
+    let config = EngineConfig::default();
     let classifier = Classifier::new(Arc::clone(db));
     let streaming = StreamingClassifier::with_config(Arc::clone(db), config);
 
@@ -102,7 +103,7 @@ pub fn run(scale: &ExperimentScale) -> StreamingResult {
                 0.0
             },
             peak_resident_batches: summary.peak_resident_batches,
-            resident_batch_bound: config.max_in_flight_batches(),
+            resident_batch_bound: config.effective_session_in_flight(),
             identical: streamed == materialised,
         });
     }

@@ -31,12 +31,12 @@
 //! simulated device time.
 //!
 //! The natural unit of work fed to [`launch_warps`] is one sequence batch
-//! popped from the bounded `mc-seqio` queue: the streaming pipelines
-//! (`metacache::pipeline::StreamingClassifier` on the host,
-//! `GpuClassifier::classify_stream` on this substrate) parse reads into
-//! sequence-numbered batches, launch one warp per read window per batch, and
-//! restore input order from the batch indices — the overlapped
-//! parse/sketch/classify architecture of the paper's Figure 2.
+//! popped from the serving engine's bounded queue: a session of
+//! `metacache::serving::ServingEngine` parses reads into sequence-numbered
+//! batches, a `GpuBackend` worker launches one warp per read window per
+//! batch, and the session restores input order from the sequence numbers —
+//! the overlapped parse/sketch/classify architecture of the paper's
+//! Figure 2.
 
 pub mod clock;
 pub mod device;

@@ -1,9 +1,9 @@
 //! Execution backends: one classification interface over the host and GPU
 //! paths.
 //!
-//! The streaming pipeline ([`crate::pipeline::StreamingClassifier`]) and the
-//! serving engine ([`crate::serving::ServingEngine`]) are written once
-//! against [`Backend`]: a backend owns (or borrows) the database plus any
+//! The serving engine ([`crate::serving::ServingEngine`]) — and with it the
+//! streaming front [`crate::pipeline::StreamingClassifier`] — is written
+//! once against [`Backend`]: a backend owns (or borrows) the database plus any
 //! execution substrate and can mint [`BackendWorker`]s — the per-thread
 //! execution contexts that hold whatever mutable state the path needs
 //! ([`QueryScratch`] for the host path, the round-robin device cursor for the
@@ -33,8 +33,8 @@ use crate::query::{Classifier, QueryScratch};
 /// Backends are shared (`&self`) across worker threads; all per-thread
 /// mutable state lives in the [`BackendWorker`]s they mint. A backend is
 /// generic over how it holds the database (`Deref<Target = Database>`), so
-/// the same type serves borrowed one-shot pipelines and `Arc`-owning
-/// long-lived engines.
+/// the same type serves borrowed one-shot use and `Arc`-owning long-lived
+/// engines.
 pub trait Backend: Send + Sync {
     /// The database this backend classifies against.
     fn database(&self) -> &Database;

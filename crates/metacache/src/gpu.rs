@@ -548,35 +548,6 @@ where
         }
         (all, breakdown)
     }
-
-    /// Consume sequence batches from a bounded queue until it closes,
-    /// classifying each on the simulated devices and restoring input order
-    /// from the batch sequence numbers.
-    ///
-    /// This is the device-side consumer of the streaming architecture
-    /// (Figure 2): each [`mc_seqio::SequenceBatch`] popped from the queue is
-    /// the unit handed to the warp launch (one warp per read window inside
-    /// [`GpuClassifier::classify_batch_on`]), so parsing on the producer side
-    /// overlaps device execution here while the queue's capacity bounds host
-    /// memory. Batches are issued round-robin across devices by their queue
-    /// index, modelling the paper's per-GPU streams with copy/compute
-    /// overlap (the "GPU streaming depth" of the serving architecture).
-    pub fn classify_stream(
-        &self,
-        batches: &mc_seqio::BatchReceiver,
-    ) -> (Vec<Classification>, StageBreakdown) {
-        let devices = self.system.device_count().max(1) as u64;
-        let mut by_index: std::collections::BTreeMap<u64, Vec<Classification>> =
-            std::collections::BTreeMap::new();
-        let mut breakdown = StageBreakdown::default();
-        while let Ok(batch) = batches.recv() {
-            let issue = (batch.index % devices) as usize;
-            let (classifications, b) = self.classify_batch_on(&batch.records, issue);
-            breakdown.accumulate(&b);
-            by_index.insert(batch.index, classifications);
-        }
-        (by_index.into_values().flatten().collect(), breakdown)
-    }
 }
 
 fn diff(now: SimDuration, before: SimDuration) -> SimDuration {

@@ -30,15 +30,15 @@
 //!   an analytical device clock that models V100 execution times.
 //!
 //! Reads can be classified from a fully materialised slice
-//! ([`query::Classifier::classify_batch`]), streamed from disk through the
-//! bounded-memory pipeline of [`pipeline::StreamingClassifier`] — which
-//! overlaps parsing, sketching and table lookup across threads and emits
-//! bit-identical results in input order — or served to many concurrent
-//! clients by the resident [`serving::ServingEngine`]: a long-lived worker
-//! pool over a shared `Arc<Database>`, multiplexing any number of
-//! [`serving::Session`] streams with per-session ordering and memory bounds.
-//! The host and simulated-GPU execution paths sit behind the
-//! [`backend::Backend`] trait, so all three entry points drive either path
+//! ([`query::Classifier::classify_batch`]) or streamed through the resident
+//! [`serving::ServingEngine`]: a long-lived worker pool over a shared
+//! `Arc<Database>`, multiplexing any number of [`serving::Session`] streams
+//! — each overlapping parsing with sketching and table lookup, emitting
+//! bit-identical results in input order under a per-session memory bound.
+//! [`pipeline::StreamingClassifier`] is the one-stream front over such an
+//! engine (a file or iterator in, classifications out). The host and
+//! simulated-GPU execution paths sit behind the [`backend::Backend`] trait,
+//! so the engine drives either
 //! (see `docs/ARCHITECTURE.md`). The companion `mc-net` crate exposes the
 //! serving engine over TCP (`docs/SERVING.md` specifies the wire
 //! protocol):
@@ -57,8 +57,8 @@
 //! # }).collect();
 //! # let mut builder = CpuBuilder::new(MetaCacheConfig::default(), taxonomy);
 //! # builder.add_target(SequenceRecord::new("refA", genome.clone()), 100).unwrap();
-//! # let db = builder.finish();
-//! let streaming = StreamingClassifier::new(&db);
+//! # let db = std::sync::Arc::new(builder.finish());
+//! let streaming = StreamingClassifier::new(db);
 //! let reads = (0..10).map(|i| {
 //!     SequenceRecord::new(format!("r{i}"), genome[i * 100..i * 100 + 150].to_vec())
 //! });
@@ -115,7 +115,7 @@ pub use classify::{Classification, ClassificationEvaluation};
 pub use config::MetaCacheConfig;
 pub use database::{Database, DatabaseDelta, DeltaStats, Partition, TargetInfo};
 pub use error::MetaCacheError;
-pub use pipeline::{StreamingClassifier, StreamingConfig, StreamingSummary};
+pub use pipeline::{StreamingClassifier, StreamingSummary};
 pub use query::{Classifier, QueryScratch};
 pub use serving::{
     EngineConfig, EngineStats, Epoch, EpochStore, ServingEngine, Session, SessionConfig,

@@ -1,35 +1,26 @@
-//! High-level pipelines: the streaming query pipeline, plus the separate
-//! build/query runs vs the on-the-fly mode.
+//! High-level pipelines: the single-stream front of the streaming query
+//! pipeline, plus the separate build/query runs vs the on-the-fly mode.
 //!
 //! # The streaming query pipeline
 //!
 //! The paper's headline throughput comes from *pipelining*: reads stream from
 //! disk through parsing, sketching and table lookup without the whole input
-//! ever being materialised (§5, Figure 2). [`StreamingClassifier`] is that
-//! architecture on the host side:
+//! ever being materialised (§5, Figure 2). The crate has one implementation
+//! of that architecture — the resident [`ServingEngine`] (bounded fair
+//! queue, long-lived worker pool, per-session credits and reorder buffer;
+//! see [`crate::serving`] for the stage diagram). [`StreamingClassifier`] is
+//! its one-stream-at-a-time front: it owns an engine and runs every call as
+//! one [`crate::serving::Session`] on it, the caller's thread parsing and
+//! assembling batches while the pool classifies.
 //!
-//! ```text
-//!  parse ──► bounded batch queue ──► worker pool ──► reorder ──► sink
-//!  (1 producer thread)  (mc-seqio)   (N workers, one  (sequence-   (caller's
-//!   assembles batches of             Backend worker   numbered     FnMut, in
-//!   `batch_records` reads            each, scratch    batches)     input order)
-//!                                    reused across batches)
-//! ```
-//!
-//! The worker stage is written against the [`Backend`] trait, so the same
-//! pipeline drives the host path ([`crate::backend::HostBackend`], one
-//! `QueryScratch` per worker) and the simulated multi-GPU path
-//! ([`crate::backend::GpuBackend`], batches issued round-robin across
-//! devices). For many concurrent streams multiplexing over one long-lived
-//! worker pool, see [`crate::serving::ServingEngine`].
-//!
-//! Memory stays bounded regardless of input size: a credit scheme caps the
-//! number of batches alive anywhere in the pipeline (queue + workers +
-//! reorder buffer) at `queue_capacity + workers`, so memory is
-//! O(`batch_records` × (`queue_capacity` + `workers`)). Results are emitted
-//! to the sink in exact input order and are bit-identical to
+//! The session's three properties are therefore the streaming pipeline's:
+//! results are bit-identical to
 //! [`Classifier::classify_batch`][crate::query::Classifier::classify_batch]
-//! on the same records (property-tested in `tests/streaming.rs`).
+//! on the same records, they reach the sink in exact input order, and a
+//! credit scheme caps the batches alive anywhere in the pipeline (queue +
+//! workers + reorder buffer) at `queue_capacity + workers`, so memory is
+//! O(`batch_records` × (`queue_capacity` + `workers`)) regardless of input
+//! size (property-tested in `tests/streaming.rs`).
 //!
 //! # W+L vs OTF
 //!
@@ -48,17 +39,15 @@
 //! multi-GPU system, returning per-phase simulated times plus the actual
 //! classifications.
 
-use std::collections::BTreeMap;
 use std::ops::Deref;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 use mc_gpu_sim::{MultiGpuSystem, SimDuration};
-use mc_seqio::{BatchQueue, SequenceBatch, SequenceRecord};
+use mc_seqio::SequenceRecord;
 use mc_taxonomy::{TaxonId, Taxonomy};
 
-use crate::backend::{Backend, HostBackend};
+use crate::backend::HostBackend;
 use crate::build::{estimate_locations, GpuBuilder};
 use crate::classify::Classification;
 use crate::config::MetaCacheConfig;
@@ -66,52 +55,7 @@ use crate::database::Database;
 use crate::error::MetaCacheError;
 use crate::gpu::GpuClassifier;
 use crate::serialize;
-
-/// Shape of the streaming query pipeline: batch size, queue depth, worker
-/// count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamingConfig {
-    /// Number of reads per batch flowing through the queue.
-    pub batch_records: usize,
-    /// Bounded capacity of the parse → classify batch queue.
-    pub queue_capacity: usize,
-    /// Number of classification worker threads.
-    pub workers: usize,
-}
-
-impl Default for StreamingConfig {
-    fn default() -> Self {
-        Self {
-            // Large enough that per-batch channel/condvar handoffs amortise
-            // to noise (<0.1% of classify time at ~3 µs/read), small enough
-            // that queue_capacity + workers batches stay modest in memory.
-            batch_records: 1024,
-            queue_capacity: 4,
-            workers: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        }
-    }
-}
-
-impl StreamingConfig {
-    /// Clamp every knob to at least 1 (a zero would deadlock or divide work
-    /// into nothing).
-    fn normalized(mut self) -> Self {
-        self.batch_records = self.batch_records.max(1);
-        self.queue_capacity = self.queue_capacity.max(1);
-        self.workers = self.workers.max(1);
-        self
-    }
-
-    /// Hard cap on batches alive anywhere in the pipeline (queue, workers,
-    /// reorder buffer) enforced by the credit scheme: `queue_capacity +
-    /// workers`. Peak pipeline memory is this many batches of
-    /// `batch_records` reads each.
-    pub fn max_in_flight_batches(&self) -> usize {
-        self.queue_capacity.max(1) + self.workers.max(1)
-    }
-}
+use crate::serving::{EngineConfig, ServingEngine};
 
 /// Counters reported by a completed streaming run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -122,118 +66,34 @@ pub struct StreamingSummary {
     pub batches: u64,
     /// Sequence bases consumed (both mates of paired reads).
     pub bases: u64,
-    /// High-water mark of the parse → classify queue occupancy gauge. The
-    /// channel itself holds at most `queue_capacity` batches; the gauge also
-    /// counts the producer's in-progress send and workers completing a recv,
-    /// so it is bounded by `queue_capacity + 1 + workers`.
+    /// High-water mark of the engine's shared submission queue. The gauge is
+    /// engine-wide and engine-lifetime — it covers every session the engine
+    /// has served, not just this run — and is bounded by the engine's
+    /// `queue_capacity`.
     pub peak_queue_batches: u64,
-    /// High-water mark of batches alive anywhere in the pipeline (bounded by
-    /// [`StreamingConfig::max_in_flight_batches`]).
+    /// High-water mark of this run's batches alive anywhere in the pipeline
+    /// (bounded by [`EngineConfig::effective_session_in_flight`]).
     pub peak_resident_batches: u64,
-}
-
-/// Counting semaphore bounding the number of batches alive in the pipeline.
-///
-/// The producer acquires one credit per batch *before* assembling it; the
-/// credit is released only when the reorder stage has emitted the batch to
-/// the sink. Total resident batches (queue + workers + completed-but-unordered
-/// reorder buffer) therefore never exceed the credit total.
-struct Credits {
-    state: Mutex<CreditState>,
-    cond: Condvar,
-    total: usize,
-    peak: AtomicU64,
-}
-
-struct CreditState {
-    in_use: usize,
-    closed: bool,
-}
-
-impl Credits {
-    fn new(total: usize) -> Self {
-        Self {
-            state: Mutex::new(CreditState {
-                in_use: 0,
-                closed: false,
-            }),
-            cond: Condvar::new(),
-            total: total.max(1),
-            peak: AtomicU64::new(0),
-        }
-    }
-
-    /// Block until a credit is available. Returns `false` if the pipeline was
-    /// closed (consumer gone) so the producer can abort instead of deadlock.
-    fn acquire(&self) -> bool {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if state.closed {
-                return false;
-            }
-            if state.in_use < self.total {
-                state.in_use += 1;
-                self.peak.fetch_max(state.in_use as u64, Ordering::Relaxed);
-                return true;
-            }
-            state = self.cond.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    fn release(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.in_use = state.in_use.saturating_sub(1);
-        drop(state);
-        self.cond.notify_one();
-    }
-
-    /// Wake every blocked producer and make further acquires fail.
-    fn close(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.closed = true;
-        drop(state);
-        self.cond.notify_all();
-    }
-
-    fn peak(&self) -> u64 {
-        self.peak.load(Ordering::Relaxed)
-    }
-}
-
-/// A classified batch travelling from a worker to the reorder stage.
-struct ClassifiedBatch {
-    index: u64,
-    records: Vec<SequenceRecord>,
-    classifications: Vec<Classification>,
-}
-
-/// Closes the credit gate when dropped — including during an unwind, so a
-/// panicking worker or sink can never leave the producer blocked on a credit
-/// that no one will release (the scope join would deadlock instead of
-/// propagating the panic). Closing after a normal exit is harmless: by then
-/// the producer has already finished.
-struct CloseCreditsOnDrop<'a>(&'a Credits);
-
-impl Drop for CloseCreditsOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.close();
-    }
 }
 
 /// Streaming classification: parse → bounded batch queue → parallel
 /// classification → in-order emission, overlapping all stages across threads.
 ///
+/// A front over a resident [`ServingEngine`]: the worker pool is spawned
+/// once, at construction, and every `classify_*` call runs as one session on
+/// it — so calls may come from several threads at once, and a call that
+/// unwinds (a panicking sink) leaves the classifier ready for the next.
 /// Produces classifications bit-identical to
 /// [`Classifier::classify_batch`][crate::query::Classifier::classify_batch]
-/// on the same record sequence while holding
-/// at most [`StreamingConfig::max_in_flight_batches`] batches in memory, so
+/// on the same record sequence while holding at most
+/// [`EngineConfig::effective_session_in_flight`] batches in memory, so
 /// inputs of any size stream through in O(`batch_records` ×
-/// (`queue_capacity` + `workers`)) space. See the [module docs](self) for
-/// the stage diagram.
+/// (`queue_capacity` + `workers`)) space.
 ///
 /// # Example
 ///
 /// ```
+/// use std::sync::Arc;
 /// use metacache::{MetaCacheConfig, build::CpuBuilder};
 /// use metacache::pipeline::StreamingClassifier;
 /// use mc_seqio::SequenceRecord;
@@ -251,10 +111,10 @@ impl Drop for CloseCreditsOnDrop<'_> {
 ///     .collect();
 /// let mut builder = CpuBuilder::new(MetaCacheConfig::default(), taxonomy);
 /// builder.add_target(SequenceRecord::new("refA", genome.clone()), 100).unwrap();
-/// let db = builder.finish();
+/// let db = Arc::new(builder.finish());
 ///
 /// // Stream reads drawn from the genome through the pipeline.
-/// let streaming = StreamingClassifier::new(&db);
+/// let streaming = StreamingClassifier::new(db);
 /// let reads = (0..40).map(|i| {
 ///     SequenceRecord::new(format!("r{i}"), genome[i * 50..i * 50 + 150].to_vec())
 /// });
@@ -263,194 +123,59 @@ impl Drop for CloseCreditsOnDrop<'_> {
 /// assert!(classifications.iter().all(|c| c.taxon == 100));
 /// assert_eq!(summary.records, 40);
 /// ```
-pub struct StreamingClassifier<B = HostBackend<Arc<Database>>>
-where
-    B: Backend,
-{
-    backend: B,
-    config: StreamingConfig,
+pub struct StreamingClassifier {
+    engine: ServingEngine,
 }
 
-impl<D> StreamingClassifier<HostBackend<D>>
-where
-    D: Deref<Target = Database> + Clone + Send + Sync,
-{
+impl StreamingClassifier {
     /// Create a host-path streaming classifier with the default pipeline
-    /// shape. `db` can be a borrow (`&Database`) or an owning handle
-    /// (`Arc<Database>`).
-    pub fn new(db: D) -> Self {
-        Self::with_config(db, StreamingConfig::default())
+    /// shape. The worker pool outlives the caller's stack frame, so `db` is
+    /// an owning or `'static` handle (`Arc<Database>`, `&'static Database`).
+    pub fn new<D>(db: D) -> Self
+    where
+        D: Deref<Target = Database> + Clone + Send + Sync + 'static,
+    {
+        Self::with_config(db, EngineConfig::default())
     }
 
     /// Create a host-path streaming classifier with an explicit pipeline
     /// shape.
-    pub fn with_config(db: D, config: StreamingConfig) -> Self {
-        Self::with_backend(HostBackend::new(db), config)
-    }
-}
-
-impl<B> StreamingClassifier<B>
-where
-    B: Backend,
-{
-    /// Create a streaming classifier over an explicit execution backend —
-    /// the pipeline is written once against [`Backend`], so the same stages
-    /// drive the host path and [`crate::backend::GpuBackend`].
-    pub fn with_backend(backend: B, config: StreamingConfig) -> Self {
+    pub fn with_config<D>(db: D, config: EngineConfig) -> Self
+    where
+        D: Deref<Target = Database> + Clone + Send + Sync + 'static,
+    {
         Self {
-            backend,
-            config: config.normalized(),
+            engine: ServingEngine::new(HostBackend::new(db), config),
         }
     }
 
-    /// The execution backend.
-    pub fn backend(&self) -> &B {
-        &self.backend
+    /// The engine every call opens its session on.
+    pub fn engine(&self) -> &ServingEngine {
+        &self.engine
     }
 
     /// The (normalised) pipeline shape.
-    pub fn config(&self) -> &StreamingConfig {
-        &self.config
+    pub fn config(&self) -> &EngineConfig {
+        self.engine.config()
     }
 
     /// Stream a fallible record source through the pipeline, calling `sink`
     /// with `(record_index, record, classification)` in exact input order.
     ///
-    /// The source iterator runs on a dedicated producer thread, so parsing
-    /// overlaps classification. On a source error the pipeline drains what
-    /// was already queued (those records still reach the sink) and then
-    /// returns the error.
+    /// The source iterator runs on the calling thread, overlapping parsing
+    /// with the pool's classification. On a source error the pipeline drains
+    /// what was already submitted (those records still reach the sink) and
+    /// then returns the error.
     pub fn classify_stream<I, E, F>(
         &self,
         records: I,
-        mut sink: F,
+        sink: F,
     ) -> std::result::Result<StreamingSummary, E>
     where
         I: IntoIterator<Item = std::result::Result<SequenceRecord, E>>,
-        I::IntoIter: Send,
-        E: Send,
         F: FnMut(u64, &SequenceRecord, &Classification),
     {
-        let config = self.config;
-        let queue = BatchQueue::new(config.queue_capacity, config.batch_records);
-        let queue_stats = queue.stats();
-        let (batch_tx, batch_rx) = queue.split();
-        let credits = Credits::new(config.max_in_flight_batches());
-        // The worker → reorder channel; sized to the credit total so workers
-        // never block on it while holding a credit the reorder stage needs.
-        let (out_tx, out_rx) =
-            std::sync::mpsc::sync_channel::<ClassifiedBatch>(config.max_in_flight_batches());
-        let source = records.into_iter();
-        let backend = &self.backend;
-        let credits = &credits;
-
-        let mut summary = StreamingSummary::default();
-        let mut source_error: Option<E> = None;
-
-        std::thread::scope(|scope| {
-            // --- Producer: pull records, assemble batches, push with
-            //     backpressure. ---
-            let producer = scope.spawn(move || -> Option<E> {
-                let mut current: Vec<SequenceRecord> = Vec::with_capacity(config.batch_records);
-                let mut have_credit = false;
-                let mut error = None;
-                for item in source {
-                    match item {
-                        Ok(record) => {
-                            if !have_credit {
-                                if !credits.acquire() {
-                                    return None; // pipeline torn down
-                                }
-                                have_credit = true;
-                            }
-                            current.push(record);
-                            if current.len() >= config.batch_records {
-                                let batch = SequenceBatch::new(0, std::mem::take(&mut current));
-                                if batch_tx.send(batch).is_err() {
-                                    credits.release();
-                                    return None;
-                                }
-                                have_credit = false;
-                                current = Vec::with_capacity(config.batch_records);
-                            }
-                        }
-                        Err(e) => {
-                            error = Some(e);
-                            break;
-                        }
-                    }
-                }
-                if !current.is_empty() {
-                    if batch_tx.send(SequenceBatch::new(0, current)).is_err() {
-                        credits.release();
-                    }
-                } else if have_credit {
-                    credits.release();
-                }
-                error
-            });
-
-            // --- Workers: classify batches with one persistent backend
-            //     worker each (the host worker owns a reused QueryScratch;
-            //     the GPU worker rotates issue devices). ---
-            for _ in 0..config.workers {
-                let rx = batch_rx.clone();
-                let tx = out_tx.clone();
-                scope.spawn(move || {
-                    let _teardown = CloseCreditsOnDrop(credits);
-                    let mut worker = backend.worker();
-                    while let Ok(batch) = rx.recv() {
-                        let mut classifications = Vec::with_capacity(batch.records.len());
-                        worker.classify_batch_into(&batch.records, &mut classifications);
-                        let done = ClassifiedBatch {
-                            index: batch.index,
-                            records: batch.records,
-                            classifications,
-                        };
-                        if tx.send(done).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(batch_rx);
-            drop(out_tx);
-
-            // --- Reorder: emit batches in sequence-number order on the
-            //     calling thread. The guard also closes the credit gate if
-            //     the caller's sink panics mid-loop. ---
-            let _teardown = CloseCreditsOnDrop(credits);
-            let mut pending: BTreeMap<u64, ClassifiedBatch> = BTreeMap::new();
-            let mut next_index: u64 = 0;
-            let mut record_index: u64 = 0;
-            while let Ok(done) = out_rx.recv() {
-                pending.insert(done.index, done);
-                while let Some(batch) = pending.remove(&next_index) {
-                    for (record, classification) in batch.records.iter().zip(&batch.classifications)
-                    {
-                        sink(record_index, record, classification);
-                        summary.bases += record.total_len() as u64;
-                        record_index += 1;
-                    }
-                    summary.records += batch.records.len() as u64;
-                    summary.batches += 1;
-                    next_index += 1;
-                    credits.release();
-                }
-            }
-            // Out channel closed: every worker is done. Unblock the producer
-            // in case it is still waiting on a credit (only possible if a
-            // worker died without draining the queue).
-            credits.close();
-            source_error = producer.join().expect("streaming producer panicked");
-        });
-
-        summary.peak_queue_batches = queue_stats.peak_in_flight();
-        summary.peak_resident_batches = credits.peak();
-        match source_error {
-            Some(e) => Err(e),
-            None => Ok(summary),
-        }
+        self.engine.session().classify_stream(records, sink)
     }
 
     /// Stream an infallible record source and collect the classifications in
@@ -458,18 +183,8 @@ where
     pub fn classify_iter<I>(&self, records: I) -> (Vec<Classification>, StreamingSummary)
     where
         I: IntoIterator<Item = SequenceRecord>,
-        I::IntoIter: Send,
     {
-        let mut out = Vec::new();
-        let result = self.classify_stream(
-            records.into_iter().map(Ok::<_, std::convert::Infallible>),
-            |_, _, c| out.push(*c),
-        );
-        let summary = match result {
-            Ok(summary) => summary,
-            Err(infallible) => match infallible {},
-        };
-        (out, summary)
+        self.engine.session().classify_iter(records)
     }
 
     /// Stream a FASTA/FASTQ file (auto-detected) from disk through the
@@ -479,15 +194,7 @@ where
         &self,
         path: impl AsRef<Path>,
     ) -> crate::Result<(Vec<Classification>, StreamingSummary)> {
-        let stream = mc_seqio::SequenceReader::open(path).map_err(MetaCacheError::from)?;
-        let mut out = Vec::new();
-        let summary = self.classify_stream(stream, |_, _, c| out.push(*c))?;
-        Ok((out, summary))
-    }
-
-    /// The database this classifier queries.
-    pub fn database(&self) -> &Database {
-        self.backend.database()
+        self.engine.session().classify_file(path)
     }
 }
 
@@ -772,14 +479,14 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    fn streaming_db() -> (Database, Vec<SequenceRecord>) {
+    fn streaming_db() -> (Arc<Database>, Vec<SequenceRecord>) {
         use crate::build::CpuBuilder;
         let (taxonomy, references, _) = setup();
         let mut builder = CpuBuilder::new(MetaCacheConfig::for_tests(), taxonomy);
         for (record, taxon) in &references {
             builder.add_target(record.clone(), *taxon).unwrap();
         }
-        let db = builder.finish();
+        let db = Arc::new(builder.finish());
         let reads: Vec<SequenceRecord> = (0..50)
             .map(|i| {
                 let genome = &references[i % 2].0.sequence;
@@ -793,14 +500,15 @@ mod tests {
     #[test]
     fn streaming_matches_materialised_batch() {
         let (db, reads) = streaming_db();
-        let materialised = Classifier::new(&db).classify_batch(&reads);
+        let materialised = Classifier::new(Arc::clone(&db)).classify_batch(&reads);
         for (batch_records, workers) in [(1, 1), (3, 2), (7, 4), (64, 2), (200, 3)] {
             let streaming = StreamingClassifier::with_config(
-                &db,
-                StreamingConfig {
+                Arc::clone(&db),
+                EngineConfig {
                     batch_records,
                     queue_capacity: 2,
                     workers,
+                    ..EngineConfig::default()
                 },
             );
             let (streamed, summary) = streaming.classify_iter(reads.iter().cloned());
@@ -820,11 +528,12 @@ mod tests {
     fn streaming_sink_sees_records_in_input_order() {
         let (db, reads) = streaming_db();
         let streaming = StreamingClassifier::with_config(
-            &db,
-            StreamingConfig {
+            db,
+            EngineConfig {
                 batch_records: 4,
                 queue_capacity: 2,
                 workers: 4,
+                ..EngineConfig::default()
             },
         );
         let mut seen = Vec::new();
@@ -845,27 +554,25 @@ mod tests {
     #[test]
     fn streaming_respects_in_flight_bounds() {
         let (db, reads) = streaming_db();
-        let config = StreamingConfig {
+        let config = EngineConfig {
             batch_records: 2,
             queue_capacity: 2,
             workers: 2,
+            ..EngineConfig::default()
         };
-        let streaming = StreamingClassifier::with_config(&db, config);
+        let streaming = StreamingClassifier::with_config(db, config);
         let (_, summary) = streaming.classify_iter(reads.iter().cloned());
-        // The channel holds at most `queue_capacity` batches; the gauge
-        // additionally counts the single producer's blocked send and each
-        // worker finishing a recv.
         assert!(
-            summary.peak_queue_batches <= (config.queue_capacity + 1 + config.workers) as u64,
-            "queue peak {} exceeds capacity {} + producer + workers",
+            summary.peak_queue_batches <= config.queue_capacity as u64,
+            "queue peak {} exceeds capacity {}",
             summary.peak_queue_batches,
             config.queue_capacity
         );
         assert!(
-            summary.peak_resident_batches <= config.max_in_flight_batches() as u64,
+            summary.peak_resident_batches <= config.effective_session_in_flight() as u64,
             "resident peak {} exceeds credit total {}",
             summary.peak_resident_batches,
-            config.max_in_flight_batches()
+            config.effective_session_in_flight()
         );
     }
 
@@ -873,11 +580,12 @@ mod tests {
     fn streaming_source_error_drains_prefix_and_propagates() {
         let (db, reads) = streaming_db();
         let streaming = StreamingClassifier::with_config(
-            &db,
-            StreamingConfig {
+            db,
+            EngineConfig {
                 batch_records: 3,
                 queue_capacity: 2,
                 workers: 2,
+                ..EngineConfig::default()
             },
         );
         let mut emitted = 0u64;
@@ -902,16 +610,17 @@ mod tests {
 
     #[test]
     fn sink_panic_propagates_instead_of_deadlocking() {
-        // More batches than the in-flight bound, so without the credit-gate
-        // drop guard the producer would block forever on a credit and the
-        // scope join would hang instead of propagating the panic.
+        // More batches than the in-flight bound, so the panic unwinds
+        // through a session with batches queued, on a worker and in the
+        // reorder buffer; its drop must purge them, not hang on them.
         let (db, reads) = streaming_db();
         let streaming = StreamingClassifier::with_config(
-            &db,
-            StreamingConfig {
+            db,
+            EngineConfig {
                 batch_records: 1,
                 queue_capacity: 1,
                 workers: 1,
+                ..EngineConfig::default()
             },
         );
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -930,7 +639,7 @@ mod tests {
     #[test]
     fn streaming_empty_input() {
         let (db, _) = streaming_db();
-        let streaming = StreamingClassifier::new(&db);
+        let streaming = StreamingClassifier::new(db);
         let (out, summary) = streaming.classify_iter(std::iter::empty());
         assert!(out.is_empty());
         assert_eq!(summary, StreamingSummary::default());

@@ -97,7 +97,8 @@ impl QueryScratch {
 /// zero-allocation hot path), and [`Classifier::classify_batch`] fans a slice
 /// of reads across rayon workers with one scratch per worker. For inputs too
 /// large to materialise, use
-/// [`StreamingClassifier`][crate::pipeline::StreamingClassifier], which
+/// [`StreamingClassifier`][crate::pipeline::StreamingClassifier] (or a
+/// [`Session`][crate::serving::Session] of an engine you already run), which
 /// produces bit-identical results.
 ///
 /// # Example

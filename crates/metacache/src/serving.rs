@@ -1,11 +1,13 @@
 //! The persistent serving engine: a long-lived worker pool multiplexing many
 //! concurrent classification streams over one shared database.
 //!
-//! [`crate::pipeline::StreamingClassifier`] spawns and joins its own scoped
-//! threads on every call — fine for one big file, but a serving front-end
-//! handles many small concurrent requests, and per-call thread spawns
-//! (~0.2 ms) plus cold scratch buffers dominate short streams. The
-//! [`ServingEngine`] keeps the pipeline *resident*:
+//! This is the crate's one streaming core — the paper's pipelined query
+//! architecture (§5, Figure 2: parse → bounded batch queue → classify →
+//! ordered merge). A serving front-end handles many small concurrent
+//! requests, where per-call thread spawns (~0.2 ms) plus cold scratch
+//! buffers would dominate short streams, so the [`ServingEngine`] keeps the
+//! pipeline *resident*; [`crate::pipeline::StreamingClassifier`] is the
+//! one-stream-at-a-time front over the same engine:
 //!
 //! ```text
 //!                 session A ──┐ tagged batches             ┌──► session A results
@@ -35,12 +37,14 @@
 //!   workers route completed batches to the owning session's channel, and
 //!   the session restores *its own* input order from the sequence numbers —
 //!   exact-order emission per stream, independent of other streams.
-//! * **PR 2 guarantees are kept per session.** Results are bit-identical to
-//!   [`Classifier::classify_batch`][crate::query::Classifier::classify_batch]
-//!   including order; a per-session credit bound caps that session's
-//!   resident batches at `max_in_flight`; teardown is panic-safe (a
-//!   panicking sink only kills its own session, a panicking backend worker
-//!   is replaced and reported without deadlocking anyone).
+//! * **Three properties hold per session.** *Equivalence*: results are
+//!   bit-identical to
+//!   [`Classifier::classify_batch`][crate::query::Classifier::classify_batch].
+//!   *Ordered emission*: they arrive in exact input order. *Bounded memory*:
+//!   a per-session credit bound caps that session's resident batches at
+//!   `max_in_flight`. Teardown is panic-safe (a panicking sink only kills
+//!   its own session, a panicking backend worker is replaced and reported
+//!   without deadlocking anyone).
 //! * **The pop is fair across sessions.** The shared queue is not FIFO: a
 //!   deficit-round-robin scan (the internal `FairQueue`) across the
 //!   sessions with queued work decides which batch a worker takes next. A session streaming
@@ -65,12 +69,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 
-use mc_gpu_sim::MultiGpuSystem;
 use mc_seqio::{SequenceBatch, SequenceRecord};
 
-use crate::backend::{Backend, GpuBackend, HostBackend};
+use crate::backend::{Backend, HostBackend};
 use crate::classify::Classification;
 use crate::database::Database;
+use crate::error::MetaCacheError;
 use crate::pipeline::StreamingSummary;
 
 /// Shape of a serving engine: worker count, queue depth and the per-session
@@ -84,15 +88,8 @@ pub struct EngineConfig {
     /// Default records per batch for sessions.
     pub batch_records: usize,
     /// Default per-session bound on resident batches (credits). `0` means
-    /// `queue_capacity + workers` — the PR 2 streaming bound.
+    /// `queue_capacity + workers`.
     pub session_max_in_flight: usize,
-    /// DRR quantum (records granted per round-robin visit) for
-    /// [`QueueClass::Interactive`] lanes. `0` = `batch_records`.
-    pub interactive_quantum: usize,
-    /// DRR quantum for [`QueueClass::Bulk`] lanes. `0` = a quarter of the
-    /// interactive quantum (at least 1), i.e. bulk lanes get ~20% of the
-    /// pool under full contention by default.
-    pub bulk_quantum: usize,
 }
 
 impl Default for EngineConfig {
@@ -102,10 +99,11 @@ impl Default for EngineConfig {
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(1),
             queue_capacity: 4,
+            // Large enough that per-batch queue/condvar handoffs amortise
+            // to noise (<0.1% of classify time at ~3 µs/read), small enough
+            // that queue_capacity + workers batches stay modest in memory.
             batch_records: 1024,
             session_max_in_flight: 0,
-            interactive_quantum: 0,
-            bulk_quantum: 0,
         }
     }
 }
@@ -129,20 +127,13 @@ impl EngineConfig {
         }
     }
 
-    /// The resolved per-class DRR quanta, indexed by `QueueClass as usize`
-    /// (`[interactive, bulk]`), with the `0 = default` rules applied.
+    /// The per-class DRR quanta (records granted per round-robin visit),
+    /// indexed by `QueueClass as usize`: interactive lanes get
+    /// `batch_records`, bulk lanes a quarter of that (at least 1), i.e. bulk
+    /// lanes get ~20% of the pool under full contention.
     pub fn class_quanta(&self) -> [usize; 2] {
-        let interactive = if self.interactive_quantum > 0 {
-            self.interactive_quantum
-        } else {
-            self.batch_records.max(1)
-        };
-        let bulk = if self.bulk_quantum > 0 {
-            self.bulk_quantum
-        } else {
-            (interactive / 4).max(1)
-        };
-        [interactive, bulk]
+        let interactive = self.batch_records.max(1);
+        [interactive, (interactive / 4).max(1)]
     }
 }
 
@@ -205,8 +196,9 @@ pub struct EngineStats {
     pub peak_queue_batches: u64,
 }
 
-/// One completed engine batch handed back by [`Session::try_drain_owned`],
-/// in submission order: the records that went in (by move, heap buffers
+/// One completed (or failed) engine batch: what a worker sends back to the
+/// owning session, and what [`Session::try_drain_owned`] hands out in
+/// submission order — the records that went in (by move, heap buffers
 /// intact — recycle them) plus one classification per record.
 pub struct CompletedBatch {
     /// The batch's records, exactly as submitted.
@@ -222,19 +214,6 @@ pub struct CompletedBatch {
     /// epoch; a front-end wanting one generation per *request* compares the
     /// tags of the request's batches and replays on mismatch.
     pub generation: u64,
-}
-
-/// A completed (or failed) batch travelling from a worker back to its
-/// session.
-struct WorkerResult {
-    seq: u64,
-    records: Vec<SequenceRecord>,
-    classifications: Vec<Classification>,
-    /// The backend worker panicked while classifying this batch; the
-    /// session's drain turns this into a client-side panic.
-    panicked: bool,
-    /// Database generation the worker had pinned (see [`EpochStore`]).
-    generation: u64,
 }
 
 /// One pinned database state: a generation number plus the backend (and
@@ -324,9 +303,9 @@ impl EpochStore {
 
 /// Routing entry of one live session.
 struct SessionState {
-    /// Worker → session result channel; sized to the session's credit total
-    /// so workers never block on delivery.
-    out_tx: mpsc::SyncSender<WorkerResult>,
+    /// Worker → session result channel of `(session_seq, batch)`; sized to
+    /// the session's credit total so workers never block on delivery.
+    out_tx: mpsc::SyncSender<(u64, CompletedBatch)>,
     /// Invoked (post-delivery) for every result sent to this session. An
     /// event-loop front-end parks a waker here so completions re-enter its
     /// loop; must never block.
@@ -708,7 +687,11 @@ pub struct ServingEngine {
 }
 
 impl ServingEngine {
-    /// Start an engine over an explicit backend.
+    /// Start an engine over an explicit backend: [`HostBackend`], the
+    /// simulated multi-GPU [`crate::backend::GpuBackend`] (batches issue
+    /// round-robin across devices) or the scatter-gather
+    /// [`crate::shard::ShardedBackend`] (bit-identical to an unsharded host
+    /// engine).
     pub fn new<B>(backend: B, config: EngineConfig) -> Self
     where
         B: Backend + 'static,
@@ -797,13 +780,15 @@ impl ServingEngine {
                                 // Sized-to-credits channel: never blocks. A
                                 // session that died mid-flight just drops the
                                 // result.
-                                let _ = target.out_tx.send(WorkerResult {
-                                    seq: session_seq,
-                                    records,
-                                    classifications,
-                                    panicked,
-                                    generation,
-                                });
+                                let _ = target.out_tx.send((
+                                    session_seq,
+                                    CompletedBatch {
+                                        records,
+                                        classifications,
+                                        panicked,
+                                        generation,
+                                    },
+                                ));
                                 if let Some(notify) = &target.notify {
                                     notify();
                                 }
@@ -830,19 +815,6 @@ impl ServingEngine {
     /// Start a host-path engine with an explicit shape.
     pub fn host_with_config(db: Arc<Database>, config: EngineConfig) -> Self {
         Self::new(HostBackend::new(db), config)
-    }
-
-    /// Start a simulated-GPU engine: batches issue round-robin across the
-    /// system's devices (per-device streams, copy/compute overlap).
-    pub fn gpu(db: Arc<Database>, system: Arc<MultiGpuSystem>, config: EngineConfig) -> Self {
-        Self::new(GpuBackend::new(db, system), config)
-    }
-
-    /// Start a scatter-gather engine over a sharded database: every batch
-    /// fans out to all shards in-process and the merged results are
-    /// bit-identical to an unsharded host engine (see [`crate::shard`]).
-    pub fn sharded(db: Arc<crate::shard::ShardedDatabase>, config: EngineConfig) -> Self {
-        Self::new(crate::shard::ShardedBackend::new(db), config)
     }
 
     /// The engine's (normalised) shape.
@@ -1031,9 +1003,10 @@ impl Drop for ServingEngine {
 /// borrow of the engine guarantees the worker pool outlives it. Batches are
 /// submitted with per-session sequence numbers and the session restores its
 /// own input order in a client-side reorder buffer, releasing one credit per
-/// emitted batch — the per-stream analogue of the PR 2 pipeline's credit
-/// scheme, with identical guarantees (exact order, bit-identical results,
-/// `max_in_flight` resident batches).
+/// emitted batch: a credit is taken *before* a batch is submitted and
+/// returned only when the batch has been emitted in order, so the batches
+/// resident anywhere (queue + workers + completed-but-unordered reorder
+/// buffer) never exceed `max_in_flight`.
 ///
 /// Dropping a session (including mid-panic of the caller's sink) removes
 /// its routing entry and purges its still-queued batches from the fair
@@ -1083,8 +1056,10 @@ impl Drop for ServingEngine {
 pub struct Session<'e> {
     engine: &'e ServingEngine,
     id: u64,
-    out_rx: mpsc::Receiver<WorkerResult>,
-    pending: BTreeMap<u64, WorkerResult>,
+    out_rx: mpsc::Receiver<(u64, CompletedBatch)>,
+    /// Reorder buffer: completed batches that arrived ahead of
+    /// `next_emit_seq`.
+    pending: BTreeMap<u64, CompletedBatch>,
     next_submit_seq: u64,
     next_emit_seq: u64,
     in_flight: usize,
@@ -1124,9 +1099,7 @@ impl Session<'_> {
     }
 
     /// Stream a fallible record source through the engine, calling `sink`
-    /// with `(record_index, record, classification)` in exact input order —
-    /// the serving-path equivalent of
-    /// [`StreamingClassifier::classify_stream`][crate::pipeline::StreamingClassifier::classify_stream].
+    /// with `(record_index, record, classification)` in exact input order.
     ///
     /// The caller's thread parses and assembles batches while the engine's
     /// resident workers classify concurrently; the session never holds more
@@ -1182,9 +1155,9 @@ impl Session<'_> {
             self.submit(current, &mut summary, &mut sink, &mut record_index);
         }
         // Drain everything still in flight — also the prefix before a source
-        // error, matching the streaming pipeline's semantics.
+        // error: every record parsed before it still reaches the sink.
         while self.in_flight > 0 {
-            self.drain_one(&mut summary, &mut sink, &mut record_index);
+            self.emit_one(&mut summary, &mut sink, &mut record_index);
         }
 
         summary.peak_resident_batches = self.peak_in_flight;
@@ -1213,6 +1186,19 @@ impl Session<'_> {
             Err(infallible) => match infallible {},
         };
         (out, summary)
+    }
+
+    /// Stream a FASTA/FASTQ file (auto-detected) from disk through the
+    /// engine without materialising it, collecting the classifications in
+    /// file order.
+    pub fn classify_file(
+        &mut self,
+        path: impl AsRef<std::path::Path>,
+    ) -> crate::Result<(Vec<Classification>, StreamingSummary)> {
+        let stream = mc_seqio::SequenceReader::open(path).map_err(MetaCacheError::from)?;
+        let mut out = Vec::new();
+        let summary = self.classify_stream(stream, |_, _, c| out.push(*c))?;
+        Ok((out, summary))
     }
 
     /// Classify a slice of reads through the engine, returning one
@@ -1248,14 +1234,9 @@ impl Session<'_> {
         if total <= self.batch_records {
             // One batch: the vector rides to the worker and back untouched.
             self.submit_owned(records);
-            let mut returned = Vec::new();
-            let mut spines = Vec::new();
-            while self.in_flight > 0 {
-                if let Some(single) = self.drain_owned(out, &mut returned, &mut spines, true) {
-                    return single;
-                }
-            }
-            unreachable!("single-batch drain always yields the batch back");
+            let done = self.drain_blocking();
+            out.extend(done.classifications);
+            return done.records;
         }
         // Multiple batches: records are *moved* (never cloned) into
         // per-batch chunks; drained chunk spines are reused for later
@@ -1272,12 +1253,12 @@ impl Session<'_> {
                 break;
             }
             while self.in_flight >= self.max_in_flight {
-                self.drain_owned(out, &mut returned, &mut spines, false);
+                self.drain_owned(out, &mut returned, &mut spines);
             }
             self.submit_owned(chunk);
         }
         while self.in_flight > 0 {
-            self.drain_owned(out, &mut returned, &mut spines, false);
+            self.drain_owned(out, &mut returned, &mut spines);
         }
         returned
     }
@@ -1339,19 +1320,49 @@ impl Session<'_> {
     /// even if later batches have already finished (they wait in the
     /// reorder buffer).
     pub fn try_drain_owned(&mut self) -> Option<CompletedBatch> {
-        while let Ok(result) = self.out_rx.try_recv() {
-            self.pending.insert(result.seq, result);
+        self.next_completed(false)
+    }
+
+    /// The one drain primitive — the only place this session's reorder
+    /// buffer advances, a credit is released and `last_generation` is set:
+    /// take the next batch in submission order, receiving results (into the
+    /// reorder buffer) until it has arrived. With `block`, waits for it —
+    /// the caller guarantees `in_flight > 0`; without, returns `None` as
+    /// soon as the result channel runs dry.
+    fn next_completed(&mut self, block: bool) -> Option<CompletedBatch> {
+        loop {
+            if let Some(done) = self.pending.remove(&self.next_emit_seq) {
+                self.next_emit_seq += 1;
+                self.in_flight -= 1;
+                self.last_generation = done.generation;
+                return Some(done);
+            }
+            let (seq, result) = if block {
+                self.out_rx
+                    .recv()
+                    .expect("serving engine workers gone while session in flight")
+            } else {
+                self.out_rx.try_recv().ok()?
+            };
+            self.pending.insert(seq, result);
         }
-        let done = self.pending.remove(&self.next_emit_seq)?;
-        self.next_emit_seq += 1;
-        self.in_flight -= 1;
-        self.last_generation = done.generation;
-        Some(CompletedBatch {
-            records: done.records,
-            classifications: done.classifications,
-            panicked: done.panicked,
-            generation: done.generation,
-        })
+    }
+
+    /// Blocking drain of the next batch in submission order; a batch whose
+    /// backend worker panicked is re-raised here, on the client's thread.
+    fn drain_blocking(&mut self) -> CompletedBatch {
+        let done = self
+            .next_completed(true)
+            .expect("a blocking drain always yields a batch");
+        if done.panicked {
+            panic!(
+                "serving engine worker panicked while classifying \
+                 session {} batch {}",
+                self.id,
+                self.next_emit_seq - 1
+            );
+        }
+        done
     }
 
     /// Enqueue one owned batch under this session's next sequence number.
@@ -1367,44 +1378,19 @@ impl Session<'_> {
         self.peak_in_flight = self.peak_in_flight.max(self.in_flight as u64);
     }
 
-    /// Receive one completed batch and emit every contiguous batch from the
-    /// reorder buffer: classifications append to `out`, records move into
-    /// `returned` (their emptied spines into `spines` for reuse). With
-    /// `single`, the first emitted batch's record vector is handed back
-    /// whole instead.
+    /// Drain the next batch in order: classifications append to `out`,
+    /// records move into `returned` (their emptied spine into `spines` for
+    /// reuse).
     fn drain_owned(
         &mut self,
         out: &mut Vec<Classification>,
         returned: &mut Vec<SequenceRecord>,
         spines: &mut Vec<Vec<SequenceRecord>>,
-        single: bool,
-    ) -> Option<Vec<SequenceRecord>> {
-        let result = self
-            .out_rx
-            .recv()
-            .expect("serving engine workers gone while session in flight");
-        self.pending.insert(result.seq, result);
-        while let Some(done) = self.pending.remove(&self.next_emit_seq) {
-            self.next_emit_seq += 1;
-            self.in_flight -= 1;
-            self.last_generation = done.generation;
-            if done.panicked {
-                panic!(
-                    "serving engine worker panicked while classifying \
-                     session {} batch {}",
-                    self.id,
-                    self.next_emit_seq - 1
-                );
-            }
-            out.extend(done.classifications);
-            if single {
-                return Some(done.records);
-            }
-            let mut records = done.records;
-            returned.append(&mut records);
-            spines.push(records);
-        }
-        None
+    ) {
+        let mut done = self.drain_blocking();
+        out.extend(done.classifications);
+        returned.append(&mut done.records);
+        spines.push(done.records);
     }
 
     /// Discard every in-flight batch of an abandoned previous stream:
@@ -1445,42 +1431,24 @@ impl Session<'_> {
         F: FnMut(u64, &SequenceRecord, &Classification),
     {
         while self.in_flight >= self.max_in_flight {
-            self.drain_one(summary, sink, record_index);
+            self.emit_one(summary, sink, record_index);
         }
         self.submit_owned(records);
     }
 
-    /// Receive one completed batch and emit every contiguous batch from the
-    /// reorder buffer to the sink, releasing their credits.
-    fn drain_one<F>(&mut self, summary: &mut StreamingSummary, sink: &mut F, record_index: &mut u64)
+    /// Drain the next batch in order and emit its records to the sink.
+    fn emit_one<F>(&mut self, summary: &mut StreamingSummary, sink: &mut F, record_index: &mut u64)
     where
         F: FnMut(u64, &SequenceRecord, &Classification),
     {
-        let result = self
-            .out_rx
-            .recv()
-            .expect("serving engine workers gone while session in flight");
-        self.pending.insert(result.seq, result);
-        while let Some(done) = self.pending.remove(&self.next_emit_seq) {
-            self.next_emit_seq += 1;
-            self.in_flight -= 1;
-            self.last_generation = done.generation;
-            if done.panicked {
-                panic!(
-                    "serving engine worker panicked while classifying \
-                     session {} batch {}",
-                    self.id,
-                    self.next_emit_seq - 1
-                );
-            }
-            for (record, classification) in done.records.iter().zip(&done.classifications) {
-                sink(*record_index, record, classification);
-                summary.bases += record.total_len() as u64;
-                *record_index += 1;
-            }
-            summary.records += done.records.len() as u64;
-            summary.batches += 1;
+        let done = self.drain_blocking();
+        for (record, classification) in done.records.iter().zip(&done.classifications) {
+            sink(*record_index, record, classification);
+            summary.bases += record.total_len() as u64;
+            *record_index += 1;
         }
+        summary.records += done.records.len() as u64;
+        summary.batches += 1;
     }
 }
 
@@ -1560,7 +1528,6 @@ mod tests {
                 queue_capacity: 2,
                 batch_records: 4,
                 session_max_in_flight: 0,
-                ..EngineConfig::default()
             },
         );
         let mut session = engine.session();
@@ -1587,7 +1554,6 @@ mod tests {
                 queue_capacity: 2,
                 batch_records: 3,
                 session_max_in_flight: 0,
-                ..EngineConfig::default()
             },
         );
         let mut session = engine.session();
@@ -1615,7 +1581,6 @@ mod tests {
                 queue_capacity: 2,
                 batch_records: 1,
                 session_max_in_flight: 0,
-                ..EngineConfig::default()
             },
         );
         let mut session = engine.session();
@@ -1678,7 +1643,6 @@ mod tests {
                 queue_capacity: 1,
                 batch_records: 1,
                 session_max_in_flight: 3,
-                ..EngineConfig::default()
             },
         );
         let mut session = engine.session();
@@ -1921,7 +1885,6 @@ mod tests {
                 queue_capacity: 8,
                 batch_records: 1,
                 session_max_in_flight: 0,
-                ..EngineConfig::default()
             },
         );
         let genome = make_seq(2_000, 99);
@@ -1991,7 +1954,6 @@ mod tests {
                 queue_capacity: 2,
                 batch_records: 4, // multi-batch path: 40 reads → 10 batches
                 session_max_in_flight: 3,
-                ..EngineConfig::default()
             },
         );
         let mut session = engine.session();
@@ -2088,7 +2050,6 @@ mod tests {
                 queue_capacity: 8,
                 batch_records: 1,
                 session_max_in_flight: 0,
-                ..EngineConfig::default()
             },
         );
         let genome = make_seq(2_000, 7);
@@ -2160,8 +2121,6 @@ mod tests {
             queue_capacity: 0,
             batch_records: 0,
             session_max_in_flight: 0,
-            interactive_quantum: 0,
-            bulk_quantum: 0,
         }
         .normalized();
         assert_eq!(config.workers, 1);
@@ -2174,28 +2133,28 @@ mod tests {
             ..EngineConfig::default()
         };
         assert_eq!(explicit.effective_session_in_flight(), 7);
-        // Quanta defaults: interactive = batch_records, bulk = a quarter.
+        // Quanta: interactive = batch_records, bulk = a quarter.
         let quanta = EngineConfig {
             batch_records: 64,
             ..EngineConfig::default()
         };
         assert_eq!(quanta.class_quanta(), [64, 16]);
-        let quanta = EngineConfig {
-            batch_records: 64,
-            interactive_quantum: 100,
-            bulk_quantum: 3,
-            ..EngineConfig::default()
-        };
-        assert_eq!(quanta.class_quanta(), [100, 3]);
     }
 
-    /// Priority lanes, deterministic pop order: with quanta `[4, 1]` and
-    /// two equally backlogged one-record-batch lanes, the weighted DRR must
-    /// serve interactive and bulk in exactly the 4:1 pattern the deficits
-    /// dictate — nothing probabilistic about it.
+    /// Priority lanes, deterministic pop order: with quanta `[4, 1]` (an
+    /// engine with `batch_records: 4`) and two equally backlogged
+    /// one-record-batch lanes, the weighted DRR must serve interactive and
+    /// bulk in exactly the 4:1 pattern the deficits dictate — nothing
+    /// probabilistic about it.
     #[test]
     fn weighted_lanes_pop_in_exact_quanta_ratio() {
-        let queue = FairQueue::new(64, [4, 1]);
+        let quanta = EngineConfig {
+            batch_records: 4,
+            ..EngineConfig::default()
+        }
+        .class_quanta();
+        assert_eq!(quanta, [4, 1]);
+        let queue = FairQueue::new(64, quanta);
         queue.set_class(1, QueueClass::Interactive);
         queue.set_class(2, QueueClass::Bulk);
         for seq in 0..8 {
@@ -2215,7 +2174,7 @@ mod tests {
         // The mirror image: swap the classes. Rotation order still follows
         // arrival order (bulk lane 1 entered first, so it heads the round),
         // but its visits grant 1 while interactive's grant 4.
-        let queue = FairQueue::new(64, [4, 1]);
+        let queue = FairQueue::new(64, quanta);
         queue.set_class(1, QueueClass::Bulk);
         queue.set_class(2, QueueClass::Interactive);
         for seq in 0..8 {
@@ -2231,7 +2190,7 @@ mod tests {
 
         // A purge must not erase the class: after a mid-life purge the
         // session's next backlog still schedules under its lane's quantum.
-        let queue = FairQueue::new(64, [4, 1]);
+        let queue = FairQueue::new(64, quanta);
         queue.set_class(1, QueueClass::Bulk);
         queue.push(batch_of(1, 0, 1)).unwrap();
         assert_eq!(queue.purge_session(1), 1);
@@ -2261,13 +2220,13 @@ mod tests {
                 open: Arc::clone(&open),
                 log: Arc::clone(&log),
             },
+            // `batch_records: 4` fixes the lane quanta at [4, 1]; the sessions
+            // below submit one-record batches.
             EngineConfig {
                 workers: 1,
                 queue_capacity: 16,
-                batch_records: 1,
+                batch_records: 4,
                 session_max_in_flight: 0,
-                interactive_quantum: 4,
-                bulk_quantum: 1,
             },
         );
         let genome = make_seq(2_000, 42);
@@ -2293,6 +2252,7 @@ mod tests {
                 let reads: Vec<_> = (0..9).map(|i| read(&format!("bulk{i}"))).collect();
                 move || {
                     let mut session = engine_ref.session_with(SessionConfig {
+                        batch_records: 1,
                         class: QueueClass::Bulk,
                         ..SessionConfig::default()
                     });
@@ -2305,6 +2265,7 @@ mod tests {
                 let reads: Vec<_> = (0..4).map(|i| read(&format!("inter{i}"))).collect();
                 move || {
                     let mut session = engine_ref.session_with(SessionConfig {
+                        batch_records: 1,
                         class: QueueClass::Interactive,
                         ..SessionConfig::default()
                     });
@@ -2353,7 +2314,6 @@ mod tests {
                 queue_capacity: 2,
                 batch_records: 4,
                 session_max_in_flight: 3,
-                ..EngineConfig::default()
             },
         );
         let space_wakes = Arc::new(AtomicU64::new(0));

@@ -166,7 +166,6 @@ fn engine_config(flags: &[(String, String)]) -> EngineConfig {
         queue_capacity: parsed(flags, "--queue", 4),
         batch_records: parsed(flags, "--batch", 256),
         session_max_in_flight: 0,
-        ..EngineConfig::default()
     }
 }
 
@@ -627,7 +626,6 @@ fn smoke(args: &[String]) -> i32 {
             queue_capacity: 4,
             batch_records: 32,
             session_max_in_flight: 0,
-            ..EngineConfig::default()
         },
     );
     let server = match NetServer::bind(&engine, "127.0.0.1:0") {

@@ -18,12 +18,14 @@
 //!   ([`batch::QueueStats::in_flight`] / [`batch::QueueStats::peak_in_flight`])
 //!   so pipelines can assert their memory bounds.
 //!
-//! Both phases use the same plumbing: a producer parses records from disk (or
-//! memory), groups them into [`record::SequenceBatch`]es carrying monotone
-//! sequence numbers, and pushes them through a [`BatchQueue`] whose bounded
-//! capacity applies backpressure. Consumers restore global order from the
-//! batch indices — see `metacache::pipeline::StreamingClassifier` for the
-//! query-side consumer and `docs/ARCHITECTURE.md` for the end-to-end picture.
+//! Both phases group parsed records into [`record::SequenceBatch`]es carrying
+//! monotone sequence numbers, from which consumers restore input order. The
+//! build phase pushes them through a [`BatchQueue`] whose bounded capacity
+//! applies backpressure (`metacache::build::CpuBuilder::build_from_queue`);
+//! the query phase tags them per session
+//! ([`record::SequenceBatch::for_session`]) and submits them to
+//! `metacache::serving::ServingEngine`'s fair queue — see
+//! `docs/ARCHITECTURE.md` for the end-to-end picture.
 //!
 //! ## Example
 //!

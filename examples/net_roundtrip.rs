@@ -57,7 +57,6 @@ fn main() {
             queue_capacity: 4,
             batch_records: 32,
             session_max_in_flight: 0,
-            ..EngineConfig::default()
         },
     );
 

@@ -119,7 +119,6 @@ fn test_engine(db: Arc<Database>) -> ServingEngine {
             queue_capacity: 4,
             batch_records: 8,
             session_max_in_flight: 0,
-            ..EngineConfig::default()
         },
     )
 }
@@ -832,7 +831,6 @@ fn routed_scatter_gather_matches_unsharded() {
             queue_capacity: 4,
             batch_records: 8,
             session_max_in_flight: 4,
-            ..EngineConfig::default()
         },
     );
     let router_server = NetServer::bind(&router_engine, "127.0.0.1:0").unwrap();

@@ -85,7 +85,6 @@ fn test_engine(db: Arc<Database>) -> ServingEngine {
             queue_capacity: 4,
             batch_records: 8,
             session_max_in_flight: 0,
-            ..EngineConfig::default()
         },
     )
 }
@@ -776,7 +775,6 @@ fn routed_chaos_leg_retries_to_bit_identical_convergence() {
             queue_capacity: 4,
             batch_records: 8,
             session_max_in_flight: 0,
-            ..EngineConfig::default()
         },
     );
     let router_server = NetServer::bind_with(&router_engine, "127.0.0.1:0", fast_config()).unwrap();
@@ -885,7 +883,6 @@ fn dead_shard_leg_surfaces_typed_error_without_corrupting_healthy_leg() {
             queue_capacity: 4,
             batch_records: 8,
             session_max_in_flight: 0,
-            ..EngineConfig::default()
         },
     );
     let router_server = NetServer::bind_with(&router_engine, "127.0.0.1:0", fast_config()).unwrap();
@@ -1458,7 +1455,6 @@ fn routed_reload_with_wrecked_leg_converges_without_torn_merge() {
             queue_capacity: 4,
             batch_records: 8,
             session_max_in_flight: 0,
-            ..EngineConfig::default()
         },
     );
     let router_server = NetServer::bind_with(&router_engine, "127.0.0.1:0", fast_config()).unwrap();

@@ -9,12 +9,12 @@ use std::sync::Arc;
 use mc_gpu_sim::MultiGpuSystem;
 use mc_seqio::SequenceRecord;
 use mc_taxonomy::{Rank, Taxonomy};
-use metacache::backend::{Backend, BackendWorker, HostBackend};
+use metacache::backend::{Backend, BackendWorker, GpuBackend, HostBackend};
 use metacache::build::{CpuBuilder, GpuBuilder};
 use metacache::classify::Classification;
 use metacache::query::Classifier;
 use metacache::serving::{EngineConfig, ServingEngine, SessionConfig};
-use metacache::{Database, MetaCacheConfig};
+use metacache::{Database, MetaCacheConfig, ShardedBackend};
 
 fn make_seq(len: usize, seed: u64) -> Vec<u8> {
     let mut state = seed | 1;
@@ -90,7 +90,6 @@ fn concurrent_sessions_are_bit_identical_to_classify_batch() {
             queue_capacity: 2,
             batch_records: 5, // small batches force interleaving across sessions
             session_max_in_flight: 0,
-            ..EngineConfig::default()
         },
     );
     let sessions = 6;
@@ -144,7 +143,6 @@ fn panicking_sink_does_not_deadlock_other_sessions() {
             batch_records: 1, // more batches than credits: the panicking
             // session holds in-flight work when it dies
             session_max_in_flight: 2,
-            ..EngineConfig::default()
         },
     );
     let reads = mixed_reads(40, 77);
@@ -252,7 +250,6 @@ fn worker_panic_is_isolated_and_reported() {
             queue_capacity: 2,
             batch_records: 4,
             session_max_in_flight: 0,
-            ..EngineConfig::default()
         },
     );
     let clean = mixed_reads(30, 5);
@@ -314,7 +311,6 @@ fn shutdown_drains_in_flight_work() {
             queue_capacity: 2,
             batch_records: 2,
             session_max_in_flight: 0,
-            ..EngineConfig::default()
         },
     );
     let reads = mixed_reads(50, 9);
@@ -352,15 +348,13 @@ fn gpu_engine_matches_host_engine_and_classify_batch() {
     let reads = mixed_reads(45, 123);
     let expected = Classifier::new(Arc::clone(&db)).classify_batch(&reads);
 
-    let engine = ServingEngine::gpu(
-        Arc::clone(&db),
-        Arc::clone(&system),
+    let engine = ServingEngine::new(
+        GpuBackend::new(Arc::clone(&db), Arc::clone(&system)),
         EngineConfig {
             workers: 2,
             queue_capacity: 2,
             batch_records: 6,
             session_max_in_flight: 0,
-            ..EngineConfig::default()
         },
     );
     std::thread::scope(|scope| {
@@ -429,14 +423,13 @@ fn sharded_engine_matches_unsharded_sessions() {
     let expected = Classifier::new(Arc::clone(&db)).classify_batch(&reads);
     let split = Arc::new(metacache::ShardedDatabase::round_robin(owned_database(), 2).unwrap());
 
-    let engine = ServingEngine::sharded(
-        Arc::clone(&split),
+    let engine = ServingEngine::new(
+        ShardedBackend::new(Arc::clone(&split)),
         EngineConfig {
             workers: 2,
             queue_capacity: 2,
             batch_records: 6,
             session_max_in_flight: 0,
-            ..EngineConfig::default()
         },
     );
     std::thread::scope(|scope| {
@@ -480,7 +473,6 @@ fn sharded_worker_panic_is_isolated() {
             queue_capacity: 2,
             batch_records: 4,
             session_max_in_flight: 0,
-            ..EngineConfig::default()
         },
     );
 

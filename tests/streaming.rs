@@ -1,7 +1,10 @@
 //! Integration tests of the streaming query pipeline: equivalence with the
 //! materialised path under arbitrary batch-size splits (including output
-//! order), bounded memory, degenerate-read handling across all paths, and
-//! file streaming.
+//! order), bounded memory, degenerate-read handling across all paths, file
+//! streaming, and what the resident pool behind `StreamingClassifier` adds
+//! (reuse after a panicked stream, concurrent callers, no per-call threads).
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
@@ -10,8 +13,9 @@ use mc_seqio::{BatchQueue, SequenceRecord};
 use mc_taxonomy::{Rank, Taxonomy};
 use metacache::build::{CpuBuilder, GpuBuilder};
 use metacache::gpu::GpuClassifier;
-use metacache::pipeline::{StreamingClassifier, StreamingConfig};
+use metacache::pipeline::StreamingClassifier;
 use metacache::query::Classifier;
+use metacache::serving::EngineConfig;
 use metacache::{Database, MetaCacheConfig};
 
 fn make_seq(len: usize, seed: u64) -> Vec<u8> {
@@ -97,14 +101,14 @@ proptest! {
         let materialised = Classifier::new(db).classify_batch(&reads);
         let streaming = StreamingClassifier::with_config(
             db,
-            StreamingConfig { batch_records, queue_capacity, workers },
+            EngineConfig { batch_records, queue_capacity, workers, ..EngineConfig::default() },
         );
         let (streamed, summary) = streaming.classify_iter(reads.iter().cloned());
         prop_assert_eq!(streamed, materialised);
         prop_assert_eq!(summary.records, n as u64);
         prop_assert!(
             summary.peak_resident_batches
-                <= streaming.config().max_in_flight_batches() as u64
+                <= streaming.config().effective_session_in_flight() as u64
         );
     }
 }
@@ -141,10 +145,11 @@ fn streaming_pipeline_memory_stays_bounded() {
     // resident batches at `queue_capacity + workers` even though 100x more
     // batches flow through.
     let (db, _) = shared_database();
-    let config = StreamingConfig {
+    let config = EngineConfig {
         batch_records: 2,
         queue_capacity: 2,
         workers: 3,
+        ..EngineConfig::default()
     };
     let streaming = StreamingClassifier::with_config(db, config);
     let reads = mixed_reads(600, 77);
@@ -152,14 +157,14 @@ fn streaming_pipeline_memory_stays_bounded() {
     assert_eq!(out.len(), 600);
     assert_eq!(summary.batches, 300);
     assert!(
-        summary.peak_resident_batches <= config.max_in_flight_batches() as u64,
+        summary.peak_resident_batches <= config.effective_session_in_flight() as u64,
         "peak resident {} exceeds bound {}",
         summary.peak_resident_batches,
-        config.max_in_flight_batches()
+        config.effective_session_in_flight()
     );
     assert!(
-        summary.peak_queue_batches <= (config.queue_capacity + 1 + config.workers) as u64,
-        "peak queue gauge {} exceeds channel capacity + producer + workers",
+        summary.peak_queue_batches <= config.queue_capacity as u64,
+        "peak queue gauge {} exceeds the fair queue's capacity",
         summary.peak_queue_batches
     );
 }
@@ -186,10 +191,11 @@ fn short_and_empty_reads_classify_identically_on_every_path() {
     for batch_records in [1, 2, 6] {
         let streaming = StreamingClassifier::with_config(
             db,
-            StreamingConfig {
+            EngineConfig {
                 batch_records,
                 queue_capacity: 2,
                 workers: 2,
+                ..EngineConfig::default()
             },
         );
         let (streamed, _) = streaming.classify_iter(degenerate.iter().cloned());
@@ -231,10 +237,11 @@ fn classify_file_streams_fasta_and_fastq() {
     std::fs::write(&fa_path, mc_seqio::fasta::to_string(&reads)).unwrap();
     let streaming = StreamingClassifier::with_config(
         db,
-        StreamingConfig {
+        EngineConfig {
             batch_records: 7,
             queue_capacity: 2,
             workers: 3,
+            ..EngineConfig::default()
         },
     );
     let (from_file, summary) = streaming.classify_file(&fa_path).unwrap();
@@ -266,28 +273,6 @@ fn classify_file_streams_fasta_and_fastq() {
 }
 
 #[test]
-fn gpu_classify_stream_matches_classify_all() {
-    let (db, _) = shared_database();
-    let reads = mixed_reads(60, 5);
-    let system = MultiGpuSystem::dgx1(2);
-    let gpu = GpuClassifier::new(db, &system);
-    let (materialised, _) = gpu.classify_all(&reads);
-
-    let queue = BatchQueue::new(3, 8);
-    let (tx, rx) = queue.split();
-    let producer = {
-        let reads = reads.clone();
-        std::thread::spawn(move || {
-            tx.send_all(reads).unwrap();
-        })
-    };
-    let (streamed, breakdown) = gpu.classify_stream(&rx);
-    producer.join().unwrap();
-    assert_eq!(streamed, materialised);
-    assert!(breakdown.total() > mc_gpu_sim::SimDuration::ZERO);
-}
-
-#[test]
 fn streaming_matches_gpu_built_database() {
     // The streaming pipeline also serves databases built on the simulated
     // devices (the OTF serving scenario).
@@ -305,11 +290,139 @@ fn streaming_matches_gpu_built_database() {
     builder
         .add_target(SequenceRecord::new("refB", genomes[1].clone()), 101)
         .unwrap();
-    let db = builder.finish();
+    let db = Arc::new(builder.finish());
 
     let reads = mixed_reads(40, 9);
-    let materialised = Classifier::new(&db).classify_batch(&reads);
-    let streaming = StreamingClassifier::new(&db);
+    let materialised = Classifier::new(Arc::clone(&db)).classify_batch(&reads);
+    let streaming = StreamingClassifier::new(db);
     let (streamed, _) = streaming.classify_iter(reads.iter().cloned());
     assert_eq!(streamed, materialised);
+}
+
+/// A pipeline shape small enough that a 40-read stream keeps batches queued,
+/// on workers and in the reorder buffer all at once.
+fn small_pipeline() -> StreamingClassifier {
+    let (db, _) = shared_database();
+    StreamingClassifier::with_config(
+        db,
+        EngineConfig {
+            batch_records: 3,
+            queue_capacity: 2,
+            workers: 2,
+            ..EngineConfig::default()
+        },
+    )
+}
+
+#[test]
+fn classifier_survives_a_sink_panic_and_serves_the_next_stream() {
+    let (db, _) = shared_database();
+    let reads = mixed_reads(40, 31);
+    let materialised = Classifier::new(db).classify_batch(&reads);
+    let streaming = small_pipeline();
+
+    let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        streaming.classify_stream(
+            reads.iter().cloned().map(Ok::<_, std::convert::Infallible>),
+            |index, _, _| assert!(index < 5, "sink failure"),
+        )
+    }));
+    assert!(panicked.is_err(), "sink panic must propagate to the caller");
+    assert_eq!(
+        streaming.engine().live_sessions(),
+        0,
+        "the abandoned stream's session must be gone"
+    );
+
+    // The pool is resident: the same classifier serves the next stream, and
+    // nothing of the abandoned one leaks into it.
+    let (streamed, summary) = streaming.classify_iter(reads.iter().cloned());
+    assert_eq!(streamed, materialised);
+    assert_eq!(summary.records, reads.len() as u64);
+    assert_eq!(streaming.engine().live_sessions(), 0);
+    assert_eq!(streaming.engine().stats().worker_panics, 0);
+}
+
+#[test]
+fn concurrent_callers_share_one_classifier() {
+    let (db, _) = shared_database();
+    let streaming = small_pipeline();
+    // Both sources stop at the barrier mid-stream, so each caller provably
+    // has batches in flight while the other is still submitting.
+    let midway = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        for seed in [41u64, 42] {
+            let (streaming, midway) = (&streaming, &midway);
+            scope.spawn(move || {
+                let reads = mixed_reads(40, seed);
+                let materialised = Classifier::new(db).classify_batch(&reads);
+                let source = reads.iter().cloned().enumerate().map(|(i, read)| {
+                    if i == 20 {
+                        midway.wait();
+                    }
+                    read
+                });
+                let (streamed, summary) = streaming.classify_iter(source);
+                assert_eq!(streamed, materialised, "seed {seed}");
+                assert_eq!(summary.records, reads.len() as u64);
+            });
+        }
+    });
+    assert_eq!(streaming.engine().live_sessions(), 0);
+}
+
+/// This process's live OS thread count (`Threads:` in /proc/self/status);
+/// `None` where procfs is unavailable.
+fn process_threads() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("Threads:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
+}
+
+#[test]
+fn back_to_back_streams_leave_the_thread_count_unchanged() {
+    // The count is process-wide, and the harness runs other tests (each
+    // spawning pools of its own) beside this one: re-run it alone in a
+    // child process, where nothing else starts or stops threads.
+    let args: Vec<String> = std::env::args().collect();
+    if !(args.iter().any(|a| a == "--exact") && args.iter().any(|a| a == "--test-threads=1")) {
+        let child = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "back_to_back_streams_leave_the_thread_count_unchanged",
+                "--exact",
+                "--test-threads=1",
+            ])
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&child.stdout);
+        assert!(
+            child.status.success() && stdout.contains("1 passed"),
+            "isolated run failed:\n{stdout}\n{}",
+            String::from_utf8_lossy(&child.stderr)
+        );
+        return;
+    }
+
+    let (db, _) = shared_database();
+    let reads = mixed_reads(40, 51);
+    let materialised = Classifier::new(db).classify_batch(&reads);
+    let streaming = small_pipeline();
+    let Some(before) = process_threads() else {
+        return;
+    };
+    for _ in 0..50 {
+        // Sampled from the record source, i.e. while the stream is in
+        // flight: a per-call worker pool would show up here.
+        let mut midway = None;
+        let source = reads.iter().cloned().enumerate().map(|(i, read)| {
+            if i == 20 {
+                midway = process_threads();
+            }
+            read
+        });
+        let (streamed, _) = streaming.classify_iter(source);
+        assert_eq!(streamed, materialised);
+        assert_eq!(midway, Some(before), "a stream in flight added threads");
+    }
+    assert_eq!(process_threads(), Some(before));
 }
