@@ -7,17 +7,20 @@
 //!
 //! 1. **What does sharding buy?** Each shard holds only its targets'
 //!    buckets, so per-shard table bytes should fall near-linearly with the
-//!    shard count (the scale-out premise) while the scatter-gather merge
-//!    stays a bounded overhead per read.
+//!    shard count (the scale-out premise), and what it costs is one probe
+//!    per shard table per read — the read is sketched once and its
+//!    locations merged once, whatever the shard count. The `Over unsharded`
+//!    column is that cost as a same-run ratio: S-shard reads/min ÷ the
+//!    unsharded engine's reads/min measured moments earlier in this run.
 //! 2. **What does the wire add?** A `mc-serve route`-shaped topology — a
 //!    router process fanning candidate queries out to N shard servers over
 //!    TCP — must stay bit-identical to the in-process path while paying
 //!    only protocol overhead per leg.
 //!
 //! Every path (every shard count, and the routed loopback topology) is
-//! asserted bit-identical — candidates are merged losslessly, so
-//! classifications match read for read — which is what CI runs this
-//! experiment for.
+//! asserted bit-identical — in process the shards' locations are merged
+//! before anything is truncated, over the wire the per-shard candidate
+//! lists merge losslessly — which is what CI runs this experiment for.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -53,6 +56,10 @@ pub struct ServingShardedRow {
     pub secs: f64,
     /// Reads per minute through the sharded engine.
     pub reads_per_minute: f64,
+    /// `reads_per_minute` ÷ the unsharded engine's reads per minute of the
+    /// same run (1.0 = sharding is free; comparable across hosts, unlike
+    /// either operand).
+    pub over_unsharded: f64,
     /// Classifications bit-identical to the unsharded classifier.
     pub identical: bool,
 }
@@ -153,6 +160,7 @@ pub fn run(scale: &ExperimentScale) -> ServingShardedResult {
             total_table_bytes: split.table_bytes(),
             secs,
             reads_per_minute: reads_per_minute(reads.len(), secs),
+            over_unsharded: result.unsharded_secs / secs,
             identical: got == expected,
         });
         if shard_count == 2 {
@@ -227,17 +235,18 @@ pub fn render(result: &ServingShardedResult) -> String {
         fmt_secs(result.unsharded_secs),
     ));
     out.push_str(&format!(
-        "{:<7} {:>14} {:>14} {:>10} {:>14} {:>10}\n",
-        "Shards", "Max shard tbl", "Total tbl", "Time", "Reads/min", "Identical"
+        "{:<7} {:>14} {:>14} {:>10} {:>14} {:>15} {:>10}\n",
+        "Shards", "Max shard tbl", "Total tbl", "Time", "Reads/min", "Over unsharded", "Identical"
     ));
     for row in &result.rows {
         out.push_str(&format!(
-            "{:<7} {:>14} {:>14} {:>10} {:>14.0} {:>10}\n",
+            "{:<7} {:>14} {:>14} {:>10} {:>14.0} {:>15.2} {:>10}\n",
             row.shard_count,
             fmt_bytes(row.max_shard_table_bytes as u64),
             fmt_bytes(row.total_table_bytes as u64),
             fmt_secs(row.secs),
             row.reads_per_minute,
+            row.over_unsharded,
             if row.identical { "yes" } else { "NO" }
         ));
     }
@@ -279,6 +288,13 @@ mod tests {
             four.max_shard_table_bytes,
             result.unsharded_table_bytes
         );
-        assert!(render(&result).contains("routed loopback"));
+        for row in &result.rows {
+            let ratio =
+                row.reads_per_minute / reads_per_minute(result.reads, result.unsharded_secs);
+            assert!((row.over_unsharded - ratio).abs() < 1e-9 * ratio);
+        }
+        let table = render(&result);
+        assert!(table.contains("Over unsharded"));
+        assert!(table.contains("routed loopback"));
     }
 }

@@ -64,13 +64,15 @@ impl CondensedStore {
     /// Visit every (feature, bucket) pair of the condensed layout — used when
     /// re-serialising a loaded database.
     pub fn for_each_bucket(&self, mut f: impl FnMut(Feature, &[Location])) {
-        self.index.for_each(|feature, packed| {
-            let (offset, len) = unpack_bucket_ref(packed);
-            f(
-                feature,
-                &self.locations[offset as usize..offset as usize + len as usize],
-            );
-        });
+        self.index
+            .for_each(|feature, packed| f(feature, self.bucket(packed)));
+    }
+
+    /// The bucket a packed (offset, length) reference of the index points at.
+    #[inline]
+    fn bucket(&self, packed: u64) -> &[Location] {
+        let (offset, len) = unpack_bucket_ref(packed);
+        &self.locations[offset as usize..offset as usize + len as usize]
     }
 
     /// Convert the condensed layout back into a mutable [`HostHashTable`]
@@ -106,15 +108,28 @@ impl FeatureStore for CondensedStore {
     }
 
     fn query_into(&self, feature: Feature, out: &mut Vec<Location>) -> usize {
-        match self.index.get(feature) {
-            Some(packed) => {
-                let (offset, len) = unpack_bucket_ref(packed);
-                let slice = &self.locations[offset as usize..offset as usize + len as usize];
-                out.extend_from_slice(slice);
-                len as usize
+        let bucket = self.index.get(feature).map_or(&[][..], |r| self.bucket(r));
+        out.extend_from_slice(bucket);
+        bucket.len()
+    }
+
+    /// Two phases per [`SingleValueHashTable::PROBE_BATCH`] features: resolve
+    /// every bucket reference (the index overlaps the lookups' cache misses,
+    /// and three lookups in four miss once the database is sharded), then
+    /// copy the buckets into space reserved once for all of them.
+    fn query_batch_into(&self, features: &[Feature], out: &mut Vec<Location>) -> usize {
+        let before = out.len();
+        for features in features.chunks(SingleValueHashTable::PROBE_BATCH) {
+            let mut refs = [None; SingleValueHashTable::PROBE_BATCH];
+            let refs = &mut refs[..features.len()];
+            self.index.get_batch(features, refs);
+            let buckets = refs.iter().flatten().map(|&packed| self.bucket(packed));
+            out.reserve(buckets.clone().map(<[Location]>::len).sum());
+            for bucket in buckets {
+                out.extend_from_slice(bucket);
             }
-            None => 0,
         }
+        out.len() - before
     }
 
     fn key_count(&self) -> usize {

@@ -6,6 +6,28 @@
 //! two paths produce identical classifications (asserted by integration
 //! tests), differing only in how the work is scheduled and costed.
 //!
+//! # Three stages, one body
+//!
+//! A read's candidates are computed in three stages, each a method of
+//! [`QueryScratch`] over the buffers it owns:
+//!
+//! 1. [`sketch`][QueryScratch::sketch]`(record) → features` — the read's
+//!    (and its mate's) windows, min-hashed into one flat feature list;
+//! 2. [`probe`][QueryScratch::probe]`(features) → locations` — the only
+//!    stage that touches hash tables, and the only one that differs between
+//!    deployments: [`Classifier`] asks the partitions of one database,
+//!    [`ShardedClassifier`][crate::shard::ShardedClassifier] asks every
+//!    shard's table, appending to the same list;
+//! 3. [`accumulate`][QueryScratch::accumulate]`(locations) → CandidateList`
+//!    — order the locations, count hits per window, scan for the top
+//!    candidates.
+//!
+//! [`QueryScratch::candidates_with`] chains them and is the single body of
+//! both classifiers' `candidates_with`; the probe is a closure inlined into
+//! it, so the unsharded loop compiles as if written by hand. This is the
+//! paper's multi-GPU query shape (§5.4–5.6): sketch once, let every
+//! database part answer the same features, sort and scan once.
+//!
 //! # The zero-allocation hot path
 //!
 //! Mirroring the paper's device pipeline — which keeps hashes in warp
@@ -45,11 +67,12 @@ use std::sync::Arc;
 
 use rayon::prelude::*;
 
-use mc_kmer::Location;
+use mc_kmer::{Feature, Location};
 use mc_seqio::SequenceRecord;
 
 use crate::candidate::{accumulate_locations_into, top_candidates_into, CandidateList};
 use crate::classify::{classify_candidates, Classification};
+use crate::config::MetaCacheConfig;
 use crate::database::Database;
 use crate::sketch::{SketchScratch, Sketcher};
 
@@ -69,7 +92,7 @@ pub struct QueryScratch {
     /// Bounded top-`s` sketch selector.
     sketch: SketchScratch,
     /// Flat feature list of the read's windows.
-    features: Vec<mc_kmer::Feature>,
+    features: Vec<Feature>,
     /// Locations gathered from all partitions for all features.
     locations: Vec<Location>,
     /// Ping-pong buffer for the natural-run merge.
@@ -86,6 +109,66 @@ impl QueryScratch {
     /// Create an empty scratch; buffers size themselves on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Stage 1 — sketch all windows of the read (and its mate) into one
+    /// flat feature list.
+    #[inline]
+    pub fn sketch(&mut self, sketcher: &Sketcher, record: &SequenceRecord) -> &[Feature] {
+        self.features.clear();
+        sketcher.sketch_record_into(record, &mut self.sketch, &mut self.features);
+        &self.features
+    }
+
+    /// Stage 2 — gather the locations of the sketched features: `lookup`
+    /// appends them to the (cleared) location list, in any order. The tables
+    /// behind `lookup` are the only thing that differs between an unsharded
+    /// and a sharded query.
+    #[inline]
+    pub fn probe(&mut self, lookup: impl FnOnce(&[Feature], &mut Vec<Location>)) -> &[Location] {
+        self.locations.clear();
+        lookup(&self.features, &mut self.locations);
+        &self.locations
+    }
+
+    /// Stage 3 — order the gathered locations (merge the per-bucket sorted
+    /// runs, radix-sort when they are too fragmented), accumulate them into
+    /// the window count statistic and scan it for the top candidates of a
+    /// read of `read_len` bases.
+    #[inline]
+    pub fn accumulate(&mut self, config: &MetaCacheConfig, read_len: usize) -> &CandidateList {
+        sort_location_runs(
+            &mut self.locations,
+            &mut self.merge_buf,
+            &mut self.run_bounds,
+        );
+        accumulate_locations_into(&self.locations, &mut self.counts);
+        self.candidates.reset(config.top_candidates);
+        top_candidates_into(
+            &self.counts,
+            config.sliding_window_size(read_len),
+            &mut self.candidates,
+        );
+        &self.candidates
+    }
+
+    /// The whole per-read pipeline — [`sketch`][Self::sketch] →
+    /// [`probe`][Self::probe] → [`accumulate`][Self::accumulate] — reusing
+    /// every buffer. This is the one body behind
+    /// [`Classifier::candidates_with`] and
+    /// [`ShardedClassifier::candidates_with`][crate::shard::ShardedClassifier::candidates_with];
+    /// `lookup` is inlined into it.
+    #[inline]
+    pub fn candidates_with(
+        &mut self,
+        sketcher: &Sketcher,
+        config: &MetaCacheConfig,
+        record: &SequenceRecord,
+        lookup: impl FnOnce(&[Feature], &mut Vec<Location>),
+    ) -> &CandidateList {
+        self.sketch(sketcher, record);
+        self.probe(lookup);
+        self.accumulate(config, record.total_len())
     }
 }
 
@@ -147,7 +230,8 @@ where
     /// (`&Database`) for one-shot use or an owning handle (`Arc<Database>`)
     /// for long-lived serving components.
     pub fn new(db: D) -> Self {
-        let sketcher = Sketcher::new(&db.config).expect("database config was validated at build");
+        let sketcher =
+            Sketcher::new(&db.config).expect("database config was validated at build or load");
         Self { db, sketcher }
     }
 
@@ -169,32 +253,16 @@ where
         record: &SequenceRecord,
         scratch: &'s mut QueryScratch,
     ) -> &'s CandidateList {
-        scratch.candidates.reset(self.db.config.top_candidates);
-
-        // Sketch all windows of the read (and mate) into one flat feature list.
-        scratch.features.clear();
-        self.sketcher
-            .sketch_record_into(record, &mut scratch.sketch, &mut scratch.features);
-
         // Query the whole sketch against all partitions in one batched call
         // per partition (amortises the store's per-lookup overhead).
-        scratch.locations.clear();
-        self.db
-            .query_features_into(&scratch.features, &mut scratch.locations);
-
-        // Order the gathered locations: merge the per-bucket sorted runs
-        // (fall back to sorting when the runs are too fragmented).
-        sort_location_runs(
-            &mut scratch.locations,
-            &mut scratch.merge_buf,
-            &mut scratch.run_bounds,
-        );
-
-        // Accumulate into the window count statistic and scan for candidates.
-        accumulate_locations_into(&scratch.locations, &mut scratch.counts);
-        let sws = self.db.config.sliding_window_size(record.total_len());
-        top_candidates_into(&scratch.counts, sws, &mut scratch.candidates);
-        &scratch.candidates
+        scratch.candidates_with(
+            &self.sketcher,
+            &self.db.config,
+            record,
+            |features, locations| {
+                self.db.query_features_into(features, locations);
+            },
+        )
     }
 
     /// Compute the candidate list of one read (or read pair). Convenience

@@ -152,6 +152,9 @@ pub fn load(dir: impl AsRef<Path>, name: &str) -> Result<Arc<Database>, MetaCach
     let meta_json = std::fs::read(&meta_path)?;
     let meta: MetaFile = serde_json::from_slice(&meta_json)
         .map_err(|e| MetaCacheError::Format(format!("metadata parse error: {e}")))?;
+    // The file is outside input: a configuration no build would accept must
+    // fail here, not as a panic in the first classifier over the database.
+    let config = meta.config.validated()?;
 
     let mut partitions = Vec::with_capacity(meta.partition_count);
     for i in 0..meta.partition_count {
@@ -193,7 +196,7 @@ pub fn load(dir: impl AsRef<Path>, name: &str) -> Result<Arc<Database>, MetaCach
 
     let lineages = meta.taxonomy.lineage_cache();
     Ok(Arc::new(Database {
-        config: meta.config,
+        config,
         targets: meta.targets,
         taxonomy: meta.taxonomy,
         lineages,
@@ -276,6 +279,53 @@ mod tests {
             let read = SequenceRecord::new("r", genome_a[offset..offset + 120].to_vec());
             assert_eq!(original.classify(&read), reloaded.classify(&read));
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn save_load_save_is_byte_identical() {
+        let (db, _) = build_db();
+        let dir = temp_dir("resave");
+        let first = save(&db, &dir, "first").unwrap();
+        let loaded = load(&dir, "first").unwrap();
+        let second = save(&loaded, &dir, "second").unwrap();
+        assert_eq!(first.total_bytes, second.total_bytes);
+        for (a, b) in first.files.iter().zip(&second.files) {
+            assert_eq!(
+                std::fs::read(a).unwrap(),
+                std::fs::read(b).unwrap(),
+                "{} differs after a load → save round trip",
+                a.display()
+            );
+        }
+        // The table file of this fixture, pinned: a change to the condensed
+        // index's slot mapping or bucket order that reached the file would
+        // orphan every saved database. (FNV-1a; the value predates the
+        // division-free probe walk.)
+        let cache = std::fs::read(&first.files[1]).unwrap();
+        let fnv = cache.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((cache.len(), fnv), (48_160, 9_247_922_593_616_143_622));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn load_rejects_an_invalid_config_in_the_meta_file() {
+        let (db, _) = build_db();
+        let dir = temp_dir("badconfig");
+        save(&db, &dir, "db").unwrap();
+        let meta_path = dir.join("db.meta");
+        let meta = std::fs::read_to_string(&meta_path).unwrap();
+        let k = format!("\"kmer_len\":{}", db.config.kmer_len);
+        assert!(
+            meta.contains(&k),
+            "fixture .meta spells the k-mer length as {k}"
+        );
+        // k = 40 does not fit a 64-bit packed k-mer; before the check this
+        // loaded fine and panicked in `Classifier::new`.
+        std::fs::write(&meta_path, meta.replace(&k, "\"kmer_len\":40")).unwrap();
+        assert!(matches!(load(&dir, "db"), Err(MetaCacheError::Config(_))));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,48 +1,46 @@
-//! Sharded databases and the scatter-gather query layer.
+//! Sharded databases and the query layer over them.
 //!
 //! The paper's scale-out story is database partitioning: MetaCache-GPU
 //! splits a reference database that exceeds one device's memory across
-//! multiple GPUs and queries the partitions concurrently (§4.3). This module
-//! is the serving-stack generalisation of that idea: a [`ShardedDatabase`]
-//! partitions the *targets* of a fully built [`Database`] across N shards —
-//! each shard a self-contained `Database` holding only its targets' hash
-//! buckets — and a [`ShardedClassifier`] fans every read out to all shards,
-//! merges the per-shard [`CandidateList`]s and applies the classification
-//! rule once. The [`ShardedBackend`] plugs this scatter-gather layer into
-//! the existing [`Backend`] trait, so the
+//! multiple GPUs, sketches a read once, lets every database part answer the
+//! same features, and runs one segmented sort and one top-candidate scan
+//! over what they return (§4.3, §5.4–5.6). This module is the serving-stack
+//! form of that: a [`ShardedDatabase`] partitions the *targets* of a fully
+//! built [`Database`] across N shards — each shard a self-contained
+//! `Database` holding only its targets' hash buckets — and a
+//! [`ShardedClassifier`] runs the one query pipeline of [`crate::query`]
+//! with a probe stage that asks every shard table. The [`ShardedBackend`]
+//! plugs it into the existing [`Backend`] trait, so the
 //! [`ServingEngine`][crate::serving::ServingEngine], the streaming pipeline
 //! and the `mc-net` front-end serve a sharded database transparently.
 //!
-//! # Why the merge is bit-equivalent to unsharded accumulation
+//! # Why the sharded query is bit-equivalent to the unsharded one
 //!
-//! Sharding partitions the *target* space, and every stage of the query
-//! pipeline is target-local:
+//! A shard's tables hold exactly the locations whose `target` is assigned
+//! to it, so for any feature list the concatenation of all shards' gathered
+//! locations is a *permutation* of the unsharded list. The stage after the
+//! probe ([`QueryScratch::accumulate`]) begins by sorting the list by
+//! `(target, window)`, and a sort erases the permutation: from there on the
+//! sharded and the unsharded query run the same code on the same data.
+//! Candidates — entries, scores, order — and classifications are therefore
+//! identical. `tests/sharding.rs` checks the premise (Σ over shards of
+//! [`Database::query_features_into`], sorted, ≡ unsharded, sorted) and the
+//! conclusion (candidate lists entry for entry) over random reference sets,
+//! shard counts, skewed and empty shards and messy reads.
 //!
-//! 1. **Location gathering** — a shard's tables hold exactly the locations
-//!    whose `target` is assigned to it, so the concatenation of all shards'
-//!    gathered location lists is a permutation of the unsharded list, and
-//!    sorting by `(target, window)` makes each shard's sorted list the
-//!    contiguous sub-slice of the global sorted list belonging to its
-//!    targets.
-//! 2. **Window counting and the sliding-window scan** —
-//!    [`top_candidates_into`][crate::candidate::top_candidates_into] never
-//!    accumulates across targets (the anchor scan breaks at the first
-//!    foreign target), so each target's candidate is computed from that
-//!    target's counts alone: identical per shard and globally.
-//! 3. **Top-m truncation** — the candidate order
-//!    (hits desc, then target asc, then window asc) is a *total* order over
-//!    candidates of distinct targets, and a candidate ranking in the global
-//!    top-m ranks at least as high within its own shard (a shard holds a
-//!    subset of its competitors). Per-shard top-m lists therefore retain
-//!    every global top-m candidate, and merging them into a fresh
-//!    capacity-m list ([`CandidateList::merge`]) reproduces the global
-//!    top-m exactly — including order. The keep-first-on-equal-hits nuance
-//!    of [`CandidateList::insert`] only applies to candidates of the *same*
-//!    target, which cannot span shards.
-//!
-//! Step 3 is the subtle part; `tests/sharding.rs` proves it with a property
-//! suite over random reference sets, shard counts, skewed and empty shards,
-//! and the exhaustive merge oracle in [`crate::candidate`]'s tests.
+//! A *router* over shard servers (`mc_net::RouterBackend`) cannot use this
+//! argument: it receives per-shard candidate lists that were already
+//! truncated to the top m, and merges those with [`CandidateList::merge`].
+//! That merge is lossless too, by a longer argument. Window counting and
+//! the sliding-window scan never accumulate across targets, so each
+//! target's candidate is computed from its own shard alone; the candidate
+//! order (hits desc, then target asc, then window asc) is a *total* order
+//! over candidates of distinct targets, so a candidate in the global top m
+//! ranks at least as high within its own shard and survives the per-shard
+//! truncation; and the keep-first-on-equal-hits rule of
+//! [`CandidateList::insert`] only concerns candidates of the *same* target,
+//! which cannot span shards. The exhaustive merge oracle lives with
+//! [`crate::candidate`]'s tests.
 //!
 //! # Construction: split one built database
 //!
@@ -53,9 +51,10 @@
 //! surviving locations of its targets. Building shards independently could
 //! retain locations the global build dropped, breaking bit-equivalence.
 //! Every shard keeps the **full** target table and taxonomy with global
-//! target ids — only the hash tables are subset — so per-shard candidates
-//! carry global ids natively and merge without remapping (this is also what
-//! lets a remote shard server answer candidate queries in global id space).
+//! target ids — only the hash tables are subset — so every location and
+//! candidate carries global ids natively: in process the shards' locations
+//! land in one list without remapping, and a remote shard server answers
+//! candidate queries in global id space.
 //!
 //! # Live reload of a sharded database
 //!
@@ -64,7 +63,7 @@
 //! [`ServingEngine::reload_backend`][crate::serving::ServingEngine::reload_backend]
 //! call with a fresh `ShardedBackend` replaces *all* shards atomically — a
 //! batch is classified either against the old split or the new one, never a
-//! mix, because the scatter-gather runs inside a single backend worker
+//! mix, because all shards are probed inside a single backend worker
 //! pinned to one epoch. **Across the wire** (`mc-serve route` fronting
 //! shard servers), the router swaps its metadata epoch first and then
 //! reloads each shard server in turn; the router workers compare the
@@ -85,8 +84,9 @@ use crate::candidate::CandidateList;
 use crate::classify::{classify_candidates, Classification};
 use crate::database::{CondensedStore, Database, Partition, PartitionStore};
 use crate::error::MetaCacheError;
-use crate::query::{Classifier, QueryScratch};
+use crate::query::QueryScratch;
 use crate::serialize::collect_buckets;
+use crate::sketch::Sketcher;
 
 /// An assignment of every target of a database to one of `shard_count`
 /// shards.
@@ -255,43 +255,28 @@ impl ShardedDatabase {
     }
 }
 
-/// Reusable per-worker scratch for scatter-gather classification: one
-/// [`QueryScratch`] shared sequentially across the shard queries plus the
-/// merged candidate list.
-#[derive(Debug, Clone, Default)]
-pub struct ShardedScratch {
-    scratch: QueryScratch,
-    merged: CandidateList,
-}
+/// Reusable per-worker scratch of [`ShardedClassifier`]: the sharded query
+/// runs the same three stages over the same buffers as the unsharded one.
+pub type ShardedScratch = QueryScratch;
 
-impl ShardedScratch {
-    /// Create an empty scratch; buffers size themselves on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Scatter-gather classifier over a [`ShardedDatabase`]: every read is
-/// queried against all shards and the per-shard candidate lists are merged
-/// before the classification rule runs once on the merged list.
+/// Classifier over a [`ShardedDatabase`]: every read is sketched once, its
+/// features are probed against all shard tables into one location list, and
+/// the list is accumulated into candidates once.
 ///
-/// Produces classifications bit-identical to
-/// [`Classifier::classify_batch`] on the unsharded database (the module
-/// docs give the argument; `tests/sharding.rs` the proof).
+/// Produces candidate lists and classifications bit-identical to
+/// [`Classifier`][crate::query::Classifier] on the unsharded database (the
+/// module docs give the argument; `tests/sharding.rs` the proof).
 pub struct ShardedClassifier {
     db: Arc<ShardedDatabase>,
-    shards: Vec<Classifier<Arc<Database>>>,
+    sketcher: Sketcher,
 }
 
 impl ShardedClassifier {
     /// Create a classifier over a shared sharded database.
     pub fn new(db: Arc<ShardedDatabase>) -> Self {
-        let shards = db
-            .shards()
-            .iter()
-            .map(|s| Classifier::new(Arc::clone(s)))
-            .collect();
-        Self { db, shards }
+        let sketcher =
+            Sketcher::new(&db.meta.config).expect("database config was validated at build or load");
+        Self { db, sketcher }
     }
 
     /// The sharded database this classifier queries.
@@ -299,20 +284,23 @@ impl ShardedClassifier {
         &self.db
     }
 
-    /// Compute the merged candidate list of one read (or read pair) into
-    /// `scratch.merged`, reusing every buffer. Returns a reference to the
-    /// merged list.
+    /// Compute the candidate list of one read (or read pair), reusing every
+    /// buffer of `scratch`. Returns a reference to the computed list.
     pub fn candidates_with<'s>(
         &self,
         record: &SequenceRecord,
         scratch: &'s mut ShardedScratch,
     ) -> &'s CandidateList {
-        scratch.merged.reset(self.db.meta.config.top_candidates);
-        for shard in &self.shards {
-            let list = shard.candidates_with(record, &mut scratch.scratch);
-            scratch.merged.merge(list);
-        }
-        &scratch.merged
+        scratch.candidates_with(
+            &self.sketcher,
+            &self.db.meta.config,
+            record,
+            |features, locations| {
+                for shard in &self.db.shards {
+                    shard.query_features_into(features, locations);
+                }
+            },
+        )
     }
 
     /// Classify one read (or read pair) reusing `scratch` — the hot path.
@@ -321,18 +309,18 @@ impl ShardedClassifier {
         record: &SequenceRecord,
         scratch: &mut ShardedScratch,
     ) -> Classification {
-        self.candidates_with(record, scratch);
-        classify_candidates(&self.db.meta, &self.db.meta.config, &scratch.merged)
+        let candidates = self.candidates_with(record, scratch);
+        classify_candidates(&self.db.meta, &self.db.meta.config, candidates)
     }
 
     /// Classify one read (or read pair).
     pub fn classify(&self, record: &SequenceRecord) -> Classification {
-        let mut scratch = ShardedScratch::new();
-        self.classify_with(record, &mut scratch)
+        self.classify_with(record, &mut ShardedScratch::new())
     }
 
     /// Classify a batch of reads in parallel, one [`ShardedScratch`] per
-    /// rayon worker — mirrors [`Classifier::classify_batch`].
+    /// rayon worker — mirrors
+    /// [`Classifier::classify_batch`][crate::query::Classifier::classify_batch].
     pub fn classify_batch(&self, records: &[SequenceRecord]) -> Vec<Classification> {
         records
             .par_iter()
@@ -401,6 +389,7 @@ mod tests {
     use super::*;
     use crate::build::CpuBuilder;
     use crate::config::MetaCacheConfig;
+    use crate::query::Classifier;
     use mc_taxonomy::{Rank, Taxonomy};
 
     fn make_seq(len: usize, seed: u64) -> Vec<u8> {

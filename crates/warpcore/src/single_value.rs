@@ -5,12 +5,22 @@
 //! from disk, all location buckets are stored in one contiguous array and the
 //! single-value table maps each feature to its bucket pointer (offset and
 //! length packed into the value).
+//!
+//! Lookups are the query-phase hot call (one per sketch feature per table,
+//! most of them misses once a database is sharded), so [`get`] scans the
+//! key's first probing group in place and touches the double-hashing walk
+//! only when that group overflows, and [`get_batch`] loads the first slot of
+//! every key before resolving any, so the cache misses of a whole sketch
+//! overlap instead of queueing behind one another.
+//!
+//! [`get`]: SingleValueHashTable::get
+//! [`get_batch`]: SingleValueHashTable::get_batch
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use mc_kmer::Feature;
 
-use crate::probing::{ProbingConfig, ProbingSequence};
+use crate::probing::{ProbeGeometry, ProbingConfig};
 use crate::stats::TableStats;
 use crate::TableError;
 
@@ -20,7 +30,7 @@ const EMPTY: u64 = u64::MAX;
 /// The single-value hash table. See the module documentation.
 pub struct SingleValueHashTable {
     capacity: usize,
-    probing: ProbingConfig,
+    geometry: ProbeGeometry,
     keys: Vec<AtomicU64>,
     values: Vec<AtomicU64>,
     slots_used: AtomicUsize,
@@ -28,6 +38,11 @@ pub struct SingleValueHashTable {
 }
 
 impl SingleValueHashTable {
+    /// Keys whose first slots [`Self::get_batch`] loads together. A sketch
+    /// (16 features by default) fits one batch; the `(group, key)` pairs of a
+    /// batch take 512 bytes of stack.
+    pub const PROBE_BATCH: usize = 32;
+
     /// Allocate a table with `capacity` slots and default probing.
     pub fn new(capacity: usize) -> Self {
         Self::with_probing(capacity, ProbingConfig::default())
@@ -38,7 +53,7 @@ impl SingleValueHashTable {
         let capacity = capacity.max(1);
         Self {
             capacity,
-            probing,
+            geometry: ProbeGeometry::new(capacity, probing),
             keys: (0..capacity).map(|_| AtomicU64::new(EMPTY)).collect(),
             values: (0..capacity).map(|_| AtomicU64::new(EMPTY)).collect(),
             slots_used: AtomicUsize::new(0),
@@ -54,7 +69,7 @@ impl SingleValueHashTable {
     /// Insert a key/value pair. Inserting an existing key overwrites its value.
     pub fn insert(&self, feature: Feature, value: u64) -> Result<(), TableError> {
         let key = feature as u64;
-        for slot in ProbingSequence::new(feature, self.capacity, self.probing) {
+        for slot in self.geometry.sequence(feature) {
             let current = self.keys[slot].load(Ordering::Acquire);
             if current == key {
                 self.values[slot].store(value, Ordering::Release);
@@ -86,9 +101,52 @@ impl SingleValueHashTable {
 
     /// Look up a key's value.
     pub fn get(&self, feature: Feature) -> Option<u64> {
+        let first_group = self.geometry.first_group(feature);
+        self.resolve(feature, first_group, self.first_key(first_group))
+    }
+
+    /// Look up every key of `features`, writing `values[i]` for
+    /// `features[i]`. Equivalent to [`Self::get`] per key, but the first
+    /// probing slot of all keys (of each [`Self::PROBE_BATCH`]-sized chunk)
+    /// is loaded before any key is resolved: the loads are independent, so
+    /// the memory system serves their cache misses concurrently.
+    ///
+    /// # Panics
+    ///
+    /// If `features` and `values` differ in length.
+    pub fn get_batch(&self, features: &[Feature], values: &mut [Option<u64>]) {
+        assert_eq!(features.len(), values.len(), "one value slot per key");
+        let batches = features
+            .chunks(Self::PROBE_BATCH)
+            .zip(values.chunks_mut(Self::PROBE_BATCH));
+        for (features, values) in batches {
+            let mut firsts = [(0usize, EMPTY); Self::PROBE_BATCH];
+            for (first, &feature) in firsts.iter_mut().zip(features) {
+                let group = self.geometry.first_group(feature);
+                *first = (group, self.first_key(group));
+            }
+            for ((value, &feature), &(group, key)) in values.iter_mut().zip(features).zip(&firsts) {
+                *value = self.resolve(feature, group, key);
+            }
+        }
+    }
+
+    /// The key stored in the first slot of a probing group.
+    #[inline]
+    fn first_key(&self, group: usize) -> u64 {
+        self.keys[group * self.geometry.group_size()].load(Ordering::Acquire)
+    }
+
+    /// Walk the probing sequence of `feature` from its first group, whose
+    /// first slot holds `current` (already loaded).
+    #[inline]
+    fn resolve(&self, feature: Feature, first_group: usize, mut current: u64) -> Option<u64> {
         let key = feature as u64;
-        for slot in ProbingSequence::new(feature, self.capacity, self.probing) {
-            let current = self.keys[slot].load(Ordering::Acquire);
+        let group_size = self.geometry.group_size();
+        let mut slot = first_group * group_size;
+        let mut group_end = slot + group_size;
+        let mut later_groups = self.geometry.later_groups(feature, first_group);
+        loop {
             if current == EMPTY {
                 return None;
             }
@@ -96,8 +154,13 @@ impl SingleValueHashTable {
                 let v = self.values[slot].load(Ordering::Acquire);
                 return if v == EMPTY { None } else { Some(v) };
             }
+            slot += 1;
+            if slot == group_end {
+                slot = later_groups.next()?;
+                group_end = slot + group_size;
+            }
+            current = self.keys[slot].load(Ordering::Acquire);
         }
-        None
     }
 
     /// Whether a key is present.
@@ -164,6 +227,8 @@ pub const fn unpack_bucket_ref(value: u64) -> (u64, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
     use std::sync::Arc;
 
     #[test]
@@ -199,6 +264,64 @@ mod tests {
             assert_eq!(t.get(k), Some(k as u64 * 3));
         }
         assert!(t.stats().load_factor() > 0.7);
+    }
+
+    /// Random insert / overwrite / get (present and absent keys) against a
+    /// `HashMap`, with the table filled to `load`.
+    fn assert_matches_hash_map(load: f64, probing: ProbingConfig, seed: u64) {
+        let capacity = 4_096 + (seed as usize % 61); // not a multiple of the group size
+        let table = SingleValueHashTable::with_probing(capacity, probing);
+        let mut oracle: HashMap<Feature, u64> = HashMap::new();
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let distinct = (capacity as f64 * load) as usize;
+        while oracle.len() < distinct {
+            // One insert in four overwrites a key drawn from a small range.
+            let key = if next() % 4 == 0 {
+                (next() % 512) as Feature
+            } else {
+                next() as Feature
+            };
+            let value = next() >> 1; // never the EMPTY sentinel
+            table.insert(key, value).unwrap();
+            oracle.insert(key, value);
+        }
+        assert_eq!(table.len(), oracle.len());
+        let mut probes: Vec<Feature> = oracle.keys().copied().collect();
+        probes.sort_unstable();
+        probes.extend((0..distinct).map(|_| next() as Feature)); // mostly absent
+        let mut batch = vec![None; probes.len()];
+        table.get_batch(&probes, &mut batch);
+        for (key, batched) in probes.iter().zip(&batch) {
+            let expected = oracle.get(key).copied();
+            assert_eq!(table.get(*key), expected, "get({key}) at load {load}");
+            assert_eq!(*batched, expected, "get_batch({key}) at load {load}");
+        }
+        let mut visited = 0;
+        table.for_each(|key, value| {
+            assert_eq!(oracle.get(&key), Some(&value));
+            visited += 1;
+        });
+        assert_eq!(visited, oracle.len());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn matches_hash_map_at_high_load(
+            seed in any::<u64>(),
+            group_size in prop_oneof![Just(1usize), Just(4), Just(8), Just(32)],
+        ) {
+            let probing = ProbingConfig { group_size, ..Default::default() };
+            assert_matches_hash_map(0.8, probing, seed);
+            assert_matches_hash_map(0.95, probing, seed);
+        }
     }
 
     #[test]

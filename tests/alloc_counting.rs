@@ -1,7 +1,7 @@
 //! Proof of the zero-allocation query hot path: a counting global allocator
-//! measures heap traffic of `sketch_window_into` and `classify_with` in
-//! steady state (scratch reused, buffers at their high-water mark) and
-//! asserts **zero** allocations.
+//! measures heap traffic of `sketch_window_into`, `Classifier::classify_with`
+//! and `ShardedClassifier::classify_with` in steady state (scratch reused,
+//! buffers at their high-water mark) and asserts **zero** allocations.
 //!
 //! This is the acceptance check for the scratch-buffer refactor: the sketch
 //! selector, location gathering, run merge, window count statistic and
@@ -14,7 +14,9 @@ use mc_seqio::SequenceRecord;
 use mc_taxonomy::{Rank, Taxonomy};
 use metacache::build::CpuBuilder;
 use metacache::query::{Classifier, QueryScratch};
-use metacache::{MetaCacheConfig, SketchScratch};
+use metacache::{
+    Database, MetaCacheConfig, ShardedClassifier, ShardedDatabase, ShardedScratch, SketchScratch,
+};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -111,20 +113,24 @@ fn steady_state_hot_path_performs_zero_allocations() {
     );
 
     // --- Part 2: end-to-end classification. --------------------------------
-    let mut taxonomy = Taxonomy::with_root();
-    taxonomy.add_node(10, 1, Rank::Genus, "G").unwrap();
-    taxonomy.add_node(100, 10, Rank::Species, "G a").unwrap();
-    taxonomy.add_node(101, 10, Rank::Species, "G b").unwrap();
     let genome_a = make_seq(20_000, 101);
     let genome_b = make_seq(20_000, 102);
-    let mut builder = CpuBuilder::new(MetaCacheConfig::for_tests(), taxonomy);
-    builder
-        .add_target(SequenceRecord::new("refA", genome_a.clone()), 100)
-        .unwrap();
-    builder
-        .add_target(SequenceRecord::new("refB", genome_b.clone()), 101)
-        .unwrap();
-    let db = builder.finish();
+    // Built twice: the second copy is consumed by the shard split of part 3.
+    let build_db = || -> Database {
+        let mut taxonomy = Taxonomy::with_root();
+        taxonomy.add_node(10, 1, Rank::Genus, "G").unwrap();
+        taxonomy.add_node(100, 10, Rank::Species, "G a").unwrap();
+        taxonomy.add_node(101, 10, Rank::Species, "G b").unwrap();
+        let mut builder = CpuBuilder::new(MetaCacheConfig::for_tests(), taxonomy);
+        builder
+            .add_target(SequenceRecord::new("refA", genome_a.clone()), 100)
+            .unwrap();
+        builder
+            .add_target(SequenceRecord::new("refB", genome_b.clone()), 101)
+            .unwrap();
+        builder.finish()
+    };
+    let db = build_db();
     let classifier = Classifier::new(&db);
 
     // A mixed workload: single-window reads, multi-window reads, paired
@@ -169,6 +175,32 @@ fn steady_state_hot_path_performs_zero_allocations() {
         classify_allocs,
         0,
         "classify_with allocated {classify_allocs} times over {} steady-state reads",
+        5 * reads.len()
+    );
+
+    // --- Part 3: the same reads over a sharded database. -------------------
+    // One sketch, one probe per shard table (the condensed store's batched
+    // lookup works on the stack), one merge: the same scratch, so the same
+    // zero.
+    let sharded = ShardedDatabase::round_robin(build_db(), 2).unwrap();
+    let sharded_classifier = ShardedClassifier::new(std::sync::Arc::new(sharded));
+    let mut sharded_scratch = ShardedScratch::new();
+    for (read, expected) in reads.iter().zip(&warmup) {
+        let c = sharded_classifier.classify_with(read, &mut sharded_scratch);
+        assert_eq!(&c, expected);
+    }
+    let sharded_allocs = min_allocations_over_attempts(|| {
+        for _ in 0..5 {
+            for (read, expected) in reads.iter().zip(&warmup) {
+                let c = sharded_classifier.classify_with(read, &mut sharded_scratch);
+                assert_eq!(&c, expected);
+            }
+        }
+    });
+    assert_eq!(
+        sharded_allocs,
+        0,
+        "ShardedClassifier::classify_with allocated {sharded_allocs} times over {} steady-state reads",
         5 * reads.len()
     );
 }

@@ -4,25 +4,29 @@
 //! every reference set, shard count, partition skew and read shape.
 //!
 //! The argument for why this holds lives in `metacache::shard`'s module
-//! docs (target-local pipeline + total candidate order + per-shard top-m
-//! retention); this suite is the proof by property: random reference sets,
-//! shard counts {1, 2, 3, 7}, random skewed/empty explicit plans, and messy
-//! reads (empty, short, N-runs, foreign DNA, pairs). The exhaustive
-//! merge-level oracle lives with `CandidateList` in
-//! `crates/metacache/src/candidate.rs`.
+//! docs: the shards' probes, concatenated, are a permutation of the
+//! unsharded probe, and everything after the probe starts by sorting. This
+//! suite is the proof by property, at both levels — the probed locations
+//! as multisets, and the candidate lists and classifications entry for
+//! entry: random reference sets, shard counts {1, 2, 3, 7}, random
+//! skewed/empty explicit plans, and messy reads (empty, short, N-runs,
+//! foreign DNA, pairs). The top-m merge lemma a *router* needs (it sees
+//! per-shard candidate lists, not locations) has its exhaustive oracle with
+//! `CandidateList` in `crates/metacache/src/candidate.rs`.
 
 use std::sync::Arc;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+use mc_kmer::{Feature, Location};
 use mc_seqio::SequenceRecord;
 use mc_taxonomy::{Rank, Taxonomy};
 use metacache::build::CpuBuilder;
 use metacache::query::{Classifier, QueryScratch};
 use metacache::{
     Candidate, Database, MetaCacheConfig, ShardPlan, ShardedClassifier, ShardedDatabase,
-    ShardedScratch,
+    ShardedScratch, SketchScratch,
 };
 
 fn make_seq(len: usize, seed: u64) -> Vec<u8> {
@@ -126,9 +130,40 @@ fn assert_bit_identical(
         .collect();
     let expected = oracle.classify_batch(reads);
 
+    // What the in-process design rests on: per read, the locations the
+    // shards return for its features are, together, exactly the locations
+    // the unsharded database returns — as sorted lists, i.e. as multisets.
+    let sketcher = oracle.sketcher();
+    let mut sketch_scratch = SketchScratch::new();
+    let probes: Vec<(Vec<Feature>, Vec<Location>)> = reads
+        .iter()
+        .map(|r| {
+            let mut features = Vec::new();
+            sketcher.sketch_record_into(r, &mut sketch_scratch, &mut features);
+            let mut locations = Vec::new();
+            db.query_features_into(&features, &mut locations);
+            locations.sort_unstable();
+            (features, locations)
+        })
+        .collect();
+
     let (db, _) = build_db(n_targets, genome_len, db_seed);
     let shard_count = plan.shard_count();
     let sharded = Arc::new(ShardedDatabase::from_database(db, plan).unwrap());
+    for (i, (features, unsharded)) in probes.iter().enumerate() {
+        let mut gathered = Vec::new();
+        let returned: usize = sharded
+            .shards()
+            .iter()
+            .map(|shard| shard.query_features_into(features, &mut gathered))
+            .sum();
+        assert_eq!(returned, gathered.len());
+        gathered.sort_unstable();
+        assert_eq!(
+            &gathered, unsharded,
+            "shard probes of read {i} are not a permutation of the unsharded probe ({shard_count} shards)"
+        );
+    }
     let classifier = ShardedClassifier::new(Arc::clone(&sharded));
     let mut sharded_scratch = ShardedScratch::new();
     for (i, read) in reads.iter().enumerate() {
