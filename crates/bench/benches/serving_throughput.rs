@@ -23,19 +23,16 @@
 //!
 //! * `in_process_w{N}` — the engine-session baseline the protocol is
 //!   measured against (same path as `engine_session_w{N}`).
-//! * `net_loopback_w{N}` — one default (v2) `NetClient`, one
-//!   `ClassifyPacked` frame per request; the delta to `in_process_w{N}` is
-//!   the full protocol cost (framing, packing, loopback TCP, the
-//!   connection's reader/writer pair).
-//! * `net_loopback_v1_w{N}` — the same requests through a forced-v1 client
-//!   (verbatim sequences): the packed-vs-verbatim CPU comparison on a link
-//!   where bandwidth is free.
+//! * `net_loopback_w{N}` — one `NetClient`, one `ClassifyPacked` frame per
+//!   request; the delta to `in_process_w{N}` is the full protocol cost
+//!   (framing, packing, loopback TCP, the event loop).
 //! * `net_stream_w{N}` — the same reads through `NetClient::classify_iter`,
 //!   pipelined across the connection's credit window.
-//! * `encode_requests_{v1,packed}` — pure encoding cost of the two wire
-//!   formats, plus `wire_bytes_per_read_*` / `wire_compression_*` gauges
-//!   recording the packed encoding's request-bandwidth win (≥ 3× on ACGT
-//!   payloads is asserted).
+//! * `encode_requests_packed` — pure encoding cost of the request frame,
+//!   plus `raw_bytes_per_read` / `wire_bytes_per_read_packed` /
+//!   `wire_compression_*` gauges recording the packed encoding's
+//!   request-bandwidth win over the raw record bytes (≥ 3× on ACGT payloads
+//!   is asserted).
 //! * `overload_*` gauges — clients offering ~2× the server's
 //!   `max_inflight_records` capacity: the shed rate, the latency of served
 //!   requests, and the (fast-fail) latency of a `Busy` answer. Records what
@@ -64,7 +61,7 @@
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use mc_net::{protocol, ClientConfig, NetClient, NetError, NetServer, ServerConfig};
+use mc_net::{protocol, NetClient, NetError, NetServer, ServerConfig};
 
 use mc_datagen::community::{RefSeqLikeSpec, ReferenceCollection};
 use mc_datagen::profiles::DatasetProfile;
@@ -258,29 +255,13 @@ fn bench_serving_net(c: &mut Criterion) {
 
     std::thread::scope(|scope| {
         scope.spawn(|| server.run().expect("server run"));
-        // Default client: protocol v2, requests 2-bit packed on the wire.
         let mut client = NetClient::connect(addr).expect("connect loopback");
-        assert_eq!(client.protocol_version(), protocol::PROTOCOL_VERSION);
-        // Comparison client: forced v1, sequences verbatim.
-        let mut v1_client = NetClient::connect_with(
-            addr,
-            ClientConfig {
-                version: 1,
-                ..ClientConfig::default()
-            },
-        )
-        .expect("connect v1 loopback");
 
-        // Neither network path may change a single classification.
+        // The network path may not change a single classification.
         let over_wire = client.classify_batch(&reads).expect("network classify");
         assert_eq!(
             over_wire, expected,
-            "packed network path diverged from classify_batch"
-        );
-        let over_wire_v1 = v1_client.classify_batch(&reads).expect("v1 classify");
-        assert_eq!(
-            over_wire_v1, expected,
-            "verbatim network path diverged from classify_batch"
+            "network path diverged from classify_batch"
         );
 
         group.bench_function(format!("net_loopback_w{workers}"), |b| {
@@ -299,22 +280,6 @@ fn bench_serving_net(c: &mut Criterion) {
             })
         });
 
-        group.bench_function(format!("net_loopback_v1_w{workers}"), |b| {
-            b.iter(|| {
-                requests
-                    .iter()
-                    .map(|request| {
-                        v1_client
-                            .classify_batch(request)
-                            .expect("v1 network classify")
-                            .iter()
-                            .filter(|c| c.is_classified())
-                            .count()
-                    })
-                    .sum::<usize>()
-            })
-        });
-
         group.bench_function(format!("net_stream_w{workers}"), |b| {
             b.iter(|| {
                 let (out, _) = client
@@ -324,7 +289,7 @@ fn bench_serving_net(c: &mut Criterion) {
             })
         });
 
-        drop((client, v1_client));
+        drop(client);
         handle.shutdown();
     });
 
@@ -332,26 +297,22 @@ fn bench_serving_net(c: &mut Criterion) {
     // The hiseq request corpus as shipped (long simulated-read headers) and
     // a serving-shaped ACGT corpus (compact ids, 200 bp reads) — the latter
     // is the payload the ≥3× bandwidth target is stated for.
-    let total_request_bytes = |encode: &dyn Fn(&[mc_seqio::SequenceRecord]) -> usize| {
-        requests.iter().map(|r| encode(r)).sum::<usize>()
+    let raw_bytes = |records: &[mc_seqio::SequenceRecord]| {
+        records
+            .iter()
+            .map(mc_seqio::SequenceRecord::heap_bytes)
+            .sum::<usize>()
     };
-    let v1_corpus_bytes =
-        total_request_bytes(&|r| protocol::encode_classify(0, r).expect("encode").len());
-    let packed_corpus_bytes = total_request_bytes(&|r| {
-        protocol::encode_classify_packed(0, r)
-            .expect("encode")
-            .len()
-    });
-
-    group.throughput(Throughput::Bytes(v1_corpus_bytes as u64));
-    group.bench_function("encode_requests_v1", |b| {
-        b.iter(|| {
-            requests
-                .iter()
-                .map(|r| protocol::encode_classify(0, r).expect("encode").len())
-                .sum::<usize>()
+    let raw_corpus_bytes = raw_bytes(&reads);
+    let packed_corpus_bytes: usize = requests
+        .iter()
+        .map(|r| {
+            protocol::encode_classify_packed(0, r)
+                .expect("encode")
+                .len()
         })
-    });
+        .sum();
+
     group.throughput(Throughput::Bytes(packed_corpus_bytes as u64));
     group.bench_function("encode_requests_packed", |b| {
         b.iter(|| {
@@ -379,16 +340,16 @@ fn bench_serving_net(c: &mut Criterion) {
             })
             .collect()
     };
-    let acgt_v1 = protocol::encode_classify(0, &acgt).expect("encode").len() as f64;
+    let acgt_raw = raw_bytes(&acgt) as f64;
     let acgt_packed = protocol::encode_classify_packed(0, &acgt)
         .expect("encode")
         .len() as f64;
     let n = acgt.len() as f64;
     criterion::record_gauge(
         "serving_net",
-        "wire_bytes_per_read_v1",
+        "raw_bytes_per_read",
         "bytes_per_read",
-        acgt_v1 / n,
+        acgt_raw / n,
     );
     criterion::record_gauge(
         "serving_net",
@@ -399,18 +360,18 @@ fn bench_serving_net(c: &mut Criterion) {
     criterion::record_gauge(
         "serving_net",
         "wire_compression_acgt",
-        "v1_bytes_over_packed",
-        acgt_v1 / acgt_packed,
+        "raw_bytes_over_packed",
+        acgt_raw / acgt_packed,
     );
     criterion::record_gauge(
         "serving_net",
         "wire_compression_hiseq_requests",
-        "v1_bytes_over_packed",
-        v1_corpus_bytes as f64 / packed_corpus_bytes as f64,
+        "raw_bytes_over_packed",
+        raw_corpus_bytes as f64 / packed_corpus_bytes as f64,
     );
     assert!(
-        acgt_v1 >= 3.0 * acgt_packed,
-        "ACGT wire compression regressed below 3x: {acgt_v1} vs {acgt_packed}"
+        acgt_raw >= 3.0 * acgt_packed,
+        "ACGT wire compression regressed below 3x: {acgt_raw} vs {acgt_packed}"
     );
 
     // --- Overload gauge: Busy shedding at ~2× capacity -------------------

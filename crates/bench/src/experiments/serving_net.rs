@@ -2,8 +2,8 @@
 //! the same requests through an in-process session.
 //!
 //! The serving path's last layer is the wire: this experiment measures what
-//! the protocol costs (framing, copies, loopback TCP, the per-connection
-//! reader/writer threads) relative to calling the engine directly, and
+//! the protocol costs (framing, copies, loopback TCP, the event loop)
+//! relative to calling the engine directly, and
 //! verifies the network path end to end:
 //!
 //! 1. **in-process** — request-shaped traffic through one warm
@@ -11,7 +11,7 @@
 //!    baseline.
 //! 2. **loopback** — the identical requests through a [`NetClient`]
 //!    connected to a [`NetServer`] on `127.0.0.1`, one request per
-//!    `Classify` frame.
+//!    `ClassifyPacked` frame.
 //! 3. **concurrent clients** — the same total work striped over several
 //!    concurrent connections, each mapping to its own engine session.
 //!
@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 
-use mc_net::{protocol, ClientConfig, NetClient, NetServer};
+use mc_net::{protocol, NetClient, NetServer};
 use mc_seqio::SequenceRecord;
 use metacache::query::Classifier;
 use metacache::serving::{EngineConfig, ServingEngine};
@@ -77,16 +77,16 @@ pub struct ServingNetResult {
     pub server_requests: u64,
     /// Protocol errors observed (must be 0).
     pub server_protocol_errors: u64,
-    /// A v2 (packed) client, a v1 (verbatim) client and an in-process
-    /// session produced bit-identical classifications on a torture corpus
-    /// (N runs, all-N reads, paired reads, empty reads, FASTQ qualities).
+    /// A network client and an in-process session produced bit-identical
+    /// classifications on a torture corpus (N runs, all-N reads, paired
+    /// reads, empty reads, FASTQ qualities).
     pub packed_identical: bool,
-    /// `Classify` wire bytes per read for an ACGT read corpus, v1 verbatim
-    /// encoding.
-    pub wire_bytes_per_read_v1: f64,
-    /// Same corpus, v2 packed encoding.
+    /// Raw record bytes (header + sequence + quality) per read for an ACGT
+    /// read corpus.
+    pub raw_bytes_per_read: f64,
+    /// `ClassifyPacked` frame bytes per read for the same corpus.
     pub wire_bytes_per_read_packed: f64,
-    /// `wire_bytes_per_read_v1 / wire_bytes_per_read_packed` — the request
+    /// `raw_bytes_per_read / wire_bytes_per_read_packed` — the request
     /// bandwidth reduction of the packed encoding (target ≥ 3×).
     pub wire_compression: f64,
 }
@@ -207,7 +207,7 @@ pub fn run(scale: &ExperimentScale) -> ServingNetResult {
             });
         }
 
-        // --- Packed ≡ verbatim bit-identity (the v2 acceptance check) ----
+        // --- Packed wire ≡ in-process bit-identity ----------------------
         // A torture corpus the 2-bit packing must carry byte-exactly: plain
         // ACGT reads, N runs, all-N reads, paired reads, empty reads and
         // FASTQ qualities.
@@ -235,19 +235,10 @@ pub fn run(scale: &ExperimentScale) -> ServingNetResult {
             reads
         };
         let expected = classifier.classify_batch(&torture);
-        let mut v2 = NetClient::connect(addr).expect("connect v2");
-        let mut v1 = NetClient::connect_with(
-            addr,
-            ClientConfig {
-                version: 1,
-                ..ClientConfig::default()
-            },
-        )
-        .expect("connect v1");
-        let v2_out = v2.classify_batch(&torture).expect("v2 classify");
-        let v1_out = v1.classify_batch(&torture).expect("v1 classify");
-        result.packed_identical = v2_out == expected && v1_out == expected;
-        drop((v1, v2));
+        let mut client = NetClient::connect(addr).expect("connect loopback");
+        let over_wire = client.classify_batch(&torture).expect("torture classify");
+        result.packed_identical = over_wire == expected;
+        drop(client);
 
         // --- Wire bytes per read, ACGT payload (serving-shaped corpus) ---
         // Compact headers and full-length reads: the request bandwidth the
@@ -259,15 +250,13 @@ pub fn run(scale: &ExperimentScale) -> ServingNetResult {
                 SequenceRecord::new(format!("r{i}"), genome[offset..offset + 200].to_vec())
             })
             .collect();
-        let v1_bytes = protocol::encode_classify(0, &acgt)
-            .expect("v1 encode")
-            .len();
+        let raw_bytes: usize = acgt.iter().map(SequenceRecord::heap_bytes).sum();
         let packed_bytes = protocol::encode_classify_packed(0, &acgt)
             .expect("packed encode")
             .len();
-        result.wire_bytes_per_read_v1 = v1_bytes as f64 / acgt.len() as f64;
+        result.raw_bytes_per_read = raw_bytes as f64 / acgt.len() as f64;
         result.wire_bytes_per_read_packed = packed_bytes as f64 / acgt.len() as f64;
-        result.wire_compression = v1_bytes as f64 / packed_bytes as f64;
+        result.wire_compression = raw_bytes as f64 / packed_bytes as f64;
 
         handle.shutdown();
         runner.join().expect("server thread").expect("server stats")
@@ -319,13 +308,13 @@ pub fn render(result: &ServingNetResult) -> String {
     ));
     out.push_str(&format!(
         "packed wire encoding: {} on N-laden/paired/empty/FASTQ torture reads; \
-         ACGT payload {:.1} B/read verbatim vs {:.1} B/read packed ({:.2}x)\n",
+         ACGT payload {:.1} B/read raw vs {:.1} B/read packed ({:.2}x)\n",
         if result.packed_identical {
-            "v2 ≡ v1 ≡ in-process"
+            "wire ≡ in-process"
         } else {
             "DIVERGED"
         },
-        result.wire_bytes_per_read_v1,
+        result.raw_bytes_per_read,
         result.wire_bytes_per_read_packed,
         result.wire_compression
     ));
@@ -347,14 +336,14 @@ mod tests {
         }
         assert_eq!(result.server_protocol_errors, 0);
         // One single-connection client + `clients` concurrent ones per
-        // dataset, plus the two identity-check clients (v1 + v2).
+        // dataset, plus the identity-check client.
         assert_eq!(
             result.server_connections,
-            (result.rows.len() * (1 + result.clients) + 2) as u64
+            (result.rows.len() * (1 + result.clients) + 1) as u64
         );
         assert!(
             result.packed_identical,
-            "packed encoding diverged from verbatim"
+            "packed wire path diverged from in-process"
         );
         assert!(
             result.wire_compression >= 3.0,

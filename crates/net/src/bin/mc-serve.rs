@@ -28,8 +28,8 @@
 //!       TSV line per read: id, taxon, rank, best hit count.
 //!
 //!   mc-serve reload --addr <host:port>
-//!       Hot-swap a running server's database with zero downtime (protocol
-//!       v5): the server re-reads its --refs file, builds the next database
+//!       Hot-swap a running server's database with zero downtime: the
+//!       server re-reads its --refs file, builds the next database
 //!       epoch, and swaps it in while in-flight batches finish on the old
 //!       one. Against a router, the swap propagates to every shard server
 //!       (router metadata first, then each shard). Prints the new database
@@ -171,8 +171,8 @@ fn engine_config(flags: &[(String, String)]) -> EngineConfig {
 
 /// Bind `engine` on `listen` and run it until stdin closes (or a "quit"
 /// line), then drain both the server and the engine — the shared tail of
-/// `serve` and `route`. With a `reload` hook, `mc-serve reload` (protocol
-/// v5) hot-swaps the database through it.
+/// `serve` and `route`. With a `reload` hook, `mc-serve reload` hot-swaps
+/// the database through it.
 fn run_engine(
     engine: ServingEngine,
     listen: &str,
@@ -472,8 +472,8 @@ fn classify(args: &[String]) -> i32 {
     }
 }
 
-/// Trigger a zero-downtime database reload on a running server (v5
-/// `Reload`/`ReloadAck`): the server's reload hook rebuilds its database
+/// Trigger a zero-downtime database reload on a running server
+/// (`Reload`/`ReloadAck`): the server's reload hook rebuilds its database
 /// and swaps epochs while streams keep flowing.
 fn reload(args: &[String]) -> i32 {
     let (flags, rest) = parse_flags(args, &["--addr"]);
@@ -655,29 +655,11 @@ fn smoke(args: &[String]) -> i32 {
             if streamed != expected {
                 return Err("network classify_iter diverged from in-process results".into());
             }
-            // The packed (v2) and verbatim (v1) encodings must classify
-            // bit-identically — a v1 client against this v2 server is the
-            // compatibility matrix's hard case.
-            let mut v1 = mc_net::NetClient::connect_with(
-                addr,
-                mc_net::ClientConfig {
-                    version: 1,
-                    ..mc_net::ClientConfig::default()
-                },
-            )
-            .map_err(|e| format!("v1 connect {addr}: {e}"))?;
-            let v1_results = v1
-                .classify_batch(&reads)
-                .map_err(|e| format!("v1 classify_batch: {e}"))?;
-            if v1_results != expected {
-                return Err("v1 (verbatim) client diverged from in-process results".into());
-            }
             eprintln!(
-                "mc-serve smoke: {} reads on {} ≡ in-process, v{} packed ≡ v1 verbatim \
+                "mc-serve smoke: {} reads on {} ≡ in-process \
                  ({} requests, peak {} in flight, credits {})",
                 reads.len(),
                 addr,
-                client.protocol_version(),
                 summary.requests,
                 summary.peak_in_flight,
                 client.credits()
@@ -739,7 +721,7 @@ fn smoke(args: &[String]) -> i32 {
                 drop(drones);
             }
             if with_chaos {
-                // Fourth pass, through a fault-injecting proxy: handshake
+                // One more pass, through a fault-injecting proxy: handshake
                 // truncation, a mid-stream reset, slow-loris dribble and a
                 // stall — the retry client must converge bit-identically.
                 let plans = vec![
@@ -792,11 +774,11 @@ fn smoke(args: &[String]) -> i32 {
     let engine_stats = engine.shutdown();
     match verdict {
         Ok(stats) => {
-            // Three clean passes (v2 classify_batch, v2 classify_iter, v1
-            // classify_batch) plus one exact pass amid the swarm; the
-            // chaos pass classifies every read at least once more, plus
-            // replays of unacknowledged chunks.
-            let passes = 3 + u64::from(swarm > 0) + u64::from(with_chaos);
+            // Two clean passes (classify_batch, classify_iter) plus one
+            // exact pass amid the swarm; the chaos pass classifies every
+            // read at least once more, plus replays of unacknowledged
+            // chunks.
+            let passes = 2 + u64::from(swarm > 0) + u64::from(with_chaos);
             let floor = passes * reads.len() as u64;
             let exact = !with_chaos;
             if (exact && engine_stats.records_classified != floor)

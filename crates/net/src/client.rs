@@ -1,7 +1,7 @@
 //! The blocking client of the `mc-net` protocol.
 //!
-//! [`NetClient`] is deliberately synchronous — the serving path is
-//! thread-per-connection on both sides — and mirrors the engine's
+//! [`NetClient`] is deliberately synchronous — one blocking connection per
+//! caller thread — and mirrors the engine's
 //! [`Session`](metacache::serving::Session) API: [`NetClient::classify_batch`]
 //! for one request/response exchange, [`NetClient::classify_iter`] for a
 //! record stream pipelined over the connection's credit window.
@@ -18,9 +18,8 @@ use mc_seqio::SequenceRecord;
 use metacache::{Candidate, Classification};
 
 use crate::protocol::{
-    encode_candidates, encode_classify, encode_classify_packed, read_frame, write_frame, Frame,
-    NetError, ProtocolError, BUSY_CONNECTION, CANDIDATES_MIN_VERSION, LIVENESS_MIN_VERSION, MAGIC,
-    MIN_PROTOCOL_VERSION, PACKED_MIN_VERSION, PROTOCOL_VERSION, RELOAD_MIN_VERSION,
+    encode_request, frame_type, read_frame, write_frame, Frame, NetError, ProtocolError,
+    BUSY_CONNECTION, MAGIC, PROTOCOL_VERSION,
 };
 
 /// Connection preferences sent in the handshake. The server may shrink but
@@ -31,11 +30,6 @@ pub struct ClientConfig {
     pub batch_records: u32,
     /// Requested credit (simultaneously unanswered requests).
     pub max_in_flight: u32,
-    /// Protocol version to announce in `Hello` (`0` = the crate's current
-    /// version, [`PROTOCOL_VERSION`]). Announce `1` to force a verbatim v1
-    /// conversation — useful against old servers and for measuring the
-    /// packed encoding's bandwidth win.
-    pub version: u16,
     /// Deadline for establishing the TCP connection (`None` = the OS
     /// default, typically tens of seconds).
     pub connect_timeout: Option<Duration>,
@@ -44,8 +38,7 @@ pub struct ClientConfig {
     /// [`std::io::ErrorKind::TimedOut`] I/O error (retryable) instead of a
     /// hang. `None` waits forever.
     pub request_timeout: Option<Duration>,
-    /// Pre-shared token sent in `Hello` (requires announcing protocol v3 or
-    /// later — earlier servers treat the token bytes as trailing garbage).
+    /// Pre-shared token sent in `Hello`.
     pub auth_token: Option<String>,
 }
 
@@ -54,7 +47,7 @@ pub struct ClientConfig {
 pub struct NetSummary {
     /// Reads classified.
     pub reads: u64,
-    /// `Classify` requests the stream was split into.
+    /// Requests the stream was split into.
     pub requests: u64,
     /// High-water mark of simultaneously unanswered requests (bounded by
     /// the granted credit).
@@ -113,16 +106,12 @@ pub struct NetClient {
     credits: u32,
     batch_records: u32,
     backend: String,
-    /// Protocol version negotiated in the handshake; ≥
-    /// [`PACKED_MIN_VERSION`] means requests go out 2-bit packed.
-    version: u16,
     next_request: u64,
     /// Set once the connection is unusable (error frame seen or I/O
     /// failure); later calls fail fast instead of deadlocking.
     dead: bool,
     /// The database generation tag of the most recent `Results` /
-    /// `CandidateResults` / `ReloadAck` (v5 servers only; `None` before the
-    /// first tagged response or on a pre-v5 conversation).
+    /// `CandidateResults` / `ReloadAck` (`None` before the first one).
     last_generation: Option<u64>,
 }
 
@@ -134,16 +123,6 @@ impl NetClient {
 
     /// Connect and handshake with explicit preferences.
     pub fn connect_with(addr: impl ToSocketAddrs, config: ClientConfig) -> Result<Self, NetError> {
-        let announced = if config.version == 0 {
-            PROTOCOL_VERSION
-        } else {
-            config.version
-        };
-        if config.auth_token.is_some() && announced < LIVENESS_MIN_VERSION {
-            // A pre-v3 server would read the token as trailing garbage and
-            // reject the Hello; refuse locally with a clear error instead.
-            return Err(ProtocolError::Malformed("auth token requires protocol v3").into());
-        }
         let stream = connect_stream(addr, config.connect_timeout)?;
         let _ = stream.set_nodelay(true);
         // The per-request deadline rides on the socket: every blocking
@@ -156,10 +135,10 @@ impl NetClient {
             &mut writer,
             &Frame::Hello {
                 magic: MAGIC,
-                version: announced,
+                version: PROTOCOL_VERSION,
                 batch_records: config.batch_records,
                 max_in_flight: config.max_in_flight,
-                auth_token: config.auth_token.clone(),
+                auth_token: config.auth_token,
             },
         )?;
         writer.flush()?;
@@ -169,7 +148,6 @@ impl NetClient {
             credits: 1,
             batch_records: 1,
             backend: String::new(),
-            version: MIN_PROTOCOL_VERSION,
             next_request: 0,
             dead: false,
             last_generation: None,
@@ -181,12 +159,10 @@ impl NetClient {
                 batch_records,
                 backend,
             } => {
-                // The server picks min(client, server); anything above what
-                // we announced (or below the floor) is a broken peer.
-                if version > announced || version < MIN_PROTOCOL_VERSION {
+                // There is one dialect: any other ack is a broken peer.
+                if version != PROTOCOL_VERSION {
                     return Err(ProtocolError::UnsupportedVersion(version).into());
                 }
-                client.version = version;
                 client.credits = credits.max(1);
                 client.batch_records = batch_records.max(1);
                 client.backend = backend;
@@ -213,78 +189,41 @@ impl NetClient {
         self.backend.as_str()
     }
 
-    /// The protocol version negotiated in the handshake. At
-    /// [`PACKED_MIN_VERSION`] or above, requests cross the wire 2-bit
-    /// packed (≈ 4× less request bandwidth on ACGT payloads); below it the
-    /// connection is a bit-identical v1 verbatim conversation.
-    pub fn protocol_version(&self) -> u16 {
-        self.version
-    }
-
     /// The database generation reported by the most recent `Results`,
     /// `CandidateResults` or `ReloadAck` of this connection — `None` until
-    /// a v5 server has tagged a response. A streaming client watches this
-    /// move to detect a mid-stream reference upgrade.
+    /// the first one arrives. A streaming client watches this move to
+    /// detect a mid-stream reference upgrade.
     pub fn database_generation(&self) -> Option<u64> {
         self.last_generation
     }
 
     /// Ask the server to hot-swap its database (rebuild / re-read its
     /// reference set) and block until the swap is published, returning the
-    /// new generation. Requires a negotiated protocol of v5 or later
-    /// ([`RELOAD_MIN_VERSION`]) and **no requests in flight** — the ack
-    /// must be the next frame on the wire. A server without a configured
-    /// reload hook answers with an `Error` frame ([`NetError::Remote`]);
-    /// the old database keeps serving in that case.
+    /// new generation. Requires **no requests in flight** — the ack must be
+    /// the next frame on the wire. A server without a configured reload
+    /// hook answers with an `Error` frame ([`NetError::Remote`]); the old
+    /// database keeps serving in that case.
     pub fn reload(&mut self) -> Result<u64, NetError> {
-        self.check_alive()?;
-        if self.version < RELOAD_MIN_VERSION {
-            return Err(ProtocolError::Malformed("reload requires protocol v5").into());
-        }
-        if let Err(e) = write_frame(&mut self.writer, &Frame::Reload)
-            .and_then(|()| self.writer.flush().map_err(NetError::from))
-        {
-            self.dead = true;
-            return Err(e);
-        }
+        self.send_frame(&Frame::Reload)?;
         match self.read_reply()? {
             Frame::ReloadAck { generation } => {
                 self.last_generation = Some(generation);
                 Ok(generation)
             }
-            other => {
-                self.dead = true;
-                Err(ProtocolError::Malformed(unexpected(&other)).into())
-            }
+            other => Err(self.violation(unexpected(&other))),
         }
     }
 
     /// Probe connection liveness with a `Ping`/`Pong` round trip (also
-    /// resets the server's idle-reaping clock). Requires a negotiated
-    /// protocol of v3 or later and **no requests in flight** — the pong
-    /// must be the next frame on the wire.
+    /// resets the server's idle-reaping clock). Requires **no requests in
+    /// flight** — the pong must be the next frame on the wire.
     pub fn ping(&mut self) -> Result<(), NetError> {
-        self.check_alive()?;
-        if self.version < LIVENESS_MIN_VERSION {
-            return Err(ProtocolError::Malformed("ping requires protocol v3").into());
-        }
         let nonce = self.next_request ^ 0x6d63_7069_6e67; // "mcping"
-        if let Err(e) = write_frame(&mut self.writer, &Frame::Ping { nonce })
-            .and_then(|()| self.writer.flush().map_err(NetError::from))
-        {
-            self.dead = true;
-            return Err(e);
-        }
+        self.send_frame(&Frame::Ping { nonce })?;
         match self.read_reply()? {
             Frame::Pong { nonce: echoed } if echoed == nonce => Ok(()),
-            Frame::Pong { .. } => {
-                self.dead = true;
-                Err(ProtocolError::Malformed("pong nonce mismatch").into())
-            }
-            other => {
-                self.dead = true;
-                Err(ProtocolError::Malformed(unexpected(&other)).into())
-            }
+            Frame::Pong { .. } => Err(self.violation("pong nonce mismatch")),
+            other => Err(self.violation(unexpected(&other))),
         }
     }
 
@@ -294,33 +233,30 @@ impl NetClient {
         &mut self,
         reads: &[SequenceRecord],
     ) -> Result<Vec<Classification>, NetError> {
-        let id = self.send_request(reads)?;
+        let id = self.send_request(frame_type::CLASSIFY_PACKED, reads)?;
         self.recv_results(id)
     }
 
     /// Fetch each read's merged top-hit candidate list in one
     /// request/response exchange — the scatter leg a shard router drives
     /// against its shard servers. Returns one list per read, in read
-    /// order, sorted by the classifier's deterministic candidate order.
-    /// Requires a negotiated protocol of v4 or later
-    /// ([`CANDIDATES_MIN_VERSION`]).
-    pub fn candidates_batch(
-        &mut self,
-        reads: &[SequenceRecord],
-    ) -> Result<Vec<Vec<Candidate>>, NetError> {
-        let id = self.send_candidates_request(reads)?;
-        Ok(self.recv_candidates(id)?.0)
-    }
-
-    /// [`NetClient::candidates_batch`] plus the response's database
-    /// generation tag — the router's scatter leg uses this to refuse a
-    /// torn merge of legs answering from different epochs.
+    /// order, sorted by the classifier's deterministic candidate order,
+    /// plus the database generation the lists were computed under — the
+    /// router uses it to refuse a torn merge of legs answering from
+    /// different epochs.
     pub fn candidates_batch_tagged(
         &mut self,
         reads: &[SequenceRecord],
-    ) -> Result<(Vec<Vec<Candidate>>, Option<u64>), NetError> {
-        let id = self.send_candidates_request(reads)?;
-        self.recv_candidates(id)
+    ) -> Result<(Vec<Vec<Candidate>>, u64), NetError> {
+        let id = self.send_request(frame_type::CANDIDATES, reads)?;
+        self.recv_tagged(id, |frame| match frame {
+            Frame::CandidateResults {
+                request_id,
+                candidates,
+                generation,
+            } => Ok((request_id, candidates, generation)),
+            other => Err(other),
+        })
     }
 
     /// Stream reads through the connection, pipelining up to the granted
@@ -407,7 +343,7 @@ impl NetClient {
             *oldest_pending += 1;
             *in_flight -= 1;
         }
-        self.send_request(reads)?;
+        self.send_request(frame_type::CLASSIFY_PACKED, reads)?;
         *in_flight += 1;
         summary.requests += 1;
         summary.peak_in_flight = summary.peak_in_flight.max(*in_flight);
@@ -435,44 +371,20 @@ impl NetClient {
         self.dead
     }
 
-    pub(crate) fn send_request(&mut self, reads: &[SequenceRecord]) -> Result<u64, NetError> {
-        self.check_alive()?;
-        // Encode straight from the borrowed slice — no clone of the reads,
-        // and (on a v2 connection) sequences pack 2-bit directly into the
-        // frame buffer without an owned encoded copy per read. An encode
-        // failure is purely local (nothing reached the socket): report it
-        // without burning the request id or killing the connection, which
-        // stays usable for well-formed requests.
-        let bytes = if self.version >= PACKED_MIN_VERSION {
-            encode_classify_packed(self.next_request, reads)?
-        } else {
-            encode_classify(self.next_request, reads)?
-        };
-        if let Err(e) = self
-            .writer
-            .write_all(&bytes)
-            .and_then(|()| self.writer.flush())
-        {
-            self.dead = true;
-            return Err(e.into());
-        }
-        let request_id = self.next_request;
-        self.next_request += 1;
-        Ok(request_id)
-    }
-
-    pub(crate) fn send_candidates_request(
+    /// Send one read-carrying request (`tag` is `CLASSIFY_PACKED` or
+    /// `CANDIDATES`), returning its id.
+    pub(crate) fn send_request(
         &mut self,
+        tag: u8,
         reads: &[SequenceRecord],
     ) -> Result<u64, NetError> {
         self.check_alive()?;
-        if self.version < CANDIDATES_MIN_VERSION {
-            return Err(ProtocolError::Malformed("candidates require protocol v4").into());
-        }
-        // Same locality contract as `send_request`: an encode failure never
-        // reaches the socket, so it neither burns the id nor kills the
-        // connection.
-        let bytes = encode_candidates(self.next_request, reads)?;
+        // Encode straight from the borrowed slice — no clone of the reads;
+        // sequences pack 2-bit directly into the frame buffer. An encode
+        // failure is purely local (nothing reached the socket): report it
+        // without burning the request id or killing the connection, which
+        // stays usable for well-formed requests.
+        let bytes = encode_request(tag, self.next_request, reads)?;
         if let Err(e) = self
             .writer
             .write_all(&bytes)
@@ -486,55 +398,53 @@ impl NetClient {
         Ok(request_id)
     }
 
-    pub(crate) fn recv_candidates(
-        &mut self,
-        expect_id: u64,
-    ) -> Result<(Vec<Vec<Candidate>>, Option<u64>), NetError> {
-        self.check_alive()?;
-        match self.read_reply()? {
-            Frame::CandidateResults {
-                request_id,
-                candidates,
-                generation,
-            } => {
-                if request_id != expect_id {
-                    self.dead = true;
-                    return Err(ProtocolError::Malformed("response out of order").into());
-                }
-                if generation.is_some() {
-                    self.last_generation = generation;
-                }
-                Ok((candidates, generation))
-            }
-            other => {
-                self.dead = true;
-                Err(ProtocolError::Malformed(unexpected(&other)).into())
-            }
-        }
-    }
-
     pub(crate) fn recv_results(&mut self, expect_id: u64) -> Result<Vec<Classification>, NetError> {
-        self.check_alive()?;
-        match self.read_reply()? {
+        let (entries, _) = self.recv_tagged(expect_id, |frame| match frame {
             Frame::Results {
                 request_id,
                 entries,
                 generation,
-            } => {
-                if request_id != expect_id {
-                    self.dead = true;
-                    return Err(ProtocolError::Malformed("response out of order").into());
-                }
-                if generation.is_some() {
-                    self.last_generation = generation;
-                }
-                Ok(entries.iter().map(|e| e.to_classification()).collect())
+            } => Ok((request_id, entries, generation)),
+            other => Err(other),
+        })?;
+        Ok(entries.iter().map(|e| e.to_classification()).collect())
+    }
+
+    /// Receive the in-order answer to request `expect_id`: `open` takes the
+    /// expected frame kind apart into `(request id, body, generation)` or
+    /// hands any other frame back. A response out of order, of the wrong
+    /// kind or without its generation tag kills the connection.
+    fn recv_tagged<T>(
+        &mut self,
+        expect_id: u64,
+        open: impl FnOnce(Frame) -> Result<(u64, T, Option<u64>), Frame>,
+    ) -> Result<(T, u64), NetError> {
+        self.check_alive()?;
+        match open(self.read_reply()?) {
+            Ok((request_id, _, _)) if request_id != expect_id => {
+                Err(self.violation("response out of order"))
             }
-            other => {
-                self.dead = true;
-                Err(ProtocolError::Malformed(unexpected(&other)).into())
+            Ok((_, body, Some(generation))) => {
+                self.last_generation = Some(generation);
+                Ok((body, generation))
             }
+            Ok((_, _, None)) => Err(self.violation("response without a generation tag")),
+            Err(other) => Err(self.violation(unexpected(&other))),
         }
+    }
+
+    /// Write and flush one control frame; a failure kills the connection.
+    fn send_frame(&mut self, frame: &Frame) -> Result<(), NetError> {
+        self.check_alive()?;
+        write_frame(&mut self.writer, frame)
+            .and_then(|()| self.writer.flush().map_err(NetError::from))
+            .inspect_err(|_| self.dead = true)
+    }
+
+    /// The peer broke the protocol: the connection is out of sync for good.
+    fn violation(&mut self, what: &'static str) -> NetError {
+        self.dead = true;
+        ProtocolError::Malformed(what).into()
     }
 
     /// Read one frame, mapping `Error` frames and dead connections to
@@ -624,7 +534,6 @@ fn unexpected(frame: &Frame) -> &'static str {
     match frame {
         Frame::Hello { .. } => "unexpected Hello",
         Frame::HelloAck { .. } => "unexpected HelloAck",
-        Frame::Classify { .. } => "unexpected Classify",
         Frame::ClassifyPacked { .. } => "unexpected ClassifyPacked",
         Frame::Results { .. } => "unexpected Results",
         Frame::Error { .. } => "unexpected Error",

@@ -15,11 +15,17 @@
 //! are specified in `docs/SERVING.md`; this module is the single source of
 //! truth for the encoding itself.
 //!
-//! A connection starts with a version handshake ([`Frame::Hello`] →
+//! A connection starts with a handshake ([`Frame::Hello`] →
 //! [`Frame::HelloAck`]), then carries any number of pipelined
-//! [`Frame::Classify`] requests answered in order by [`Frame::Results`]
-//! frames. Fatal conditions (bad magic, malformed payload, a worker panic)
-//! are reported with a [`Frame::Error`] frame before the connection closes.
+//! [`Frame::ClassifyPacked`] requests answered in order by
+//! [`Frame::Results`] frames. Fatal conditions (bad magic, malformed payload,
+//! a worker panic) are reported with a [`Frame::Error`] frame before the
+//! connection closes.
+//!
+//! There is one dialect: every peer speaks [`PROTOCOL_VERSION`] and the whole
+//! frame catalogue. A `Hello` announcing less is refused with
+//! [`ErrorCode::UnsupportedVersion`]; one announcing more is answered with
+//! [`PROTOCOL_VERSION`].
 //!
 //! Encoding and decoding are pure functions over byte buffers
 //! ([`Frame::encode`] / [`Frame::decode`]) so they can be property-tested
@@ -35,55 +41,10 @@ use metacache::{Candidate, Classification};
 /// Protocol magic carried by the [`Frame::Hello`] frame: `"MCNT"`.
 pub const MAGIC: u32 = 0x4D43_4E54;
 
-/// Current protocol version. Version 5 adds the live-reload vocabulary —
-/// the [`Frame::Reload`] admin request and its [`Frame::ReloadAck`] answer,
-/// plus a database-generation tag trailing [`Frame::Results`] and
-/// [`Frame::CandidateResults`] so clients detect a mid-stream reference
-/// upgrade; version 4 added the scatter-gather vocabulary
-/// ([`Frame::Candidates`] / [`Frame::CandidateResults`], which let a router
-/// merge per-shard top-hit lists instead of final classifications);
-/// version 3 added the fault-tolerance vocabulary
-/// ([`Frame::Ping`]/[`Frame::Pong`] liveness probes, the typed
-/// [`Frame::Busy`] overload answer and the optional `Hello` auth token);
-/// version 2 added the packed request encoding ([`Frame::ClassifyPacked`]).
+/// The protocol version — the only one. A server refuses a `Hello`
+/// announcing less with [`ErrorCode::UnsupportedVersion`] and answers one
+/// announcing more with this value; a client accepts no other ack.
 pub const PROTOCOL_VERSION: u16 = 5;
-
-/// Oldest protocol version a server still accepts. The connection speaks
-/// `min(client version, PROTOCOL_VERSION)` — a v1 peer gets a bit-identical
-/// v1 conversation and a future (higher-versioned) client is downgraded to
-/// [`PROTOCOL_VERSION`]; only announcements below this floor are rejected
-/// with [`ErrorCode::UnsupportedVersion`].
-pub const MIN_PROTOCOL_VERSION: u16 = 1;
-
-/// First protocol version that understands [`Frame::ClassifyPacked`]. On a
-/// connection negotiated below this, the packed frame type is rejected as
-/// [`ErrorCode::UnknownFrameType`].
-pub const PACKED_MIN_VERSION: u16 = 2;
-
-/// First protocol version that speaks the fault-tolerance vocabulary:
-/// [`Frame::Ping`]/[`Frame::Pong`], [`Frame::Busy`] and the optional
-/// `Hello` auth token. On a connection negotiated below this, those frame
-/// types are rejected as [`ErrorCode::UnknownFrameType`] and the server
-/// falls back to the v1/v2 behaviour (no shedding answer, no keepalives) —
-/// old peers interoperate unchanged.
-pub const LIVENESS_MIN_VERSION: u16 = 3;
-
-/// First protocol version that speaks the scatter-gather vocabulary:
-/// [`Frame::Candidates`] / [`Frame::CandidateResults`]. On a connection
-/// negotiated below this, those frame types are rejected as
-/// [`ErrorCode::UnknownFrameType`] — classification-only peers interoperate
-/// unchanged.
-pub const CANDIDATES_MIN_VERSION: u16 = 4;
-
-/// First protocol version that speaks the live-reload vocabulary:
-/// [`Frame::Reload`] / [`Frame::ReloadAck`] and the database-generation tag
-/// trailing [`Frame::Results`] / [`Frame::CandidateResults`]. On a
-/// connection negotiated below this, the reload frames are rejected as
-/// [`ErrorCode::UnknownFrameType`] and results are encoded without the tag —
-/// byte-identical to the v4 encoding, so pre-v5 peers interoperate
-/// unchanged (a server may still hot-swap under them; they just cannot see
-/// the generation move).
-pub const RELOAD_MIN_VERSION: u16 = 5;
 
 /// The `request_id` a [`Frame::Busy`] carries when the *connection* (not an
 /// individual request) was refused — the server closes right after sending
@@ -96,43 +57,42 @@ pub const BUSY_CONNECTION: u64 = u64::MAX;
 /// reading (or allocating) the payload.
 pub const MAX_FRAME_LEN: u32 = 64 * 1024 * 1024;
 
-/// Frame type tags (the byte after the length prefix).
+/// Frame type tags (the byte after the length prefix). Tag 3 (the verbatim
+/// `Classify` request of protocol v1) is retired: it is never reused and
+/// decodes as [`super::ProtocolError::UnknownFrameType`].
 pub mod frame_type {
     /// Client → server: connection handshake.
     pub const HELLO: u8 = 1;
     /// Server → client: handshake accepted, credits granted.
     pub const HELLO_ACK: u8 = 2;
-    /// Client → server: one classification request (a batch of reads).
-    pub const CLASSIFY: u8 = 3;
     /// Server → client: ordered classifications of one request.
     pub const RESULTS: u8 = 4;
     /// Either direction: fatal error; the connection closes after it.
     pub const ERROR: u8 = 5;
     /// Client → server: graceful end of stream (equivalent to a clean EOF).
     pub const GOODBYE: u8 = 6;
-    /// Client → server: one classification request with 2-bit packed
-    /// sequences (protocol version ≥ 2).
+    /// Client → server: one classification request (a batch of reads,
+    /// sequences 2-bit packed).
     pub const CLASSIFY_PACKED: u8 = 7;
-    /// Client → server: liveness probe (protocol version ≥ 3).
+    /// Client → server: liveness probe.
     pub const PING: u8 = 8;
     /// Server → client: answer to a [`PING`], echoing its nonce.
     pub const PONG: u8 = 9;
     /// Server → client: the request (or connection) was shed under
-    /// overload; retry after the hinted delay (protocol version ≥ 3).
+    /// overload; retry after the hinted delay.
     pub const BUSY: u8 = 10;
     /// Client → server: one candidate query (a batch of reads whose merged
     /// top-hit candidate lists, not final classifications, are wanted) —
-    /// the scatter leg of a router (protocol version ≥ 4). The payload is
-    /// identical to [`CLASSIFY_PACKED`].
+    /// the scatter leg of a router. The payload is identical to
+    /// [`CLASSIFY_PACKED`].
     pub const CANDIDATES: u8 = 11;
     /// Server → client: per-read candidate lists answering a
-    /// [`CANDIDATES`] request (protocol version ≥ 4).
+    /// [`CANDIDATES`] request.
     pub const CANDIDATE_RESULTS: u8 = 12;
-    /// Client → server: hot-swap the serving database (admin request,
-    /// protocol version ≥ 5).
+    /// Client → server: hot-swap the serving database (admin request).
     pub const RELOAD: u8 = 13;
     /// Server → client: answer to a [`RELOAD`], carrying the new database
-    /// generation (protocol version ≥ 5).
+    /// generation.
     pub const RELOAD_ACK: u8 = 14;
 }
 
@@ -348,39 +308,30 @@ pub enum Frame {
         batch_records: u32,
         /// Requested in-flight request credit (`0` = server default).
         max_in_flight: u32,
-        /// Optional pre-shared auth token (protocol version ≥ 3). When
-        /// `None`, the payload is byte-identical to a v1/v2 `Hello`; a
-        /// token rides as one trailing str16, which pre-v3 servers reject
-        /// as trailing garbage — authenticating requires a v3 server.
+        /// Optional pre-shared auth token: one trailing str16, absent
+        /// (not empty) when `None`.
         auth_token: Option<String>,
     },
     /// Handshake accepted (server → client).
     HelloAck {
         /// The server's protocol version.
         version: u16,
-        /// Granted credit: the client may keep at most this many `Classify`
-        /// frames unanswered.
+        /// Granted credit: the client may keep at most this many requests
+        /// unanswered.
         credits: u32,
         /// Records per engine batch the session was opened with.
         batch_records: u32,
         /// The serving backend's label (`"host"`, `"gpu-sim"`, …).
         backend: String,
     },
-    /// One classification request (client → server), sequences verbatim.
-    Classify {
-        /// Client-chosen id echoed by the matching [`Frame::Results`].
-        /// Must increase strictly monotonically within a connection.
-        request_id: u64,
-        /// The reads to classify.
-        reads: Vec<SequenceRecord>,
-    },
-    /// One classification request with 2-bit packed sequences (protocol
-    /// version ≥ 2). Decodes to exactly the same reads as the equivalent
-    /// [`Frame::Classify`] — the packing is byte-exact (non-ACGT bytes ride
-    /// in an exception side list) — at roughly a quarter of the wire bytes
-    /// for ACGT-dominated payloads.
+    /// One classification request (client → server), sequences 2-bit
+    /// packed. The packing is byte-exact — non-ACGT bytes ride in an
+    /// exception side list, and an exception-dense record falls back to
+    /// verbatim bytes — at roughly a quarter of the raw bytes for
+    /// ACGT-dominated payloads.
     ClassifyPacked {
         /// Client-chosen id echoed by the matching [`Frame::Results`].
+        /// Must increase strictly monotonically within a connection.
         request_id: u64,
         /// The reads to classify.
         reads: Vec<SequenceRecord>,
@@ -392,11 +343,11 @@ pub enum Frame {
         /// One entry per read, in the request's read order.
         entries: Vec<ResultEntry>,
         /// The database generation the whole request was classified
-        /// against (protocol version ≥ 5). When `None`, the payload is
-        /// byte-identical to a v1–v4 `Results`; the tag rides as one
-        /// trailing u64, mirroring the `Hello` auth-token extension. A
-        /// server never answers one request with mixed generations — a
-        /// request caught mid-swap is replayed entirely on the new epoch.
+        /// against: one trailing u64. A server always sends it and a client
+        /// rejects a `Results` without it; the codec alone still carries
+        /// the untagged form (`None`). A server never answers one request
+        /// with mixed generations — a request caught mid-swap is replayed
+        /// entirely on the new epoch.
         generation: Option<u64>,
     },
     /// Fatal error; the sender closes the connection after this frame.
@@ -408,7 +359,7 @@ pub enum Frame {
     },
     /// Graceful end of stream (client → server).
     Goodbye,
-    /// Liveness probe (client → server, protocol version ≥ 3): an
+    /// Liveness probe (client → server): an
     /// idle-but-alive streaming session pings within the server's idle
     /// timeout to keep its connection off the idle reaper.
     Ping {
@@ -422,7 +373,7 @@ pub enum Frame {
         /// The nonce of the `Ping` this answers.
         nonce: u64,
     },
-    /// Overload answer (server → client, protocol version ≥ 3): the
+    /// Overload answer (server → client): the
     /// request identified by `request_id` was shed instead of queued —
     /// or, with [`BUSY_CONNECTION`], the whole connection was refused and
     /// closes after this frame.
@@ -432,7 +383,7 @@ pub enum Frame {
         /// Server-suggested minimum delay before retrying, milliseconds.
         retry_after_ms: u32,
     },
-    /// One candidate query (client → server, protocol version ≥ 4): like
+    /// One candidate query (client → server): like
     /// [`Frame::ClassifyPacked`] — the payload encoding is byte-identical —
     /// but the server answers with each read's merged top-hit candidate
     /// list ([`Frame::CandidateResults`]) instead of final classifications.
@@ -447,7 +398,7 @@ pub enum Frame {
         reads: Vec<SequenceRecord>,
     },
     /// Ordered candidate lists of one [`Frame::Candidates`] request
-    /// (server → client, protocol version ≥ 4).
+    /// (server → client).
     CandidateResults {
         /// The id of the request these lists answer.
         request_id: u64,
@@ -456,13 +407,13 @@ pub enum Frame {
         /// deterministic tie-break and truncated to the server database's
         /// `top_candidates` capacity.
         candidates: Vec<Vec<Candidate>>,
-        /// The database generation the lists were produced from (protocol
-        /// version ≥ 5, trailing-optional exactly like
-        /// [`Frame::Results`]). A router refuses to merge legs reporting
-        /// different generations — that would be a torn mixed-epoch merge.
+        /// The database generation the lists were produced from (trailing,
+        /// mandatory above the codec exactly like [`Frame::Results`]). A
+        /// router refuses to merge legs reporting different generations —
+        /// that would be a torn mixed-epoch merge.
         generation: Option<u64>,
     },
-    /// Hot-swap request (client → server, protocol version ≥ 5): rebuild /
+    /// Hot-swap request (client → server): rebuild /
     /// reload the serving database and swap it in with zero downtime.
     /// Answered — in receive order, after every earlier request of the
     /// connection — by a [`Frame::ReloadAck`] carrying the new generation,
@@ -533,7 +484,6 @@ impl Frame {
         match self {
             Self::Hello { .. } => frame_type::HELLO,
             Self::HelloAck { .. } => frame_type::HELLO_ACK,
-            Self::Classify { .. } => frame_type::CLASSIFY,
             Self::ClassifyPacked { .. } => frame_type::CLASSIFY_PACKED,
             Self::Results { .. } => frame_type::RESULTS,
             Self::Error { .. } => frame_type::ERROR,
@@ -579,10 +529,7 @@ impl Frame {
                 put_u32(out, *batch_records);
                 put_str16(out, backend)?;
             }
-            Self::Classify { request_id, reads } => {
-                encode_classify_payload(out, *request_id, reads)?;
-            }
-            Self::ClassifyPacked { request_id, reads } => {
+            Self::ClassifyPacked { request_id, reads } | Self::Candidates { request_id, reads } => {
                 encode_classify_packed_payload(out, *request_id, reads)?;
             }
             Self::Results {
@@ -590,24 +537,7 @@ impl Frame {
                 entries,
                 generation,
             } => {
-                put_u64(out, *request_id);
-                put_u32(
-                    out,
-                    u32::try_from(entries.len())
-                        .map_err(|_| ProtocolError::Malformed("entry count"))?,
-                );
-                for e in entries {
-                    out.push(e.status);
-                    put_u32(out, e.taxon);
-                    out.push(e.rank);
-                    put_u32(out, e.best_target);
-                    put_u32(out, e.best_hits);
-                }
-                // v5 generation tag: one trailing u64, absent pre-v5 (the
-                // bare payload stays bit-compatible with v1–v4).
-                if let Some(generation) = generation {
-                    put_u64(out, *generation);
-                }
+                encode_results_payload(out, *request_id, entries.iter().copied(), *generation)?;
             }
             Self::Error { code, message } => {
                 put_u16(out, *code as u16);
@@ -621,9 +551,6 @@ impl Frame {
             } => {
                 put_u64(out, *request_id);
                 put_u32(out, *retry_after_ms);
-            }
-            Self::Candidates { request_id, reads } => {
-                encode_classify_packed_payload(out, *request_id, reads)?;
             }
             Self::CandidateResults {
                 request_id,
@@ -642,10 +569,10 @@ impl Frame {
     /// fresh buffer. Fails if the frame cannot be represented (payload over
     /// [`MAX_FRAME_LEN`], oversized strings, a nested mate).
     pub fn encode(&self) -> Result<Vec<u8>, ProtocolError> {
-        let mut out = vec![0u8; 4];
-        out.push(self.frame_type());
+        let mut out = vec![0, 0, 0, 0, self.frame_type()];
         self.encode_payload(&mut out)?;
-        seal_frame(out)
+        seal_frame(&mut out)?;
+        Ok(out)
     }
 
     /// Decode a frame from its type tag and payload bytes (the envelope has
@@ -658,8 +585,7 @@ impl Frame {
                 version: cursor.u16()?,
                 batch_records: cursor.u32()?,
                 max_in_flight: cursor.u32()?,
-                // A v3 peer may append one str16 auth token; the bare
-                // 14-byte payload stays bit-compatible with v1/v2.
+                // The auth token is one optional trailing str16.
                 auth_token: if cursor.is_empty() {
                     None
                 } else {
@@ -672,13 +598,13 @@ impl Frame {
                 batch_records: cursor.u32()?,
                 backend: cursor.str16()?,
             },
-            frame_type::CLASSIFY | frame_type::CLASSIFY_PACKED | frame_type::CANDIDATES => {
+            frame_type::CLASSIFY_PACKED | frame_type::CANDIDATES => {
                 let mut reads = Vec::new();
                 let request_id = decode_classify_into(frame_type, payload, &mut reads)?;
-                return Ok(match frame_type {
-                    frame_type::CLASSIFY => Self::Classify { request_id, reads },
-                    frame_type::CLASSIFY_PACKED => Self::ClassifyPacked { request_id, reads },
-                    _ => Self::Candidates { request_id, reads },
+                return Ok(if frame_type == frame_type::CLASSIFY_PACKED {
+                    Self::ClassifyPacked { request_id, reads }
+                } else {
+                    Self::Candidates { request_id, reads }
                 });
             }
             frame_type::RESULTS => {
@@ -697,8 +623,6 @@ impl Frame {
                 Self::Results {
                     request_id,
                     entries,
-                    // A v5 server appends one trailing generation u64; the
-                    // bare payload stays bit-compatible with v1–v4.
                     generation: cursor.trailing_generation()?,
                 }
             }
@@ -755,62 +679,52 @@ impl Frame {
 
 /// Write the length prefix of an assembled `[0u8; 4] + type + payload`
 /// buffer, validating the frame cap.
-fn seal_frame(mut out: Vec<u8>) -> Result<Vec<u8>, ProtocolError> {
+fn seal_frame(out: &mut [u8]) -> Result<(), ProtocolError> {
     let len = u32::try_from(out.len() - 4).map_err(|_| ProtocolError::FrameTooLarge(u32::MAX))?;
     if len > MAX_FRAME_LEN {
         return Err(ProtocolError::FrameTooLarge(len));
     }
     out[0..4].copy_from_slice(&len.to_le_bytes());
-    Ok(out)
-}
-
-/// The one `Classify` payload encoder, shared by [`Frame::encode`] (owned
-/// frame) and [`encode_classify`] (borrowed slice).
-fn encode_classify_payload(
-    out: &mut Vec<u8>,
-    request_id: u64,
-    reads: &[SequenceRecord],
-) -> Result<(), ProtocolError> {
-    put_u64(out, request_id);
-    put_u32(
-        out,
-        u32::try_from(reads.len()).map_err(|_| ProtocolError::Malformed("read count"))?,
-    );
-    for read in reads {
-        encode_record(out, read, true)?;
-    }
     Ok(())
 }
 
-/// Encode a [`Frame::Classify`] directly from a borrowed read slice — the
-/// v1 client hot path, byte-identical to building an owned frame and calling
-/// [`Frame::encode`] but without cloning the reads first.
-pub fn encode_classify(
+/// Encode a read-carrying request (`tag` is [`frame_type::CLASSIFY_PACKED`]
+/// or [`frame_type::CANDIDATES`] — the payloads are identical) directly
+/// from a borrowed read slice: sequences are 2-bit packed straight into the
+/// frame buffer, with no intermediate encoded copy per read.
+pub(crate) fn encode_request(
+    tag: u8,
     request_id: u64,
     reads: &[SequenceRecord],
 ) -> Result<Vec<u8>, ProtocolError> {
-    let mut out = vec![0u8; 4];
-    out.push(frame_type::CLASSIFY);
-    encode_classify_payload(&mut out, request_id, reads)?;
-    seal_frame(out)
+    let mut out = vec![0, 0, 0, 0, tag];
+    encode_classify_packed_payload(&mut out, request_id, reads)?;
+    seal_frame(&mut out)?;
+    Ok(out)
 }
 
 /// Encode a [`Frame::ClassifyPacked`] directly from a borrowed read slice —
-/// the v2 client hot path. Sequences are 2-bit packed straight into the
-/// frame buffer (no intermediate encoded copy per read); decoding the frame
-/// reproduces the reads byte for byte.
+/// the client hot path. Decoding the frame reproduces the reads byte for
+/// byte.
 pub fn encode_classify_packed(
     request_id: u64,
     reads: &[SequenceRecord],
 ) -> Result<Vec<u8>, ProtocolError> {
-    let mut out = vec![0u8; 4];
-    out.push(frame_type::CLASSIFY_PACKED);
-    encode_classify_packed_payload(&mut out, request_id, reads)?;
-    seal_frame(out)
+    encode_request(frame_type::CLASSIFY_PACKED, request_id, reads)
 }
 
-/// The `ClassifyPacked` payload encoder, shared by [`Frame::encode`] and
-/// [`encode_classify_packed`].
+/// Encode a [`Frame::Candidates`] directly from a borrowed read slice — the
+/// router's scatter hot path. The payload is byte-identical to
+/// [`encode_classify_packed`]'s; only the type tag differs.
+pub fn encode_candidates(
+    request_id: u64,
+    reads: &[SequenceRecord],
+) -> Result<Vec<u8>, ProtocolError> {
+    encode_request(frame_type::CANDIDATES, request_id, reads)
+}
+
+/// The read-request payload encoder, shared by [`Frame::encode`] and
+/// [`encode_request`].
 fn encode_classify_packed_payload(
     out: &mut Vec<u8>,
     request_id: u64,
@@ -830,37 +744,12 @@ fn encode_classify_packed_payload(
     Ok(())
 }
 
-/// A read on the wire: `header` (u16 length + UTF-8), `sequence`
-/// (u32 length + bytes), `quality` (u32 length + bytes), then a mate flag
-/// byte and — for paired reads — the mate encoded the same way (mates must
-/// not nest further). A non-empty quality string must match the sequence
-/// length (FASTQ semantics); mismatches fail to encode and fail to decode.
-fn encode_record(
-    out: &mut Vec<u8>,
-    record: &SequenceRecord,
-    allow_mate: bool,
-) -> Result<(), ProtocolError> {
-    if !record.quality.is_empty() && record.quality.len() != record.sequence.len() {
-        return Err(ProtocolError::Malformed("quality/sequence length mismatch"));
-    }
-    put_str16(out, &record.header)?;
-    put_bytes32(out, &record.sequence)?;
-    put_bytes32(out, &record.quality)?;
-    match (&record.mate, allow_mate) {
-        (None, _) => out.push(0),
-        (Some(_), false) => return Err(ProtocolError::NestedMate),
-        (Some(mate), true) => {
-            out.push(1);
-            encode_record(out, mate, false)?;
-        }
-    }
-    Ok(())
-}
-
-/// A read in the packed encoding: `header` (str16), `seq_len` (u32), a
+/// A read on the wire: `header` (str16), `seq_len` (u32), a
 /// [`record_flags`] byte, the sequence body, a quality string of exactly
-/// `seq_len` bytes iff [`record_flags::HAS_QUALITY`], then the mate flag
-/// byte as in the verbatim encoding.
+/// `seq_len` bytes iff [`record_flags::HAS_QUALITY`], then a mate flag byte
+/// and — for paired reads — the mate encoded the same way (mates must not
+/// nest further). A non-empty quality string must match the sequence length
+/// (FASTQ semantics); a mismatch fails to encode.
 ///
 /// With [`record_flags::PACKED`] the body is `seq_len.div_ceil(4)` bytes of
 /// 2-bit codes ([`mc_kmer::pack_2bit`] layout) followed — iff
@@ -930,7 +819,7 @@ fn encode_record_packed(
     Ok(())
 }
 
-/// Decode a `Classify` / `ClassifyPacked` payload straight into a reusable
+/// Decode a `ClassifyPacked` / `Candidates` payload straight into a reusable
 /// record vector, returning the request id. Existing records (and their
 /// header/sequence/quality buffers, and mate boxes) are refilled in place;
 /// the vector is truncated or grown to the decoded read count. This is the
@@ -945,13 +834,14 @@ pub fn decode_classify_into(
     payload: &[u8],
     records: &mut Vec<SequenceRecord>,
 ) -> Result<u64, ProtocolError> {
-    let packed = match frame_type {
-        frame_type::CLASSIFY => false,
-        // A `Candidates` request carries the exact `ClassifyPacked`
-        // payload, so the server's zero-copy ingest handles both tags.
-        frame_type::CLASSIFY_PACKED | frame_type::CANDIDATES => true,
-        other => return Err(ProtocolError::UnknownFrameType(other)),
-    };
+    // A `Candidates` request carries the exact `ClassifyPacked` payload, so
+    // the server's zero-copy ingest handles both tags.
+    if !matches!(
+        frame_type,
+        frame_type::CLASSIFY_PACKED | frame_type::CANDIDATES
+    ) {
+        return Err(ProtocolError::UnknownFrameType(frame_type));
+    }
     let mut cursor = Cursor::new(payload);
     let request_id = cursor.u64()?;
     let count = cursor.u32()? as usize;
@@ -962,7 +852,7 @@ pub fn decode_classify_into(
         if records.len() <= i {
             records.push(SequenceRecord::default());
         }
-        decode_record_into(&mut cursor, packed, true, &mut records[i])?;
+        decode_record_into(&mut cursor, true, &mut records[i])?;
     }
     records.truncate(count);
     cursor.finish()?;
@@ -971,28 +861,17 @@ pub fn decode_classify_into(
 
 fn decode_record_into(
     cursor: &mut Cursor<'_>,
-    packed: bool,
     allow_mate: bool,
     record: &mut SequenceRecord,
 ) -> Result<(), ProtocolError> {
     let spare_mate = record.clear_for_reuse();
     cursor.str16_into(&mut record.header)?;
-    if packed {
-        decode_packed_sequence(cursor, record)?;
-    } else {
-        let sequence = cursor.bytes32()?;
-        record.sequence.extend_from_slice(sequence);
-        let quality = cursor.bytes32()?;
-        if !quality.is_empty() && quality.len() != record.sequence.len() {
-            return Err(ProtocolError::Malformed("quality/sequence length mismatch"));
-        }
-        record.quality.extend_from_slice(quality);
-    }
+    decode_packed_sequence(cursor, record)?;
     match cursor.u8()? {
         0 => {}
         1 if allow_mate => {
             let mut mate = spare_mate.unwrap_or_default();
-            decode_record_into(cursor, packed, false, &mut mate)?;
+            decode_record_into(cursor, false, &mut mate)?;
             record.mate = Some(mate);
         }
         1 => return Err(ProtocolError::NestedMate),
@@ -1045,6 +924,32 @@ fn decode_packed_sequence(
     Ok(())
 }
 
+/// The `Results` payload encoder, shared by [`Frame::encode`] (owned entry
+/// vector) and [`encode_results_into`] (entries derived on the fly).
+fn encode_results_payload(
+    out: &mut Vec<u8>,
+    request_id: u64,
+    entries: impl ExactSizeIterator<Item = ResultEntry>,
+    generation: Option<u64>,
+) -> Result<(), ProtocolError> {
+    put_u64(out, request_id);
+    put_u32(
+        out,
+        u32::try_from(entries.len()).map_err(|_| ProtocolError::Malformed("entry count"))?,
+    );
+    for e in entries {
+        out.push(e.status);
+        put_u32(out, e.taxon);
+        out.push(e.rank);
+        put_u32(out, e.best_target);
+        put_u32(out, e.best_hits);
+    }
+    if let Some(generation) = generation {
+        put_u64(out, generation);
+    }
+    Ok(())
+}
+
 /// Encode a complete [`Frame::Results`] (envelope included) straight from a
 /// classification slice into a reusable buffer — the server's response hot
 /// path, byte-identical to building the frame's entry vector and calling
@@ -1056,43 +961,9 @@ pub fn encode_results_into(
     generation: Option<u64>,
 ) -> Result<(), ProtocolError> {
     out.clear();
-    out.extend_from_slice(&[0u8; 4]);
-    out.push(frame_type::RESULTS);
-    put_u64(out, request_id);
-    put_u32(
-        out,
-        u32::try_from(classifications.len())
-            .map_err(|_| ProtocolError::Malformed("entry count"))?,
-    );
-    for c in classifications {
-        let e = ResultEntry::from_classification(c);
-        out.push(e.status);
-        put_u32(out, e.taxon);
-        out.push(e.rank);
-        put_u32(out, e.best_target);
-        put_u32(out, e.best_hits);
-    }
-    if let Some(generation) = generation {
-        put_u64(out, generation);
-    }
-    let len = u32::try_from(out.len() - 4).map_err(|_| ProtocolError::FrameTooLarge(u32::MAX))?;
-    if len > MAX_FRAME_LEN {
-        return Err(ProtocolError::FrameTooLarge(len));
-    }
-    out[0..4].copy_from_slice(&len.to_le_bytes());
-    Ok(())
-}
-
-/// Encode a [`Frame::Candidates`] directly from a borrowed read slice — the
-/// router's scatter hot path. The payload is byte-identical to
-/// [`encode_classify_packed`]'s; only the type tag differs.
-pub fn encode_candidates(
-    request_id: u64,
-    reads: &[SequenceRecord],
-) -> Result<Vec<u8>, ProtocolError> {
-    let mut out = vec![0u8; 4];
-    out.push(frame_type::CANDIDATES);
-    encode_classify_packed_payload(&mut out, request_id, reads)?;
+    out.extend_from_slice(&[0, 0, 0, 0, frame_type::RESULTS]);
+    let entries = classifications.iter().map(ResultEntry::from_classification);
+    encode_results_payload(out, request_id, entries, generation)?;
     seal_frame(out)
 }
 
@@ -1142,15 +1013,9 @@ pub fn encode_candidate_results_into<L: AsRef<[Candidate]>>(
     generation: Option<u64>,
 ) -> Result<(), ProtocolError> {
     out.clear();
-    out.extend_from_slice(&[0u8; 4]);
-    out.push(frame_type::CANDIDATE_RESULTS);
+    out.extend_from_slice(&[0, 0, 0, 0, frame_type::CANDIDATE_RESULTS]);
     encode_candidate_results_payload(out, request_id, reads, generation)?;
-    let len = u32::try_from(out.len() - 4).map_err(|_| ProtocolError::FrameTooLarge(u32::MAX))?;
-    if len > MAX_FRAME_LEN {
-        return Err(ProtocolError::FrameTooLarge(len));
-    }
-    out[0..4].copy_from_slice(&len.to_le_bytes());
-    Ok(())
+    seal_frame(out)
 }
 
 /// Write one frame to a stream. Does not flush — callers batch frames and
@@ -1248,13 +1113,6 @@ fn put_str16(out: &mut Vec<u8>, s: &str) -> Result<(), ProtocolError> {
     Ok(())
 }
 
-fn put_bytes32(out: &mut Vec<u8>, bytes: &[u8]) -> Result<(), ProtocolError> {
-    let len = u32::try_from(bytes.len()).map_err(|_| ProtocolError::Malformed("bytes too long"))?;
-    put_u32(out, len);
-    out.extend_from_slice(bytes);
-    Ok(())
-}
-
 /// A checked payload reader: every accessor fails with
 /// [`ProtocolError::Truncated`] instead of panicking on short input.
 struct Cursor<'a> {
@@ -1295,11 +1153,6 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn bytes32(&mut self) -> Result<&'a [u8], ProtocolError> {
-        let len = self.u32()? as usize;
-        self.take(len)
-    }
-
     fn str16(&mut self) -> Result<String, ProtocolError> {
         let mut out = String::new();
         self.str16_into(&mut out)?;
@@ -1316,7 +1169,8 @@ impl<'a> Cursor<'a> {
         Ok(())
     }
 
-    /// The optional v5 database-generation tag: exactly 8 trailing bytes.
+    /// The trailing database-generation tag: exactly 8 trailing bytes
+    /// (optional at the codec level only — see [`Frame::Results`]).
     /// Any other non-empty remainder is left for [`Cursor::finish`] to
     /// reject as trailing bytes — a complete untagged frame followed by
     /// garbage is malformed, not truncated.
@@ -1379,14 +1233,6 @@ mod tests {
         let mut paired =
             SequenceRecord::with_quality("r1 pair", b"ACGT".to_vec(), b"IIII".to_vec());
         paired.mate = Some(Box::new(SequenceRecord::new("r1/2", b"GGTA".to_vec())));
-        roundtrip(Frame::Classify {
-            request_id: 42,
-            reads: vec![
-                SequenceRecord::new("plain", b"ACGTACGT".to_vec()),
-                SequenceRecord::new("", Vec::new()),
-                paired.clone(),
-            ],
-        });
         roundtrip(Frame::ClassifyPacked {
             request_id: 42,
             reads: vec![
@@ -1543,7 +1389,7 @@ mod tests {
         let borrowed: Vec<&[Candidate]> = lists.iter().map(Vec::as_slice).collect();
         encode_candidate_results_into(&mut hot, 77, &borrowed, None).unwrap();
         assert_eq!(hot, owned);
-        // The tagged (v5) form also agrees with the owned encoder.
+        // The tagged form also agrees with the owned encoder.
         let owned_tagged = Frame::CandidateResults {
             request_id: 77,
             candidates: lists.clone(),
@@ -1583,14 +1429,13 @@ mod tests {
         );
     }
 
-    /// The v3 `Hello` without a token must stay byte-identical to the
-    /// v1/v2 wire layout (fixed 14-byte payload) — old servers keep
-    /// accepting new clients that don't authenticate.
+    /// A `Hello` without a token is the fixed 14-byte payload the protocol
+    /// has carried since v1: an absent token adds no bytes.
     #[test]
     fn tokenless_hello_is_bit_compatible_with_v1() {
         let bytes = Frame::Hello {
             magic: MAGIC,
-            version: 1,
+            version: PROTOCOL_VERSION,
             batch_records: 32,
             max_in_flight: 4,
             auth_token: None,
@@ -1600,7 +1445,7 @@ mod tests {
         assert_eq!(bytes.len(), 4 + 1 + 14);
         let mut expected = Vec::new();
         put_u32(&mut expected, MAGIC);
-        put_u16(&mut expected, 1);
+        put_u16(&mut expected, PROTOCOL_VERSION);
         put_u32(&mut expected, 32);
         put_u32(&mut expected, 4);
         assert_eq!(&bytes[5..], expected.as_slice());
@@ -1610,7 +1455,7 @@ mod tests {
     fn hello_with_truncated_token_is_rejected() {
         let mut payload = Vec::new();
         put_u32(&mut payload, MAGIC);
-        put_u16(&mut payload, 3);
+        put_u16(&mut payload, PROTOCOL_VERSION);
         put_u32(&mut payload, 0);
         put_u32(&mut payload, 0);
         put_u16(&mut payload, 40); // token claims 40 bytes …
@@ -1643,14 +1488,6 @@ mod tests {
             SequenceRecord::new("r0", b"ACGTACGT".to_vec()),
             SequenceRecord::with_quality("r1", b"GGTA".to_vec(), b"IIII".to_vec()),
         ];
-        let borrowed = encode_classify(99, &reads).unwrap();
-        let owned = Frame::Classify {
-            request_id: 99,
-            reads: reads.clone(),
-        }
-        .encode()
-        .unwrap();
-        assert_eq!(borrowed, owned);
         let borrowed_packed = encode_classify_packed(99, &reads).unwrap();
         let owned_packed = Frame::ClassifyPacked {
             request_id: 99,
@@ -1661,51 +1498,61 @@ mod tests {
         assert_eq!(borrowed_packed, owned_packed);
     }
 
-    /// The headline property: both encodings of the same reads decode to the
-    /// same reads, and the packed frame is about 4× smaller on ACGT-heavy
-    /// payloads.
+    /// Σ `header + sequence + quality` bytes over reads and mates — what the
+    /// records weigh before any framing.
+    fn raw_bytes(reads: &[SequenceRecord]) -> usize {
+        reads.iter().map(SequenceRecord::heap_bytes).sum()
+    }
+
+    /// Flag byte of the first record of a read-request frame whose first
+    /// header is `header_len` bytes long.
+    fn first_record_flags(frame: &[u8], header_len: usize) -> u8 {
+        frame[5 + 8 + 4 + 2 + header_len + 4]
+    }
+
+    fn decode_packed(frame: &[u8]) -> Vec<SequenceRecord> {
+        match Frame::decode(frame[4], &frame[5..]).unwrap() {
+            Frame::ClassifyPacked { reads, .. } => reads,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    /// The headline property: both per-record body forms — 2-bit packed and
+    /// the verbatim fallback — decode to exactly the reads that went in,
+    /// and the packed frame is about 4× smaller than the raw records on
+    /// ACGT-heavy payloads.
     #[test]
     fn packed_and_verbatim_decode_identically_and_packed_is_smaller() {
         let genome: Vec<u8> = (0..4000).map(|i| b"ACGT"[(i * 31 + 1) % 4]).collect();
-        let reads: Vec<SequenceRecord> = (0..16)
+        let acgt: Vec<SequenceRecord> = (0..16)
             .map(|i| SequenceRecord::new(format!("r{i}"), genome[i * 200..i * 200 + 200].to_vec()))
             .collect();
-        let verbatim = encode_classify(7, &reads).unwrap();
-        let packed = encode_classify_packed(7, &reads).unwrap();
-        let from_verbatim = match Frame::decode(verbatim[4], &verbatim[5..]).unwrap() {
-            Frame::Classify { reads, .. } => reads,
-            other => panic!("unexpected {other:?}"),
-        };
-        let from_packed = match Frame::decode(packed[4], &packed[5..]).unwrap() {
-            Frame::ClassifyPacked { reads, .. } => reads,
-            other => panic!("unexpected {other:?}"),
-        };
-        assert_eq!(from_verbatim, reads);
-        assert_eq!(from_packed, reads);
+        let packed = encode_classify_packed(7, &acgt).unwrap();
+        assert_eq!(first_record_flags(&packed, 2), record_flags::PACKED);
+        assert_eq!(decode_packed(&packed), acgt);
         assert!(
-            packed.len() * 3 < verbatim.len(),
-            "packed {} bytes vs verbatim {} bytes",
+            packed.len() * 3 < raw_bytes(&acgt),
+            "packed {} bytes vs raw {} bytes",
             packed.len(),
-            verbatim.len()
+            raw_bytes(&acgt)
         );
+        let all_n = vec![SequenceRecord::new("n0", vec![b'N'; 200])];
+        let verbatim = encode_classify_packed(7, &all_n).unwrap();
+        assert_eq!(first_record_flags(&verbatim, 2), 0);
+        assert_eq!(decode_packed(&verbatim), all_n);
     }
 
     /// Exception-dense sequences fall back to verbatim bytes per record:
-    /// the packed frame never inflates past the verbatim frame by more than
-    /// the per-record flag byte.
+    /// the packed frame never grows past the raw records plus the fixed
+    /// framing (17 bytes per frame, 8 per record).
     #[test]
     fn packed_encoding_never_inflates_on_hostile_payloads() {
         let reads: Vec<SequenceRecord> = (0..8)
             .map(|i| SequenceRecord::new(format!("n{i}"), vec![b'N'; 100 + i]))
             .collect();
-        let verbatim = encode_classify(1, &reads).unwrap();
         let packed = encode_classify_packed(1, &reads).unwrap();
-        assert!(packed.len() <= verbatim.len());
-        let decoded = match Frame::decode(packed[4], &packed[5..]).unwrap() {
-            Frame::ClassifyPacked { reads, .. } => reads,
-            other => panic!("unexpected {other:?}"),
-        };
-        assert_eq!(decoded, reads);
+        assert!(packed.len() <= 17 + raw_bytes(&reads) + 8 * reads.len());
+        assert_eq!(decode_packed(&packed), reads);
     }
 
     #[test]
@@ -1716,8 +1563,8 @@ mod tests {
                 .with_mate(SequenceRecord::new("q1/2", b"TTACNN".to_vec())),
         ];
         for bytes in [
-            encode_classify(5, &reads).unwrap(),
             encode_classify_packed(5, &reads).unwrap(),
+            encode_candidates(5, &reads).unwrap(),
         ] {
             // Pre-populate the reusable buffer with stale garbage records.
             let mut buffer: Vec<SequenceRecord> = (0..4)
@@ -1741,35 +1588,20 @@ mod tests {
         }
     }
 
+    /// Encoding refuses a record whose quality length differs from its
+    /// sequence length — as the read itself and hidden in a mate. (The wire
+    /// format cannot express the mismatch: a quality string is exactly
+    /// `seq_len` bytes or absent.)
     #[test]
     fn quality_length_mismatch_is_rejected_both_ways() {
         let bad = SequenceRecord::with_quality("r", b"ACGTACGT".to_vec(), b"III".to_vec());
-        // Encoding refuses to put the malformed record on the wire …
-        for result in [
-            encode_classify(1, std::slice::from_ref(&bad)),
-            encode_classify_packed(1, std::slice::from_ref(&bad)),
-        ] {
+        let carrier = SequenceRecord::new("ok", b"ACGT".to_vec()).with_mate(bad.clone());
+        for record in [bad, carrier] {
             assert_eq!(
-                result,
+                encode_classify_packed(1, std::slice::from_ref(&record)),
                 Err(ProtocolError::Malformed("quality/sequence length mismatch"))
             );
         }
-        // … including when it hides in a mate.
-        let carrier = SequenceRecord::new("ok", b"ACGT".to_vec()).with_mate(bad);
-        assert!(encode_classify(1, std::slice::from_ref(&carrier)).is_err());
-        assert!(encode_classify_packed(1, std::slice::from_ref(&carrier)).is_err());
-        // And decoding rejects a hand-crafted v1 frame carrying one.
-        let mut payload = Vec::new();
-        put_u64(&mut payload, 1); // request id
-        put_u32(&mut payload, 1); // read count
-        put_str16(&mut payload, "r").unwrap();
-        put_bytes32(&mut payload, b"ACGTACGT").unwrap();
-        put_bytes32(&mut payload, b"III").unwrap();
-        payload.push(0); // no mate
-        assert_eq!(
-            Frame::decode(frame_type::CLASSIFY, &payload),
-            Err(ProtocolError::Malformed("quality/sequence length mismatch"))
-        );
     }
 
     #[test]
@@ -1840,7 +1672,7 @@ mod tests {
         let mut reused = vec![0xAB; 64]; // stale content must be overwritten
         encode_results_into(&mut reused, 31, &classifications, None).unwrap();
         assert_eq!(reused, framed);
-        // The tagged (v5) form also agrees with the owned encoder.
+        // The tagged form also agrees with the owned encoder.
         let framed_tagged = Frame::Results {
             request_id: 31,
             entries,
@@ -1850,9 +1682,7 @@ mod tests {
         .unwrap();
         encode_results_into(&mut reused, 31, &classifications, Some(4)).unwrap();
         assert_eq!(reused, framed_tagged);
-        // The trailing tag is exactly eight bytes — a pre-v5 decoder would
-        // see them as trailing garbage, which is why the tag is gated on
-        // the negotiated version, never sent unconditionally.
+        // The trailing tag is exactly eight bytes.
         assert_eq!(framed_tagged.len(), framed.len() + 8);
     }
 
@@ -1928,7 +1758,7 @@ mod tests {
 
     #[test]
     fn truncated_payloads_are_rejected() {
-        let bytes = Frame::Classify {
+        let bytes = Frame::ClassifyPacked {
             request_id: 9,
             reads: vec![SequenceRecord::new("r", b"ACGT".to_vec())],
         }
@@ -1958,6 +1788,15 @@ mod tests {
             Frame::decode(200, &[]),
             Err(ProtocolError::UnknownFrameType(200))
         );
+        // Tag 3, the retired verbatim `Classify`, is unknown to both decoders.
+        assert_eq!(
+            Frame::decode(3, &[]),
+            Err(ProtocolError::UnknownFrameType(3))
+        );
+        assert_eq!(
+            decode_classify_into(3, &[], &mut Vec::new()),
+            Err(ProtocolError::UnknownFrameType(3))
+        );
     }
 
     #[test]
@@ -1968,7 +1807,7 @@ mod tests {
         let mut read = SequenceRecord::new("r", b"ACGT".to_vec());
         read.mate = Some(Box::new(mate));
         assert_eq!(
-            Frame::Classify {
+            Frame::ClassifyPacked {
                 request_id: 1,
                 reads: vec![read]
             }

@@ -23,7 +23,7 @@ use mc_seqio::SequenceRecord;
 use metacache::{Candidate, Classification};
 
 use crate::client::{resolve_addrs, ClientConfig, NetClient, NetSummary};
-use crate::protocol::NetError;
+use crate::protocol::{frame_type, NetError};
 
 /// Backoff schedule of a [`RetryClient`].
 ///
@@ -179,103 +179,54 @@ impl RetryClient {
         Ok(())
     }
 
-    /// [`NetClient::classify_batch`] with retries: one request/response
-    /// exchange, resent (reconnecting if needed) until it succeeds or the
-    /// policy is exhausted.
+    /// Run one request/response exchange, resent (reconnecting if needed)
+    /// until it succeeds or the policy is exhausted.
+    fn exchange<T>(
+        &mut self,
+        mut op: impl FnMut(&mut NetClient) -> Result<T, NetError>,
+    ) -> Result<T, NetError> {
+        let mut attempt = 0u32;
+        loop {
+            let mut conn = match self.take_conn() {
+                Ok(conn) => conn,
+                Err(e) => {
+                    self.backoff(&mut attempt, e)?;
+                    continue;
+                }
+            };
+            let outcome = op(&mut conn);
+            if !conn.is_dead() {
+                // Success, a request-level Busy or a local encode failure:
+                // the connection itself is fine — keep it.
+                self.conn = Some(conn);
+            }
+            match outcome {
+                Ok(answer) => return Ok(answer),
+                Err(e) => self.backoff(&mut attempt, e)?,
+            }
+        }
+    }
+
+    /// [`NetClient::classify_batch`] with retries.
     pub fn classify_batch(
         &mut self,
         reads: &[SequenceRecord],
     ) -> Result<Vec<Classification>, NetError> {
-        let mut attempt = 0u32;
-        loop {
-            let mut conn = match self.take_conn() {
-                Ok(conn) => conn,
-                Err(e) => {
-                    self.backoff(&mut attempt, e)?;
-                    continue;
-                }
-            };
-            match conn.classify_batch(reads) {
-                Ok(results) => {
-                    self.conn = Some(conn);
-                    return Ok(results);
-                }
-                Err(e) => {
-                    if !conn.is_dead() {
-                        // Request-level Busy (or a local encode failure):
-                        // the connection itself is fine — keep it.
-                        self.conn = Some(conn);
-                    }
-                    self.backoff(&mut attempt, e)?;
-                }
-            }
-        }
+        self.exchange(|conn| conn.classify_batch(reads))
     }
 
-    /// [`NetClient::candidates_batch`] with retries — the router's
-    /// per-shard scatter leg. Replay is safe for exactly the reason
-    /// classification replay is: a candidate query is deterministic and
-    /// read-only, and its lists are only handed to the caller once the
-    /// whole exchange succeeds.
-    pub fn candidates_batch(
-        &mut self,
-        reads: &[SequenceRecord],
-    ) -> Result<Vec<Vec<Candidate>>, NetError> {
-        let mut attempt = 0u32;
-        loop {
-            let mut conn = match self.take_conn() {
-                Ok(conn) => conn,
-                Err(e) => {
-                    self.backoff(&mut attempt, e)?;
-                    continue;
-                }
-            };
-            match conn.candidates_batch(reads) {
-                Ok(lists) => {
-                    self.conn = Some(conn);
-                    return Ok(lists);
-                }
-                Err(e) => {
-                    if !conn.is_dead() {
-                        self.conn = Some(conn);
-                    }
-                    self.backoff(&mut attempt, e)?;
-                }
-            }
-        }
-    }
-
-    /// [`NetClient::candidates_batch_tagged`] with retries: the candidate
-    /// lists plus the database generation they were computed under (`None`
-    /// from a pre-v5 server). A scatter-gather router compares the tags of
-    /// its shard legs and re-queries on disagreement, so the tag must ride
-    /// with the lists through the retry layer.
+    /// [`NetClient::candidates_batch_tagged`] with retries — the router's
+    /// per-shard scatter leg: the candidate lists plus the database
+    /// generation they were computed under (the router compares the tags
+    /// of its legs and re-queries on disagreement). Replay is safe for
+    /// exactly the reason classification replay is: a candidate query is
+    /// deterministic and read-only, and its lists are only handed to the
+    /// caller once the whole exchange succeeds.
     pub fn candidates_batch_tagged(
         &mut self,
         reads: &[SequenceRecord],
-    ) -> Result<(Vec<Vec<Candidate>>, Option<u64>), NetError> {
-        let mut attempt = 0u32;
-        loop {
-            let mut conn = match self.take_conn() {
-                Ok(conn) => conn,
-                Err(e) => {
-                    self.backoff(&mut attempt, e)?;
-                    continue;
-                }
-            };
-            match conn.candidates_batch_tagged(reads) {
-                Ok(tagged) => {
-                    self.conn = Some(conn);
-                    return Ok(tagged);
-                }
-                Err(e) => {
-                    if !conn.is_dead() {
-                        self.conn = Some(conn);
-                    }
-                    self.backoff(&mut attempt, e)?;
-                }
-            }
-        }
+    ) -> Result<(Vec<Vec<Candidate>>, u64), NetError> {
+        self.exchange(|conn| conn.candidates_batch_tagged(reads))
     }
 
     /// [`NetClient::classify_iter`] with retries: stream reads through the
@@ -335,7 +286,7 @@ impl RetryClient {
                         Some((idx, chunk))
                     });
                     let Some((idx, chunk)) = next else { break };
-                    match conn.send_request(&chunk) {
+                    match conn.send_request(frame_type::CLASSIFY_PACKED, &chunk) {
                         Ok(id) => {
                             summary.requests += 1;
                             window.push_back((idx, chunk, id));

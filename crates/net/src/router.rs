@@ -46,8 +46,7 @@ use crate::retry::{RetryClient, RetryPolicy};
 /// each shard server.
 #[derive(Debug, Clone, Default)]
 pub struct RouterConfig {
-    /// Per-shard-connection client preferences. The announced protocol
-    /// version must be 0 (current) or ≥ 4 — candidates require v4.
+    /// Per-shard-connection client preferences.
     pub client: ClientConfig,
     /// Per-shard-leg retry policy (reconnect, replay, `Busy` backoff).
     pub policy: RetryPolicy,
@@ -152,12 +151,12 @@ impl BackendWorker for RouterWorker<'_> {
         // the engine mints a replacement worker (with fresh connections),
         // and every other session keeps streaming.
         //
-        // Shards that speak v5 tag their lists with a database generation.
-        // A batch merged from two different generations would be a torn
-        // response no single database ever produced, so on disagreement
-        // (a reload sweep caught mid-propagation) the whole scatter is
-        // re-queried until the shards converge. Untagged (pre-v5) legs
-        // agree with everything, preserving the old behaviour.
+        // Every shard tags its lists with a database generation (a leg
+        // answering without one fails as a protocol error, like any other
+        // broken leg). A batch merged from two different generations would
+        // be a torn response no single database ever produced, so on
+        // disagreement (a reload sweep caught mid-propagation) the whole
+        // scatter is re-queried until the shards converge.
         let mut round = 0usize;
         let per_shard: Vec<Vec<Vec<metacache::Candidate>>> = loop {
             let mut generation: Option<u64> = None;
@@ -175,13 +174,7 @@ impl BackendWorker for RouterWorker<'_> {
                             lists.len(),
                             records.len(),
                         );
-                        if let Some(tag) = tag {
-                            match generation {
-                                None => generation = Some(tag),
-                                Some(first) if first != tag => agreed = false,
-                                Some(_) => {}
-                            }
-                        }
+                        agreed &= *generation.get_or_insert(tag) == tag;
                         lists
                     }
                     Err(e) => panic!("shard leg {shard} failed beyond its retry policy: {e}"),

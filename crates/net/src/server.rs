@@ -74,9 +74,8 @@ use metacache::{Candidate, Classification, Classifier, QueryScratch};
 use crate::poll::{self, Event, Interest, Poller, TimerHeap, Waker, WAKE_TOKEN};
 use crate::protocol::{
     constant_time_eq, decode_classify_into, encode_candidate_results_into, encode_results_into,
-    frame_type, write_frame, ErrorCode, Frame, ProtocolError, BUSY_CONNECTION,
-    CANDIDATES_MIN_VERSION, LIVENESS_MIN_VERSION, MAGIC, MAX_FRAME_LEN, MIN_PROTOCOL_VERSION,
-    PACKED_MIN_VERSION, PROTOCOL_VERSION, RELOAD_MIN_VERSION,
+    frame_type, write_frame, ErrorCode, Frame, ProtocolError, BUSY_CONNECTION, MAGIC,
+    MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 
 /// Poll token of the listening socket (connection tokens start at 1;
@@ -90,7 +89,7 @@ const READ_CHUNK: usize = 64 * 1024;
 /// `Busy`: a peer that will not read its refusal is simply dropped.
 const REFUSE_WRITE_WINDOW: Duration = Duration::from_secs(2);
 
-/// The server-side half of a v5 `Reload`: builds the next database state
+/// The server-side half of a `Reload`: builds the next database state
 /// and swaps it into the engine (typically via
 /// [`ServingEngine::reload_backend`]), returning the new generation. The
 /// hook runs on a dedicated worker thread — it may block on I/O (re-reading
@@ -130,7 +129,7 @@ pub struct ServerConfig {
     pub read_timeout: Option<Duration>,
     /// Idle reaping: the longest a connection may sit at a frame boundary
     /// with no traffic at all. Any frame resets the clock — an idle-but-
-    /// alive v3 client stays off the reaper by sending [`Frame::Ping`]
+    /// alive client stays off the reaper by sending [`Frame::Ping`]
     /// within this window. `None` keeps idle connections forever.
     pub idle_timeout: Option<Duration>,
     /// Deadline from accept to a complete `Hello` (covers both the wait
@@ -141,13 +140,12 @@ pub struct ServerConfig {
     /// [`Frame::Busy`] and closed instead of being served.
     pub max_connections: usize,
     /// Cap on reads being classified across all connections at once
-    /// (`0` = unbounded). A v3 request that would push past it is shed
-    /// with a request-level [`Frame::Busy`] instead of queueing; v1/v2
-    /// connections are exempt (their protocol has no shed answer) and
-    /// block exactly as before. Setting the cap also arms high-water
-    /// admission: a brand-new session is shed while the engine's fair
-    /// queue is saturated. `0` disables request shedding entirely —
-    /// every client keeps the legacy blocking backpressure.
+    /// (`0` = unbounded). A request that would push past it is shed with
+    /// a request-level [`Frame::Busy`] instead of queueing — one policy
+    /// for every peer. Setting the cap also arms high-water admission: a
+    /// brand-new session is shed while the engine's fair queue is
+    /// saturated. `0` disables request shedding entirely: requests queue
+    /// behind the credit window and TCP backpressure.
     pub max_inflight_records: usize,
     /// The retry hint carried by every [`Frame::Busy`] this server sends.
     pub retry_after_ms: u32,
@@ -194,7 +192,7 @@ impl Default for ServerConfig {
 pub struct ServerStats {
     /// Connections accepted (including ones that failed the handshake).
     pub connections: u64,
-    /// `Classify` requests answered with `Results`.
+    /// Requests answered with `Results` / `CandidateResults`.
     pub requests: u64,
     /// Reads classified across all connections.
     pub reads: u64,
@@ -362,7 +360,7 @@ impl<'e> NetServer<'e> {
         })
     }
 
-    /// Enable the v5 `Reload` admin frame: `hook` is invoked (on a
+    /// Enable the `Reload` admin frame: `hook` is invoked (on a
     /// dedicated worker thread, serially) for each accepted `Reload`, and
     /// its returned generation is answered with a `ReloadAck`. Without a
     /// hook, `Reload` frames are refused with [`ErrorCode::Internal`].
@@ -605,7 +603,7 @@ enum Pending {
     Chunks(std::vec::IntoIter<SequenceRecord>),
 }
 
-/// A decoded `Classify`/`ClassifyPacked` request in flight.
+/// A decoded `ClassifyPacked` request in flight.
 struct ClassifyReq {
     request_id: u64,
     read_count: u64,
@@ -659,7 +657,7 @@ enum Item {
     Busy {
         request_id: u64,
     },
-    /// A v5 `Reload` admin request, answered in order with `ReloadAck`.
+    /// A `Reload` admin request, answered in order with `ReloadAck`.
     Reload {
         /// Handed to the reload worker (at most once).
         started: bool,
@@ -686,6 +684,28 @@ impl Item {
             _ => false,
         }
     }
+
+    /// The admission state of a read-carrying request:
+    /// `(request id, read count, admitted flag)`.
+    fn admission(&mut self) -> Option<(u64, u64, &mut bool)> {
+        match self {
+            Item::Classify(r) => Some((r.request_id, r.read_count, &mut r.admitted)),
+            Item::Candidates(r) => Some((r.request_id, r.read_count, &mut r.admitted)),
+            _ => None,
+        }
+    }
+
+    /// Take the undispatched reads out of a request that is being shed.
+    fn take_reads(&mut self) -> Option<Vec<SequenceRecord>> {
+        match self {
+            Item::Classify(r) => match r.pending.take()? {
+                Pending::Whole(reads) => Some(reads),
+                Pending::Chunks(rest) => Some(rest.collect()),
+            },
+            Item::Candidates(r) => r.reads.take(),
+            _ => None,
+        }
+    }
 }
 
 /// Per-connection state machine (see module docs).
@@ -693,7 +713,6 @@ struct Conn<'e> {
     stream: TcpStream,
     token: u64,
     phase: Phase,
-    version: u16,
     session: Option<Session<'e>>,
     /// Frame reassembly buffer; `roff` marks the parse offset.
     rbuf: Vec<u8>,
@@ -743,7 +762,6 @@ impl Conn<'_> {
             stream,
             token,
             phase: Phase::Handshake,
-            version: PROTOCOL_VERSION,
             session: None,
             rbuf: Vec::new(),
             roff: 0,
@@ -1239,7 +1257,7 @@ impl<'e> LoopCtx<'e, '_> {
             self.reject(conn, ProtocolError::BadMagic(magic));
             return;
         }
-        if version < MIN_PROTOCOL_VERSION {
+        if version < PROTOCOL_VERSION {
             self.reject(conn, ProtocolError::UnsupportedVersion(version));
             return;
         }
@@ -1307,16 +1325,13 @@ impl<'e> LoopCtx<'e, '_> {
             },
             notify,
         ));
-        // The connection speaks min(client, server): a v1 peer gets a
-        // bit-identical v1 conversation, a v2 peer may send packed
-        // requests, and a future (higher-versioned) client is downgraded
-        // to our version instead of rejected.
-        conn.version = version.min(PROTOCOL_VERSION);
+        // One dialect: a higher announcement is answered with our version
+        // instead of rejected.
         conn.phase = Phase::Open;
         push_frame(
             &mut conn.out,
             &Frame::HelloAck {
-                version: conn.version,
+                version: PROTOCOL_VERSION,
                 // Saturate, never wrap: a server configured beyond u32
                 // range must announce u32::MAX, not a truncated credit.
                 credits: u32::try_from(credits).unwrap_or(u32::MAX),
@@ -1328,130 +1343,89 @@ impl<'e> LoopCtx<'e, '_> {
 
     fn handle_frame(&mut self, conn: &mut Conn<'e>, tag: u8, span: Range<usize>) {
         match tag {
-            t if t == frame_type::CLASSIFY || t == frame_type::CLASSIFY_PACKED => {
-                if t == frame_type::CLASSIFY_PACKED && conn.version < PACKED_MIN_VERSION {
-                    // A v1 peer must not smuggle in v2 frames.
-                    self.reject(conn, ProtocolError::UnknownFrameType(t));
-                    return;
-                }
+            t if t == frame_type::CLASSIFY_PACKED || t == frame_type::CANDIDATES => {
                 let mut reads = conn.pool.pop().unwrap_or_default();
-                match decode_classify_into(t, &conn.rbuf[span], &mut reads) {
-                    Ok(request_id) => {
-                        if conn.last_request_id.is_some_and(|last| request_id <= last) {
-                            recycle_into(&mut conn.pool, self.pool_cap, reads);
-                            self.reject(
-                                conn,
-                                ProtocolError::Malformed("request ids must increase"),
-                            );
-                            return;
-                        }
-                        conn.last_request_id = Some(request_id);
-                        let read_count = reads.len() as u64;
-                        let batch = conn
-                            .session
-                            .as_ref()
-                            .expect("session exists after handshake")
-                            .batch_records()
-                            .max(1);
-                        let total_batches = reads.len().div_ceil(batch);
-                        let pending = if reads.is_empty() {
-                            recycle_into(&mut conn.pool, self.pool_cap, reads);
-                            None
-                        } else if total_batches == 1 {
-                            Some(Pending::Whole(reads))
-                        } else {
-                            Some(Pending::Chunks(reads.into_iter()))
-                        };
-                        conn.pipeline
-                            .push_back(Item::Classify(Box::new(ClassifyReq {
-                                request_id,
-                                read_count,
-                                admitted: false,
-                                total_batches,
-                                completed: 0,
-                                failed: false,
-                                pending,
-                                stashed: None,
-                                classifications: Vec::new(),
-                                generation: None,
-                                mixed: false,
-                                drained: Vec::new(),
-                            })));
+                let decoded = match decode_classify_into(t, &conn.rbuf[span], &mut reads) {
+                    Ok(id) if conn.last_request_id.is_some_and(|last| id <= last) => {
+                        Err(ProtocolError::Malformed("request ids must increase"))
                     }
-                    Err(e) => self.reject(conn, e),
-                }
-            }
-            t if t == frame_type::CANDIDATES => {
-                if conn.version < CANDIDATES_MIN_VERSION {
-                    // A pre-v4 peer must not smuggle in v4 frames.
-                    self.reject(conn, ProtocolError::UnknownFrameType(t));
-                    return;
-                }
-                let mut reads = conn.pool.pop().unwrap_or_default();
-                match decode_classify_into(t, &conn.rbuf[span], &mut reads) {
-                    Ok(request_id) => {
-                        if conn.last_request_id.is_some_and(|last| request_id <= last) {
-                            recycle_into(&mut conn.pool, self.pool_cap, reads);
-                            self.reject(
-                                conn,
-                                ProtocolError::Malformed("request ids must increase"),
-                            );
-                            return;
-                        }
-                        conn.last_request_id = Some(request_id);
-                        if self.engine.pin_epoch().database().partition_count() == 0 {
-                            // A metadata-only database (a router fronting
-                            // this very protocol) has no local table to
-                            // query; answering with empty lists would
-                            // silently corrupt a two-level scatter, so
-                            // refuse the frame type.
-                            recycle_into(&mut conn.pool, self.pool_cap, reads);
-                            self.reject(
-                                conn,
-                                ProtocolError::UnknownFrameType(frame_type::CANDIDATES),
-                            );
-                            return;
-                        }
-                        let read_count = reads.len() as u64;
-                        conn.pipeline.push_back(Item::Candidates(Box::new(CandReq {
-                            request_id,
-                            read_count,
-                            admitted: false,
-                            reads: Some(reads),
-                            done: None,
-                            generation: 0,
-                        })));
+                    // A metadata-only database (a router fronting this very
+                    // protocol) has no local table to query; answering with
+                    // empty lists would silently corrupt a two-level
+                    // scatter, so refuse the frame type.
+                    Ok(_)
+                        if t == frame_type::CANDIDATES
+                            && self.engine.pin_epoch().database().partition_count() == 0 =>
+                    {
+                        Err(ProtocolError::UnknownFrameType(t))
                     }
-                    Err(e) => self.reject(conn, e),
-                }
-            }
-            t if t == frame_type::PING => {
-                if conn.version < LIVENESS_MIN_VERSION {
-                    // A pre-v3 peer must not smuggle in v3 frames.
-                    self.reject(conn, ProtocolError::UnknownFrameType(t));
-                    return;
-                }
-                match Frame::decode(t, &conn.rbuf[span]) {
-                    Ok(Frame::Ping { nonce }) => conn.pipeline.push_back(Item::Ping { nonce }),
-                    Ok(_) => unreachable!("PING tag decodes to Frame::Ping"),
-                    Err(e) => self.reject(conn, e),
-                }
-            }
-            t if t == frame_type::RELOAD => {
-                if conn.version < RELOAD_MIN_VERSION {
-                    // A pre-v5 peer must not smuggle in v5 frames.
-                    self.reject(conn, ProtocolError::UnknownFrameType(t));
-                    return;
-                }
-                match Frame::decode(t, &conn.rbuf[span]) {
-                    Ok(Frame::Reload) => conn.pipeline.push_back(Item::Reload {
-                        started: false,
+                    other => other,
+                };
+                let request_id = match decoded {
+                    Ok(request_id) => request_id,
+                    Err(e) => {
+                        recycle_into(&mut conn.pool, self.pool_cap, reads);
+                        self.reject(conn, e);
+                        return;
+                    }
+                };
+                conn.last_request_id = Some(request_id);
+                let read_count = reads.len() as u64;
+                if t == frame_type::CANDIDATES {
+                    conn.pipeline.push_back(Item::Candidates(Box::new(CandReq {
+                        request_id,
+                        read_count,
+                        admitted: false,
+                        reads: Some(reads),
                         done: None,
-                    }),
-                    Ok(_) => unreachable!("RELOAD tag decodes to Frame::Reload"),
-                    Err(e) => self.reject(conn, e),
+                        generation: 0,
+                    })));
+                    return;
                 }
+                let batch = conn
+                    .session
+                    .as_ref()
+                    .expect("session exists after handshake")
+                    .batch_records()
+                    .max(1);
+                let total_batches = reads.len().div_ceil(batch);
+                let pending = if reads.is_empty() {
+                    recycle_into(&mut conn.pool, self.pool_cap, reads);
+                    None
+                } else if total_batches == 1 {
+                    Some(Pending::Whole(reads))
+                } else {
+                    Some(Pending::Chunks(reads.into_iter()))
+                };
+                conn.pipeline
+                    .push_back(Item::Classify(Box::new(ClassifyReq {
+                        request_id,
+                        read_count,
+                        admitted: false,
+                        total_batches,
+                        completed: 0,
+                        failed: false,
+                        pending,
+                        stashed: None,
+                        classifications: Vec::new(),
+                        generation: None,
+                        mixed: false,
+                        drained: Vec::new(),
+                    })));
             }
+            t if t == frame_type::PING => match Frame::decode(t, &conn.rbuf[span]) {
+                Ok(Frame::Ping { nonce }) => conn.pipeline.push_back(Item::Ping { nonce }),
+                Ok(_) => unreachable!("PING tag decodes to Frame::Ping"),
+                Err(e) => self.reject(conn, e),
+            },
+            t if t == frame_type::RELOAD => match Frame::decode(t, &conn.rbuf[span]) {
+                Ok(Frame::Reload) => conn.pipeline.push_back(Item::Reload {
+                    started: false,
+                    done: None,
+                }),
+                Ok(_) => unreachable!("RELOAD tag decodes to Frame::Reload"),
+                Err(e) => self.reject(conn, e),
+            },
             t if t == frame_type::GOODBYE && span.is_empty() => {
                 // Clean end of stream: stop reading, discard anything the
                 // peer pipelined after its goodbye, serve what is queued.
@@ -1481,134 +1455,56 @@ impl<'e> LoopCtx<'e, '_> {
         if conn.dead || conn.closing || conn.session.is_none() {
             return false;
         }
-        let cap = self.config.max_inflight_records as u64;
         let mut progress = false;
         let mut idx = 0;
         while let Some(item) = conn.pipeline.get_mut(idx) {
+            match item.admission() {
+                Some((request_id, read_count, admitted)) if !*admitted => {
+                    progress = true;
+                    let session = conn.session.as_ref().expect("session exists");
+                    if self.admit(read_count, session, &mut conn.served_any) {
+                        *admitted = true;
+                        conn.gauge += read_count;
+                    } else {
+                        // A request-level Busy is this request's (in-order)
+                        // answer.
+                        if let Some(reads) = item.take_reads() {
+                            recycle_into(&mut conn.pool, self.pool_cap, reads);
+                        }
+                        *item = Item::Busy { request_id };
+                    }
+                }
+                _ => {}
+            }
             match item {
-                Item::Classify(req) => {
-                    if !req.admitted {
-                        // Reserve the records in the global gauge, then
-                        // decide whether to shed. Only v3 peers can be shed
-                        // — a request-level Busy is this request's
-                        // (in-order) answer; v1/v2 peers have no shed
-                        // vocabulary and keep blocking backpressure.
-                        let rc = req.read_count;
-                        let inflight = self
-                            .shared
-                            .inflight_records
-                            .fetch_add(rc, Ordering::Relaxed)
-                            + rc;
-                        let shed = conn.version >= LIVENESS_MIN_VERSION
-                            && cap > 0
-                            && (inflight > cap
-                                // High-water admission: a brand-new stream
-                                // is refused while the fair queue is
-                                // saturated, so a flood of fresh sessions
-                                // cannot starve established ones (exempt).
-                                || (!conn.served_any
-                                    && conn
-                                        .session
-                                        .as_ref()
-                                        .expect("session exists")
-                                        .over_high_water()));
-                        if shed {
-                            self.shared
-                                .inflight_records
-                                .fetch_sub(rc, Ordering::Relaxed);
-                            self.shared
-                                .counters
-                                .shed_requests
-                                .fetch_add(1, Ordering::Relaxed);
-                            let request_id = req.request_id;
-                            match req.pending.take() {
-                                Some(Pending::Whole(v)) => {
-                                    recycle_into(&mut conn.pool, self.pool_cap, v)
-                                }
-                                Some(Pending::Chunks(it)) => {
-                                    recycle_into(&mut conn.pool, self.pool_cap, it.collect())
-                                }
-                                None => {}
-                            }
-                            *item = Item::Busy { request_id };
-                            progress = true;
-                            idx += 1;
-                            continue;
-                        }
-                        req.admitted = true;
-                        conn.gauge += rc;
-                        conn.served_any = true;
-                        progress = true;
-                    }
-                    if req.pending.is_some() || req.stashed.is_some() {
-                        let session = conn.session.as_mut().expect("session exists");
-                        let batch = session.batch_records().max(1);
-                        loop {
-                            let chunk = match req.stashed.take() {
+                Item::Classify(req) if req.pending.is_some() || req.stashed.is_some() => {
+                    let session = conn.session.as_mut().expect("session exists");
+                    let batch = session.batch_records().max(1);
+                    loop {
+                        let chunk = match req.stashed.take() {
+                            Some(chunk) => chunk,
+                            None => match next_chunk(&mut req.pending, batch) {
                                 Some(chunk) => chunk,
-                                None => match next_chunk(&mut req.pending, batch) {
-                                    Some(chunk) => chunk,
-                                    None => break,
-                                },
-                            };
-                            match session.try_submit_owned(chunk) {
-                                Ok(()) => {
-                                    conn.submit_order.push_back(req.request_id);
-                                    progress = true;
-                                }
-                                Err(back) => {
-                                    // Out of credits or queue space: park
-                                    // until a drain or a queue-space wake,
-                                    // and stop the walk (order!).
-                                    req.stashed = Some(back);
-                                    self.space_waiters.insert(token);
-                                    return progress;
-                                }
+                                None => break,
+                            },
+                        };
+                        match session.try_submit_owned(chunk) {
+                            Ok(()) => {
+                                conn.submit_order.push_back(req.request_id);
+                                progress = true;
+                            }
+                            Err(back) => {
+                                // Out of credits or queue space: park until
+                                // a drain or a queue-space wake, and stop
+                                // the walk (order!).
+                                req.stashed = Some(back);
+                                self.space_waiters.insert(token);
+                                return progress;
                             }
                         }
                     }
-                    idx += 1;
                 }
                 Item::Candidates(req) => {
-                    if !req.admitted {
-                        let rc = req.read_count;
-                        let inflight = self
-                            .shared
-                            .inflight_records
-                            .fetch_add(rc, Ordering::Relaxed)
-                            + rc;
-                        // Same shed policy as classify requests (candidates
-                        // require ≥ v4, so the peer always speaks Busy).
-                        let shed = cap > 0
-                            && (inflight > cap
-                                || (!conn.served_any
-                                    && conn
-                                        .session
-                                        .as_ref()
-                                        .expect("session exists")
-                                        .over_high_water()));
-                        if shed {
-                            self.shared
-                                .inflight_records
-                                .fetch_sub(rc, Ordering::Relaxed);
-                            self.shared
-                                .counters
-                                .shed_requests
-                                .fetch_add(1, Ordering::Relaxed);
-                            let request_id = req.request_id;
-                            if let Some(reads) = req.reads.take() {
-                                recycle_into(&mut conn.pool, self.pool_cap, reads);
-                            }
-                            *item = Item::Busy { request_id };
-                            progress = true;
-                            idx += 1;
-                            continue;
-                        }
-                        req.admitted = true;
-                        conn.gauge += rc;
-                        conn.served_any = true;
-                        progress = true;
-                    }
                     if let Some(reads) = req.reads.take() {
                         self.jobs.push(CandJob {
                             conn: conn.token,
@@ -1617,25 +1513,47 @@ impl<'e> LoopCtx<'e, '_> {
                         });
                         progress = true;
                     }
-                    idx += 1;
                 }
-                Item::Reload { started, done } => {
-                    if !*started {
-                        *started = true;
-                        progress = true;
-                        if self.reload_enabled {
-                            self.reload_jobs.push(token);
-                        } else {
-                            *done =
-                                Some(Err("live reload is not enabled on this server".to_string()));
-                        }
+                Item::Reload { started, done } if !*started => {
+                    *started = true;
+                    progress = true;
+                    if self.reload_enabled {
+                        self.reload_jobs.push(token);
+                    } else {
+                        *done = Some(Err("live reload is not enabled on this server".to_string()));
                     }
-                    idx += 1;
                 }
-                _ => idx += 1,
+                _ => {}
             }
+            idx += 1;
         }
         progress
+    }
+
+    /// Admission: reserve `read_count` records in the global gauge, or shed
+    /// the request (returning `false`) when that would push past
+    /// [`ServerConfig::max_inflight_records`] — or, high-water admission,
+    /// when a brand-new stream arrives while the fair queue is saturated,
+    /// so a flood of fresh sessions cannot starve established ones.
+    fn admit(&self, read_count: u64, session: &Session<'e>, served_any: &mut bool) -> bool {
+        let cap = self.config.max_inflight_records as u64;
+        let inflight = self
+            .shared
+            .inflight_records
+            .fetch_add(read_count, Ordering::Relaxed)
+            + read_count;
+        if cap > 0 && (inflight > cap || (!*served_any && session.over_high_water())) {
+            self.shared
+                .inflight_records
+                .fetch_sub(read_count, Ordering::Relaxed);
+            self.shared
+                .counters
+                .shed_requests
+                .fetch_add(1, Ordering::Relaxed);
+            return false;
+        }
+        *served_any = true;
+        true
     }
 
     /// Record a candidates result arriving from the pool.
@@ -1728,17 +1646,14 @@ impl<'e> LoopCtx<'e, '_> {
                             .counters
                             .reads
                             .fetch_add(req.read_count, Ordering::Relaxed);
-                        // v5 peers get the generation tag (an empty
-                        // request never touched the table — it reports the
-                        // current generation); older peers get the exact
-                        // pre-v5 byte stream.
-                        let generation = (conn.version >= RELOAD_MIN_VERSION)
-                            .then(|| req.generation.unwrap_or_else(|| self.engine.generation()));
+                        // An empty request never touched the table — it
+                        // reports the current generation.
+                        let generation = req.generation.unwrap_or_else(|| self.engine.generation());
                         if encode_results_into(
                             &mut self.scratch,
                             req.request_id,
                             &req.classifications,
-                            generation,
+                            Some(generation),
                         )
                         .is_ok()
                         {
@@ -1758,13 +1673,11 @@ impl<'e> LoopCtx<'e, '_> {
                             .counters
                             .reads
                             .fetch_add(req.read_count, Ordering::Relaxed);
-                        let generation =
-                            (conn.version >= RELOAD_MIN_VERSION).then_some(req.generation);
                         if encode_candidate_results_into(
                             &mut self.scratch,
                             req.request_id,
                             &lists,
-                            generation,
+                            Some(req.generation),
                         )
                         .is_ok()
                         {

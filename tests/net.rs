@@ -162,7 +162,7 @@ fn loopback_roundtrip_is_bit_identical_and_survives_disconnects() {
             .encode()
             .unwrap();
             stream.write_all(&hello).unwrap();
-            let classify = Frame::Classify {
+            let classify = Frame::ClassifyPacked {
                 request_id: 0,
                 reads: mixed_reads(40, 1),
             }
@@ -285,42 +285,6 @@ fn malformed_input_gets_an_error_frame() {
             other => panic!("expected error frame, got {other:?}"),
         }
 
-        // A protocol version below the floor is rejected …
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let bad_version = Frame::Hello {
-            magic: MAGIC,
-            version: 0,
-            batch_records: 0,
-            max_in_flight: 0,
-            auth_token: None,
-        }
-        .encode()
-        .unwrap();
-        stream.write_all(&bad_version).unwrap();
-        match protocol::read_frame(&mut stream).unwrap().unwrap() {
-            Frame::Error { code, .. } => assert_eq!(code, ErrorCode::UnsupportedVersion),
-            other => panic!("expected error frame, got {other:?}"),
-        }
-
-        // … while a *future* client version is downgraded to ours, not
-        // rejected (min(client, server) negotiation).
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let future_version = Frame::Hello {
-            magic: MAGIC,
-            version: PROTOCOL_VERSION + 7,
-            batch_records: 0,
-            max_in_flight: 0,
-            auth_token: None,
-        }
-        .encode()
-        .unwrap();
-        stream.write_all(&future_version).unwrap();
-        match protocol::read_frame(&mut stream).unwrap().unwrap() {
-            Frame::HelloAck { version, .. } => assert_eq!(version, PROTOCOL_VERSION),
-            other => panic!("expected downgraded HelloAck, got {other:?}"),
-        }
-        drop(stream);
-
         // Garbage after a valid handshake: unknown frame type.
         let mut stream = TcpStream::connect(addr).unwrap();
         let hello = Frame::Hello {
@@ -358,7 +322,7 @@ fn malformed_input_gets_an_error_frame() {
         stream.write_all(&hello).unwrap();
         protocol::read_frame(&mut stream).unwrap().unwrap();
         let req = |id: u64| {
-            Frame::Classify {
+            Frame::ClassifyPacked {
                 request_id: id,
                 reads: reads.clone(),
             }
@@ -521,12 +485,13 @@ fn handshake_negotiates_credits_and_batch_size() {
     engine.shutdown();
 }
 
-/// The tentpole acceptance check: a v1 (verbatim) client against a v2
-/// server classifies bit-identically to a v2 (packed) client and to an
-/// in-process session — the packed encoding changes bandwidth, never
-/// results — and the packed request frames are measurably smaller.
+/// The wire-encoding acceptance check over the torture corpus (paired
+/// reads, `N` runs, all-`N`, empty, short): the packed client ≡ an
+/// in-process session ≡ `classify_batch` — the packed encoding changes
+/// bandwidth, never results — and the request frame is smaller than the raw
+/// records it carries.
 #[test]
-fn v1_and_v2_clients_are_bit_identical_to_in_process() {
+fn packed_client_is_bit_identical_to_in_process() {
     let (db, _) = shared_database();
     let engine = test_engine(Arc::clone(&db));
     // Mixed reads: genome/foreign/short/empty, paired, N runs, all-N.
@@ -548,43 +513,55 @@ fn v1_and_v2_clients_are_bit_identical_to_in_process() {
         scope.spawn(|| server.run().unwrap());
         let _guard = ShutdownOnDrop(handle.clone());
 
-        let mut v2 = NetClient::connect(addr).unwrap();
-        assert_eq!(v2.protocol_version(), protocol::PROTOCOL_VERSION);
-        let mut v1 = NetClient::connect_with(
-            addr,
-            ClientConfig {
-                version: 1,
-                ..ClientConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(v1.protocol_version(), 1);
+        let mut client = NetClient::connect(addr).unwrap();
+        assert_eq!(client.classify_batch(&reads).unwrap(), in_process);
+        let (streamed, _) = client.classify_iter(reads.iter().cloned()).unwrap();
+        assert_eq!(streamed, in_process);
 
-        assert_eq!(v2.classify_batch(&reads).unwrap(), in_process);
-        assert_eq!(v1.classify_batch(&reads).unwrap(), in_process);
-        let (v2_stream, _) = v2.classify_iter(reads.iter().cloned()).unwrap();
-        let (v1_stream, _) = v1.classify_iter(reads.iter().cloned()).unwrap();
-        assert_eq!(v2_stream, in_process);
-        assert_eq!(v1_stream, in_process);
-
-        // The wire encodings decode to the same reads, and the packed one
-        // is smaller even on this mixed (partly hostile) read set.
-        let verbatim = protocol::encode_classify(0, &reads).unwrap();
+        // The frame decodes to the same reads and is smaller than the raw
+        // records even on this mixed (partly hostile) read set.
         let packed = protocol::encode_classify_packed(0, &reads).unwrap();
-        assert!(packed.len() < verbatim.len());
+        let mut decoded = Vec::new();
+        protocol::decode_classify_into(packed[4], &packed[5..], &mut decoded).unwrap();
+        assert_eq!(decoded, reads);
+        let raw: usize = reads.iter().map(SequenceRecord::heap_bytes).sum();
+        assert!(packed.len() < raw, "packed {} vs raw {raw}", packed.len());
 
-        drop((v1, v2));
+        drop(client);
         handle.shutdown();
     });
     let stats = engine.shutdown();
     assert_eq!(stats.worker_panics, 0);
 }
 
-/// A v1 connection must not accept v2 packed frames: the server answers
-/// with an UnknownFrameType error, exactly what a genuine v1 server would
-/// say.
+/// Send `hello`-then-`extra` bytes on a raw socket and return every frame
+/// the server answers with before it closes the connection.
+fn raw_exchange(addr: std::net::SocketAddr, version: u16, extra: &[u8]) -> Vec<Frame> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let hello = Frame::Hello {
+        magic: MAGIC,
+        version,
+        batch_records: 0,
+        max_in_flight: 0,
+        auth_token: None,
+    }
+    .encode()
+    .unwrap();
+    stream.write_all(&hello).unwrap();
+    stream.write_all(extra).unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut frames = Vec::new();
+    while let Some(frame) = protocol::read_frame(&mut stream).unwrap() {
+        frames.push(frame);
+    }
+    frames
+}
+
+/// There is one dialect: every announcement below `PROTOCOL_VERSION` is
+/// refused with `UnsupportedVersion` (code 2) and the connection closes;
+/// every announcement above it is answered with `PROTOCOL_VERSION`.
 #[test]
-fn packed_frames_on_a_v1_connection_are_rejected() {
+fn handshake_accepts_only_the_current_version() {
     let (db, _) = shared_database();
     let engine = test_engine(Arc::clone(&db));
     let server = NetServer::bind(&engine, "127.0.0.1:0").unwrap();
@@ -594,26 +571,60 @@ fn packed_frames_on_a_v1_connection_are_rejected() {
     std::thread::scope(|scope| {
         scope.spawn(|| server.run().unwrap());
         let _guard = ShutdownOnDrop(handle.clone());
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let hello = Frame::Hello {
-            magic: MAGIC,
-            version: 1,
-            batch_records: 0,
-            max_in_flight: 0,
-            auth_token: None,
+        for version in 0..PROTOCOL_VERSION {
+            match raw_exchange(addr, version, &[]).as_slice() {
+                [Frame::Error { code, .. }] => {
+                    assert_eq!(*code as u16, 2, "version {version}");
+                    assert_eq!(*code, ErrorCode::UnsupportedVersion);
+                }
+                other => panic!("version {version}: expected one error frame, got {other:?}"),
+            }
         }
-        .encode()
-        .unwrap();
-        stream.write_all(&hello).unwrap();
-        match protocol::read_frame(&mut stream).unwrap().unwrap() {
-            Frame::HelloAck { version, .. } => assert_eq!(version, 1),
-            other => panic!("expected HelloAck, got {other:?}"),
+        for version in [PROTOCOL_VERSION, PROTOCOL_VERSION + 1, u16::MAX] {
+            match raw_exchange(addr, version, &[]).as_slice() {
+                [Frame::HelloAck { version: acked, .. }] => {
+                    assert_eq!(*acked, 5, "version {version}");
+                    assert_eq!(*acked, PROTOCOL_VERSION);
+                }
+                other => panic!("version {version}: expected HelloAck, got {other:?}"),
+            }
         }
-        let packed = protocol::encode_classify_packed(0, &mixed_reads(3, 8)).unwrap();
-        stream.write_all(&packed).unwrap();
-        match protocol::read_frame(&mut stream).unwrap().unwrap() {
-            Frame::Error { code, .. } => assert_eq!(code, ErrorCode::UnknownFrameType),
-            other => panic!("expected error frame, got {other:?}"),
+        handle.shutdown();
+    });
+    engine.shutdown();
+}
+
+/// Tag 3 — the verbatim `Classify` request of protocol v1 — is retired: sent
+/// after a good handshake it is answered with `UnknownFrameType` (code 4)
+/// and the connection closes.
+#[test]
+fn retired_classify_tag_is_an_unknown_frame_type() {
+    let (db, _) = shared_database();
+    let engine = test_engine(Arc::clone(&db));
+    let server = NetServer::bind(&engine, "127.0.0.1:0").unwrap();
+    let handle = server.handle();
+    let addr = handle.local_addr();
+
+    std::thread::scope(|scope| {
+        scope.spawn(|| server.run().unwrap());
+        let _guard = ShutdownOnDrop(handle.clone());
+        // A well-formed v1 request: id 0, one read "r" / "ACGT" / no
+        // quality / no mate — retagged from the packed frame's envelope.
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&0u64.to_le_bytes());
+        payload.extend_from_slice(&1u32.to_le_bytes());
+        payload.extend_from_slice(&[1, 0, b'r', 4, 0, 0, 0]);
+        payload.extend_from_slice(b"ACGT");
+        payload.extend_from_slice(&[0, 0, 0, 0, 0]);
+        let mut frame = (payload.len() as u32 + 1).to_le_bytes().to_vec();
+        frame.push(3);
+        frame.extend_from_slice(&payload);
+        match raw_exchange(addr, PROTOCOL_VERSION, &frame).as_slice() {
+            [Frame::HelloAck { .. }, Frame::Error { code, .. }] => {
+                assert_eq!(*code as u16, 4);
+                assert_eq!(*code, ErrorCode::UnknownFrameType);
+            }
+            other => panic!("expected HelloAck then an error frame, got {other:?}"),
         }
         handle.shutdown();
     });
@@ -717,9 +728,9 @@ fn oversized_server_limits_saturate_in_handshake() {
     engine.shutdown();
 }
 
-/// The v4 candidates exchange is bit-identical to in-process candidate
-/// queries: every list, entry and ordering matches `candidates_with`, and a
-/// pre-v4 connection cannot use the frame.
+/// The candidates exchange is bit-identical to in-process candidate
+/// queries: every list, entry and ordering matches `candidates_with`, and
+/// the lists carry the serving database's generation.
 #[test]
 fn candidates_over_the_wire_match_in_process() {
     let (db, _) = shared_database();
@@ -745,29 +756,19 @@ fn candidates_over_the_wire_match_in_process() {
             .collect();
 
         let mut client = NetClient::connect(addr).unwrap();
-        let got = client.candidates_batch(&reads).unwrap();
+        let (got, generation) = client.candidates_batch_tagged(&reads).unwrap();
         assert_eq!(got, expected);
+        assert_eq!(generation, engine.generation());
+        assert_eq!(client.database_generation(), Some(generation));
         // Interleaving with classification on the same connection works
         // (request ids keep increasing across both frame kinds).
         let classifications = client.classify_batch(&reads).unwrap();
         assert_eq!(classifications, classifier.classify_batch(&reads));
-        assert_eq!(client.candidates_batch(&reads[..5]).unwrap(), expected[..5]);
+        assert_eq!(
+            client.candidates_batch_tagged(&reads[..5]).unwrap().0,
+            expected[..5]
+        );
         drop(client);
-
-        // A v3 connection refuses to send candidates locally.
-        let mut v3 = NetClient::connect_with(
-            addr,
-            ClientConfig {
-                version: 3,
-                ..ClientConfig::default()
-            },
-        )
-        .unwrap();
-        assert!(matches!(
-            v3.candidates_batch(&reads[..2]),
-            Err(NetError::Protocol(_))
-        ));
-        drop(v3);
         handle.shutdown();
     });
     engine.shutdown();
@@ -862,7 +863,7 @@ fn routed_scatter_gather_matches_unsharded() {
         // A router's database has no table: candidates against the router
         // itself are refused (no silent empty lists for nested routing).
         let mut direct = NetClient::connect(router_addr).unwrap();
-        assert!(direct.candidates_batch(&reads[..2]).is_err());
+        assert!(direct.candidates_batch_tagged(&reads[..2]).is_err());
         drop(direct);
     });
     router_engine.shutdown();

@@ -3,9 +3,8 @@
 //! stall) must leave the server serviceable — sessions reclaimed in
 //! bounded time, other connections unaffected, stats accounted — and the
 //! backoff-retry client must converge to results bit-identical to the
-//! in-process engine. Also covers the satellite features riding on
-//! protocol v3: pre-shared-token auth, Ping/Pong keepalive vs idle
-//! reaping, and `Busy` load shedding.
+//! in-process engine. Also covers pre-shared-token auth, Ping/Pong
+//! keepalive vs idle reaping, and `Busy` load shedding.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -125,9 +124,13 @@ fn wait_until(mut cond: impl FnMut() -> bool, timeout: Duration) -> bool {
 }
 
 fn hello_bytes() -> Vec<u8> {
+    hello_announcing(protocol::PROTOCOL_VERSION)
+}
+
+fn hello_announcing(version: u16) -> Vec<u8> {
     Frame::Hello {
         magic: MAGIC,
-        version: protocol::PROTOCOL_VERSION,
+        version,
         batch_records: 0,
         max_in_flight: 0,
         auth_token: None,
@@ -414,7 +417,7 @@ fn pings_keep_idle_connection_alive_until_they_stop() {
 }
 
 /// Satellite: pre-shared-token auth — right token in, wrong token out (as
-/// a typed Unauthorized frame), tokens refused locally below v3.
+/// a typed Unauthorized frame).
 #[test]
 fn auth_token_gates_the_handshake() {
     let (db, _) = shared_database();
@@ -463,17 +466,6 @@ fn auth_token_gates_the_handshake() {
             assert!(!err.is_retryable(), "auth rejection must not be retried");
         }
 
-        // A token on a v1/v2 announcement is refused before any bytes move.
-        let local = NetClient::connect_with(
-            addr,
-            ClientConfig {
-                version: 2,
-                auth_token: Some("open sesame".into()),
-                ..ClientConfig::default()
-            },
-        );
-        assert!(matches!(local, Err(NetError::Protocol(_))));
-
         handle.shutdown();
         let stats = runner.join().unwrap().unwrap();
         assert_eq!(stats.auth_failures, 2);
@@ -481,9 +473,9 @@ fn auth_token_gates_the_handshake() {
     engine.shutdown();
 }
 
-/// Load shedding: past `max_inflight_records`, a v3 request is answered
-/// with a request-level Busy (the connection survives); a v1 peer is never
-/// shed; past `max_connections`, the whole connection is refused.
+/// Load shedding: past `max_inflight_records`, a request is answered with a
+/// request-level Busy (the connection survives) — whatever version the peer
+/// announced; no announceable version is served past the cap.
 #[test]
 fn overload_is_shed_with_busy_frames() {
     let (db, _) = shared_database();
@@ -492,7 +484,6 @@ fn overload_is_shed_with_busy_frames() {
     // Exactly one negotiated request (the engine's batch is 8 records), so
     // it always lands over the 4-record cap in a single Busy answer.
     let big = genome_reads(8, 14);
-    let expected_big = Classifier::new(Arc::clone(&db)).classify_batch(&big);
 
     let engine = test_engine(Arc::clone(&db));
     let config = ServerConfig {
@@ -509,27 +500,44 @@ fn overload_is_shed_with_busy_frames() {
         let _guard = ShutdownOnDrop(handle.clone());
 
         // An 8-read request can never fit under the 4-record cap: shed.
-        let mut v3 = NetClient::connect(addr).unwrap();
-        match v3.classify_batch(&big) {
+        let mut client = NetClient::connect(addr).unwrap();
+        match client.classify_batch(&big) {
             Err(NetError::Busy { retry_after_ms }) => assert_eq!(retry_after_ms, 25),
             other => panic!("expected Busy, got {other:?}"),
         }
         // The same connection keeps working for requests under the cap.
-        assert_eq!(v3.classify_batch(&small).unwrap(), expected_small);
-        drop(v3);
+        assert_eq!(client.classify_batch(&small).unwrap(), expected_small);
+        drop(client);
 
-        // A v1 peer has no Busy vocabulary: the same oversized request is
-        // served with the legacy blocking backpressure instead.
-        let mut v1 = NetClient::connect_with(
-            addr,
-            ClientConfig {
-                version: 1,
-                ..ClientConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(v1.classify_batch(&big).unwrap(), expected_big);
-        drop(v1);
+        // Regression (shed bypass): announcing an old version used to exempt
+        // a peer from the cap. Now every announcement either fails the
+        // handshake or is shed exactly like the client above.
+        let request = protocol::encode_classify_packed(0, &big).unwrap();
+        for version in [1u16, 2, protocol::PROTOCOL_VERSION, 6, u16::MAX] {
+            let mut peer = TcpStream::connect(addr).unwrap();
+            peer.write_all(&hello_announcing(version)).unwrap();
+            match protocol::read_frame(&mut peer).unwrap().unwrap() {
+                Frame::Error { code, .. } => {
+                    assert!(version < protocol::PROTOCOL_VERSION, "version {version}");
+                    assert_eq!(code, ErrorCode::UnsupportedVersion, "version {version}");
+                    assert_eq!(protocol::read_frame(&mut peer).unwrap(), None);
+                    continue;
+                }
+                Frame::HelloAck { version: acked, .. } => {
+                    assert!(version >= protocol::PROTOCOL_VERSION, "version {version}");
+                    assert_eq!(acked, protocol::PROTOCOL_VERSION);
+                }
+                other => panic!("version {version}: unexpected {other:?}"),
+            }
+            peer.write_all(&request).unwrap();
+            match protocol::read_frame(&mut peer).unwrap().unwrap() {
+                Frame::Busy {
+                    request_id: 0,
+                    retry_after_ms: 25,
+                } => {}
+                other => panic!("version {version}: expected Busy, got {other:?}"),
+            }
+        }
 
         // The retry client gives up on a permanently-shed request only
         // after its policy is exhausted.
@@ -552,7 +560,8 @@ fn overload_is_shed_with_busy_frames() {
 
         handle.shutdown();
         let stats = runner.join().unwrap().unwrap();
-        assert!(stats.shed_requests >= 4, "got {}", stats.shed_requests);
+        // 1 (client) + 3 (raw peers at or above the floor) + 3 (retry).
+        assert_eq!(stats.shed_requests, 7);
     });
     engine.shutdown();
 }
@@ -935,7 +944,10 @@ fn dead_shard_leg_surfaces_typed_error_without_corrupting_healthy_leg() {
                     .to_vec()
             })
             .collect();
-        assert_eq!(direct.candidates_batch(&reads).unwrap(), expected_cands);
+        assert_eq!(
+            direct.candidates_batch_tagged(&reads).unwrap().0,
+            expected_cands
+        );
         drop(direct);
 
         // Sessions drain on the router and the surviving shard.
@@ -962,6 +974,69 @@ fn dead_shard_leg_surfaces_typed_error_without_corrupting_healthy_leg() {
     for engine in shard_engines {
         engine.shutdown();
     }
+}
+
+/// Regression (torn-merge guard): a leg that answers without a generation
+/// tag used to "agree with everything", silently switching the router's
+/// mixed-epoch check off. A fake shard server — a plain listener speaking
+/// hand-encoded frames — that answers `Candidates` with an untagged
+/// `CandidateResults`, or `ClassifyPacked` with an untagged `Results`, now
+/// gets a typed protocol error from both clients, never `(lists, None)`.
+#[test]
+fn untagged_answers_are_a_protocol_error_not_an_agreeing_leg() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let reads = genome_reads(3, 71);
+
+    std::thread::scope(|scope| {
+        // Serves two connections, one request each, always untagged.
+        scope.spawn(|| {
+            for _ in 0..2 {
+                let (mut peer, _) = listener.accept().unwrap();
+                assert!(matches!(
+                    protocol::read_frame(&mut peer).unwrap().unwrap(),
+                    Frame::Hello { .. }
+                ));
+                let ack = Frame::HelloAck {
+                    version: protocol::PROTOCOL_VERSION,
+                    credits: 1,
+                    batch_records: 8,
+                    backend: "fake shard".into(),
+                };
+                peer.write_all(&ack.encode().unwrap()).unwrap();
+                let answer = match protocol::read_frame(&mut peer).unwrap().unwrap() {
+                    Frame::Candidates { request_id, reads } => Frame::CandidateResults {
+                        request_id,
+                        candidates: vec![Vec::new(); reads.len()],
+                        generation: None,
+                    },
+                    Frame::ClassifyPacked { request_id, reads } => Frame::Results {
+                        request_id,
+                        entries: vec![
+                            protocol::ResultEntry::from_classification(
+                                &metacache::Classification::unclassified()
+                            );
+                            reads.len()
+                        ],
+                        generation: None,
+                    },
+                    other => panic!("unexpected request {other:?}"),
+                };
+                peer.write_all(&answer.encode().unwrap()).unwrap();
+            }
+        });
+
+        let mut leg = RetryClient::connect(addr).unwrap();
+        let err = leg.candidates_batch_tagged(&reads).unwrap_err();
+        assert!(matches!(err, NetError::Protocol(_)), "got {err:?}");
+        assert_eq!(leg.stats().retries, 0, "a protocol error is not retried");
+        drop(leg);
+
+        let mut client = NetClient::connect(addr).unwrap();
+        let err = client.classify_batch(&reads).unwrap_err();
+        assert!(matches!(err, NetError::Protocol(_)), "got {err:?}");
+        assert_eq!(client.database_generation(), None);
+    });
 }
 
 /// Satellite: slow-reader backpressure. A peer that pipelines requests but
@@ -1010,7 +1085,7 @@ fn stalled_reader_is_bounded_and_torn_down_without_collateral() {
             victim.write_all(&hello_bytes()).unwrap();
             protocol::read_frame(&mut victim).unwrap().unwrap();
             for id in 1..=40u64 {
-                let frame = Frame::Classify {
+                let frame = Frame::ClassifyPacked {
                     request_id: id,
                     reads: victim_reads.clone(),
                 }
@@ -1085,7 +1160,7 @@ fn pipelined_requests_return_bit_identical_per_request_results() {
         let mut burst = Vec::new();
         let mut offset = 0;
         for (i, &n) in sizes.iter().enumerate() {
-            let frame = Frame::Classify {
+            let frame = Frame::ClassifyPacked {
                 request_id: (i + 1) as u64,
                 reads: all_reads[offset..offset + n].to_vec(),
             };
@@ -1313,7 +1388,7 @@ fn reload_mid_pipelined_burst_never_splits_a_request_across_generations() {
         let mut burst = Vec::new();
         let mut offset = 0;
         for (i, &n) in sizes.iter().enumerate() {
-            let frame = Frame::Classify {
+            let frame = Frame::ClassifyPacked {
                 request_id: (i + 1) as u64,
                 reads: all_reads[offset..offset + n].to_vec(),
             };

@@ -2,16 +2,20 @@
 //! through encode/decode bit for bit, every truncation of a valid frame is
 //! rejected (never mis-decoded, never panicking), corrupt headers are
 //! rejected before any allocation, and random garbage never decodes into a
-//! `Results`/`HelloAck` frame a client would trust.
+//! `Results`/`HelloAck` frame a client would trust. A golden-bytes table
+//! pins the encoding of every frame type to the bytes the parent commit
+//! produced.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use mc_net::protocol::{
-    decode_classify_into, encode_classify, encode_classify_packed, read_frame, ErrorCode, Frame,
-    NetError, ProtocolError, ResultEntry, MAX_FRAME_LEN,
+    decode_classify_into, encode_candidate_results_into, encode_candidates, encode_classify_packed,
+    encode_results_into, read_frame, ErrorCode, Frame, NetError, ProtocolError, ResultEntry,
+    BUSY_CONNECTION, MAGIC, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
 use mc_seqio::SequenceRecord;
+use metacache::Candidate;
 
 fn dna(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     vec(
@@ -98,15 +102,16 @@ proptest! {
                 record_from(header, sequence, quality, mate)
             })
             .collect();
-        let frame = Frame::Classify { request_id, reads };
+        let frame = Frame::ClassifyPacked { request_id, reads };
         prop_assert_eq!(roundtrip(&frame), frame);
     }
 
-    /// The tentpole property: for any record set — `N` runs, lower case,
-    /// garbage bytes, empty reads, mates, qualities — the packed and the
-    /// verbatim encodings both round-trip byte-exactly to the same reads,
-    /// whether decoded through `Frame::decode` or through the server's
-    /// buffer-reusing `decode_classify_into`.
+    /// The direct oracle: for any record set — `N` runs, lower case,
+    /// garbage bytes, empty reads, mates, qualities, so both the 2-bit
+    /// packed and the verbatim-fallback record bodies occur — decoding the
+    /// encoded frame gives back exactly the reads that went in, whether
+    /// through `Frame::decode` or through the server's buffer-reusing
+    /// `decode_classify_into`.
     #[test]
     fn packed_and_verbatim_roundtrip_bit_identically(
         request_id in any::<u64>(),
@@ -133,15 +138,15 @@ proptest! {
             })
             .collect();
 
-        let verbatim = encode_classify(request_id, &reads).unwrap();
         let packed = encode_classify_packed(request_id, &reads).unwrap();
+        let candidates = encode_candidates(request_id, &reads).unwrap();
 
-        for (bytes, expect_type) in [(&verbatim, 3u8), (&packed, 7u8)] {
+        for (bytes, expect_type) in [(&packed, 7u8), (&candidates, 11u8)] {
             prop_assert_eq!(bytes[4], expect_type);
             // Through the owned decoder …
             let (decoded_id, decoded) = match Frame::decode(bytes[4], &bytes[5..]).unwrap() {
-                Frame::Classify { request_id, reads }
-                | Frame::ClassifyPacked { request_id, reads } => (request_id, reads),
+                Frame::ClassifyPacked { request_id, reads }
+                | Frame::Candidates { request_id, reads } => (request_id, reads),
                 other => panic!("unexpected frame {other:?}"),
             };
             prop_assert_eq!(decoded_id, request_id);
@@ -159,8 +164,9 @@ proptest! {
     }
 
     /// On ACGT-only payloads the packed frame shrinks towards 4× (bounded
-    /// by headers and framing); it never grows beyond verbatim + one flag
-    /// byte per record, whatever the input.
+    /// by headers and framing); it never grows beyond the raw record bytes
+    /// plus the fixed framing (17 bytes per frame, 8 per record), whatever
+    /// the input.
     #[test]
     fn packed_frames_never_inflate(
         sequences in vec(messy_dna(300), 1..6),
@@ -170,14 +176,15 @@ proptest! {
             .enumerate()
             .map(|(i, seq)| SequenceRecord::new(format!("r{i}"), seq.clone()))
             .collect();
-        let verbatim = encode_classify(1, &reads).unwrap();
+        let raw: usize = reads.iter().map(SequenceRecord::heap_bytes).sum();
         let packed = encode_classify_packed(1, &reads).unwrap();
-        prop_assert!(packed.len() <= verbatim.len() + reads.len());
+        prop_assert!(packed.len() <= 17 + raw + 8 * reads.len());
     }
 
     /// A FASTQ record whose quality length differs from its sequence length
-    /// must be rejected — for the read and for its mate, at encode time and
-    /// on a hand-crafted wire frame.
+    /// must be rejected at encode time — for the read and for its mate. (The
+    /// wire cannot express the mismatch: a quality string is exactly
+    /// `seq_len` bytes or absent.)
     #[test]
     fn quality_length_mismatch_frames_are_rejected(
         seq in dna(60),
@@ -185,35 +192,15 @@ proptest! {
         in_mate in any::<bool>(),
     ) {
         let quality = vec![b'I'; seq.len() + qual_delta];
-        let bad = SequenceRecord::with_quality("bad", seq.clone(), quality.clone());
+        let bad = SequenceRecord::with_quality("bad", seq, quality);
         let record = if in_mate {
             SequenceRecord::new("carrier", b"ACGT".to_vec()).with_mate(bad)
         } else {
             bad
         };
         let reads = vec![record];
-        prop_assert!(encode_classify(0, &reads).is_err());
-        prop_assert!(encode_classify_packed(0, &reads).is_err());
-
-        // Hand-craft the v1 wire image the encoder now refuses to produce.
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&0u64.to_le_bytes()); // request id
-        payload.extend_from_slice(&1u32.to_le_bytes()); // read count
-        let put_record = |payload: &mut Vec<u8>, seq: &[u8], qual: &[u8], mate: bool| {
-            payload.extend_from_slice(&1u16.to_le_bytes());
-            payload.push(b'r');
-            payload.extend_from_slice(&(seq.len() as u32).to_le_bytes());
-            payload.extend_from_slice(seq);
-            payload.extend_from_slice(&(qual.len() as u32).to_le_bytes());
-            payload.extend_from_slice(qual);
-            payload.push(u8::from(mate));
-        };
-        if in_mate {
-            put_record(&mut payload, b"ACGT", b"", true);
-        }
-        put_record(&mut payload, &seq, &quality, false);
         prop_assert_eq!(
-            Frame::decode(3, &payload),
+            encode_classify_packed(0, &reads),
             Err(ProtocolError::Malformed("quality/sequence length mismatch"))
         );
     }
@@ -278,16 +265,16 @@ proptest! {
     fn truncations_never_decode(
         sequence in messy_dna(120),
         cut_fraction in 0u32..1000,
-        packed in any::<bool>(),
+        candidates in any::<bool>(),
     ) {
         let reads = vec![
             SequenceRecord::new("a read", sequence.clone()),
             SequenceRecord::with_quality("q", sequence, b"".to_vec()),
         ];
-        let bytes = if packed {
-            Frame::ClassifyPacked { request_id: 7, reads }.encode().unwrap()
+        let bytes = if candidates {
+            Frame::Candidates { request_id: 7, reads }.encode().unwrap()
         } else {
-            Frame::Classify { request_id: 7, reads }.encode().unwrap()
+            Frame::ClassifyPacked { request_id: 7, reads }.encode().unwrap()
         };
         let cut = (cut_fraction as usize * (bytes.len() - 1)) / 1000;
         let mut cursor = std::io::Cursor::new(&bytes[..cut]);
@@ -340,5 +327,221 @@ proptest! {
             let reencoded = frame.encode().unwrap();
             prop_assert_eq!(Frame::decode(reencoded[4], &reencoded[5..]).unwrap(), frame);
         }
+    }
+}
+
+/// Reads the wire cannot carry fail in the encoder, before any byte moves:
+/// a mate with a mate, a quality string of the wrong length, a header over
+/// the str16 limit.
+#[test]
+fn unencodable_reads_fail_to_encode() {
+    let nested = SequenceRecord::new("r", b"ACGT".to_vec()).with_mate(
+        SequenceRecord::new("m1", b"GT".to_vec())
+            .with_mate(SequenceRecord::new("m2", b"AC".to_vec())),
+    );
+    let mismatched = SequenceRecord::with_quality("r", b"ACGTACGT".to_vec(), b"III".to_vec());
+    let oversize = SequenceRecord::new("h".repeat(usize::from(u16::MAX) + 1), b"ACGT".to_vec());
+    for (read, want) in [
+        (nested, ProtocolError::NestedMate),
+        (
+            mismatched,
+            ProtocolError::Malformed("quality/sequence length mismatch"),
+        ),
+        (oversize, ProtocolError::Malformed("string too long")),
+    ] {
+        let reads = [SequenceRecord::new("ok", b"ACGT".to_vec()), read];
+        assert_eq!(encode_classify_packed(1, &reads), Err(want.clone()));
+        assert_eq!(encode_candidates(1, &reads), Err(want));
+    }
+}
+
+/// One fixed instance of every frame type, with the bytes the **parent
+/// commit** (five negotiated versions, verbatim `Classify` still present)
+/// encoded it to. The literals were printed there by running this very
+/// fixture list; making v5 the only dialect must not move one of them.
+fn golden_frames() -> Vec<(Frame, &'static str)> {
+    let packed_reads = vec![
+        // 2-bit packed, no exceptions.
+        SequenceRecord::new("acgt", b"ACGTACGTACGTACGTTTGA".to_vec()),
+        // Packed with an exception list (two `N`s and a lower-case base).
+        SequenceRecord::new("ns", b"ACGTACGTACGTACGTACGTACGTACGTACGTACGTNNGt".to_vec()),
+        // Exception-dense: the encoder falls back to verbatim bytes.
+        SequenceRecord::new("alln", b"NNNNNNNN".to_vec()),
+        // A paired read with a quality string.
+        SequenceRecord::with_quality("p/1", b"ACGTACGT".to_vec(), b"IIIIHHHH".to_vec())
+            .with_mate(SequenceRecord::new("p/2", b"GGTTAACC".to_vec())),
+        SequenceRecord::new("", Vec::new()),
+    ];
+    vec![
+        (
+            Frame::Hello {
+                magic: MAGIC,
+                version: PROTOCOL_VERSION,
+                batch_records: 64,
+                max_in_flight: 4,
+                auth_token: None,
+            },
+            "0f00000001544e434d05004000000004000000",
+        ),
+        (
+            Frame::Hello {
+                magic: MAGIC,
+                version: PROTOCOL_VERSION,
+                batch_records: 0,
+                max_in_flight: 0,
+                auth_token: Some("hunter2".into()),
+            },
+            "1800000001544e434d05000000000000000000070068756e74657232",
+        ),
+        (
+            Frame::HelloAck {
+                version: PROTOCOL_VERSION,
+                credits: 8,
+                batch_records: 1024,
+                backend: "host".into(),
+            },
+            "1100000002050008000000000400000400686f7374",
+        ),
+        (
+            Frame::ClassifyPacked {
+                request_id: 42,
+                reads: packed_reads.clone(),
+            },
+            "83000000072a00000000000000050000000400616367741400000001e4e4e4e42f0002006e732800000005e4e4e4e4e4e4e4e4e42003000000240000004e250000004e2700000074000400616c6c6e08000000004e4e4e4e4e4e4e4e000300702f310800000003e4e44949494948484848010300702f320800000001fa50000000000000000000",
+        ),
+        (
+            Frame::Results {
+                request_id: 42,
+                entries: vec![
+                    ResultEntry {
+                        status: 0b111,
+                        taxon: 100,
+                        rank: 2,
+                        best_target: 3,
+                        best_hits: 17,
+                    },
+                    ResultEntry {
+                        status: 0,
+                        taxon: 0,
+                        rank: 0,
+                        best_target: 0,
+                        best_hits: 0,
+                    },
+                ],
+                generation: Some(7),
+            },
+            "31000000042a0000000000000002000000076400000002030000001100000000000000000000000000000000000700000000000000",
+        ),
+        (
+            Frame::CandidateResults {
+                request_id: 43,
+                candidates: vec![
+                    vec![
+                        Candidate {
+                            target: 2,
+                            window_begin: 10,
+                            window_end: 14,
+                            hits: 31,
+                        },
+                        Candidate {
+                            target: 0,
+                            window_begin: 0,
+                            window_end: 4,
+                            hits: 30,
+                        },
+                    ],
+                    Vec::new(),
+                ],
+                generation: Some(0x0102_0304_0506_0708),
+            },
+            "3d0000000c2b000000000000000200000002000000020000000a0000000e0000001f0000000000000000000000040000001e000000000000000807060504030201",
+        ),
+        (
+            Frame::Error {
+                code: ErrorCode::UnsupportedVersion,
+                message: "bad payload".into(),
+            },
+            "100000000502000b00626164207061796c6f6164",
+        ),
+        (Frame::Goodbye, "0100000006"),
+        (
+            Frame::Ping {
+                nonce: 0x0123_4567_89AB_CDEF,
+            },
+            "0900000008efcdab8967452301",
+        ),
+        (Frame::Pong { nonce: u64::MAX }, "0900000009ffffffffffffffff"),
+        (
+            Frame::Busy {
+                request_id: 3,
+                retry_after_ms: 250,
+            },
+            "0d0000000a0300000000000000fa000000",
+        ),
+        (
+            Frame::Busy {
+                request_id: BUSY_CONNECTION,
+                retry_after_ms: 100,
+            },
+            "0d0000000affffffffffffffff64000000",
+        ),
+        (
+            Frame::Candidates {
+                request_id: 43,
+                reads: packed_reads[1..4].to_vec(),
+            },
+            "6a0000000b2b000000000000000300000002006e732800000005e4e4e4e4e4e4e4e4e42003000000240000004e250000004e2700000074000400616c6c6e08000000004e4e4e4e4e4e4e4e000300702f310800000003e4e44949494948484848010300702f320800000001fa5000",
+        ),
+        (Frame::Reload, "010000000d"),
+        (Frame::ReloadAck { generation: 3 }, "090000000e0300000000000000"),
+    ]
+}
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect()
+}
+
+#[test]
+fn golden_bytes_did_not_move() {
+    for (frame, hex) in golden_frames() {
+        let golden = unhex(hex);
+        assert_eq!(frame.encode().unwrap(), golden, "encode moved: {frame:?}");
+        assert_eq!(
+            Frame::decode(golden[4], &golden[5..]).unwrap(),
+            frame,
+            "decode moved: {hex}"
+        );
+        // The borrowed hot-path encoders produce the same bytes.
+        let mut hot = Vec::new();
+        match &frame {
+            Frame::ClassifyPacked { request_id, reads } => {
+                hot = encode_classify_packed(*request_id, reads).unwrap();
+            }
+            Frame::Candidates { request_id, reads } => {
+                hot = encode_candidates(*request_id, reads).unwrap();
+            }
+            Frame::Results {
+                request_id,
+                entries,
+                generation,
+            } => {
+                let classifications: Vec<_> =
+                    entries.iter().map(|e| e.to_classification()).collect();
+                encode_results_into(&mut hot, *request_id, &classifications, *generation).unwrap();
+            }
+            Frame::CandidateResults {
+                request_id,
+                candidates,
+                generation,
+            } => {
+                encode_candidate_results_into(&mut hot, *request_id, candidates, *generation)
+                    .unwrap();
+            }
+            _ => continue,
+        }
+        assert_eq!(hot, golden, "hot-path encoder moved: {frame:?}");
     }
 }
