@@ -1,5 +1,6 @@
-//! Execution backends: one classification interface over the host and GPU
-//! paths.
+//! Execution backends: every backend is a *candidate source* — the host,
+//! sharded, simulated-GPU and (in `mc-net`) routed paths behind one
+//! interface.
 //!
 //! The serving engine ([`crate::serving::ServingEngine`]) — and with it the
 //! streaming front [`crate::pipeline::StreamingClassifier`] — is written
@@ -8,12 +9,19 @@
 //! execution contexts that hold whatever mutable state the path needs
 //! ([`QueryScratch`] for the host path, the round-robin device cursor for the
 //! simulated GPU path). Workers are long-lived: a serving worker thread
-//! creates one worker and reuses it for every batch it ever classifies, so
+//! creates one worker and reuses it for every batch it ever serves, so
 //! scratch buffers stay warm across requests.
 //!
-//! Both backends produce identical classifications for the same database
-//! (asserted by `tests/cross_backend.rs` and `tests/serving.rs`); they differ
-//! only in scheduling and in the simulated cost model.
+//! A worker's one product is the top-candidate list of each read (the
+//! paper's per-part output, §5.6). What becomes of a list — a
+//! classification via [`crate::classify::classify_candidates`], or the
+//! list itself for a scatter-gather router — is decided once, by the engine
+//! worker loop, from what the batch's request asked for.
+//!
+//! All backends produce identical candidate lists for the same database
+//! (asserted by `tests/cross_backend.rs`, `tests/serving.rs` and
+//! `tests/net.rs`); they differ only in scheduling and in the simulated
+//! cost model.
 
 use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -22,7 +30,7 @@ use std::sync::Arc;
 use mc_gpu_sim::MultiGpuSystem;
 use mc_seqio::SequenceRecord;
 
-use crate::classify::Classification;
+use crate::candidate::CandidateList;
 use crate::database::Database;
 use crate::gpu::GpuClassifier;
 use crate::query::{Classifier, QueryScratch};
@@ -36,7 +44,10 @@ use crate::query::{Classifier, QueryScratch};
 /// the same type serves borrowed one-shot use and `Arc`-owning long-lived
 /// engines.
 pub trait Backend: Send + Sync {
-    /// The database this backend classifies against.
+    /// The database this backend serves: what the engine decides
+    /// classifications against (config, targets, taxonomy, lineages) — the
+    /// full database for a table-owning backend, the table-free metadata
+    /// view for a sharded or routed one.
     fn database(&self) -> &Database;
 
     /// Short label used in reports and benchmarks.
@@ -50,12 +61,15 @@ pub trait Backend: Send + Sync {
 }
 
 /// A per-thread execution context of a [`Backend`]: owns the mutable scratch
-/// state one worker thread needs and classifies batches with it.
+/// state one worker thread needs and computes candidate lists with it.
 pub trait BackendWorker: Send {
-    /// Classify `records` in order, appending one [`Classification`] per
-    /// record to `out`. Must be bit-identical to
-    /// [`Classifier::classify_batch`] on the same records.
-    fn classify_batch_into(&mut self, records: &[SequenceRecord], out: &mut Vec<Classification>);
+    /// Compute the top-candidate list of every record and hand each to
+    /// `emit`, exactly once per record, in record order. The list is only
+    /// borrowed for the call (it lives in the worker's scratch), so a path
+    /// that allocates nothing per read stays that way. Lists must be
+    /// bit-identical to [`Classifier::candidates_with`] on the unsharded
+    /// database.
+    fn candidates_each(&mut self, records: &[SequenceRecord], emit: &mut dyn FnMut(&CandidateList));
 }
 
 /// The host execution path: per-worker [`QueryScratch`] over the rayon-style
@@ -109,12 +123,14 @@ impl<D> BackendWorker for HostWorker<D>
 where
     D: Deref<Target = Database> + Send + Sync,
 {
-    fn classify_batch_into(&mut self, records: &[SequenceRecord], out: &mut Vec<Classification>) {
-        out.extend(
-            records
-                .iter()
-                .map(|r| self.classifier.classify_with(r, &mut self.scratch)),
-        );
+    fn candidates_each(
+        &mut self,
+        records: &[SequenceRecord],
+        emit: &mut dyn FnMut(&CandidateList),
+    ) {
+        for record in records {
+            emit(self.classifier.candidates_with(record, &mut self.scratch));
+        }
     }
 }
 
@@ -182,12 +198,16 @@ where
     D: Deref<Target = Database> + Send + Sync,
     S: Deref<Target = MultiGpuSystem> + Send + Sync,
 {
-    fn classify_batch_into(&mut self, records: &[SequenceRecord], out: &mut Vec<Classification>) {
+    fn candidates_each(
+        &mut self,
+        records: &[SequenceRecord],
+        emit: &mut dyn FnMut(&CandidateList),
+    ) {
         // One shared cursor across all workers: successive batches rotate
         // over the devices, whichever worker issues them.
         let issue = self.backend.next_issue.fetch_add(1, Ordering::Relaxed);
-        let (classifications, _) = self.backend.classifier.classify_batch_on(records, issue);
-        out.extend(classifications);
+        let (lists, _) = self.backend.classifier.candidates_batch_on(records, issue);
+        lists.iter().for_each(emit);
     }
 }
 
@@ -195,8 +215,22 @@ where
 mod tests {
     use super::*;
     use crate::build::CpuBuilder;
+    use crate::classify::{classify_candidates, Classification};
     use crate::config::MetaCacheConfig;
     use mc_taxonomy::{Rank, Taxonomy};
+
+    /// Classify through a worker the way the engine does: one
+    /// `classify_candidates` per emitted list.
+    fn classify_through(
+        worker: &mut dyn BackendWorker,
+        db: &Database,
+        records: &[SequenceRecord],
+        out: &mut Vec<Classification>,
+    ) {
+        worker.candidates_each(records, &mut |list| {
+            out.push(classify_candidates(db, &db.config, list))
+        });
+    }
 
     fn make_seq(len: usize, seed: u64) -> Vec<u8> {
         let mut state = seed | 1;
@@ -243,8 +277,8 @@ mod tests {
         let mut worker = backend.worker();
         let mut out = Vec::new();
         // Two batches through one persistent worker (scratch reuse).
-        worker.classify_batch_into(&reads[..11], &mut out);
-        worker.classify_batch_into(&reads[11..], &mut out);
+        classify_through(&mut *worker, &db, &reads[..11], &mut out);
+        classify_through(&mut *worker, &db, &reads[11..], &mut out);
         assert_eq!(out, expected);
         assert_eq!(backend.name(), "host");
         assert_eq!(backend.database().target_count(), 2);
@@ -259,7 +293,7 @@ mod tests {
         let mut out = Vec::new();
         let mut worker = backend.worker();
         for chunk in reads.chunks(7) {
-            worker.classify_batch_into(chunk, &mut out);
+            classify_through(&mut *worker, &db, chunk, &mut out);
         }
         assert_eq!(out, expected);
         // The cursor advanced once per batch.
@@ -283,7 +317,7 @@ mod tests {
             move || {
                 let backend = HostBackend::new(db);
                 let mut out = Vec::new();
-                backend.worker().classify_batch_into(&reads, &mut out);
+                classify_through(&mut *backend.worker(), backend.database(), &reads, &mut out);
                 out
             }
         });

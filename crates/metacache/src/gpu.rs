@@ -318,17 +318,33 @@ where
     }
 
     /// Classify a batch of reads with the transfer + sketching stage issued
-    /// on `issue_device` (wrapped modulo the device count) and the top-hit
-    /// merge ring starting there. Classifications are independent of the
-    /// issue device — only the simulated stream occupancy differs — so
-    /// concurrent callers (the serving engine's GPU backend, the streaming
-    /// consumer) can round-robin batches across devices to model the paper's
-    /// per-GPU copy/compute overlap.
+    /// on `issue_device`: the host-side final step over
+    /// [`GpuClassifier::candidates_batch_on`]'s merged lists.
     pub fn classify_batch_on(
         &self,
         records: &[SequenceRecord],
         issue_device: usize,
     ) -> (Vec<Classification>, StageBreakdown) {
+        let (lists, breakdown) = self.candidates_batch_on(records, issue_device);
+        let classifications = lists
+            .iter()
+            .map(|cands| classify_candidates(&self.db, &self.db.config, cands))
+            .collect();
+        (classifications, breakdown)
+    }
+
+    /// Run the device pipeline for a batch of reads — transfer + sketching
+    /// issued on `issue_device` (wrapped modulo the device count), the
+    /// top-hit merge ring starting there — and return each read's merged
+    /// top-candidate list. The lists are independent of the issue device —
+    /// only the simulated stream occupancy differs — so concurrent callers
+    /// (the serving engine's GPU backend) can round-robin batches across
+    /// devices to model the paper's per-GPU copy/compute overlap.
+    pub fn candidates_batch_on(
+        &self,
+        records: &[SequenceRecord],
+        issue_device: usize,
+    ) -> (Vec<CandidateList>, StageBreakdown) {
         let mut batch_breakdown = StageBreakdown::default();
         if records.is_empty() {
             return (Vec::new(), batch_breakdown);
@@ -520,17 +536,11 @@ where
         streams[(issue + devices - 1) % devices].transfer((records.len() * 32) as u64);
         batch_breakdown.top_candidates = diff(max_position(&streams), t4);
 
-        // Host-side final classification from the merged candidates.
-        let classifications: Vec<Classification> = per_read_candidates
-            .iter()
-            .map(|cands| classify_candidates(&self.db, &self.db.config, cands))
-            .collect();
-
         // Hand the launch buffer back for the thread's next batch.
         QUERY_FEATURE_BUF.with(|b| *b.borrow_mut() = feature_buf);
 
         self.breakdown.lock().accumulate(&batch_breakdown);
-        (classifications, batch_breakdown)
+        (per_read_candidates, batch_breakdown)
     }
 
     /// Classify all reads in batches of the configured batch size, returning

@@ -23,6 +23,11 @@
 //!   [`Backend`] worker at startup and reuses it for every batch it ever
 //!   classifies — scratch buffers stay warm across requests, and request
 //!   latency no longer pays thread spawn/join.
+//! * **One loop, two outputs.** A backend worker yields each read's
+//!   candidate list; the worker loop turns it into what the batch was
+//!   submitted for ([`OutputKind`]): a classification, or the list itself
+//!   (the shard-server role of `mc-net`). Both kinds are the same queue
+//!   entries to everything below.
 //! * **The database is shared — and swappable.** The engine owns an
 //!   [`EpochStore`]: a generation-tagged slot holding the current
 //!   `Arc<dyn Backend>` (which co-owns the `Arc<Database>`). Workers pin an
@@ -69,10 +74,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 
-use mc_seqio::{SequenceBatch, SequenceRecord};
+use mc_seqio::SequenceRecord;
 
-use crate::backend::{Backend, HostBackend};
-use crate::classify::Classification;
+use crate::backend::{Backend, BackendWorker, HostBackend};
+use crate::candidate::Candidate;
+use crate::classify::{classify_candidates, Classification};
 use crate::database::Database;
 use crate::error::MetaCacheError;
 use crate::pipeline::StreamingSummary;
@@ -196,15 +202,34 @@ pub struct EngineStats {
     pub peak_queue_batches: u64,
 }
 
+/// What a submitted batch's request wants back for each record. Every
+/// backend worker produces candidate lists; the engine worker loop turns
+/// them into this, so both kinds share the queue, the lanes, the credits,
+/// the epoch pin, the panic isolation and the [`EngineStats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum OutputKind {
+    /// One [`Classification`] per record (the final LCA decision).
+    #[default]
+    Classifications,
+    /// Each record's top-candidate list itself — what a scatter-gather
+    /// router merges across shard servers before deciding.
+    Candidates,
+}
+
 /// One completed (or failed) engine batch: what a worker sends back to the
 /// owning session, and what [`Session::try_drain_owned`] hands out in
 /// submission order — the records that went in (by move, heap buffers
-/// intact — recycle them) plus one classification per record.
+/// intact — recycle them) plus, per record, the output the batch was
+/// submitted for (the other output vector stays empty).
 pub struct CompletedBatch {
     /// The batch's records, exactly as submitted.
     pub records: Vec<SequenceRecord>,
-    /// One classification per record, in record order. Empty if `panicked`.
+    /// [`OutputKind::Classifications`]: one classification per record, in
+    /// record order. Empty if `panicked`.
     pub classifications: Vec<Classification>,
+    /// [`OutputKind::Candidates`]: one top-candidate list per record, in
+    /// record order. Empty if `panicked`.
+    pub candidates: Vec<Vec<Candidate>>,
     /// The backend worker panicked while classifying this batch. The
     /// blocking drain paths re-raise; a non-blocking caller decides itself
     /// (the net server answers the request with an `Internal` error).
@@ -301,6 +326,46 @@ impl EpochStore {
     }
 }
 
+/// One submitted batch on its way through the fair queue to a worker.
+#[derive(Debug)]
+struct Job {
+    /// The owning session (its lane in the fair queue).
+    session: u64,
+    /// Position within the session's stream; the session reorders by it.
+    session_seq: u64,
+    records: Vec<SequenceRecord>,
+    output: OutputKind,
+}
+
+/// The one place a candidate list becomes an answer, for every backend and
+/// both output kinds: each list `worker` yields is decided against `db`
+/// (the pinned epoch's database) or copied out as is. Returns
+/// `(classifications, candidates)`; only `output`'s vector fills.
+fn answer_batch(
+    worker: &mut dyn BackendWorker,
+    db: &Database,
+    records: &[SequenceRecord],
+    output: OutputKind,
+) -> (Vec<Classification>, Vec<Vec<Candidate>>) {
+    let mut classifications = Vec::new();
+    let mut candidates = Vec::new();
+    match output {
+        OutputKind::Classifications => {
+            classifications.reserve(records.len());
+            worker.candidates_each(records, &mut |list| {
+                classifications.push(classify_candidates(db, &db.config, list))
+            });
+        }
+        OutputKind::Candidates => {
+            candidates.reserve(records.len());
+            worker.candidates_each(records, &mut |list| {
+                candidates.push(list.as_slice().to_vec())
+            });
+        }
+    }
+    (classifications, candidates)
+}
+
 /// Routing entry of one live session.
 struct SessionState {
     /// Worker → session result channel of `(session_seq, batch)`; sized to
@@ -369,7 +434,7 @@ struct FairQueue {
 /// What [`FairQueue::pop_pinned`] hands a worker.
 enum Popped {
     /// The next batch by deficit round robin.
-    Batch(SequenceBatch),
+    Batch(Job),
     /// No work, and the engine swapped epochs: drop the pinned epoch,
     /// re-pin and pop again.
     Reload,
@@ -380,7 +445,7 @@ enum Popped {
 #[derive(Default)]
 struct FairState {
     /// Per-session FIFO of submitted batches.
-    lanes: HashMap<u64, VecDeque<SequenceBatch>>,
+    lanes: HashMap<u64, VecDeque<Job>>,
     /// Sessions with a non-empty lane, in round-robin visit order.
     active: VecDeque<u64>,
     /// Unspent service credit of each active session.
@@ -398,7 +463,7 @@ struct FairState {
 impl FairState {
     /// Take the next batch by deficit round robin. Caller guarantees
     /// `len > 0`.
-    fn pop_drr(&mut self, quanta: [u64; 2]) -> SequenceBatch {
+    fn pop_drr(&mut self, quanta: [u64; 2]) -> Job {
         loop {
             let session = *self.active.front().expect("non-empty fair queue");
             let lane = self.lanes.get_mut(&session).expect("active lane exists");
@@ -428,7 +493,7 @@ impl FairState {
     }
 
     /// Insert a batch into its session's lane. Caller has checked capacity.
-    fn enqueue(&mut self, batch: SequenceBatch) {
+    fn enqueue(&mut self, batch: Job) {
         let session = batch.session;
         let newly_active = {
             let lane = self.lanes.entry(session).or_default();
@@ -459,7 +524,7 @@ impl FairQueue {
 
     /// Enqueue a session-tagged batch, blocking while the queue is at
     /// capacity. Fails (returning the batch) only on a closed queue.
-    fn push(&self, batch: SequenceBatch) -> Result<(), SequenceBatch> {
+    fn push(&self, batch: Job) -> Result<(), Job> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if state.closed {
@@ -480,7 +545,7 @@ impl FairQueue {
     /// capacity — the caller parks on a space watcher and retries. Panics
     /// on a closed queue (sessions borrow the engine, so a live session
     /// over a closed queue is a bug, matching `Session::submit_owned`).
-    fn try_push(&self, batch: SequenceBatch) -> Result<(), SequenceBatch> {
+    fn try_push(&self, batch: Job) -> Result<(), Job> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         assert!(
             !state.closed,
@@ -715,7 +780,7 @@ impl ServingEngine {
                         // A batch popped just as a swap landed is carried
                         // over to the re-pinned (new) epoch instead of
                         // running on the stale one.
-                        let mut carried: Option<SequenceBatch> = None;
+                        let mut carried: Option<Job> = None;
                         'epoch: loop {
                             // Pin the current epoch; `epoch` and `worker`
                             // both co-own its database, and both drop on
@@ -724,6 +789,7 @@ impl ServingEngine {
                             // alive.
                             let epoch = shared.epochs.pin();
                             let generation = epoch.generation();
+                            let db = epoch.database();
                             let mut worker = epoch.backend().worker();
                             loop {
                                 let batch = match carried.take() {
@@ -741,11 +807,11 @@ impl ServingEngine {
                                     carried = Some(batch);
                                     continue 'epoch;
                                 }
-                                let SequenceBatch {
+                                let Job {
                                     session,
                                     session_seq,
                                     records,
-                                    ..
+                                    output,
                                 } = batch;
                                 // Route to the owning session; a dropped
                                 // session leaves no registry entry and its
@@ -757,18 +823,17 @@ impl ServingEngine {
                                     .get(&session)
                                     .cloned();
                                 let Some(target) = target else { continue };
-                                let mut classifications = Vec::with_capacity(records.len());
-                                let panicked =
+                                let answered =
                                     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        worker.classify_batch_into(&records, &mut classifications)
-                                    }))
-                                    .is_err();
+                                        answer_batch(&mut *worker, db, &records, output)
+                                    }));
+                                let panicked = answered.is_err();
+                                let (classifications, candidates) = answered.unwrap_or_default();
                                 if panicked {
                                     // The worker's scratch state may be torn
                                     // mid-update; replace it (same epoch) and
                                     // keep serving.
                                     worker = epoch.backend().worker();
-                                    classifications.clear();
                                     shared.counters.panics.fetch_add(1, Ordering::Relaxed);
                                 } else {
                                     shared.counters.batches.fetch_add(1, Ordering::Relaxed);
@@ -785,6 +850,7 @@ impl ServingEngine {
                                     CompletedBatch {
                                         records,
                                         classifications,
+                                        candidates,
                                         panicked,
                                         generation,
                                     },
@@ -829,9 +895,9 @@ impl ServingEngine {
 
     /// Pin the engine's current epoch: a handle on the database (and
     /// backend) that stays valid — and keeps that database alive — across
-    /// any number of [`ServingEngine::reload_backend`] calls. Front-ends
-    /// that read the database directly (candidate mode, metadata checks)
-    /// pin per request instead of caching a borrow.
+    /// any number of [`ServingEngine::reload_backend`] calls. A caller
+    /// that reads the database directly (serving metadata) pins per use
+    /// instead of caching a borrow.
     pub fn pin_epoch(&self) -> Arc<Epoch> {
         self.shared.epochs.pin()
     }
@@ -1284,9 +1350,10 @@ impl Session<'_> {
         self.in_flight < self.max_in_flight
     }
 
-    /// Non-blocking submit of one owned batch: `Err(records)` hands the
-    /// batch straight back when the session is out of credits or the shared
-    /// queue is at capacity. Credits free via [`Session::try_drain_owned`];
+    /// Non-blocking submit of one owned batch, to come back as `output`:
+    /// `Err(records)` hands the batch straight back when the session is out
+    /// of credits or the shared queue is at capacity. Credits free via
+    /// [`Session::try_drain_owned`];
     /// queue capacity frees via [`ServingEngine::watch_queue_space`] — an
     /// event-loop caller parks on those signals instead of blocking here.
     ///
@@ -1296,11 +1363,12 @@ impl Session<'_> {
     pub fn try_submit_owned(
         &mut self,
         records: Vec<SequenceRecord>,
+        output: OutputKind,
     ) -> Result<(), Vec<SequenceRecord>> {
         if self.in_flight >= self.max_in_flight {
             return Err(records);
         }
-        let batch = SequenceBatch::for_session(self.id, self.next_submit_seq, records);
+        let batch = self.next_job(records, output);
         match self.engine.shared.queue.try_push(batch) {
             Ok(()) => {
                 self.next_submit_seq += 1;
@@ -1365,9 +1433,20 @@ impl Session<'_> {
         done
     }
 
-    /// Enqueue one owned batch under this session's next sequence number.
+    /// Tag `records` as this session's next batch.
+    fn next_job(&self, records: Vec<SequenceRecord>, output: OutputKind) -> Job {
+        Job {
+            session: self.id,
+            session_seq: self.next_submit_seq,
+            records,
+            output,
+        }
+    }
+
+    /// Enqueue one owned batch (to be classified) under this session's next
+    /// sequence number.
     fn submit_owned(&mut self, records: Vec<SequenceRecord>) {
-        let batch = SequenceBatch::for_session(self.id, self.next_submit_seq, records);
+        let batch = self.next_job(records, OutputKind::Classifications);
         self.engine
             .shared
             .queue
@@ -1664,19 +1743,20 @@ mod tests {
         drop(engine); // Drop impl must join without hanging.
     }
 
-    fn batch_of(session: u64, seq: u64, records: usize) -> SequenceBatch {
-        SequenceBatch::for_session(
+    fn batch_of(session: u64, seq: u64, records: usize) -> Job {
+        Job {
             session,
-            seq,
-            (0..records)
+            session_seq: seq,
+            records: (0..records)
                 .map(|i| SequenceRecord::new(format!("s{session}b{seq}r{i}"), b"ACGT".to_vec()))
                 .collect(),
-        )
+            output: OutputKind::Classifications,
+        }
     }
 
     /// Test shim over the epoch-aware pop: pops as a worker pinned at the
     /// queue's current reload generation (so it never sees a reload wake).
-    fn pop_batch(queue: &FairQueue) -> Option<SequenceBatch> {
+    fn pop_batch(queue: &FairQueue) -> Option<Job> {
         match queue.pop_pinned(queue.reload_generation.load(Ordering::Acquire)) {
             Popped::Batch(batch) => Some(batch),
             Popped::Reload => panic!("pop at the current generation saw a reload wake"),
@@ -1847,10 +1927,10 @@ mod tests {
     }
 
     impl crate::backend::BackendWorker for GatedWorker<'_> {
-        fn classify_batch_into(
+        fn candidates_each(
             &mut self,
             records: &[SequenceRecord],
-            out: &mut Vec<Classification>,
+            emit: &mut dyn FnMut(&crate::candidate::CandidateList),
         ) {
             let (lock, condvar) = &*self.backend.open;
             let mut open = lock.lock().unwrap();
@@ -1861,7 +1941,7 @@ mod tests {
             if let Some(first) = records.first() {
                 self.backend.log.lock().unwrap().push(first.header.clone());
             }
-            self.inner.classify_batch_into(records, out);
+            self.inner.candidates_each(records, emit);
         }
     }
 
@@ -2011,10 +2091,10 @@ mod tests {
     }
 
     impl crate::backend::BackendWorker for PermitWorker<'_> {
-        fn classify_batch_into(
+        fn candidates_each(
             &mut self,
             records: &[SequenceRecord],
-            out: &mut Vec<Classification>,
+            emit: &mut dyn FnMut(&crate::candidate::CandidateList),
         ) {
             let (lock, condvar) = &*self.backend.permits;
             let mut permits = lock.lock().unwrap();
@@ -2026,7 +2106,7 @@ mod tests {
             if let Some(first) = records.first() {
                 self.backend.log.lock().unwrap().push(first.header.clone());
             }
-            self.inner.classify_batch_into(records, out);
+            self.inner.candidates_each(records, emit);
         }
     }
 
@@ -2356,7 +2436,7 @@ mod tests {
                 reads.len()
             );
             if let Some(chunk) = chunks.pop_front() {
-                if let Err(back) = session.try_submit_owned(chunk) {
+                if let Err(back) = session.try_submit_owned(chunk, OutputKind::Classifications) {
                     refusals += 1;
                     chunks.push_front(back); // refused: records come back intact
                 }

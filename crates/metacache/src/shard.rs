@@ -10,9 +10,10 @@
 //! `Database` holding only its targets' hash buckets — and a
 //! [`ShardedClassifier`] runs the one query pipeline of [`crate::query`]
 //! with a probe stage that asks every shard table. The [`ShardedBackend`]
-//! plugs it into the existing [`Backend`] trait, so the
-//! [`ServingEngine`][crate::serving::ServingEngine], the streaming pipeline
-//! and the `mc-net` front-end serve a sharded database transparently.
+//! plugs it into the existing [`Backend`] trait as one more candidate
+//! source, so the [`ServingEngine`][crate::serving::ServingEngine], the
+//! streaming pipeline and the `mc-net` front-end serve a sharded database
+//! transparently — classifications and `Candidates` answers alike.
 //!
 //! # Why the sharded query is bit-equivalent to the unsharded one
 //!
@@ -332,7 +333,8 @@ impl ShardedClassifier {
 }
 
 /// The sharded host execution path behind the [`Backend`] trait: workers
-/// scatter-gather across all shards in-process. The serving engine, the
+/// scatter-gather across all shards in-process and emit the merged
+/// candidate list of each read. The serving engine, the
 /// streaming pipeline and the `mc-net` server drive it exactly like the
 /// unsharded [`HostBackend`][crate::backend::HostBackend] — zero protocol
 /// changes.
@@ -375,12 +377,14 @@ struct ShardedWorker {
 }
 
 impl BackendWorker for ShardedWorker {
-    fn classify_batch_into(&mut self, records: &[SequenceRecord], out: &mut Vec<Classification>) {
-        out.extend(
-            records
-                .iter()
-                .map(|r| self.classifier.classify_with(r, &mut self.scratch)),
-        );
+    fn candidates_each(
+        &mut self,
+        records: &[SequenceRecord],
+        emit: &mut dyn FnMut(&CandidateList),
+    ) {
+        for record in records {
+            emit(self.classifier.candidates_with(record, &mut self.scratch));
+        }
     }
 }
 
@@ -549,9 +553,15 @@ mod tests {
         assert_eq!(backend.database().target_count(), 4);
         assert_eq!(backend.sharded_database().shard_count(), 2);
         let mut worker = backend.worker();
+        // Two batches through one persistent worker, classified the way
+        // the engine does: against the table-free metadata view.
+        let meta = backend.database();
         let mut out = Vec::new();
-        worker.classify_batch_into(&reads[..13], &mut out);
-        worker.classify_batch_into(&reads[13..], &mut out);
+        for batch in [&reads[..13], &reads[13..]] {
+            worker.candidates_each(batch, &mut |list| {
+                out.push(classify_candidates(meta, &meta.config, list))
+            });
+        }
         assert_eq!(out, expected);
     }
 }

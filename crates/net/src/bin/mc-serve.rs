@@ -39,7 +39,10 @@
 //!       Self-contained loopback round-trip on a synthetic database:
 //!       starts a server on an ephemeral port, classifies N reads through
 //!       a NetClient, verifies the results against the in-process session
-//!       bit for bit, shuts down cleanly. With --swarm N, additionally
+//!       bit for bit, then fetches the same reads' candidate lists (the
+//!       shard-server role), verifies them against the in-process lists and
+//!       asserts the pass spawned no thread; shuts down cleanly. With
+//!       --swarm N, additionally
 //!       parks N idle handshaken connections on the server, asserts the
 //!       process thread count stays O(workers) (the event loop serves
 //!       connections, threads serve compute), and classifies a full pass
@@ -568,6 +571,10 @@ fn os_thread_count() -> Option<usize> {
         .and_then(|rest| rest.trim().parse().ok())
 }
 
+fn show_threads(count: Option<usize>) -> String {
+    count.map_or("n/a".into(), |n| n.to_string())
+}
+
 fn synthetic_genome(len: usize, seed: u64) -> Vec<u8> {
     let mut state = seed | 1;
     (0..len)
@@ -664,6 +671,40 @@ fn smoke(args: &[String]) -> i32 {
                 summary.peak_in_flight,
                 client.credits()
             );
+            // Candidates pass: the shard-server role on the same connection.
+            // The lists come off the engine's worker pool like everything
+            // else — the first `Candidates` frame must not spawn a thread.
+            let threads_before = os_thread_count();
+            let (lists, generation) = client
+                .candidates_batch_tagged(&reads)
+                .map_err(|e| format!("candidates_batch: {e}"))?;
+            let threads_after = os_thread_count();
+            let classifier = Classifier::new(Arc::clone(&db));
+            let mut scratch = metacache::QueryScratch::new();
+            let identical = lists.len() == reads.len()
+                && reads.iter().zip(&lists).all(|(read, list)| {
+                    classifier.candidates_with(read, &mut scratch).as_slice() == &list[..]
+                });
+            if !identical {
+                return Err("network candidate lists diverged from in-process lists".into());
+            }
+            if generation != engine.generation() {
+                return Err(format!(
+                    "candidate lists tagged generation {generation}, engine is at {}",
+                    engine.generation()
+                ));
+            }
+            if threads_after != threads_before {
+                return Err(format!(
+                    "the candidates pass changed the thread count \
+                     {threads_before:?} -> {threads_after:?}; candidates must ride the engine pool"
+                ));
+            }
+            eprintln!(
+                "mc-serve smoke: candidates pass ≡ in-process ({} lists, threads {})",
+                lists.len(),
+                show_threads(threads_after)
+            );
             if swarm > 0 {
                 // Swarm pass: N idle handshaken connections park on the
                 // event loop while a full classify pass runs amid them.
@@ -713,10 +754,7 @@ fn smoke(args: &[String]) -> i32 {
                 eprintln!(
                     "mc-serve smoke: swarm pass ≡ in-process ({} idle connections, threads {})",
                     swarm,
-                    match threads_during {
-                        Some(n) => n.to_string(),
-                        None => "n/a".into(),
-                    }
+                    show_threads(threads_during)
                 );
                 drop(drones);
             }
@@ -774,11 +812,11 @@ fn smoke(args: &[String]) -> i32 {
     let engine_stats = engine.shutdown();
     match verdict {
         Ok(stats) => {
-            // Two clean passes (classify_batch, classify_iter) plus one
-            // exact pass amid the swarm; the chaos pass classifies every
-            // read at least once more, plus replays of unacknowledged
-            // chunks.
-            let passes = 2 + u64::from(swarm > 0) + u64::from(with_chaos);
+            // Three clean passes (classify_batch, classify_iter, candidates
+            // — candidate work is engine work) plus one exact pass amid the
+            // swarm; the chaos pass classifies every read at least once
+            // more, plus replays of unacknowledged chunks.
+            let passes = 3 + u64::from(swarm > 0) + u64::from(with_chaos);
             let floor = passes * reads.len() as u64;
             let exact = !with_chaos;
             if (exact && engine_stats.records_classified != floor)

@@ -3,8 +3,9 @@
 //!
 //! A [`RouterBackend`] fronts shard servers that each hold one shard of a
 //! [`metacache::ShardedDatabase`] split (typically `mc-serve serve --shard
-//! K --shard-count N` processes). Classification of one batch runs in three
-//! steps, mirroring the in-process [`metacache::ShardedClassifier`]:
+//! K --shard-count N` processes). One batch runs in two steps here and a
+//! third in the engine, mirroring the in-process
+//! [`metacache::ShardedClassifier`]:
 //!
 //! 1. **Scatter**: the batch goes to every shard as one
 //!    [`Frame::Candidates`](crate::Frame::Candidates) request, through a
@@ -16,15 +17,21 @@
 //!    bit-identical to querying the unsharded table (the argument lives in
 //!    `metacache::shard`'s module docs and is enforced by
 //!    `tests/sharding.rs`).
-//! 3. **Classify**: [`classify_candidates`] runs once over the merged list
-//!    against the router's metadata-only database (taxonomy + lineages; no
-//!    hash table) — the same final step the unsharded path runs.
+//! 3. **Emit**: the merged list is the worker's product, like every other
+//!    backend's. The engine worker loop turns it into what the request
+//!    asked for: a classification (`classify_candidates` against the
+//!    router's metadata-only database — taxonomy + lineages, no hash table
+//!    — the same final step the unsharded path runs) or the list itself,
+//!    so a router answers `Candidates` frames too and routers nest.
 //!
 //! Because [`RouterBackend`] is just a [`Backend`], a
 //! [`ServingEngine`](metacache::serving::ServingEngine) +
 //! [`NetServer`](crate::NetServer) over it is a drop-in classification
 //! server: clients speak the ordinary protocol and cannot tell a routed
-//! topology from a single process. A shard leg whose retry policy is
+//! topology from a single process — and its shard servers are the same
+//! engine + server pair, answering the router's `Candidates` frames on the
+//! same worker pool, fair queue and credits as any other request. A shard
+//! leg whose retry policy is
 //! exhausted panics the worker; the engine replaces the worker and re-raises
 //! in the owning session only, which the server answers with a typed
 //! `Internal` error frame — healthy sessions and healthy shards are
@@ -35,8 +42,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mc_seqio::SequenceRecord;
-use metacache::classify::classify_candidates;
-use metacache::{Backend, BackendWorker, CandidateList, Classification, Database};
+use metacache::{Backend, BackendWorker, CandidateList, Database};
 
 use crate::client::{resolve_addrs, ClientConfig};
 use crate::protocol::NetError;
@@ -118,7 +124,7 @@ impl Backend for RouterBackend {
             })
             .collect();
         Box::new(RouterWorker {
-            meta: &self.meta,
+            top_candidates: self.meta.config.top_candidates,
             legs,
             merged: CandidateList::new(self.meta.config.top_candidates),
         })
@@ -137,14 +143,18 @@ const GENERATION_REQUERY_PAUSE: Duration = Duration::from_millis(25);
 
 /// One engine worker's routing state: a retrying connection per shard plus
 /// the merge scratch.
-struct RouterWorker<'b> {
-    meta: &'b Database,
+struct RouterWorker {
+    top_candidates: usize,
     legs: Vec<RetryClient>,
     merged: CandidateList,
 }
 
-impl BackendWorker for RouterWorker<'_> {
-    fn classify_batch_into(&mut self, records: &[SequenceRecord], out: &mut Vec<Classification>) {
+impl BackendWorker for RouterWorker {
+    fn candidates_each(
+        &mut self,
+        records: &[SequenceRecord],
+        emit: &mut dyn FnMut(&CandidateList),
+    ) {
         // Scatter: one candidates exchange per shard. A leg that stays down
         // past its retry policy panics the worker — the engine's contract
         // for a broken execution substrate: the owning session re-raises,
@@ -191,21 +201,16 @@ impl BackendWorker for RouterWorker<'_> {
             );
             std::thread::sleep(GENERATION_REQUERY_PAUSE);
         };
-        // Gather: merge each read's disjoint per-shard lists and run the
-        // final classification step once, exactly like the in-process
-        // sharded path.
+        // Gather: merge each read's disjoint per-shard lists into the one
+        // list the unsharded table would have produced.
         for read in 0..records.len() {
-            self.merged.reset(self.meta.config.top_candidates);
+            self.merged.reset(self.top_candidates);
             for lists in &per_shard {
                 for &candidate in &lists[read] {
                     self.merged.insert(candidate);
                 }
             }
-            out.push(classify_candidates(
-                self.meta,
-                &self.meta.config,
-                &self.merged,
-            ));
+            emit(&self.merged);
         }
     }
 }

@@ -2,7 +2,8 @@
 //! sessions, multiplexed by a single-threaded readiness event loop.
 //!
 //! One [`NetServer`] wraps one engine. The thread layout is a fixed set —
-//! one event-loop thread plus the engine's worker pool — so a thousand
+//! one event-loop thread plus the engine's worker pool, which is the only
+//! compute in the process whatever the frame type — so a thousand
 //! mostly-idle clients cost a thousand registered fds, not two thousand
 //! parked threads:
 //!
@@ -20,10 +21,11 @@
 //!             │      ▲ wakeup pipe                            │
 //!             └──────┼────────────────────────────────────────┘
 //!                    │ notify per completed batch
-//!             ┌──────┴────────────┐   ┌───────────────────────┐
-//!             │ ServingEngine     │   │ candidate pool (lazy, │
-//!             │ worker pool       │   │ ≤ engine workers)     │
-//!             └───────────────────┘   └───────────────────────┘
+//!             ┌──────┴────────────────────────────────────────┐
+//!             │ ServingEngine: fair queue ──► worker pool     │
+//!             │ (`EngineConfig::workers` threads; every       │
+//!             │  ClassifyPacked *and* Candidates batch)       │
+//!             └───────────────────────────────────────────────┘
 //! ```
 //!
 //! Each connection is a small state machine driven only by readiness:
@@ -33,8 +35,13 @@
 //!   and TCP flow control pushes back on the client — once the connection
 //!   holds enough undispatched work or its outbound backlog passes
 //!   [`ServerConfig::outbound_high_water`].
-//! * **The engine side is non-blocking.** Requests are chunked into
-//!   session batches via `try_submit_owned`; completed batches re-enter
+//! * **The engine side is non-blocking, and there is one request path.**
+//!   Requests are chunked into session batches via `try_submit_owned`,
+//!   each batch tagged with the output its frame type asks for
+//!   (`ClassifyPacked` → classifications, `Candidates` → candidate lists);
+//!   admission, shedding, credits, lanes, replay across a reload and the
+//!   `Internal` answer to a worker panic are the same code for both — only
+//!   the reply encoder differs. Completed batches re-enter
 //!   the loop through a wakeup pipe (the session's delivery notifier) and
 //!   are matched back to their request by submission order. Consecutive
 //!   requests on one connection overlap in the engine — the writer no
@@ -68,8 +75,8 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mc_seqio::SequenceRecord;
-use metacache::serving::{ServingEngine, Session, SessionConfig};
-use metacache::{Candidate, Classification, Classifier, QueryScratch};
+use metacache::serving::{OutputKind, ServingEngine, Session, SessionConfig};
+use metacache::{Candidate, Classification};
 
 use crate::poll::{self, Event, Interest, Poller, TimerHeap, Waker, WAKE_TOKEN};
 use crate::protocol::{
@@ -227,8 +234,8 @@ struct Counters {
     write_stalls: AtomicU64,
 }
 
-/// State shared between the event loop, the engine's delivery notifiers,
-/// the candidate pool and every [`ServerHandle`].
+/// State shared between the event loop, the engine's delivery notifiers
+/// and every [`ServerHandle`].
 struct Shared {
     shutting_down: AtomicBool,
     /// Interrupts a blocked poll wait from any thread.
@@ -411,7 +418,6 @@ impl<'e> NetServer<'e> {
             poller,
             timers: TimerHeap::new(),
             scratch: Vec::new(),
-            jobs: Vec::new(),
             reload_jobs: Vec::new(),
             reload_enabled: reload.is_some(),
             space_waiters: HashSet::new(),
@@ -428,17 +434,10 @@ impl<'e> NetServer<'e> {
             let mut next_token: u64 = 1;
             let mut listener = Some(listener);
             let mut draining = false;
-            // The candidate pool is spawned lazily on the first Candidates
-            // request, capped at the engine's worker count — thread count
-            // stays O(workers) no matter how many connections arrive.
-            let (cand_tx, cand_rx) = mpsc::channel::<CandJob>();
-            let cand_rx = Arc::new(Mutex::new(cand_rx));
-            let (cand_done_tx, cand_done_rx) = mpsc::channel::<CandDone>();
-            let cand_target = engine.config().workers.max(1);
-            let mut cand_workers = 0usize;
-            // Reloads run on a single lazily-spawned worker: the hook may
-            // block on disk/network I/O, and serialising reloads gives each
-            // one a well-defined generation to acknowledge.
+            // Reloads run on a single lazily-spawned worker — the only
+            // thread this server ever spawns: the hook may block on
+            // disk/network I/O, and serialising reloads gives each one a
+            // well-defined generation to acknowledge.
             let (reload_tx, reload_rx) = mpsc::channel::<u64>();
             let (reload_done_tx, reload_done_rx) = mpsc::channel::<ReloadDone>();
             let mut reload_rx = Some(reload_rx);
@@ -506,14 +505,6 @@ impl<'e> NetServer<'e> {
                     }
                     ctx.finish(&mut conns, token);
                 }
-                while let Ok(result) = cand_done_rx.try_recv() {
-                    let token = result.conn;
-                    if let Some(conn) = conns.get_mut(&token) {
-                        ctx.apply_candidate_result(conn, result);
-                        ctx.advance(token, conn);
-                    }
-                    ctx.finish(&mut conns, token);
-                }
                 while let Ok(result) = reload_done_rx.try_recv() {
                     let token = result.conn;
                     if let Some(conn) = conns.get_mut(&token) {
@@ -543,17 +534,6 @@ impl<'e> NetServer<'e> {
                     ctx.advance(token, conn);
                     ctx.finish(&mut conns, token);
                 }
-                let jobs = std::mem::take(&mut ctx.jobs);
-                for job in jobs {
-                    if cand_workers < cand_target {
-                        cand_workers += 1;
-                        let jobs_rx = Arc::clone(&cand_rx);
-                        let done_tx = cand_done_tx.clone();
-                        let waker = ctx.shared.waker.clone();
-                        scope.spawn(move || candidate_worker(engine, jobs_rx, done_tx, waker));
-                    }
-                    let _ = cand_tx.send(job);
-                }
                 let pending_reloads = std::mem::take(&mut ctx.reload_jobs);
                 for token in pending_reloads {
                     if let Some(rx) = reload_rx.take() {
@@ -568,7 +548,7 @@ impl<'e> NetServer<'e> {
                 }
             }
             // Dropping the job sender here (closure scope end) unblocks the
-            // candidate workers; the scope joins them.
+            // reload worker; the scope joins it.
             Ok(())
         })?;
         let c = &shared.counters;
@@ -603,9 +583,13 @@ enum Pending {
     Chunks(std::vec::IntoIter<SequenceRecord>),
 }
 
-/// A decoded `ClassifyPacked` request in flight.
-struct ClassifyReq {
+/// A decoded read-carrying request (`ClassifyPacked` or `Candidates`) in
+/// flight.
+struct Request {
     request_id: u64,
+    /// What the frame type asks back per read; tags every engine batch of
+    /// this request and picks the reply encoder.
+    output: OutputKind,
     read_count: u64,
     /// Passed admission (gauge reserved, shed decision made).
     admitted: bool,
@@ -617,7 +601,9 @@ struct ClassifyReq {
     /// A batch the engine refused (queue full / out of credits), waiting
     /// for space or a freed credit.
     stashed: Option<Vec<SequenceRecord>>,
+    /// The answer so far, in read order (only `output`'s vector fills).
     classifications: Vec<Classification>,
+    candidates: Vec<Vec<Candidate>>,
     /// Database generation of the first completed batch. The whole request
     /// is answered under one generation: if a reload lands between two of
     /// its batches, the request is replayed entirely on the new epoch.
@@ -630,25 +616,10 @@ struct ClassifyReq {
     drained: Vec<Vec<SequenceRecord>>,
 }
 
-/// A decoded `Candidates` request (answered by the candidate pool).
-struct CandReq {
-    request_id: u64,
-    read_count: u64,
-    admitted: bool,
-    /// Reads not yet handed to the pool.
-    reads: Option<Vec<SequenceRecord>>,
-    /// `Some(Some(lists))` = computed; `Some(None)` = the pool worker
-    /// panicked on this request.
-    done: Option<Option<Vec<Vec<Candidate>>>>,
-    /// Database generation the pool worker pinned for this request.
-    generation: u64,
-}
-
 /// One entry of a connection's FIFO response pipeline. Responses are
 /// emitted strictly in request order from the front.
 enum Item {
-    Classify(Box<ClassifyReq>),
-    Candidates(Box<CandReq>),
+    Request(Box<Request>),
     /// A liveness probe, answered with `Pong` in order.
     Ping {
         nonce: u64,
@@ -679,31 +650,8 @@ impl Item {
     /// behind the parse gate (decoded-but-undispatched request bound).
     fn holds_input(&self) -> bool {
         match self {
-            Item::Classify(r) => !r.admitted || r.pending.is_some() || r.stashed.is_some(),
-            Item::Candidates(r) => !r.admitted || r.reads.is_some(),
+            Item::Request(r) => !r.admitted || r.pending.is_some() || r.stashed.is_some(),
             _ => false,
-        }
-    }
-
-    /// The admission state of a read-carrying request:
-    /// `(request id, read count, admitted flag)`.
-    fn admission(&mut self) -> Option<(u64, u64, &mut bool)> {
-        match self {
-            Item::Classify(r) => Some((r.request_id, r.read_count, &mut r.admitted)),
-            Item::Candidates(r) => Some((r.request_id, r.read_count, &mut r.admitted)),
-            _ => None,
-        }
-    }
-
-    /// Take the undispatched reads out of a request that is being shed.
-    fn take_reads(&mut self) -> Option<Vec<SequenceRecord>> {
-        match self {
-            Item::Classify(r) => match r.pending.take()? {
-                Pending::Whole(reads) => Some(reads),
-                Pending::Chunks(rest) => Some(rest.collect()),
-            },
-            Item::Candidates(r) => r.reads.take(),
-            _ => None,
         }
     }
 }
@@ -817,24 +765,6 @@ impl Conn<'_> {
     }
 }
 
-/// A candidates request handed to the pool.
-struct CandJob {
-    conn: u64,
-    request_id: u64,
-    reads: Vec<SequenceRecord>,
-}
-
-/// A candidates result returning to the loop. `lists` is `None` when the
-/// worker panicked while computing it.
-struct CandDone {
-    conn: u64,
-    request_id: u64,
-    reads: Vec<SequenceRecord>,
-    lists: Option<Vec<Vec<Candidate>>>,
-    /// Generation of the epoch the worker pinned for this request.
-    generation: u64,
-}
-
 /// A reload outcome returning from the reload worker to the loop.
 struct ReloadDone {
     conn: u64,
@@ -850,8 +780,6 @@ struct LoopCtx<'e, 'c> {
     timers: TimerHeap,
     /// Reusable response-encoding buffer (one frame at a time).
     scratch: Vec<u8>,
-    /// Candidates jobs produced this iteration, dispatched after pumping.
-    jobs: Vec<CandJob>,
     /// Connections whose `Reload` request awaits the reload worker.
     reload_jobs: Vec<u64>,
     /// A [`ReloadHook`] is installed (reloads without one fail fast).
@@ -1034,7 +962,7 @@ impl<'e> LoopCtx<'e, '_> {
                 .pipeline
                 .iter_mut()
                 .find_map(|item| match item {
-                    Item::Classify(r) if r.request_id == rid => Some(r),
+                    Item::Request(r) if r.request_id == rid => Some(r),
                     _ => None,
                 })
                 .expect("completed batch for an unknown request");
@@ -1048,8 +976,10 @@ impl<'e> LoopCtx<'e, '_> {
                 req.failed = true;
             } else if req.total_batches == 1 {
                 req.classifications = done.classifications;
+                req.candidates = done.candidates;
             } else {
                 req.classifications.extend(done.classifications);
+                req.candidates.extend(done.candidates);
             }
             // Multi-batch requests hold their drained records until the
             // whole request has completed under one generation: if a
@@ -1068,6 +998,7 @@ impl<'e> LoopCtx<'e, '_> {
                     let all: Vec<SequenceRecord> = req.drained.drain(..).flatten().collect();
                     req.completed = 0;
                     req.classifications.clear();
+                    req.candidates.clear();
                     req.generation = None;
                     req.mixed = false;
                     req.pending = Some(Pending::Chunks(all.into_iter()));
@@ -1349,16 +1280,6 @@ impl<'e> LoopCtx<'e, '_> {
                     Ok(id) if conn.last_request_id.is_some_and(|last| id <= last) => {
                         Err(ProtocolError::Malformed("request ids must increase"))
                     }
-                    // A metadata-only database (a router fronting this very
-                    // protocol) has no local table to query; answering with
-                    // empty lists would silently corrupt a two-level
-                    // scatter, so refuse the frame type.
-                    Ok(_)
-                        if t == frame_type::CANDIDATES
-                            && self.engine.pin_epoch().database().partition_count() == 0 =>
-                    {
-                        Err(ProtocolError::UnknownFrameType(t))
-                    }
                     other => other,
                 };
                 let request_id = match decoded {
@@ -1371,17 +1292,6 @@ impl<'e> LoopCtx<'e, '_> {
                 };
                 conn.last_request_id = Some(request_id);
                 let read_count = reads.len() as u64;
-                if t == frame_type::CANDIDATES {
-                    conn.pipeline.push_back(Item::Candidates(Box::new(CandReq {
-                        request_id,
-                        read_count,
-                        admitted: false,
-                        reads: Some(reads),
-                        done: None,
-                        generation: 0,
-                    })));
-                    return;
-                }
                 let batch = conn
                     .session
                     .as_ref()
@@ -1397,21 +1307,28 @@ impl<'e> LoopCtx<'e, '_> {
                 } else {
                     Some(Pending::Chunks(reads.into_iter()))
                 };
-                conn.pipeline
-                    .push_back(Item::Classify(Box::new(ClassifyReq {
-                        request_id,
-                        read_count,
-                        admitted: false,
-                        total_batches,
-                        completed: 0,
-                        failed: false,
-                        pending,
-                        stashed: None,
-                        classifications: Vec::new(),
-                        generation: None,
-                        mixed: false,
-                        drained: Vec::new(),
-                    })));
+                conn.pipeline.push_back(Item::Request(Box::new(Request {
+                    request_id,
+                    // The one place the output kind is chosen: the frame
+                    // type.
+                    output: if t == frame_type::CANDIDATES {
+                        OutputKind::Candidates
+                    } else {
+                        OutputKind::Classifications
+                    },
+                    read_count,
+                    admitted: false,
+                    total_batches,
+                    completed: 0,
+                    failed: false,
+                    pending,
+                    stashed: None,
+                    classifications: Vec::new(),
+                    candidates: Vec::new(),
+                    generation: None,
+                    mixed: false,
+                    drained: Vec::new(),
+                })));
             }
             t if t == frame_type::PING => match Frame::decode(t, &conn.rbuf[span]) {
                 Ok(Frame::Ping { nonce }) => conn.pipeline.push_back(Item::Ping { nonce }),
@@ -1446,11 +1363,10 @@ impl<'e> LoopCtx<'e, '_> {
 
     // --- dispatch -------------------------------------------------------
 
-    /// Admit and dispatch decoded requests in pipeline order: classify
-    /// batches go to the engine session (as many as credits and queue
-    /// space allow — consecutive requests overlap), candidates requests go
-    /// to the pool. Stops at the first submission-blocked item so engine
-    /// submission order always matches request order.
+    /// Admit and dispatch decoded requests in pipeline order: their batches
+    /// go to the engine session (as many as credits and queue space allow —
+    /// consecutive requests overlap). Stops at the first submission-blocked
+    /// item so engine submission order always matches request order.
     fn pump_submit(&mut self, token: u64, conn: &mut Conn<'e>) -> bool {
         if conn.dead || conn.closing || conn.session.is_none() {
             return false;
@@ -1458,26 +1374,30 @@ impl<'e> LoopCtx<'e, '_> {
         let mut progress = false;
         let mut idx = 0;
         while let Some(item) = conn.pipeline.get_mut(idx) {
-            match item.admission() {
-                Some((request_id, read_count, admitted)) if !*admitted => {
+            if let Item::Request(req) = item {
+                if !req.admitted {
                     progress = true;
                     let session = conn.session.as_ref().expect("session exists");
-                    if self.admit(read_count, session, &mut conn.served_any) {
-                        *admitted = true;
-                        conn.gauge += read_count;
+                    if self.admit(req.read_count, session, &mut conn.served_any) {
+                        req.admitted = true;
+                        conn.gauge += req.read_count;
                     } else {
                         // A request-level Busy is this request's (in-order)
                         // answer.
-                        if let Some(reads) = item.take_reads() {
+                        if let Some(pending) = req.pending.take() {
+                            let reads = match pending {
+                                Pending::Whole(reads) => reads,
+                                Pending::Chunks(rest) => rest.collect(),
+                            };
                             recycle_into(&mut conn.pool, self.pool_cap, reads);
                         }
+                        let request_id = req.request_id;
                         *item = Item::Busy { request_id };
                     }
                 }
-                _ => {}
             }
             match item {
-                Item::Classify(req) if req.pending.is_some() || req.stashed.is_some() => {
+                Item::Request(req) if req.pending.is_some() || req.stashed.is_some() => {
                     let session = conn.session.as_mut().expect("session exists");
                     let batch = session.batch_records().max(1);
                     loop {
@@ -1488,7 +1408,7 @@ impl<'e> LoopCtx<'e, '_> {
                                 None => break,
                             },
                         };
-                        match session.try_submit_owned(chunk) {
+                        match session.try_submit_owned(chunk, req.output) {
                             Ok(()) => {
                                 conn.submit_order.push_back(req.request_id);
                                 progress = true;
@@ -1502,16 +1422,6 @@ impl<'e> LoopCtx<'e, '_> {
                                 return progress;
                             }
                         }
-                    }
-                }
-                Item::Candidates(req) => {
-                    if let Some(reads) = req.reads.take() {
-                        self.jobs.push(CandJob {
-                            conn: conn.token,
-                            request_id: req.request_id,
-                            reads,
-                        });
-                        progress = true;
                     }
                 }
                 Item::Reload { started, done } if !*started => {
@@ -1556,25 +1466,6 @@ impl<'e> LoopCtx<'e, '_> {
         true
     }
 
-    /// Record a candidates result arriving from the pool.
-    fn apply_candidate_result(&mut self, conn: &mut Conn<'e>, result: CandDone) {
-        recycle_into(&mut conn.pool, self.pool_cap, result.reads);
-        let Some(req) = conn.pipeline.iter_mut().find_map(|item| match item {
-            Item::Candidates(r) if r.request_id == result.request_id => Some(r),
-            _ => None,
-        }) else {
-            return;
-        };
-        req.done = Some(result.lists);
-        req.generation = result.generation;
-        if req.read_count > 0 {
-            conn.gauge -= req.read_count;
-            self.shared
-                .inflight_records
-                .fetch_sub(req.read_count, Ordering::Relaxed);
-        }
-    }
-
     /// Record a reload outcome arriving from the reload worker: it resolves
     /// the connection's oldest dispatched-but-unanswered `Reload` item
     /// (reloads are dispatched and resolved in FIFO order through the
@@ -1598,13 +1489,12 @@ impl<'e> LoopCtx<'e, '_> {
         while !conn.closing && !conn.dead {
             let ready = match conn.pipeline.front() {
                 None => break,
-                Some(Item::Classify(r)) => {
+                Some(Item::Request(r)) => {
                     r.admitted
                         && r.pending.is_none()
                         && r.stashed.is_none()
                         && r.completed == r.total_batches
                 }
-                Some(Item::Candidates(r)) => r.done.is_some(),
                 Some(Item::Reload { done, .. }) => done.is_some(),
                 Some(Item::Ping { .. })
                 | Some(Item::Busy { .. })
@@ -1617,7 +1507,7 @@ impl<'e> LoopCtx<'e, '_> {
             let item = conn.pipeline.pop_front().expect("front checked above");
             progress = true;
             match item {
-                Item::Classify(req) => {
+                Item::Request(req) => {
                     if req.failed {
                         // A backend worker panic is isolated to the owning
                         // session; answer with an error frame instead of a
@@ -1630,10 +1520,7 @@ impl<'e> LoopCtx<'e, '_> {
                             &mut conn.out,
                             &Frame::Error {
                                 code: ErrorCode::Internal,
-                                message: format!(
-                                    "classification failed for request {}",
-                                    req.request_id
-                                ),
+                                message: format!("request {} failed", req.request_id),
                             },
                         );
                         conn.begin_close();
@@ -1649,61 +1536,27 @@ impl<'e> LoopCtx<'e, '_> {
                         // An empty request never touched the table — it
                         // reports the current generation.
                         let generation = req.generation.unwrap_or_else(|| self.engine.generation());
-                        if encode_results_into(
-                            &mut self.scratch,
-                            req.request_id,
-                            &req.classifications,
-                            Some(generation),
-                        )
-                        .is_ok()
-                        {
+                        let encoded = match req.output {
+                            OutputKind::Classifications => encode_results_into(
+                                &mut self.scratch,
+                                req.request_id,
+                                &req.classifications,
+                                Some(generation),
+                            ),
+                            OutputKind::Candidates => encode_candidate_results_into(
+                                &mut self.scratch,
+                                req.request_id,
+                                &req.candidates,
+                                Some(generation),
+                            ),
+                        };
+                        if encoded.is_ok() {
                             conn.out.extend_from_slice(&self.scratch);
                         } else {
                             conn.dead = true;
                         }
                     }
                 }
-                Item::Candidates(req) => match req.done.expect("readiness checked") {
-                    Some(lists) => {
-                        self.shared
-                            .counters
-                            .requests
-                            .fetch_add(1, Ordering::Relaxed);
-                        self.shared
-                            .counters
-                            .reads
-                            .fetch_add(req.read_count, Ordering::Relaxed);
-                        if encode_candidate_results_into(
-                            &mut self.scratch,
-                            req.request_id,
-                            &lists,
-                            Some(req.generation),
-                        )
-                        .is_ok()
-                        {
-                            conn.out.extend_from_slice(&self.scratch);
-                        } else {
-                            conn.dead = true;
-                        }
-                    }
-                    None => {
-                        self.shared
-                            .counters
-                            .internal_errors
-                            .fetch_add(1, Ordering::Relaxed);
-                        push_frame(
-                            &mut conn.out,
-                            &Frame::Error {
-                                code: ErrorCode::Internal,
-                                message: format!(
-                                    "candidate query failed for request {}",
-                                    req.request_id
-                                ),
-                            },
-                        );
-                        conn.begin_close();
-                    }
-                },
                 Item::Reload { done, .. } => match done.expect("readiness checked") {
                     Ok(generation) => {
                         push_frame(&mut conn.out, &Frame::ReloadAck { generation });
@@ -1973,73 +1826,6 @@ fn recycle_into(pool: &mut Vec<Vec<SequenceRecord>>, cap: usize, records: Vec<Se
     }
     if pool.len() < cap {
         pool.push(records);
-    }
-}
-
-/// A candidate-pool worker: owns one warm classifier + scratch over the
-/// engine's database and answers `Candidates` requests off the job queue.
-/// The pool is lazily spawned and capped at the engine's worker count, so
-/// server thread count stays O(workers).
-fn candidate_worker(
-    engine: &ServingEngine,
-    jobs: Arc<Mutex<mpsc::Receiver<CandJob>>>,
-    done: mpsc::Sender<CandDone>,
-    waker: Waker,
-) {
-    let mut scratch = QueryScratch::new();
-    loop {
-        let job = jobs.lock().unwrap_or_else(|e| e.into_inner()).recv();
-        let Ok(CandJob {
-            conn,
-            request_id,
-            reads,
-        }) = job
-        else {
-            break;
-        };
-        // Pin the epoch per job, never across the blocking recv: an idle
-        // pool worker must not keep a swapped-out database alive. The
-        // classifier is a thin view over the pinned database — rebuilding
-        // it per job is cheap (the expensive state is the scratch, which
-        // is kept warm across jobs).
-        let epoch = engine.pin_epoch();
-        let generation = epoch.generation();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let classifier = Classifier::new(epoch.database());
-            let mut lists: Vec<Vec<Candidate>> = Vec::with_capacity(reads.len());
-            for read in &reads {
-                lists.push(
-                    classifier
-                        .candidates_with(read, &mut scratch)
-                        .as_slice()
-                        .to_vec(),
-                );
-            }
-            lists
-        }));
-        drop(epoch);
-        let lists = match outcome {
-            Ok(lists) => Some(lists),
-            Err(_) => {
-                // The scratch may be mid-mutation after a panic: rebuild
-                // it so the worker stays healthy for the next request.
-                scratch = QueryScratch::new();
-                None
-            }
-        };
-        if done
-            .send(CandDone {
-                conn,
-                request_id,
-                reads,
-                lists,
-                generation,
-            })
-            .is_err()
-        {
-            break;
-        }
-        waker.wake();
     }
 }
 

@@ -1,7 +1,9 @@
 //! Proof of the zero-allocation query hot path: a counting global allocator
-//! measures heap traffic of `sketch_window_into`, `Classifier::classify_with`
-//! and `ShardedClassifier::classify_with` in steady state (scratch reused,
-//! buffers at their high-water mark) and asserts **zero** allocations.
+//! measures heap traffic of `sketch_window_into`, `Classifier::classify_with`,
+//! `ShardedClassifier::classify_with` and the serving path's
+//! `BackendWorker::candidates_each` (host and sharded) in steady state
+//! (scratch reused, buffers at their high-water mark) and asserts **zero**
+//! allocations.
 //!
 //! This is the acceptance check for the scratch-buffer refactor: the sketch
 //! selector, location gathering, run merge, window count statistic and
@@ -13,9 +15,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use mc_seqio::SequenceRecord;
 use mc_taxonomy::{Rank, Taxonomy};
 use metacache::build::CpuBuilder;
+use metacache::classify::classify_candidates;
 use metacache::query::{Classifier, QueryScratch};
 use metacache::{
-    Database, MetaCacheConfig, ShardedClassifier, ShardedDatabase, ShardedScratch, SketchScratch,
+    Backend, Database, HostBackend, MetaCacheConfig, ShardedBackend, ShardedClassifier,
+    ShardedDatabase, ShardedScratch, SketchScratch,
 };
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -182,8 +186,8 @@ fn steady_state_hot_path_performs_zero_allocations() {
     // One sketch, one probe per shard table (the condensed store's batched
     // lookup works on the stack), one merge: the same scratch, so the same
     // zero.
-    let sharded = ShardedDatabase::round_robin(build_db(), 2).unwrap();
-    let sharded_classifier = ShardedClassifier::new(std::sync::Arc::new(sharded));
+    let sharded = std::sync::Arc::new(ShardedDatabase::round_robin(build_db(), 2).unwrap());
+    let sharded_classifier = ShardedClassifier::new(std::sync::Arc::clone(&sharded));
     let mut sharded_scratch = ShardedScratch::new();
     for (read, expected) in reads.iter().zip(&warmup) {
         let c = sharded_classifier.classify_with(read, &mut sharded_scratch);
@@ -203,4 +207,38 @@ fn steady_state_hot_path_performs_zero_allocations() {
         "ShardedClassifier::classify_with allocated {sharded_allocs} times over {} steady-state reads",
         5 * reads.len()
     );
+
+    // --- Part 4: the serving path's worker interface. ----------------------
+    // The engine drives every backend through `candidates_each` and turns
+    // each borrowed list into an answer in the callback; the callback is a
+    // `&mut dyn FnMut`, so nothing is boxed or collected per read.
+    let host_backend = HostBackend::new(&db);
+    let sharded_backend = ShardedBackend::new(sharded);
+    let backends: [&dyn Backend; 2] = [&host_backend, &sharded_backend];
+    for backend in backends {
+        let meta = backend.database();
+        let mut worker = backend.worker();
+        let mut out = Vec::with_capacity(reads.len());
+        let mut run = |out: &mut Vec<_>| {
+            out.clear();
+            worker.candidates_each(&reads, &mut |list| {
+                out.push(classify_candidates(meta, &meta.config, list))
+            });
+        };
+        run(&mut out); // warm-up
+        assert_eq!(out, warmup);
+        let worker_allocs = min_allocations_over_attempts(|| {
+            for _ in 0..5 {
+                run(&mut out);
+            }
+        });
+        assert_eq!(out, warmup);
+        assert_eq!(
+            worker_allocs,
+            0,
+            "{} worker allocated {worker_allocs} times over {} steady-state reads",
+            backend.name(),
+            5 * reads.len()
+        );
+    }
 }

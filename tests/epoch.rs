@@ -20,7 +20,7 @@ use mc_taxonomy::{Rank, TaxonId, Taxonomy};
 use metacache::build::CpuBuilder;
 use metacache::query::Classifier;
 use metacache::serialize;
-use metacache::serving::{CompletedBatch, EngineConfig, ServingEngine, SessionConfig};
+use metacache::serving::{CompletedBatch, EngineConfig, OutputKind, ServingEngine, SessionConfig};
 use metacache::{
     Database, DatabaseDelta, HostBackend, MetaCacheConfig, ShardedBackend, ShardedDatabase,
 };
@@ -304,7 +304,7 @@ fn pump_session(
     for chunk in reads.chunks(batch_records) {
         let mut chunk = chunk.to_vec();
         loop {
-            match session.try_submit_owned(chunk) {
+            match session.try_submit_owned(chunk, OutputKind::Classifications) {
                 Ok(()) => break,
                 Err(back) => {
                     chunk = back;

@@ -7,7 +7,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
 use mc_net::protocol::{self, Frame, MAGIC, PROTOCOL_VERSION};
 use mc_net::{ClientConfig, ErrorCode, NetClient, NetError, NetServer, ServerConfig};
@@ -16,8 +16,8 @@ use mc_taxonomy::{Rank, Taxonomy};
 use metacache::build::CpuBuilder;
 use metacache::classify::Classification;
 use metacache::query::Classifier;
-use metacache::serving::{EngineConfig, ServingEngine};
-use metacache::{Database, MetaCacheConfig};
+use metacache::serving::{EngineConfig, QueueClass, ServingEngine, SessionConfig};
+use metacache::{Backend, BackendWorker, Database, HostBackend, MetaCacheConfig};
 
 fn make_seq(len: usize, seed: u64) -> Vec<u8> {
     let mut state = seed | 1;
@@ -31,15 +31,21 @@ fn make_seq(len: usize, seed: u64) -> Vec<u8> {
         .collect()
 }
 
+/// One genus, two species: the taxonomy of every fixture database.
+fn fixture_taxonomy() -> Taxonomy {
+    let mut taxonomy = Taxonomy::with_root();
+    taxonomy.add_node(10, 1, Rank::Genus, "G").unwrap();
+    taxonomy.add_node(100, 10, Rank::Species, "G a").unwrap();
+    taxonomy.add_node(101, 10, Rank::Species, "G b").unwrap();
+    taxonomy
+}
+
 /// One shared two-species database plus its genomes.
 fn shared_database() -> (Arc<Database>, &'static [Vec<u8>]) {
     use std::sync::OnceLock;
     static DB: OnceLock<(Arc<Database>, Vec<Vec<u8>>)> = OnceLock::new();
     let (db, genomes) = DB.get_or_init(|| {
-        let mut taxonomy = Taxonomy::with_root();
-        taxonomy.add_node(10, 1, Rank::Genus, "G").unwrap();
-        taxonomy.add_node(100, 10, Rank::Species, "G a").unwrap();
-        taxonomy.add_node(101, 10, Rank::Species, "G b").unwrap();
+        let taxonomy = fixture_taxonomy();
         let genomes = vec![make_seq(18_000, 61), make_seq(18_000, 62)];
         let mut builder = CpuBuilder::new(MetaCacheConfig::for_tests(), taxonomy);
         builder
@@ -111,16 +117,15 @@ impl Drop for ShutdownOnDrop {
     }
 }
 
+const TEST_CONFIG: EngineConfig = EngineConfig {
+    workers: 3,
+    queue_capacity: 4,
+    batch_records: 8,
+    session_max_in_flight: 0,
+};
+
 fn test_engine(db: Arc<Database>) -> ServingEngine {
-    ServingEngine::host_with_config(
-        db,
-        EngineConfig {
-            workers: 3,
-            queue_capacity: 4,
-            batch_records: 8,
-            session_max_in_flight: 0,
-        },
-    )
+    ServingEngine::host_with_config(db, TEST_CONFIG)
 }
 
 /// The acceptance criterion: `NetClient::classify_batch` over TCP is
@@ -728,60 +733,125 @@ fn oversized_server_limits_saturate_in_handshake() {
     engine.shutdown();
 }
 
+/// The in-process candidate oracle: `Classifier::candidates_with` over the
+/// unsharded database.
+fn oracle_candidates(
+    db: &Arc<Database>,
+    reads: &[SequenceRecord],
+) -> Vec<Vec<metacache::Candidate>> {
+    let classifier = Classifier::new(Arc::clone(db));
+    let mut scratch = metacache::QueryScratch::new();
+    reads
+        .iter()
+        .map(|r| {
+            classifier
+                .candidates_with(r, &mut scratch)
+                .as_slice()
+                .to_vec()
+        })
+        .collect()
+}
+
 /// The candidates exchange is bit-identical to in-process candidate
-/// queries: every list, entry and ordering matches `candidates_with`, and
-/// the lists carry the serving database's generation.
+/// queries — every list, entry and ordering matches `candidates_with` on
+/// the unsharded database, and the lists carry the serving database's
+/// generation — whatever backend the engine runs: `Candidates` frames ride
+/// the engine's worker pool like any other request, so they are answered
+/// by the backend (sharded, simulated GPU), chunked into `batch_records`,
+/// and accounted in `EngineStats`.
 #[test]
 fn candidates_over_the_wire_match_in_process() {
-    let (db, _) = shared_database();
-    let engine = test_engine(Arc::clone(&db));
-    let server = NetServer::bind(&engine, "127.0.0.1:0").unwrap();
-    let handle = server.handle();
-    let addr = handle.local_addr();
+    let (db, genomes) = shared_database();
+    let split = Arc::new(metacache::ShardedDatabase::round_robin(owned_database(), 2).unwrap());
+    // A GPU-built (partitioned) database on 2 devices; its oracle is the
+    // host classifier over that same database.
+    let system = Arc::new(mc_gpu_sim::MultiGpuSystem::dgx1(2));
+    let gpu_db = {
+        let taxonomy = fixture_taxonomy();
+        let mut builder = metacache::build::GpuBuilder::new(
+            MetaCacheConfig::for_tests(),
+            taxonomy,
+            &system,
+            200_000,
+        )
+        .expect("tables fit");
+        builder
+            .add_target(SequenceRecord::new("refA", genomes[0].clone()), 100)
+            .unwrap();
+        builder
+            .add_target(SequenceRecord::new("refB", genomes[1].clone()), 101)
+            .unwrap();
+        Arc::new(builder.finish())
+    };
+    let cases: Vec<(&str, ServingEngine, Arc<Database>)> = vec![
+        ("host", test_engine(Arc::clone(&db)), Arc::clone(&db)),
+        (
+            "sharded-host",
+            ServingEngine::new(metacache::ShardedBackend::new(split), TEST_CONFIG),
+            Arc::clone(&db),
+        ),
+        (
+            "gpu-sim",
+            ServingEngine::new(
+                metacache::GpuBackend::new(Arc::clone(&gpu_db), system),
+                TEST_CONFIG,
+            ),
+            gpu_db,
+        ),
+    ];
 
-    std::thread::scope(|scope| {
-        scope.spawn(|| server.run().unwrap());
-        let _guard = ShutdownOnDrop(handle.clone());
-        let reads = mixed_reads(40, 1234);
-        let classifier = Classifier::new(Arc::clone(&db));
-        let mut scratch = metacache::QueryScratch::new();
-        let expected: Vec<Vec<metacache::Candidate>> = reads
-            .iter()
-            .map(|r| {
-                classifier
-                    .candidates_with(r, &mut scratch)
-                    .as_slice()
-                    .to_vec()
-            })
-            .collect();
+    for (name, engine, oracle_db) in cases {
+        let server = NetServer::bind(&engine, "127.0.0.1:0").unwrap();
+        let handle = server.handle();
+        let addr = handle.local_addr();
+        std::thread::scope(|scope| {
+            scope.spawn(|| server.run().unwrap());
+            let _guard = ShutdownOnDrop(handle.clone());
+            // 40 reads over batch_records 8: one request, five engine
+            // batches, lists back in read order.
+            let reads = mixed_reads(40, 1234);
+            let expected = oracle_candidates(&oracle_db, &reads);
 
-        let mut client = NetClient::connect(addr).unwrap();
-        let (got, generation) = client.candidates_batch_tagged(&reads).unwrap();
-        assert_eq!(got, expected);
-        assert_eq!(generation, engine.generation());
-        assert_eq!(client.database_generation(), Some(generation));
-        // Interleaving with classification on the same connection works
-        // (request ids keep increasing across both frame kinds).
-        let classifications = client.classify_batch(&reads).unwrap();
-        assert_eq!(classifications, classifier.classify_batch(&reads));
-        assert_eq!(
-            client.candidates_batch_tagged(&reads[..5]).unwrap().0,
-            expected[..5]
-        );
-        drop(client);
-        handle.shutdown();
-    });
-    engine.shutdown();
+            let mut client = NetClient::connect(addr).unwrap();
+            assert_eq!(client.backend(), name);
+            let before = engine.stats();
+            let (got, generation) = client.candidates_batch_tagged(&reads).unwrap();
+            assert_eq!(got, expected, "{name}: candidate lists diverged");
+            assert_eq!(generation, engine.generation());
+            assert_eq!(client.database_generation(), Some(generation));
+            // Candidate work is engine work: exactly the request's batches
+            // and records, no more (nothing ran beside the pool).
+            let after = engine.stats();
+            assert_eq!(after.batches_classified - before.batches_classified, 5);
+            assert_eq!(after.records_classified - before.records_classified, 40);
+            // Interleaving with classification on the same connection works
+            // (request ids keep increasing across both frame kinds).
+            let classifications = client.classify_batch(&reads).unwrap();
+            assert_eq!(
+                classifications,
+                Classifier::new(Arc::clone(&oracle_db)).classify_batch(&reads),
+                "{name}: classifications diverged"
+            );
+            let before = engine.stats();
+            assert_eq!(
+                client.candidates_batch_tagged(&reads[..5]).unwrap().0,
+                expected[..5]
+            );
+            let after = engine.stats();
+            assert_eq!(after.batches_classified - before.batches_classified, 1);
+            assert_eq!(after.records_classified - before.records_classified, 5);
+            drop(client);
+            handle.shutdown();
+        });
+        assert_eq!(engine.shutdown().worker_panics, 0);
+    }
 }
 
 /// Rebuild the shared fixture database as an owned value (the build is
 /// deterministic, so it is bit-identical to [`shared_database`]'s) — shard
 /// splitting consumes a `Database` by value.
 fn owned_database() -> Database {
-    let mut taxonomy = Taxonomy::with_root();
-    taxonomy.add_node(10, 1, Rank::Genus, "G").unwrap();
-    taxonomy.add_node(100, 10, Rank::Species, "G a").unwrap();
-    taxonomy.add_node(101, 10, Rank::Species, "G b").unwrap();
+    let taxonomy = fixture_taxonomy();
     let (_, genomes) = shared_database();
     let mut builder = CpuBuilder::new(MetaCacheConfig::for_tests(), taxonomy);
     builder
@@ -860,14 +930,323 @@ fn routed_scatter_gather_matches_unsharded() {
         assert_eq!(streamed, expected);
         drop(client);
 
-        // A router's database has no table: candidates against the router
-        // itself are refused (no silent empty lists for nested routing).
+        // A router is a candidate source like any other backend: asked for
+        // candidates it answers with the merged lists — exactly the
+        // unsharded table's — so routers nest. (The engine asks the
+        // backend; nothing reads the router's table-free database.)
         let mut direct = NetClient::connect(router_addr).unwrap();
-        assert!(direct.candidates_batch_tagged(&reads[..2]).is_err());
+        let (lists, generation) = direct.candidates_batch_tagged(&reads).unwrap();
+        assert_eq!(lists, oracle_candidates(&db, &reads));
+        assert_eq!(generation, router_engine.generation());
         drop(direct);
     });
     router_engine.shutdown();
     for engine in shard_engines {
         engine.shutdown();
     }
+}
+
+/// A gate in front of a backend's workers: every batch is logged (its first
+/// record's header) the moment it reaches a worker, then the worker blocks
+/// until the test opens the gate — so a test decides, without sleeping,
+/// what is queued behind what when the pool starts to run.
+#[derive(Default)]
+struct Gate {
+    open: Mutex<bool>,
+    opened: Condvar,
+    log: Mutex<Vec<String>>,
+}
+
+impl Gate {
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+
+    fn log(&self) -> Vec<String> {
+        self.log.lock().unwrap().clone()
+    }
+}
+
+struct GatedBackend<B> {
+    inner: B,
+    gate: Arc<Gate>,
+}
+
+struct GatedWorker<'b> {
+    gate: &'b Gate,
+    inner: Box<dyn BackendWorker + 'b>,
+}
+
+impl<B: Backend> Backend for GatedBackend<B> {
+    fn database(&self) -> &Database {
+        self.inner.database()
+    }
+
+    fn name(&self) -> &'static str {
+        "gated"
+    }
+
+    fn worker(&self) -> Box<dyn BackendWorker + '_> {
+        Box::new(GatedWorker {
+            gate: &self.gate,
+            inner: self.inner.worker(),
+        })
+    }
+}
+
+impl BackendWorker for GatedWorker<'_> {
+    fn candidates_each(
+        &mut self,
+        records: &[SequenceRecord],
+        emit: &mut dyn FnMut(&metacache::CandidateList),
+    ) {
+        if let Some(first) = records.first() {
+            self.gate.log.lock().unwrap().push(first.header.clone());
+        }
+        let mut open = self.gate.open.lock().unwrap();
+        while !*open {
+            open = self.gate.opened.wait(open).unwrap();
+        }
+        drop(open);
+        self.inner.candidates_each(records, emit);
+    }
+}
+
+/// Spin (yielding, never sleeping) until `cond` holds; 20 s is a hang.
+fn wait_for(what: &str, mut cond: impl FnMut() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
+    while !cond() {
+        assert!(std::time::Instant::now() < deadline, "never saw: {what}");
+        std::thread::yield_now();
+    }
+}
+
+/// `n` 150-base reads of genome `g`, headers `{prefix}{i}`.
+fn named_reads(prefix: &str, g: usize, n: usize) -> Vec<SequenceRecord> {
+    let (_, genomes) = shared_database();
+    (0..n)
+        .map(|i| {
+            let offset = 300 + i * 211;
+            SequenceRecord::new(
+                format!("{prefix}{i}"),
+                genomes[g][offset..offset + 150].to_vec(),
+            )
+        })
+        .collect()
+}
+
+/// Candidate requests schedule like any other request: a bulk-lane
+/// connection flooding multi-batch `Candidates` requests cannot hold an
+/// interactive connection's `ClassifyPacked` request behind more than its
+/// DRR weight. One gated worker; the whole backlog is queued before the
+/// pool runs, so the backend call order is exactly the fair queue's.
+#[test]
+fn bulk_candidates_flood_cannot_hold_interactive_classify_beyond_its_weight() {
+    let (db, _) = shared_database();
+    let gate = Arc::new(Gate::default());
+    // `batch_records: 4` fixes the lane quanta at [4, 1]; both servers open
+    // one-record-batch sessions, so every read is one engine batch.
+    let engine = ServingEngine::new(
+        GatedBackend {
+            inner: HostBackend::new(Arc::clone(&db)),
+            gate: Arc::clone(&gate),
+        },
+        EngineConfig {
+            workers: 1,
+            queue_capacity: 16,
+            batch_records: 4,
+            session_max_in_flight: 0,
+        },
+    );
+    let lane = |class| ServerConfig {
+        session: SessionConfig {
+            batch_records: 1,
+            max_in_flight: 0,
+            class,
+        },
+        ..ServerConfig::default()
+    };
+    let bulk_server = NetServer::bind_with(&engine, "127.0.0.1:0", lane(QueueClass::Bulk)).unwrap();
+    let interactive_server =
+        NetServer::bind_with(&engine, "127.0.0.1:0", lane(QueueClass::Interactive)).unwrap();
+    let handles = [bulk_server.handle(), interactive_server.handle()];
+    let (bulk_addr, interactive_addr) = (handles[0].local_addr(), handles[1].local_addr());
+
+    let bulk_reads = named_reads("bulk", 0, 9);
+    let interactive_reads = named_reads("inter", 1, 4);
+    std::thread::scope(|scope| {
+        let _guards: Vec<ShutdownOnDrop> = handles.iter().cloned().map(ShutdownOnDrop).collect();
+        // A failed wait must not leave the worker parked behind the gate.
+        let _open = OpenOnDrop(&gate);
+        scope.spawn(|| bulk_server.run().unwrap());
+        scope.spawn(|| interactive_server.run().unwrap());
+
+        // The flood: three pipelined three-batch Candidates requests. The
+        // gated worker takes `bulk0` and blocks; eight batches queue.
+        let flood = scope.spawn(|| {
+            let burst: Vec<u8> = bulk_reads
+                .chunks(3)
+                .enumerate()
+                .flat_map(|(i, reads)| {
+                    Frame::Candidates {
+                        request_id: i as u64 + 1,
+                        reads: reads.to_vec(),
+                    }
+                    .encode()
+                    .unwrap()
+                })
+                .collect();
+            raw_exchange(bulk_addr, PROTOCOL_VERSION, &burst)
+        });
+        wait_for("the flood queued behind the gated worker", || {
+            gate.log().len() == 1 && engine.stats().peak_queue_batches >= 8
+        });
+        // The interactive request arrives dead last. 12 queued batches is
+        // everything: 13 submitted, one at the gate.
+        let interactive = scope.spawn(|| {
+            NetClient::connect(interactive_addr)
+                .unwrap()
+                .classify_batch(&interactive_reads)
+                .unwrap()
+        });
+        wait_for("all 13 batches submitted", || {
+            engine.stats().peak_queue_batches == 12
+        });
+        gate.open();
+
+        assert_eq!(
+            interactive.join().unwrap(),
+            Classifier::new(Arc::clone(&db)).classify_batch(&interactive_reads)
+        );
+        let expected = oracle_candidates(&db, &bulk_reads);
+        let answers = flood.join().unwrap();
+        assert_eq!(answers.len(), 4, "HelloAck + three answers: {answers:?}");
+        for (i, frame) in answers[1..].iter().enumerate() {
+            match frame {
+                Frame::CandidateResults {
+                    request_id,
+                    candidates,
+                    generation,
+                } => {
+                    assert_eq!(*request_id, i as u64 + 1);
+                    assert_eq!(candidates[..], expected[i * 3..i * 3 + 3]);
+                    assert_eq!(*generation, Some(0));
+                }
+                other => panic!("expected CandidateResults, got {other:?}"),
+            }
+        }
+        for handle in &handles {
+            handle.shutdown();
+        }
+    });
+
+    let order = gate.log();
+    assert_eq!(order.len(), 13, "{order:?}");
+    let last_interactive = order
+        .iter()
+        .rposition(|h| h.starts_with("inter"))
+        .expect("interactive batches classified");
+    // With quanta [4, 1] all four interactive batches land within the first
+    // six backend calls (the bulk head at the gate, one bulk batch per
+    // granted round); a FIFO — or a side pool the lanes do not govern —
+    // would serve them after the whole flood.
+    assert!(
+        last_interactive <= 5,
+        "interactive served as late as position {last_interactive} of {order:?}"
+    );
+    let stats = engine.shutdown();
+    assert_eq!(stats.batches_classified, 13);
+    assert_eq!(stats.records_classified, 13);
+}
+
+/// Opens the gate when dropped, so a failing assertion cannot leave a
+/// worker parked behind it (and the scope's join hanging).
+struct OpenOnDrop<'g>(&'g Gate);
+
+impl Drop for OpenOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.open();
+    }
+}
+
+/// The shared two-species database grown by a third target that repeats
+/// the first half of genome A: reads from that half gain a candidate, so the
+/// two epochs answer `Candidates` differently.
+fn grown_database() -> Database {
+    let (_, genomes) = shared_database();
+    let mut db = owned_database();
+    db.insert_target(
+        SequenceRecord::new("refC", genomes[0][..9_000].to_vec()),
+        100,
+    )
+    .unwrap();
+    db
+}
+
+/// A multi-batch `Candidates` request straddling `reload_backend` obeys
+/// the one replay rule: its first batch is held at the gate under
+/// generation 0 while the engine swaps, the rest run under generation 1,
+/// and the server replays the whole request — the answer carries one
+/// generation and is bit-identical to that generation's oracle.
+#[test]
+fn candidates_request_straddling_a_reload_is_replayed_under_one_generation() {
+    let (db_a, _) = shared_database();
+    let db_b = Arc::new(grown_database());
+    let gate = Arc::new(Gate::default());
+    let engine = ServingEngine::new(
+        GatedBackend {
+            inner: HostBackend::new(Arc::clone(&db_a)),
+            gate: Arc::clone(&gate),
+        },
+        EngineConfig {
+            workers: 1,
+            queue_capacity: 4,
+            batch_records: 4,
+            session_max_in_flight: 0,
+        },
+    );
+    let server = NetServer::bind(&engine, "127.0.0.1:0").unwrap();
+    let handle = server.handle();
+    let addr = handle.local_addr();
+    // Twelve reads = three engine batches, all inside refC's stretch of
+    // genome A.
+    let reads = named_reads("straddle", 0, 12);
+    let oracle_b = oracle_candidates(&db_b, &reads);
+    assert_ne!(
+        oracle_candidates(&db_a, &reads),
+        oracle_b,
+        "the epochs must disagree for the test to mean anything"
+    );
+
+    std::thread::scope(|scope| {
+        let _guard = ShutdownOnDrop(handle.clone());
+        let _open = OpenOnDrop(&gate);
+        scope.spawn(|| server.run().unwrap());
+        let request = scope.spawn(|| {
+            NetClient::connect(addr)
+                .unwrap()
+                .candidates_batch_tagged(&reads)
+                .unwrap()
+        });
+        // Batch one is on the worker, pinned to generation 0.
+        wait_for("the first batch at the gate", || gate.log().len() == 1);
+        assert_eq!(
+            engine.reload_backend(HostBackend::new(Arc::clone(&db_b))),
+            1
+        );
+        gate.open();
+        let (lists, generation) = request.join().unwrap();
+        assert_eq!(
+            generation, 1,
+            "a straddling request answers as the new epoch"
+        );
+        assert_eq!(lists, oracle_b);
+        handle.shutdown();
+    });
+    // Batch one ran twice: once under generation 0 (discarded), once in
+    // the replay.
+    let stats = engine.shutdown();
+    assert_eq!(stats.batches_classified, 3 + 3);
+    assert_eq!(stats.worker_panics, 0);
 }

@@ -912,20 +912,26 @@ fn dead_shard_leg_surfaces_typed_error_without_corrupting_healthy_leg() {
         shard_handles[1].shutdown();
         runners.pop().unwrap().join().unwrap();
 
-        let mut victim = NetClient::connect_with(
-            router_addr,
-            ClientConfig {
-                request_timeout: Some(Duration::from_secs(10)),
-                ..ClientConfig::default()
-            },
-        )
-        .unwrap();
+        let patient = ClientConfig {
+            request_timeout: Some(Duration::from_secs(10)),
+            ..ClientConfig::default()
+        };
+        let mut victim = NetClient::connect_with(router_addr, patient.clone()).unwrap();
         match victim.classify_batch(&reads) {
             Err(NetError::Remote { code, .. }) => assert_eq!(
                 code,
                 ErrorCode::Internal,
                 "an exhausted shard leg must surface as Internal"
             ),
+            other => panic!("expected a typed Internal error, got {other:?}"),
+        }
+        drop(victim);
+        // A candidates request dies the same death on the same path: the
+        // router worker panics on the dead leg, the engine flags the batch,
+        // the server answers `Internal` — not a hung or torn connection.
+        let mut victim = NetClient::connect_with(router_addr, patient).unwrap();
+        match victim.candidates_batch_tagged(&reads) {
+            Err(NetError::Remote { code, .. }) => assert_eq!(code, ErrorCode::Internal),
             other => panic!("expected a typed Internal error, got {other:?}"),
         }
         drop(victim);

@@ -13,7 +13,7 @@ use metacache::backend::{Backend, BackendWorker, GpuBackend, HostBackend};
 use metacache::build::{CpuBuilder, GpuBuilder};
 use metacache::classify::Classification;
 use metacache::query::Classifier;
-use metacache::serving::{EngineConfig, ServingEngine, SessionConfig};
+use metacache::serving::{EngineConfig, OutputKind, ServingEngine, SessionConfig};
 use metacache::{Database, MetaCacheConfig, ShardedBackend};
 
 fn make_seq(len: usize, seed: u64) -> Vec<u8> {
@@ -227,11 +227,15 @@ impl<B: Backend> Backend for FaultInjectingBackend<B> {
 }
 
 impl BackendWorker for FaultInjectingWorker<'_> {
-    fn classify_batch_into(&mut self, records: &[SequenceRecord], out: &mut Vec<Classification>) {
+    fn candidates_each(
+        &mut self,
+        records: &[SequenceRecord],
+        emit: &mut dyn FnMut(&metacache::CandidateList),
+    ) {
         if records.iter().any(|r| r.header.starts_with("poison")) {
             panic!("injected backend fault");
         }
-        self.inner.classify_batch_into(records, out);
+        self.inner.candidates_each(records, emit);
     }
 }
 
@@ -277,6 +281,21 @@ fn worker_panic_is_isolated_and_reported() {
                 &got, expected_for_victim,
                 "reused session after worker fault returned stale results"
             );
+            // The other output kind fails the same way — candidates ride
+            // the same loop, so a fault on a candidates batch is caught,
+            // flagged and carries no partial lists.
+            session
+                .try_submit_owned(poisoned[10..14].to_vec(), OutputKind::Candidates)
+                .expect("an idle session has credits");
+            let done = loop {
+                match session.try_drain_owned() {
+                    Some(done) => break done,
+                    None => std::thread::yield_now(),
+                }
+            };
+            assert!(done.panicked, "candidates batch fault must be flagged");
+            assert!(done.candidates.is_empty() && done.classifications.is_empty());
+            assert_eq!(done.records, poisoned[10..14]);
         });
         let expected_ref = &expected;
         scope.spawn(move || {
@@ -296,7 +315,7 @@ fn worker_panic_is_isolated_and_reported() {
     assert_eq!(got, expected);
     drop(session);
     let stats = engine.shutdown();
-    assert!(stats.worker_panics >= 1, "worker replacement not recorded");
+    assert!(stats.worker_panics >= 2, "worker replacements not recorded");
 }
 
 /// `shutdown()` drains everything already submitted (idle drain): the
