@@ -11,22 +11,19 @@
 //!   table6 abundance   classification accuracy and abundance estimation (Table 6, §6.5)
 //!   fig5               query pipeline breakdown (Figure 5)
 //!   tablemem ablation  hash-table memory comparison and parameter ablations (§6)
-//!   streaming          streaming vs materialised query pipeline (§5 pipelining)
-//!   serving            serving engine vs per-request pipeline spawn (resident pool)
-//!   serving_net        mc-net loopback TCP front-end vs in-process sessions
-//!   serving_chaos      serving under injected faults (chaos sweep + overload)
 //!   serving_sharded    sharded scatter-gather serving vs unsharded + routed loopback
-//!   serving_reload     live database reloads under traffic (epoch swaps, zero downtime)
 //!   all                everything above
 //! ```
+//!
+//! Serving, streaming and reload speed is measured by `benchmark/`
+//! (`bash benchmark/bench.sh --workload <name> …`), not here.
 
 use std::collections::BTreeSet;
 
 use serde::Serialize;
 
 use mc_bench::experiments::{
-    accuracy, breakdown, build_perf, datasets, query_perf, serving, serving_chaos, serving_net,
-    serving_reload, serving_sharded, streaming, tablemem, ttq,
+    accuracy, breakdown, build_perf, datasets, query_perf, serving_sharded, tablemem, ttq,
 };
 use mc_bench::ExperimentScale;
 
@@ -73,23 +70,8 @@ const EXPERIMENTS: &[Experiment] = &[
     (&["tablemem", "ablation"], |s, j| {
         report(s, j, tablemem::run, tablemem::render)
     }),
-    (&["streaming"], |s, j| {
-        report(s, j, streaming::run, streaming::render)
-    }),
-    (&["serving"], |s, j| {
-        report(s, j, serving::run, serving::render)
-    }),
-    (&["serving_net"], |s, j| {
-        report(s, j, serving_net::run, serving_net::render)
-    }),
-    (&["serving_chaos"], |s, j| {
-        report(s, j, serving_chaos::run, serving_chaos::render)
-    }),
     (&["serving_sharded"], |s, j| {
         report(s, j, serving_sharded::run, serving_sharded::render)
-    }),
-    (&["serving_reload"], |s, j| {
-        report(s, j, serving_reload::run, serving_reload::render)
     }),
 ];
 

@@ -1,4 +1,6 @@
-//! One module per experiment of the paper's evaluation section.
+//! One module per artefact of the paper's evaluation section. Serving,
+//! streaming and reload speed is not measured here: `benchmark/`
+//! (`BENCHMARK.json`) is the one system that times those.
 //!
 //! | Module | Paper artefact |
 //! |---|---|
@@ -9,24 +11,14 @@
 //! | [`accuracy`] | Table 6 (classification accuracy) and the §6.5 abundance comparison |
 //! | [`breakdown`] | Figure 5 (query pipeline breakdown) |
 //! | [`tablemem`] | the multi-bucket vs multi-value vs bucket-list memory comparison (§6) and hash-table/sketch ablations |
-//! | [`streaming`] | streaming vs materialised query pipeline (§5's pipelining, host-side) |
-//! | [`serving`] | serving engine vs per-request pipeline spawn (resident worker pool) |
-//! | [`serving_net`] | `mc-net` loopback TCP front-end vs in-process sessions (protocol overhead) |
-//! | [`serving_chaos`] | serving under injected faults: chaos-proxy sweep + overload shedding (robustness) |
-//! | [`serving_sharded`] | sharded scatter-gather serving vs unsharded (§4.3 partitioning, serving-side) + routed loopback |
-//! | [`serving_reload`] | live database reloads under traffic: epoch swaps, identity per generation, zero downtime |
+//! | [`serving_sharded`] | sharded scatter-gather serving vs unsharded (§4.3 partitioning, serving-side) + routed loopback — kept only for the routed row, the one routed number in the repo until `benchmark/` has a routed workload |
 
 pub mod accuracy;
 pub mod breakdown;
 pub mod build_perf;
 pub mod datasets;
 pub mod query_perf;
-pub mod serving;
-pub mod serving_chaos;
-pub mod serving_net;
-pub mod serving_reload;
 pub mod serving_sharded;
-pub mod streaming;
 pub mod tablemem;
 pub mod ttq;
 

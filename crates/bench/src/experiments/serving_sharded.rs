@@ -31,7 +31,7 @@ use mc_net::{NetClient, NetServer, RouterBackend, RouterConfig};
 use metacache::build::CpuBuilder;
 use metacache::query::Classifier;
 use metacache::serving::{EngineConfig, ServingEngine};
-use metacache::{Database, MetaCacheConfig, ShardedBackend, ShardedDatabase};
+use metacache::{Database, HostBackend, MetaCacheConfig, ShardedDatabase};
 
 use crate::experiments::{fmt_bytes, fmt_secs, reads_per_minute};
 use crate::scale::ExperimentScale;
@@ -142,7 +142,7 @@ pub fn run(scale: &ExperimentScale) -> ServingShardedResult {
     for shard_count in [1usize, 2, 4] {
         let owned = build_owned(MetaCacheConfig::default(), &refs.refseq);
         let split = Arc::new(ShardedDatabase::round_robin(owned, shard_count).unwrap());
-        let engine = ServingEngine::new(ShardedBackend::new(Arc::clone(&split)), engine_config);
+        let engine = ServingEngine::new(HostBackend::new(Arc::clone(&split)), engine_config);
         let mut session = engine.session();
         let start = Instant::now();
         let (got, _) = session.classify_iter(reads.iter().cloned());

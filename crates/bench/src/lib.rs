@@ -8,9 +8,9 @@
 //! criterion benches under `benches/` cover the underlying kernels.
 //!
 //! All experiments run on synthetic data generated by `mc-datagen` at a
-//! configurable [`ExperimentScale`]; the `BENCH_*.json` files at the repo
-//! root record measured baselines (see the top-level README for how to
-//! regenerate and interpret them).
+//! configurable [`ExperimentScale`]. End-to-end and per-layer speed of the
+//! serving stack is measured by the `benchmark/` package (`BENCHMARK.json`),
+//! not here.
 
 pub mod experiments;
 pub mod scale;

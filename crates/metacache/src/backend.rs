@@ -1,6 +1,6 @@
-//! Execution backends: every backend is a *candidate source* — the host,
-//! sharded, simulated-GPU and (in `mc-net`) routed paths behind one
-//! interface.
+//! Execution backends: every backend is a *candidate source* — the host
+//! (over a whole or a sharded database), simulated-GPU and (in `mc-net`)
+//! routed paths behind one interface.
 //!
 //! The serving engine ([`crate::serving::ServingEngine`]) — and with it the
 //! streaming front [`crate::pipeline::StreamingClassifier`] — is written
@@ -33,7 +33,7 @@ use mc_seqio::SequenceRecord;
 use crate::candidate::CandidateList;
 use crate::database::Database;
 use crate::gpu::GpuClassifier;
-use crate::query::{Classifier, QueryScratch};
+use crate::query::{Classifier, FeatureIndex, QueryScratch};
 
 /// A classification execution path: the host rayon/scratch path or the
 /// simulated multi-GPU path, behind one interface.
@@ -73,17 +73,22 @@ pub trait BackendWorker: Send {
 }
 
 /// The host execution path: per-worker [`QueryScratch`] over the rayon-style
-/// zero-allocation hot path of [`crate::query`].
+/// zero-allocation hot path of [`crate::query`]. The one host backend for a
+/// whole [`Database`] and a [`ShardedDatabase`][crate::shard::ShardedDatabase]
+/// alike — workers of the latter probe all shards in-process — announcing
+/// itself as `"host"` or `"sharded-host"` ([`FeatureIndex::BACKEND_NAME`]).
 pub struct HostBackend<D = Arc<Database>>
 where
-    D: Deref<Target = Database> + Clone + Send + Sync,
+    D: Deref + Clone + Send + Sync,
+    D::Target: FeatureIndex,
 {
     db: D,
 }
 
 impl<D> HostBackend<D>
 where
-    D: Deref<Target = Database> + Clone + Send + Sync,
+    D: Deref + Clone + Send + Sync,
+    D::Target: FeatureIndex,
 {
     /// Create a host backend over a borrowed or owned database handle.
     pub fn new(db: D) -> Self {
@@ -93,14 +98,15 @@ where
 
 impl<D> Backend for HostBackend<D>
 where
-    D: Deref<Target = Database> + Clone + Send + Sync,
+    D: Deref + Clone + Send + Sync,
+    D::Target: FeatureIndex,
 {
     fn database(&self) -> &Database {
-        &self.db
+        self.db.metadata()
     }
 
     fn name(&self) -> &'static str {
-        "host"
+        D::Target::BACKEND_NAME
     }
 
     fn worker(&self) -> Box<dyn BackendWorker + '_> {
@@ -113,7 +119,8 @@ where
 
 struct HostWorker<D>
 where
-    D: Deref<Target = Database>,
+    D: Deref,
+    D::Target: FeatureIndex,
 {
     classifier: Classifier<D>,
     scratch: QueryScratch,
@@ -121,7 +128,8 @@ where
 
 impl<D> BackendWorker for HostWorker<D>
 where
-    D: Deref<Target = Database> + Send + Sync,
+    D: Deref + Send,
+    D::Target: FeatureIndex,
 {
     fn candidates_each(
         &mut self,

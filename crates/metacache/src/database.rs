@@ -305,6 +305,7 @@ impl Database {
     /// all hits partition-major (every feature of partition 0, then every
     /// feature of partition 1, …). The query hot path uses this so each
     /// partition's store amortises its per-lookup overhead across the batch.
+    #[inline]
     pub fn query_features_into(&self, features: &[Feature], out: &mut Vec<Location>) -> usize {
         self.partitions
             .iter()

@@ -36,9 +36,13 @@
 //! — each overlapping parsing with sketching and table lookup, emitting
 //! bit-identical results in input order under a per-session memory bound.
 //! [`pipeline::StreamingClassifier`] is the one-stream front over such an
-//! engine (a file or iterator in, classifications out). The host and
-//! simulated-GPU execution paths sit behind the [`backend::Backend`] trait,
-//! so the engine drives either
+//! engine (a file or iterator in, classifications out). There is one
+//! classifier and one host backend: [`query::Classifier`] and
+//! [`backend::HostBackend`] take a whole [`Database`] or a
+//! [`ShardedDatabase`] alike ([`query::FeatureIndex`] is the seam). The
+//! host and simulated-GPU execution paths sit behind the
+//! [`backend::Backend`] trait, so the engine drives either; the GPU path is
+//! an analytic model and an identity oracle, not a deployment
 //! (see `docs/ARCHITECTURE.md`). The companion `mc-net` crate exposes the
 //! serving engine over TCP (`docs/SERVING.md` specifies the wire
 //! protocol):
@@ -116,12 +120,17 @@ pub use config::MetaCacheConfig;
 pub use database::{Database, DatabaseDelta, DeltaStats, Partition, TargetInfo};
 pub use error::MetaCacheError;
 pub use pipeline::{StreamingClassifier, StreamingSummary};
-pub use query::{Classifier, QueryScratch};
+pub use query::{Classifier, FeatureIndex, QueryScratch};
 pub use serving::{
     EngineConfig, EngineStats, Epoch, EpochStore, ServingEngine, Session, SessionConfig,
 };
-pub use shard::{ShardPlan, ShardedBackend, ShardedClassifier, ShardedDatabase, ShardedScratch};
+pub use shard::{ShardPlan, ShardedDatabase};
 pub use sketch::{ReadSketch, Sketch, SketchScratch, Sketcher};
+
+/// [`Classifier`] over a shared [`ShardedDatabase`]. An alias, not a type:
+/// it exists only because the frozen `benchmark/` package spells this name,
+/// and goes when that package next changes (ROADMAP item 5).
+pub type ShardedClassifier = Classifier<std::sync::Arc<ShardedDatabase>>;
 
 /// Convenient result alias.
 pub type Result<T> = std::result::Result<T, MetaCacheError>;

@@ -15,18 +15,21 @@
 //!    (and its mate's) windows, min-hashed into one flat feature list;
 //! 2. [`probe`][QueryScratch::probe]`(features) → locations` — the only
 //!    stage that touches hash tables, and the only one that differs between
-//!    deployments: [`Classifier`] asks the partitions of one database,
-//!    [`ShardedClassifier`][crate::shard::ShardedClassifier] asks every
-//!    shard's table, appending to the same list;
+//!    deployments: it asks a [`FeatureIndex`], which a whole [`Database`]
+//!    answers from its partitions and a
+//!    [`ShardedDatabase`][crate::shard::ShardedDatabase] from every shard's
+//!    partitions, appending to the same list;
 //! 3. [`accumulate`][QueryScratch::accumulate]`(locations) → CandidateList`
 //!    — order the locations, count hits per window, scan for the top
 //!    candidates.
 //!
-//! [`QueryScratch::candidates_with`] chains them and is the single body of
-//! both classifiers' `candidates_with`; the probe is a closure inlined into
-//! it, so the unsharded loop compiles as if written by hand. This is the
-//! paper's multi-GPU query shape (§5.4–5.6): sketch once, let every
-//! database part answer the same features, sort and scan once.
+//! [`QueryScratch::candidates_with`] chains them and is the body of
+//! [`Classifier::candidates_with`]. There is one classifier: the index is a
+//! type parameter bound, never a trait object, so the probe is monomorphised
+//! and inlined and the unsharded loop compiles as if written by hand. This
+//! is the paper's multi-GPU query shape (§5.4–5.6): a database *is* its
+//! parts — sketch once, let every part answer the same features, sort and
+//! scan once.
 //!
 //! # The zero-allocation hot path
 //!
@@ -54,10 +57,11 @@
 //!
 //! # Database ownership
 //!
-//! [`Classifier`] is generic over *how it holds the database*: any
-//! `Deref<Target = Database>` works. Borrow for one-shot use
-//! (`Classifier::new(&db)`), or hand it an `Arc<Database>` (the default type
-//! parameter) so long-lived serving components — the
+//! [`Classifier`] is generic over *how it holds the database* and over
+//! *which kind it holds*: any `Deref` to a [`FeatureIndex`] works. Borrow
+//! for one-shot use (`Classifier::new(&db)`), or hand it an `Arc<Database>`
+//! (the default type parameter) or an `Arc<ShardedDatabase>` so long-lived
+//! serving components — the
 //! [`ServingEngine`][crate::serving::ServingEngine] worker pool, backends
 //! shared across threads — can co-own the database without a borrow tying
 //! them to a caller's stack frame.
@@ -80,6 +84,40 @@ use crate::sketch::{SketchScratch, Sketcher};
 /// of merged (each merge pass costs one full copy over the list; beyond ~64
 /// runs the fixed number of radix passes wins).
 const MAX_MERGE_RUNS: usize = 64;
+
+/// What a classifier queries: a feature → location index together with the
+/// metadata its answers are decided against. The one seam between a whole
+/// and a sharded database — everything before the probe (sketching) and
+/// after it (sort, count, scan, LCA) is the same code on the same data.
+pub trait FeatureIndex {
+    /// The label a host backend over this index announces
+    /// ([`Backend::name`][crate::backend::Backend::name], and through it the
+    /// `backend` field of the wire handshake).
+    const BACKEND_NAME: &'static str;
+
+    /// The database to decide against: config, targets, taxonomy, lineages.
+    /// Its own tables need not be the ones [`Self::locations_into`] reads.
+    fn metadata(&self) -> &Database;
+
+    /// Append the locations of every feature to `locations`, in any order
+    /// ([`QueryScratch::accumulate`] sorts).
+    fn locations_into(&self, features: &[Feature], locations: &mut Vec<Location>);
+}
+
+impl FeatureIndex for Database {
+    const BACKEND_NAME: &'static str = "host";
+
+    fn metadata(&self) -> &Database {
+        self
+    }
+
+    /// One batched call per partition (amortises the store's per-lookup
+    /// overhead).
+    #[inline]
+    fn locations_into(&self, features: &[Feature], locations: &mut Vec<Location>) {
+        self.query_features_into(features, locations);
+    }
+}
 
 /// Reusable per-worker scratch state for allocation-free classification.
 ///
@@ -120,14 +158,14 @@ impl QueryScratch {
         &self.features
     }
 
-    /// Stage 2 — gather the locations of the sketched features: `lookup`
+    /// Stage 2 — gather the locations of the sketched features: `index`
     /// appends them to the (cleared) location list, in any order. The tables
-    /// behind `lookup` are the only thing that differs between an unsharded
+    /// behind `index` are the only thing that differs between an unsharded
     /// and a sharded query.
     #[inline]
-    pub fn probe(&mut self, lookup: impl FnOnce(&[Feature], &mut Vec<Location>)) -> &[Location] {
+    pub fn probe(&mut self, index: &(impl FeatureIndex + ?Sized)) -> &[Location] {
         self.locations.clear();
-        lookup(&self.features, &mut self.locations);
+        index.locations_into(&self.features, &mut self.locations);
         &self.locations
     }
 
@@ -154,25 +192,25 @@ impl QueryScratch {
 
     /// The whole per-read pipeline — [`sketch`][Self::sketch] →
     /// [`probe`][Self::probe] → [`accumulate`][Self::accumulate] — reusing
-    /// every buffer. This is the one body behind
-    /// [`Classifier::candidates_with`] and
-    /// [`ShardedClassifier::candidates_with`][crate::shard::ShardedClassifier::candidates_with];
-    /// `lookup` is inlined into it.
+    /// every buffer. This is the body of [`Classifier::candidates_with`];
+    /// the index's probe is inlined into it.
     #[inline]
     pub fn candidates_with(
         &mut self,
         sketcher: &Sketcher,
-        config: &MetaCacheConfig,
+        index: &(impl FeatureIndex + ?Sized),
         record: &SequenceRecord,
-        lookup: impl FnOnce(&[Feature], &mut Vec<Location>),
     ) -> &CandidateList {
         self.sketch(sketcher, record);
-        self.probe(lookup);
-        self.accumulate(config, record.total_len())
+        self.probe(index);
+        self.accumulate(&index.metadata().config, record.total_len())
     }
 }
 
-/// Per-read classifier bound to a database.
+/// Per-read classifier bound to a database — whole ([`Database`]) or
+/// sharded ([`ShardedDatabase`][crate::shard::ShardedDatabase]); both run
+/// this one body and produce bit-identical results (`shard`'s module docs
+/// give the argument).
 ///
 /// The entry points trade convenience against allocation control:
 /// [`Classifier::classify`] allocates a fresh [`QueryScratch`] per call,
@@ -216,7 +254,8 @@ impl QueryScratch {
 /// ```
 pub struct Classifier<D = Arc<Database>>
 where
-    D: Deref<Target = Database>,
+    D: Deref,
+    D::Target: FeatureIndex,
 {
     db: D,
     sketcher: Sketcher,
@@ -224,19 +263,20 @@ where
 
 impl<D> Classifier<D>
 where
-    D: Deref<Target = Database>,
+    D: Deref,
+    D::Target: FeatureIndex,
 {
     /// Create a classifier for a database. `db` can be a borrow
-    /// (`&Database`) for one-shot use or an owning handle (`Arc<Database>`)
-    /// for long-lived serving components.
+    /// (`&Database`) for one-shot use or an owning handle (`Arc<Database>`,
+    /// `Arc<ShardedDatabase>`) for long-lived serving components.
     pub fn new(db: D) -> Self {
-        let sketcher =
-            Sketcher::new(&db.config).expect("database config was validated at build or load");
+        let sketcher = Sketcher::new(&db.metadata().config)
+            .expect("database config was validated at build or load");
         Self { db, sketcher }
     }
 
     /// The database this classifier queries.
-    pub fn database(&self) -> &Database {
+    pub fn database(&self) -> &D::Target {
         &self.db
     }
 
@@ -253,16 +293,7 @@ where
         record: &SequenceRecord,
         scratch: &'s mut QueryScratch,
     ) -> &'s CandidateList {
-        // Query the whole sketch against all partitions in one batched call
-        // per partition (amortises the store's per-lookup overhead).
-        scratch.candidates_with(
-            &self.sketcher,
-            &self.db.config,
-            record,
-            |features, locations| {
-                self.db.query_features_into(features, locations);
-            },
-        )
+        scratch.candidates_with(&self.sketcher, &*self.db, record)
     }
 
     /// Compute the candidate list of one read (or read pair). Convenience
@@ -279,8 +310,9 @@ where
         record: &SequenceRecord,
         scratch: &mut QueryScratch,
     ) -> Classification {
-        self.candidates_with(record, scratch);
-        classify_candidates(&self.db, &self.db.config, &scratch.candidates)
+        let meta = self.db.metadata();
+        let candidates = self.candidates_with(record, scratch);
+        classify_candidates(meta, &meta.config, candidates)
     }
 
     /// Classify one read (or read pair).
@@ -302,7 +334,8 @@ where
 
 impl<D> Classifier<D>
 where
-    D: Deref<Target = Database> + Sync,
+    D: Deref + Sync,
+    D::Target: FeatureIndex,
 {
     /// Classify a batch of reads in parallel. One [`QueryScratch`] is created
     /// per rayon worker and reused for every read that worker processes.

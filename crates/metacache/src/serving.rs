@@ -716,8 +716,8 @@ struct EngineShared {
 ///
 /// ```
 /// use std::sync::Arc;
-/// use metacache::{MetaCacheConfig, build::CpuBuilder};
-/// use metacache::serving::ServingEngine;
+/// use metacache::{HostBackend, MetaCacheConfig, build::CpuBuilder};
+/// use metacache::serving::{EngineConfig, ServingEngine};
 /// use mc_seqio::SequenceRecord;
 /// use mc_taxonomy::{Rank, Taxonomy};
 ///
@@ -733,7 +733,7 @@ struct EngineShared {
 /// let db = Arc::new(builder.finish());
 ///
 /// // One resident engine; sessions come and go per client request.
-/// let engine = ServingEngine::host(Arc::clone(&db));
+/// let engine = ServingEngine::new(HostBackend::new(Arc::clone(&db)), EngineConfig::default());
 /// let mut session = engine.session();
 /// let reads = (0..20).map(|i| {
 ///     SequenceRecord::new(format!("r{i}"), genome[i * 100..i * 100 + 150].to_vec())
@@ -752,11 +752,11 @@ pub struct ServingEngine {
 }
 
 impl ServingEngine {
-    /// Start an engine over an explicit backend: [`HostBackend`], the
-    /// simulated multi-GPU [`crate::backend::GpuBackend`] (batches issue
-    /// round-robin across devices) or the scatter-gather
-    /// [`crate::shard::ShardedBackend`] (bit-identical to an unsharded host
-    /// engine).
+    /// Start an engine over a backend: [`HostBackend`] over a whole
+    /// database or over a [`crate::shard::ShardedDatabase`] (scatter-gather
+    /// in process, bit-identical to the unsharded engine), or the simulated
+    /// multi-GPU [`crate::backend::GpuBackend`] (batches issue round-robin
+    /// across devices).
     pub fn new<B>(backend: B, config: EngineConfig) -> Self
     where
         B: Backend + 'static,
@@ -872,13 +872,9 @@ impl ServingEngine {
         }
     }
 
-    /// Start a host-path engine with the default shape over a shared
-    /// database.
-    pub fn host(db: Arc<Database>) -> Self {
-        Self::new(HostBackend::new(db), EngineConfig::default())
-    }
-
-    /// Start a host-path engine with an explicit shape.
+    /// `Self::new(HostBackend::new(db), config)`, spelled out. Kept only
+    /// because the frozen `benchmark/` package calls it; goes when that
+    /// package next changes (ROADMAP item 5).
     pub fn host_with_config(db: Arc<Database>, config: EngineConfig) -> Self {
         Self::new(HostBackend::new(db), config)
     }
@@ -1085,8 +1081,8 @@ impl Drop for ServingEngine {
 ///
 /// ```
 /// # use std::sync::Arc;
-/// # use metacache::{MetaCacheConfig, build::CpuBuilder};
-/// # use metacache::serving::ServingEngine;
+/// # use metacache::{HostBackend, MetaCacheConfig, build::CpuBuilder};
+/// # use metacache::serving::{EngineConfig, ServingEngine};
 /// # use mc_seqio::SequenceRecord;
 /// # use mc_taxonomy::{Rank, Taxonomy};
 /// # let mut taxonomy = Taxonomy::with_root();
@@ -1098,7 +1094,8 @@ impl Drop for ServingEngine {
 /// # }).collect();
 /// # let mut builder = CpuBuilder::new(MetaCacheConfig::default(), taxonomy);
 /// # builder.add_target(SequenceRecord::new("refA", genome.clone()), 100).unwrap();
-/// # let engine = ServingEngine::host(Arc::new(builder.finish()));
+/// # let backend = HostBackend::new(Arc::new(builder.finish()));
+/// # let engine = ServingEngine::new(backend, EngineConfig::default());
 /// let mut session = engine.session();
 /// // Request-shaped: one call per request, results in input order.
 /// let reads = vec![SequenceRecord::new("r0", genome[100..250].to_vec())];
@@ -1681,7 +1678,7 @@ mod tests {
     #[test]
     fn source_error_drains_prefix_and_propagates() {
         let (db, reads) = serving_db();
-        let engine = ServingEngine::host(Arc::clone(&db));
+        let engine = ServingEngine::new(HostBackend::new(Arc::clone(&db)), EngineConfig::default());
         let mut session = engine.session_with(SessionConfig {
             batch_records: 3,
             max_in_flight: 2,
@@ -1704,7 +1701,7 @@ mod tests {
     #[test]
     fn empty_stream_is_a_noop() {
         let (db, _) = serving_db();
-        let engine = ServingEngine::host(Arc::clone(&db));
+        let engine = ServingEngine::new(HostBackend::new(Arc::clone(&db)), EngineConfig::default());
         let mut session = engine.session();
         let (out, summary) = session.classify_iter(std::iter::empty());
         assert!(out.is_empty());
@@ -1736,7 +1733,7 @@ mod tests {
     #[test]
     fn drop_without_shutdown_joins_workers() {
         let (db, reads) = serving_db();
-        let engine = ServingEngine::host(Arc::clone(&db));
+        let engine = ServingEngine::new(HostBackend::new(Arc::clone(&db)), EngineConfig::default());
         let mut session = engine.session();
         let _ = session.classify_iter(reads.iter().cloned());
         drop(session);
@@ -1870,7 +1867,7 @@ mod tests {
     #[test]
     fn live_sessions_tracks_session_lifetimes() {
         let (db, _) = serving_db();
-        let engine = ServingEngine::host(Arc::clone(&db));
+        let engine = ServingEngine::new(HostBackend::new(Arc::clone(&db)), EngineConfig::default());
         assert_eq!(engine.live_sessions(), 0);
         let a = engine.session();
         let b = engine.session();

@@ -1,4 +1,4 @@
-//! Sharded databases and the query layer over them.
+//! Sharded databases: one more thing the one classifier can query.
 //!
 //! The paper's scale-out story is database partitioning: MetaCache-GPU
 //! splits a reference database that exceeds one device's memory across
@@ -7,20 +7,22 @@
 //! over what they return (§4.3, §5.4–5.6). This module is the serving-stack
 //! form of that: a [`ShardedDatabase`] partitions the *targets* of a fully
 //! built [`Database`] across N shards — each shard a self-contained
-//! `Database` holding only its targets' hash buckets — and a
-//! [`ShardedClassifier`] runs the one query pipeline of [`crate::query`]
-//! with a probe stage that asks every shard table. The [`ShardedBackend`]
-//! plugs it into the existing [`Backend`] trait as one more candidate
-//! source, so the [`ServingEngine`][crate::serving::ServingEngine], the
-//! streaming pipeline and the `mc-net` front-end serve a sharded database
-//! transparently — classifications and `Candidates` answers alike.
+//! `Database` holding only its targets' hash buckets — and implements
+//! [`FeatureIndex`] by asking every shard table. There is no sharded
+//! classifier and no sharded backend: `Classifier::new(split)` runs the one
+//! query pipeline of [`crate::query`] and
+//! [`HostBackend::new(split)`][crate::backend::HostBackend] is the one host
+//! candidate source, so the [`ServingEngine`][crate::serving::ServingEngine],
+//! the streaming pipeline and the `mc-net` front-end serve a sharded
+//! database transparently — classifications and `Candidates` answers alike.
 //!
 //! # Why the sharded query is bit-equivalent to the unsharded one
 //!
 //! A shard's tables hold exactly the locations whose `target` is assigned
 //! to it, so for any feature list the concatenation of all shards' gathered
 //! locations is a *permutation* of the unsharded list. The stage after the
-//! probe ([`QueryScratch::accumulate`]) begins by sorting the list by
+//! probe ([`QueryScratch::accumulate`][crate::query::QueryScratch::accumulate])
+//! begins by sorting the list by
 //! `(target, window)`, and a sort erases the permutation: from there on the
 //! sharded and the unsharded query run the same code on the same data.
 //! Candidates — entries, scores, order — and classifications are therefore
@@ -31,7 +33,8 @@
 //!
 //! A *router* over shard servers (`mc_net::RouterBackend`) cannot use this
 //! argument: it receives per-shard candidate lists that were already
-//! truncated to the top m, and merges those with [`CandidateList::merge`].
+//! truncated to the top m, and merges those with
+//! [`CandidateList::merge`][crate::candidate::CandidateList::merge].
 //! That merge is lossless too, by a longer argument. Window counting and
 //! the sliding-window scan never accumulate across targets, so each
 //! target's candidate is computed from its own shard alone; the candidate
@@ -39,7 +42,8 @@
 //! over candidates of distinct targets, so a candidate in the global top m
 //! ranks at least as high within its own shard and survives the per-shard
 //! truncation; and the keep-first-on-equal-hits rule of
-//! [`CandidateList::insert`] only concerns candidates of the *same* target,
+//! [`CandidateList::insert`][crate::candidate::CandidateList::insert] only
+//! concerns candidates of the *same* target,
 //! which cannot span shards. The exhaustive merge oracle lives with
 //! [`crate::candidate`]'s tests.
 //!
@@ -62,32 +66,26 @@
 //! A sharded serving topology swaps epochs (see
 //! [`crate::serving::EpochStore`]) at two granularities. **In-process**, one
 //! [`ServingEngine::reload_backend`][crate::serving::ServingEngine::reload_backend]
-//! call with a fresh `ShardedBackend` replaces *all* shards atomically — a
-//! batch is classified either against the old split or the new one, never a
-//! mix, because all shards are probed inside a single backend worker
-//! pinned to one epoch. **Across the wire** (`mc-serve route` fronting
-//! shard servers), the router swaps its metadata epoch first and then
-//! reloads each shard server in turn; the router workers compare the
-//! generation tags on the shard answers and re-query while the sweep is
-//! propagating, so no response merges candidate lists from two different
-//! reference sets (`mc_net::router` documents the ordering argument).
+//! call with a fresh `HostBackend::new(split)` replaces *all* shards
+//! atomically — a batch is classified either against the old split or the
+//! new one, never a mix, because all shards are probed inside a single
+//! backend worker pinned to one epoch. **Across the wire** (`mc-serve
+//! route` fronting shard servers), the router swaps its metadata epoch
+//! first and then reloads each shard server in turn; the router workers
+//! compare the generation tags on the shard answers and re-query while the
+//! sweep is propagating, so no response merges candidate lists from two
+//! different reference sets (`mc_net::router` documents the ordering
+//! argument).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use rayon::prelude::*;
-
 use mc_kmer::{Feature, Location, TargetId};
-use mc_seqio::SequenceRecord;
 
-use crate::backend::{Backend, BackendWorker};
-use crate::candidate::CandidateList;
-use crate::classify::{classify_candidates, Classification};
 use crate::database::{CondensedStore, Database, Partition, PartitionStore};
 use crate::error::MetaCacheError;
-use crate::query::QueryScratch;
+use crate::query::FeatureIndex;
 use crate::serialize::collect_buckets;
-use crate::sketch::Sketcher;
 
 /// An assignment of every target of a database to one of `shard_count`
 /// shards.
@@ -160,7 +158,8 @@ impl ShardPlan {
 pub struct ShardedDatabase {
     /// Table-free metadata view: full config/targets/taxonomy/lineages, no
     /// partitions. Classification decisions and serving metadata
-    /// ([`Backend::database`]) come from here.
+    /// ([`Backend::database`][crate::backend::Backend::database]) come from
+    /// here.
     meta: Arc<Database>,
     /// One self-contained database per shard: full metadata (global target
     /// ids), one condensed partition holding only that shard's buckets.
@@ -256,134 +255,19 @@ impl ShardedDatabase {
     }
 }
 
-/// Reusable per-worker scratch of [`ShardedClassifier`]: the sharded query
-/// runs the same three stages over the same buffers as the unsharded one.
-pub type ShardedScratch = QueryScratch;
+impl FeatureIndex for ShardedDatabase {
+    const BACKEND_NAME: &'static str = "sharded-host";
 
-/// Classifier over a [`ShardedDatabase`]: every read is sketched once, its
-/// features are probed against all shard tables into one location list, and
-/// the list is accumulated into candidates once.
-///
-/// Produces candidate lists and classifications bit-identical to
-/// [`Classifier`][crate::query::Classifier] on the unsharded database (the
-/// module docs give the argument; `tests/sharding.rs` the proof).
-pub struct ShardedClassifier {
-    db: Arc<ShardedDatabase>,
-    sketcher: Sketcher,
-}
-
-impl ShardedClassifier {
-    /// Create a classifier over a shared sharded database.
-    pub fn new(db: Arc<ShardedDatabase>) -> Self {
-        let sketcher =
-            Sketcher::new(&db.meta.config).expect("database config was validated at build or load");
-        Self { db, sketcher }
+    /// The table-free view: full targets and taxonomy, no partitions.
+    fn metadata(&self) -> &Database {
+        &self.meta
     }
 
-    /// The sharded database this classifier queries.
-    pub fn database(&self) -> &ShardedDatabase {
-        &self.db
-    }
-
-    /// Compute the candidate list of one read (or read pair), reusing every
-    /// buffer of `scratch`. Returns a reference to the computed list.
-    pub fn candidates_with<'s>(
-        &self,
-        record: &SequenceRecord,
-        scratch: &'s mut ShardedScratch,
-    ) -> &'s CandidateList {
-        scratch.candidates_with(
-            &self.sketcher,
-            &self.db.meta.config,
-            record,
-            |features, locations| {
-                for shard in &self.db.shards {
-                    shard.query_features_into(features, locations);
-                }
-            },
-        )
-    }
-
-    /// Classify one read (or read pair) reusing `scratch` — the hot path.
-    pub fn classify_with(
-        &self,
-        record: &SequenceRecord,
-        scratch: &mut ShardedScratch,
-    ) -> Classification {
-        let candidates = self.candidates_with(record, scratch);
-        classify_candidates(&self.db.meta, &self.db.meta.config, candidates)
-    }
-
-    /// Classify one read (or read pair).
-    pub fn classify(&self, record: &SequenceRecord) -> Classification {
-        self.classify_with(record, &mut ShardedScratch::new())
-    }
-
-    /// Classify a batch of reads in parallel, one [`ShardedScratch`] per
-    /// rayon worker — mirrors
-    /// [`Classifier::classify_batch`][crate::query::Classifier::classify_batch].
-    pub fn classify_batch(&self, records: &[SequenceRecord]) -> Vec<Classification> {
-        records
-            .par_iter()
-            .map_init(ShardedScratch::new, |scratch, r| {
-                self.classify_with(r, scratch)
-            })
-            .collect()
-    }
-}
-
-/// The sharded host execution path behind the [`Backend`] trait: workers
-/// scatter-gather across all shards in-process and emit the merged
-/// candidate list of each read. The serving engine, the
-/// streaming pipeline and the `mc-net` server drive it exactly like the
-/// unsharded [`HostBackend`][crate::backend::HostBackend] — zero protocol
-/// changes.
-pub struct ShardedBackend {
-    db: Arc<ShardedDatabase>,
-}
-
-impl ShardedBackend {
-    /// Create a backend over a shared sharded database.
-    pub fn new(db: Arc<ShardedDatabase>) -> Self {
-        Self { db }
-    }
-
-    /// The sharded database this backend serves.
-    pub fn sharded_database(&self) -> &Arc<ShardedDatabase> {
-        &self.db
-    }
-}
-
-impl Backend for ShardedBackend {
-    fn database(&self) -> &Database {
-        self.db.meta()
-    }
-
-    fn name(&self) -> &'static str {
-        "sharded-host"
-    }
-
-    fn worker(&self) -> Box<dyn BackendWorker + '_> {
-        Box::new(ShardedWorker {
-            classifier: ShardedClassifier::new(Arc::clone(&self.db)),
-            scratch: ShardedScratch::new(),
-        })
-    }
-}
-
-struct ShardedWorker {
-    classifier: ShardedClassifier,
-    scratch: ShardedScratch,
-}
-
-impl BackendWorker for ShardedWorker {
-    fn candidates_each(
-        &mut self,
-        records: &[SequenceRecord],
-        emit: &mut dyn FnMut(&CandidateList),
-    ) {
-        for record in records {
-            emit(self.classifier.candidates_with(record, &mut self.scratch));
+    /// Every shard's partitions answer the same features into one list.
+    #[inline]
+    fn locations_into(&self, features: &[Feature], locations: &mut Vec<Location>) {
+        for shard in &self.shards {
+            shard.query_features_into(features, locations);
         }
     }
 }
@@ -391,9 +275,12 @@ impl BackendWorker for ShardedWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{Backend, HostBackend};
     use crate::build::CpuBuilder;
+    use crate::classify::classify_candidates;
     use crate::config::MetaCacheConfig;
-    use crate::query::Classifier;
+    use crate::query::{Classifier, QueryScratch};
+    use mc_seqio::SequenceRecord;
     use mc_taxonomy::{Rank, Taxonomy};
 
     fn make_seq(len: usize, seed: u64) -> Vec<u8> {
@@ -513,14 +400,14 @@ mod tests {
         for shard_count in [1usize, 2, 3, 4] {
             let (db, _) = four_target_db();
             let sharded = Arc::new(ShardedDatabase::round_robin(db, shard_count).unwrap());
-            let classifier = ShardedClassifier::new(Arc::clone(&sharded));
+            let classifier = Classifier::new(Arc::clone(&sharded));
             assert_eq!(
                 classifier.classify_batch(&reads),
                 expected,
                 "{shard_count} shards"
             );
             // Sequential scratch reuse agrees with the batch path.
-            let mut scratch = ShardedScratch::new();
+            let mut scratch = QueryScratch::new();
             for (read, want) in reads.iter().zip(&expected) {
                 assert_eq!(classifier.classify_with(read, &mut scratch), *want);
             }
@@ -536,7 +423,7 @@ mod tests {
         let plan = ShardPlan::explicit(vec![0, 2, 0, 2], 3).unwrap();
         let sharded = Arc::new(ShardedDatabase::from_database(db, plan).unwrap());
         assert_eq!(sharded.shards()[1].total_locations(), 0);
-        let classifier = ShardedClassifier::new(Arc::clone(&sharded));
+        let classifier = Classifier::new(Arc::clone(&sharded));
         assert_eq!(classifier.classify_batch(&reads), expected);
         assert_eq!(classifier.database().shard_count(), 3);
     }
@@ -548,10 +435,10 @@ mod tests {
         let expected = Classifier::new(&db).classify_batch(&reads);
         let (db, _) = four_target_db();
         let sharded = Arc::new(ShardedDatabase::round_robin(db, 2).unwrap());
-        let backend = ShardedBackend::new(Arc::clone(&sharded));
+        let backend = HostBackend::new(Arc::clone(&sharded));
         assert_eq!(backend.name(), "sharded-host");
         assert_eq!(backend.database().target_count(), 4);
-        assert_eq!(backend.sharded_database().shard_count(), 2);
+        assert_eq!(sharded.shard_count(), 2);
         let mut worker = backend.worker();
         // Two batches through one persistent worker, classified the way
         // the engine does: against the table-free metadata view.

@@ -27,10 +27,9 @@
 //! The original collect→sort→dedup→truncate formulation is retained as
 //! [`Sketcher::sketch_window_baseline`]: it is the reference oracle the
 //! property tests compare against bit-for-bit, and the baseline the
-//! `sketch` / `query_throughput` criterion benches measure speedups over.
-//! The convenience APIs ([`Sketcher::sketch_window`], `sketch_record`, …)
-//! allocate fresh buffers per call and are kept for tests, examples and
-//! one-off use.
+//! `sketch` criterion bench measures speedups over. The convenience APIs
+//! ([`Sketcher::sketch_window`], `sketch_record`, …) allocate fresh buffers
+//! per call and are kept for tests, examples and one-off use.
 
 use mc_kmer::window::{num_windows, window_range, WindowParams};
 use mc_kmer::{hash64, Feature};
@@ -219,9 +218,9 @@ impl Sketcher {
     /// truncate (two heap allocations and an `O(n log n)` sort per window).
     ///
     /// Retained for three purposes: the property tests assert the bounded
-    /// selector is bit-identical to it, the `sketch` / `query_throughput`
-    /// benches measure the hot path's speedup against it, and it documents
-    /// the §4.1 definition directly.
+    /// selector is bit-identical to it, the `sketch` bench measures the hot
+    /// path's speedup against it, and it documents the §4.1 definition
+    /// directly.
     pub fn sketch_window_baseline(&self, window: &[u8]) -> Sketch {
         let mut hashes: Vec<u64> = mc_kmer::KmerIter::new(window, self.params.kmer())
             .map(|k| hash64(k.canonical().value()))
@@ -382,8 +381,8 @@ impl Sketcher {
     }
 
     /// Reference oracle counterpart of [`Self::sketch_record`]: every window
-    /// sketched with [`Self::sketch_window_baseline`]. Used by tests and the
-    /// `query_throughput` bench's collect-sort baseline.
+    /// sketched with [`Self::sketch_window_baseline`]. The collect-sort
+    /// baseline `tests/end_to_end.rs` holds the hot path to.
     pub fn sketch_record_baseline(&self, record: &mc_seqio::SequenceRecord) -> ReadSketch {
         let mut windows = self.sketch_read_baseline(&record.sequence);
         if let Some(mate) = &record.mate {

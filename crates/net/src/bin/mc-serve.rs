@@ -70,7 +70,7 @@ use mc_taxonomy::{Rank, Taxonomy, NO_TAXON};
 use metacache::build::CpuBuilder;
 use metacache::query::Classifier;
 use metacache::serving::{EngineConfig, ServingEngine};
-use metacache::MetaCacheConfig;
+use metacache::{Database, HostBackend, MetaCacheConfig, ShardedDatabase};
 
 fn usage() -> ! {
     eprintln!(
@@ -134,7 +134,7 @@ fn parsed<T: std::str::FromStr>(values: &[(String, String)], name: &str, default
 /// process given the same file agrees on target ids — the property the
 /// sharded topology rests on (shard servers answer with global target ids
 /// the router resolves against its own build of the same file).
-fn build_from_refs(path: &str) -> Result<metacache::Database, String> {
+fn build_from_refs(path: &str) -> Result<Database, String> {
     let mut taxonomy = Taxonomy::with_root();
     let stream = SequenceReader::open(path).map_err(|e| format!("open {path}: {e}"))?;
     let mut records = Vec::new();
@@ -160,6 +160,40 @@ fn build_from_refs(path: &str) -> Result<metacache::Database, String> {
             .map_err(|e| format!("add target: {e}"))?;
     }
     Ok(builder.finish())
+}
+
+/// The database `serve` answers from: everything in `refs`, or — given
+/// `(shard, shard_count)` — that shard's slice of it. Start-up and every
+/// reload load through here, so both fail with the same message.
+fn load_slice(refs: &str, slice: Option<(usize, usize)>) -> Result<Arc<Database>, String> {
+    let db = build_from_refs(refs)?;
+    let db = match slice {
+        None => Arc::new(db),
+        Some((shard, shard_count)) => {
+            // Build the full table first, then keep only this shard's
+            // slice: splitting one finished build (instead of building per
+            // shard) keeps the per-feature location cap global, which is
+            // what makes the scatter-gather merge bit-identical (see
+            // metacache::shard).
+            let split = ShardedDatabase::round_robin(db, shard_count)
+                .map_err(|e| format!("shard split: {e}"))?;
+            let kept = Arc::clone(&split.shards()[shard]);
+            eprintln!(
+                "mc-serve: shard {shard}/{shard_count}: {} of {} targets, {} of {} table bytes",
+                kept.partitions[0].targets.len(),
+                kept.target_count(),
+                kept.table_bytes(),
+                split.table_bytes(),
+            );
+            kept
+        }
+    };
+    eprintln!(
+        "mc-serve: loaded {refs} ({} targets, {} features)",
+        db.target_count(),
+        db.total_features()
+    );
+    Ok(db)
 }
 
 /// Resolve the engine shape flags shared by `serve` and `route`.
@@ -265,65 +299,24 @@ fn serve(args: &[String]) -> i32 {
         return 2;
     }
 
-    let db = match build_from_refs(refs) {
+    let slice = sharded.then_some((shard, shard_count));
+    let db = match load_slice(refs, slice) {
         Ok(db) => db,
         Err(e) => {
             eprintln!("mc-serve: {e}");
             return 1;
         }
     };
-    let db = if sharded {
-        // Build the full table first, then keep only this shard's slice:
-        // splitting one finished build (instead of building per shard)
-        // keeps the per-feature location cap global, which is what makes
-        // the scatter-gather merge bit-identical (see metacache::shard).
-        let split = match metacache::ShardedDatabase::round_robin(db, shard_count) {
-            Ok(split) => split,
-            Err(e) => {
-                eprintln!("mc-serve: shard split: {e}");
-                return 1;
-            }
-        };
-        let slice = Arc::clone(&split.shards()[shard]);
-        eprintln!(
-            "mc-serve: serving shard {shard}/{shard_count}: {} of {} targets, {} of {} table bytes",
-            slice.partitions[0].targets.len(),
-            slice.target_count(),
-            slice.table_bytes(),
-            split.table_bytes(),
-        );
-        slice
-    } else {
-        Arc::new(db)
-    };
-    eprintln!(
-        "mc-serve: database ready ({} targets, {} features)",
-        db.target_count(),
-        db.total_features()
-    );
     // The reload hook re-runs the exact build pipeline of startup — same
     // refs path, same deterministic build, same shard split — and swaps
     // the result in as the next epoch. In-flight batches finish on the old
     // database; the swap is the moment new batches observe the new one.
     let refs_path = refs.to_string();
     let hook: ReloadHook = Arc::new(move |engine: &ServingEngine| {
-        let db = build_from_refs(&refs_path)?;
-        let db = if sharded {
-            let split = metacache::ShardedDatabase::round_robin(db, shard_count)
-                .map_err(|e| format!("shard split: {e}"))?;
-            Arc::clone(&split.shards()[shard])
-        } else {
-            Arc::new(db)
-        };
-        eprintln!(
-            "mc-serve: reloading {} ({} targets, {} features)",
-            refs_path,
-            db.target_count(),
-            db.total_features()
-        );
-        Ok(engine.reload_backend(metacache::HostBackend::new(db)))
+        let db = load_slice(&refs_path, slice)?;
+        Ok(engine.reload_backend(HostBackend::new(db)))
     });
-    let engine = ServingEngine::host_with_config(db, config);
+    let engine = ServingEngine::new(HostBackend::new(db), config);
     run_engine(engine, listen, config.workers, Some(hook))
 }
 
@@ -626,8 +619,8 @@ fn smoke(args: &[String]) -> i32 {
         .collect();
     let expected = Classifier::new(Arc::clone(&db)).classify_batch(&reads);
 
-    let engine = ServingEngine::host_with_config(
-        Arc::clone(&db),
+    let engine = ServingEngine::new(
+        HostBackend::new(Arc::clone(&db)),
         EngineConfig {
             workers: 2,
             queue_capacity: 4,

@@ -68,7 +68,8 @@ pub struct NetSummary {
 /// # use mc_net::{NetClient, NetServer};
 /// # use mc_seqio::SequenceRecord;
 /// # use mc_taxonomy::{Rank, Taxonomy};
-/// # use metacache::{build::CpuBuilder, serving::ServingEngine, MetaCacheConfig};
+/// # use metacache::serving::{EngineConfig, ServingEngine};
+/// # use metacache::{build::CpuBuilder, HostBackend, MetaCacheConfig};
 /// # let mut taxonomy = Taxonomy::with_root();
 /// # taxonomy.add_node(100, 1, Rank::Species, "Species A").unwrap();
 /// # let mut state = 11u64;
@@ -78,7 +79,8 @@ pub struct NetSummary {
 /// # }).collect();
 /// # let mut builder = CpuBuilder::new(MetaCacheConfig::default(), taxonomy);
 /// # builder.add_target(SequenceRecord::new("refA", genome.clone()), 100).unwrap();
-/// # let engine = ServingEngine::host(Arc::new(builder.finish()));
+/// # let backend = HostBackend::new(Arc::new(builder.finish()));
+/// # let engine = ServingEngine::new(backend, EngineConfig::default());
 /// # let server = NetServer::bind(&engine, "127.0.0.1:0").unwrap();
 /// # let handle = server.handle();
 /// # std::thread::scope(|scope| {

@@ -4,9 +4,10 @@
 //! `crates/vendor/` approach): a [`Poller`] multiplexes socket readiness
 //! through `epoll(7)` on Linux — `epoll_create1`/`epoll_ctl`/`epoll_wait`
 //! via thin hand-written FFI, no `libc` dependency — with a `poll(2)`
-//! fallback compiled on every Unix and selectable at runtime with
-//! `MC_NET_FORCE_POLL=1` (the fallback rebuilds its pollfd array per wait,
-//! O(fds), fine for the test matrix; epoll is the production path).
+//! backend compiled on every Unix: the only path off Linux and the
+//! fallback when `epoll_create1` fails (it rebuilds its pollfd array per
+//! wait, O(fds); epoll is the production path). Nothing selects between
+//! them at run time; the unit tests below drive both.
 //!
 //! Level-triggered semantics throughout: an fd keeps reporting readiness
 //! until drained, so the server may stop reading (backpressure) and resume
@@ -257,6 +258,22 @@ enum Backend {
     },
 }
 
+impl Backend {
+    fn poll() -> Self {
+        Backend::Poll {
+            registered: Vec::new(),
+        }
+    }
+
+    /// `None` when the kernel has no epoll (ancient kernel / exotic
+    /// sandbox).
+    #[cfg(target_os = "linux")]
+    fn epoll() -> Option<Self> {
+        let epfd = unsafe { sys::epoll::epoll_create1(sys::epoll::EPOLL_CLOEXEC) };
+        (epfd >= 0).then_some(Backend::Epoll { epfd })
+    }
+}
+
 impl Drop for Backend {
     fn drop(&mut self) {
         #[cfg(target_os = "linux")]
@@ -275,8 +292,17 @@ pub struct Poller {
 
 impl Poller {
     /// Create a poller with its wake pipe already registered under
-    /// [`WAKE_TOKEN`]. Uses epoll on Linux unless `MC_NET_FORCE_POLL=1`.
+    /// [`WAKE_TOKEN`]: epoll on Linux (`poll(2)` if it is unavailable),
+    /// `poll(2)` elsewhere.
     pub fn new() -> io::Result<Self> {
+        #[cfg(target_os = "linux")]
+        let backend = Backend::epoll().unwrap_or_else(Backend::poll);
+        #[cfg(not(target_os = "linux"))]
+        let backend = Backend::poll();
+        Self::with_backend(backend)
+    }
+
+    fn with_backend(backend: Backend) -> io::Result<Self> {
         let mut fds = [0 as std::ffi::c_int; 2];
         if unsafe { sys::pipe(fds.as_mut_ptr()) } < 0 {
             return Err(last_os_error());
@@ -286,7 +312,6 @@ impl Poller {
         set_nonblocking_fd(wake_read.as_raw_fd())?;
         set_nonblocking_fd(wake_write.as_raw_fd())?;
 
-        let backend = Self::new_backend()?;
         let mut poller = Poller {
             backend,
             wake_read,
@@ -297,30 +322,6 @@ impl Poller {
         let wake_fd = poller.wake_read.as_raw_fd();
         poller.register(wake_fd, WAKE_TOKEN, Interest::READ)?;
         Ok(poller)
-    }
-
-    #[cfg(target_os = "linux")]
-    fn new_backend() -> io::Result<Backend> {
-        if std::env::var_os("MC_NET_FORCE_POLL").is_some_and(|v| v == "1") {
-            return Ok(Backend::Poll {
-                registered: Vec::new(),
-            });
-        }
-        let epfd = unsafe { sys::epoll::epoll_create1(sys::epoll::EPOLL_CLOEXEC) };
-        if epfd < 0 {
-            // No epoll (ancient kernel / exotic sandbox): fall back.
-            return Ok(Backend::Poll {
-                registered: Vec::new(),
-            });
-        }
-        Ok(Backend::Epoll { epfd })
-    }
-
-    #[cfg(not(target_os = "linux"))]
-    fn new_backend() -> io::Result<Backend> {
-        Ok(Backend::Poll {
-            registered: Vec::new(),
-        })
     }
 
     /// A handle that can interrupt [`Poller::wait`] from any thread.
@@ -580,9 +581,24 @@ mod tests {
     use std::io::{Read as _, Write as _};
     use std::net::{TcpListener, TcpStream};
 
+    /// One poller per backend this platform compiles, so the `poll(2)`
+    /// path is exercised on Linux too.
+    fn pollers() -> Vec<Poller> {
+        let mut backends = vec![Backend::poll()];
+        #[cfg(target_os = "linux")]
+        backends.push(Backend::epoll().expect("epoll is available on the test host"));
+        backends
+            .into_iter()
+            .map(|backend| Poller::with_backend(backend).unwrap())
+            .collect()
+    }
+
     #[test]
     fn waker_interrupts_a_blocked_wait() {
-        let mut poller = Poller::new().unwrap();
+        pollers().into_iter().for_each(waker_interrupts);
+    }
+
+    fn waker_interrupts(mut poller: Poller) {
         let waker = poller.waker();
         let handle = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(50));
@@ -606,13 +622,16 @@ mod tests {
 
     #[test]
     fn socket_readiness_round_trip() {
+        pollers().into_iter().for_each(readiness_round_trip);
+    }
+
+    fn readiness_round_trip(mut poller: Poller) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let mut client = TcpStream::connect(addr).unwrap();
         let (server, _) = listener.accept().unwrap();
         server.set_nonblocking(true).unwrap();
 
-        let mut poller = Poller::new().unwrap();
         poller
             .register(server.as_raw_fd(), 7, Interest::READ)
             .unwrap();
@@ -657,13 +676,16 @@ mod tests {
 
     #[test]
     fn peer_hangup_reports_readable() {
+        pollers().into_iter().for_each(hangup_reports_readable);
+    }
+
+    fn hangup_reports_readable(mut poller: Poller) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let client = TcpStream::connect(addr).unwrap();
         let (server, _) = listener.accept().unwrap();
         server.set_nonblocking(true).unwrap();
 
-        let mut poller = Poller::new().unwrap();
         poller
             .register(server.as_raw_fd(), 3, Interest::READ)
             .unwrap();

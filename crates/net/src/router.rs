@@ -5,7 +5,7 @@
 //! [`metacache::ShardedDatabase`] split (typically `mc-serve serve --shard
 //! K --shard-count N` processes). One batch runs in two steps here and a
 //! third in the engine, mirroring the in-process
-//! [`metacache::ShardedClassifier`]:
+//! [`metacache::Classifier`] over a `ShardedDatabase`:
 //!
 //! 1. **Scatter**: the batch goes to every shard as one
 //!    [`Frame::Candidates`](crate::Frame::Candidates) request, through a

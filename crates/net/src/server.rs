@@ -92,6 +92,17 @@ const LISTENER_TOKEN: u64 = 0;
 /// Bytes read per `read(2)` into a connection's reassembly buffer.
 const READ_CHUNK: usize = 64 * 1024;
 
+/// Decoded-but-undispatched requests buffered per connection (in addition
+/// to the engine-side credit bound) — the pipelining depth the loop parses
+/// ahead. Past it the loop stops parsing — and reading — that connection
+/// until dispatch catches up. Two keeps a session busy across request
+/// boundaries; more only grows the per-connection memory bound.
+const PENDING_REQUESTS: usize = 2;
+
+/// Per-connection record-vector pool bound: one per buffered request plus
+/// the one being submitted.
+const POOL_CAP: usize = PENDING_REQUESTS + 1;
+
 /// Write-stall bound for a connection refused with a connection-level
 /// `Busy`: a peer that will not read its refusal is simply dropped.
 const REFUSE_WRITE_WINDOW: Duration = Duration::from_secs(2);
@@ -113,13 +124,6 @@ pub struct ServerConfig {
     /// `session.class` picks the fair-queue lane every connection of this
     /// server schedules in (interactive by default).
     pub session: SessionConfig,
-    /// Decoded-but-undispatched requests buffered per connection (in
-    /// addition to the engine-side credit bound). Past it the loop stops
-    /// parsing — and reading — that connection until dispatch catches up.
-    pub pending_requests: usize,
-    /// Set `TCP_NODELAY` on accepted connections (request/response traffic
-    /// is latency-bound; leave on unless batching huge requests).
-    pub nodelay: bool,
     /// Write-stall deadline per connection. A client that stops *reading*
     /// while keeping the connection open would otherwise pin its outbound
     /// backlog — and the graceful drain of [`NetServer::run`] — forever.
@@ -178,8 +182,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             session: SessionConfig::default(),
-            pending_requests: 2,
-            nodelay: true,
             write_timeout: Some(Duration::from_secs(30)),
             read_timeout: Some(Duration::from_secs(30)),
             idle_timeout: Some(Duration::from_secs(300)),
@@ -295,7 +297,8 @@ impl ServerHandle {
 /// use mc_net::{NetClient, NetServer};
 /// use mc_seqio::SequenceRecord;
 /// use mc_taxonomy::{Rank, Taxonomy};
-/// use metacache::{build::CpuBuilder, serving::ServingEngine, MetaCacheConfig};
+/// use metacache::serving::{EngineConfig, ServingEngine};
+/// use metacache::{build::CpuBuilder, HostBackend, MetaCacheConfig};
 ///
 /// # let mut taxonomy = Taxonomy::with_root();
 /// # taxonomy.add_node(100, 1, Rank::Species, "Species A").unwrap();
@@ -306,7 +309,8 @@ impl ServerHandle {
 /// # }).collect();
 /// # let mut builder = CpuBuilder::new(MetaCacheConfig::default(), taxonomy);
 /// # builder.add_target(SequenceRecord::new("refA", genome.clone()), 100).unwrap();
-/// let engine = ServingEngine::host(Arc::new(builder.finish()));
+/// let backend = HostBackend::new(Arc::new(builder.finish()));
+/// let engine = ServingEngine::new(backend, EngineConfig::default());
 /// let server = NetServer::bind(&engine, "127.0.0.1:0").unwrap();
 /// let handle = server.handle();
 ///
@@ -426,7 +430,6 @@ impl<'e> NetServer<'e> {
                 0 => usize::MAX,
                 hw => hw,
             },
-            pool_cap: config.pending_requests.max(1) + 1,
         };
         std::thread::scope(|scope| -> io::Result<()> {
             let mut conns: HashMap<u64, Conn<'_>> = HashMap::new();
@@ -790,8 +793,6 @@ struct LoopCtx<'e, 'c> {
     serving: usize,
     /// Resolved outbound-buffer gate (usize::MAX = unbounded).
     high_water: usize,
-    /// Per-connection record-vector pool bound.
-    pool_cap: usize,
 }
 
 impl<'e> LoopCtx<'e, '_> {
@@ -822,9 +823,8 @@ impl<'e> LoopCtx<'e, '_> {
             if stream.set_nonblocking(true).is_err() {
                 continue;
             }
-            if self.config.nodelay {
-                let _ = stream.set_nodelay(true);
-            }
+            // Request/response traffic is latency-bound.
+            let _ = stream.set_nodelay(true);
             if self.config.send_buffer > 0 {
                 let _ = poll::set_send_buffer(&stream, self.config.send_buffer);
             }
@@ -1012,12 +1012,12 @@ impl<'e> LoopCtx<'e, '_> {
                             .fetch_sub(req.read_count, Ordering::Relaxed);
                     }
                     for records in req.drained.drain(..) {
-                        recycle_into(&mut conn.pool, self.pool_cap, records);
+                        recycle_into(&mut conn.pool, records);
                     }
                 }
             }
             if let Some(records) = spare {
-                recycle_into(&mut conn.pool, self.pool_cap, records);
+                recycle_into(&mut conn.pool, records);
             }
         }
         progress
@@ -1035,7 +1035,7 @@ impl<'e> LoopCtx<'e, '_> {
             return true;
         }
         let waiting = conn.pipeline.iter().filter(|i| i.holds_input()).count();
-        waiting > self.config.pending_requests.max(1)
+        waiting > PENDING_REQUESTS
     }
 
     fn pump_io_in(&mut self, conn: &mut Conn<'e>) -> bool {
@@ -1285,7 +1285,7 @@ impl<'e> LoopCtx<'e, '_> {
                 let request_id = match decoded {
                     Ok(request_id) => request_id,
                     Err(e) => {
-                        recycle_into(&mut conn.pool, self.pool_cap, reads);
+                        recycle_into(&mut conn.pool, reads);
                         self.reject(conn, e);
                         return;
                     }
@@ -1300,7 +1300,7 @@ impl<'e> LoopCtx<'e, '_> {
                     .max(1);
                 let total_batches = reads.len().div_ceil(batch);
                 let pending = if reads.is_empty() {
-                    recycle_into(&mut conn.pool, self.pool_cap, reads);
+                    recycle_into(&mut conn.pool, reads);
                     None
                 } else if total_batches == 1 {
                     Some(Pending::Whole(reads))
@@ -1389,7 +1389,7 @@ impl<'e> LoopCtx<'e, '_> {
                                 Pending::Whole(reads) => reads,
                                 Pending::Chunks(rest) => rest.collect(),
                             };
-                            recycle_into(&mut conn.pool, self.pool_cap, reads);
+                            recycle_into(&mut conn.pool, reads);
                         }
                         let request_id = req.request_id;
                         *item = Item::Busy { request_id };
@@ -1820,11 +1820,11 @@ const MAX_POOLED_BYTES: usize = 8 * 1024 * 1024;
 /// Hand a drained record vector back to the connection's reuse pool,
 /// bounding both the entry count and the retained bytes so a one-off giant
 /// request cannot pin its buffers forever.
-fn recycle_into(pool: &mut Vec<Vec<SequenceRecord>>, cap: usize, records: Vec<SequenceRecord>) {
+fn recycle_into(pool: &mut Vec<Vec<SequenceRecord>>, records: Vec<SequenceRecord>) {
     if retained_bytes(&records) > MAX_POOLED_BYTES {
         return;
     }
-    if pool.len() < cap {
+    if pool.len() < POOL_CAP {
         pool.push(records);
     }
 }

@@ -1,6 +1,6 @@
 //! Proof of the zero-allocation query hot path: a counting global allocator
-//! measures heap traffic of `sketch_window_into`, `Classifier::classify_with`,
-//! `ShardedClassifier::classify_with` and the serving path's
+//! measures heap traffic of `sketch_window_into`, `Classifier::classify_with`
+//! (whole and sharded database) and the serving path's
 //! `BackendWorker::candidates_each` (host and sharded) in steady state
 //! (scratch reused, buffers at their high-water mark) and asserts **zero**
 //! allocations.
@@ -17,10 +17,7 @@ use mc_taxonomy::{Rank, Taxonomy};
 use metacache::build::CpuBuilder;
 use metacache::classify::classify_candidates;
 use metacache::query::{Classifier, QueryScratch};
-use metacache::{
-    Backend, Database, HostBackend, MetaCacheConfig, ShardedBackend, ShardedClassifier,
-    ShardedDatabase, ShardedScratch, SketchScratch,
-};
+use metacache::{Backend, Database, HostBackend, MetaCacheConfig, ShardedDatabase, SketchScratch};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -187,8 +184,8 @@ fn steady_state_hot_path_performs_zero_allocations() {
     // lookup works on the stack), one merge: the same scratch, so the same
     // zero.
     let sharded = std::sync::Arc::new(ShardedDatabase::round_robin(build_db(), 2).unwrap());
-    let sharded_classifier = ShardedClassifier::new(std::sync::Arc::clone(&sharded));
-    let mut sharded_scratch = ShardedScratch::new();
+    let sharded_classifier = Classifier::new(std::sync::Arc::clone(&sharded));
+    let mut sharded_scratch = QueryScratch::new();
     for (read, expected) in reads.iter().zip(&warmup) {
         let c = sharded_classifier.classify_with(read, &mut sharded_scratch);
         assert_eq!(&c, expected);
@@ -204,7 +201,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
     assert_eq!(
         sharded_allocs,
         0,
-        "ShardedClassifier::classify_with allocated {sharded_allocs} times over {} steady-state reads",
+        "sharded classify_with allocated {sharded_allocs} times over {} steady-state reads",
         5 * reads.len()
     );
 
@@ -213,7 +210,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
     // each borrowed list into an answer in the callback; the callback is a
     // `&mut dyn FnMut`, so nothing is boxed or collected per read.
     let host_backend = HostBackend::new(&db);
-    let sharded_backend = ShardedBackend::new(sharded);
+    let sharded_backend = HostBackend::new(sharded);
     let backends: [&dyn Backend; 2] = [&host_backend, &sharded_backend];
     for backend in backends {
         let meta = backend.database();

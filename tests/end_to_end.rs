@@ -9,7 +9,8 @@ use mc_datagen::taxonomy_gen::TaxonomySpec;
 use mc_gpu_sim::MultiGpuSystem;
 use mc_taxonomy::TaxonId;
 use metacache::build::{estimate_locations, CpuBuilder, GpuBuilder};
-use metacache::classify::ClassificationEvaluation;
+use metacache::candidate::{accumulate_locations, top_candidates};
+use metacache::classify::{classify_candidates, ClassificationEvaluation};
 use metacache::gpu::GpuClassifier;
 use metacache::pipeline::{run_on_the_fly, run_write_load_query, DiskModel};
 use metacache::query::Classifier;
@@ -54,6 +55,43 @@ fn cpu_pipeline_classifies_mock_community_accurately() {
         eval.species.precision()
     );
     assert!(eval.genus.sensitivity() >= eval.species.sensitivity());
+}
+
+/// The zero-allocation hot path (bounded top-s sketching, natural-run
+/// merge, reused scratch) classifies exactly like the seed query path
+/// assembled from the retained oracle pieces: collect→sort→dedup sketches,
+/// fresh vectors per read, one global comparison sort.
+#[test]
+fn scratch_hot_path_matches_the_collect_sort_baseline() {
+    let collection = community();
+    let reads = ReadSimulator::new(DatasetProfile::hiseq(), 400)
+        .with_seed(7)
+        .simulate(&collection)
+        .reads;
+    let mut builder = CpuBuilder::new(MetaCacheConfig::default(), collection.taxonomy.clone());
+    for t in &collection.targets {
+        builder.add_target(t.to_record(), t.taxon).unwrap();
+    }
+    let db = builder.finish();
+    let classifier = Classifier::new(&db);
+
+    let baseline: Vec<_> = reads
+        .iter()
+        .map(|read| {
+            let sketch = classifier.sketcher().sketch_record_baseline(read);
+            let mut locations = Vec::new();
+            for feature in sketch.all_features() {
+                db.query_feature_into(feature, &mut locations);
+            }
+            locations.sort_unstable_by_key(|l| l.pack());
+            let counts = accumulate_locations(&locations);
+            let sws = db.config.sliding_window_size(sketch.total_len);
+            let candidates = top_candidates(&counts, sws, db.config.top_candidates);
+            classify_candidates(&db, &db.config, &candidates)
+        })
+        .collect();
+    assert!(baseline.iter().filter(|c| c.is_classified()).count() > 200);
+    assert_eq!(classifier.classify_all_sequential(&reads), baseline);
 }
 
 #[test]

@@ -21,9 +21,7 @@ use metacache::build::CpuBuilder;
 use metacache::query::Classifier;
 use metacache::serialize;
 use metacache::serving::{CompletedBatch, EngineConfig, OutputKind, ServingEngine, SessionConfig};
-use metacache::{
-    Database, DatabaseDelta, HostBackend, MetaCacheConfig, ShardedBackend, ShardedDatabase,
-};
+use metacache::{Database, DatabaseDelta, HostBackend, MetaCacheConfig, ShardedDatabase};
 
 fn make_seq(len: usize, seed: u64) -> Vec<u8> {
     let mut state = seed | 1;
@@ -274,7 +272,10 @@ fn generation_databases(generations: usize) -> (Vec<Vec<RefSpec>>, Vec<Arc<Datab
 #[test]
 fn pinned_epoch_survives_reload() {
     let (_, dbs) = generation_databases(2);
-    let engine = ServingEngine::host(Arc::clone(&dbs[0]));
+    let engine = ServingEngine::new(
+        HostBackend::new(Arc::clone(&dbs[0])),
+        EngineConfig::default(),
+    );
     let pinned = engine.pin_epoch();
     assert_eq!(pinned.generation(), 0);
     assert_eq!(pinned.database().target_count(), dbs[0].target_count());
@@ -419,7 +420,7 @@ fn old_epoch_database_is_freed_after_reload() {
     let (_, dbs) = generation_databases(2);
     let db0 = Arc::clone(&dbs[0]);
     let weak = Arc::downgrade(&db0);
-    let engine = ServingEngine::host(db0);
+    let engine = ServingEngine::new(HostBackend::new(db0), EngineConfig::default());
     drop(dbs); // the test's own strong handles must not mask a leak
 
     let reads = {
@@ -460,7 +461,7 @@ fn old_epoch_database_is_freed_after_reload() {
 }
 
 /// Sharded composition: one `reload_backend` call swaps *all* shards
-/// atomically (a `ShardedBackend` is one backend), and post-swap results
+/// atomically (a host backend over a split is one backend), and post-swap results
 /// are bit-identical to the unsharded classifier over the new reference
 /// set — even when the shard count changes across the swap.
 #[test]
@@ -471,7 +472,7 @@ fn sharded_backend_reload_swaps_all_shards_atomically() {
 
     let sharded0 = ShardedDatabase::round_robin(build_db(&species_of(&t1), &t1), 2).unwrap();
     let engine = ServingEngine::new(
-        ShardedBackend::new(Arc::new(sharded0)),
+        HostBackend::new(Arc::new(sharded0)),
         EngineConfig {
             workers: 2,
             batch_records: 7,
@@ -494,7 +495,7 @@ fn sharded_backend_reload_swaps_all_shards_atomically() {
     // Swap to the grown reference set, resharded three ways.
     let sharded1 = ShardedDatabase::round_robin(build_db(&species_of(&all), &all), 3).unwrap();
     assert_eq!(
-        engine.reload_backend(ShardedBackend::new(Arc::new(sharded1))),
+        engine.reload_backend(HostBackend::new(Arc::new(sharded1))),
         1
     );
 

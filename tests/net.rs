@@ -222,8 +222,8 @@ fn n_clients_match_n_in_process_sessions() {
     let handle = server.handle();
     let addr = handle.local_addr();
 
-    std::thread::scope(|scope| {
-        scope.spawn(|| server.run().unwrap());
+    let server_stats = std::thread::scope(|scope| {
+        let runner = scope.spawn(|| server.run().unwrap());
         let _guard = ShutdownOnDrop(handle.clone());
         let workers: Vec<_> = per_client
             .iter()
@@ -254,7 +254,11 @@ fn n_clients_match_n_in_process_sessions() {
             worker.join().unwrap();
         }
         handle.shutdown();
+        runner.join().unwrap()
     });
+    // A clean run: one connection per client, nothing malformed.
+    assert_eq!(server_stats.connections, clients as u64);
+    assert_eq!(server_stats.protocol_errors, 0);
     let stats = engine.shutdown();
     assert_eq!(stats.worker_panics, 0);
 }
@@ -787,7 +791,7 @@ fn candidates_over_the_wire_match_in_process() {
         ("host", test_engine(Arc::clone(&db)), Arc::clone(&db)),
         (
             "sharded-host",
-            ServingEngine::new(metacache::ShardedBackend::new(split), TEST_CONFIG),
+            ServingEngine::new(HostBackend::new(split), TEST_CONFIG),
             Arc::clone(&db),
         ),
         (

@@ -184,6 +184,10 @@ fn retry_client_converges_bit_identical_through_seeded_fault_sweep() {
         let (got, summary) = client.classify_iter(reads.iter().cloned()).unwrap();
         assert_eq!(got, expected, "chaos results diverged from in-process");
         assert!(summary.requests >= 8, "60 reads over 8-record chunks");
+        assert!(
+            client.stats().connects >= 2,
+            "the client never had to reconnect — the faults did not bite"
+        );
         drop(client);
         proxy.shutdown();
 

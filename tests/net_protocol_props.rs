@@ -330,6 +330,38 @@ proptest! {
     }
 }
 
+/// The request-bandwidth bar of the packed encoding: on a serving-shaped
+/// corpus — compact ids, 200-base ACGT-only reads — the raw `header +
+/// sequence` bytes are at least 3× the `ClassifyPacked` frame that carries
+/// them (2 bits per base against 8, less the per-record framing).
+#[test]
+fn acgt_reads_pack_at_least_three_to_one() {
+    let mut state = 0x5EED_u64;
+    let reads: Vec<SequenceRecord> = (0..1024)
+        .map(|i| {
+            let sequence: Vec<u8> = (0..200)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    b"ACGT"[(state >> 33) as usize % 4]
+                })
+                .collect();
+            SequenceRecord::new(format!("r{i}"), sequence)
+        })
+        .collect();
+    let raw: usize = reads
+        .iter()
+        .map(|r| r.header.len() + r.sequence.len())
+        .sum();
+    let packed = encode_classify_packed(1, &reads).unwrap().len();
+    let ratio = raw as f64 / packed as f64;
+    assert!(
+        ratio >= 3.0,
+        "ACGT wire compression {ratio:.2}x below the 3x bar ({raw} raw bytes, {packed} on the wire)"
+    );
+}
+
 /// Reads the wire cannot carry fail in the encoder, before any byte moves:
 /// a mate with a mate, a quality string of the wrong length, a header over
 /// the str16 limit.

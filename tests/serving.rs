@@ -14,7 +14,7 @@ use metacache::build::{CpuBuilder, GpuBuilder};
 use metacache::classify::Classification;
 use metacache::query::Classifier;
 use metacache::serving::{EngineConfig, OutputKind, ServingEngine, SessionConfig};
-use metacache::{Database, MetaCacheConfig, ShardedBackend};
+use metacache::{Database, MetaCacheConfig};
 
 fn make_seq(len: usize, seed: u64) -> Vec<u8> {
     let mut state = seed | 1;
@@ -397,7 +397,7 @@ fn gpu_engine_matches_host_engine_and_classify_batch() {
 #[test]
 fn per_session_overrides_and_request_reuse() {
     let (db, _) = shared_database();
-    let engine = ServingEngine::host(Arc::clone(&db));
+    let engine = ServingEngine::new(HostBackend::new(Arc::clone(&db)), EngineConfig::default());
     let mut session = engine.session_with(SessionConfig {
         batch_records: 2,
         max_in_flight: 1,
@@ -443,7 +443,7 @@ fn sharded_engine_matches_unsharded_sessions() {
     let split = Arc::new(metacache::ShardedDatabase::round_robin(owned_database(), 2).unwrap());
 
     let engine = ServingEngine::new(
-        ShardedBackend::new(Arc::clone(&split)),
+        HostBackend::new(Arc::clone(&split)),
         EngineConfig {
             workers: 2,
             queue_capacity: 2,
@@ -485,7 +485,7 @@ fn sharded_worker_panic_is_isolated() {
 
     let engine = ServingEngine::new(
         FaultInjectingBackend {
-            inner: metacache::ShardedBackend::new(split),
+            inner: HostBackend::new(split),
         },
         EngineConfig {
             workers: 2,

@@ -26,8 +26,14 @@ use metacache::build::CpuBuilder;
 use metacache::query::{Classifier, QueryScratch};
 use metacache::{
     Candidate, Database, MetaCacheConfig, ShardPlan, ShardedClassifier, ShardedDatabase,
-    ShardedScratch, SketchScratch,
+    SketchScratch,
 };
+
+/// `ShardedClassifier` *is* the one classifier over a shared split — an
+/// alias, not a second type. Fails to compile if it becomes one again.
+fn _sharded_classifier_is_the_classifier(c: ShardedClassifier) -> Classifier<Arc<ShardedDatabase>> {
+    c
+}
 
 fn make_seq(len: usize, seed: u64) -> Vec<u8> {
     let mut state = seed | 1;
@@ -164,8 +170,8 @@ fn assert_bit_identical(
             "shard probes of read {i} are not a permutation of the unsharded probe ({shard_count} shards)"
         );
     }
-    let classifier = ShardedClassifier::new(Arc::clone(&sharded));
-    let mut sharded_scratch = ShardedScratch::new();
+    let classifier = Classifier::new(Arc::clone(&sharded));
+    let mut sharded_scratch = QueryScratch::new();
     for (i, read) in reads.iter().enumerate() {
         let merged = classifier.candidates_with(read, &mut sharded_scratch);
         assert_eq!(
