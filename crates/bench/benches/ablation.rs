@@ -4,7 +4,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use mc_kmer::{hash32, Location};
-use mc_warpcore::{FeatureStore, MultiBucketConfig, MultiBucketHashTable, ProbingConfig};
+use mc_warpcore::{
+    ConcurrentInsert, FeatureStore, MultiBucketConfig, MultiBucketHashTable, ProbingConfig,
+};
 use metacache::{MetaCacheConfig, Sketcher};
 
 fn make_seq(len: usize, seed: u64) -> Vec<u8> {

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 
 use mc_kmer::{hash32, Location};
 use mc_warpcore::{
-    BucketListConfig, BucketListHashTable, FeatureStore, HostHashTable, HostTableConfig,
+    BucketListConfig, BucketListHashTable, ConcurrentInsert, FeatureStore, HostHashTable,
     MultiBucketConfig, MultiBucketHashTable, MultiValueConfig, MultiValueHashTable,
 };
 
@@ -74,7 +74,7 @@ fn bench_insert(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("host_table", n), |b| {
         b.iter(|| {
-            let table = HostHashTable::new(HostTableConfig::default());
+            let mut table = HostHashTable::new(254);
             for (f, l) in &pairs {
                 let _ = table.insert(*f, *l);
             }
@@ -91,7 +91,7 @@ fn bench_query(c: &mut Criterion) {
 
     let multi_bucket = MultiBucketHashTable::new(MultiBucketConfig::for_expected_values(n, 0.8));
     let multi_value = MultiValueHashTable::new(MultiValueConfig::for_expected_values(n, 0.8));
-    let host = HostHashTable::new(HostTableConfig::default());
+    let mut host = HostHashTable::new(254);
     for (f, l) in &pairs {
         let _ = multi_bucket.insert(*f, *l);
         let _ = multi_value.insert(*f, *l);

@@ -13,8 +13,8 @@ use serde::Serialize;
 
 use mc_kmer::Location;
 use mc_warpcore::{
-    BucketListConfig, BucketListHashTable, FeatureStore, MultiBucketConfig, MultiBucketHashTable,
-    MultiValueConfig, MultiValueHashTable,
+    BucketListConfig, BucketListHashTable, ConcurrentInsert, MultiBucketConfig,
+    MultiBucketHashTable, MultiValueConfig, MultiValueHashTable,
 };
 use metacache::sketch::Sketcher;
 use metacache::MetaCacheConfig;
@@ -97,7 +97,7 @@ fn count_distinct(pairs: &[(u32, Location)]) -> usize {
 /// Insert the workload into a table and return the bytes used; the table must
 /// be pre-sized by the caller so that all insertions succeed (or hit only the
 /// per-key cap).
-fn fill(table: &dyn FeatureStore, pairs: &[(u32, Location)]) -> u64 {
+fn fill(table: &dyn ConcurrentInsert, pairs: &[(u32, Location)]) -> u64 {
     for (feature, location) in pairs {
         // Per-key caps may drop values, exactly as in the real pipeline.
         let _ = table.insert(*feature, *location);

@@ -110,7 +110,7 @@ mod tests {
             taxonomy,
             lineages,
             partitions: vec![Partition {
-                store: PartitionStore::Host(HostHashTable::new(Default::default())),
+                store: PartitionStore::Host(HostHashTable::new(254)),
                 targets: vec![0],
             }],
         }

@@ -19,11 +19,11 @@ use std::sync::Arc;
 use mc_gpu_sim::{
     launch_warps_into, DeviceBuffer, KernelCost, LaunchConfig, MultiGpuSystem, SimDuration, Warp,
 };
-use mc_kmer::{Location, TargetId};
+use mc_kmer::{Feature, Location, TargetId};
 use mc_seqio::{BatchReceiver, SequenceRecord};
 use mc_taxonomy::{TaxonId, Taxonomy};
 use mc_warpcore::{
-    FeatureStore, HostHashTable, HostTableConfig, MultiBucketConfig, MultiBucketHashTable,
+    ConcurrentInsert, FeatureStore, HostHashTable, MultiBucketConfig, MultiBucketHashTable,
     TableError,
 };
 
@@ -59,8 +59,8 @@ pub(crate) struct SketchCounts {
     pub dropped: u64,
 }
 
-/// Sketch one reference target window by window and insert every feature's
-/// `(target, window)` location into `store` — the one insertion loop shared
+/// Sketch one reference target window by window and hand every feature's
+/// `(target, window)` location to `insert` — the one insertion loop shared
 /// by the CPU build path ([`CpuBuilder::add_target`]) and post-load
 /// incremental insertion ([`Database::insert_target`]), so both produce
 /// bit-identical tables for the same insertion order.
@@ -74,14 +74,14 @@ pub(crate) fn sketch_target_into(
     scratch: &mut SketchScratch,
     record: &SequenceRecord,
     target_id: TargetId,
-    store: &dyn FeatureStore,
+    mut insert: impl FnMut(Feature, Location) -> Result<(), TableError>,
     counts: &mut SketchCounts,
 ) -> Result<(), MetaCacheError> {
     let mut fatal: Option<TableError> = None;
     sketcher.for_each_window_sketch(&record.sequence, scratch, |window, features| {
         counts.windows += 1;
         for &feature in features {
-            match store.insert(feature, Location::new(target_id, window)) {
+            match insert(feature, Location::new(target_id, window)) {
                 Ok(()) => counts.inserted += 1,
                 Err(TableError::ValueLimitReached) => counts.dropped += 1,
                 Err(e) => {
@@ -115,10 +115,7 @@ impl CpuBuilder {
     /// Create a builder with the given configuration and taxonomy.
     pub fn new(config: MetaCacheConfig, taxonomy: Taxonomy) -> Self {
         let sketcher = Sketcher::new(&config).expect("configuration must be valid");
-        let table = HostHashTable::new(HostTableConfig {
-            max_locations_per_key: config.max_locations_per_feature,
-            ..Default::default()
-        });
+        let table = HostHashTable::new(config.max_locations_per_feature);
         Self {
             config,
             sketcher,
@@ -141,16 +138,16 @@ impl CpuBuilder {
         }
         let target_id = self.targets.len() as TargetId;
         // Sketch window by window through the reused scratch (no per-window
-        // allocation); table inserts take `&self`, so the sketch visitor can
-        // insert directly. A fatal table error aborts the walk — the rest of
-        // the genome is not sketched — and is returned here.
+        // allocation); the sketch visitor inserts directly. A fatal table
+        // error aborts the walk — the rest of the genome is not sketched —
+        // and is returned here.
         let mut counts = SketchCounts::default();
         let walk = sketch_target_into(
             &self.sketcher,
             &mut self.scratch,
             &record,
             target_id,
-            &self.table,
+            |feature, location| self.table.insert(feature, location),
             &mut counts,
         );
         self.stats.locations_inserted += counts.inserted;
@@ -216,8 +213,10 @@ impl CpuBuilder {
         self.stats
     }
 
-    /// Finish the build, producing a single-partition database.
-    pub fn finish(self) -> Database {
+    /// Finish the build, producing a single-partition database whose table
+    /// is packed: every bucket at its exact length, no holes.
+    pub fn finish(mut self) -> Database {
+        self.table.compact();
         let lineages = self.taxonomy.lineage_cache();
         let target_ids: Vec<TargetId> = self.targets.iter().map(|t| t.id).collect();
         Database {

@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use mc_kmer::window::WindowParams;
+use mc_warpcore::HostHashTable;
 
 use crate::error::MetaCacheError;
 
@@ -68,10 +69,12 @@ impl MetaCacheConfig {
                 "at least one top candidate is required".into(),
             ));
         }
-        if self.max_locations_per_feature == 0 {
-            return Err(MetaCacheError::Config(
-                "max locations per feature must be positive".into(),
-            ));
+        if !(1..=HostHashTable::MAX_BUCKET_LEN).contains(&self.max_locations_per_feature) {
+            return Err(MetaCacheError::Config(format!(
+                "max locations per feature must be 1 to {} (what a bucket reference of the \
+                 host table can hold)",
+                HostHashTable::MAX_BUCKET_LEN
+            )));
         }
         WindowParams::with_stride(self.kmer_len, self.window_len, self.window_stride)
             .map_err(|e| MetaCacheError::Config(e.to_string()))
@@ -144,12 +147,20 @@ mod tests {
         }
         .validated()
         .is_err());
+        for max_locations_per_feature in [0, HostHashTable::MAX_BUCKET_LEN + 1] {
+            assert!(MetaCacheConfig {
+                max_locations_per_feature,
+                ..Default::default()
+            }
+            .validated()
+            .is_err());
+        }
         assert!(MetaCacheConfig {
-            max_locations_per_feature: 0,
+            max_locations_per_feature: HostHashTable::MAX_BUCKET_LEN,
             ..Default::default()
         }
         .validated()
-        .is_err());
+        .is_ok());
     }
 
     #[test]

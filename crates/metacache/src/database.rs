@@ -6,8 +6,7 @@ use mc_kmer::{Feature, Location, TargetId};
 use mc_seqio::SequenceRecord;
 use mc_taxonomy::{LineageCache, Rank, TaxonId, Taxonomy};
 use mc_warpcore::{
-    pack_bucket_ref, unpack_bucket_ref, FeatureStore, HostHashTable, HostTableConfig,
-    MultiBucketHashTable, SingleValueHashTable, TableError,
+    ConcurrentInsert, FeatureStore, HostHashTable, MultiBucketHashTable, TableError,
 };
 
 use crate::build::sketch_target_into;
@@ -30,138 +29,51 @@ pub struct TargetInfo {
     pub num_windows: u32,
 }
 
-/// The condensed read-only store used after loading a database from disk:
-/// all buckets live in one contiguous location array and a single-value table
-/// maps each feature to its (offset, length) bucket reference (§4.2, §5.1).
-pub struct CondensedStore {
-    index: SingleValueHashTable,
-    locations: Vec<Location>,
-}
-
-impl CondensedStore {
-    /// Build a condensed store from (feature, bucket) pairs.
-    pub fn from_buckets(buckets: impl IntoIterator<Item = (Feature, Vec<Location>)>) -> Self {
-        let buckets: Vec<(Feature, Vec<Location>)> = buckets.into_iter().collect();
-        let total: usize = buckets.iter().map(|(_, b)| b.len()).sum();
-        let index = SingleValueHashTable::for_expected_keys(buckets.len().max(1), 0.8);
-        let mut locations = Vec::with_capacity(total);
-        for (feature, bucket) in buckets {
-            let offset = locations.len() as u64;
-            let len = bucket.len() as u32;
-            locations.extend(bucket);
-            index
-                .insert(feature, pack_bucket_ref(offset, len))
-                .expect("condensed index sized for all keys");
-        }
-        Self { index, locations }
-    }
-
-    /// Number of stored locations.
-    pub fn location_count(&self) -> usize {
-        self.locations.len()
-    }
-
-    /// Visit every (feature, bucket) pair of the condensed layout — used when
-    /// re-serialising a loaded database.
-    pub fn for_each_bucket(&self, mut f: impl FnMut(Feature, &[Location])) {
-        self.index
-            .for_each(|feature, packed| f(feature, self.bucket(packed)));
-    }
-
-    /// The bucket a packed (offset, length) reference of the index points at.
-    #[inline]
-    fn bucket(&self, packed: u64) -> &[Location] {
-        let (offset, len) = unpack_bucket_ref(packed);
-        &self.locations[offset as usize..offset as usize + len as usize]
-    }
-
-    /// Convert the condensed layout back into a mutable [`HostHashTable`]
-    /// so a loaded database can accept post-load insertions. Every bucket's
-    /// location order is preserved, so queries against the thawed table are
-    /// bit-identical to queries against the condensed store.
-    pub fn thaw(&self, max_locations_per_key: usize) -> HostHashTable {
-        let table = HostHashTable::new(HostTableConfig {
-            max_locations_per_key,
-            ..Default::default()
-        });
-        self.for_each_bucket(|feature, bucket| {
-            for &location in bucket {
-                // Buckets were capped at build time, so under the same (or a
-                // larger) cap nothing is dropped; a smaller cap re-applies
-                // here, exactly as a fresh build with that cap would.
-                match table.insert(feature, location) {
-                    Ok(()) | Err(TableError::ValueLimitReached) => {}
-                    Err(e) => unreachable!("growable host table refused an insert: {e}"),
-                }
-            }
-        });
-        table
-    }
-}
-
-impl FeatureStore for CondensedStore {
-    fn insert(&self, _feature: Feature, _location: Location) -> Result<(), TableError> {
-        // The condensed layout is read-only (it is produced by loading a
-        // database from disk); [`Database::insert_target`] thaws it into a
-        // host table before inserting.
-        Err(TableError::ReadOnly)
-    }
-
-    fn query_into(&self, feature: Feature, out: &mut Vec<Location>) -> usize {
-        let bucket = self.index.get(feature).map_or(&[][..], |r| self.bucket(r));
-        out.extend_from_slice(bucket);
-        bucket.len()
-    }
-
-    /// Two phases per [`SingleValueHashTable::PROBE_BATCH`] features: resolve
-    /// every bucket reference (the index overlaps the lookups' cache misses,
-    /// and three lookups in four miss once the database is sharded), then
-    /// copy the buckets into space reserved once for all of them.
-    fn query_batch_into(&self, features: &[Feature], out: &mut Vec<Location>) -> usize {
-        let before = out.len();
-        for features in features.chunks(SingleValueHashTable::PROBE_BATCH) {
-            let mut refs = [None; SingleValueHashTable::PROBE_BATCH];
-            let refs = &mut refs[..features.len()];
-            self.index.get_batch(features, refs);
-            let buckets = refs.iter().flatten().map(|&packed| self.bucket(packed));
-            out.reserve(buckets.clone().map(<[Location]>::len).sum());
-            for bucket in buckets {
-                out.extend_from_slice(bucket);
-            }
-        }
-        out.len() - before
-    }
-
-    fn key_count(&self) -> usize {
-        self.index.len()
-    }
-
-    fn value_count(&self) -> usize {
-        self.locations.len()
-    }
-
-    fn bytes(&self) -> usize {
-        self.index.bytes() + self.locations.len() * std::mem::size_of::<Location>()
-    }
-}
-
 /// The hash-table back end of one database partition.
 pub enum PartitionStore {
     /// The paper's novel multi-bucket device table (GPU build path).
     MultiBucket(MultiBucketHashTable),
-    /// The CPU MetaCache table (host build path).
+    /// The CPU MetaCache table: what a host build finishes with, what a load
+    /// and a shard split produce, all in the same packed state (§4.1, §4.2).
     Host(HostHashTable),
-    /// The condensed read-only layout used after loading from disk.
-    Condensed(CondensedStore),
 }
 
 impl PartitionStore {
-    /// Access the store through the common [`FeatureStore`] interface.
+    /// Read the store through the common [`FeatureStore`] interface.
     pub fn as_store(&self) -> &dyn FeatureStore {
         match self {
             PartitionStore::MultiBucket(t) => t,
             PartitionStore::Host(t) => t,
-            PartitionStore::Condensed(t) => t,
+        }
+    }
+
+    /// Insert one location for a feature, each table in its own way (the
+    /// device table through `&self`, the host table as its one inserter).
+    pub fn insert(&mut self, feature: Feature, location: Location) -> Result<(), TableError> {
+        match self {
+            PartitionStore::MultiBucket(t) => t.insert(feature, location),
+            PartitionStore::Host(t) => t.insert(feature, location),
+        }
+    }
+
+    /// Visit every feature with its whole bucket, in ascending feature order
+    /// — the order of the on-disk layout — until the visitor fails.
+    pub fn for_each_bucket<E>(
+        &self,
+        mut f: impl FnMut(Feature, &[Location]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        match self {
+            PartitionStore::Host(t) => t.for_each_bucket(f),
+            PartitionStore::MultiBucket(t) => {
+                // A key's values are scattered over the slots it occupies; its
+                // bucket is what a query of the device table returns for it.
+                let mut bucket = Vec::new();
+                t.features().into_iter().try_for_each(|feature| {
+                    bucket.clear();
+                    t.query_into(feature, &mut bucket);
+                    f(feature, &bucket)
+                })
+            }
         }
     }
 
@@ -170,7 +82,6 @@ impl PartitionStore {
         match self {
             PartitionStore::MultiBucket(_) => "multi-bucket",
             PartitionStore::Host(_) => "host",
-            PartitionStore::Condensed(_) => "condensed",
         }
     }
 }
@@ -326,11 +237,12 @@ impl Database {
     /// The target receives the next global id and is assigned to partition
     /// `id % partition_count`, exactly where a fresh build of the extended
     /// reference set would have placed it (the CPU builder keeps one
-    /// partition; the GPU builder assigns targets round-robin). A loaded
-    /// (condensed) partition is thawed into a mutable host table first, and
-    /// the global `max_locations_per_feature` cap re-applies to every
-    /// insertion, so the result is bit-identical to building from the
-    /// extended reference set in one pass.
+    /// partition; the GPU builder assigns targets round-robin). A finished or
+    /// loaded host table is packed; it simply takes the insertions (a touched
+    /// bucket moves once to the end of the table's location array), and the
+    /// global `max_locations_per_feature` cap applies to every one of them,
+    /// so the result is bit-identical to building from the extended reference
+    /// set in one pass.
     ///
     /// `taxon` must already exist (extend the taxonomy through
     /// [`Database::apply_delta`] to add taxa and targets together).
@@ -386,17 +298,13 @@ impl Database {
         let target_id = self.targets.len() as TargetId;
         let idx = target_id as usize % self.partitions.len();
         let partition = &mut self.partitions[idx];
-        if let PartitionStore::Condensed(condensed) = &partition.store {
-            partition.store =
-                PartitionStore::Host(condensed.thaw(self.config.max_locations_per_feature));
-        }
         let mut counts = crate::build::SketchCounts::default();
         sketch_target_into(
             sketcher,
             scratch,
             &record,
             target_id,
-            partition.store.as_store(),
+            |feature, location| partition.store.insert(feature, location),
             &mut counts,
         )?;
         stats.targets_added += 1;
@@ -511,7 +419,7 @@ mod tests {
         taxonomy.add_node(100, 10, Rank::Species, "G a").unwrap();
         taxonomy.add_node(101, 10, Rank::Species, "G b").unwrap();
         let lineages = taxonomy.lineage_cache();
-        let store = HostHashTable::new(Default::default());
+        let mut store = HostHashTable::new(254);
         store.insert(7, Location::new(0, 0)).unwrap();
         store.insert(7, Location::new(1, 2)).unwrap();
         store.insert(9, Location::new(1, 3)).unwrap();
@@ -561,54 +469,6 @@ mod tests {
         assert_eq!(db.total_features(), 2);
         assert!(db.table_bytes() > 0);
         assert!(db.host_metadata_bytes() > 0);
-    }
-
-    #[test]
-    fn condensed_store_roundtrip() {
-        let buckets = vec![
-            (5u32, vec![Location::new(0, 1), Location::new(0, 2)]),
-            (9u32, vec![Location::new(3, 7)]),
-            (
-                1_000_000u32,
-                (0..100).map(|w| Location::new(9, w)).collect(),
-            ),
-        ];
-        let store = CondensedStore::from_buckets(buckets.clone());
-        assert_eq!(store.location_count(), 103);
-        assert_eq!(store.key_count(), 3);
-        assert_eq!(store.value_count(), 103);
-        for (feature, bucket) in &buckets {
-            assert_eq!(&store.query(*feature), bucket);
-        }
-        assert!(store.query(4242).is_empty());
-        // Read-only: inserts are rejected with the typed error, not silently
-        // dropped or misreported as a full table (regression for the old
-        // `TableError::TableFull` stub).
-        assert_eq!(
-            store.insert(5, Location::new(0, 0)),
-            Err(TableError::ReadOnly)
-        );
-    }
-
-    #[test]
-    fn thaw_preserves_buckets_and_reapplies_cap() {
-        let buckets = vec![
-            (5u32, vec![Location::new(0, 1), Location::new(0, 2)]),
-            (9u32, (0..10).map(|w| Location::new(2, w)).collect()),
-        ];
-        let store = CondensedStore::from_buckets(buckets.clone());
-        // Same cap: everything survives, order preserved.
-        let thawed = store.thaw(254);
-        for (feature, bucket) in &buckets {
-            assert_eq!(&thawed.query(*feature), bucket);
-        }
-        // Smaller cap: re-applied exactly as a fresh build would.
-        let capped = store.thaw(4);
-        assert_eq!(capped.query(5).len(), 2);
-        assert_eq!(capped.query(9).len(), 4);
-        // The thawed table accepts insertions again.
-        thawed.insert(5, Location::new(7, 7)).unwrap();
-        assert_eq!(thawed.query(5).len(), 3);
     }
 
     #[test]
@@ -668,7 +528,7 @@ mod tests {
     fn partition_kind_labels() {
         let db = tiny_database();
         assert_eq!(db.partitions[0].store.kind(), "host");
-        let condensed = PartitionStore::Condensed(CondensedStore::from_buckets(Vec::new()));
-        assert_eq!(condensed.kind(), "condensed");
+        let device = PartitionStore::MultiBucket(MultiBucketHashTable::new(Default::default()));
+        assert_eq!(device.kind(), "multi-bucket");
     }
 }

@@ -77,15 +77,14 @@
 //! different reference sets (`mc_net::router` documents the ordering
 //! argument).
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use mc_kmer::{Feature, Location, TargetId};
+use mc_warpcore::HostHashTable;
 
-use crate::database::{CondensedStore, Database, Partition, PartitionStore};
+use crate::database::{Database, Partition, PartitionStore};
 use crate::error::MetaCacheError;
 use crate::query::FeatureIndex;
-use crate::serialize::collect_buckets;
 
 /// An assignment of every target of a database to one of `shard_count`
 /// shards.
@@ -162,7 +161,8 @@ pub struct ShardedDatabase {
     /// here.
     meta: Arc<Database>,
     /// One self-contained database per shard: full metadata (global target
-    /// ids), one condensed partition holding only that shard's buckets.
+    /// ids), one packed host-table partition holding only that shard's
+    /// buckets.
     shards: Vec<Arc<Database>>,
     plan: ShardPlan,
 }
@@ -171,8 +171,8 @@ impl ShardedDatabase {
     /// Split a fully built database into shards according to `plan`.
     ///
     /// Consumes the database: its buckets are re-grouped by the owning
-    /// target's shard and rebuilt as one condensed partition per shard. The
-    /// plan must assign exactly the database's targets.
+    /// target's shard into one packed host table per shard. The plan must
+    /// assign exactly the database's targets.
     pub fn from_database(db: Database, plan: ShardPlan) -> Result<Self, MetaCacheError> {
         if plan.assignment.len() != db.target_count() {
             return Err(MetaCacheError::Config(format!(
@@ -182,24 +182,28 @@ impl ShardedDatabase {
             )));
         }
         // Split every bucket of every partition by the owning target's
-        // shard. A BTreeMap per shard re-merges features that span source
-        // partitions (multi-device builds) into one bucket per feature.
-        let mut shard_buckets: Vec<BTreeMap<Feature, Vec<Location>>> =
-            (0..plan.shard_count).map(|_| BTreeMap::new()).collect();
+        // shard. Inserting re-merges features that span source partitions
+        // (multi-device builds) into one bucket per feature, which may then
+        // be longer than the build's cap allowed any one partition — so the
+        // shard tables take the widest cap, and nothing the build kept is
+        // dropped here.
+        let mut tables: Vec<HostHashTable> = (0..plan.shard_count)
+            .map(|_| HostHashTable::new(HostHashTable::MAX_BUCKET_LEN))
+            .collect();
         for partition in &db.partitions {
-            for (feature, bucket) in collect_buckets(partition) {
-                for loc in bucket {
-                    let shard = plan.assignment[loc.target as usize];
-                    shard_buckets[shard].entry(feature).or_default().push(loc);
-                }
-            }
+            partition.store.for_each_bucket(|feature, bucket| {
+                bucket.iter().try_for_each(|&loc| {
+                    tables[plan.assignment[loc.target as usize]].insert(feature, loc)
+                })
+            })?;
         }
 
         let meta = Arc::new(db.metadata_view());
-        let shards = shard_buckets
+        let shards = tables
             .into_iter()
             .enumerate()
-            .map(|(shard, buckets)| {
+            .map(|(shard, mut table)| {
+                table.compact();
                 let targets: Vec<TargetId> = plan
                     .assignment
                     .iter()
@@ -213,7 +217,7 @@ impl ShardedDatabase {
                     taxonomy: db.taxonomy.clone(),
                     lineages: db.lineages.clone(),
                     partitions: vec![Partition {
-                        store: PartitionStore::Condensed(CondensedStore::from_buckets(buckets)),
+                        store: PartitionStore::Host(table),
                         targets,
                     }],
                 })
@@ -360,6 +364,7 @@ mod tests {
         let (db, _) = four_target_db();
         let total_locations = db.total_locations();
         let targets = db.target_count();
+        let kind = db.partitions[0].store.kind();
         let sharded = ShardedDatabase::round_robin(db, 3).unwrap();
         assert_eq!(sharded.shard_count(), 3);
         // No locations are lost or duplicated by the split.
@@ -370,7 +375,7 @@ mod tests {
         for shard in sharded.shards() {
             assert_eq!(shard.target_count(), targets);
             assert_eq!(shard.partition_count(), 1);
-            assert_eq!(shard.partitions[0].store.kind(), "condensed");
+            assert_eq!(shard.partitions[0].store.kind(), kind);
         }
         assert_eq!(sharded.meta().target_count(), targets);
         assert_eq!(sharded.meta().partition_count(), 0);
@@ -380,10 +385,14 @@ mod tests {
         for (i, shard) in sharded.shards().iter().enumerate() {
             let mut locs = Vec::new();
             for p in &shard.partitions {
-                if let PartitionStore::Condensed(store) = &p.store {
-                    store.for_each_bucket(|_, bucket| locs.extend_from_slice(bucket));
-                }
+                p.store
+                    .for_each_bucket(|_, bucket| {
+                        locs.extend_from_slice(bucket);
+                        Ok::<(), ()>(())
+                    })
+                    .unwrap();
             }
+            assert_eq!(locs.len(), shard.total_locations());
             assert!(
                 locs.iter()
                     .all(|l| sharded.plan().shard_of(l.target) == Some(i)),

@@ -19,7 +19,7 @@ use mc_kmer::{Feature, Location};
 
 use crate::probing::{ProbingConfig, ProbingSequence};
 use crate::stats::TableStats;
-use crate::{FeatureStore, TableError};
+use crate::{ConcurrentInsert, FeatureStore, TableError};
 
 /// Sentinel marking an unoccupied directory slot.
 const EMPTY: u64 = u64::MAX;
@@ -165,7 +165,7 @@ impl BucketListHashTable {
     }
 }
 
-impl FeatureStore for BucketListHashTable {
+impl ConcurrentInsert for BucketListHashTable {
     fn insert(&self, feature: Feature, location: Location) -> Result<(), TableError> {
         let Some(slot) = self.locate_slot(feature, true) else {
             self.failed_inserts.fetch_add(1, Ordering::Relaxed);
@@ -216,7 +216,9 @@ impl FeatureStore for BucketListHashTable {
         self.stored_values.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
+}
 
+impl FeatureStore for BucketListHashTable {
     fn query_into(&self, feature: Feature, out: &mut Vec<Location>) -> usize {
         let Some(slot) = self.locate_slot(feature, false) else {
             return 0;

@@ -5,8 +5,8 @@
 //! (paper §3). This crate reproduces the hash-table family the paper builds
 //! on and the new variant it contributes:
 //!
-//! * [`SingleValueHashTable`] — one value per key; used for the condensed
-//!   query-phase layout that maps features to bucket pointers (§5.1),
+//! * [`SingleValueHashTable`] — one value per key; the index of the host
+//!   table, mapping features to bucket references (§5.1),
 //! * [`MultiValueHashTable`] — WarpCore's multi-value table where every slot
 //!   holds a single key/value pair and a key may occupy many slots,
 //! * [`BucketListHashTable`] — WarpCore's bucket-list table where each key
@@ -16,21 +16,23 @@
 //!   key may occupy multiple slots, which fits the highly skewed k-mer
 //!   location distributions better and needs ~10% less memory than the other
 //!   two variants,
-//! * [`HostHashTable`] — the CPU MetaCache table (§4.1): open addressing with
-//!   quadratic probing, dynamically growing buckets with a per-feature
-//!   location cap (default 254) and load-factor-triggered rehashing.
+//! * [`HostHashTable`] — the CPU MetaCache table (§4.1, §4.2): a
+//!   [`SingleValueHashTable`] index over one array of geometrically growing
+//!   buckets, with a per-feature location cap (default 254) and a packed
+//!   ("condensed") state. Built, loaded and split databases all hold it.
 //!
 //! All device-style tables ([`MultiValueHashTable`], [`MultiBucketHashTable`],
 //! [`BucketListHashTable`], [`SingleValueHashTable`]) support *concurrent*
-//! insertion from many threads — this is what the warp-aggregated insertion
-//! kernels of the paper map onto — and use the two-stage probing scheme of
-//! WarpCore: an outer double-hashing sequence over probing groups combined
-//! with an inner group-linear scan (see [`probing`]).
+//! insertion from many threads ([`ConcurrentInsert`]) — this is what the
+//! warp-aggregated insertion kernels of the paper map onto; the host table
+//! has one inserter — and use the two-stage probing scheme of WarpCore: an
+//! outer double-hashing sequence over probing groups combined with an inner
+//! group-linear scan (see [`probing`]).
 //!
 //! ## Example
 //!
 //! ```
-//! use mc_warpcore::{MultiBucketHashTable, MultiBucketConfig, FeatureStore};
+//! use mc_warpcore::{ConcurrentInsert, FeatureStore, MultiBucketConfig, MultiBucketHashTable};
 //! use mc_kmer::Location;
 //!
 //! let table = MultiBucketHashTable::new(MultiBucketConfig {
@@ -54,11 +56,11 @@ pub mod single_value;
 pub mod stats;
 
 pub use bucket_list::{BucketListConfig, BucketListHashTable};
-pub use host_table::{HostHashTable, HostTableConfig};
+pub use host_table::HostHashTable;
 pub use multi_bucket::{MultiBucketConfig, MultiBucketHashTable};
 pub use multi_value::{MultiValueConfig, MultiValueHashTable};
 pub use probing::{ProbingConfig, ProbingSequence};
-pub use single_value::{pack_bucket_ref, unpack_bucket_ref, SingleValueHashTable};
+pub use single_value::SingleValueHashTable;
 pub use stats::TableStats;
 
 use mc_kmer::{Feature, Location};
@@ -72,10 +74,6 @@ pub enum TableError {
     /// The per-key value limit was reached and the value was dropped
     /// (mirrors the paper's 254-locations-per-feature cap).
     ValueLimitReached,
-    /// The store is a read-only layout (e.g. the condensed on-disk format)
-    /// and cannot accept insertions; callers wanting post-load insertion
-    /// must first convert it to a mutable table.
-    ReadOnly,
 }
 
 impl std::fmt::Display for TableError {
@@ -85,27 +83,19 @@ impl std::fmt::Display for TableError {
             TableError::ValueLimitReached => {
                 write!(f, "per-key value limit reached; value dropped")
             }
-            TableError::ReadOnly => {
-                write!(f, "store is read-only; convert it to a mutable table first")
-            }
         }
     }
 }
 
 impl std::error::Error for TableError {}
 
-/// Common interface of every k-mer index table: insert a feature→location
-/// pair and retrieve all locations of a feature.
-///
-/// The MetaCache build and query phases are generic over this trait so the
-/// same pipeline runs against the host table, the multi-bucket device table,
-/// or any of the comparison variants.
+/// The read half every k-mer index table shares: retrieve all locations of a
+/// feature, and report size. The MetaCache query phase is generic over this
+/// trait so the same pipeline runs against the host table, the multi-bucket
+/// device table, or any of the comparison variants. Insertion differs: many
+/// threads at once on the device tables ([`ConcurrentInsert`]), one inserter
+/// on the host table ([`HostHashTable::insert`]).
 pub trait FeatureStore: Send + Sync {
-    /// Insert one location for a feature. Implementations may silently cap
-    /// the number of retained locations per feature; they report this with
-    /// [`TableError::ValueLimitReached`].
-    fn insert(&self, feature: Feature, location: Location) -> Result<(), TableError>;
-
     /// Append all stored locations of `feature` to `out`. Returns the number
     /// of locations appended.
     fn query_into(&self, feature: Feature, out: &mut Vec<Location>) -> usize;
@@ -115,8 +105,8 @@ pub trait FeatureStore: Send + Sync {
     ///
     /// This is the query-phase hot call: one read looks up its whole sketch
     /// (`s` features per window) at once, so implementations can amortise
-    /// per-lookup overhead — the host table acquires its read lock once per
-    /// batch instead of once per feature. The default forwards to
+    /// per-lookup overhead — the host table loads the first index slot of
+    /// every feature before resolving any. The default forwards to
     /// [`FeatureStore::query_into`] per feature.
     fn query_batch_into(&self, features: &[Feature], out: &mut Vec<Location>) -> usize {
         features.iter().map(|&f| self.query_into(f, out)).sum()
@@ -150,17 +140,31 @@ pub trait FeatureStore: Send + Sync {
     }
 }
 
+/// Insertion as the device tables offer it: through `&self`, from many
+/// threads at once.
+pub trait ConcurrentInsert: FeatureStore {
+    /// Insert one location for a feature. Implementations may silently cap
+    /// the number of retained locations per feature; they report this with
+    /// [`TableError::ValueLimitReached`].
+    fn insert(&self, feature: Feature, location: Location) -> Result<(), TableError>;
+}
+
 #[cfg(test)]
 mod trait_tests {
     use super::*;
 
     /// All FeatureStore implementations must behave identically on a shared
-    /// scenario: skewed key distribution with duplicates.
-    fn exercise(store: &dyn FeatureStore) {
+    /// scenario: skewed key distribution with duplicates. `insert` is the
+    /// table's own way in (`&self` on the device tables, `&mut self` on the
+    /// host table).
+    fn exercise<T: FeatureStore>(
+        mut store: T,
+        insert: impl Fn(&mut T, Feature, Location) -> Result<(), TableError>,
+    ) {
         // key 1: a single location; key 2: many locations; key 3: absent.
-        store.insert(1, Location::new(10, 0)).unwrap();
+        insert(&mut store, 1, Location::new(10, 0)).unwrap();
         for w in 0..20 {
-            store.insert(2, Location::new(11, w)).unwrap();
+            insert(&mut store, 2, Location::new(11, w)).unwrap();
         }
         assert_eq!(store.query(1), vec![Location::new(10, 0)]);
         let mut hits = store.query(2);
@@ -176,19 +180,28 @@ mod trait_tests {
 
     #[test]
     fn all_variants_agree_on_basic_behaviour() {
-        exercise(&MultiBucketHashTable::new(MultiBucketConfig {
-            capacity_slots: 4096,
-            bucket_size: 4,
-            ..Default::default()
-        }));
-        exercise(&MultiValueHashTable::new(MultiValueConfig {
-            capacity_slots: 4096,
-            ..Default::default()
-        }));
-        exercise(&BucketListHashTable::new(BucketListConfig {
-            capacity_keys: 1024,
-            ..Default::default()
-        }));
-        exercise(&HostHashTable::new(HostTableConfig::default()));
+        exercise(
+            MultiBucketHashTable::new(MultiBucketConfig {
+                capacity_slots: 4096,
+                bucket_size: 4,
+                ..Default::default()
+            }),
+            |t, f, l| t.insert(f, l),
+        );
+        exercise(
+            MultiValueHashTable::new(MultiValueConfig {
+                capacity_slots: 4096,
+                ..Default::default()
+            }),
+            |t, f, l| t.insert(f, l),
+        );
+        exercise(
+            BucketListHashTable::new(BucketListConfig {
+                capacity_keys: 1024,
+                ..Default::default()
+            }),
+            |t, f, l| t.insert(f, l),
+        );
+        exercise(HostHashTable::new(254), |t, f, l| t.insert(f, l));
     }
 }

@@ -14,13 +14,14 @@
 //! many threads (the lanes of the simulated warps) can insert concurrently,
 //! mirroring the warp-aggregated insertion kernels of the paper.
 
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 use mc_kmer::{Feature, Location};
 
 use crate::probing::{ProbingConfig, ProbingSequence};
 use crate::stats::TableStats;
-use crate::{FeatureStore, TableError};
+use crate::{ConcurrentInsert, FeatureStore, TableError};
 
 /// Sentinel marking an unoccupied key slot / unwritten value cell.
 const EMPTY: u64 = u64::MAX;
@@ -155,32 +156,17 @@ impl MultiBucketHashTable {
         full_slots_seen * self.config.bucket_size >= self.config.max_locations_per_key
     }
 
-    /// Visit every occupied slot: the slot's key and the locations stored in
-    /// its bucket. A key occupying several slots is visited once per slot;
-    /// callers that need complete per-key buckets should group by key.
-    /// Used by the database serializer to export the table.
-    pub fn for_each_slot(&self, mut f: impl FnMut(Feature, &[Location])) {
-        let bucket = self.config.bucket_size;
-        let mut scratch = Vec::with_capacity(bucket);
-        for slot in 0..self.config.capacity_slots {
-            let key = self.keys[slot].load(Ordering::Acquire);
-            if key == EMPTY {
-                continue;
-            }
-            scratch.clear();
-            let count = (self.counts[slot].load(Ordering::Acquire) as usize).min(bucket);
-            for i in 0..count {
-                let raw = self.values[slot * bucket + i].load(Ordering::Acquire);
-                if raw != EMPTY {
-                    scratch.push(Location::unpack(raw));
-                }
-            }
-            f(key as Feature, &scratch);
-        }
+    /// Every distinct key the table holds, ascending — with a query per key,
+    /// what exports the table (database serialization, shard split).
+    pub fn features(&self) -> BTreeSet<Feature> {
+        let keys = self.keys.iter().map(|key| key.load(Ordering::Acquire));
+        keys.filter(|&key| key != EMPTY)
+            .map(|key| key as Feature)
+            .collect()
     }
 }
 
-impl FeatureStore for MultiBucketHashTable {
+impl ConcurrentInsert for MultiBucketHashTable {
     fn insert(&self, feature: Feature, location: Location) -> Result<(), TableError> {
         let key = feature as u64;
         let mut full_slots_seen = 0usize;
@@ -238,7 +224,9 @@ impl FeatureStore for MultiBucketHashTable {
         self.failed_inserts.fetch_add(1, Ordering::Relaxed);
         Err(TableError::TableFull)
     }
+}
 
+impl FeatureStore for MultiBucketHashTable {
     fn query_into(&self, feature: Feature, out: &mut Vec<Location>) -> usize {
         let key = feature as u64;
         let bucket = self.config.bucket_size;

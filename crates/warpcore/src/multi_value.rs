@@ -13,7 +13,7 @@ use mc_kmer::{Feature, Location};
 
 use crate::probing::{ProbingConfig, ProbingSequence};
 use crate::stats::TableStats;
-use crate::{FeatureStore, TableError};
+use crate::{ConcurrentInsert, FeatureStore, TableError};
 
 /// Sentinel marking an unoccupied slot / unwritten value.
 const EMPTY: u64 = u64::MAX;
@@ -89,7 +89,7 @@ impl MultiValueHashTable {
     }
 }
 
-impl FeatureStore for MultiValueHashTable {
+impl ConcurrentInsert for MultiValueHashTable {
     fn insert(&self, feature: Feature, location: Location) -> Result<(), TableError> {
         let key = feature as u64;
         let mut values_of_key_seen = 0usize;
@@ -133,7 +133,9 @@ impl FeatureStore for MultiValueHashTable {
         self.failed_inserts.fetch_add(1, Ordering::Relaxed);
         Err(TableError::TableFull)
     }
+}
 
+impl FeatureStore for MultiValueHashTable {
     fn query_into(&self, feature: Feature, out: &mut Vec<Location>) -> usize {
         let key = feature as u64;
         let mut found = 0usize;

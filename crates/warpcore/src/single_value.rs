@@ -1,20 +1,23 @@
 //! WarpCore's Single Value Hash Table.
 //!
-//! Maps every key to exactly one 64-bit value. MetaCache-GPU uses this table
-//! for the *condensed* query-phase layout (§5.1): after loading a database
-//! from disk, all location buckets are stored in one contiguous array and the
-//! single-value table maps each feature to its bucket pointer (offset and
-//! length packed into the value).
+//! Maps every key to exactly one 64-bit value. It is the index of the host
+//! table ([`crate::HostHashTable`], §4.2/§5.1): all location buckets live in
+//! one contiguous array and this table maps each feature to its bucket
+//! reference, packed into the value.
 //!
 //! Lookups are the query-phase hot call (one per sketch feature per table,
 //! most of them misses once a database is sharded), so [`get`] scans the
 //! key's first probing group in place and touches the double-hashing walk
 //! only when that group overflows, and [`get_batch`] loads the first slot of
 //! every key before resolving any, so the cache misses of a whole sketch
-//! overlap instead of queueing behind one another.
+//! overlap instead of queueing behind one another. Beside the concurrent
+//! [`insert`] (`&self`) stands [`entry`], the one-walk update-or-insert of a
+//! single inserter (`&mut self`).
 //!
 //! [`get`]: SingleValueHashTable::get
 //! [`get_batch`]: SingleValueHashTable::get_batch
+//! [`insert`]: SingleValueHashTable::insert
+//! [`entry`]: SingleValueHashTable::entry
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -43,6 +46,10 @@ impl SingleValueHashTable {
     /// batch take 512 bytes of stack.
     pub const PROBE_BATCH: usize = 32;
 
+    /// What [`Self::entry`] hands out for a key it has just claimed; such a
+    /// key reads as absent, so no stored value may equal it.
+    pub const VACANT: u64 = EMPTY;
+
     /// Allocate a table with `capacity` slots and default probing.
     pub fn new(capacity: usize) -> Self {
         Self::with_probing(capacity, ProbingConfig::default())
@@ -59,11 +66,6 @@ impl SingleValueHashTable {
             slots_used: AtomicUsize::new(0),
             failed_inserts: AtomicUsize::new(0),
         }
-    }
-
-    /// Size a table for an expected number of keys at a target load factor.
-    pub fn for_expected_keys(expected_keys: usize, load_factor: f64) -> Self {
-        Self::new(((expected_keys as f64 / load_factor.clamp(0.05, 0.95)).ceil() as usize).max(64))
     }
 
     /// Insert a key/value pair. Inserting an existing key overwrites its value.
@@ -96,6 +98,26 @@ impl SingleValueHashTable {
             }
         }
         self.failed_inserts.fetch_add(1, Ordering::Relaxed);
+        Err(TableError::TableFull)
+    }
+
+    /// The value slot of `feature`, found — or, for a new key, claimed — in
+    /// one probe walk: `&mut self` proves there is no concurrent writer, so
+    /// an update-or-insert needs neither a compare-and-swap nor two walks. A
+    /// claimed slot holds [`Self::VACANT`] until the caller stores through it.
+    pub fn entry(&mut self, feature: Feature) -> Result<&mut u64, TableError> {
+        let key = feature as u64;
+        for slot in self.geometry.sequence(feature) {
+            let current = self.keys[slot].get_mut();
+            if *current == EMPTY {
+                *current = key;
+                *self.slots_used.get_mut() += 1;
+            }
+            if *current == key {
+                return Ok(self.values[slot].get_mut());
+            }
+        }
+        *self.failed_inserts.get_mut() += 1;
         Err(TableError::TableFull)
     }
 
@@ -178,6 +200,11 @@ impl SingleValueHashTable {
         self.len() == 0
     }
 
+    /// Number of slots.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Total bytes of backing storage.
     pub fn bytes(&self) -> usize {
         self.capacity * 16
@@ -197,6 +224,17 @@ impl SingleValueHashTable {
         }
     }
 
+    /// Visit every stored (key, value) pair in slot order, with the value
+    /// open to change.
+    pub fn for_each_mut(&mut self, mut f: impl FnMut(Feature, &mut u64)) {
+        for (key, value) in self.keys.iter_mut().zip(&mut self.values) {
+            let (key, value) = (*key.get_mut(), value.get_mut());
+            if key != EMPTY && *value != EMPTY {
+                f(key as Feature, value);
+            }
+        }
+    }
+
     /// Statistics snapshot.
     pub fn stats(&self) -> TableStats {
         TableStats {
@@ -209,19 +247,6 @@ impl SingleValueHashTable {
             insert_failures: self.failed_inserts.load(Ordering::Relaxed),
         }
     }
-}
-
-/// Pack an (offset, length) bucket pointer into a single value: offset in the
-/// low 40 bits, length in the high 24 bits. Used by the condensed layout.
-pub const fn pack_bucket_ref(offset: u64, len: u32) -> u64 {
-    debug_assert!(offset < (1 << 40));
-    debug_assert!(len < (1 << 24));
-    (offset & ((1 << 40) - 1)) | ((len as u64) << 40)
-}
-
-/// Inverse of [`pack_bucket_ref`].
-pub const fn unpack_bucket_ref(value: u64) -> (u64, u32) {
-    (value & ((1 << 40) - 1), (value >> 40) as u32)
 }
 
 #[cfg(test)]
@@ -256,7 +281,7 @@ mod tests {
 
     #[test]
     fn fills_to_high_load_factor() {
-        let t = SingleValueHashTable::for_expected_keys(10_000, 0.8);
+        let t = SingleValueHashTable::new(12_500);
         for k in 0..10_000u32 {
             t.insert(k, k as u64 * 3).unwrap();
         }
@@ -270,7 +295,7 @@ mod tests {
     /// `HashMap`, with the table filled to `load`.
     fn assert_matches_hash_map(load: f64, probing: ProbingConfig, seed: u64) {
         let capacity = 4_096 + (seed as usize % 61); // not a multiple of the group size
-        let table = SingleValueHashTable::with_probing(capacity, probing);
+        let mut table = SingleValueHashTable::with_probing(capacity, probing);
         let mut oracle: HashMap<Feature, u64> = HashMap::new();
         let mut state = seed | 1;
         let mut next = move || {
@@ -288,7 +313,15 @@ mod tests {
                 next() as Feature
             };
             let value = next() >> 1; // never the EMPTY sentinel
-            table.insert(key, value).unwrap();
+            if next() % 2 == 0 {
+                table.insert(key, value).unwrap();
+            } else {
+                // The single-inserter path: the old value, or a claimed slot.
+                let slot = table.entry(key).unwrap();
+                let old = oracle.get(&key).copied();
+                assert_eq!(*slot, old.unwrap_or(SingleValueHashTable::VACANT));
+                *slot = value;
+            }
             oracle.insert(key, value);
         }
         assert_eq!(table.len(), oracle.len());
@@ -308,6 +341,13 @@ mod tests {
             visited += 1;
         });
         assert_eq!(visited, oracle.len());
+        table.for_each_mut(|key, value| {
+            assert_eq!(oracle.get(&key), Some(&*value));
+            *value ^= 1;
+        });
+        for (key, value) in &oracle {
+            assert_eq!(table.get(*key), Some(value ^ 1));
+        }
     }
 
     proptest! {
@@ -321,19 +361,6 @@ mod tests {
             let probing = ProbingConfig { group_size, ..Default::default() };
             assert_matches_hash_map(0.8, probing, seed);
             assert_matches_hash_map(0.95, probing, seed);
-        }
-    }
-
-    #[test]
-    fn bucket_ref_packing_roundtrip() {
-        for (off, len) in [
-            (0u64, 0u32),
-            (1, 1),
-            (123_456_789, 254),
-            ((1 << 40) - 1, (1 << 24) - 1),
-        ] {
-            let packed = pack_bucket_ref(off, len);
-            assert_eq!(unpack_bucket_ref(packed), (off, len));
         }
     }
 

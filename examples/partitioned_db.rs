@@ -84,6 +84,15 @@ fn main() {
             wl.phases.time_to_query(),
             format_args!("{:.1} MiB", wl.db_file_bytes as f64 / (1 << 20) as f64)
         );
+        // Whatever table a partition was saved from, it loads as the one host
+        // table, packed (§4.2's condensed form).
+        for (i, partition) in wl.database.partitions.iter().enumerate() {
+            println!(
+                "  loaded partition {i}: {:.1} MiB ({})",
+                partition.bytes() as f64 / (1 << 20) as f64,
+                partition.store.kind()
+            );
+        }
         let classified_otf = otf
             .classifications
             .iter()

@@ -1,6 +1,6 @@
 //! Proof of the zero-allocation query hot path: a counting global allocator
 //! measures heap traffic of `sketch_window_into`, `Classifier::classify_with`
-//! (whole and sharded database) and the serving path's
+//! (fresh, loaded and sharded database) and the serving path's
 //! `BackendWorker::candidates_each` (host and sharded) in steady state
 //! (scratch reused, buffers at their high-water mark) and asserts **zero**
 //! allocations.
@@ -80,6 +80,29 @@ fn make_seq(len: usize, seed: u64) -> Vec<u8> {
             b"ACGT"[(state >> 33) as usize % 4]
         })
         .collect()
+}
+
+/// Warm `classify` up over `reads`, then run them five times more: every
+/// answer equals `expected` and nothing allocates.
+fn assert_steady_state_is_allocation_free(
+    label: &str,
+    reads: &[SequenceRecord],
+    expected: &[metacache::Classification],
+    classify: &mut dyn FnMut(&SequenceRecord) -> metacache::Classification,
+) {
+    let mut pass = || {
+        for (read, expected) in reads.iter().zip(expected) {
+            assert_eq!(&classify(read), expected);
+        }
+    };
+    pass();
+    let allocs = min_allocations_over_attempts(|| (0..5).for_each(|_| pass()));
+    assert_eq!(
+        allocs,
+        0,
+        "{label} classify_with allocated {allocs} times over {} steady-state reads",
+        5 * reads.len()
+    );
 }
 
 /// The whole hot path is exercised from one test function so no concurrent
@@ -179,31 +202,27 @@ fn steady_state_hot_path_performs_zero_allocations() {
         5 * reads.len()
     );
 
-    // --- Part 3: the same reads over a sharded database. -------------------
-    // One sketch, one probe per shard table (the condensed store's batched
-    // lookup works on the stack), one merge: the same scratch, so the same
-    // zero.
+    // --- Part 3: the same reads over the loaded copy and over a split. -----
+    // A loaded database holds the table a build finishes with, in the same
+    // packed state, so this is the same code and the same zero.
+    let dir = std::env::temp_dir().join(format!("metacache_alloc_{}", std::process::id()));
+    metacache::serialize::save(&db, &dir, "db").unwrap();
+    let loaded = metacache::serialize::load(&dir, "db").unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let loaded_classifier = Classifier::new(&*loaded);
+    let mut loaded_scratch = QueryScratch::new();
+    assert_steady_state_is_allocation_free("loaded", &reads, &warmup, &mut |read| {
+        loaded_classifier.classify_with(read, &mut loaded_scratch)
+    });
+
+    // One sketch, one probe per shard table (the host table's batched lookup
+    // works on the stack), one merge: the same scratch, so the same zero.
     let sharded = std::sync::Arc::new(ShardedDatabase::round_robin(build_db(), 2).unwrap());
     let sharded_classifier = Classifier::new(std::sync::Arc::clone(&sharded));
     let mut sharded_scratch = QueryScratch::new();
-    for (read, expected) in reads.iter().zip(&warmup) {
-        let c = sharded_classifier.classify_with(read, &mut sharded_scratch);
-        assert_eq!(&c, expected);
-    }
-    let sharded_allocs = min_allocations_over_attempts(|| {
-        for _ in 0..5 {
-            for (read, expected) in reads.iter().zip(&warmup) {
-                let c = sharded_classifier.classify_with(read, &mut sharded_scratch);
-                assert_eq!(&c, expected);
-            }
-        }
+    assert_steady_state_is_allocation_free("sharded", &reads, &warmup, &mut |read| {
+        sharded_classifier.classify_with(read, &mut sharded_scratch)
     });
-    assert_eq!(
-        sharded_allocs,
-        0,
-        "sharded classify_with allocated {sharded_allocs} times over {} steady-state reads",
-        5 * reads.len()
-    );
 
     // --- Part 4: the serving path's worker interface. ----------------------
     // The engine drives every backend through `candidates_each` and turns

@@ -13,7 +13,7 @@ use mc_kmer::{
 use mc_seqio::SequenceRecord;
 use mc_taxonomy::{Rank, Taxonomy};
 use mc_warpcore::{
-    BucketListConfig, BucketListHashTable, FeatureStore, HostHashTable, HostTableConfig,
+    BucketListConfig, BucketListHashTable, ConcurrentInsert, FeatureStore, HostHashTable,
     MultiBucketConfig, MultiBucketHashTable, MultiValueConfig, MultiValueHashTable,
 };
 use metacache::build::CpuBuilder;
@@ -123,10 +123,7 @@ proptest! {
             max_locations_per_key: usize::MAX >> 1,
             ..Default::default()
         });
-        let host = HostHashTable::new(HostTableConfig {
-            max_locations_per_key: usize::MAX >> 1,
-            ..Default::default()
-        });
+        let mut host = HostHashTable::new(HostHashTable::MAX_BUCKET_LEN);
         let mut expected: std::collections::BTreeMap<u32, Vec<Location>> = Default::default();
         for (key, target, window) in &pairs {
             let loc = Location::new(*target, *window);
