@@ -1,10 +1,11 @@
 //! Criterion benchmarks of minhash sketching: the retained collect-sort
-//! baseline vs the bounded top-s scratch path (host), and the warp-kernel
+//! baseline vs the hash → cut → sort scratch path (host), and the warp-kernel
 //! formulation (steps 1–3 of the GPU pipeline, §5.3).
 //!
-//! The `host_scratch` / `host_baseline` pair is the acceptance measurement
-//! for the zero-allocation sketching refactor (target: ≥ 1.5× speedup on the
-//! same inputs).
+//! `host_baseline` allocates, canonicalises per k-mer and sorts all of a
+//! window's hashes; `host_scratch` is the kernel every workload runs
+//! (`Sketcher::sketch_window_into`: reused buffers, rolling canonical k-mers,
+//! only the hashes under the cut sorted). Same inputs, bit-identical output.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 

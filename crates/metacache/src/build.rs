@@ -3,10 +3,12 @@
 //! Two builders share the same windowing/sketching logic:
 //!
 //! * [`CpuBuilder`] — the original MetaCache CPU build (§4.1): a single
-//!   hash-table inserter thread feeds the open-addressing host table with a
-//!   per-feature location cap of 254. A producer–consumer variant
-//!   ([`CpuBuilder::build_from_queue`]) reproduces the three-thread pipeline
-//!   (parser / sketcher / inserter) of the paper.
+//!   inserter feeds the open-addressing host table with a per-feature
+//!   location cap of 254, one target at a time: sketch the whole target into
+//!   a batch, insert the batch. [`CpuBuilder::build_from_queue`] is the
+//!   consumer end of a producer–consumer queue: parser threads produce
+//!   batches, the calling thread sketches and inserts. (The paper's §4.1
+//!   pipeline gives sketching a thread of its own; this one does not.)
 //! * [`GpuBuilder`] — the GPU build (§5): reference targets are distributed
 //!   over the devices of a [`MultiGpuSystem`] (a target never spans devices),
 //!   each device sketches its windows with warp kernels and inserts into its
@@ -51,7 +53,7 @@ pub struct BuildStats {
     pub bytes_to_device: u64,
 }
 
-/// Per-target counters of one [`sketch_target_into`] walk.
+/// Per-target counters of one [`sketch_target_into`] call.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SketchCounts {
     pub windows: u64,
@@ -59,43 +61,65 @@ pub(crate) struct SketchCounts {
     pub dropped: u64,
 }
 
-/// Sketch one reference target window by window and hand every feature's
-/// `(target, window)` location to `insert` — the one insertion loop shared
-/// by the CPU build path ([`CpuBuilder::add_target`]) and post-load
-/// incremental insertion ([`Database::insert_target`]), so both produce
+/// Reused state of [`sketch_target_into`]: the sketch scratch and one
+/// target's `(feature, location)` pairs in window order. The batch holds
+/// 12 bytes per feature — about 1.7 bytes per base at the default `s = 16`,
+/// stride 112 — next to a record that already holds the target's bases.
+#[derive(Debug)]
+pub(crate) struct TargetScratch {
+    sketch: SketchScratch,
+    batch: Vec<(Feature, Location)>,
+}
+
+impl TargetScratch {
+    pub(crate) fn new(config: &MetaCacheConfig) -> Self {
+        Self {
+            sketch: SketchScratch::with_capacity(config.sketch_size),
+            batch: Vec::new(),
+        }
+    }
+}
+
+/// Sketch one reference target and hand every feature's `(target, window)`
+/// location to `insert` — the one insertion loop shared by the CPU build
+/// path ([`CpuBuilder::add_target`]) and post-load incremental insertion
+/// ([`Database::insert_target`], [`Database::apply_delta`]), so all produce
 /// bit-identical tables for the same insertion order.
 ///
+/// Two tight loops, not one interleaved walk: the whole target is sketched
+/// into the reused batch, then the batch is inserted back to back, in window
+/// order and within a window in ascending feature order. The table sees the
+/// calls it would see from a window-by-window walk; the inserter's cache
+/// misses no longer queue behind a window's worth of hashing.
+///
 /// A [`TableError::ValueLimitReached`] counts as a dropped location (the
-/// per-feature cap); any other table error aborts the walk and is returned.
-/// `counts` accumulates through the walk, so the locations of a partially
-/// sketched target are still accounted for on the error path.
+/// per-feature cap); any other table error stops the insertion and is
+/// returned. `counts` accumulates as it goes, so the locations inserted
+/// before a fatal error are still accounted for.
 pub(crate) fn sketch_target_into(
     sketcher: &Sketcher,
-    scratch: &mut SketchScratch,
+    scratch: &mut TargetScratch,
     record: &SequenceRecord,
     target_id: TargetId,
     mut insert: impl FnMut(Feature, Location) -> Result<(), TableError>,
     counts: &mut SketchCounts,
 ) -> Result<(), MetaCacheError> {
-    let mut fatal: Option<TableError> = None;
-    sketcher.for_each_window_sketch(&record.sequence, scratch, |window, features| {
+    let TargetScratch { sketch, batch } = scratch;
+    batch.clear();
+    sketcher.for_each_window_sketch(&record.sequence, sketch, |window, features| {
         counts.windows += 1;
-        for &feature in features {
-            match insert(feature, Location::new(target_id, window)) {
-                Ok(()) => counts.inserted += 1,
-                Err(TableError::ValueLimitReached) => counts.dropped += 1,
-                Err(e) => {
-                    fatal = Some(e);
-                    return std::ops::ControlFlow::Break(());
-                }
-            }
-        }
+        let location = Location::new(target_id, window);
+        batch.extend(features.iter().map(|&feature| (feature, location)));
         std::ops::ControlFlow::Continue(())
     });
-    match fatal {
-        Some(e) => Err(e.into()),
-        None => Ok(()),
+    for &(feature, location) in batch.iter() {
+        match insert(feature, location) {
+            Ok(()) => counts.inserted += 1,
+            Err(TableError::ValueLimitReached) => counts.dropped += 1,
+            Err(e) => return Err(e.into()),
+        }
     }
+    Ok(())
 }
 
 /// The CPU builder (single inserter thread, host hash table).
@@ -107,14 +131,20 @@ pub struct CpuBuilder {
     table: HostHashTable,
     stats: BuildStats,
     /// Reused across targets so reference sketching never allocates per
-    /// window (see [`Sketcher::for_each_window_sketch`]).
-    scratch: SketchScratch,
+    /// window and the batch grows only to the largest target's size.
+    scratch: TargetScratch,
 }
 
 impl CpuBuilder {
     /// Create a builder with the given configuration and taxonomy.
+    ///
+    /// # Panics
+    ///
+    /// If `config` does not pass [`MetaCacheConfig::validated`] — check
+    /// configurations that come from outside the program there first.
     pub fn new(config: MetaCacheConfig, taxonomy: Taxonomy) -> Self {
-        let sketcher = Sketcher::new(&config).expect("configuration must be valid");
+        let sketcher = Sketcher::new(&config)
+            .expect("CpuBuilder::new requires a config that passes MetaCacheConfig::validated");
         let table = HostHashTable::new(config.max_locations_per_feature);
         Self {
             config,
@@ -123,7 +153,7 @@ impl CpuBuilder {
             targets: Vec::new(),
             table,
             stats: BuildStats::default(),
-            scratch: SketchScratch::with_capacity(config.sketch_size),
+            scratch: TargetScratch::new(&config),
         }
     }
 
@@ -137,10 +167,8 @@ impl CpuBuilder {
             return Err(MetaCacheError::UnknownTaxon(taxon));
         }
         let target_id = self.targets.len() as TargetId;
-        // Sketch window by window through the reused scratch (no per-window
-        // allocation); the sketch visitor inserts directly. A fatal table
-        // error aborts the walk — the rest of the genome is not sketched —
-        // and is returned here.
+        // Sketch the whole target into the reused batch, then insert it; a
+        // fatal table error stops the insertion and is returned here.
         let mut counts = SketchCounts::default();
         let walk = sketch_target_into(
             &self.sketcher,
@@ -187,8 +215,8 @@ impl CpuBuilder {
     }
 
     /// Consume batches from a producer–consumer queue until the producers
-    /// close it — the three-thread build pipeline of §4.1 (parsers produce,
-    /// this consumer sketches and inserts).
+    /// close it: parsers produce on their own threads, the calling thread
+    /// sketches and inserts every record, in arrival order.
     pub fn build_from_queue<F>(
         &mut self,
         receiver: BatchReceiver,
@@ -528,6 +556,145 @@ mod tests {
         let queued_db = queued.finish();
         assert_eq!(direct_db.target_count(), queued_db.target_count());
         assert_eq!(direct_db.total_locations(), queued_db.total_locations());
+    }
+
+    /// The window-by-window build the batch replaced, spelled out: every
+    /// feature of every window handed to `HostHashTable::insert` as soon as
+    /// its window is sketched. Returns the counters it would have reported.
+    fn insert_per_location(
+        table: &mut HostHashTable,
+        config: &MetaCacheConfig,
+        record: &SequenceRecord,
+        target_id: TargetId,
+    ) -> SketchCounts {
+        let sketcher = Sketcher::new(config).unwrap();
+        let mut counts = SketchCounts::default();
+        for (window, sketch) in sketcher.sketch_reference(&record.sequence) {
+            counts.windows += 1;
+            for &feature in sketch.features() {
+                match table.insert(feature, Location::new(target_id, window)) {
+                    Ok(()) => counts.inserted += 1,
+                    Err(TableError::ValueLimitReached) => counts.dropped += 1,
+                    Err(e) => panic!("fatal table error: {e}"),
+                }
+            }
+        }
+        counts
+    }
+
+    fn buckets_of(db: &Database) -> Vec<(Feature, Vec<Location>)> {
+        let mut buckets = Vec::new();
+        db.partitions[0]
+            .store
+            .for_each_bucket(|feature, bucket| {
+                buckets.push((feature, bucket.to_vec()));
+                Ok::<(), ()>(())
+            })
+            .unwrap();
+        buckets
+    }
+
+    fn saved_bytes(db: &Database, tag: &str) -> Vec<Vec<u8>> {
+        let dir = std::env::temp_dir().join(format!("metacache_build_{tag}"));
+        let report = crate::serialize::save(db, &dir, "db").unwrap();
+        let bytes = report
+            .files
+            .iter()
+            .map(|f| std::fs::read(f).unwrap())
+            .collect();
+        std::fs::remove_dir_all(&dir).ok();
+        bytes
+    }
+
+    #[test]
+    fn batched_build_and_delta_equal_per_location_insertion() {
+        // A cap of 3 with a repeat-rich target in the mix, so the order in
+        // which locations reach a bucket decides which of them are dropped.
+        let config = MetaCacheConfig {
+            max_locations_per_feature: 3,
+            ..MetaCacheConfig::for_tests()
+        };
+        let repeat: Vec<u8> = make_seq(700, 9)
+            .iter()
+            .cycle()
+            .take(9_000)
+            .copied()
+            .collect();
+        let mut shared = make_seq(6_000, 1);
+        shared.extend_from_slice(&repeat[..2_000]);
+        let records = [
+            SequenceRecord::new("a", shared),
+            SequenceRecord::new("rep", repeat.clone()),
+            SequenceRecord::new(
+                "n",
+                [&make_seq(300, 4)[..], &[b'N'; 500], &make_seq(40, 5)].concat(),
+            ),
+            SequenceRecord::new("short", make_seq(10, 6)),
+        ];
+        let delta_records = [
+            SequenceRecord::new("d0", [&make_seq(5_000, 1)[..], &repeat[..3_000]].concat()),
+            SequenceRecord::new("d1", make_seq(3_000, 21)),
+        ];
+
+        // Build: batch path against per-location insertion.
+        let mut builder = CpuBuilder::new(config, taxonomy());
+        let mut table = HostHashTable::new(config.max_locations_per_feature);
+        let mut expected = BuildStats::default();
+        for (id, record) in records.iter().enumerate() {
+            builder.add_target(record.clone(), 100).unwrap();
+            let counts = insert_per_location(&mut table, &config, record, id as TargetId);
+            expected.targets += 1;
+            expected.windows += counts.windows;
+            expected.locations_inserted += counts.inserted;
+            expected.locations_dropped += counts.dropped;
+        }
+        assert_eq!(builder.stats(), expected);
+        assert!(expected.locations_dropped > 0, "the cap must bite");
+        let mut batched = builder.finish();
+        table.compact();
+        let mut reference = Database {
+            config,
+            targets: batched.targets.clone(),
+            taxonomy: taxonomy(),
+            lineages: taxonomy().lineage_cache(),
+            partitions: vec![Partition {
+                store: PartitionStore::Host(table),
+                targets: batched.partitions[0].targets.clone(),
+            }],
+        };
+        assert_eq!(buckets_of(&batched), buckets_of(&reference));
+        assert_eq!(
+            saved_bytes(&batched, "batched"),
+            saved_bytes(&reference, "reference")
+        );
+
+        // Delta onto the finished (packed) database, same comparison.
+        let mut delta = crate::DatabaseDelta::new();
+        let mut expected = crate::DeltaStats::default();
+        for (i, record) in delta_records.iter().enumerate() {
+            delta.add_target(record.clone(), 101);
+            let id = (records.len() + i) as TargetId;
+            let PartitionStore::Host(table) = &mut reference.partitions[0].store else {
+                unreachable!("built above as a host table")
+            };
+            let counts = insert_per_location(table, &config, record, id);
+            expected.targets_added += 1;
+            expected.windows_sketched += counts.windows;
+            expected.locations_inserted += counts.inserted;
+            expected.locations_dropped += counts.dropped;
+        }
+        assert_eq!(batched.apply_delta(delta).unwrap(), expected);
+        assert!(
+            expected.locations_dropped > 0,
+            "the cap must bite the delta"
+        );
+        reference.targets = batched.targets.clone();
+        reference.partitions[0].targets = batched.partitions[0].targets.clone();
+        assert_eq!(buckets_of(&batched), buckets_of(&reference));
+        assert_eq!(
+            saved_bytes(&batched, "batched_delta"),
+            saved_bytes(&reference, "reference_delta")
+        );
     }
 
     #[test]

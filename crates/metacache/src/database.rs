@@ -9,10 +9,10 @@ use mc_warpcore::{
     ConcurrentInsert, FeatureStore, HostHashTable, MultiBucketHashTable, TableError,
 };
 
-use crate::build::sketch_target_into;
+use crate::build::{sketch_target_into, TargetScratch};
 use crate::config::MetaCacheConfig;
 use crate::error::MetaCacheError;
-use crate::sketch::{SketchScratch, Sketcher};
+use crate::sketch::Sketcher;
 
 /// Metadata of one reference target (a genome or scaffold sequence).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -252,7 +252,7 @@ impl Database {
         taxon: TaxonId,
     ) -> Result<TargetId, MetaCacheError> {
         let sketcher = Sketcher::new(&self.config)?;
-        let mut scratch = SketchScratch::with_capacity(self.config.sketch_size);
+        let mut scratch = TargetScratch::new(&self.config);
         let mut stats = DeltaStats::default();
         self.insert_target_inner(&sketcher, &mut scratch, record, taxon, &mut stats)
     }
@@ -271,7 +271,7 @@ impl Database {
             self.refresh_lineages();
         }
         let sketcher = Sketcher::new(&self.config)?;
-        let mut scratch = SketchScratch::with_capacity(self.config.sketch_size);
+        let mut scratch = TargetScratch::new(&self.config);
         let mut stats = DeltaStats::default();
         for (record, taxon) in delta.targets {
             self.insert_target_inner(&sketcher, &mut scratch, record, taxon, &mut stats)?;
@@ -282,7 +282,7 @@ impl Database {
     fn insert_target_inner(
         &mut self,
         sketcher: &Sketcher,
-        scratch: &mut SketchScratch,
+        scratch: &mut TargetScratch,
         record: SequenceRecord,
         taxon: TaxonId,
         stats: &mut DeltaStats,

@@ -129,7 +129,7 @@ pub use sketch::{ReadSketch, Sketch, SketchScratch, Sketcher};
 
 /// [`Classifier`] over a shared [`ShardedDatabase`]. An alias, not a type:
 /// it exists only because the frozen `benchmark/` package spells this name,
-/// and goes when that package next changes (ROADMAP item 5).
+/// and goes when that package next changes (ROADMAP item 1(c)).
 pub type ShardedClassifier = Classifier<std::sync::Arc<ShardedDatabase>>;
 
 /// Convenient result alias.

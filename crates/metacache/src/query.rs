@@ -37,7 +37,7 @@
 //! registers and compacts location lists in pre-allocated device buffers
 //! (§5.2–§5.5) — the host path performs no steady-state heap allocation:
 //!
-//! * every per-read buffer (sketch selector, flat feature list, gathered
+//! * every per-read buffer (sketch hash buffers, flat feature list, gathered
 //!   locations, merge buffer, window count statistic, candidate list) lives
 //!   in a reusable [`QueryScratch`];
 //! * [`Classifier::classify_batch`] threads one scratch per worker through
@@ -127,7 +127,7 @@ impl FeatureIndex for Database {
 /// reused; steady-state classification performs zero heap allocations.
 #[derive(Debug, Clone, Default)]
 pub struct QueryScratch {
-    /// Bounded top-`s` sketch selector.
+    /// The sketch kernel's hash and survivor buffers.
     sketch: SketchScratch,
     /// Flat feature list of the read's windows.
     features: Vec<Feature>,

@@ -874,7 +874,7 @@ impl ServingEngine {
 
     /// `Self::new(HostBackend::new(db), config)`, spelled out. Kept only
     /// because the frozen `benchmark/` package calls it; goes when that
-    /// package next changes (ROADMAP item 5).
+    /// package next changes (ROADMAP item 1(c)).
     pub fn host_with_config(db: Arc<Database>, config: EngineConfig) -> Self {
         Self::new(HostBackend::new(db), config)
     }

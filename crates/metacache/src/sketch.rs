@@ -13,18 +13,30 @@
 //! warp registers and sketches are written into pre-allocated device buffers
 //! (§5.2–§5.3). The host path mirrors that with a two-part API:
 //!
-//! * [`SketchScratch`] — caller-owned scratch state holding the bounded
-//!   top-`s` selection buffer (a small sorted insertion buffer with on-the-fly
-//!   dedup, `s ≤ 64` in practice) plus a per-window feature buffer. Creating
-//!   one costs a couple of allocations; *reusing* one costs none.
+//! * [`SketchScratch`] — caller-owned scratch state: a buffer for all of a
+//!   window's hashes, a buffer for those that survive the cut, and a
+//!   per-window feature buffer. Both hash buffers are sized for a full
+//!   window on first use and do not grow afterwards; *reusing* a scratch
+//!   costs no allocation.
 //! * [`Sketcher::sketch_window_into`] / [`Sketcher::sketch_record_into`] /
 //!   [`Sketcher::for_each_window_sketch`] — sketch into caller-owned buffers.
-//!   After warm-up these perform **zero heap allocations**: the selector
-//!   rejects most hashes with a single branch (a hash ≥ the current `s`-th
-//!   smallest cannot enter the sketch) instead of collecting and sorting all
-//!   ~`w − k + 1` hashes per window.
+//!   After warm-up these perform **zero heap allocations**.
 //!
-//! The original collect→sort→dedup→truncate formulation is retained as
+//! # Hash, cut, sort
+//!
+//! The kernel follows the order of the paper's warp kernel (§5.3: hash every
+//! k-mer, sort, drop duplicates, keep the first `s`) with one step between
+//! hashing and sorting that a CPU wants: of a window's `n` hashes only the
+//! `s` smallest matter, and for uniformly distributed hashes those lie under
+//! `2·s/(n+1)·2⁶⁴` almost always. So one pass writes all `n` hashes, a second
+//! keeps those under that cut (≈ `2s` of them, selected without a
+//! data-dependent branch), and only the survivors are sorted and
+//! de-duplicated. When fewer than `s` distinct hashes survive — a
+//! homopolymer, a short-period repeat, an unlucky window — all `n` are
+//! sorted instead, so the result is the `s` smallest distinct hashes for
+//! every input.
+//!
+//! The seed's collect→sort→dedup→truncate formulation is retained as
 //! [`Sketcher::sketch_window_baseline`]: it is the reference oracle the
 //! property tests compare against bit-for-bit, and the baseline the
 //! `sketch` criterion bench measures speedups over. The convenience APIs
@@ -85,88 +97,76 @@ impl ReadSketch {
 
 /// Reusable scratch state for allocation-free sketching.
 ///
-/// Holds the bounded top-`s` selection buffer and a per-window feature
-/// buffer. One scratch serves any number of sequential sketching calls (its
-/// buffers are cleared, not reallocated, between windows); create one per
-/// worker thread and reuse it for every read — `rayon`'s `map_init` in
-/// [`crate::query::Classifier::classify_batch`] does exactly that via
-/// [`crate::query::QueryScratch`].
+/// Holds the two hash buffers of the hash → cut → sort kernel and a
+/// per-window feature buffer. One scratch serves any number of sequential
+/// sketching calls (its buffers are overwritten, not reallocated, between
+/// windows); create one per worker thread and reuse it for every read —
+/// `rayon`'s `map_init` in [`crate::query::Classifier::classify_batch`] does
+/// exactly that via [`crate::query::QueryScratch`].
 #[derive(Debug, Clone, Default)]
 pub struct SketchScratch {
-    /// The current ≤ `s` smallest distinct hashes, sorted ascending.
+    /// Every canonical-k-mer hash of the window in progress. Kept at its
+    /// high-water length — one slot per k-mer of a full window, sized on
+    /// first use — and indexed, never pushed to.
     hashes: Vec<u64>,
-    /// Selection bound `s` of the sketch in progress.
-    sketch_size: usize,
-    /// Fast-reject bound: the current `s`-th smallest hash once the selector
-    /// is full, `u64::MAX` before that. Any offered hash strictly above it is
-    /// rejected with a single comparison.
-    threshold: u64,
+    /// The hashes under the cut; same length as `hashes`.
+    survivors: Vec<u64>,
     /// Per-window feature buffer used by [`Sketcher::for_each_window_sketch`].
     features: Vec<Feature>,
 }
 
 impl SketchScratch {
-    /// Create an empty scratch. Buffers are sized lazily on first use.
+    /// Create an empty scratch. Buffers are sized on first use.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Create a scratch pre-sized for sketches of `sketch_size` features.
+    /// The hash buffers depend on the window length, which only a
+    /// [`Sketcher`] knows: they are sized for a full window on first use.
     pub fn with_capacity(sketch_size: usize) -> Self {
         Self {
-            hashes: Vec::with_capacity(sketch_size),
-            sketch_size: 0,
-            threshold: u64::MAX,
             features: Vec::with_capacity(sketch_size),
+            ..Self::default()
         }
     }
 
-    /// Start selecting the `s` smallest distinct hashes of a new window.
+    /// Make room for `kmers` hashes in both buffers. A no-op once they have
+    /// reached that length, so nothing grows in steady state.
     #[inline]
-    fn begin(&mut self, sketch_size: usize) {
-        debug_assert!(sketch_size > 0, "validated by MetaCacheConfig");
-        self.sketch_size = sketch_size;
-        self.threshold = u64::MAX;
-        self.hashes.clear();
-        // `reserve` is relative to the (now zero) length and a no-op when the
-        // capacity already suffices, so this never reallocates in steady state.
-        self.hashes.reserve(sketch_size);
-    }
-
-    /// Offer one hash to the bounded selector.
-    ///
-    /// The common case — a hash that cannot enter a full sketch — is rejected
-    /// with a single comparison against the threshold (the current `s`-th
-    /// smallest hash; `u64::MAX` while the selector is filling, so nothing is
-    /// wrongly rejected). Otherwise a binary search finds the insertion point
-    /// (or detects a duplicate) and the ≤ `s`-element buffer shifts at most
-    /// `s − 1` slots.
-    #[inline]
-    fn offer(&mut self, hash: u64) {
-        if hash > self.threshold {
-            return;
-        }
-        match self.hashes.binary_search(&hash) {
-            Ok(_) => {} // duplicate hash: sketches keep distinct values only
-            Err(pos) => {
-                if self.hashes.len() == self.sketch_size {
-                    self.hashes.pop();
-                }
-                self.hashes.insert(pos, hash);
-                if self.hashes.len() == self.sketch_size {
-                    self.threshold = *self.hashes.last().expect("selector is full");
-                }
-            }
+    fn ensure(&mut self, kmers: usize) {
+        if self.hashes.len() < kmers {
+            self.hashes.resize(kmers, 0);
+            self.survivors.resize(kmers, 0);
         }
     }
+}
 
-    /// Append the selected sketch (hashes truncated to 32-bit features, in
-    /// ascending hash order) to `out`; returns the number appended.
-    #[inline]
-    fn emit_into(&self, out: &mut Vec<Feature>) -> usize {
-        out.extend(self.hashes.iter().map(|&h| (h >> 32) as Feature));
-        self.hashes.len()
+#[cfg(test)]
+thread_local! {
+    /// Windows this thread sketched through the sort-everything fallback.
+    static FALLBACKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Sort `hashes` and append its `s` smallest distinct values to `out` as
+/// 32-bit features, ascending; returns the number appended.
+#[inline]
+fn emit_smallest_distinct(hashes: &mut [u64], s: usize, out: &mut Vec<Feature>) -> usize {
+    hashes.sort_unstable();
+    let mut emitted = 0;
+    let mut previous = None;
+    for &hash in hashes.iter() {
+        if previous == Some(hash) {
+            continue;
+        }
+        if emitted == s {
+            break;
+        }
+        out.push((hash >> 32) as Feature);
+        emitted += 1;
+        previous = Some(hash);
     }
+    emitted
 }
 
 /// Sketcher bound to a configuration.
@@ -199,17 +199,56 @@ impl Sketcher {
     /// path. Appends the window's features (ascending, distinct) to `out` and
     /// returns the number appended. Reuses `scratch`; after warm-up this
     /// performs no heap allocation.
+    ///
+    /// Hash → cut → sort (see the module docs): exactly the `s` smallest
+    /// distinct hashes for every input, bit-identical to
+    /// [`Self::sketch_window_baseline`].
     pub fn sketch_window_into(
         &self,
         window: &[u8],
         scratch: &mut SketchScratch,
         out: &mut Vec<Feature>,
     ) -> usize {
-        scratch.begin(self.sketch_size);
+        let s = self.sketch_size;
+        let k = self.params.k() as usize;
+        let full_window = self.params.window_len() as usize;
+        // One slot per k-mer start; sized for a full window the first time so
+        // shorter windows seen first do not cause a second growth.
+        scratch.ensure((window.len().max(full_window) + 1).saturating_sub(k));
+        let SketchScratch {
+            hashes, survivors, ..
+        } = scratch;
+
+        // Hash: every canonical k-mer, in sequence order, no selection.
+        let mut n = 0;
         mc_kmer::for_each_canonical_kmer(window, self.params.kmer(), |_, packed| {
-            scratch.offer(hash64(packed));
+            hashes[n] = hash64(packed);
+            n += 1;
         });
-        scratch.emit_into(out)
+        let hashes = &mut hashes[..n];
+
+        // Cut: with more than 2s hashes, keep those under 2s/(n+1) of the
+        // hash range — about 2s of them, and the s smallest are among them
+        // unless fewer than s distinct values survive. The write is
+        // unconditional and the cursor advances by the comparison's result,
+        // so there is no branch to mispredict.
+        if n > 2 * s {
+            let cut = (u64::MAX / (n as u64 + 1)) * (2 * s as u64);
+            let mut kept = 0;
+            for &hash in hashes.iter() {
+                survivors[kept] = hash;
+                kept += usize::from(hash < cut);
+            }
+            // Sort: the survivors only.
+            let start = out.len();
+            if emit_smallest_distinct(&mut survivors[..kept], s, out) == s {
+                return s;
+            }
+            out.truncate(start);
+            #[cfg(test)]
+            FALLBACKS.with(|count| count.set(count.get() + 1));
+        }
+        emit_smallest_distinct(hashes, s, out)
     }
 
     /// Reference oracle: sketch one window with the seed implementation,
@@ -217,8 +256,8 @@ impl Sketcher {
     /// complement per position) followed by collect → sort → dedup →
     /// truncate (two heap allocations and an `O(n log n)` sort per window).
     ///
-    /// Retained for three purposes: the property tests assert the bounded
-    /// selector is bit-identical to it, the `sketch` bench measures the hot
+    /// Retained for three purposes: the property tests assert the hot path
+    /// is bit-identical to it, the `sketch` bench measures the hot
     /// path's speedup against it, and it documents the §4.1 definition
     /// directly.
     pub fn sketch_window_baseline(&self, window: &[u8]) -> Sketch {
@@ -489,6 +528,58 @@ mod tests {
                 "seed {seed}"
             );
         }
+    }
+
+    #[test]
+    fn too_few_distinct_survivors_take_the_sort_everything_fallback() {
+        let s = sketcher();
+        let mut scratch = SketchScratch::new();
+        let mut features = Vec::new();
+        let fallbacks = || FALLBACKS.with(|count| count.get());
+
+        // Period-2 repeat, 112 k-mers, two distinct hashes: whatever the cut
+        // keeps, it is fewer than s distinct values.
+        let repeat: Vec<u8> = b"AC".iter().cycle().take(127).copied().collect();
+        let before = fallbacks();
+        s.sketch_window_into(&repeat, &mut scratch, &mut features);
+        assert_eq!(fallbacks(), before + 1, "the fallback branch was not taken");
+        assert_eq!(
+            features.as_slice(),
+            s.sketch_window_baseline(&repeat).features()
+        );
+        assert!(features.len() <= 2);
+
+        // A random full window keeps ≈ 2s survivors and does not fall back;
+        // a window of n ≤ 2s k-mers skips the cut, which is not a fallback.
+        for window in [make_seq(127, 5), make_seq(16 + 2 * 16 - 1, 6)] {
+            let before = fallbacks();
+            features.clear();
+            s.sketch_window_into(&window, &mut scratch, &mut features);
+            assert_eq!(fallbacks(), before, "window of {} bases", window.len());
+            assert_eq!(features.len(), 16);
+            assert_eq!(
+                features.as_slice(),
+                s.sketch_window_baseline(&window).features()
+            );
+        }
+    }
+
+    #[test]
+    fn scratch_is_sized_for_a_full_window_by_its_first_use() {
+        let s = sketcher();
+        let mut scratch = SketchScratch::with_capacity(s.sketch_size());
+        let mut features = Vec::new();
+        // A 20-base read first: 5 k-mers, yet room for a full window's 112.
+        s.sketch_window_into(&make_seq(20, 1), &mut scratch, &mut features);
+        let sized = (scratch.hashes.capacity(), scratch.survivors.capacity());
+        assert_eq!((scratch.hashes.len(), scratch.survivors.len()), (112, 112));
+        for seed in 0..20 {
+            s.sketch_window_into(&make_seq(127, seed), &mut scratch, &mut features);
+        }
+        assert_eq!(
+            (scratch.hashes.capacity(), scratch.survivors.capacity()),
+            sized
+        );
     }
 
     #[test]

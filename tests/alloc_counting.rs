@@ -6,8 +6,9 @@
 //! allocations.
 //!
 //! This is the acceptance check for the scratch-buffer refactor: the sketch
-//! selector, location gathering, run merge, window count statistic and
-//! candidate list must all live in caller-owned reusable buffers.
+//! kernel's hash buffers, location gathering, run merge, window count
+//! statistic and candidate list must all live in caller-owned reusable
+//! buffers.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -57,7 +57,7 @@ fn cpu_pipeline_classifies_mock_community_accurately() {
     assert!(eval.genus.sensitivity() >= eval.species.sensitivity());
 }
 
-/// The zero-allocation hot path (bounded top-s sketching, natural-run
+/// The zero-allocation hot path (hash → cut → sort sketching, natural-run
 /// merge, reused scratch) classifies exactly like the seed query path
 /// assembled from the retained oracle pieces: collect→sort→dedup sketches,
 /// fresh vectors per read, one global comparison sort.

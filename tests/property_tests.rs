@@ -186,7 +186,7 @@ proptest! {
         }
         let mut scratch = SketchScratch::new();
         let mut features = Vec::new();
-        // The acceptance sketch sizes: minimal, paper default, selector bound.
+        // The acceptance sketch sizes: minimal, paper default, the largest in use.
         for sketch_size in [1usize, 16, 64] {
             let config = MetaCacheConfig { sketch_size, ..MetaCacheConfig::default() };
             let sketcher = Sketcher::new(&config).unwrap();
@@ -194,6 +194,72 @@ proptest! {
             sketcher.sketch_window_into(&window, &mut scratch, &mut features);
             let oracle = sketcher.sketch_window_baseline(&window);
             prop_assert_eq!(&features, oracle.features(), "sketch size {}", sketch_size);
+        }
+    }
+
+    #[test]
+    fn cut_kernel_is_bit_identical_where_the_cut_can_go_wrong(
+        seed in any::<u64>(),
+        len in 15usize..252,
+        period in 1usize..5,
+        unit_len in 17usize..60,
+        tail_len in 0usize..40,
+        gap in 1usize..30,
+    ) {
+        const K: usize = 16;
+        let mut windows: Vec<Vec<u8>> = Vec::new();
+        // Homopolymer and short-period windows: one or two distinct hashes
+        // (at most 2·period), far fewer than s under any cut → fallback;
+        // with a random tail, a handful of distinct hashes beside them.
+        let unit = make_seq(period, seed);
+        let mut periodic: Vec<u8> = unit.iter().cycle().take(len).copied().collect();
+        windows.push(periodic.clone());
+        periodic.extend(make_seq(tail_len, seed ^ 1));
+        windows.push(periodic);
+        // A random unit repeated: every hash occurs several times, on both
+        // sides of the cut, so duplicates straddle it and the distinct count
+        // under the cut can land either side of s.
+        let unit = make_seq(unit_len, seed ^ 2);
+        windows.push(unit.iter().cycle().take(len).copied().collect());
+        // N runs that leave fewer than s valid k-mers: stretches of
+        // k + gap − 1 bases (gap k-mers each) between runs of N.
+        let mut broken = vec![b'N'; len];
+        for (i, base) in make_seq(len, seed ^ 3).into_iter().enumerate() {
+            if i % (K + gap + 7) < K + gap - 1 && i < 3 * (K + gap + 7) {
+                broken[i] = base;
+            }
+        }
+        windows.push(broken);
+        // Plain reads of every length from 15 (no k-mer) to 251.
+        windows.push(make_seq(len, seed ^ 4));
+
+        let mut scratch = SketchScratch::new();
+        let mut features = Vec::new();
+        for sketch_size in [1usize, 16, 64] {
+            let config = MetaCacheConfig { sketch_size, ..MetaCacheConfig::default() };
+            let sketcher = Sketcher::new(&config).unwrap();
+            // Exactly n k-mers around every edge of the kernel: nothing, one,
+            // just under and at s, and either side of the cut's 2s threshold
+            // (s = 64 also gives s > n for every other window here).
+            let edges = [0, 1, sketch_size - 1, sketch_size, 2 * sketch_size, 2 * sketch_size + 1]
+                .map(|n| make_seq(K - 1 + n, seed ^ n as u64));
+            for window in windows.iter().chain(&edges) {
+                features.clear();
+                let appended = sketcher.sketch_window_into(window, &mut scratch, &mut features);
+                let oracle = sketcher.sketch_window_baseline(window);
+                prop_assert_eq!(appended, oracle.len());
+                prop_assert_eq!(
+                    &features, oracle.features(),
+                    "sketch size {}, window {:?}", sketch_size, String::from_utf8_lossy(window)
+                );
+            }
+            // The same reads through the record path, mate included.
+            let record = SequenceRecord::new("r/1", windows[4].clone())
+                .with_mate(SequenceRecord::new("r/2", windows[2].clone()));
+            features.clear();
+            sketcher.sketch_record_into(&record, &mut scratch, &mut features);
+            let oracle: Vec<_> = sketcher.sketch_record_baseline(&record).all_features().collect();
+            prop_assert_eq!(&features, &oracle, "sketch size {}", sketch_size);
         }
     }
 
