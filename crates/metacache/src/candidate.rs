@@ -7,6 +7,20 @@
 //! approach to find target regions with the highest aggregated hit counts in
 //! a contiguous window range. The top m counts (top hits) are then used to
 //! classify the read." (§4.2, §5.6)
+//!
+//! Two paths compute the same [`CandidateList`], bit for bit:
+//!
+//! * [`WindowCounter`] is the host hot path. It counts a read's gathered
+//!   locations by key in a reused hash table, sorts only the distinct
+//!   locations, and scans them once with a running sum. A long read gathers
+//!   several times more locations than it has distinct ones, so counting
+//!   before ordering is the host's form of the paper's segmented sort and
+//!   window scan (§5.5–5.6).
+//! * [`accumulate_locations_into`] + [`top_candidates_into`] over a sorted
+//!   location list is the reference path. The GPU model runs it after its
+//!   segmented sort, and the tests hold [`WindowCounter`] to it.
+
+use std::cmp::Reverse;
 
 use mc_kmer::{Location, TargetId};
 
@@ -22,6 +36,14 @@ pub struct Candidate {
     pub window_end: u32,
     /// Total hits accumulated over the range.
     pub hits: u32,
+}
+
+impl Candidate {
+    /// The list order: hits descending, then target ascending, then first
+    /// window ascending.
+    fn rank(&self) -> (Reverse<u32>, TargetId, u32) {
+        (Reverse(self.hits), self.target, self.window_begin)
+    }
 }
 
 /// A bounded, descending-by-hits list of the best candidates of a read.
@@ -72,31 +94,37 @@ impl CandidateList {
         self.capacity = capacity.max(1);
     }
 
-    /// Insert a candidate, keeping at most one candidate per target (the best
-    /// one) and at most `capacity` candidates overall, ordered by hits
-    /// descending.
+    /// Insert a candidate, keeping at most one candidate per target and at
+    /// most `capacity` candidates overall, ordered by hits descending, then
+    /// target ascending, then first window ascending. A candidate replaces
+    /// its target's incumbent only with strictly more hits, so on a tie the
+    /// first one inserted stays.
     pub fn insert(&mut self, candidate: Candidate) {
-        if candidate.hits == 0 {
+        let rank = candidate.rank();
+        // A full list turns away whatever ranks at or after its last entry
+        // with one compare. Such a candidate cannot replace an incumbent of
+        // its target either: the incumbent ranks no worse than the last.
+        let outranked = self.candidates.len() >= self.capacity
+            && self
+                .candidates
+                .last()
+                .is_none_or(|last| last.rank() <= rank);
+        if candidate.hits == 0 || outranked {
             return;
         }
-        if let Some(existing) = self
+        if let Some(i) = self
             .candidates
-            .iter_mut()
-            .find(|c| c.target == candidate.target)
+            .iter()
+            .position(|c| c.target == candidate.target)
         {
-            if candidate.hits > existing.hits {
-                *existing = candidate;
+            if candidate.hits <= self.candidates[i].hits {
+                return;
             }
-        } else {
-            self.candidates.push(candidate);
+            self.candidates.remove(i);
         }
-        self.candidates.sort_by(|a, b| {
-            b.hits
-                .cmp(&a.hits)
-                .then(a.target.cmp(&b.target))
-                .then(a.window_begin.cmp(&b.window_begin))
-        });
-        self.candidates.truncate(self.capacity);
+        let at = self.candidates.partition_point(|c| c.rank() < rank);
+        self.candidates.truncate(self.capacity - 1);
+        self.candidates.insert(at, candidate);
     }
 
     /// Merge another candidate list into this one (used when combining the
@@ -110,8 +138,8 @@ impl CandidateList {
 
 /// Accumulate a sorted location list into a caller-owned window count
 /// statistic buffer (cleared first): runs of identical (target, window)
-/// locations become `(location, count)` pairs, preserving order. Reusing
-/// `out` across reads keeps the query hot path allocation-free.
+/// locations become `(location, count)` pairs, preserving order. The
+/// reference path's first step.
 pub fn accumulate_locations_into(sorted: &[Location], out: &mut Vec<(Location, u32)>) {
     out.clear();
     for &loc in sorted {
@@ -122,33 +150,14 @@ pub fn accumulate_locations_into(sorted: &[Location], out: &mut Vec<(Location, u
     }
 }
 
-/// Accumulate a sorted location list into the sparse window count statistic.
-/// Convenience form of [`accumulate_locations_into`] that allocates.
-pub fn accumulate_locations(sorted: &[Location]) -> Vec<(Location, u32)> {
-    let mut out: Vec<(Location, u32)> = Vec::new();
-    accumulate_locations_into(sorted, &mut out);
-    out
-}
-
 /// Scan the window count statistic with a sliding window of `sliding_window`
-/// reference windows and return the `max_candidates` best contiguous ranges
-/// (at most one per target).
+/// reference windows into a caller-owned candidate list (its current
+/// capacity is kept; contents are replaced): the best contiguous ranges, at
+/// most one per target. The reference path's second step.
 ///
 /// `counts` must be sorted by location (target-major, window-minor), as
-/// produced by [`accumulate_locations`] on a sorted location list.
-pub fn top_candidates(
-    counts: &[(Location, u32)],
-    sliding_window: usize,
-    max_candidates: usize,
-) -> CandidateList {
-    let mut list = CandidateList::new(max_candidates);
-    top_candidates_into(counts, sliding_window, &mut list);
-    list
-}
-
-/// Scan the window count statistic into a caller-owned candidate list (its
-/// current capacity is kept; contents are replaced). Reusing `list` across
-/// reads keeps the query hot path allocation-free.
+/// [`accumulate_locations_into`] leaves it on a sorted location list. Every
+/// distinct location anchors one range, and every range is inserted.
 pub fn top_candidates_into(
     counts: &[(Location, u32)],
     sliding_window: usize,
@@ -185,12 +194,185 @@ pub fn top_candidates_into(
     }
 }
 
+/// Marks an unused slot of [`WindowCounter`]'s table. Indices into the
+/// distinct list stay below it: a read gathers fewer than `u32::MAX`
+/// locations.
+const FREE: u32 = u32::MAX;
+
+/// The fewest slots [`WindowCounter`]'s table has.
+const MIN_SLOTS: usize = 16;
+
+/// Stage 3 of the host query: a read's gathered locations, in any order, to
+/// its top candidates — count, sort the distinct few, scan once.
+///
+/// 1. *Count.* The locations are reduced by packed `(target, window)` key
+///    into `(location, count)` pairs in an open-addressing table: a
+///    power-of-two number of slots ≥ 2n (at least 16), each holding an index
+///    into the distinct list. Only the slots used are freed afterwards.
+/// 2. *Sort* the distinct pairs by location.
+/// 3. *Scan* each target's pairs with two pointers and a running sum (add on
+///    the right, subtract on the left): every distinct location anchors the
+///    range of windows `[window, window + sliding_window)`, as in
+///    [`top_candidates_into`]. Each target's first best range is offered to
+///    the list, in ascending target order.
+///
+/// The result equals sorting the locations and running
+/// [`accumulate_locations_into`] and [`top_candidates_into`], bit for bit.
+/// The reference inserts every range, but [`CandidateList::insert`] keeps
+/// only a target's first maximum and a new target never displaces an
+/// equal-hit incumbent of a lower target, so one offer per target, in target
+/// order, leaves the same list. The scratch is reused across reads; after the
+/// largest read it no longer allocates.
+#[derive(Debug, Clone, Default)]
+pub struct WindowCounter {
+    /// Slot → index into `counts`, or [`FREE`]; every slot is free between
+    /// calls.
+    slots: Vec<u32>,
+    /// The window count statistic: each distinct location and its count.
+    counts: Vec<(Location, u32)>,
+}
+
+impl WindowCounter {
+    /// Create an empty counter; its buffers size themselves on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Replace `list`'s contents (its capacity is kept) with the top
+    /// candidates of `locations` under a sliding window of `sliding_window`
+    /// reference windows.
+    pub fn top_candidates_into(
+        &mut self,
+        locations: &[Location],
+        sliding_window: usize,
+        list: &mut CandidateList,
+    ) {
+        self.count(locations);
+        self.counts
+            .sort_unstable_by_key(|(location, _)| location.pack());
+        list.candidates.clear();
+        let sliding_window = sliding_window.max(1) as u64;
+        let counts = &self.counts[..];
+        let (mut end, mut hits) = (0usize, 0u32);
+        let mut best = Candidate {
+            target: 0,
+            window_begin: 0,
+            window_end: 0,
+            hits: 0,
+        };
+        for &(anchor, anchor_count) in counts {
+            if anchor.target != best.target {
+                list.insert(best);
+                best = Candidate {
+                    target: anchor.target,
+                    hits: 0,
+                    ..best
+                };
+            }
+            // `end` never trails the anchor: the previous range held its own
+            // anchor, so the range always takes at least this one.
+            let limit = anchor.window as u64 + sliding_window;
+            while let Some(&(location, count)) = counts.get(end) {
+                if location.target != anchor.target || location.window as u64 >= limit {
+                    break;
+                }
+                hits += count;
+                end += 1;
+            }
+            if hits > best.hits {
+                best = Candidate {
+                    target: anchor.target,
+                    window_begin: anchor.window,
+                    window_end: counts[end - 1].0.window,
+                    hits,
+                };
+            }
+            hits -= anchor_count;
+        }
+        list.insert(best);
+    }
+
+    /// Reduce `locations` into `self.counts`, in first-seen order.
+    fn count(&mut self, locations: &[Location]) {
+        assert!(
+            locations.len() < FREE as usize,
+            "a read's location list fits u32 indices"
+        );
+        let size = (2 * locations.len()).next_power_of_two().max(MIN_SLOTS);
+        if self.slots.len() < size {
+            self.slots.resize(size, FREE);
+        }
+        let slots = &mut self.slots[..size];
+        let (mask, shift) = (size - 1, 64 - size.trailing_zeros());
+        self.counts.clear();
+        for &location in locations {
+            let mut slot = home_slot(location, shift);
+            loop {
+                match slots[slot] {
+                    FREE => {
+                        slots[slot] = self.counts.len() as u32;
+                        self.counts.push((location, 1));
+                        break;
+                    }
+                    index => {
+                        let entry = &mut self.counts[index as usize];
+                        if entry.0 == location {
+                            entry.1 += 1;
+                            break;
+                        }
+                    }
+                }
+                slot = (slot + 1) & mask;
+            }
+        }
+        // Free the used slots. Each location's probe from its home slot
+        // reaches its own index whatever was freed before it, because the
+        // search passes free slots instead of stopping at them.
+        for (index, &(location, _)) in self.counts.iter().enumerate() {
+            let mut slot = home_slot(location, shift);
+            while slots[slot] != index as u32 {
+                slot = (slot + 1) & mask;
+            }
+            slots[slot] = FREE;
+        }
+    }
+}
+
+/// A location's first slot in a table of `2^(64 - shift)` slots: the high
+/// bits of its packed key times 2⁶⁴/φ (Fibonacci hashing), so keys that
+/// differ only in their low bits spread over the table.
+#[inline]
+fn home_slot(location: Location, shift: u32) -> usize {
+    (location.pack().wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn loc(t: u32, w: u32) -> Location {
         Location::new(t, w)
+    }
+
+    /// The top `max_candidates` of a window count statistic by the reference
+    /// scan, asserted equal to [`WindowCounter`] on the same locations
+    /// gathered in reverse order.
+    fn top_candidates(
+        counts: &[(Location, u32)],
+        sliding_window: usize,
+        max_candidates: usize,
+    ) -> CandidateList {
+        let mut list = CandidateList::new(max_candidates);
+        top_candidates_into(counts, sliding_window, &mut list);
+        let mut gathered: Vec<Location> = counts
+            .iter()
+            .flat_map(|&(location, count)| std::iter::repeat_n(location, count as usize))
+            .collect();
+        gathered.reverse();
+        let mut counted = CandidateList::new(max_candidates);
+        WindowCounter::new().top_candidates_into(&gathered, sliding_window, &mut counted);
+        assert_eq!(counted, list, "counts {counts:?}, sliding {sliding_window}");
+        list
     }
 
     #[test]
@@ -203,9 +385,52 @@ mod tests {
             loc(1, 0),
             loc(1, 0),
         ];
-        let counts = accumulate_locations(&sorted);
+        let mut counts = vec![(loc(9, 9), 9)];
+        accumulate_locations_into(&sorted, &mut counts);
         assert_eq!(counts, vec![(loc(0, 1), 2), (loc(0, 2), 1), (loc(1, 0), 3)]);
-        assert!(accumulate_locations(&[]).is_empty());
+        accumulate_locations_into(&[], &mut counts);
+        assert!(counts.is_empty());
+    }
+
+    /// Locations whose keys share a home slot chain through the table, and
+    /// the freed table serves the next read: a reused counter equals the
+    /// reference on each of several reads, including an empty one.
+    #[test]
+    fn counter_handles_colliding_keys_and_reuse() {
+        // Eight distinct keys, all with the same home slot in a 16-slot
+        // table (the size for up to 8 gathered locations).
+        let shift = 64 - MIN_SLOTS.trailing_zeros();
+        let home = home_slot(loc(3, 0), shift);
+        let colliding: Vec<Location> = (0..u32::MAX)
+            .map(|w| loc(3, w))
+            .filter(|&l| home_slot(l, shift) == home)
+            .take(8)
+            .collect();
+        let mut counter = WindowCounter::new();
+        let mut list = CandidateList::new(4);
+        let reads: [Vec<Location>; 4] = [
+            colliding.clone(),
+            colliding[..4]
+                .iter()
+                .chain(&colliding[2..6])
+                .copied()
+                .collect(),
+            Vec::new(),
+            (0..200).map(|i| loc(i % 7, i % 5)).collect(),
+        ];
+        for (i, read) in reads.iter().enumerate() {
+            for sliding in [1, 3] {
+                let mut sorted = read.clone();
+                sorted.sort_unstable();
+                let mut counts = Vec::new();
+                accumulate_locations_into(&sorted, &mut counts);
+                let mut expected = CandidateList::new(4);
+                top_candidates_into(&counts, sliding, &mut expected);
+                counter.top_candidates_into(read, sliding, &mut list);
+                assert_eq!(list, expected, "read {i}, sliding {sliding}");
+            }
+        }
+        assert!(counter.slots.iter().all(|&s| s == FREE));
     }
 
     #[test]
@@ -305,6 +530,22 @@ mod tests {
         assert!(list.is_empty());
     }
 
+    /// A default list has capacity 0: it keeps nothing, and a
+    /// [`WindowCounter`] filling it does not fail.
+    #[test]
+    fn default_list_keeps_nothing() {
+        let mut list = CandidateList::default();
+        list.insert(Candidate {
+            target: 1,
+            window_begin: 0,
+            window_end: 0,
+            hits: 5,
+        });
+        assert!(list.is_empty());
+        WindowCounter::new().top_candidates_into(&[loc(1, 0), loc(1, 0)], 2, &mut list);
+        assert!(list.is_empty());
+    }
+
     #[test]
     fn deterministic_tie_break_by_target() {
         let counts = vec![(loc(5, 0), 7), (loc(3, 0), 7)];
@@ -339,10 +580,69 @@ mod tests {
         list
     }
 
+    /// The oracle of [`CandidateList::insert`]: replace the target's
+    /// incumbent on strictly more hits or append, then re-sort the whole
+    /// list and truncate it.
+    fn insert_by_sort(list: &mut CandidateList, candidate: Candidate) {
+        if candidate.hits == 0 {
+            return;
+        }
+        match list
+            .candidates
+            .iter_mut()
+            .find(|c| c.target == candidate.target)
+        {
+            Some(existing) if candidate.hits > existing.hits => *existing = candidate,
+            Some(_) => {}
+            None => list.candidates.push(candidate),
+        }
+        list.candidates.sort_by(|a, b| {
+            b.hits
+                .cmp(&a.hits)
+                .then(a.target.cmp(&b.target))
+                .then(a.window_begin.cmp(&b.window_begin))
+        });
+        list.candidates.truncate(list.capacity);
+    }
+
+    fn sorted_list_of(capacity: usize, cands: &[Candidate]) -> CandidateList {
+        let mut list = CandidateList::new(capacity);
+        for &c in cands {
+            insert_by_sort(&mut list, c);
+        }
+        list
+    }
+
+    /// Ordered insertion equals the sort-based oracle on random insert
+    /// sequences: ties on hits, on target and on both, zero hits, repeated
+    /// candidates and every capacity up to beyond the sequence length.
+    #[test]
+    fn insert_matches_sort_oracle_on_random_sequences() {
+        let mut state = 0x5EED_u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % bound) as u32
+        };
+        for case in 0..4_000 {
+            let capacity = 1 + case % 6;
+            let len = next(14) as usize;
+            let cands: Vec<Candidate> = (0..len).map(|_| cand(next(5), next(3), next(4))).collect();
+            let mut list = CandidateList::new(capacity);
+            let mut oracle = CandidateList::new(capacity);
+            for &c in &cands {
+                list.insert(c);
+                insert_by_sort(&mut oracle, c);
+                assert_eq!(list, oracle, "{cands:?} capacity {capacity}");
+            }
+        }
+    }
+
     /// `a.merge(&b)` must equal inserting `b`'s entries into `a` one by
-    /// one — exhaustively over every pair of sub-multisets of a small
-    /// candidate universe and every capacity, including hit ties and
-    /// duplicate targets across the two lists.
+    /// one by the sort-based oracle — exhaustively over every pair of
+    /// sub-multisets of a small candidate universe and every capacity,
+    /// including hit ties and duplicate targets across the two lists.
     #[test]
     fn merge_matches_insert_oracle_exhaustively() {
         // 2 targets × 2 windows × 2 hit values = 8 distinct candidates.
@@ -368,9 +668,9 @@ mod tests {
                 let mut merged = list_of(capacity, &a_items);
                 let b = list_of(capacity, &b_items);
                 merged.merge(&b);
-                let mut oracle = list_of(capacity, &a_items);
-                for &c in b.as_slice() {
-                    oracle.insert(c);
+                let mut oracle = sorted_list_of(capacity, &a_items);
+                for &c in sorted_list_of(capacity, &b_items).as_slice() {
+                    insert_by_sort(&mut oracle, c);
                 }
                 assert_eq!(merged, oracle, "a={a_items:?} b={b_items:?} cap={capacity}");
                 cases += 1;
@@ -404,7 +704,7 @@ mod tests {
                             let mut merged = CandidateList::new(m);
                             merged.merge(&shard1);
                             merged.merge(&shard2);
-                            let global = list_of(m, &raw);
+                            let global = sorted_list_of(m, &raw);
                             assert_eq!(merged, global, "hits=({h1},{h2},{h3},{h4}) m={m}");
                             // Merge order must not matter for disjoint
                             // targets (shard reply order is arbitrary).

@@ -31,7 +31,7 @@ use mc_gpu_sim::{
 use mc_kmer::{hash64, Feature, KmerParams, Location};
 use mc_seqio::SequenceRecord;
 
-use crate::candidate::{accumulate_locations, top_candidates, CandidateList};
+use crate::candidate::{accumulate_locations_into, top_candidates_into, CandidateList};
 use crate::classify::{classify_candidates, Classification};
 use crate::database::Database;
 use crate::sketch::Sketcher;
@@ -505,6 +505,8 @@ where
         // --- Stage: accumulation + sliding-window top candidates per device,
         //     then ring merge of the per-device top lists. ---
         let t4 = max_position(&streams);
+        let mut counts = Vec::new();
+        let mut local = CandidateList::new(self.db.config.top_candidates);
         for (d, per_read) in sorted_per_device.iter().enumerate() {
             let mut ops = 0u64;
             for (read_idx, sorted_locations) in per_read {
@@ -512,12 +514,12 @@ where
                     continue;
                 }
                 ops += sorted_locations.len() as u64;
-                let counts = accumulate_locations(sorted_locations);
+                accumulate_locations_into(sorted_locations, &mut counts);
                 let sws = self
                     .db
                     .config
                     .sliding_window_size(records[*read_idx].total_len());
-                let local = top_candidates(&counts, sws, self.db.config.top_candidates);
+                top_candidates_into(&counts, sws, &mut local);
                 per_read_candidates[*read_idx].merge(&local);
             }
             streams[d].launch_kernel(KernelCost::compute(ops, ops * 8, 0));

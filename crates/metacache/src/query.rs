@@ -20,15 +20,15 @@
 //!    [`ShardedDatabase`][crate::shard::ShardedDatabase] from every shard's
 //!    partitions, appending to the same list;
 //! 3. [`accumulate`][QueryScratch::accumulate]`(locations) → CandidateList`
-//!    — order the locations, count hits per window, scan for the top
-//!    candidates.
+//!    — count hits per window, order the distinct windows, scan for the top
+//!    candidates ([`WindowCounter`]).
 //!
 //! [`QueryScratch::candidates_with`] chains them and is the body of
 //! [`Classifier::candidates_with`]. There is one classifier: the index is a
 //! type parameter bound, never a trait object, so the probe is monomorphised
 //! and inlined and the unsharded loop compiles as if written by hand. This
 //! is the paper's multi-GPU query shape (§5.4–5.6): a database *is* its
-//! parts — sketch once, let every part answer the same features, sort and
+//! parts — sketch once, let every part answer the same features, count and
 //! scan once.
 //!
 //! # The zero-allocation hot path
@@ -38,22 +38,16 @@
 //! (§5.2–§5.5) — the host path performs no steady-state heap allocation:
 //!
 //! * every per-read buffer (sketch hash buffers, flat feature list, gathered
-//!   locations, merge buffer, window count statistic, candidate list) lives
-//!   in a reusable [`QueryScratch`];
+//!   locations, the window counter's table and count list, candidate list)
+//!   lives in a reusable [`QueryScratch`];
 //! * [`Classifier::classify_batch`] threads one scratch per worker through
 //!   `rayon`'s `map_init`, so a batch of millions of reads allocates a
 //!   handful of scratches total;
-//! * the gathered location list is a concatenation of per-bucket sorted runs
-//!   (buckets store locations in insertion order, which is ascending
-//!   `(target, window)` during the sequential build), so instead of a global
-//!   `sort_unstable` the hot path detects the natural runs in one O(n) scan
-//!   and merges them bottom-up in the scratch's ping-pong buffer — O(n log r)
-//!   for `r` runs, and a plain pass-through when the list is already sorted.
-//!   Lists with more than `MAX_MERGE_RUNS` runs (heavily fragmented location
-//!   lists of repetitive references) fall back to an LSD radix sort over the
-//!   packed `(target, window)` keys in the same ping-pong buffer — the CPU
-//!   analogue of the paper's segmented device sort (§5.5), O(n) per varying
-//!   key byte instead of O(n log n) comparisons.
+//! * the gathered locations are never sorted: a long read gathers several
+//!   times more locations than it has distinct ones, so [`WindowCounter`]
+//!   counts them by key in a hash table first and sorts only the distinct
+//!   ones — the host's form of the paper's segmented device sort and window
+//!   scan (§5.5–5.6).
 //!
 //! # Database ownership
 //!
@@ -74,21 +68,16 @@ use rayon::prelude::*;
 use mc_kmer::{Feature, Location};
 use mc_seqio::SequenceRecord;
 
-use crate::candidate::{accumulate_locations_into, top_candidates_into, CandidateList};
+use crate::candidate::{CandidateList, WindowCounter};
 use crate::classify::{classify_candidates, Classification};
 use crate::config::MetaCacheConfig;
 use crate::database::Database;
 use crate::sketch::{SketchScratch, Sketcher};
 
-/// Location lists with more natural runs than this are radix-sorted instead
-/// of merged (each merge pass costs one full copy over the list; beyond ~64
-/// runs the fixed number of radix passes wins).
-const MAX_MERGE_RUNS: usize = 64;
-
 /// What a classifier queries: a feature → location index together with the
 /// metadata its answers are decided against. The one seam between a whole
 /// and a sharded database — everything before the probe (sketching) and
-/// after it (sort, count, scan, LCA) is the same code on the same data.
+/// after it (count, sort, scan, LCA) is the same code on the same data.
 pub trait FeatureIndex {
     /// The label a host backend over this index announces
     /// ([`Backend::name`][crate::backend::Backend::name], and through it the
@@ -100,7 +89,7 @@ pub trait FeatureIndex {
     fn metadata(&self) -> &Database;
 
     /// Append the locations of every feature to `locations`, in any order
-    /// ([`QueryScratch::accumulate`] sorts).
+    /// ([`QueryScratch::accumulate`] counts them by key).
     fn locations_into(&self, features: &[Feature], locations: &mut Vec<Location>);
 }
 
@@ -133,12 +122,8 @@ pub struct QueryScratch {
     features: Vec<Feature>,
     /// Locations gathered from all partitions for all features.
     locations: Vec<Location>,
-    /// Ping-pong buffer for the natural-run merge.
-    merge_buf: Vec<Location>,
-    /// Natural-run boundaries detected in `locations`.
-    run_bounds: Vec<usize>,
-    /// The sparse window count statistic.
-    counts: Vec<(Location, u32)>,
+    /// Count table and sparse window count statistic of stage 3.
+    counter: WindowCounter,
     /// The read's candidate list.
     candidates: CandidateList,
 }
@@ -169,21 +154,15 @@ impl QueryScratch {
         &self.locations
     }
 
-    /// Stage 3 — order the gathered locations (merge the per-bucket sorted
-    /// runs, radix-sort when they are too fragmented), accumulate them into
-    /// the window count statistic and scan it for the top candidates of a
-    /// read of `read_len` bases.
+    /// Stage 3 — count the gathered locations by `(target, window)` into the
+    /// window count statistic, sort its distinct entries and scan them once
+    /// for the top candidates of a read of `read_len` bases
+    /// ([`WindowCounter`]).
     #[inline]
     pub fn accumulate(&mut self, config: &MetaCacheConfig, read_len: usize) -> &CandidateList {
-        sort_location_runs(
-            &mut self.locations,
-            &mut self.merge_buf,
-            &mut self.run_bounds,
-        );
-        accumulate_locations_into(&self.locations, &mut self.counts);
         self.candidates.reset(config.top_candidates);
-        top_candidates_into(
-            &self.counts,
+        self.counter.top_candidates_into(
+            &self.locations,
             config.sliding_window_size(read_len),
             &mut self.candidates,
         );
@@ -349,162 +328,11 @@ where
     }
 }
 
-/// Sort `locations` by packed `(target, window)` key using its natural sorted
-/// runs: detect run boundaries in one scan, then merge adjacent runs
-/// bottom-up, ping-ponging between `locations` and `buf`. Falls back to an
-/// LSD radix sort in the same ping-pong buffer when more than
-/// [`MAX_MERGE_RUNS`] runs are found.
-///
-/// `buf` and `bounds` are caller-owned so repeated calls reuse their
-/// allocations.
-pub(crate) fn sort_location_runs(
-    locations: &mut [Location],
-    buf: &mut Vec<Location>,
-    bounds: &mut Vec<usize>,
-) {
-    bounds.clear();
-    if locations.len() < 2 {
-        return;
-    }
-    bounds.push(0);
-    for i in 1..locations.len() {
-        if locations[i].pack() < locations[i - 1].pack() {
-            bounds.push(i);
-        }
-    }
-    bounds.push(locations.len());
-    if bounds.len() == 2 {
-        return; // already sorted — the common case for single-window reads
-    }
-    if bounds.len() - 1 > MAX_MERGE_RUNS {
-        radix_sort_locations(locations, buf);
-        return;
-    }
-
-    // Size the ping-pong buffer without clearing first: every merge pass
-    // overwrites all `n` slots, so stale contents never leak, and skipping
-    // the clear avoids re-filling the whole buffer on every call.
-    buf.resize(locations.len(), Location::new(0, 0));
-    let mut in_main = true;
-    while bounds.len() > 2 {
-        if in_main {
-            merge_pass(locations, buf, bounds);
-        } else {
-            merge_pass(buf, locations, bounds);
-        }
-        in_main = !in_main;
-    }
-    if !in_main {
-        locations.copy_from_slice(buf);
-    }
-}
-
-/// LSD radix sort of `locations` by packed `(target, window)` key,
-/// ping-ponging between `locations` and the caller's scratch `buf` — the
-/// fragmented-list fallback of [`sort_location_runs`] and the CPU analogue
-/// of the paper's segmented device sort (§5.5).
-///
-/// One counting pass per *varying* key byte (a pre-scan XORs every key
-/// against the first, so lists whose locations share the high target bytes —
-/// the common case — run in two or three passes instead of eight). Each pass
-/// is a stable counting sort, so processing bytes least-significant first
-/// yields a total order over the full 64-bit key.
-pub(crate) fn radix_sort_locations(locations: &mut [Location], buf: &mut Vec<Location>) {
-    if locations.len() < 2 {
-        return;
-    }
-    // Like the merge path: every executed pass overwrites all `n` slots of
-    // the destination, so the buffer is resized without clearing.
-    buf.resize(locations.len(), Location::new(0, 0));
-    let first = locations[0].pack();
-    let mut varying = 0u64;
-    for l in locations.iter() {
-        varying |= l.pack() ^ first;
-    }
-    let mut in_main = true;
-    for shift in (0..64).step_by(8) {
-        if (varying >> shift) & 0xFF == 0 {
-            continue; // all keys share this byte — the pass is the identity
-        }
-        if in_main {
-            radix_pass(locations, buf, shift);
-        } else {
-            radix_pass(buf, locations, shift);
-        }
-        in_main = !in_main;
-    }
-    if !in_main {
-        locations.copy_from_slice(buf);
-    }
-}
-
-/// One stable counting-sort pass of the LSD radix sort: scatter `src` into
-/// `dst` ordered by the key byte at `shift`.
-fn radix_pass(src: &[Location], dst: &mut [Location], shift: usize) {
-    let mut counts = [0usize; 256];
-    for l in src {
-        counts[((l.pack() >> shift) & 0xFF) as usize] += 1;
-    }
-    let mut offset = 0usize;
-    for c in counts.iter_mut() {
-        let n = *c;
-        *c = offset;
-        offset += n;
-    }
-    for l in src {
-        let d = ((l.pack() >> shift) & 0xFF) as usize;
-        dst[counts[d]] = *l;
-        counts[d] += 1;
-    }
-}
-
-/// One bottom-up merge pass: adjacent run pairs of `src` are merged into
-/// `dst` and `bounds` is compacted to the surviving boundaries.
-fn merge_pass(src: &[Location], dst: &mut [Location], bounds: &mut Vec<usize>) {
-    let mut write = 0usize;
-    let mut pair = 0usize;
-    let mut kept = 1usize; // bounds[0] == 0 stays
-    while pair + 2 < bounds.len() {
-        let (a, b, c) = (bounds[pair], bounds[pair + 1], bounds[pair + 2]);
-        let (mut i, mut j) = (a, b);
-        while i < b && j < c {
-            if src[j].pack() < src[i].pack() {
-                dst[write] = src[j];
-                j += 1;
-            } else {
-                dst[write] = src[i];
-                i += 1;
-            }
-            write += 1;
-        }
-        while i < b {
-            dst[write] = src[i];
-            i += 1;
-            write += 1;
-        }
-        while j < c {
-            dst[write] = src[j];
-            j += 1;
-            write += 1;
-        }
-        bounds[kept] = c;
-        kept += 1;
-        pair += 2;
-    }
-    if pair + 2 == bounds.len() {
-        // Odd run count: the last run passes through unchanged.
-        let (a, b) = (bounds[pair], bounds[pair + 1]);
-        dst[write..write + (b - a)].copy_from_slice(&src[a..b]);
-        bounds[kept] = b;
-        kept += 1;
-    }
-    bounds.truncate(kept);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::CpuBuilder;
+    use crate::candidate::{accumulate_locations_into, top_candidates_into};
     use crate::config::MetaCacheConfig;
     use mc_taxonomy::{Rank, Taxonomy};
 
@@ -619,6 +447,41 @@ mod tests {
         }
     }
 
+    /// Stage 3 on the locations real reads gather — one and several
+    /// windows, both species in one read, a mate — equals sorting them and
+    /// running the reference accumulate and scan, list for list.
+    #[test]
+    fn accumulate_equals_the_reference_scan_on_probed_locations() {
+        let (db, genome_a, genome_b) = two_species_database();
+        let sketcher = Sketcher::new(&db.config).unwrap();
+        let mut scratch = QueryScratch::new();
+        let (mut sorted, mut counts) = (Vec::new(), Vec::new());
+        let mut expected = CandidateList::new(db.config.top_candidates);
+        for i in 0..40usize {
+            let (offset, len) = (113 * i, 60 + 17 * i);
+            let mut bases = genome_a[offset..offset + len].to_vec();
+            if i % 3 == 0 {
+                bases.extend_from_slice(&genome_b[offset..offset + len]);
+            }
+            let mut read = SequenceRecord::new("r", bases);
+            if i % 4 == 0 {
+                read = read.with_mate(SequenceRecord::new("m", genome_b[offset..][..150].to_vec()));
+            }
+            scratch.sketch(&sketcher, &read);
+            sorted.clear();
+            sorted.extend_from_slice(scratch.probe(&db));
+            sorted.sort_unstable();
+            accumulate_locations_into(&sorted, &mut counts);
+            let sliding = db.config.sliding_window_size(read.total_len());
+            top_candidates_into(&counts, sliding, &mut expected);
+            assert_eq!(
+                scratch.accumulate(&db.config, read.total_len()),
+                &expected,
+                "read {i}"
+            );
+        }
+    }
+
     #[test]
     fn paired_reads_use_both_mates() {
         let (db, genome_a, _) = two_species_database();
@@ -637,111 +500,5 @@ mod tests {
             c.best().unwrap().hits > single_hits,
             "paired read should accumulate more hits than a single mate"
         );
-    }
-
-    fn pack_locs(pairs: &[(u32, u32)]) -> Vec<Location> {
-        pairs.iter().map(|&(t, w)| Location::new(t, w)).collect()
-    }
-
-    fn assert_run_sort(input: Vec<Location>) {
-        let mut expected = input.clone();
-        expected.sort_unstable_by_key(|l| l.pack());
-        let mut got = input;
-        let mut buf = Vec::new();
-        let mut bounds = Vec::new();
-        sort_location_runs(&mut got, &mut buf, &mut bounds);
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn run_merge_sorts_arbitrary_run_shapes() {
-        // Already sorted.
-        assert_run_sort(pack_locs(&[(0, 1), (0, 2), (1, 0), (2, 5)]));
-        // Two runs.
-        assert_run_sort(pack_locs(&[(1, 0), (1, 5), (0, 0), (0, 9)]));
-        // Odd number of runs, with duplicates across runs.
-        assert_run_sort(pack_locs(&[(3, 1), (3, 2), (1, 1), (2, 2), (0, 0), (3, 1)]));
-        // Empty and singleton.
-        assert_run_sort(Vec::new());
-        assert_run_sort(pack_locs(&[(7, 7)]));
-        // Fully descending (n runs of length 1 — exercises the fallback
-        // threshold boundary both below and above MAX_MERGE_RUNS).
-        for n in [MAX_MERGE_RUNS - 1, MAX_MERGE_RUNS + 5, 300] {
-            let desc: Vec<Location> = (0..n).map(|i| Location::new((n - i) as u32, 0)).collect();
-            assert_run_sort(desc);
-        }
-    }
-
-    #[test]
-    fn radix_fallback_matches_global_sort_on_fragmented_lists() {
-        // Wide keys (large targets and windows, so all eight key bytes can
-        // vary) across many short runs — the shape that triggers the radix
-        // fallback in sort_location_runs.
-        let mut state = 0xDEAD_BEEFu64;
-        let mut next = |bound: u64| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 31) % bound
-        };
-        for n in [65usize, 200, 1000, 4096] {
-            let locs: Vec<Location> = (0..n)
-                .map(|_| Location::new(next(u32::MAX as u64) as u32, next(u32::MAX as u64) as u32))
-                .collect();
-            assert_run_sort(locs);
-        }
-        // Keys sharing their high bytes (small targets): most radix passes
-        // are skipped by the varying-byte pre-scan.
-        let locs: Vec<Location> = (0..500)
-            .map(|_| Location::new(next(3) as u32, next(100) as u32))
-            .collect();
-        assert_run_sort(locs);
-        // All-equal keys: zero varying bytes, zero passes.
-        let mut equal = vec![Location::new(42, 7); 100];
-        equal.push(Location::new(42, 6)); // two runs, still one distinct pass shape
-        assert_run_sort(equal);
-    }
-
-    #[test]
-    fn radix_sort_direct_invocation() {
-        let mut state = 1u64;
-        let mut locs: Vec<Location> = (0..777)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                Location::new((state >> 32) as u32, state as u32)
-            })
-            .collect();
-        let mut expected = locs.clone();
-        expected.sort_unstable_by_key(|l| l.pack());
-        let mut buf = Vec::new();
-        radix_sort_locations(&mut locs, &mut buf);
-        assert_eq!(locs, expected);
-        // Odd number of executed passes leaves the result in `locations` too.
-        let mut one_byte: Vec<Location> = (0..300)
-            .map(|i| Location::new(0, (300 - i) % 256))
-            .collect();
-        let mut expected = one_byte.clone();
-        expected.sort_unstable_by_key(|l| l.pack());
-        radix_sort_locations(&mut one_byte, &mut buf);
-        assert_eq!(one_byte, expected);
-    }
-
-    #[test]
-    fn run_merge_matches_global_sort_on_random_inputs() {
-        let mut state = 0x1234_5678u64;
-        for case in 0..200 {
-            let len = (case % 37) * 7;
-            let locs: Vec<Location> = (0..len)
-                .map(|_| {
-                    state = state
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    Location::new((state >> 33) as u32 % 8, (state >> 20) as u32 % 16)
-                })
-                .collect();
-            assert_run_sort(locs);
-        }
     }
 }

@@ -6,8 +6,8 @@
 //! allocations.
 //!
 //! This is the acceptance check for the scratch-buffer refactor: the sketch
-//! kernel's hash buffers, location gathering, run merge, window count
-//! statistic and candidate list must all live in caller-owned reusable
+//! kernel's hash buffers, location gathering, the window counter's table and
+//! count list, and the candidate list must all live in caller-owned reusable
 //! buffers.
 
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -9,12 +9,12 @@ use mc_datagen::taxonomy_gen::TaxonomySpec;
 use mc_gpu_sim::MultiGpuSystem;
 use mc_taxonomy::TaxonId;
 use metacache::build::{estimate_locations, CpuBuilder, GpuBuilder};
-use metacache::candidate::{accumulate_locations, top_candidates};
+use metacache::candidate::{accumulate_locations_into, top_candidates_into};
 use metacache::classify::{classify_candidates, ClassificationEvaluation};
 use metacache::gpu::GpuClassifier;
 use metacache::pipeline::{run_on_the_fly, run_write_load_query, DiskModel};
 use metacache::query::Classifier;
-use metacache::{serialize, MetaCacheConfig};
+use metacache::{serialize, CandidateList, MetaCacheConfig};
 
 fn community() -> ReferenceCollection {
     ReferenceCollection::refseq_like(RefSeqLikeSpec {
@@ -57,10 +57,11 @@ fn cpu_pipeline_classifies_mock_community_accurately() {
     assert!(eval.genus.sensitivity() >= eval.species.sensitivity());
 }
 
-/// The zero-allocation hot path (hash → cut → sort sketching, natural-run
-/// merge, reused scratch) classifies exactly like the seed query path
-/// assembled from the retained oracle pieces: collect→sort→dedup sketches,
-/// fresh vectors per read, one global comparison sort.
+/// The zero-allocation hot path (hash → cut → sort sketching, count → sort
+/// distinct → scan, reused scratch) classifies exactly like the seed query
+/// path assembled from the retained oracle pieces: collect→sort→dedup
+/// sketches, fresh vectors per read, one global comparison sort, the
+/// reference accumulate and scan.
 #[test]
 fn scratch_hot_path_matches_the_collect_sort_baseline() {
     let collection = community();
@@ -84,9 +85,11 @@ fn scratch_hot_path_matches_the_collect_sort_baseline() {
                 db.query_feature_into(feature, &mut locations);
             }
             locations.sort_unstable_by_key(|l| l.pack());
-            let counts = accumulate_locations(&locations);
+            let mut counts = Vec::new();
+            accumulate_locations_into(&locations, &mut counts);
             let sws = db.config.sliding_window_size(sketch.total_len);
-            let candidates = top_candidates(&counts, sws, db.config.top_candidates);
+            let mut candidates = CandidateList::new(db.config.top_candidates);
+            top_candidates_into(&counts, sws, &mut candidates);
             classify_candidates(&db, &db.config, &candidates)
         })
         .collect();

@@ -1,7 +1,8 @@
 //! Property-based tests (proptest) of the core invariants:
 //! encoding round-trips, canonical k-mer strand independence, hash-table
 //! insert/query consistency across every variant, segmented-sort correctness,
-//! sketch stability and LCA algebra.
+//! sketch stability, LCA algebra and the window counter against the
+//! reference candidate scan.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -17,9 +18,10 @@ use mc_warpcore::{
     MultiBucketConfig, MultiBucketHashTable, MultiValueConfig, MultiValueHashTable,
 };
 use metacache::build::CpuBuilder;
+use metacache::candidate::{accumulate_locations_into, top_candidates_into, WindowCounter};
 use metacache::gpu::{warp_sketch_window_into, WarpSketchScratch};
 use metacache::query::{Classifier, QueryScratch};
-use metacache::{Database, MetaCacheConfig, SketchScratch, Sketcher};
+use metacache::{CandidateList, Database, MetaCacheConfig, SketchScratch, Sketcher};
 
 fn dna(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     vec(
@@ -362,10 +364,75 @@ proptest! {
         let mut locations: Vec<Location> =
             locs.iter().map(|(t, w)| Location::new(*t, *w)).collect();
         locations.sort_unstable_by_key(|l| l.pack());
-        let counts = metacache::candidate::accumulate_locations(&locations);
+        let mut counts = Vec::new();
+        accumulate_locations_into(&locations, &mut counts);
         let total: u32 = counts.iter().map(|(_, c)| *c).sum();
         prop_assert_eq!(total as usize, locations.len());
         // Accumulated locations are strictly increasing.
         prop_assert!(counts.windows(2).all(|w| w[0].0 < w[1].0));
+    }
+}
+
+/// A location list as stage 3 receives it: `n` locations of one key shape,
+/// dealt at random into `runs` runs, each run sorted as a bucket keeps it,
+/// the runs concatenated.
+fn gathered_locations(seed: u64, n: usize, runs: usize, shape: u32, sliding: u32) -> Vec<Location> {
+    let mut state = seed | 1;
+    let mut next = |bound: u32| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (((state >> 32) * bound as u64) >> 32) as u32
+    };
+    let mut dealt = vec![Vec::new(); runs];
+    for i in 0..n as u32 {
+        let location = match shape {
+            // Few keys: duplicates within and across runs, ties on hits.
+            0 => Location::new(next(6), next(24)),
+            // The top of the key space, where `window + sliding` overflows u32.
+            1 => Location::new(u32::MAX - next(3), u32::MAX - next(8)),
+            // Keys with equal low bits, differing only from bit 20 up.
+            2 => Location::new((next(4) << 20) | 0x5A5, (next(8) << 20) | 0x3C3),
+            // Windows on the sliding edge: j·sliding, j·sliding + sliding − 1.
+            3 => Location::new(next(3), next(6) * sliding + next(2) * (sliding - 1)),
+            // Many targets at equal hits: 61 targets, the same two windows.
+            _ => Location::new(i % 61, (i / 61) % 2),
+        };
+        dealt[next(runs as u32) as usize].push(location);
+    }
+    dealt
+        .into_iter()
+        .flat_map(|mut run| {
+            run.sort_unstable();
+            run
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// Stage 3's count → sort distinct → scan equals sorting the locations
+    /// and running the reference accumulate and scan, bit for bit, with one
+    /// counter reused over a read, its second half and the read again.
+    #[test]
+    fn window_counter_equals_sort_accumulate_scan(
+        (seed, n, runs) in (any::<u64>(), 0usize..=500, 1usize..=300),
+        (shape, top_index, sliding) in (0u32..5, 0usize..4, 1u32..=6),
+    ) {
+        let top = [1usize, 2, 4, 8][top_index];
+        let gathered = gathered_locations(seed, n, runs, shape, sliding);
+        let mut counter = WindowCounter::new();
+        let mut list = CandidateList::new(top);
+        for part in [&gathered[..], &gathered[n / 2..], &gathered[..]] {
+            let mut sorted = part.to_vec();
+            sorted.sort_unstable();
+            let mut counts = Vec::new();
+            accumulate_locations_into(&sorted, &mut counts);
+            let mut expected = CandidateList::new(top);
+            top_candidates_into(&counts, sliding as usize, &mut expected);
+            counter.top_candidates_into(part, sliding as usize, &mut list);
+            prop_assert_eq!(&list, &expected, "shape {} sliding {} top {}", shape, sliding, top);
+        }
     }
 }
