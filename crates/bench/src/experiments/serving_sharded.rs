@@ -1,5 +1,5 @@
 //! Sharded serving experiment: scatter-gather classification over a
-//! [`ShardedDatabase`] split — in process and routed over loopback TCP —
+//! [`Database::repartition`] — in process and routed over loopback TCP —
 //! verified bit-identical to the unsharded classifier before timing counts.
 //!
 //! Two questions, mirroring the paper's database-partitioning story (§4.3)
@@ -28,14 +28,12 @@ use std::time::Instant;
 use serde::Serialize;
 
 use mc_net::{NetClient, NetServer, RouterBackend, RouterConfig};
-use metacache::build::CpuBuilder;
 use metacache::query::Classifier;
 use metacache::serving::{EngineConfig, ServingEngine};
-use metacache::{Database, HostBackend, MetaCacheConfig, ShardedDatabase};
+use metacache::{Database, HostBackend, MetaCacheConfig, ShardPlan};
 
 use crate::experiments::{fmt_bytes, fmt_secs, reads_per_minute};
 use crate::scale::ExperimentScale;
-use mc_datagen::community::ReferenceCollection;
 
 use crate::setup::{self, ReferenceSetup, Workloads};
 
@@ -87,16 +85,11 @@ pub struct ServingShardedResult {
     pub routed_identical: bool,
 }
 
-/// Build an owned copy of the reference database (the shard split consumes
-/// it; [`setup::build_metacache_cpu`] hands back an `Arc`).
-fn build_owned(config: MetaCacheConfig, collection: &ReferenceCollection) -> Database {
-    let mut builder = CpuBuilder::new(config, collection.taxonomy.clone());
-    for target in &collection.targets {
-        builder
-            .add_target(target.to_record(), target.taxon)
-            .expect("valid target");
-    }
-    builder.finish()
+/// `db` split round-robin into `shard_count` partitions.
+fn split_round_robin(db: &Database, shard_count: usize) -> Database {
+    let plan = ShardPlan::round_robin(db.target_count(), shard_count).expect("shard count ≥ 1");
+    db.repartition(&plan)
+        .expect("the plan assigns every target")
 }
 
 /// Run the experiment.
@@ -136,12 +129,9 @@ pub fn run(scale: &ExperimentScale) -> ServingShardedResult {
     drop(session);
     engine.shutdown();
 
-    // In-process scatter-gather at increasing shard counts. The 2-shard
-    // split is kept for the routed topology below.
-    let mut two_shard_split = None;
+    // In-process scatter-gather at increasing shard counts.
     for shard_count in [1usize, 2, 4] {
-        let owned = build_owned(MetaCacheConfig::default(), &refs.refseq);
-        let split = Arc::new(ShardedDatabase::round_robin(owned, shard_count).unwrap());
+        let split = Arc::new(split_round_robin(db, shard_count));
         let engine = ServingEngine::new(HostBackend::new(Arc::clone(&split)), engine_config);
         let mut session = engine.session();
         let start = Instant::now();
@@ -152,9 +142,9 @@ pub fn run(scale: &ExperimentScale) -> ServingShardedResult {
         result.rows.push(ServingShardedRow {
             shard_count,
             max_shard_table_bytes: split
-                .shards()
+                .partitions
                 .iter()
-                .map(|s| s.table_bytes())
+                .map(|p| p.bytes())
                 .max()
                 .unwrap_or(0),
             total_table_bytes: split.table_bytes(),
@@ -163,19 +153,15 @@ pub fn run(scale: &ExperimentScale) -> ServingShardedResult {
             over_unsharded: result.unsharded_secs / secs,
             identical: got == expected,
         });
-        if shard_count == 2 {
-            two_shard_split = Some(split);
-        }
     }
 
     // Routed loopback: two shard servers fronted by a scatter-gather
     // router, driven through the ordinary protocol.
-    let split = two_shard_split.expect("2-shard split recorded");
-    result.routed_shards = split.shard_count();
-    let shard_engines: Vec<ServingEngine> = split
-        .shards()
-        .iter()
-        .map(|shard| ServingEngine::host_with_config(Arc::clone(shard), engine_config))
+    let parts = split_round_robin(db, 2).into_parts();
+    result.routed_shards = parts.len();
+    let shard_engines: Vec<ServingEngine> = parts
+        .into_iter()
+        .map(|part| ServingEngine::host_with_config(Arc::new(part), engine_config))
         .collect();
     let shard_servers: Vec<NetServer> = shard_engines
         .iter()
@@ -186,7 +172,7 @@ pub fn run(scale: &ExperimentScale) -> ServingShardedResult {
     let shard_addrs: Vec<std::net::SocketAddr> =
         shard_handles.iter().map(|h| h.local_addr()).collect();
     let backend = RouterBackend::new(
-        Arc::clone(split.meta()),
+        Arc::new(db.metadata_view()),
         &shard_addrs,
         RouterConfig::default(),
     )

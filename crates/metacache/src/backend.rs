@@ -1,6 +1,5 @@
-//! Execution backends: every backend is a *candidate source* — the host
-//! (over a whole or a sharded database), simulated-GPU and (in `mc-net`)
-//! routed paths behind one interface.
+//! Execution backends: every backend is a *candidate source* — the host,
+//! simulated-GPU and (in `mc-net`) routed paths behind one interface.
 //!
 //! The serving engine ([`crate::serving::ServingEngine`]) — and with it the
 //! streaming front [`crate::pipeline::StreamingClassifier`] — is written
@@ -33,7 +32,7 @@ use mc_seqio::SequenceRecord;
 use crate::candidate::CandidateList;
 use crate::database::Database;
 use crate::gpu::GpuClassifier;
-use crate::query::{Classifier, FeatureIndex, QueryScratch};
+use crate::query::{Classifier, QueryScratch};
 
 /// A classification execution path: the host rayon/scratch path or the
 /// simulated multi-GPU path, behind one interface.
@@ -46,8 +45,8 @@ use crate::query::{Classifier, FeatureIndex, QueryScratch};
 pub trait Backend: Send + Sync {
     /// The database this backend serves: what the engine decides
     /// classifications against (config, targets, taxonomy, lineages) — the
-    /// full database for a table-owning backend, the table-free metadata
-    /// view for a sharded or routed one.
+    /// database itself for a table-owning backend, however many partitions
+    /// it has, and the table-free metadata view for a routed one.
     fn database(&self) -> &Database;
 
     /// Short label used in reports and benchmarks.
@@ -73,22 +72,20 @@ pub trait BackendWorker: Send {
 }
 
 /// The host execution path: per-worker [`QueryScratch`] over the rayon-style
-/// zero-allocation hot path of [`crate::query`]. The one host backend for a
-/// whole [`Database`] and a [`ShardedDatabase`][crate::shard::ShardedDatabase]
-/// alike — workers of the latter probe all shards in-process — announcing
-/// itself as `"host"` or `"sharded-host"` ([`FeatureIndex::BACKEND_NAME`]).
+/// zero-allocation hot path of [`crate::query`]. Its workers probe every
+/// partition in process, so it announces itself as `"sharded-host"` over a
+/// database of several partitions (a
+/// [`repartition`][Database::repartition]) and as `"host"` otherwise.
 pub struct HostBackend<D = Arc<Database>>
 where
-    D: Deref + Clone + Send + Sync,
-    D::Target: FeatureIndex,
+    D: Deref<Target = Database> + Clone + Send + Sync,
 {
     db: D,
 }
 
 impl<D> HostBackend<D>
 where
-    D: Deref + Clone + Send + Sync,
-    D::Target: FeatureIndex,
+    D: Deref<Target = Database> + Clone + Send + Sync,
 {
     /// Create a host backend over a borrowed or owned database handle.
     pub fn new(db: D) -> Self {
@@ -98,15 +95,18 @@ where
 
 impl<D> Backend for HostBackend<D>
 where
-    D: Deref + Clone + Send + Sync,
-    D::Target: FeatureIndex,
+    D: Deref<Target = Database> + Clone + Send + Sync,
 {
     fn database(&self) -> &Database {
-        self.db.metadata()
+        &self.db
     }
 
     fn name(&self) -> &'static str {
-        D::Target::BACKEND_NAME
+        if self.db.partition_count() > 1 {
+            "sharded-host"
+        } else {
+            "host"
+        }
     }
 
     fn worker(&self) -> Box<dyn BackendWorker + '_> {
@@ -119,8 +119,7 @@ where
 
 struct HostWorker<D>
 where
-    D: Deref,
-    D::Target: FeatureIndex,
+    D: Deref<Target = Database>,
 {
     classifier: Classifier<D>,
     scratch: QueryScratch,
@@ -128,8 +127,7 @@ where
 
 impl<D> BackendWorker for HostWorker<D>
 where
-    D: Deref + Send,
-    D::Target: FeatureIndex,
+    D: Deref<Target = Database> + Send,
 {
     fn candidates_each(
         &mut self,
@@ -290,6 +288,19 @@ mod tests {
         assert_eq!(out, expected);
         assert_eq!(backend.name(), "host");
         assert_eq!(backend.database().target_count(), 2);
+    }
+
+    #[test]
+    fn host_backend_name_follows_partition_count() {
+        let (db, _) = small_db();
+        let name_over = |shard_count| {
+            let plan = crate::shard::ShardPlan::round_robin(2, shard_count).unwrap();
+            HostBackend::new(&db.repartition(&plan).unwrap()).name()
+        };
+        assert_eq!(name_over(1), "host");
+        assert_eq!(name_over(2), "sharded-host");
+        assert_eq!(name_over(3), "sharded-host");
+        assert_eq!(HostBackend::new(&db.metadata_view()).name(), "host");
     }
 
     #[test]

@@ -12,6 +12,7 @@ use mc_warpcore::{
 use crate::build::{sketch_target_into, TargetScratch};
 use crate::config::MetaCacheConfig;
 use crate::error::MetaCacheError;
+use crate::shard::ShardPlan;
 use crate::sketch::Sketcher;
 
 /// Metadata of one reference target (a genome or scaffold sequence).
@@ -187,11 +188,9 @@ impl Database {
     }
 
     /// A table-free copy of this database: full configuration, target
-    /// table, taxonomy and lineage cache, but no partitions. This is the
-    /// shared metadata view of a scatter-gather deployment — the
-    /// [`crate::shard::ShardedDatabase`] hands it to merge/classify code
-    /// and a router process serves from it — where candidate *lookup*
-    /// happens elsewhere (per shard) and only the final
+    /// table, taxonomy and lineage cache, but no partitions. This is what a
+    /// router process serves from: candidate *lookup* happens on the shard
+    /// servers and only the final
     /// [`crate::classify::classify_candidates`] step runs locally, which
     /// touches targets, taxonomy and lineages but never the hash table.
     pub fn metadata_view(&self) -> Database {
@@ -202,6 +201,70 @@ impl Database {
             lineages: self.lineages.clone(),
             partitions: Vec::new(),
         }
+    }
+
+    /// This database split by target into `plan.shard_count()` partitions:
+    /// partition `i` is a packed host table holding exactly the locations of
+    /// the targets `plan` assigns to `i`, under their global ids, and the
+    /// metadata is this database's. Queries of the result are bit-identical
+    /// to queries of `self` (see [`crate::shard`]). The plan must assign
+    /// exactly this database's targets.
+    pub fn repartition(&self, plan: &ShardPlan) -> Result<Database, MetaCacheError> {
+        let assignment = plan.assignment();
+        if assignment.len() != self.target_count() {
+            return Err(MetaCacheError::Config(format!(
+                "shard plan assigns {} targets, database has {}",
+                assignment.len(),
+                self.target_count()
+            )));
+        }
+        // Split every bucket of every partition by the owning target's
+        // shard. Inserting re-merges features that span source partitions
+        // (multi-device builds) into one bucket per feature, which may then
+        // be longer than the build's cap allowed any one partition — so the
+        // shard tables take the widest cap, and nothing the build kept is
+        // dropped here.
+        let mut tables: Vec<HostHashTable> = (0..plan.shard_count())
+            .map(|_| HostHashTable::new(HostHashTable::MAX_BUCKET_LEN))
+            .collect();
+        for partition in &self.partitions {
+            partition.store.for_each_bucket(|feature, bucket| {
+                bucket.iter().try_for_each(|&loc| {
+                    tables[assignment[loc.target as usize]].insert(feature, loc)
+                })
+            })?;
+        }
+        let partitions = tables
+            .into_iter()
+            .enumerate()
+            .map(|(shard, mut table)| {
+                table.compact();
+                let targets = (0..assignment.len() as TargetId)
+                    .filter(|&t| assignment[t as usize] == shard)
+                    .collect();
+                Partition {
+                    store: PartitionStore::Host(table),
+                    targets,
+                }
+            })
+            .collect();
+        Ok(Database {
+            partitions,
+            ..self.metadata_view()
+        })
+    }
+
+    /// One database per partition, each with this database's full metadata
+    /// (global target ids) and that one partition — what a shard server
+    /// holds of a [`repartition`][Self::repartition].
+    pub fn into_parts(mut self) -> Vec<Database> {
+        std::mem::take(&mut self.partitions)
+            .into_iter()
+            .map(|partition| Database {
+                partitions: vec![partition],
+                ..self.metadata_view()
+            })
+            .collect()
     }
 
     /// Query a feature against every partition, appending all hits.
@@ -242,7 +305,9 @@ impl Database {
     /// bucket moves once to the end of the table's location array), and the
     /// global `max_locations_per_feature` cap applies to every one of them,
     /// so the result is bit-identical to building from the extended reference
-    /// set in one pass.
+    /// set in one pass. (A [`repartition`][Self::repartition]'s tables carry
+    /// the widest cap instead, so there the identity holds only while no
+    /// touched bucket reaches the build's cap.)
     ///
     /// `taxon` must already exist (extend the taxonomy through
     /// [`Database::apply_delta`] to add taxa and targets together).
@@ -522,6 +587,30 @@ mod tests {
         // Lineages were refreshed: the new species resolves through the
         // new genus to the root.
         assert_eq!(db.lineages.ancestor_at(110, Rank::Genus), 11);
+    }
+
+    /// A feature held by two partitions under a cap of 1 — what a 2-device
+    /// build leaves when two targets share it — becomes one bucket of two:
+    /// the split applies no cap of its own.
+    #[test]
+    fn repartition_keeps_merged_buckets_past_the_build_cap() {
+        let mut db = tiny_database();
+        db.config.max_locations_per_feature = 1;
+        let part = |target| {
+            let mut table = HostHashTable::new(1);
+            table.insert(7, Location::new(target, 0)).unwrap();
+            Partition {
+                store: PartitionStore::Host(table),
+                targets: vec![target],
+            }
+        };
+        db.partitions = vec![part(0), part(1)];
+        let merged = db
+            .repartition(&ShardPlan::round_robin(2, 1).unwrap())
+            .unwrap();
+        let mut hits = Vec::new();
+        assert_eq!(merged.query_feature_into(7, &mut hits), 2);
+        assert_eq!(merged.partitions[0].targets, [0, 1]);
     }
 
     #[test]

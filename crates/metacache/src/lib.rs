@@ -37,10 +37,11 @@
 //! bit-identical results in input order under a per-session memory bound.
 //! [`pipeline::StreamingClassifier`] is the one-stream front over such an
 //! engine (a file or iterator in, classifications out). There is one
-//! classifier and one host backend: [`query::Classifier`] and
-//! [`backend::HostBackend`] take a whole [`Database`] or a
-//! [`ShardedDatabase`] alike ([`query::FeatureIndex`] is the seam). The
-//! host and simulated-GPU execution paths sit behind the
+//! classifier and one host backend, [`query::Classifier`] and
+//! [`backend::HostBackend`], over one [`Database`] type: a database split
+//! by target ([`Database::repartition`], see [`shard`]) is a database whose
+//! partitions are the shards. The host and simulated-GPU execution paths
+//! sit behind the
 //! [`backend::Backend`] trait, so the engine drives either; the GPU path is
 //! an analytic model and an identity oracle, not a deployment
 //! (see `docs/ARCHITECTURE.md`). The companion `mc-net` crate exposes the
@@ -120,17 +121,70 @@ pub use config::MetaCacheConfig;
 pub use database::{Database, DatabaseDelta, DeltaStats, Partition, TargetInfo};
 pub use error::MetaCacheError;
 pub use pipeline::{StreamingClassifier, StreamingSummary};
-pub use query::{Classifier, FeatureIndex, QueryScratch};
+pub use query::{Classifier, QueryScratch};
 pub use serving::{
     EngineConfig, EngineStats, Epoch, EpochStore, ServingEngine, Session, SessionConfig,
 };
-pub use shard::{ShardPlan, ShardedDatabase};
+pub use shard::ShardPlan;
 pub use sketch::{ReadSketch, Sketch, SketchScratch, Sketcher};
 
-/// [`Classifier`] over a shared [`ShardedDatabase`]. An alias, not a type:
-/// it exists only because the frozen `benchmark/` package spells this name,
-/// and goes when that package next changes (ROADMAP item 1(c)).
-pub type ShardedClassifier = Classifier<std::sync::Arc<ShardedDatabase>>;
+#[doc(hidden)]
+pub use frozen_benchmark::{ShardedClassifier, ShardedDatabase};
+
+/// The names the frozen `benchmark/` package spells, kept over
+/// [`Database::repartition`] and used by nothing else. They go when that
+/// package next changes (ROADMAP item 1(c)).
+#[doc(hidden)]
+mod frozen_benchmark {
+    use std::sync::{Arc, OnceLock};
+
+    use mc_seqio::SequenceRecord;
+
+    use crate::{Classification, Classifier, Database, MetaCacheError, ShardPlan};
+
+    /// A database repartitioned round-robin, and its parts on demand.
+    pub struct ShardedDatabase {
+        whole: Arc<Database>,
+        plan: ShardPlan,
+        parts: OnceLock<Vec<Arc<Database>>>,
+    }
+
+    impl ShardedDatabase {
+        pub fn round_robin(db: Database, shard_count: usize) -> Result<Self, MetaCacheError> {
+            let plan = ShardPlan::round_robin(db.target_count(), shard_count)?;
+            Ok(Self {
+                whole: Arc::new(db.repartition(&plan)?),
+                plan,
+                parts: OnceLock::new(),
+            })
+        }
+
+        pub fn meta(&self) -> &Database {
+            &self.whole
+        }
+
+        pub fn shards(&self) -> &[Arc<Database>] {
+            self.parts.get_or_init(|| {
+                let copy = self.whole.repartition(&self.plan);
+                let copy = copy.expect("the plan split this database once already");
+                copy.into_parts().into_iter().map(Arc::new).collect()
+            })
+        }
+    }
+
+    /// The one classifier over the whole repartitioned database.
+    pub struct ShardedClassifier(Classifier);
+
+    impl ShardedClassifier {
+        pub fn new(db: Arc<ShardedDatabase>) -> Self {
+            Self(Classifier::new(Arc::clone(&db.whole)))
+        }
+
+        pub fn classify_batch(&self, records: &[SequenceRecord]) -> Vec<Classification> {
+            self.0.classify_batch(records)
+        }
+    }
+}
 
 /// Convenient result alias.
 pub type Result<T> = std::result::Result<T, MetaCacheError>;

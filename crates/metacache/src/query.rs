@@ -14,22 +14,18 @@
 //! 1. [`sketch`][QueryScratch::sketch]`(record) → features` — the read's
 //!    (and its mate's) windows, min-hashed into one flat feature list;
 //! 2. [`probe`][QueryScratch::probe]`(features) → locations` — the only
-//!    stage that touches hash tables, and the only one that differs between
-//!    deployments: it asks a [`FeatureIndex`], which a whole [`Database`]
-//!    answers from its partitions and a
-//!    [`ShardedDatabase`][crate::shard::ShardedDatabase] from every shard's
-//!    partitions, appending to the same list;
+//!    stage that touches hash tables: every partition of the [`Database`]
+//!    answers the same features into one list, whether the partitions are
+//!    one build's or the shards of a
+//!    [`repartition`][Database::repartition];
 //! 3. [`accumulate`][QueryScratch::accumulate]`(locations) → CandidateList`
 //!    — count hits per window, order the distinct windows, scan for the top
 //!    candidates ([`WindowCounter`]).
 //!
 //! [`QueryScratch::candidates_with`] chains them and is the body of
-//! [`Classifier::candidates_with`]. There is one classifier: the index is a
-//! type parameter bound, never a trait object, so the probe is monomorphised
-//! and inlined and the unsharded loop compiles as if written by hand. This
-//! is the paper's multi-GPU query shape (§5.4–5.6): a database *is* its
-//! parts — sketch once, let every part answer the same features, count and
-//! scan once.
+//! [`Classifier::candidates_with`]. This is the paper's multi-GPU query
+//! shape (§5.4–5.6): a database *is* its parts — sketch once, let every part
+//! answer the same features, count and scan once.
 //!
 //! # The zero-allocation hot path
 //!
@@ -51,11 +47,10 @@
 //!
 //! # Database ownership
 //!
-//! [`Classifier`] is generic over *how it holds the database* and over
-//! *which kind it holds*: any `Deref` to a [`FeatureIndex`] works. Borrow
-//! for one-shot use (`Classifier::new(&db)`), or hand it an `Arc<Database>`
-//! (the default type parameter) or an `Arc<ShardedDatabase>` so long-lived
-//! serving components — the
+//! [`Classifier`] is generic over *how it holds the database*: any `Deref`
+//! to a [`Database`] works. Borrow for one-shot use
+//! (`Classifier::new(&db)`), or hand it an `Arc<Database>` (the default type
+//! parameter) so long-lived serving components — the
 //! [`ServingEngine`][crate::serving::ServingEngine] worker pool, backends
 //! shared across threads — can co-own the database without a borrow tying
 //! them to a caller's stack frame.
@@ -73,40 +68,6 @@ use crate::classify::{classify_candidates, Classification};
 use crate::config::MetaCacheConfig;
 use crate::database::Database;
 use crate::sketch::{SketchScratch, Sketcher};
-
-/// What a classifier queries: a feature → location index together with the
-/// metadata its answers are decided against. The one seam between a whole
-/// and a sharded database — everything before the probe (sketching) and
-/// after it (count, sort, scan, LCA) is the same code on the same data.
-pub trait FeatureIndex {
-    /// The label a host backend over this index announces
-    /// ([`Backend::name`][crate::backend::Backend::name], and through it the
-    /// `backend` field of the wire handshake).
-    const BACKEND_NAME: &'static str;
-
-    /// The database to decide against: config, targets, taxonomy, lineages.
-    /// Its own tables need not be the ones [`Self::locations_into`] reads.
-    fn metadata(&self) -> &Database;
-
-    /// Append the locations of every feature to `locations`, in any order
-    /// ([`QueryScratch::accumulate`] counts them by key).
-    fn locations_into(&self, features: &[Feature], locations: &mut Vec<Location>);
-}
-
-impl FeatureIndex for Database {
-    const BACKEND_NAME: &'static str = "host";
-
-    fn metadata(&self) -> &Database {
-        self
-    }
-
-    /// One batched call per partition (amortises the store's per-lookup
-    /// overhead).
-    #[inline]
-    fn locations_into(&self, features: &[Feature], locations: &mut Vec<Location>) {
-        self.query_features_into(features, locations);
-    }
-}
 
 /// Reusable per-worker scratch state for allocation-free classification.
 ///
@@ -143,14 +104,14 @@ impl QueryScratch {
         &self.features
     }
 
-    /// Stage 2 — gather the locations of the sketched features: `index`
-    /// appends them to the (cleared) location list, in any order. The tables
-    /// behind `index` are the only thing that differs between an unsharded
-    /// and a sharded query.
+    /// Stage 2 — gather the locations of the sketched features: every
+    /// partition of `db` appends them to the (cleared) location list,
+    /// partition-major ([`Database::query_features_into`]). How the targets
+    /// are spread over the partitions changes only the order of the list.
     #[inline]
-    pub fn probe(&mut self, index: &(impl FeatureIndex + ?Sized)) -> &[Location] {
+    pub fn probe(&mut self, db: &Database) -> &[Location] {
         self.locations.clear();
-        index.locations_into(&self.features, &mut self.locations);
+        db.query_features_into(&self.features, &mut self.locations);
         &self.locations
     }
 
@@ -171,25 +132,23 @@ impl QueryScratch {
 
     /// The whole per-read pipeline — [`sketch`][Self::sketch] →
     /// [`probe`][Self::probe] → [`accumulate`][Self::accumulate] — reusing
-    /// every buffer. This is the body of [`Classifier::candidates_with`];
-    /// the index's probe is inlined into it.
+    /// every buffer. This is the body of [`Classifier::candidates_with`].
     #[inline]
     pub fn candidates_with(
         &mut self,
         sketcher: &Sketcher,
-        index: &(impl FeatureIndex + ?Sized),
+        db: &Database,
         record: &SequenceRecord,
     ) -> &CandidateList {
         self.sketch(sketcher, record);
-        self.probe(index);
-        self.accumulate(&index.metadata().config, record.total_len())
+        self.probe(db);
+        self.accumulate(&db.config, record.total_len())
     }
 }
 
-/// Per-read classifier bound to a database — whole ([`Database`]) or
-/// sharded ([`ShardedDatabase`][crate::shard::ShardedDatabase]); both run
-/// this one body and produce bit-identical results (`shard`'s module docs
-/// give the argument).
+/// Per-read classifier bound to a database. A database and any
+/// [`repartition`][Database::repartition] of it produce bit-identical
+/// results (`shard`'s module docs give the argument).
 ///
 /// The entry points trade convenience against allocation control:
 /// [`Classifier::classify`] allocates a fresh [`QueryScratch`] per call,
@@ -233,8 +192,7 @@ impl QueryScratch {
 /// ```
 pub struct Classifier<D = Arc<Database>>
 where
-    D: Deref,
-    D::Target: FeatureIndex,
+    D: Deref<Target = Database>,
 {
     db: D,
     sketcher: Sketcher,
@@ -242,20 +200,19 @@ where
 
 impl<D> Classifier<D>
 where
-    D: Deref,
-    D::Target: FeatureIndex,
+    D: Deref<Target = Database>,
 {
     /// Create a classifier for a database. `db` can be a borrow
-    /// (`&Database`) for one-shot use or an owning handle (`Arc<Database>`,
-    /// `Arc<ShardedDatabase>`) for long-lived serving components.
+    /// (`&Database`) for one-shot use or an owning handle (`Arc<Database>`)
+    /// for long-lived serving components.
     pub fn new(db: D) -> Self {
-        let sketcher = Sketcher::new(&db.metadata().config)
-            .expect("database config was validated at build or load");
+        let sketcher =
+            Sketcher::new(&db.config).expect("database config was validated at build or load");
         Self { db, sketcher }
     }
 
     /// The database this classifier queries.
-    pub fn database(&self) -> &D::Target {
+    pub fn database(&self) -> &Database {
         &self.db
     }
 
@@ -272,7 +229,7 @@ where
         record: &SequenceRecord,
         scratch: &'s mut QueryScratch,
     ) -> &'s CandidateList {
-        scratch.candidates_with(&self.sketcher, &*self.db, record)
+        scratch.candidates_with(&self.sketcher, &self.db, record)
     }
 
     /// Compute the candidate list of one read (or read pair). Convenience
@@ -289,9 +246,8 @@ where
         record: &SequenceRecord,
         scratch: &mut QueryScratch,
     ) -> Classification {
-        let meta = self.db.metadata();
         let candidates = self.candidates_with(record, scratch);
-        classify_candidates(meta, &meta.config, candidates)
+        classify_candidates(&self.db, &self.db.config, candidates)
     }
 
     /// Classify one read (or read pair).
@@ -313,8 +269,7 @@ where
 
 impl<D> Classifier<D>
 where
-    D: Deref + Sync,
-    D::Target: FeatureIndex,
+    D: Deref<Target = Database> + Sync,
 {
     /// Classify a batch of reads in parallel. One [`QueryScratch`] is created
     /// per rayon worker and reused for every read that worker processes.

@@ -752,9 +752,10 @@ pub struct ServingEngine {
 }
 
 impl ServingEngine {
-    /// Start an engine over a backend: [`HostBackend`] over a whole
-    /// database or over a [`crate::shard::ShardedDatabase`] (scatter-gather
-    /// in process, bit-identical to the unsharded engine), or the simulated
+    /// Start an engine over a backend: [`HostBackend`] over a database —
+    /// one built, loaded or [repartitioned][crate::Database::repartition]
+    /// (every partition probed in process, bit-identical to the unsplit
+    /// engine) — or the simulated
     /// multi-GPU [`crate::backend::GpuBackend`] (batches issue round-robin
     /// across devices).
     pub fn new<B>(backend: B, config: EngineConfig) -> Self

@@ -1,35 +1,43 @@
-//! Sharded databases: one more thing the one classifier can query.
+//! Sharding: a split database is a [`Database`][crate::Database] whose
+//! partitions are the shards.
 //!
 //! The paper's scale-out story is database partitioning: MetaCache-GPU
 //! splits a reference database that exceeds one device's memory across
-//! multiple GPUs, sketches a read once, lets every database part answer the
-//! same features, and runs one segmented sort and one top-candidate scan
-//! over what they return (§4.3, §5.4–5.6). This module is the serving-stack
-//! form of that: a [`ShardedDatabase`] partitions the *targets* of a fully
-//! built [`Database`] across N shards — each shard a self-contained
-//! `Database` holding only its targets' hash buckets — and implements
-//! [`FeatureIndex`] by asking every shard table. There is no sharded
-//! classifier and no sharded backend: `Classifier::new(split)` runs the one
-//! query pipeline of [`crate::query`] and
-//! [`HostBackend::new(split)`][crate::backend::HostBackend] is the one host
-//! candidate source, so the [`ServingEngine`][crate::serving::ServingEngine],
-//! the streaming pipeline and the `mc-net` front-end serve a sharded
-//! database transparently — classifications and `Candidates` answers alike.
+//! multiple GPUs by *target* ("a single reference sequence will never be
+//! distributed across multiple GPUs", §4.1), sketches a read once, lets every
+//! database part answer the same features, and runs one segmented sort and
+//! one top-candidate scan over what they return (§4.3, §5.4–5.6). The host
+//! form of that is
+//! [`Database::repartition`][crate::Database::repartition]: given a
+//! [`ShardPlan`] it returns a database of the same metadata whose partition
+//! `i` holds the buckets of exactly the targets the plan assigns to shard
+//! `i`. The one classifier and the one host backend query it like any other
+//! database — [`QueryScratch::probe`][crate::query::QueryScratch::probe]
+//! asks every partition — so the
+//! [`ServingEngine`][crate::serving::ServingEngine], the streaming pipeline
+//! and the `mc-net` front-end serve a split database transparently.
+//! [`Database::into_parts`][crate::Database::into_parts] hands each
+//! partition out as a database of its own, with the full metadata: what a
+//! shard server behind `mc_net::RouterBackend` holds.
 //!
-//! # Why the sharded query is bit-equivalent to the unsharded one
+//! # Why the split query is bit-equivalent to the unsplit one
 //!
-//! A shard's tables hold exactly the locations whose `target` is assigned
-//! to it, so for any feature list the concatenation of all shards' gathered
-//! locations is a *permutation* of the unsharded list. The stage after the
-//! probe ([`QueryScratch::accumulate`][crate::query::QueryScratch::accumulate])
-//! begins by sorting the list by
-//! `(target, window)`, and a sort erases the permutation: from there on the
-//! sharded and the unsharded query run the same code on the same data.
-//! Candidates — entries, scores, order — and classifications are therefore
-//! identical. `tests/sharding.rs` checks the premise (Σ over shards of
-//! [`Database::query_features_into`], sorted, ≡ unsharded, sorted) and the
-//! conclusion (candidate lists entry for entry) over random reference sets,
-//! shard counts, skewed and empty shards and messy reads.
+//! Partition `i` of a repartition holds exactly the locations whose `target`
+//! is assigned to shard `i`, so for any feature list the concatenation of
+//! all partitions' gathered locations is a *permutation* of the unsplit
+//! list. The stage after the probe
+//! ([`QueryScratch::accumulate`][crate::query::QueryScratch::accumulate],
+//! i.e. [`WindowCounter`][crate::candidate::WindowCounter]) is insensitive
+//! to that order: it counts the locations by `(target, window)` key — a sum,
+//! which any order of the same multiset gives alike — then sorts the
+//! distinct keys and scans them once. From the sorted keys on, the split
+//! and the unsplit query run the same code on the same data. Candidates —
+//! entries, scores, order — and classifications are therefore identical.
+//! `tests/sharding.rs` checks the premise (Σ over `split.partitions` of
+//! [`Partition::query_batch_into`][crate::database::Partition::query_batch_into],
+//! sorted, ≡ the unsharded probe, sorted) and the conclusion (candidate
+//! lists entry for entry) over random reference sets, shard counts, skewed
+//! and empty shards and messy reads.
 //!
 //! A *router* over shard servers (`mc_net::RouterBackend`) cannot use this
 //! argument: it receives per-shard candidate lists that were already
@@ -49,26 +57,28 @@
 //!
 //! # Construction: split one built database
 //!
-//! [`ShardedDatabase::from_database`] *splits* a fully built `Database`
-//! rather than building shards independently: the global
-//! `max_locations_per_feature` cap (254) is applied during the unsharded
-//! build, and splitting afterwards guarantees each shard holds exactly the
-//! surviving locations of its targets. Building shards independently could
-//! retain locations the global build dropped, breaking bit-equivalence.
-//! Every shard keeps the **full** target table and taxonomy with global
-//! target ids — only the hash tables are subset — so every location and
-//! candidate carries global ids natively: in process the shards' locations
-//! land in one list without remapping, and a remote shard server answers
-//! candidate queries in global id space.
+//! [`Database::repartition`][crate::Database::repartition] *splits* a
+//! fully built database rather than building shards independently: the
+//! global `max_locations_per_feature` cap (254) is applied during the
+//! unsplit build, and splitting afterwards
+//! guarantees each shard holds exactly the surviving locations of its
+//! targets. Building shards independently could retain locations the global
+//! build dropped, breaking bit-equivalence. The split keeps the **full**
+//! target table and taxonomy with global target ids — only the hash tables
+//! are divided — so every location and candidate carries global ids
+//! natively: in process the partitions' locations land in one list without
+//! remapping, and a remote shard server answers candidate queries in global
+//! id space. The split borrows its source, so the unsplit database stays
+//! usable beside it.
 //!
-//! # Live reload of a sharded database
+//! # Live reload of a split database
 //!
 //! A sharded serving topology swaps epochs (see
 //! [`crate::serving::EpochStore`]) at two granularities. **In-process**, one
 //! [`ServingEngine::reload_backend`][crate::serving::ServingEngine::reload_backend]
-//! call with a fresh `HostBackend::new(split)` replaces *all* shards
+//! call with a fresh `HostBackend::new(split)` replaces *all* partitions
 //! atomically — a batch is classified either against the old split or the
-//! new one, never a mix, because all shards are probed inside a single
+//! new one, never a mix, because all partitions are probed inside a single
 //! backend worker pinned to one epoch. **Across the wire** (`mc-serve
 //! route` fronting shard servers), the router swaps its metadata epoch
 //! first and then reloads each shard server in turn; the router workers
@@ -77,14 +87,9 @@
 //! different reference sets (`mc_net::router` documents the ordering
 //! argument).
 
-use std::sync::Arc;
+use mc_kmer::TargetId;
 
-use mc_kmer::{Feature, Location, TargetId};
-use mc_warpcore::HostHashTable;
-
-use crate::database::{Database, Partition, PartitionStore};
 use crate::error::MetaCacheError;
-use crate::query::FeatureIndex;
 
 /// An assignment of every target of a database to one of `shard_count`
 /// shards.
@@ -151,138 +156,16 @@ impl ShardPlan {
     }
 }
 
-/// A database split into N self-contained shards plus a table-free metadata
-/// view, queried by scatter-gather (see the module docs for the
-/// bit-equivalence argument).
-pub struct ShardedDatabase {
-    /// Table-free metadata view: full config/targets/taxonomy/lineages, no
-    /// partitions. Classification decisions and serving metadata
-    /// ([`Backend::database`][crate::backend::Backend::database]) come from
-    /// here.
-    meta: Arc<Database>,
-    /// One self-contained database per shard: full metadata (global target
-    /// ids), one packed host-table partition holding only that shard's
-    /// buckets.
-    shards: Vec<Arc<Database>>,
-    plan: ShardPlan,
-}
-
-impl ShardedDatabase {
-    /// Split a fully built database into shards according to `plan`.
-    ///
-    /// Consumes the database: its buckets are re-grouped by the owning
-    /// target's shard into one packed host table per shard. The plan must
-    /// assign exactly the database's targets.
-    pub fn from_database(db: Database, plan: ShardPlan) -> Result<Self, MetaCacheError> {
-        if plan.assignment.len() != db.target_count() {
-            return Err(MetaCacheError::Config(format!(
-                "shard plan assigns {} targets, database has {}",
-                plan.assignment.len(),
-                db.target_count()
-            )));
-        }
-        // Split every bucket of every partition by the owning target's
-        // shard. Inserting re-merges features that span source partitions
-        // (multi-device builds) into one bucket per feature, which may then
-        // be longer than the build's cap allowed any one partition — so the
-        // shard tables take the widest cap, and nothing the build kept is
-        // dropped here.
-        let mut tables: Vec<HostHashTable> = (0..plan.shard_count)
-            .map(|_| HostHashTable::new(HostHashTable::MAX_BUCKET_LEN))
-            .collect();
-        for partition in &db.partitions {
-            partition.store.for_each_bucket(|feature, bucket| {
-                bucket.iter().try_for_each(|&loc| {
-                    tables[plan.assignment[loc.target as usize]].insert(feature, loc)
-                })
-            })?;
-        }
-
-        let meta = Arc::new(db.metadata_view());
-        let shards = tables
-            .into_iter()
-            .enumerate()
-            .map(|(shard, mut table)| {
-                table.compact();
-                let targets: Vec<TargetId> = plan
-                    .assignment
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &s)| s == shard)
-                    .map(|(t, _)| t as TargetId)
-                    .collect();
-                Arc::new(Database {
-                    config: db.config,
-                    targets: db.targets.clone(),
-                    taxonomy: db.taxonomy.clone(),
-                    lineages: db.lineages.clone(),
-                    partitions: vec![Partition {
-                        store: PartitionStore::Host(table),
-                        targets,
-                    }],
-                })
-            })
-            .collect();
-        Ok(Self { meta, shards, plan })
-    }
-
-    /// Split a database round-robin across `shard_count` shards.
-    pub fn round_robin(db: Database, shard_count: usize) -> Result<Self, MetaCacheError> {
-        let plan = ShardPlan::round_robin(db.target_count(), shard_count)?;
-        Self::from_database(db, plan)
-    }
-
-    /// The table-free metadata view (full targets/taxonomy, no hash
-    /// tables) — what classification decisions and serving metadata use.
-    pub fn meta(&self) -> &Arc<Database> {
-        &self.meta
-    }
-
-    /// The per-shard databases (full metadata, subset tables).
-    pub fn shards(&self) -> &[Arc<Database>] {
-        &self.shards
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The plan the database was split with.
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
-    }
-
-    /// Total bytes of all shards' hash tables.
-    pub fn table_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.table_bytes()).sum()
-    }
-}
-
-impl FeatureIndex for ShardedDatabase {
-    const BACKEND_NAME: &'static str = "sharded-host";
-
-    /// The table-free view: full targets and taxonomy, no partitions.
-    fn metadata(&self) -> &Database {
-        &self.meta
-    }
-
-    /// Every shard's partitions answer the same features into one list.
-    #[inline]
-    fn locations_into(&self, features: &[Feature], locations: &mut Vec<Location>) {
-        for shard in &self.shards {
-            shard.query_features_into(features, locations);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::backend::{Backend, HostBackend};
     use crate::build::CpuBuilder;
     use crate::classify::classify_candidates;
     use crate::config::MetaCacheConfig;
+    use crate::database::Database;
     use crate::query::{Classifier, QueryScratch};
     use mc_seqio::SequenceRecord;
     use mc_taxonomy::{Rank, Taxonomy};
@@ -353,51 +236,53 @@ mod tests {
     }
 
     #[test]
-    fn from_database_rejects_mismatched_plan() {
+    fn repartition_rejects_mismatched_plan() {
         let (db, _) = four_target_db();
         let plan = ShardPlan::round_robin(3, 2).unwrap();
-        assert!(ShardedDatabase::from_database(db, plan).is_err());
+        assert!(db.repartition(&plan).is_err());
     }
 
     #[test]
     fn split_preserves_locations_and_metadata() {
         let (db, _) = four_target_db();
-        let total_locations = db.total_locations();
-        let targets = db.target_count();
-        let kind = db.partitions[0].store.kind();
-        let sharded = ShardedDatabase::round_robin(db, 3).unwrap();
-        assert_eq!(sharded.shard_count(), 3);
-        // No locations are lost or duplicated by the split.
-        let shard_locations: usize = sharded.shards().iter().map(|s| s.total_locations()).sum();
-        assert_eq!(shard_locations, total_locations);
-        // Every shard keeps the full metadata with global target ids; the
-        // meta view has no tables at all.
-        for shard in sharded.shards() {
-            assert_eq!(shard.target_count(), targets);
-            assert_eq!(shard.partition_count(), 1);
-            assert_eq!(shard.partitions[0].store.kind(), kind);
-        }
-        assert_eq!(sharded.meta().target_count(), targets);
-        assert_eq!(sharded.meta().partition_count(), 0);
-        assert_eq!(sharded.meta().total_locations(), 0);
-        assert!(sharded.table_bytes() > 0);
-        // Each shard's tables only hold locations of its assigned targets.
-        for (i, shard) in sharded.shards().iter().enumerate() {
+        let plan = ShardPlan::round_robin(db.target_count(), 3).unwrap();
+        let split = db.repartition(&plan).unwrap();
+        // No locations are lost or duplicated by the split, and the
+        // metadata is the source's.
+        assert_eq!(split.partition_count(), 3);
+        assert_eq!(split.total_locations(), db.total_locations());
+        assert_eq!(split.targets, db.targets);
+        assert!(split.table_bytes() > 0);
+        // Each partition holds only locations of its assigned targets, and
+        // lists exactly those targets.
+        for (i, partition) in split.partitions.iter().enumerate() {
+            assert_eq!(partition.store.kind(), "host");
             let mut locs = Vec::new();
-            for p in &shard.partitions {
-                p.store
-                    .for_each_bucket(|_, bucket| {
-                        locs.extend_from_slice(bucket);
-                        Ok::<(), ()>(())
-                    })
-                    .unwrap();
-            }
-            assert_eq!(locs.len(), shard.total_locations());
+            partition
+                .store
+                .for_each_bucket(|_, bucket| {
+                    locs.extend_from_slice(bucket);
+                    Ok::<(), ()>(())
+                })
+                .unwrap();
             assert!(
-                locs.iter()
-                    .all(|l| sharded.plan().shard_of(l.target) == Some(i)),
-                "shard {i} holds a foreign target's location"
+                locs.iter().all(|l| plan.shard_of(l.target) == Some(i)),
+                "partition {i} holds a foreign target's location"
             );
+            assert!(partition
+                .targets
+                .iter()
+                .all(|&t| plan.shard_of(t) == Some(i)));
+        }
+        // Every part keeps the full metadata with global target ids and
+        // exactly one partition.
+        let parts = split.into_parts();
+        assert_eq!(parts.len(), 3);
+        let part_locations: usize = parts.iter().map(|p| p.total_locations()).sum();
+        assert_eq!(part_locations, db.total_locations());
+        for part in &parts {
+            assert_eq!(part.target_count(), db.target_count());
+            assert_eq!(part.partition_count(), 1);
         }
     }
 
@@ -407,9 +292,9 @@ mod tests {
         let reads = reads_from(&genomes);
         let expected = Classifier::new(&db).classify_batch(&reads);
         for shard_count in [1usize, 2, 3, 4] {
-            let (db, _) = four_target_db();
-            let sharded = Arc::new(ShardedDatabase::round_robin(db, shard_count).unwrap());
-            let classifier = Classifier::new(Arc::clone(&sharded));
+            let plan = ShardPlan::round_robin(db.target_count(), shard_count).unwrap();
+            let split = Arc::new(db.repartition(&plan).unwrap());
+            let classifier = Classifier::new(Arc::clone(&split));
             assert_eq!(
                 classifier.classify_batch(&reads),
                 expected,
@@ -430,11 +315,15 @@ mod tests {
         let expected = Classifier::new(&db).classify_batch(&reads);
         // Shard 1 gets no targets at all.
         let plan = ShardPlan::explicit(vec![0, 2, 0, 2], 3).unwrap();
-        let sharded = Arc::new(ShardedDatabase::from_database(db, plan).unwrap());
-        assert_eq!(sharded.shards()[1].total_locations(), 0);
-        let classifier = Classifier::new(Arc::clone(&sharded));
+        let split = db.repartition(&plan).unwrap();
+        assert_eq!(split.partitions[1].store.as_store().value_count(), 0);
+        assert!(split.partitions[1].targets.is_empty());
+        let classifier = Classifier::new(&split);
         assert_eq!(classifier.classify_batch(&reads), expected);
-        assert_eq!(classifier.database().shard_count(), 3);
+        assert_eq!(classifier.database().partition_count(), 3);
+        let empty = &split.into_parts()[1];
+        assert_eq!(empty.total_locations(), 0);
+        assert_eq!(empty.partition_count(), 1);
     }
 
     #[test]
@@ -442,20 +331,18 @@ mod tests {
         let (db, genomes) = four_target_db();
         let reads = reads_from(&genomes);
         let expected = Classifier::new(&db).classify_batch(&reads);
-        let (db, _) = four_target_db();
-        let sharded = Arc::new(ShardedDatabase::round_robin(db, 2).unwrap());
-        let backend = HostBackend::new(Arc::clone(&sharded));
+        let plan = ShardPlan::round_robin(db.target_count(), 2).unwrap();
+        let backend = HostBackend::new(Arc::new(db.repartition(&plan).unwrap()));
         assert_eq!(backend.name(), "sharded-host");
-        assert_eq!(backend.database().target_count(), 4);
-        assert_eq!(sharded.shard_count(), 2);
+        assert_eq!(backend.database().partition_count(), 2);
         let mut worker = backend.worker();
         // Two batches through one persistent worker, classified the way
-        // the engine does: against the table-free metadata view.
-        let meta = backend.database();
+        // the engine does: against the backend's database.
+        let db = backend.database();
         let mut out = Vec::new();
         for batch in [&reads[..13], &reads[13..]] {
             worker.candidates_each(batch, &mut |list| {
-                out.push(classify_candidates(meta, &meta.config, list))
+                out.push(classify_candidates(db, &db.config, list))
             });
         }
         assert_eq!(out, expected);

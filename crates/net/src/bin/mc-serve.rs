@@ -70,7 +70,7 @@ use mc_taxonomy::{Rank, Taxonomy, NO_TAXON};
 use metacache::build::CpuBuilder;
 use metacache::query::Classifier;
 use metacache::serving::{EngineConfig, ServingEngine};
-use metacache::{Database, HostBackend, MetaCacheConfig, ShardedDatabase};
+use metacache::{Database, HostBackend, MetaCacheConfig, ShardPlan};
 
 fn usage() -> ! {
     eprintln!(
@@ -175,17 +175,19 @@ fn load_slice(refs: &str, slice: Option<(usize, usize)>) -> Result<Arc<Database>
             // shard) keeps the per-feature location cap global, which is
             // what makes the scatter-gather merge bit-identical (see
             // metacache::shard).
-            let split = ShardedDatabase::round_robin(db, shard_count)
+            let split = ShardPlan::round_robin(db.target_count(), shard_count)
+                .and_then(|plan| db.repartition(&plan))
                 .map_err(|e| format!("shard split: {e}"))?;
-            let kept = Arc::clone(&split.shards()[shard]);
+            let split_bytes = split.table_bytes();
+            let kept = split.into_parts().swap_remove(shard);
             eprintln!(
                 "mc-serve: shard {shard}/{shard_count}: {} of {} targets, {} of {} table bytes",
                 kept.partitions[0].targets.len(),
                 kept.target_count(),
                 kept.table_bytes(),
-                split.table_bytes(),
+                split_bytes,
             );
-            kept
+            Arc::new(kept)
         }
     };
     eprintln!(

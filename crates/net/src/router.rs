@@ -1,11 +1,12 @@
 //! Scatter-gather routing: a [`metacache::Backend`] that fans every batch
 //! out to N shard servers over the wire and merges their candidate lists.
 //!
-//! A [`RouterBackend`] fronts shard servers that each hold one shard of a
-//! [`metacache::ShardedDatabase`] split (typically `mc-serve serve --shard
-//! K --shard-count N` processes). One batch runs in two steps here and a
+//! A [`RouterBackend`] fronts shard servers that each hold one part of a
+//! [`Database::repartition`] (typically `mc-serve serve --shard K
+//! --shard-count N` processes, each serving its
+//! [`Database::into_parts`] part). One batch runs in two steps here and a
 //! third in the engine, mirroring the in-process
-//! [`metacache::Classifier`] over a `ShardedDatabase`:
+//! [`metacache::Classifier`] over the repartitioned database:
 //!
 //! 1. **Scatter**: the batch goes to every shard as one
 //!    [`Frame::Candidates`](crate::Frame::Candidates) request, through a

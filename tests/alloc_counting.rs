@@ -18,7 +18,7 @@ use mc_taxonomy::{Rank, Taxonomy};
 use metacache::build::CpuBuilder;
 use metacache::classify::classify_candidates;
 use metacache::query::{Classifier, QueryScratch};
-use metacache::{Backend, Database, HostBackend, MetaCacheConfig, ShardedDatabase, SketchScratch};
+use metacache::{Backend, HostBackend, MetaCacheConfig, ShardPlan, SketchScratch};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -140,8 +140,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
     // --- Part 2: end-to-end classification. --------------------------------
     let genome_a = make_seq(20_000, 101);
     let genome_b = make_seq(20_000, 102);
-    // Built twice: the second copy is consumed by the shard split of part 3.
-    let build_db = || -> Database {
+    let db = {
         let mut taxonomy = Taxonomy::with_root();
         taxonomy.add_node(10, 1, Rank::Genus, "G").unwrap();
         taxonomy.add_node(100, 10, Rank::Species, "G a").unwrap();
@@ -155,7 +154,6 @@ fn steady_state_hot_path_performs_zero_allocations() {
             .unwrap();
         builder.finish()
     };
-    let db = build_db();
     let classifier = Classifier::new(&db);
 
     // A mixed workload: single-window reads, multi-window reads, paired
@@ -218,8 +216,9 @@ fn steady_state_hot_path_performs_zero_allocations() {
 
     // One sketch, one probe per shard table (the host table's batched lookup
     // works on the stack), one merge: the same scratch, so the same zero.
-    let sharded = std::sync::Arc::new(ShardedDatabase::round_robin(build_db(), 2).unwrap());
-    let sharded_classifier = Classifier::new(std::sync::Arc::clone(&sharded));
+    let plan = ShardPlan::round_robin(db.target_count(), 2).unwrap();
+    let sharded = db.repartition(&plan).unwrap();
+    let sharded_classifier = Classifier::new(&sharded);
     let mut sharded_scratch = QueryScratch::new();
     assert_steady_state_is_allocation_free("sharded", &reads, &warmup, &mut |read| {
         sharded_classifier.classify_with(read, &mut sharded_scratch)
@@ -230,7 +229,7 @@ fn steady_state_hot_path_performs_zero_allocations() {
     // each borrowed list into an answer in the callback; the callback is a
     // `&mut dyn FnMut`, so nothing is boxed or collected per read.
     let host_backend = HostBackend::new(&db);
-    let sharded_backend = HostBackend::new(sharded);
+    let sharded_backend = HostBackend::new(&sharded);
     let backends: [&dyn Backend; 2] = [&host_backend, &sharded_backend];
     for backend in backends {
         let meta = backend.database();

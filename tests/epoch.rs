@@ -21,7 +21,7 @@ use metacache::build::CpuBuilder;
 use metacache::query::Classifier;
 use metacache::serialize;
 use metacache::serving::{CompletedBatch, EngineConfig, OutputKind, ServingEngine, SessionConfig};
-use metacache::{Database, DatabaseDelta, HostBackend, MetaCacheConfig, ShardedDatabase};
+use metacache::{Database, DatabaseDelta, HostBackend, MetaCacheConfig, ShardPlan};
 
 fn make_seq(len: usize, seed: u64) -> Vec<u8> {
     let mut state = seed | 1;
@@ -468,9 +468,10 @@ fn sharded_backend_reload_swaps_all_shards_atomically() {
     let t2 = ref_set(2, 3, 4_401);
     let all: Vec<RefSpec> = t1.iter().chain(t2.iter()).cloned().collect();
 
-    let sharded0 = ShardedDatabase::round_robin(build_db(&species_of(&t1), &t1), 2).unwrap();
+    let oracle0 = build_db(&species_of(&t1), &t1);
+    let plan0 = ShardPlan::round_robin(t1.len(), 2).unwrap();
     let engine = ServingEngine::new(
-        HostBackend::new(Arc::new(sharded0)),
+        HostBackend::new(Arc::new(oracle0.repartition(&plan0).unwrap())),
         EngineConfig {
             workers: 2,
             batch_records: 7,
@@ -481,7 +482,6 @@ fn sharded_backend_reload_swaps_all_shards_atomically() {
     let genomes: Vec<&[u8]> = all.iter().map(|t| t.genome.as_slice()).collect();
     let reads = messy_reads(&genomes, 60, 321);
 
-    let oracle0 = build_db(&species_of(&t1), &t1);
     let mut session = engine.session();
     assert_eq!(
         session.classify_batch(&reads),
@@ -491,13 +491,15 @@ fn sharded_backend_reload_swaps_all_shards_atomically() {
     assert_eq!(session.database_generation(), 0);
 
     // Swap to the grown reference set, resharded three ways.
-    let sharded1 = ShardedDatabase::round_robin(build_db(&species_of(&all), &all), 3).unwrap();
+    let oracle1 = build_db(&species_of(&all), &all);
+    let plan1 = ShardPlan::round_robin(all.len(), 3).unwrap();
     assert_eq!(
-        engine.reload_backend(HostBackend::new(Arc::new(sharded1))),
+        engine.reload_backend(HostBackend::new(Arc::new(
+            oracle1.repartition(&plan1).unwrap()
+        ))),
         1
     );
 
-    let oracle1 = build_db(&species_of(&all), &all);
     assert_eq!(
         session.classify_batch(&reads),
         Classifier::new(&oracle1).classify_batch(&reads),

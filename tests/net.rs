@@ -17,7 +17,7 @@ use metacache::build::CpuBuilder;
 use metacache::classify::Classification;
 use metacache::query::Classifier;
 use metacache::serving::{EngineConfig, QueueClass, ServingEngine, SessionConfig};
-use metacache::{Backend, BackendWorker, Database, HostBackend, MetaCacheConfig};
+use metacache::{Backend, BackendWorker, Database, HostBackend, MetaCacheConfig, ShardPlan};
 
 fn make_seq(len: usize, seed: u64) -> Vec<u8> {
     let mut state = seed | 1;
@@ -766,7 +766,10 @@ fn oracle_candidates(
 #[test]
 fn candidates_over_the_wire_match_in_process() {
     let (db, genomes) = shared_database();
-    let split = Arc::new(metacache::ShardedDatabase::round_robin(owned_database(), 2).unwrap());
+    let split = Arc::new(
+        db.repartition(&ShardPlan::round_robin(db.target_count(), 2).unwrap())
+            .unwrap(),
+    );
     // A GPU-built (partitioned) database on 2 devices; its oracle is the
     // host classifier over that same database.
     let system = Arc::new(mc_gpu_sim::MultiGpuSystem::dgx1(2));
@@ -852,8 +855,8 @@ fn candidates_over_the_wire_match_in_process() {
 }
 
 /// Rebuild the shared fixture database as an owned value (the build is
-/// deterministic, so it is bit-identical to [`shared_database`]'s) — shard
-/// splitting consumes a `Database` by value.
+/// deterministic, so it is bit-identical to [`shared_database`]'s) — growing
+/// it needs a `Database` of its own.
 fn owned_database() -> Database {
     let taxonomy = fixture_taxonomy();
     let (_, genomes) = shared_database();
@@ -873,13 +876,15 @@ fn owned_database() -> Database {
 #[test]
 fn routed_scatter_gather_matches_unsharded() {
     let (db, _) = shared_database();
-    let split = Arc::new(metacache::ShardedDatabase::round_robin(owned_database(), 2).unwrap());
+    let split = db
+        .repartition(&ShardPlan::round_robin(db.target_count(), 2).unwrap())
+        .unwrap();
 
     // Two shard servers, each holding one slice of the table.
     let shard_engines: Vec<ServingEngine> = split
-        .shards()
-        .iter()
-        .map(|shard| test_engine(Arc::clone(shard)))
+        .into_parts()
+        .into_iter()
+        .map(|part| test_engine(Arc::new(part)))
         .collect();
     let shard_servers: Vec<NetServer> = shard_engines
         .iter()

@@ -22,7 +22,7 @@ use mc_taxonomy::{Rank, Taxonomy};
 use metacache::build::CpuBuilder;
 use metacache::query::Classifier;
 use metacache::serving::{EngineConfig, ServingEngine};
-use metacache::{Database, HostBackend, MetaCacheConfig};
+use metacache::{Database, HostBackend, MetaCacheConfig, ShardPlan};
 
 fn make_seq(len: usize, seed: u64) -> Vec<u8> {
     let mut state = seed | 1;
@@ -708,22 +708,12 @@ fn shutdown_is_bounded_with_a_stuck_peer() {
     engine.shutdown();
 }
 
-/// Rebuild the shared fixture database as an owned value (deterministic, so
-/// bit-identical to [`shared_database`]'s) — the shard split consumes it.
-fn owned_database() -> Database {
-    let mut taxonomy = Taxonomy::with_root();
-    taxonomy.add_node(10, 1, Rank::Genus, "G").unwrap();
-    taxonomy.add_node(100, 10, Rank::Species, "G a").unwrap();
-    taxonomy.add_node(101, 10, Rank::Species, "G b").unwrap();
-    let (_, genomes) = shared_database();
-    let mut builder = CpuBuilder::new(MetaCacheConfig::for_tests(), taxonomy);
-    builder
-        .add_target(SequenceRecord::new("refA", genomes[0].clone()), 100)
-        .unwrap();
-    builder
-        .add_target(SequenceRecord::new("refB", genomes[1].clone()), 101)
-        .unwrap();
-    builder.finish()
+/// `db` split round-robin into `shard_count` parts: one database per shard
+/// server.
+fn shard_parts(db: &Database, shard_count: usize) -> Vec<Arc<Database>> {
+    let plan = ShardPlan::round_robin(db.target_count(), shard_count).unwrap();
+    let split = db.repartition(&plan).unwrap();
+    split.into_parts().into_iter().map(Arc::new).collect()
 }
 
 /// Routed topology under chaos: a [`ChaosProxy`] sits between the router
@@ -738,12 +728,11 @@ fn routed_chaos_leg_retries_to_bit_identical_convergence() {
     let (db, _) = shared_database();
     let reads = genome_reads(40, 83);
     let expected = Classifier::new(Arc::clone(&db)).classify_batch(&reads);
-    let split = Arc::new(metacache::ShardedDatabase::round_robin(owned_database(), 2).unwrap());
+    let parts = shard_parts(&db, 2);
 
-    let shard_engines: Vec<ServingEngine> = split
-        .shards()
+    let shard_engines: Vec<ServingEngine> = parts
         .iter()
-        .map(|shard| test_engine(Arc::clone(shard)))
+        .map(|part| test_engine(Arc::clone(part)))
         .collect();
     let shard_servers: Vec<NetServer> = shard_engines
         .iter()
@@ -856,12 +845,11 @@ fn routed_chaos_leg_retries_to_bit_identical_convergence() {
 fn dead_shard_leg_surfaces_typed_error_without_corrupting_healthy_leg() {
     let (db, _) = shared_database();
     let reads = genome_reads(16, 29);
-    let split = Arc::new(metacache::ShardedDatabase::round_robin(owned_database(), 2).unwrap());
+    let parts = shard_parts(&db, 2);
 
-    let shard_engines: Vec<ServingEngine> = split
-        .shards()
+    let shard_engines: Vec<ServingEngine> = parts
         .iter()
-        .map(|shard| test_engine(Arc::clone(shard)))
+        .map(|part| test_engine(Arc::clone(part)))
         .collect();
     let shard_servers: Vec<NetServer> = shard_engines
         .iter()
@@ -943,7 +931,7 @@ fn dead_shard_leg_surfaces_typed_error_without_corrupting_healthy_leg() {
         // The healthy shard server is untouched: its candidate answers still
         // match its own in-process classifier exactly.
         let mut direct = NetClient::connect(shard_addrs[0]).unwrap();
-        let classifier = Classifier::new(Arc::clone(&split.shards()[0]));
+        let classifier = Classifier::new(Arc::clone(&parts[0]));
         let mut scratch = metacache::QueryScratch::new();
         let expected_cands: Vec<Vec<metacache::Candidate>> = reads
             .iter()
@@ -1473,22 +1461,17 @@ fn reload_mid_pipelined_burst_never_splits_a_request_across_generations() {
 #[test]
 fn routed_reload_with_wrecked_leg_converges_without_torn_merge() {
     let (db, _) = shared_database();
-    let grown = grown_database();
+    let grown = Arc::new(grown_database());
     let meta1 = Arc::new(grown.metadata_view());
-    let oracle1_db = Arc::new(grown_database());
-    let split0 = Arc::new(metacache::ShardedDatabase::round_robin(owned_database(), 2).unwrap());
-    let split1 = Arc::new(metacache::ShardedDatabase::round_robin(grown, 2).unwrap());
+    let parts1 = shard_parts(&grown, 2);
 
-    let shard_engines: Vec<ServingEngine> = split0
-        .shards()
-        .iter()
-        .map(|shard| test_engine(Arc::clone(shard)))
-        .collect();
+    let shard_engines: Vec<ServingEngine> =
+        shard_parts(&db, 2).into_iter().map(test_engine).collect();
     let shard_servers: Vec<NetServer> = shard_engines
         .iter()
         .enumerate()
         .map(|(i, engine)| {
-            let next = Arc::clone(&split1.shards()[i]);
+            let next = Arc::clone(&parts1[i]);
             let hook: mc_net::ReloadHook = Arc::new(move |engine: &ServingEngine| {
                 Ok(engine.reload_backend(HostBackend::new(Arc::clone(&next))))
             });
@@ -1548,7 +1531,7 @@ fn routed_reload_with_wrecked_leg_converges_without_torn_merge() {
 
     let reads = genome_reads(24, 53);
     let want0 = Classifier::new(Arc::clone(&db)).classify_batch(&reads);
-    let want1 = Classifier::new(Arc::clone(&oracle1_db)).classify_batch(&reads);
+    let want1 = Classifier::new(Arc::clone(&grown)).classify_batch(&reads);
 
     std::thread::scope(|scope| {
         let _guards: Vec<ShutdownOnDrop> =

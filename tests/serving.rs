@@ -14,7 +14,7 @@ use metacache::build::{CpuBuilder, GpuBuilder};
 use metacache::classify::Classification;
 use metacache::query::Classifier;
 use metacache::serving::{EngineConfig, OutputKind, ServingEngine, SessionConfig};
-use metacache::{Database, MetaCacheConfig};
+use metacache::{Database, MetaCacheConfig, ShardPlan};
 
 fn make_seq(len: usize, seed: u64) -> Vec<u8> {
     let mut state = seed | 1;
@@ -414,22 +414,12 @@ fn per_session_overrides_and_request_reuse() {
     assert_eq!(summary.peak_resident_batches, 1);
 }
 
-/// Rebuild the shared fixture database as an owned value (deterministic, so
-/// bit-identical to [`shared_database`]'s) — the shard split consumes it.
-fn owned_database() -> Database {
-    let mut taxonomy = Taxonomy::with_root();
-    taxonomy.add_node(10, 1, Rank::Genus, "G").unwrap();
-    taxonomy.add_node(100, 10, Rank::Species, "G a").unwrap();
-    taxonomy.add_node(101, 10, Rank::Species, "G b").unwrap();
-    let (_, genomes) = shared_database();
-    let mut builder = CpuBuilder::new(MetaCacheConfig::for_tests(), taxonomy);
-    builder
-        .add_target(SequenceRecord::new("refA", genomes[0].clone()), 100)
-        .unwrap();
-    builder
-        .add_target(SequenceRecord::new("refB", genomes[1].clone()), 101)
-        .unwrap();
-    builder.finish()
+/// The shared fixture database split round-robin into `shard_count`
+/// partitions.
+fn split_database(shard_count: usize) -> Arc<Database> {
+    let (db, _) = shared_database();
+    let plan = ShardPlan::round_robin(db.target_count(), shard_count).unwrap();
+    Arc::new(db.repartition(&plan).unwrap())
 }
 
 /// The sharded backend behind the engine mirrors the GPU-parity test: N
@@ -440,7 +430,7 @@ fn sharded_engine_matches_unsharded_sessions() {
     let (db, _) = shared_database();
     let reads = mixed_reads(45, 321);
     let expected = Classifier::new(Arc::clone(&db)).classify_batch(&reads);
-    let split = Arc::new(metacache::ShardedDatabase::round_robin(owned_database(), 2).unwrap());
+    let split = split_database(2);
 
     let engine = ServingEngine::new(
         HostBackend::new(Arc::clone(&split)),
@@ -464,11 +454,11 @@ fn sharded_engine_matches_unsharded_sessions() {
         }
     });
     assert_eq!(engine.backend_name(), "sharded-host");
-    // The engine's serving metadata is the table-free view: full targets,
-    // no partitions.
+    // The engine serves the split itself: full targets, one partition per
+    // shard.
     let epoch = engine.pin_epoch();
     assert_eq!(epoch.database().target_count(), 2);
-    assert_eq!(epoch.database().partition_count(), 0);
+    assert_eq!(epoch.database().partition_count(), 2);
     let stats = engine.shutdown();
     assert_eq!(stats.worker_panics, 0);
 }
@@ -481,7 +471,7 @@ fn sharded_worker_panic_is_isolated() {
     let (db, _) = shared_database();
     let clean = mixed_reads(30, 15);
     let expected = Classifier::new(Arc::clone(&db)).classify_batch(&clean);
-    let split = Arc::new(metacache::ShardedDatabase::round_robin(owned_database(), 3).unwrap());
+    let split = split_database(3);
 
     let engine = ServingEngine::new(
         FaultInjectingBackend {
