@@ -2,13 +2,18 @@
 //!
 //! Two builders share the same windowing/sketching logic:
 //!
-//! * [`CpuBuilder`] — the original MetaCache CPU build (§4.1): a single
-//!   inserter feeds the open-addressing host table with a per-feature
-//!   location cap of 254, one target at a time: sketch the whole target into
-//!   a batch, insert the batch. [`CpuBuilder::build_from_queue`] is the
-//!   consumer end of a producer–consumer queue: parser threads produce
-//!   batches, the calling thread sketches and inserts. (The paper's §4.1
-//!   pipeline gives sketching a thread of its own; this one does not.)
+//! * [`CpuBuilder`] — the original MetaCache CPU build (§4.1) into the host
+//!   hash table with a per-feature location cap of 254, one target at a
+//!   time and in two stages, as the paper's §4.1 pipeline runs them: the
+//!   calling thread sketches a target into a batch and queues it, and W
+//!   inserter threads (W = the available parallelism) insert it while the
+//!   next target is sketched. Inserter `w` owns the features `f` with
+//!   `f % W == w` and inserts them, in batch order, into a table of its own;
+//!   `finish` fuses the W tables into one. Every bucket receives the same
+//!   locations in the same order as from one inserter, so the cap drops the
+//!   same ones and the build is bit-identical for any W.
+//!   [`CpuBuilder::build_from_queue`] is the consumer end of a
+//!   producer–consumer queue: parser threads produce batches of records.
 //! * [`GpuBuilder`] — the GPU build (§5): reference targets are distributed
 //!   over the devices of a [`MultiGpuSystem`] (a target never spans devices),
 //!   each device sketches its windows with warp kernels and inserts into its
@@ -16,7 +21,12 @@
 //!   charged to the device clocks so that the simulated build times of
 //!   Table 3 can be reproduced.
 
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::num::NonZeroUsize;
+use std::ops::ControlFlow;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
 use mc_gpu_sim::{
     launch_warps_into, DeviceBuffer, KernelCost, LaunchConfig, MultiGpuSystem, SimDuration, Warp,
@@ -80,108 +90,337 @@ impl TargetScratch {
     }
 }
 
-/// Sketch one reference target and hand every feature's `(target, window)`
-/// location to `insert` — the one insertion loop shared by the CPU build
-/// path ([`CpuBuilder::add_target`]) and post-load incremental insertion
-/// ([`Database::insert_target`], [`Database::apply_delta`]), so all produce
-/// bit-identical tables for the same insertion order.
-///
-/// Two tight loops, not one interleaved walk: the whole target is sketched
-/// into the reused batch, then the batch is inserted back to back, in window
-/// order and within a window in ascending feature order. The table sees the
-/// calls it would see from a window-by-window walk; the inserter's cache
-/// misses no longer queue behind a window's worth of hashing.
-///
-/// A [`TableError::ValueLimitReached`] counts as a dropped location (the
-/// per-feature cap); any other table error stops the insertion and is
-/// returned. `counts` accumulates as it goes, so the locations inserted
-/// before a fatal error are still accounted for.
-pub(crate) fn sketch_target_into(
+/// Sketch one reference target into `batch`: every feature's
+/// `(target, window)` location, in window order and within a window in
+/// ascending feature order. Returns the number of windows.
+fn sketch_target(
     sketcher: &Sketcher,
-    scratch: &mut TargetScratch,
+    sketch: &mut SketchScratch,
     record: &SequenceRecord,
     target_id: TargetId,
-    mut insert: impl FnMut(Feature, Location) -> Result<(), TableError>,
-    counts: &mut SketchCounts,
-) -> Result<(), MetaCacheError> {
-    let TargetScratch { sketch, batch } = scratch;
+    batch: &mut Vec<(Feature, Location)>,
+) -> u64 {
     batch.clear();
+    let mut windows = 0;
     sketcher.for_each_window_sketch(&record.sequence, sketch, |window, features| {
-        counts.windows += 1;
+        windows += 1;
         let location = Location::new(target_id, window);
         batch.extend(features.iter().map(|&feature| (feature, location)));
-        std::ops::ControlFlow::Continue(())
+        ControlFlow::Continue(())
     });
-    for &(feature, location) in batch.iter() {
+    windows
+}
+
+/// Hand `pairs` to `insert` in order. A [`TableError::ValueLimitReached`]
+/// counts as a dropped location (the per-feature cap); any other table
+/// error stops the insertion and is returned. `counts` accumulates as it
+/// goes, so the locations inserted before a fatal error are still accounted
+/// for.
+fn insert_batch<'a>(
+    pairs: impl IntoIterator<Item = &'a (Feature, Location)>,
+    mut insert: impl FnMut(Feature, Location) -> Result<(), TableError>,
+    counts: &mut SketchCounts,
+) -> Result<(), TableError> {
+    for &(feature, location) in pairs {
         match insert(feature, location) {
             Ok(()) => counts.inserted += 1,
             Err(TableError::ValueLimitReached) => counts.dropped += 1,
-            Err(e) => return Err(e.into()),
+            Err(e) => return Err(e),
         }
     }
     Ok(())
 }
 
-/// The CPU builder (single inserter thread, host hash table).
+/// Sketch one reference target and hand every feature's `(target, window)`
+/// location to `insert` — the sequential insertion loop of post-load
+/// incremental insertion ([`Database::insert_target`],
+/// [`Database::apply_delta`]). [`CpuBuilder`] runs the same two stages on
+/// two sides of a queue, so both produce bit-identical tables for the same
+/// insertion order.
+///
+/// Two tight loops, not one interleaved walk: the whole target is sketched
+/// into the reused batch, then the batch is inserted back to back, in window
+/// order and within a window in ascending feature order. The table sees the
+/// calls it would see from a window-by-window walk; the inserter's cache
+/// misses no longer queue behind a window's worth of hashing. Table errors
+/// are counted or returned as [`insert_batch`] does.
+pub(crate) fn sketch_target_into(
+    sketcher: &Sketcher,
+    scratch: &mut TargetScratch,
+    record: &SequenceRecord,
+    target_id: TargetId,
+    insert: impl FnMut(Feature, Location) -> Result<(), TableError>,
+    counts: &mut SketchCounts,
+) -> Result<(), MetaCacheError> {
+    let TargetScratch { sketch, batch } = scratch;
+    counts.windows += sketch_target(sketcher, sketch, record, target_id, batch);
+    Ok(insert_batch(batch.iter(), insert, counts)?)
+}
+
+/// One target's `(feature, location)` pairs, shared by every inserter.
+type Batch = Arc<Vec<(Feature, Location)>>;
+
+/// Batches a queue holds before the sketching thread waits: the inserters
+/// are the slower side and must never run dry, and memory stays at a few
+/// targets' batches.
+const QUEUE_DEPTH: usize = 2;
+
+/// What the inserter threads report, under one lock.
+#[derive(Debug, Default)]
+struct Progress {
+    /// Batches finished, summed over the inserters.
+    batches_done: u64,
+    inserted: u64,
+    dropped: u64,
+    /// The first fatal table error. Every inserter skips its batches from
+    /// then on.
+    error: Option<TableError>,
+    /// An inserter thread panicked, so its batches will never be done.
+    panicked: bool,
+}
+
+#[derive(Debug, Default)]
+struct Shared {
+    progress: Mutex<Progress>,
+    /// Signalled whenever `progress` changes.
+    changed: Condvar,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, Progress> {
+        self.progress
+            .lock()
+            .expect("no thread panics while it holds the progress lock")
+    }
+}
+
+/// W inserter threads. Thread `w` owns the features `f` with `f % W == w`
+/// and inserts them, batch by batch in queue order, into a table of its
+/// own. They live until [`Inserters::join`] or drop.
+struct Inserters {
+    queues: Vec<SyncSender<Batch>>,
+    threads: Vec<JoinHandle<HostHashTable>>,
+    shared: Arc<Shared>,
+    /// Batches queued to each thread.
+    queued: u64,
+}
+
+impl Inserters {
+    fn spawn(count: NonZeroUsize, max_locations_per_key: usize) -> Self {
+        let shared = Arc::new(Shared::default());
+        let (queues, threads) = (0..count.get())
+            .map(|owner| {
+                let (queue, batches) = sync_channel(QUEUE_DEPTH);
+                let shared = Arc::clone(&shared);
+                let thread = std::thread::spawn(move || {
+                    insert_owned(owner, count, max_locations_per_key, batches, &shared)
+                });
+                (queue, thread)
+            })
+            .unzip();
+        Self {
+            queues,
+            threads,
+            shared,
+            queued: 0,
+        }
+    }
+
+    /// Hand `batch` to every inserter, waiting while a queue is full.
+    fn queue(&mut self, batch: &Batch) {
+        for queue in &self.queues {
+            queue
+                .send(Arc::clone(batch))
+                .expect("an inserter thread outlives its queue unless it panicked");
+        }
+        self.queued += 1;
+    }
+
+    /// The progress once every queued batch is done.
+    ///
+    /// # Panics
+    ///
+    /// If an inserter thread panicked.
+    fn wait(&self) -> MutexGuard<'_, Progress> {
+        let expected = self.queued * self.threads.len() as u64;
+        let progress = self
+            .shared
+            .changed
+            .wait_while(self.shared.lock(), |p| {
+                p.batches_done < expected && !p.panicked
+            })
+            .expect("no thread panics while it holds the progress lock");
+        assert!(!progress.panicked, "an inserter thread panicked");
+        progress
+    }
+
+    /// Close the queues and join the threads: their tables in owner order,
+    /// and the first fatal table error. Resumes an inserter's panic.
+    fn join(mut self) -> (Vec<HostHashTable>, Option<TableError>) {
+        self.queues.clear();
+        let joined: Vec<_> = self.threads.drain(..).map(JoinHandle::join).collect();
+        let parts = joined
+            .into_iter()
+            .map(|joined| joined.unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+            .collect();
+        (parts, self.shared.lock().error)
+    }
+}
+
+impl Drop for Inserters {
+    /// Closing the queues ends the threads; joining them means no build
+    /// outlives its builder.
+    fn drop(&mut self) {
+        self.queues.clear();
+        for thread in self.threads.drain(..) {
+            // A panic has been reported by the thread itself; drop must not
+            // panic again.
+            let _ = thread.join();
+        }
+    }
+}
+
+/// The body of inserter `owner` of `count`: insert the owned features of
+/// every batch until the queue closes, and report each batch as done.
+fn insert_owned(
+    owner: usize,
+    count: NonZeroUsize,
+    max_locations_per_key: usize,
+    batches: Receiver<Batch>,
+    shared: &Shared,
+) -> HostHashTable {
+    /// Reports a panic, so that no one waits for batches that will never be
+    /// done.
+    struct ReportPanic<'a>(&'a Shared);
+    impl Drop for ReportPanic<'_> {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                let progress = self.0.progress.lock();
+                progress.unwrap_or_else(PoisonError::into_inner).panicked = true;
+                self.0.changed.notify_all();
+            }
+        }
+    }
+    let _report = ReportPanic(shared);
+    let (owner, count) = (owner as Feature, count.get() as Feature);
+    let mut table = HostHashTable::new(max_locations_per_key);
+    for batch in batches {
+        let mut counts = SketchCounts::default();
+        let stopped = shared.lock().error.is_some();
+        let inserted = if stopped {
+            Ok(())
+        } else {
+            insert_batch(
+                batch
+                    .iter()
+                    .filter(|&&(feature, _)| feature % count == owner),
+                |feature, location| table.insert(feature, location),
+                &mut counts,
+            )
+        };
+        // Let go of the batch before it is reported done, so that the
+        // sketching thread can fill it again.
+        drop(batch);
+        let mut progress = shared.lock();
+        progress.batches_done += 1;
+        progress.inserted += counts.inserted;
+        progress.dropped += counts.dropped;
+        if let Err(error) = inserted {
+            progress.error.get_or_insert(error);
+        }
+        drop(progress);
+        shared.changed.notify_all();
+    }
+    table
+}
+
+/// The CPU builder: the calling thread sketches, W inserter threads fill the
+/// host hash table (see the [module documentation](self)).
 pub struct CpuBuilder {
     config: MetaCacheConfig,
     sketcher: Sketcher,
     taxonomy: Taxonomy,
     targets: Vec<TargetInfo>,
-    table: HostHashTable,
+    /// Targets and windows; the inserters count the locations.
     stats: BuildStats,
-    /// Reused across targets so reference sketching never allocates per
-    /// window and the batch grows only to the largest target's size.
-    scratch: TargetScratch,
+    sketch: SketchScratch,
+    /// The batches queued last, oldest first. The oldest is sketched into
+    /// again once no inserter holds it, so batches are allocated only for
+    /// those in flight and grow only to the largest target's size.
+    batches: VecDeque<Batch>,
+    inserters: Inserters,
+    /// An `add_target` has returned the inserters' fatal table error.
+    error_returned: bool,
 }
 
 impl CpuBuilder {
-    /// Create a builder with the given configuration and taxonomy.
+    /// Create a builder with the given configuration and taxonomy, and spawn
+    /// its inserter threads: as many as
+    /// [`std::thread::available_parallelism`] reports.
     ///
     /// # Panics
     ///
     /// If `config` does not pass [`MetaCacheConfig::validated`] — check
     /// configurations that come from outside the program there first.
     pub fn new(config: MetaCacheConfig, taxonomy: Taxonomy) -> Self {
+        let inserters = std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN);
+        Self::with_inserters(config, taxonomy, inserters)
+    }
+
+    /// [`CpuBuilder::new`] with `inserters` inserter threads.
+    pub(crate) fn with_inserters(
+        config: MetaCacheConfig,
+        taxonomy: Taxonomy,
+        inserters: NonZeroUsize,
+    ) -> Self {
         let sketcher = Sketcher::new(&config)
             .expect("CpuBuilder::new requires a config that passes MetaCacheConfig::validated");
-        let table = HostHashTable::new(config.max_locations_per_feature);
         Self {
             config,
             sketcher,
             taxonomy,
             targets: Vec::new(),
-            table,
             stats: BuildStats::default(),
-            scratch: TargetScratch::new(&config),
+            sketch: SketchScratch::with_capacity(config.sketch_size),
+            batches: VecDeque::new(),
+            inserters: Inserters::spawn(inserters, config.max_locations_per_feature),
+            error_returned: false,
         }
     }
 
-    /// Add one reference target belonging to `taxon`.
+    /// Add one reference target belonging to `taxon`: sketch it and queue
+    /// it for insertion. Returns without waiting for the insertion, and
+    /// waits only while the inserters are a few targets behind.
+    ///
+    /// A fatal table error — an arena past 2^36 locations, or a probe walk
+    /// that found no free slot — stops all insertion, and this call returns
+    /// it from then on.
     pub fn add_target(
         &mut self,
         record: SequenceRecord,
         taxon: TaxonId,
     ) -> Result<TargetId, MetaCacheError> {
+        if let Some(error) = self.inserters.shared.lock().error {
+            self.error_returned = true;
+            return Err(error.into());
+        }
         if !self.taxonomy.contains(taxon) {
             return Err(MetaCacheError::UnknownTaxon(taxon));
         }
         let target_id = self.targets.len() as TargetId;
-        // Sketch the whole target into the reused batch, then insert it; a
-        // fatal table error stops the insertion and is returned here.
-        let mut counts = SketchCounts::default();
-        let walk = sketch_target_into(
-            &self.sketcher,
-            &mut self.scratch,
-            &record,
-            target_id,
-            |feature, location| self.table.insert(feature, location),
-            &mut counts,
-        );
-        self.stats.locations_inserted += counts.inserted;
-        self.stats.locations_dropped += counts.dropped;
-        walk?;
-        let windows_sketched = counts.windows;
+        let reusable = self
+            .batches
+            .front_mut()
+            .is_some_and(|oldest| Arc::get_mut(oldest).is_some());
+        let mut batch = if reusable {
+            self.batches.pop_front().expect("the oldest batch")
+        } else {
+            Batch::default()
+        };
+        let pairs = Arc::get_mut(&mut batch).expect("no inserter holds a reused batch");
+        let windows = sketch_target(&self.sketcher, &mut self.sketch, &record, target_id, pairs);
+        self.inserters.queue(&batch);
+        self.batches.push_back(batch);
         self.targets.push(TargetInfo {
             id: target_id,
             name: record.id().to_string(),
@@ -190,7 +429,7 @@ impl CpuBuilder {
             num_windows: self.sketcher.num_windows(record.sequence.len()),
         });
         self.stats.targets += 1;
-        self.stats.windows += windows_sketched;
+        self.stats.windows += windows;
         Ok(target_id)
     }
 
@@ -216,7 +455,8 @@ impl CpuBuilder {
 
     /// Consume batches from a producer–consumer queue until the producers
     /// close it: parsers produce on their own threads, the calling thread
-    /// sketches and inserts every record, in arrival order.
+    /// sketches every record, in arrival order, and the inserter threads
+    /// insert them (see [`CpuBuilder::add_target`]).
     pub fn build_from_queue<F>(
         &mut self,
         receiver: BatchReceiver,
@@ -236,15 +476,39 @@ impl CpuBuilder {
         Ok(added)
     }
 
-    /// Build statistics so far.
+    /// Build statistics so far. Waits until every queued target is
+    /// inserted, so the location counts are exact.
+    ///
+    /// # Panics
+    ///
+    /// If an inserter thread panicked.
     pub fn stats(&self) -> BuildStats {
-        self.stats
+        let progress = self.inserters.wait();
+        BuildStats {
+            locations_inserted: progress.inserted,
+            locations_dropped: progress.dropped,
+            ..self.stats
+        }
     }
 
-    /// Finish the build, producing a single-partition database whose table
-    /// is packed: every bucket at its exact length, no holes.
-    pub fn finish(mut self) -> Database {
-        self.table.compact();
+    /// Finish the build: join the inserter threads and fuse their tables
+    /// into a single-partition database whose table is packed — every
+    /// bucket at its exact length, no holes.
+    ///
+    /// # Panics
+    ///
+    /// If a fatal table error stopped the insertion and no
+    /// [`add_target`](Self::add_target) has returned it, if the fused table
+    /// meets one (an arena past 2^36 locations, or a probe walk that found
+    /// no free slot), or if an inserter thread panicked: the build never
+    /// returns a table short of locations without saying so.
+    pub fn finish(self) -> Database {
+        let (parts, error) = self.inserters.join();
+        if let Some(error) = error.filter(|_| !self.error_returned) {
+            panic!("a table error stopped the build and no add_target returned it: {error}");
+        }
+        let table = HostHashTable::fuse(parts)
+            .unwrap_or_else(|error| panic!("the inserters' tables do not fuse into one: {error}"));
         let lineages = self.taxonomy.lineage_cache();
         let target_ids: Vec<TargetId> = self.targets.iter().map(|t| t.id).collect();
         Database {
@@ -253,7 +517,7 @@ impl CpuBuilder {
             taxonomy: self.taxonomy,
             lineages,
             partitions: vec![Partition {
-                store: PartitionStore::Host(self.table),
+                store: PartitionStore::Host(table),
                 targets: target_ids,
             }],
         }
@@ -695,6 +959,82 @@ mod tests {
             saved_bytes(&batched, "batched_delta"),
             saved_bytes(&reference, "reference_delta")
         );
+    }
+
+    #[test]
+    fn threaded_build_equals_the_sequential_insert_loop_for_any_inserter_count() {
+        // Repeats shared across targets, so at cap 3 the order in which
+        // locations reach a bucket decides which of them are dropped; more
+        // targets than the queues hold, so the sketcher runs ahead.
+        let repeat: Vec<u8> = make_seq(700, 9)
+            .iter()
+            .cycle()
+            .take(4_000)
+            .copied()
+            .collect();
+        let records: Vec<SequenceRecord> = (0..12)
+            .map(|i| {
+                let mut sequence = make_seq(2_000 + 300 * i, i as u64 + 1);
+                sequence.extend_from_slice(&repeat[..1_000 * (i % 5)]);
+                SequenceRecord::new(format!("t{i}"), sequence)
+            })
+            .collect();
+        let taxon = |i: usize| 100 + i as TaxonId % 2;
+        for cap in [3, 254] {
+            let config = MetaCacheConfig {
+                max_locations_per_feature: cap,
+                ..MetaCacheConfig::for_tests()
+            };
+            // The reference: `Database::insert_target`'s one-thread loop.
+            let mut reference = Database {
+                config,
+                targets: Vec::new(),
+                taxonomy: taxonomy(),
+                lineages: taxonomy().lineage_cache(),
+                partitions: vec![Partition {
+                    store: PartitionStore::Host(HostHashTable::new(cap)),
+                    targets: Vec::new(),
+                }],
+            };
+            let mut delta = crate::DatabaseDelta::new();
+            for (i, record) in records.iter().enumerate() {
+                delta.add_target(record.clone(), taxon(i));
+            }
+            let expected = reference.apply_delta(delta).unwrap();
+            assert_eq!(expected.locations_dropped > 0, cap == 3, "cap {cap}");
+            let expected_bytes = saved_bytes(&reference, &format!("sequential_cap{cap}"));
+
+            for inserters in [1, 2, 3, 7] {
+                let mut builder = CpuBuilder::with_inserters(
+                    config,
+                    taxonomy(),
+                    NonZeroUsize::new(inserters).unwrap(),
+                );
+                for (i, record) in records.iter().enumerate() {
+                    builder.add_target(record.clone(), taxon(i)).unwrap();
+                }
+                // Right after the last `add_target`: waits for the queues.
+                let stats = builder.stats();
+                assert_eq!(
+                    (
+                        stats.targets,
+                        stats.windows,
+                        stats.locations_inserted,
+                        stats.locations_dropped
+                    ),
+                    (
+                        expected.targets_added,
+                        expected.windows_sketched,
+                        expected.locations_inserted,
+                        expected.locations_dropped
+                    ),
+                    "W = {inserters}, cap {cap}"
+                );
+                let db = builder.finish();
+                let bytes = saved_bytes(&db, &format!("w{inserters}_cap{cap}"));
+                assert!(bytes == expected_bytes, "W = {inserters}, cap {cap}");
+            }
+        }
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //! Two execution back ends share the same algorithms:
 //!
 //! * [`build::CpuBuilder`] / the host query path — the original CPU
-//!   MetaCache behaviour (single hash-table inserter thread, 254-location
-//!   bucket cap),
+//!   MetaCache behaviour (254-location bucket cap; the build sketches on the
+//!   calling thread and inserts on one thread per feature range, fused into
+//!   one hash table),
 //! * [`gpu`] — the GPU pipeline of §5 running on the [`mc_gpu_sim`]
 //!   substrate: warp-level sketching kernels, the multi-bucket hash table,
 //!   segmented sort, top-candidate generation, multi-device partitioning and

@@ -17,9 +17,11 @@
 //! the index is rebuilt at twice the size when its load factor passes 0.8 —
 //! "the buckets holding the values are preserved".
 //!
-//! The original CPU table "does not support concurrent insertion" — the build
-//! phase uses a single inserter thread — so insertion takes `&mut self` and
-//! queries take `&self` with no lock in between.
+//! The original CPU table "does not support concurrent insertion", so each
+//! table has one writer — insertion takes `&mut self` and queries take
+//! `&self` with no lock in between — and a build fuses W of them: W inserter
+//! threads each fill a table with the features they own, and
+//! [`HostHashTable::fuse`] packs those tables into one.
 //!
 //! Buckets are append-only and copied whole when they move, so a bucket's
 //! locations stay in insertion order: *sorted* by (target, window), because
@@ -197,8 +199,46 @@ impl HostHashTable {
         Ok(())
     }
 
+    /// One packed table holding every bucket of `parts`, tables with one cap
+    /// and no feature in common: what a build's W inserter threads, each
+    /// owning a share of the features, leave behind. Each part's index is
+    /// walked once, its buckets appended to one arena, and the arena handed
+    /// to [`from_packed`](Self::from_packed); a single part is
+    /// [compacted](Self::compact) in place. Bucket contents and order are
+    /// unchanged.
+    ///
+    /// # Panics
+    ///
+    /// If `parts` is empty or two parts hold the same feature.
+    pub fn fuse(parts: Vec<HostHashTable>) -> Result<Self, TableError> {
+        let parts = match <[HostHashTable; 1]>::try_from(parts) {
+            Ok([mut table]) => {
+                table.compact();
+                return Ok(table);
+            }
+            Err(parts) => parts,
+        };
+        let cap = parts
+            .first()
+            .expect("a table to fuse")
+            .max_locations_per_key;
+        let mut buckets = Vec::with_capacity(parts.iter().map(|part| part.index.len()).sum());
+        // The parts' summed extent, as `compact` reserves its own: the
+        // buckets later insertions move to the end must not reallocate it.
+        let mut arena = Vec::with_capacity(parts.iter().map(|part| part.arena.len()).sum());
+        for part in parts {
+            part.index.for_each(|feature, packed| {
+                let bucket = part.bucket(packed);
+                buckets.push((feature, bucket.len() as u32));
+                arena.extend_from_slice(bucket);
+            });
+        }
+        Self::from_packed(cap, &buckets, arena)
+    }
+
     /// Lay every bucket out at its exact length with no holes in between.
-    /// What a finished build calls; bucket contents and order are unchanged.
+    /// What a one-part [`fuse`](Self::fuse) and a split call; bucket contents
+    /// and order are unchanged.
     pub fn compact(&mut self) {
         // The packed arena keeps the room the build had grown into (reserved,
         // not touched): the buckets the next insertions move to its end must
@@ -356,6 +396,44 @@ mod tests {
     #[should_panic(expected = "named twice")]
     fn from_packed_panics_on_a_repeated_feature() {
         let _ = HostHashTable::from_packed(4, &[(7, 1), (7, 1)], vec![Location::default(); 2]);
+    }
+
+    #[test]
+    fn fused_parts_equal_the_one_table_that_took_every_insertion() {
+        // A cap of 3 and hot features, so the cap drops locations.
+        let pairs: Vec<(Feature, Location)> = (0..20_000u32)
+            .map(|i| ((i * 7919) % 4_001, Location::new(i / 64, i % 64)))
+            .collect();
+        let mut whole = HostHashTable::new(3);
+        let dropped = pairs
+            .iter()
+            .filter(|&&(feature, location)| whole.insert(feature, location).is_err())
+            .count();
+        assert!(dropped > 0, "the cap must bite");
+        whole.compact();
+        let buckets = |t: &HostHashTable| {
+            let mut all = Vec::new();
+            t.for_each_bucket(|feature, bucket| {
+                all.push((feature, bucket.to_vec()));
+                Ok::<(), ()>(())
+            })
+            .unwrap();
+            all
+        };
+        for count in [1, 2, 3, 7] {
+            let mut parts: Vec<HostHashTable> = (0..count).map(|_| HostHashTable::new(3)).collect();
+            for &(feature, location) in &pairs {
+                parts[feature as usize % count]
+                    .insert(feature, location)
+                    .ok();
+            }
+            let extent: usize = parts.iter().map(|part| part.arena.len()).sum();
+            let fused = HostHashTable::fuse(parts).unwrap();
+            assert_eq!(buckets(&fused), buckets(&whole), "{count} parts");
+            // Packed, with the index the insertions grew.
+            assert_eq!(fused.bytes(), whole.bytes(), "{count} parts");
+            assert!(fused.arena.capacity() >= extent, "{count} parts");
+        }
     }
 
     #[test]
