@@ -87,7 +87,7 @@ impl AbundanceProfile {
 mod tests {
     use super::*;
     use crate::config::MetaCacheConfig;
-    use crate::database::{Partition, PartitionStore, TargetInfo};
+    use crate::database::{Partition, TargetInfo};
     use mc_taxonomy::Taxonomy;
     use mc_warpcore::HostHashTable;
 
@@ -110,7 +110,7 @@ mod tests {
             taxonomy,
             lineages,
             partitions: vec![Partition {
-                store: PartitionStore::Host(HostHashTable::new(254)),
+                table: HostHashTable::new(254),
                 targets: vec![0],
             }],
         }

@@ -19,7 +19,8 @@
 //!   each device sketches its windows with warp kernels and inserts into its
 //!   own multi-bucket hash table, and all data movement / kernel work is
 //!   charged to the device clocks so that the simulated build times of
-//!   Table 3 can be reproduced.
+//!   Table 3 can be reproduced. `finish` packs each device's table into a
+//!   host table, the one table type a database holds at rest.
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
@@ -40,7 +41,7 @@ use mc_warpcore::{
 };
 
 use crate::config::MetaCacheConfig;
-use crate::database::{Database, Partition, PartitionStore, TargetInfo};
+use crate::database::{Database, Partition, TargetInfo};
 use crate::error::MetaCacheError;
 use crate::gpu::warp_sketch_to_slot;
 use crate::sketch::{SketchScratch, Sketcher};
@@ -517,14 +518,15 @@ impl CpuBuilder {
             taxonomy: self.taxonomy,
             lineages,
             partitions: vec![Partition {
-                store: PartitionStore::Host(table),
+                table,
                 targets: target_ids,
             }],
         }
     }
 }
 
-/// The GPU builder: one partition (multi-bucket table) per device.
+/// The GPU builder: one multi-bucket table per device while it builds, one
+/// packed host-table partition per device once it finishes.
 pub struct GpuBuilder<'sys> {
     config: MetaCacheConfig,
     sketcher: Sketcher,
@@ -695,15 +697,31 @@ impl<'sys> GpuBuilder<'sys> {
         }
     }
 
-    /// Finish the build, producing one partition per device.
+    /// Finish the build, producing one partition per device: the device's
+    /// table packed into a host table (§4.2), each feature's bucket what a
+    /// query of the device table returns, under the build's cap. No device
+    /// time is charged for this host-side copy.
     pub fn finish(self) -> Database {
         let lineages = self.taxonomy.lineage_cache();
+        let cap = self.config.max_locations_per_feature;
         let partitions = self
             .partitions
             .into_iter()
-            .map(|p| Partition {
-                store: PartitionStore::MultiBucket(p.table),
-                targets: p.targets,
+            .map(|p| {
+                let mut arena = Vec::with_capacity(p.table.value_count());
+                let buckets: Vec<(Feature, u32)> = p
+                    .table
+                    .features()
+                    .into_iter()
+                    .map(|feature| (feature, p.table.query_into(feature, &mut arena) as u32))
+                    .collect();
+                let table = HostHashTable::from_packed(cap, &buckets, arena).expect(
+                    "a device query returns at most the cap; a device holds < 2^36 locations",
+                );
+                Partition {
+                    table,
+                    targets: p.targets,
+                }
             })
             .collect();
         Database {
@@ -846,16 +864,20 @@ mod tests {
         counts
     }
 
-    fn buckets_of(db: &Database) -> Vec<(Feature, Vec<Location>)> {
-        let mut buckets = Vec::new();
-        db.partitions[0]
-            .store
-            .for_each_bucket(|feature, bucket| {
-                buckets.push((feature, bucket.to_vec()));
-                Ok::<(), ()>(())
-            })
-            .unwrap();
-        buckets
+    /// Every partition's buckets, partition by partition.
+    fn buckets_of(db: &Database) -> Vec<Vec<(Feature, Vec<Location>)>> {
+        let partition_buckets = |partition: &Partition| {
+            let mut buckets = Vec::new();
+            partition
+                .table
+                .for_each_bucket(|feature, bucket| {
+                    buckets.push((feature, bucket.to_vec()));
+                    Ok::<(), ()>(())
+                })
+                .unwrap();
+            buckets
+        };
+        db.partitions.iter().map(partition_buckets).collect()
     }
 
     fn saved_bytes(db: &Database, tag: &str) -> Vec<Vec<u8>> {
@@ -922,7 +944,7 @@ mod tests {
             taxonomy: taxonomy(),
             lineages: taxonomy().lineage_cache(),
             partitions: vec![Partition {
-                store: PartitionStore::Host(table),
+                table,
                 targets: batched.partitions[0].targets.clone(),
             }],
         };
@@ -938,9 +960,7 @@ mod tests {
         for (i, record) in delta_records.iter().enumerate() {
             delta.add_target(record.clone(), 101);
             let id = (records.len() + i) as TargetId;
-            let PartitionStore::Host(table) = &mut reference.partitions[0].store else {
-                unreachable!("built above as a host table")
-            };
+            let table = &mut reference.partitions[0].table;
             let counts = insert_per_location(table, &config, record, id);
             expected.targets_added += 1;
             expected.windows_sketched += counts.windows;
@@ -992,7 +1012,7 @@ mod tests {
                 taxonomy: taxonomy(),
                 lineages: taxonomy().lineage_cache(),
                 partitions: vec![Partition {
-                    store: PartitionStore::Host(HostHashTable::new(cap)),
+                    table: HostHashTable::new(cap),
                     targets: Vec::new(),
                 }],
             };
@@ -1141,6 +1161,135 @@ mod tests {
         let cpu_db = cpu.finish();
         let gpu_db = gpu.finish();
         assert_eq!(cpu_db.total_locations(), gpu_db.total_locations());
+    }
+
+    /// A 2-device GPU build at `cap`: six targets, round-robin over the
+    /// devices, sharing a random stretch and a short-period repeat across
+    /// both devices. Every window of the repeat has the same sketch, and
+    /// device 0 holds enough of it that the cap bites at 254 too. Also
+    /// returns a delta of more of both.
+    fn gpu_fixture(cap: usize) -> (Database, BuildStats, crate::DatabaseDelta) {
+        let config = MetaCacheConfig {
+            max_locations_per_feature: cap,
+            ..MetaCacheConfig::for_tests()
+        };
+        let hot: Vec<u8> = make_seq(90, 7)
+            .iter()
+            .cycle()
+            .take(30_000)
+            .copied()
+            .collect();
+        let shared = make_seq(2_500, 8);
+        let records: Vec<SequenceRecord> = (0..6)
+            .map(|i| {
+                let mut sequence = make_seq(3_000 + 400 * i, 60 + i as u64);
+                sequence.extend_from_slice(&shared[..500 * i]);
+                match i {
+                    2 => sequence.extend_from_slice(&hot),
+                    3 => sequence.extend_from_slice(&hot[..6_000]),
+                    _ => {}
+                }
+                SequenceRecord::new(format!("g{i}"), sequence)
+            })
+            .collect();
+        let system = MultiGpuSystem::dgx1(2);
+        let expected = estimate_locations(&config, &records);
+        let mut builder = GpuBuilder::new(config, taxonomy(), &system, expected).unwrap();
+        for (i, record) in records.into_iter().enumerate() {
+            builder.add_target(record, 100 + i as TaxonId % 2).unwrap();
+        }
+        let stats = builder.stats();
+        let mut delta = crate::DatabaseDelta::new();
+        // Target 6 joins the hot target on device 0, target 7 device 1.
+        delta.add_target(
+            SequenceRecord::new("d0", [&make_seq(2_500, 80)[..], &hot[..12_000]].concat()),
+            100,
+        );
+        delta.add_target(
+            SequenceRecord::new("d1", [&shared[..], &make_seq(2_000, 81)].concat()),
+            101,
+        );
+        (builder.finish(), stats, delta)
+    }
+
+    /// FNV-1a of a byte string.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// A GPU-built database is the packed table a save writes and a load
+    /// reads back: the same size, buckets and counts as its loaded copy, with
+    /// the builder's counters agreeing, and a delta applied to either leaves
+    /// the same files and counters.
+    #[test]
+    fn gpu_build_equals_its_saved_and_loaded_copy() {
+        for cap in [3, 254] {
+            let (mut built, stats, delta) = gpu_fixture(cap);
+            assert!(stats.locations_dropped > 0, "cap {cap} must bite");
+            assert_eq!(
+                stats.locations_inserted,
+                built.total_locations() as u64,
+                "cap {cap}"
+            );
+            let dir = std::env::temp_dir().join(format!("metacache_build_gpu_copy_{cap}"));
+            crate::serialize::save(&built, &dir, "db").unwrap();
+            let loaded = crate::serialize::load(&dir, "db").unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            let mut loaded = Arc::try_unwrap(loaded).ok().expect("sole owner");
+            assert_eq!(loaded.partition_count(), 2);
+            assert_eq!(loaded.table_bytes(), built.table_bytes(), "cap {cap}");
+            assert_eq!(
+                loaded.total_locations(),
+                built.total_locations(),
+                "cap {cap}"
+            );
+            assert!(buckets_of(&loaded) == buckets_of(&built), "cap {cap}");
+
+            let built_delta = built.apply_delta(delta.clone()).unwrap();
+            assert!(
+                built_delta.locations_dropped > 0,
+                "cap {cap} must bite the delta"
+            );
+            assert_eq!(loaded.apply_delta(delta).unwrap(), built_delta, "cap {cap}");
+            assert!(
+                saved_bytes(&built, &format!("gpu_built_delta_{cap}"))
+                    == saved_bytes(&loaded, &format!("gpu_loaded_delta_{cap}")),
+                "cap {cap}"
+            );
+        }
+    }
+
+    /// The table files of the GPU fixture, pinned: a change to the device
+    /// table, the pack at `finish` or the file layout that reached a saved
+    /// GPU-built database would show here.
+    #[test]
+    fn gpu_built_cache_files_are_pinned() {
+        let pinned = [
+            (
+                3,
+                [
+                    (32_544, 8_798_555_605_621_051_647),
+                    (37_632, 17_239_138_454_536_319_336),
+                ],
+            ),
+            (
+                254,
+                [
+                    (64_672, 7_520_971_836_573_760_975),
+                    (44_112, 935_105_117_414_376_260),
+                ],
+            ),
+        ];
+        for (cap, files) in pinned {
+            let (db, _, _) = gpu_fixture(cap);
+            let saved = saved_bytes(&db, &format!("gpu_pinned_{cap}"));
+            // `.meta` first, then `.cache0` and `.cache1`.
+            let caches: Vec<(usize, u64)> =
+                saved[1..].iter().map(|c| (c.len(), fnv1a(c))).collect();
+            assert_eq!(caches, files, "cap {cap}");
+        }
     }
 
     #[test]

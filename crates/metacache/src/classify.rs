@@ -179,7 +179,7 @@ impl ClassificationEvaluation {
 mod tests {
     use super::*;
     use crate::candidate::Candidate;
-    use crate::database::{Partition, PartitionStore, TargetInfo};
+    use crate::database::{Partition, TargetInfo};
     use mc_taxonomy::Taxonomy;
     use mc_warpcore::HostHashTable;
 
@@ -208,7 +208,7 @@ mod tests {
             taxonomy,
             lineages,
             partitions: vec![Partition {
-                store: PartitionStore::Host(HostHashTable::new(254)),
+                table: HostHashTable::new(254),
                 targets: vec![0, 1, 2, 3],
             }],
         }

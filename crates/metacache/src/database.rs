@@ -5,9 +5,7 @@ use serde::{Deserialize, Serialize};
 use mc_kmer::{Feature, Location, TargetId};
 use mc_seqio::SequenceRecord;
 use mc_taxonomy::{LineageCache, Rank, TaxonId, Taxonomy};
-use mc_warpcore::{
-    ConcurrentInsert, FeatureStore, HostHashTable, MultiBucketHashTable, TableError,
-};
+use mc_warpcore::{FeatureStore, HostHashTable};
 
 use crate::build::{sketch_target_into, TargetScratch};
 use crate::config::MetaCacheConfig;
@@ -30,70 +28,15 @@ pub struct TargetInfo {
     pub num_windows: u32,
 }
 
-/// The hash-table back end of one database partition.
-pub enum PartitionStore {
-    /// The paper's novel multi-bucket device table (GPU build path).
-    MultiBucket(MultiBucketHashTable),
-    /// The CPU MetaCache table: what a host build finishes with, what a load
-    /// and a shard split produce, all in the same packed state (§4.1, §4.2).
-    Host(HostHashTable),
-}
-
-impl PartitionStore {
-    /// Read the store through the common [`FeatureStore`] interface.
-    pub fn as_store(&self) -> &dyn FeatureStore {
-        match self {
-            PartitionStore::MultiBucket(t) => t,
-            PartitionStore::Host(t) => t,
-        }
-    }
-
-    /// Insert one location for a feature, each table in its own way (the
-    /// device table through `&self`, the host table as its one inserter).
-    pub fn insert(&mut self, feature: Feature, location: Location) -> Result<(), TableError> {
-        match self {
-            PartitionStore::MultiBucket(t) => t.insert(feature, location),
-            PartitionStore::Host(t) => t.insert(feature, location),
-        }
-    }
-
-    /// Visit every feature with its whole bucket, in ascending feature order
-    /// — the order of the on-disk layout — until the visitor fails.
-    pub fn for_each_bucket<E>(
-        &self,
-        mut f: impl FnMut(Feature, &[Location]) -> Result<(), E>,
-    ) -> Result<(), E> {
-        match self {
-            PartitionStore::Host(t) => t.for_each_bucket(f),
-            PartitionStore::MultiBucket(t) => {
-                // A key's values are scattered over the slots it occupies; its
-                // bucket is what a query of the device table returns for it.
-                let mut bucket = Vec::new();
-                t.features().into_iter().try_for_each(|feature| {
-                    bucket.clear();
-                    t.query_into(feature, &mut bucket);
-                    f(feature, &bucket)
-                })
-            }
-        }
-    }
-
-    /// Short label used in reports.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            PartitionStore::MultiBucket(_) => "multi-bucket",
-            PartitionStore::Host(_) => "host",
-        }
-    }
-}
-
 /// One database partition: the hash table plus the ids of the targets whose
 /// sketches were inserted into it. In the GPU pipeline each partition lives
 /// on one device (§4.1: "a single reference sequence will never be
-/// distributed across multiple GPUs").
+/// distributed across multiple GPUs"). Whatever built, loaded or split it,
+/// the table is a host table in the packed state (§4.2): a database has one
+/// format at rest.
 pub struct Partition {
-    /// The feature → location store.
-    pub store: PartitionStore,
+    /// The feature → location table.
+    pub table: HostHashTable,
     /// Targets assigned to this partition.
     pub targets: Vec<TargetId>,
 }
@@ -101,19 +44,19 @@ pub struct Partition {
 impl Partition {
     /// Query a feature against this partition.
     pub fn query_into(&self, feature: Feature, out: &mut Vec<Location>) -> usize {
-        self.store.as_store().query_into(feature, out)
+        self.table.query_into(feature, out)
     }
 
     /// Query a whole sketch (feature batch) against this partition — lets
-    /// the store amortise per-lookup overhead (see
+    /// the table amortise per-lookup overhead (see
     /// [`FeatureStore::query_batch_into`]).
     pub fn query_batch_into(&self, features: &[Feature], out: &mut Vec<Location>) -> usize {
-        self.store.as_store().query_batch_into(features, out)
+        self.table.query_batch_into(features, out)
     }
 
     /// Bytes occupied by this partition's table.
     pub fn bytes(&self) -> usize {
-        self.store.as_store().bytes()
+        self.table.bytes()
     }
 }
 
@@ -154,20 +97,14 @@ impl Database {
 
     /// Total number of stored (feature, location) pairs across partitions.
     pub fn total_locations(&self) -> usize {
-        self.partitions
-            .iter()
-            .map(|p| p.store.as_store().value_count())
-            .sum()
+        self.partitions.iter().map(|p| p.table.value_count()).sum()
     }
 
     /// Total number of distinct features across partitions (a feature present
     /// in several partitions is counted once per partition, as on real
     /// multi-GPU deployments).
     pub fn total_features(&self) -> usize {
-        self.partitions
-            .iter()
-            .map(|p| p.store.as_store().key_count())
-            .sum()
+        self.partitions.iter().map(|p| p.table.key_count()).sum()
     }
 
     /// Total bytes of all partition tables — the "DB size" column of Table 3.
@@ -228,7 +165,7 @@ impl Database {
             .map(|_| HostHashTable::new(HostHashTable::MAX_BUCKET_LEN))
             .collect();
         for partition in &self.partitions {
-            partition.store.for_each_bucket(|feature, bucket| {
+            partition.table.for_each_bucket(|feature, bucket| {
                 bucket.iter().try_for_each(|&loc| {
                     tables[assignment[loc.target as usize]].insert(feature, loc)
                 })
@@ -242,10 +179,7 @@ impl Database {
                 let targets = (0..assignment.len() as TargetId)
                     .filter(|&t| assignment[t as usize] == shard)
                     .collect();
-                Partition {
-                    store: PartitionStore::Host(table),
-                    targets,
-                }
+                Partition { table, targets }
             })
             .collect();
         Ok(Database {
@@ -278,7 +212,7 @@ impl Database {
     /// Query a read's whole feature batch against every partition, appending
     /// all hits partition-major (every feature of partition 0, then every
     /// feature of partition 1, …). The query hot path uses this so each
-    /// partition's store amortises its per-lookup overhead across the batch.
+    /// partition's table amortises its per-lookup overhead across the batch.
     #[inline]
     pub fn query_features_into(&self, features: &[Feature], out: &mut Vec<Location>) -> usize {
         self.partitions
@@ -369,7 +303,7 @@ impl Database {
             scratch,
             &record,
             target_id,
-            |feature, location| partition.store.insert(feature, location),
+            |feature, location| partition.table.insert(feature, location),
             &mut counts,
         )?;
         stats.targets_added += 1;
@@ -484,10 +418,10 @@ mod tests {
         taxonomy.add_node(100, 10, Rank::Species, "G a").unwrap();
         taxonomy.add_node(101, 10, Rank::Species, "G b").unwrap();
         let lineages = taxonomy.lineage_cache();
-        let mut store = HostHashTable::new(254);
-        store.insert(7, Location::new(0, 0)).unwrap();
-        store.insert(7, Location::new(1, 2)).unwrap();
-        store.insert(9, Location::new(1, 3)).unwrap();
+        let mut table = HostHashTable::new(254);
+        table.insert(7, Location::new(0, 0)).unwrap();
+        table.insert(7, Location::new(1, 2)).unwrap();
+        table.insert(9, Location::new(1, 3)).unwrap();
         Database {
             config: MetaCacheConfig::default(),
             targets: vec![
@@ -509,7 +443,7 @@ mod tests {
             taxonomy,
             lineages,
             partitions: vec![Partition {
-                store: PartitionStore::Host(store),
+                table,
                 targets: vec![0, 1],
             }],
         }
@@ -600,7 +534,7 @@ mod tests {
             let mut table = HostHashTable::new(1);
             table.insert(7, Location::new(target, 0)).unwrap();
             Partition {
-                store: PartitionStore::Host(table),
+                table,
                 targets: vec![target],
             }
         };
@@ -611,13 +545,5 @@ mod tests {
         let mut hits = Vec::new();
         assert_eq!(merged.query_feature_into(7, &mut hits), 2);
         assert_eq!(merged.partitions[0].targets, [0, 1]);
-    }
-
-    #[test]
-    fn partition_kind_labels() {
-        let db = tiny_database();
-        assert_eq!(db.partitions[0].store.kind(), "host");
-        let device = PartitionStore::MultiBucket(MultiBucketHashTable::new(Default::default()));
-        assert_eq!(device.kind(), "multi-bucket");
     }
 }

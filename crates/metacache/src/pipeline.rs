@@ -292,8 +292,8 @@ pub fn run_on_the_fly(
     system.reset_clocks();
     let classifier = GpuClassifier::new(Arc::clone(&database), system);
     let (classifications, _) = classifier.classify_all(reads);
-    // The build-phase table is not compacted, so OTF queries run ~20% slower
-    // than queries against the condensed layout (§6.3).
+    // Models the §6.3 device table, which is not compacted, so OTF queries of
+    // it run ~20% slower than of the condensed layout (the host copy is packed).
     let query_time = SimDuration::from_nanos((system.makespan().as_nanos() as f64 * 1.25) as u64);
 
     Ok(PipelineReport {

@@ -29,10 +29,10 @@ use serde::{Deserialize, Serialize};
 
 use mc_kmer::{Feature, Location};
 use mc_taxonomy::Taxonomy;
-use mc_warpcore::HostHashTable;
+use mc_warpcore::{FeatureStore, HostHashTable};
 
 use crate::config::MetaCacheConfig;
-use crate::database::{Database, Partition, PartitionStore, TargetInfo};
+use crate::database::{Database, Partition, TargetInfo};
 use crate::error::MetaCacheError;
 
 /// Magic bytes at the start of every `.cache` partition file.
@@ -89,10 +89,10 @@ pub fn save(
         let file = std::fs::File::create(&path)?;
         let mut writer = BufWriter::new(file);
         writer.write_all(CACHE_MAGIC)?;
-        let bucket_count = partition.store.as_store().key_count() as u64;
+        let bucket_count = partition.table.key_count() as u64;
         writer.write_all(&bucket_count.to_le_bytes())?;
         let mut bytes_written = 16u64;
-        partition.store.for_each_bucket(|feature, bucket| {
+        partition.table.for_each_bucket(|feature, bucket| {
             writer.write_all(&feature.to_le_bytes())?;
             writer.write_all(&(bucket.len() as u32).to_le_bytes())?;
             for location in bucket {
@@ -109,7 +109,7 @@ pub fn save(
 }
 
 /// Load a database saved with [`save`]. Every partition is loaded into a
-/// packed host table (§4.2), whatever table it was saved from.
+/// packed host table (§4.2), as a build or a split leaves it.
 ///
 /// The database is returned behind an [`Arc`]: a loaded database is the
 /// shared, read-only artefact the serving stack multiplexes over
@@ -129,7 +129,7 @@ pub fn load(dir: impl AsRef<Path>, name: &str) -> Result<Arc<Database>, MetaCach
     for i in 0..meta.partition_count {
         let path = dir.join(format!("{name}.cache{i}"));
         partitions.push(Partition {
-            store: PartitionStore::Host(load_table(&path, config.max_locations_per_feature)?),
+            table: load_table(&path, config.max_locations_per_feature)?,
             targets: meta.partition_targets.get(i).cloned().unwrap_or_default(),
         });
     }
@@ -274,12 +274,8 @@ mod tests {
         let loaded = load(&dir, "db").unwrap();
         assert_eq!(loaded.target_count(), db.target_count());
         assert_eq!(loaded.total_locations(), db.total_locations());
-        // One host table: the loaded copy is the type the build finished
-        // with, in the same packed state, byte for byte as large.
-        assert_eq!(
-            loaded.partitions[0].store.kind(),
-            db.partitions[0].store.kind()
-        );
+        // One host table: the loaded copy is in the packed state the build
+        // finished with, byte for byte as large.
         assert_eq!(loaded.table_bytes(), db.table_bytes());
         assert_eq!(loaded.taxonomy.len(), db.taxonomy.len());
 
@@ -411,7 +407,7 @@ mod tests {
             Ok::<(), ()>(())
         };
         db.partitions[0]
-            .store
+            .table
             .for_each_bucket(every_bucket)
             .unwrap();
         let last_bucket_start = cuts.pop().unwrap();

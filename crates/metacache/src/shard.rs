@@ -169,6 +169,7 @@ mod tests {
     use crate::query::{Classifier, QueryScratch};
     use mc_seqio::SequenceRecord;
     use mc_taxonomy::{Rank, Taxonomy};
+    use mc_warpcore::FeatureStore;
 
     fn make_seq(len: usize, seed: u64) -> Vec<u8> {
         let mut state = seed | 1;
@@ -256,10 +257,9 @@ mod tests {
         // Each partition holds only locations of its assigned targets, and
         // lists exactly those targets.
         for (i, partition) in split.partitions.iter().enumerate() {
-            assert_eq!(partition.store.kind(), "host");
             let mut locs = Vec::new();
             partition
-                .store
+                .table
                 .for_each_bucket(|_, bucket| {
                     locs.extend_from_slice(bucket);
                     Ok::<(), ()>(())
@@ -316,7 +316,7 @@ mod tests {
         // Shard 1 gets no targets at all.
         let plan = ShardPlan::explicit(vec![0, 2, 0, 2], 3).unwrap();
         let split = db.repartition(&plan).unwrap();
-        assert_eq!(split.partitions[1].store.as_store().value_count(), 0);
+        assert_eq!(split.partitions[1].table.value_count(), 0);
         assert!(split.partitions[1].targets.is_empty());
         let classifier = Classifier::new(&split);
         assert_eq!(classifier.classify_batch(&reads), expected);

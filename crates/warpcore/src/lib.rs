@@ -15,11 +15,17 @@
 //!   Figure 3): each slot maps a key to a small, fixed number of values and a
 //!   key may occupy multiple slots, which fits the highly skewed k-mer
 //!   location distributions better and needs ~10% less memory than the other
-//!   two variants,
+//!   two variants. It is the GPU build's device table,
 //! * [`HostHashTable`] — the CPU MetaCache table (§4.1, §4.2): a
 //!   [`SingleValueHashTable`] index over one array of geometrically growing
 //!   buckets, with a per-feature location cap (default 254) and a packed
-//!   ("condensed") state. Built, loaded and split databases all hold it.
+//!   ("condensed") state. It is the one table a database holds at rest:
+//!   CPU-built, GPU-built (each device's multi-bucket table is packed into
+//!   one when the build finishes), loaded and split databases all hold it.
+//!
+//! [`MultiValueHashTable`] and [`BucketListHashTable`] hold no database;
+//! they stay for the §6 table-memory comparison (`repro tablemem`), the
+//! `hashtable` bench and one proptest, and go when that experiment does.
 //!
 //! All device-style tables ([`MultiValueHashTable`], [`MultiBucketHashTable`],
 //! [`BucketListHashTable`], [`SingleValueHashTable`]) support *concurrent*
@@ -90,9 +96,9 @@ impl std::fmt::Display for TableError {
 impl std::error::Error for TableError {}
 
 /// The read half every k-mer index table shares: retrieve all locations of a
-/// feature, and report size. The MetaCache query phase is generic over this
-/// trait so the same pipeline runs against the host table, the multi-bucket
-/// device table, or any of the comparison variants. Insertion differs: many
+/// feature, and report size — what the query phase asks of the host table,
+/// what the GPU build's pack reads out of the multi-bucket device table, and
+/// what the table comparisons measure. Insertion differs: many
 /// threads at once on the device tables ([`ConcurrentInsert`]), one inserter
 /// on the host table ([`HostHashTable::insert`]).
 pub trait FeatureStore: Send + Sync {

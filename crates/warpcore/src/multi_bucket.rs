@@ -135,29 +135,49 @@ impl MultiBucketHashTable {
         &self.config
     }
 
-    /// Try to append a value to an owned slot. Returns `true` on success,
-    /// `false` if the slot's bucket is already full.
-    fn try_push(&self, slot: usize, location: Location) -> bool {
+    /// Try to append a value to an owned slot, the key's slot after
+    /// `full_slots_seen` full ones. The slot takes at most what the key's cap
+    /// leaves: `cap − full_slots_seen·bucket_size` values, or its whole
+    /// bucket. Returns `Ok(true)` if the value was stored, `Ok(false)` if the
+    /// bucket is full and the key may spill into a further slot, and
+    /// [`TableError::ValueLimitReached`] (the value dropped) if the cap is
+    /// met in this slot.
+    fn try_push(
+        &self,
+        slot: usize,
+        full_slots_seen: usize,
+        location: Location,
+    ) -> Result<bool, TableError> {
         let bucket = self.config.bucket_size;
+        let room = bucket.min(
+            self.config
+                .max_locations_per_key
+                .saturating_sub(full_slots_seen * bucket),
+        );
         let pos = self.counts[slot].fetch_add(1, Ordering::AcqRel) as usize;
-        if pos < bucket {
+        if pos < room {
             self.values[slot * bucket + pos].store(location.pack(), Ordering::Release);
             self.stored_values.fetch_add(1, Ordering::Relaxed);
-            true
+            Ok(true)
+        } else if room < bucket {
+            // Leave the counter past the room; the cells beyond it stay empty
+            // and readers skip them.
+            self.dropped_values.fetch_add(1, Ordering::Relaxed);
+            Err(TableError::ValueLimitReached)
         } else {
             // Leave the counter saturated; readers clamp to `bucket_size`.
-            false
+            Ok(false)
         }
     }
 
-    /// Number of values a key may still store given how many full slots were
-    /// already seen while probing.
+    /// Whether a key's cap is met by the `full_slots_seen` full slots seen
+    /// while probing.
     fn cap_reached(&self, full_slots_seen: usize) -> bool {
         full_slots_seen * self.config.bucket_size >= self.config.max_locations_per_key
     }
 
     /// Every distinct key the table holds, ascending — with a query per key,
-    /// what exports the table (database serialization, shard split).
+    /// what exports the table (the pack at the end of a GPU build).
     pub fn features(&self) -> BTreeSet<Feature> {
         let keys = self.keys.iter().map(|key| key.load(Ordering::Acquire));
         keys.filter(|&key| key != EMPTY)
@@ -179,7 +199,7 @@ impl ConcurrentInsert for MultiBucketHashTable {
                     self.dropped_values.fetch_add(1, Ordering::Relaxed);
                     return Err(TableError::ValueLimitReached);
                 }
-                if self.try_push(slot, location) {
+                if self.try_push(slot, full_slots_seen, location)? {
                     return Ok(());
                 }
                 full_slots_seen += 1;
@@ -202,7 +222,7 @@ impl ConcurrentInsert for MultiBucketHashTable {
                             self.distinct_keys.fetch_add(1, Ordering::Relaxed);
                             seen_key_before = true;
                         }
-                        if self.try_push(slot, location) {
+                        if self.try_push(slot, full_slots_seen, location)? {
                             return Ok(());
                         }
                         full_slots_seen += 1;
@@ -210,7 +230,7 @@ impl ConcurrentInsert for MultiBucketHashTable {
                     }
                     Err(actual) if actual == key => {
                         seen_key_before = true;
-                        if self.try_push(slot, location) {
+                        if self.try_push(slot, full_slots_seen, location)? {
                             return Ok(());
                         }
                         full_slots_seen += 1;
@@ -344,6 +364,40 @@ mod tests {
         assert_eq!(t.query(1).len(), 8);
         assert_eq!(dropped, 12);
         assert_eq!(t.stats().values_dropped, 12);
+    }
+
+    /// The cap holds to the value, not to the slot: a key's last slot takes
+    /// only what the cap leaves of it, so the inserts that succeed, the
+    /// stored-value count and what queries return are one number.
+    #[test]
+    fn per_key_cap_is_exact_within_a_slot() {
+        for cap in [1, 3, 4, 5, 254] {
+            let t = MultiBucketHashTable::new(MultiBucketConfig {
+                capacity_slots: 1024,
+                bucket_size: 4,
+                max_locations_per_key: cap,
+                probing: ProbingConfig::default(),
+            });
+            let mut stored = 0;
+            let mut dropped = 0;
+            for key in 0..6u32 {
+                for w in 0..60 * key + 1 {
+                    match t.insert(key, Location::new(key, w)) {
+                        Ok(()) => stored += 1,
+                        Err(TableError::ValueLimitReached) => dropped += 1,
+                        Err(e) => panic!("cap {cap}: {e}"),
+                    }
+                }
+            }
+            let queried: usize = (0..6).map(|key| t.query(key).len()).sum();
+            let expected: usize = (0..6).map(|key| cap.min(60 * key + 1)).sum();
+            assert_eq!(
+                (stored, t.value_count(), queried),
+                (expected, expected, expected),
+                "cap {cap}"
+            );
+            assert_eq!(t.stats().values_dropped, dropped, "cap {cap}");
+        }
     }
 
     #[test]

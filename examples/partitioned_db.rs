@@ -52,10 +52,9 @@ fn main() {
         );
         for (i, partition) in otf.database.partitions.iter().enumerate() {
             println!(
-                "  device {i}: {} targets, {:.1} MiB ({})",
+                "  device {i}: {} targets, {:.1} MiB",
                 partition.targets.len(),
                 partition.bytes() as f64 / (1 << 20) as f64,
-                partition.store.kind()
             );
         }
         println!(
@@ -84,13 +83,27 @@ fn main() {
             wl.phases.time_to_query(),
             format_args!("{:.1} MiB", wl.db_file_bytes as f64 / (1 << 20) as f64)
         );
-        // Whatever table a partition was saved from, it loads as the one host
-        // table, packed (§4.2's condensed form).
-        for (i, partition) in wl.database.partitions.iter().enumerate() {
+        // A device's table is packed at the end of the build (§4.2's
+        // condensed form), so the loaded copy is exactly as large.
+        assert_eq!(
+            otf.database.partition_count(),
+            wl.database.partition_count()
+        );
+        for (i, (built, loaded)) in otf
+            .database
+            .partitions
+            .iter()
+            .zip(&wl.database.partitions)
+            .enumerate()
+        {
             println!(
-                "  loaded partition {i}: {:.1} MiB ({})",
-                partition.bytes() as f64 / (1 << 20) as f64,
-                partition.store.kind()
+                "  loaded partition {i}: {:.1} MiB",
+                loaded.bytes() as f64 / (1 << 20) as f64,
+            );
+            assert_eq!(
+                built.bytes(),
+                loaded.bytes(),
+                "device {i}: built and loaded tables differ in size"
             );
         }
         let classified_otf = otf
@@ -103,11 +116,15 @@ fn main() {
             .iter()
             .filter(|c| c.is_classified())
             .count();
+        let identical = otf.classifications == wl.classifications;
         println!(
-            "classified reads: OTF {classified_otf}/{} vs W+L {classified_wl}/{} (identical: {})",
+            "classified reads: OTF {classified_otf}/{} vs W+L {classified_wl}/{} (identical: {identical})",
             reads.len(),
             reads.len(),
-            otf.classifications == wl.classifications
+        );
+        assert!(
+            identical,
+            "on-the-fly and write+load classifications differ"
         );
         std::fs::remove_dir_all(&dir).ok();
         println!();

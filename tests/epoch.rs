@@ -230,7 +230,6 @@ proptest! {
         let loaded = serialize::load(&dir, "epoch").unwrap();
         std::fs::remove_dir_all(&dir).ok();
         let mut db = Arc::try_unwrap(loaded).ok().expect("sole owner of loaded db");
-        prop_assert_eq!(db.partitions[0].store.kind(), fresh.partitions[0].store.kind());
 
         let mut delta = DatabaseDelta::new();
         for t in &t2 {
