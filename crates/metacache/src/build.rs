@@ -12,8 +12,6 @@
 //!   `finish` fuses the W tables into one. Every bucket receives the same
 //!   locations in the same order as from one inserter, so the cap drops the
 //!   same ones and the build is bit-identical for any W.
-//!   [`CpuBuilder::build_from_queue`] is the consumer end of a
-//!   producer–consumer queue: parser threads produce batches of records.
 //! * [`GpuBuilder`] — the GPU build (§5): reference targets are distributed
 //!   over the devices of a [`MultiGpuSystem`] (a target never spans devices),
 //!   each device sketches its windows with warp kernels and inserts into its
@@ -33,7 +31,7 @@ use mc_gpu_sim::{
     launch_warps_into, DeviceBuffer, KernelCost, LaunchConfig, MultiGpuSystem, SimDuration, Warp,
 };
 use mc_kmer::{Feature, Location, TargetId};
-use mc_seqio::{BatchReceiver, SequenceRecord};
+use mc_seqio::SequenceRecord;
 use mc_taxonomy::{TaxonId, Taxonomy};
 use mc_warpcore::{
     ConcurrentInsert, FeatureStore, HostHashTable, MultiBucketConfig, MultiBucketHashTable,
@@ -434,49 +432,6 @@ impl CpuBuilder {
         Ok(target_id)
     }
 
-    /// Add every record of an iterator, resolving each record's taxon with
-    /// `taxon_of` (e.g. a lookup from accession to taxid).
-    pub fn add_records<I, F>(
-        &mut self,
-        records: I,
-        mut taxon_of: F,
-    ) -> Result<usize, MetaCacheError>
-    where
-        I: IntoIterator<Item = SequenceRecord>,
-        F: FnMut(&SequenceRecord) -> TaxonId,
-    {
-        let mut added = 0;
-        for record in records {
-            let taxon = taxon_of(&record);
-            self.add_target(record, taxon)?;
-            added += 1;
-        }
-        Ok(added)
-    }
-
-    /// Consume batches from a producer–consumer queue until the producers
-    /// close it: parsers produce on their own threads, the calling thread
-    /// sketches every record, in arrival order, and the inserter threads
-    /// insert them (see [`CpuBuilder::add_target`]).
-    pub fn build_from_queue<F>(
-        &mut self,
-        receiver: BatchReceiver,
-        mut taxon_of: F,
-    ) -> Result<usize, MetaCacheError>
-    where
-        F: FnMut(&SequenceRecord) -> TaxonId,
-    {
-        let mut added = 0;
-        for batch in receiver.iter() {
-            for record in batch.records {
-                let taxon = taxon_of(&record);
-                self.add_target(record, taxon)?;
-                added += 1;
-            }
-        }
-        Ok(added)
-    }
-
     /// Build statistics so far. Waits until every queued target is
     /// inserted, so the location counts are exact.
     ///
@@ -669,25 +624,6 @@ impl<'sys> GpuBuilder<'sys> {
         Ok(target_id)
     }
 
-    /// Add every record of an iterator (taxon resolved per record).
-    pub fn add_records<I, F>(
-        &mut self,
-        records: I,
-        mut taxon_of: F,
-    ) -> Result<usize, MetaCacheError>
-    where
-        I: IntoIterator<Item = SequenceRecord>,
-        F: FnMut(&SequenceRecord) -> TaxonId,
-    {
-        let mut added = 0;
-        for record in records {
-            let taxon = taxon_of(&record);
-            self.add_target(record, taxon)?;
-            added += 1;
-        }
-        Ok(added)
-    }
-
     /// Build statistics so far, with the simulated build time set to the
     /// node's makespan.
     pub fn stats(&self) -> BuildStats {
@@ -747,7 +683,6 @@ pub fn estimate_locations(config: &MetaCacheConfig, records: &[SequenceRecord]) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mc_seqio::BatchQueue;
     use mc_taxonomy::Rank;
 
     fn make_seq(len: usize, seed: u64) -> Vec<u8> {
@@ -799,45 +734,6 @@ mod tests {
             .add_target(SequenceRecord::new("a", make_seq(1_000, 1)), 999)
             .unwrap_err();
         assert!(matches!(err, MetaCacheError::UnknownTaxon(999)));
-    }
-
-    #[test]
-    fn queue_based_build_matches_direct_build() {
-        let records: Vec<SequenceRecord> = (0..6)
-            .map(|i| SequenceRecord::new(format!("r{i}"), make_seq(5_000, i as u64 + 1)))
-            .collect();
-        // Direct build.
-        let mut direct = CpuBuilder::new(MetaCacheConfig::for_tests(), taxonomy());
-        direct
-            .add_records(records.clone(), |r| {
-                if r.id().ends_with(['0', '2', '4']) {
-                    100
-                } else {
-                    101
-                }
-            })
-            .unwrap();
-        let direct_db = direct.finish();
-
-        // Producer-consumer build.
-        let queue = BatchQueue::new(4, 2);
-        let (tx, rx) = queue.split();
-        let producer = std::thread::spawn(move || tx.send_all(records).unwrap());
-        let mut queued = CpuBuilder::new(MetaCacheConfig::for_tests(), taxonomy());
-        let added = queued
-            .build_from_queue(rx, |r| {
-                if r.id().ends_with(['0', '2', '4']) {
-                    100
-                } else {
-                    101
-                }
-            })
-            .unwrap();
-        producer.join().unwrap();
-        assert_eq!(added, 6);
-        let queued_db = queued.finish();
-        assert_eq!(direct_db.target_count(), queued_db.target_count());
-        assert_eq!(direct_db.total_locations(), queued_db.total_locations());
     }
 
     /// The window-by-window build the batch replaced, spelled out: every
@@ -1092,15 +988,14 @@ mod tests {
             expected / 4 + 1024,
         )
         .unwrap();
-        builder
-            .add_records(records, |r| {
-                if r.id().as_bytes()[1] % 2 == 0 {
-                    100
-                } else {
-                    101
-                }
-            })
-            .unwrap();
+        for record in records {
+            let taxon = if record.id().as_bytes()[1] % 2 == 0 {
+                100
+            } else {
+                101
+            };
+            builder.add_target(record, taxon).unwrap();
+        }
         let stats = builder.stats();
         assert!(stats.sim_build_time > SimDuration::ZERO);
         assert!(stats.bytes_to_device >= 8 * 8_000);
@@ -1150,10 +1045,12 @@ mod tests {
             .collect();
         let config = MetaCacheConfig::for_tests();
         let mut cpu = CpuBuilder::new(config, taxonomy());
-        cpu.add_records(records.clone(), |_| 100).unwrap();
         let expected = estimate_locations(&config, &records);
         let mut gpu = GpuBuilder::new(config, taxonomy(), &system, expected).unwrap();
-        gpu.add_records(records, |_| 100).unwrap();
+        for record in records {
+            cpu.add_target(record.clone(), 100).unwrap();
+            gpu.add_target(record, 100).unwrap();
+        }
         assert_eq!(
             cpu.stats().locations_inserted + cpu.stats().locations_dropped,
             gpu.stats().locations_inserted + gpu.stats().locations_dropped
@@ -1300,7 +1197,9 @@ mod tests {
             .collect();
         let estimate = estimate_locations(&config, &records);
         let mut builder = CpuBuilder::new(config, taxonomy());
-        builder.add_records(records, |_| 100).unwrap();
+        for record in records {
+            builder.add_target(record, 100).unwrap();
+        }
         let actual = builder.stats().locations_inserted + builder.stats().locations_dropped;
         let ratio = estimate as f64 / actual as f64;
         assert!(

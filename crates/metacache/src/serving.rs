@@ -38,10 +38,10 @@
 //!   the swap itself). Every [`CompletedBatch`] reports the generation that
 //!   classified it.
 //! * **Sessions multiplex.** Every [`Session`] tags its batches with a
-//!   session id and a per-session sequence number (`mc-seqio` batch tags);
-//!   workers route completed batches to the owning session's channel, and
-//!   the session restores *its own* input order from the sequence numbers —
-//!   exact-order emission per stream, independent of other streams.
+//!   session id and a per-session sequence number; workers route completed
+//!   batches to the owning session's channel, and the session restores *its
+//!   own* input order from the sequence numbers — exact-order emission per
+//!   stream, independent of other streams.
 //! * **Three properties hold per session.** *Equivalence*: results are
 //!   bit-identical to
 //!   [`Classifier::classify_batch`][crate::query::Classifier::classify_batch].
@@ -132,35 +132,6 @@ impl EngineConfig {
             self.queue_capacity.max(1) + self.workers.max(1)
         }
     }
-
-    /// The per-class DRR quanta (records granted per round-robin visit),
-    /// indexed by `QueueClass as usize`: interactive lanes get
-    /// `batch_records`, bulk lanes a quarter of that (at least 1), i.e. bulk
-    /// lanes get ~20% of the pool under full contention.
-    pub fn class_quanta(&self) -> [usize; 2] {
-        let interactive = self.batch_records.max(1);
-        [interactive, (interactive / 4).max(1)]
-    }
-}
-
-/// Scheduling class a session picks at open: which weighted lane its
-/// batches queue under in the engine's deficit round robin. Within a class,
-/// sessions still share per-session lanes — the class only sets the DRR
-/// quantum (service credit per visit), so an [interactive] request parked
-/// behind a [bulk] backlog is delayed by at most the quanta ratio, never
-/// starved, and an idle class costs nothing (DRR grants credit only to
-/// backlogged lanes).
-///
-/// [interactive]: QueueClass::Interactive
-/// [bulk]: QueueClass::Bulk
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum QueueClass {
-    /// Latency-sensitive traffic (the default): full quantum per visit.
-    #[default]
-    Interactive = 0,
-    /// Throughput traffic that tolerates queueing (bulk re-classification,
-    /// batch imports): a reduced quantum per visit.
-    Bulk = 1,
 }
 
 /// Per-session overrides of the engine's defaults.
@@ -171,8 +142,6 @@ pub struct SessionConfig {
     /// Bound on this session's resident batches (`0` = engine default;
     /// clamped to [`MAX_SESSION_IN_FLIGHT`]).
     pub max_in_flight: usize,
-    /// Scheduling class of this session's lane in the shared fair queue.
-    pub class: QueueClass,
 }
 
 /// Hard ceiling on a session's `max_in_flight`. The per-session result
@@ -416,9 +385,9 @@ struct FairQueue {
     /// Producers wait here for capacity.
     space: Condvar,
     capacity: usize,
-    /// Service credit (records) granted to a lane per round-robin visit,
-    /// indexed by the lane's [`QueueClass`].
-    quanta: [u64; 2],
+    /// Service credit (records) granted to a lane per round-robin visit:
+    /// the engine's `batch_records`, the same for every lane.
+    quantum: u64,
     /// Callbacks fired whenever capacity frees (pop or purge): non-blocking
     /// front-ends park a waker here instead of blocking on `space`.
     space_watchers: Mutex<Vec<Arc<dyn Fn() + Send + Sync>>>,
@@ -450,9 +419,6 @@ struct FairState {
     active: VecDeque<u64>,
     /// Unspent service credit of each active session.
     deficit: HashMap<u64, u64>,
-    /// Scheduling class per session, set at session open. Unlisted
-    /// sessions are [`QueueClass::Interactive`].
-    class: HashMap<u64, QueueClass>,
     /// Total batches across all lanes.
     len: usize,
     /// High-water mark of `len`.
@@ -463,7 +429,7 @@ struct FairState {
 impl FairState {
     /// Take the next batch by deficit round robin. Caller guarantees
     /// `len > 0`.
-    fn pop_drr(&mut self, quanta: [u64; 2]) -> Job {
+    fn pop_drr(&mut self, quantum: u64) -> Job {
         loop {
             let session = *self.active.front().expect("non-empty fair queue");
             let lane = self.lanes.get_mut(&session).expect("active lane exists");
@@ -484,10 +450,9 @@ impl FairState {
                 return batch;
             }
             // Not enough credit for this lane's head batch: grant the
-            // lane's class quantum and move on. Credit grows monotonically,
-            // so the scan terminates in at most ⌈cost/quantum⌉ rounds.
-            let class = self.class.get(&session).copied().unwrap_or_default();
-            *deficit += quanta[class as usize];
+            // quantum and move on. Credit grows monotonically, so the scan
+            // terminates in at most ⌈cost/quantum⌉ rounds.
+            *deficit += quantum;
             self.active.rotate_left(1);
         }
     }
@@ -510,13 +475,13 @@ impl FairState {
 }
 
 impl FairQueue {
-    fn new(capacity: usize, quanta: [usize; 2]) -> Self {
+    fn new(capacity: usize, quantum: usize) -> Self {
         Self {
             state: Mutex::new(FairState::default()),
             ready: Condvar::new(),
             space: Condvar::new(),
             capacity: capacity.max(1),
-            quanta: quanta.map(|q| q.max(1) as u64),
+            quantum: quantum.max(1) as u64,
             space_watchers: Mutex::new(Vec::new()),
             reload_generation: AtomicU64::new(0),
         }
@@ -544,7 +509,7 @@ impl FairQueue {
     /// Non-blocking [`FairQueue::push`]: `Err(batch)` when the queue is at
     /// capacity — the caller parks on a space watcher and retries. Panics
     /// on a closed queue (sessions borrow the engine, so a live session
-    /// over a closed queue is a bug, matching `Session::submit_owned`).
+    /// over a closed queue is a bug, matching `Session::submit`).
     fn try_push(&self, batch: Job) -> Result<(), Job> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         assert!(
@@ -558,25 +523,6 @@ impl FairQueue {
         drop(state);
         self.ready.notify_one();
         Ok(())
-    }
-
-    /// Record `session`'s scheduling class (kept until
-    /// [`FairQueue::forget_session`], surviving purges).
-    fn set_class(&self, session: u64, class: QueueClass) {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .class
-            .insert(session, class);
-    }
-
-    /// Drop `session`'s class entry (session teardown).
-    fn forget_session(&self, session: u64) {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .class
-            .remove(&session);
     }
 
     /// Register a callback fired (from consumer threads) every time queue
@@ -612,7 +558,7 @@ impl FairQueue {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if state.len > 0 {
-                let batch = state.pop_drr(self.quanta);
+                let batch = state.pop_drr(self.quantum);
                 drop(state);
                 self.space.notify_one();
                 self.notify_space_watchers();
@@ -769,7 +715,7 @@ impl ServingEngine {
             sessions: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(1),
             counters: EngineCounters::default(),
-            queue: FairQueue::new(config.queue_capacity, config.class_quanta()),
+            queue: FairQueue::new(config.queue_capacity, config.batch_records),
         });
 
         let workers = (0..config.workers)
@@ -964,7 +910,6 @@ impl ServingEngine {
         }
         .min(MAX_SESSION_IN_FLIGHT);
         let (out_tx, out_rx) = mpsc::sync_channel(max_in_flight);
-        self.shared.queue.set_class(id, config.class);
         self.shared
             .sessions
             .lock()
@@ -1267,64 +1212,10 @@ impl Session<'_> {
 
     /// Classify a slice of reads through the engine, returning one
     /// classification per read in input order — the request-shaped entry
-    /// point for serving front-ends.
+    /// point for serving front-ends. Convenience form of
+    /// [`Session::classify_iter`].
     pub fn classify_batch(&mut self, records: &[SequenceRecord]) -> Vec<Classification> {
-        let mut out = Vec::with_capacity(records.len());
-        self.classify_owned(records.to_vec(), &mut out);
-        out
-    }
-
-    /// Classify an **owned** batch of reads without cloning a single record:
-    /// the records travel through the engine by move and come back out. One
-    /// classification per read is appended to `out` in input order, and the
-    /// records are returned — same order, same contents, heap buffers
-    /// intact — so a caller that decodes requests into reusable buffers
-    /// (the `mc-net` server) can recycle them for the next request.
-    ///
-    /// Semantically identical to [`Session::classify_batch`] (bit-identical
-    /// classifications, a worker panic re-raises here); the only difference
-    /// is ownership flow.
-    pub fn classify_owned(
-        &mut self,
-        records: Vec<SequenceRecord>,
-        out: &mut Vec<Classification>,
-    ) -> Vec<SequenceRecord> {
-        self.discard_stale();
-        let total = records.len();
-        if total == 0 {
-            return records;
-        }
-        out.reserve(total);
-        if total <= self.batch_records {
-            // One batch: the vector rides to the worker and back untouched.
-            self.submit_owned(records);
-            let done = self.drain_blocking();
-            out.extend(done.classifications);
-            return done.records;
-        }
-        // Multiple batches: records are *moved* (never cloned) into
-        // per-batch chunks; drained chunk spines are reused for later
-        // chunks, and the records reassemble into `returned` in order.
-        let mut returned: Vec<SequenceRecord> = Vec::with_capacity(total);
-        let mut spines: Vec<Vec<SequenceRecord>> = Vec::new();
-        let mut source = records.into_iter();
-        loop {
-            let mut chunk = spines
-                .pop()
-                .unwrap_or_else(|| Vec::with_capacity(self.batch_records.min(64 * 1024)));
-            chunk.extend(source.by_ref().take(self.batch_records));
-            if chunk.is_empty() {
-                break;
-            }
-            while self.in_flight >= self.max_in_flight {
-                self.drain_owned(out, &mut returned, &mut spines);
-            }
-            self.submit_owned(chunk);
-        }
-        while self.in_flight > 0 {
-            self.drain_owned(out, &mut returned, &mut spines);
-        }
-        returned
+        self.classify_iter(records.iter().cloned()).0
     }
 
     /// Records per engine batch this session was opened with.
@@ -1441,35 +1332,6 @@ impl Session<'_> {
         }
     }
 
-    /// Enqueue one owned batch (to be classified) under this session's next
-    /// sequence number.
-    fn submit_owned(&mut self, records: Vec<SequenceRecord>) {
-        let batch = self.next_job(records, OutputKind::Classifications);
-        self.engine
-            .shared
-            .queue
-            .push(batch)
-            .unwrap_or_else(|_| panic!("serving engine queue closed while session alive"));
-        self.next_submit_seq += 1;
-        self.in_flight += 1;
-        self.peak_in_flight = self.peak_in_flight.max(self.in_flight as u64);
-    }
-
-    /// Drain the next batch in order: classifications append to `out`,
-    /// records move into `returned` (their emptied spine into `spines` for
-    /// reuse).
-    fn drain_owned(
-        &mut self,
-        out: &mut Vec<Classification>,
-        returned: &mut Vec<SequenceRecord>,
-        spines: &mut Vec<Vec<SequenceRecord>>,
-    ) {
-        let mut done = self.drain_blocking();
-        out.extend(done.classifications);
-        returned.append(&mut done.records);
-        spines.push(done.records);
-    }
-
     /// Discard every in-flight batch of an abandoned previous stream:
     /// purge what is still queued (so no worker wastes time on it), receive
     /// (and drop) the results owed for batches already being classified,
@@ -1496,8 +1358,9 @@ impl Session<'_> {
         self.next_emit_seq = self.next_submit_seq;
     }
 
-    /// Submit one assembled batch: block on this session's credit bound
-    /// (draining our own completed batches while waiting), then enqueue.
+    /// Submit one assembled batch (to be classified) under this session's
+    /// next sequence number: block on this session's credit bound (draining
+    /// our own completed batches while waiting), then enqueue.
     fn submit<F>(
         &mut self,
         records: Vec<SequenceRecord>,
@@ -1510,7 +1373,15 @@ impl Session<'_> {
         while self.in_flight >= self.max_in_flight {
             self.emit_one(summary, sink, record_index);
         }
-        self.submit_owned(records);
+        let batch = self.next_job(records, OutputKind::Classifications);
+        self.engine
+            .shared
+            .queue
+            .push(batch)
+            .unwrap_or_else(|_| panic!("serving engine queue closed while session alive"));
+        self.next_submit_seq += 1;
+        self.in_flight += 1;
+        self.peak_in_flight = self.peak_in_flight.max(self.in_flight as u64);
     }
 
     /// Drain the next batch in order and emit its records to the sink.
@@ -1543,9 +1414,6 @@ impl Drop for Session<'_> {
         // burn backend time on orphaned batches or hold queue capacity
         // hostage against live sessions.
         self.engine.shared.queue.purge_session(self.id);
-        // Finally forget the scheduling class (kept across mid-life purges,
-        // released only here).
-        self.engine.shared.queue.forget_session(self.id);
     }
 }
 
@@ -1683,7 +1551,6 @@ mod tests {
         let mut session = engine.session_with(SessionConfig {
             batch_records: 3,
             max_in_flight: 2,
-            ..SessionConfig::default()
         });
         let mut emitted = 0u64;
         let source =
@@ -1768,7 +1635,7 @@ mod tests {
     /// scheduling round.
     #[test]
     fn drr_pop_does_not_starve_small_sessions_behind_a_backlog() {
-        let queue = FairQueue::new(64, [4, 1]);
+        let queue = FairQueue::new(64, 4);
         // Session 1: a big backlog of 8 batches, 4 records each.
         for seq in 0..8 {
             queue.push(batch_of(1, seq, 4)).unwrap();
@@ -1798,7 +1665,7 @@ mod tests {
     /// the small-batch session is not starved of pops.
     #[test]
     fn drr_pop_interleaves_sessions_with_queued_work() {
-        let queue = FairQueue::new(64, [4, 1]);
+        let queue = FairQueue::new(64, 4);
         for seq in 0..4 {
             queue.push(batch_of(1, seq, 4)).unwrap(); // 16 records in 4 batches
         }
@@ -1823,7 +1690,7 @@ mod tests {
     /// capacity immediately and wakes producers blocked on `space`.
     #[test]
     fn purge_session_removes_lane_and_wakes_blocked_producers() {
-        let queue = FairQueue::new(4, [1, 1]);
+        let queue = FairQueue::new(4, 1);
         for seq in 0..4 {
             queue.push(batch_of(1, seq, 1)).unwrap(); // dead session fills the queue
         }
@@ -1851,7 +1718,7 @@ mod tests {
     /// freeing up re-admits newcomers.
     #[test]
     fn over_high_water_spares_established_lanes() {
-        let queue = FairQueue::new(3, [1, 1]);
+        let queue = FairQueue::new(3, 1);
         assert!(!queue.over_high_water(1), "empty queue admits anyone");
         queue.push(batch_of(1, 0, 1)).unwrap();
         queue.push(batch_of(1, 1, 1)).unwrap();
@@ -1883,7 +1750,7 @@ mod tests {
 
     #[test]
     fn fair_queue_close_drains_remaining_batches() {
-        let queue = FairQueue::new(8, [1, 1]);
+        let queue = FairQueue::new(8, 1);
         queue.push(batch_of(1, 0, 1)).unwrap();
         queue.push(batch_of(2, 0, 1)).unwrap();
         queue.close();
@@ -2019,43 +1886,6 @@ mod tests {
              a FIFO pop would serve it last (position 7)"
         );
         engine.shutdown();
-    }
-
-    #[test]
-    fn classify_owned_matches_classify_batch_and_returns_records() {
-        let (db, reads) = serving_db();
-        let expected = Classifier::new(Arc::clone(&db)).classify_batch(&reads);
-        let engine = ServingEngine::host_with_config(
-            Arc::clone(&db),
-            EngineConfig {
-                workers: 3,
-                queue_capacity: 2,
-                batch_records: 4, // multi-batch path: 40 reads → 10 batches
-                session_max_in_flight: 3,
-            },
-        );
-        let mut session = engine.session();
-        let mut out = vec![Classification::unclassified()]; // must append
-        let returned = session.classify_owned(reads.clone(), &mut out);
-        assert_eq!(out[1..], expected[..]);
-        assert_eq!(returned, reads, "records must come back in input order");
-
-        // Single-batch fast path: the input vector itself travels through
-        // the engine and back.
-        let mut session = engine.session_with(SessionConfig {
-            batch_records: 1_000,
-            max_in_flight: 0,
-            ..SessionConfig::default()
-        });
-        let mut out = Vec::new();
-        let returned = session.classify_owned(reads.clone(), &mut out);
-        assert_eq!(out, expected);
-        assert_eq!(returned, reads);
-
-        // Empty input is a no-op that hands the vector straight back.
-        let empty = session.classify_owned(Vec::new(), &mut out);
-        assert!(empty.is_empty());
-        assert_eq!(out, expected);
     }
 
     /// A backend whose workers consume one permit per batch and block while
@@ -2205,175 +2035,11 @@ mod tests {
         assert_eq!(config.queue_capacity, 1);
         assert_eq!(config.batch_records, 1);
         assert_eq!(config.effective_session_in_flight(), 2);
-        assert_eq!(config.class_quanta(), [1, 1]);
         let explicit = EngineConfig {
             session_max_in_flight: 7,
             ..EngineConfig::default()
         };
         assert_eq!(explicit.effective_session_in_flight(), 7);
-        // Quanta: interactive = batch_records, bulk = a quarter.
-        let quanta = EngineConfig {
-            batch_records: 64,
-            ..EngineConfig::default()
-        };
-        assert_eq!(quanta.class_quanta(), [64, 16]);
-    }
-
-    /// Priority lanes, deterministic pop order: with quanta `[4, 1]` (an
-    /// engine with `batch_records: 4`) and two equally backlogged
-    /// one-record-batch lanes, the weighted DRR must serve interactive and
-    /// bulk in exactly the 4:1 pattern the deficits dictate — nothing
-    /// probabilistic about it.
-    #[test]
-    fn weighted_lanes_pop_in_exact_quanta_ratio() {
-        let quanta = EngineConfig {
-            batch_records: 4,
-            ..EngineConfig::default()
-        }
-        .class_quanta();
-        assert_eq!(quanta, [4, 1]);
-        let queue = FairQueue::new(64, quanta);
-        queue.set_class(1, QueueClass::Interactive);
-        queue.set_class(2, QueueClass::Bulk);
-        for seq in 0..8 {
-            queue.push(batch_of(1, seq, 1)).unwrap();
-        }
-        for seq in 0..8 {
-            queue.push(batch_of(2, seq, 1)).unwrap();
-        }
-        let order: Vec<u64> = (0..16)
-            .map(|_| pop_batch(&queue).unwrap().session)
-            .collect();
-        // Walked by hand: both lanes start at deficit 0; the first visit
-        // grants 4 to interactive and 1 to bulk, then each grant buys that
-        // many one-record batches before the rotation moves on.
-        assert_eq!(order, vec![1, 1, 1, 1, 2, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2]);
-
-        // The mirror image: swap the classes. Rotation order still follows
-        // arrival order (bulk lane 1 entered first, so it heads the round),
-        // but its visits grant 1 while interactive's grant 4.
-        let queue = FairQueue::new(64, quanta);
-        queue.set_class(1, QueueClass::Bulk);
-        queue.set_class(2, QueueClass::Interactive);
-        for seq in 0..8 {
-            queue.push(batch_of(1, seq, 1)).unwrap();
-        }
-        for seq in 0..8 {
-            queue.push(batch_of(2, seq, 1)).unwrap();
-        }
-        let order: Vec<u64> = (0..16)
-            .map(|_| pop_batch(&queue).unwrap().session)
-            .collect();
-        assert_eq!(order, vec![1, 2, 2, 2, 2, 1, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1]);
-
-        // A purge must not erase the class: after a mid-life purge the
-        // session's next backlog still schedules under its lane's quantum.
-        let queue = FairQueue::new(64, quanta);
-        queue.set_class(1, QueueClass::Bulk);
-        queue.push(batch_of(1, 0, 1)).unwrap();
-        assert_eq!(queue.purge_session(1), 1);
-        queue.push(batch_of(1, 1, 1)).unwrap();
-        queue.set_class(2, QueueClass::Interactive);
-        for seq in 0..4 {
-            queue.push(batch_of(2, seq, 1)).unwrap();
-        }
-        let order: Vec<u64> = (0..5).map(|_| pop_batch(&queue).unwrap().session).collect();
-        assert_eq!(order, vec![1, 2, 2, 2, 2], "bulk visited first grants 1");
-        queue.forget_session(1);
-        queue.forget_session(2);
-    }
-
-    /// Priority lanes, engine level: a bulk session's backlog queued ahead
-    /// of an interactive session's request cannot delay the interactive
-    /// batches beyond the quanta ratio — they ride past most of the
-    /// backlog instead of waiting behind all of it.
-    #[test]
-    fn bulk_backlog_cannot_starve_interactive_beyond_its_weight() {
-        let (db, _) = serving_db();
-        let open = Arc::new((Mutex::new(false), std::sync::Condvar::new()));
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let engine = ServingEngine::new(
-            GatedBackend {
-                inner: HostBackend::new(Arc::clone(&db)),
-                open: Arc::clone(&open),
-                log: Arc::clone(&log),
-            },
-            // `batch_records: 4` fixes the lane quanta at [4, 1]; the sessions
-            // below submit one-record batches.
-            EngineConfig {
-                workers: 1,
-                queue_capacity: 16,
-                batch_records: 4,
-                session_max_in_flight: 0,
-            },
-        );
-        let genome = make_seq(2_000, 42);
-        let read = |name: &str| SequenceRecord::new(name, genome[0..150].to_vec());
-
-        let wait_for_queue = |want: u64| {
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(20);
-            while engine.shared.queue.queued() != want {
-                assert!(
-                    std::time::Instant::now() < deadline,
-                    "queue never reached {want} batches (at {})",
-                    engine.shared.queue.queued()
-                );
-                std::thread::yield_now();
-            }
-        };
-
-        std::thread::scope(|scope| {
-            let engine_ref = &engine;
-            // Bulk session: 9 one-record batches. The gated worker takes the
-            // first and blocks; 8 remain queued.
-            let bulk = scope.spawn({
-                let reads: Vec<_> = (0..9).map(|i| read(&format!("bulk{i}"))).collect();
-                move || {
-                    let mut session = engine_ref.session_with(SessionConfig {
-                        batch_records: 1,
-                        class: QueueClass::Bulk,
-                        ..SessionConfig::default()
-                    });
-                    session.classify_batch(&reads)
-                }
-            });
-            wait_for_queue(8);
-            // Interactive session: 4 batches, queued dead last.
-            let interactive = scope.spawn({
-                let reads: Vec<_> = (0..4).map(|i| read(&format!("inter{i}"))).collect();
-                move || {
-                    let mut session = engine_ref.session_with(SessionConfig {
-                        batch_records: 1,
-                        class: QueueClass::Interactive,
-                        ..SessionConfig::default()
-                    });
-                    session.classify_batch(&reads)
-                }
-            });
-            wait_for_queue(12);
-            {
-                let (lock, condvar) = &*open;
-                *lock.lock().unwrap() = true;
-                condvar.notify_all();
-            }
-            assert_eq!(bulk.join().unwrap().len(), 9);
-            assert_eq!(interactive.join().unwrap().len(), 4);
-        });
-
-        let order = log.lock().unwrap().clone();
-        let last_interactive = order
-            .iter()
-            .rposition(|h| h.starts_with("inter"))
-            .expect("interactive batches classified");
-        // 13 batches total; with quanta [4, 1] all four interactive batches
-        // must land within the first six backend calls (one bulk head + at
-        // most one bulk batch per granted round). A FIFO (or unweighted
-        // quantum-1 DRR) would spread them to position ~9.
-        assert!(
-            last_interactive <= 5,
-            "interactive served as late as position {last_interactive} of {order:?}"
-        );
-        engine.shutdown();
     }
 
     /// The non-blocking session API: `try_submit_owned` refuses instead of

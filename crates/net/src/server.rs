@@ -120,10 +120,6 @@ pub type ReloadHook = Arc<dyn Fn(&ServingEngine) -> Result<u64, String> + Send +
 /// Tuning knobs of a [`NetServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Per-connection session overrides (`0` fields = engine defaults).
-    /// `session.class` picks the fair-queue lane every connection of this
-    /// server schedules in (interactive by default).
-    pub session: SessionConfig,
     /// Write-stall deadline per connection. A client that stops *reading*
     /// while keeping the connection open would otherwise pin its outbound
     /// backlog — and the graceful drain of [`NetServer::run`] — forever.
@@ -181,7 +177,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            session: SessionConfig::default(),
             write_timeout: Some(Duration::from_secs(30)),
             read_timeout: Some(Duration::from_secs(30)),
             idle_timeout: Some(Duration::from_secs(300)),
@@ -1211,21 +1206,13 @@ impl<'e> LoopCtx<'e, '_> {
             }
         }
         // Resolve the session shape: client hints can shrink, never grow,
-        // the server-side bounds (the engine's credit bound is the
-        // protocol's credit bound — one resident engine batch per credit).
-        let server_batch = if self.config.session.batch_records > 0 {
-            self.config.session.batch_records
-        } else {
-            self.engine.config().batch_records
-        };
-        let server_credit = if self.config.session.max_in_flight > 0 {
-            self.config.session.max_in_flight
-        } else {
-            self.engine.config().effective_session_in_flight()
-        };
+        // the engine's bounds (the engine's credit bound is the protocol's
+        // credit bound — one resident engine batch per credit).
+        let server_batch = self.engine.config().batch_records;
+        let server_credit = self.engine.config().effective_session_in_flight();
         let batch = match batch_records as usize {
             0 => server_batch,
-            requested => requested.min(server_batch.max(1)),
+            requested => requested.min(server_batch),
         };
         // The engine clamps session credits at MAX_SESSION_IN_FLIGHT (the
         // result channel is pre-sized to the credit); announce the clamped
@@ -1252,7 +1239,6 @@ impl<'e> LoopCtx<'e, '_> {
             SessionConfig {
                 batch_records: batch,
                 max_in_flight: credits,
-                class: self.config.session.class,
             },
             notify,
         ));

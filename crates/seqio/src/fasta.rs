@@ -144,16 +144,16 @@ pub fn write<W: Write>(out: &mut W, records: &[SequenceRecord], line_width: usiz
     Ok(())
 }
 
-/// Serialise records to a FASTA string.
-pub fn to_string(records: &[SequenceRecord]) -> String {
-    let mut buf = Vec::new();
-    write(&mut buf, records, 70).expect("writing to Vec cannot fail");
-    String::from_utf8(buf).expect("FASTA output is ASCII")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Write `records` and parse the bytes back.
+    fn reparse(records: &[SequenceRecord]) -> Vec<SequenceRecord> {
+        let mut buf = Vec::new();
+        write(&mut buf, records, 70).unwrap();
+        parse_bytes(&buf).unwrap()
+    }
 
     #[test]
     fn parses_multiline_records() {
@@ -200,8 +200,7 @@ mod tests {
             SequenceRecord::new("chr1 synthetic", vec![b'A'; 200]),
             SequenceRecord::new("chr2", b"ACGTACGTNNNACGT".to_vec()),
         ];
-        let text = to_string(&records);
-        let reparsed = parse_str(&text).unwrap();
+        let reparsed = reparse(&records);
         assert_eq!(reparsed.len(), 2);
         assert_eq!(reparsed[0].sequence, records[0].sequence);
         assert_eq!(reparsed[1].sequence, records[1].sequence);
@@ -226,8 +225,7 @@ mod tests {
     fn paired_records_written_as_two_entries() {
         let rec = SequenceRecord::new("r1/1", b"ACGT".to_vec())
             .with_mate(SequenceRecord::new("r1/2", b"TTAA".to_vec()));
-        let text = to_string(&[rec]);
-        let reparsed = parse_str(&text).unwrap();
+        let reparsed = reparse(&[rec]);
         assert_eq!(reparsed.len(), 2);
         assert_eq!(reparsed[1].sequence, b"TTAA");
     }

@@ -140,13 +140,6 @@ pub fn write<W: Write>(out: &mut W, records: &[SequenceRecord]) -> Result<()> {
     Ok(())
 }
 
-/// Serialise records to a FASTQ string (pairs are interleaved).
-pub fn to_string(records: &[SequenceRecord]) -> String {
-    let mut buf = Vec::new();
-    write(&mut buf, records).expect("writing to Vec cannot fail");
-    String::from_utf8(buf).expect("FASTQ output is ASCII")
-}
-
 /// Zip two parallel record vectors (mate 1 / mate 2 files) into paired
 /// records. Errors if the files have different record counts.
 pub fn pair_records(
@@ -170,6 +163,13 @@ pub fn pair_records(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Write `records` and parse the bytes back.
+    fn reparse(records: &[SequenceRecord]) -> Vec<SequenceRecord> {
+        let mut buf = Vec::new();
+        write(&mut buf, records).unwrap();
+        parse_bytes(&buf).unwrap()
+    }
 
     const SAMPLE: &str = "@read1 desc\nACGTACGT\n+\nIIIIIIII\n@read2\nTTTT\n+read2\n!!!!\n";
 
@@ -207,8 +207,7 @@ mod tests {
     #[test]
     fn write_roundtrip() {
         let recs = parse_str(SAMPLE).unwrap();
-        let text = to_string(&recs);
-        let back = parse_str(&text).unwrap();
+        let back = reparse(&recs);
         assert_eq!(back.len(), 2);
         assert_eq!(back[0].sequence, recs[0].sequence);
         assert_eq!(back[0].quality, recs[0].quality);
@@ -217,8 +216,7 @@ mod tests {
     #[test]
     fn write_fills_missing_quality() {
         let rec = SequenceRecord::new("x", b"ACGT".to_vec());
-        let text = to_string(&[rec]);
-        let back = parse_str(&text).unwrap();
+        let back = reparse(&[rec]);
         assert_eq!(back[0].quality, b"IIII");
     }
 
@@ -250,8 +248,7 @@ mod tests {
             SequenceRecord::with_quality("p/1", b"ACGT".to_vec(), b"IIII".to_vec()).with_mate(
                 SequenceRecord::with_quality("p/2", b"TGCA".to_vec(), b"####".to_vec()),
             );
-        let text = to_string(&[rec]);
-        let back = parse_str(&text).unwrap();
+        let back = reparse(&[rec]);
         assert_eq!(back.len(), 2);
         assert_eq!(back[1].sequence, b"TGCA");
     }

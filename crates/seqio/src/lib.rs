@@ -1,9 +1,7 @@
-//! # mc-seqio — sequence I/O and batched producer–consumer queues
+//! # mc-seqio — sequence I/O
 //!
-//! MetaCache's build and query phases (paper §4.1, §4.2) are organised around
-//! producer threads that parse genome / read files into batches of sequences
-//! and consumer threads that process those batches (sketching + hash-table
-//! insertion on the device, classification on the host). This crate provides:
+//! MetaCache's build and query phases (paper §4.1, §4.2) start from parsed
+//! genome and read files. This crate provides:
 //!
 //! * [`record::SequenceRecord`] — one parsed sequence (header, bases, optional
 //!   qualities, optional mate for paired-end reads),
@@ -11,20 +9,11 @@
 //!   formats used by the paper's datasets (Table 2: FASTA single-end,
 //!   FASTQ paired-end),
 //! * [`reader`] — format auto-detection, a unified whole-file reader and the
-//!   streaming [`reader::RecordStream`] iterator used by the query pipeline,
-//! * [`batch`] — the bounded multi-producer / multi-consumer batch queue that
-//!   connects parsing threads with processing threads. Its
-//!   [`batch::QueueStats`] expose occupancy gauges
-//!   ([`batch::QueueStats::in_flight`] / [`batch::QueueStats::peak_in_flight`])
-//!   so pipelines can assert their memory bounds.
+//!   streaming [`reader::RecordStream`] iterator used by the query pipeline.
 //!
-//! Both phases group parsed records into [`record::SequenceBatch`]es carrying
-//! monotone sequence numbers, from which consumers restore input order. The
-//! build phase pushes them through a [`BatchQueue`] whose bounded capacity
-//! applies backpressure (`metacache::build::CpuBuilder::build_from_queue`);
-//! the query phase tags them per session
-//! ([`record::SequenceBatch::for_session`]) and submits them to
-//! `metacache::serving::ServingEngine`'s fair queue — see
+//! The bounded batch queue between parsing and classification (the paper's
+//! Figure 2) is `metacache::serving::ServingEngine`'s fair queue: a session
+//! groups records into batches and submits them there — see
 //! `docs/ARCHITECTURE.md` for the end-to-end picture.
 //!
 //! ## Example
@@ -39,15 +28,13 @@
 //! assert_eq!(records[0].sequence, b"ACGTACGTACGT");
 //! ```
 
-pub mod batch;
 pub mod fasta;
 pub mod fastq;
 pub mod reader;
 pub mod record;
 
-pub use batch::{BatchQueue, BatchReceiver, BatchSender, QueueStats};
 pub use reader::{detect_format, RecordStream, SequenceFormat, SequenceReader};
-pub use record::{SequenceBatch, SequenceRecord};
+pub use record::SequenceRecord;
 
 /// Errors produced while parsing sequence files.
 #[derive(Debug)]

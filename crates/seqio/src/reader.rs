@@ -49,9 +49,9 @@ pub fn detect_file_format(path: impl AsRef<Path>) -> Result<SequenceFormat> {
 /// A streaming, format-auto-detected iterator of records read from a file.
 ///
 /// Unlike [`SequenceReader::read_file`], which materialises the whole file,
-/// this yields one record at a time so arbitrarily large inputs can be piped
-/// through the bounded [`crate::batch::BatchQueue`] with O(record) memory —
-/// the producer half of the streaming query pipeline.
+/// this yields one record at a time so arbitrarily large inputs stream
+/// through a serving session's bounded batches with O(record) memory — the
+/// producer half of the streaming query pipeline.
 pub enum RecordStream {
     /// Records streamed from a FASTA file.
     Fasta(FastaReader<BufReader<std::fs::File>>),

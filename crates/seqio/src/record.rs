@@ -1,4 +1,4 @@
-//! Sequence records and batches.
+//! Sequence records.
 
 /// One parsed sequence: a reference genome/scaffold in the build phase or a
 /// read (optionally with its mate) in the query phase.
@@ -91,88 +91,12 @@ impl SequenceRecord {
         self.mate.is_some()
     }
 
-    /// Approximate number of heap bytes held by this record; used by batch
-    /// accounting and by the device transfer cost model.
+    /// Approximate number of heap bytes held by this record, mate included.
     pub fn heap_bytes(&self) -> usize {
         self.header.len()
             + self.sequence.len()
             + self.quality.len()
             + self.mate.as_ref().map_or(0, |m| m.heap_bytes())
-    }
-}
-
-/// A batch of sequence records as moved through the producer–consumer queue.
-///
-/// Batches carry a monotonically increasing id so consumers can restore
-/// global ordering (needed for deterministic target-id assignment in the
-/// build phase). When several logical streams multiplex over one queue (the
-/// serving engine's sessions), each batch additionally carries a `session`
-/// tag and a per-session sequence number so a shared consumer pool can route
-/// results back to the right stream and each stream can restore *its own*
-/// order independently of the global `index`.
-#[derive(Debug, Clone, Default)]
-pub struct SequenceBatch {
-    /// Monotone batch index assigned by the producer.
-    pub index: u64,
-    /// Tag of the logical stream (serving session) this batch belongs to.
-    /// `0` for single-stream pipelines that only use `index`.
-    pub session: u64,
-    /// Position of this batch within its session's stream. Unlike `index`
-    /// (global, overwritten by [`crate::BatchSender::send`]), this is
-    /// assigned by the session and preserved end to end.
-    pub session_seq: u64,
-    /// The records of this batch.
-    pub records: Vec<SequenceRecord>,
-}
-
-impl SequenceBatch {
-    /// Create an untagged batch (single-stream pipelines).
-    pub fn new(index: u64, records: Vec<SequenceRecord>) -> Self {
-        Self {
-            index,
-            session: 0,
-            session_seq: 0,
-            records,
-        }
-    }
-
-    /// Create a batch tagged with its owning session and the batch's position
-    /// within that session's stream.
-    pub fn for_session(session: u64, session_seq: u64, records: Vec<SequenceRecord>) -> Self {
-        Self {
-            index: 0,
-            session,
-            session_seq,
-            records,
-        }
-    }
-
-    /// Dismantle the batch into its record vector for buffer reuse: the
-    /// spine and every record's heap buffers stay allocated, ready to be
-    /// refilled (see [`SequenceRecord::clear_for_reuse`]) and re-wrapped by
-    /// [`SequenceBatch::new`] / [`SequenceBatch::for_session`].
-    pub fn into_records(self) -> Vec<SequenceRecord> {
-        self.records
-    }
-
-    /// Number of records in the batch.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the batch holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Total number of sequence bases across all records (both mates).
-    pub fn total_bases(&self) -> usize {
-        self.records.iter().map(|r| r.total_len()).sum()
-    }
-
-    /// Approximate heap bytes of the whole batch.
-    pub fn heap_bytes(&self) -> usize {
-        self.records.iter().map(|r| r.heap_bytes()).sum()
     }
 }
 
@@ -204,27 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_accounting() {
-        let records = vec![
-            SequenceRecord::new("a", b"ACGT".to_vec()),
-            SequenceRecord::with_quality("b", b"ACGTACGT".to_vec(), b"IIIIIIII".to_vec()),
-        ];
-        let batch = SequenceBatch::new(7, records);
-        assert_eq!(batch.index, 7);
-        assert_eq!(batch.len(), 2);
-        assert!(!batch.is_empty());
-        assert_eq!(batch.total_bases(), 12);
-        assert!(batch.heap_bytes() >= 12 + 8);
-    }
-
-    #[test]
-    fn empty_batch() {
-        let batch = SequenceBatch::default();
-        assert!(batch.is_empty());
-        assert_eq!(batch.total_bases(), 0);
-    }
-
-    #[test]
     fn clear_for_reuse_keeps_capacity_and_detaches_mate() {
         let mut r = SequenceRecord::with_quality(
             "header with room",
@@ -242,20 +145,5 @@ mod tests {
         assert_eq!(r.sequence.capacity(), seq_cap);
         assert_eq!(r.quality.capacity(), qual_cap);
         assert_eq!(mate.unwrap().header, "mate");
-    }
-
-    #[test]
-    fn batch_into_records_returns_the_spine() {
-        let batch = SequenceBatch::for_session(3, 9, records_for_reuse());
-        let records = batch.into_records();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].header, "a");
-    }
-
-    fn records_for_reuse() -> Vec<SequenceRecord> {
-        vec![
-            SequenceRecord::new("a", b"ACGT".to_vec()),
-            SequenceRecord::new("b", b"GGCC".to_vec()),
-        ]
     }
 }

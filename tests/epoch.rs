@@ -290,15 +290,34 @@ fn pinned_epoch_survives_reload() {
     assert_eq!(fresh.database().target_count(), dbs[1].target_count());
 }
 
+/// Spin (yielding, never sleeping) until `cond` holds; `limit` is a hang.
+fn wait_for(what: &str, limit: Duration, mut cond: impl FnMut() -> bool) {
+    let deadline = std::time::Instant::now() + limit;
+    while !cond() {
+        assert!(std::time::Instant::now() < deadline, "never saw: {what}");
+        std::thread::yield_now();
+    }
+}
+
 /// Submit `reads` in fixed-size batches through `session`, never blocking
 /// (the non-blocking submit/drain pair the net server uses), and return
-/// every completed batch in submission order.
+/// every completed batch in submission order. Each drained batch bumps
+/// `drained_total`.
 fn pump_session(
     session: &mut metacache::serving::Session<'_>,
     reads: &[SequenceRecord],
     batch_records: usize,
+    drained_total: &AtomicUsize,
 ) -> Vec<CompletedBatch> {
     let mut drained = Vec::new();
+    let mut drain = |session: &mut metacache::serving::Session<'_>| match session.try_drain_owned()
+    {
+        Some(batch) => {
+            drained.push(batch);
+            drained_total.fetch_add(1, Ordering::SeqCst);
+        }
+        None => std::thread::yield_now(),
+    };
     for chunk in reads.chunks(batch_records) {
         let mut chunk = chunk.to_vec();
         loop {
@@ -306,19 +325,13 @@ fn pump_session(
                 Ok(()) => break,
                 Err(back) => {
                     chunk = back;
-                    match session.try_drain_owned() {
-                        Some(batch) => drained.push(batch),
-                        None => std::thread::yield_now(),
-                    }
+                    drain(session);
                 }
             }
         }
     }
     while session.in_flight() > 0 {
-        match session.try_drain_owned() {
-            Some(batch) => drained.push(batch),
-            None => std::thread::yield_now(),
-        }
+        drain(session);
     }
     drained
 }
@@ -332,6 +345,7 @@ fn concurrent_streams_across_reloads_match_single_epoch_oracles() {
     const GENERATIONS: usize = 3;
     const SESSIONS: usize = 4;
     const BATCH: usize = 5;
+    const READS: usize = 300;
     let (waves, dbs) = generation_databases(GENERATIONS);
     let engine = ServingEngine::host_with_config(
         Arc::clone(&dbs[0]),
@@ -348,13 +362,16 @@ fn concurrent_streams_across_reloads_match_single_epoch_oracles() {
     // targets, which may change results — exactly what the per-generation
     // oracle accounts for).
     let first_wave: Vec<&[u8]> = waves[0].iter().map(|t| t.genome.as_slice()).collect();
+    let drained_total = AtomicUsize::new(0);
+    let total_batches = SESSIONS * READS.div_ceil(BATCH);
 
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..SESSIONS)
             .map(|s| {
                 let engine = &engine;
                 let dbs = &dbs;
-                let reads = messy_reads(&first_wave, 300, 5_000 + s as u64);
+                let drained_total = &drained_total;
+                let reads = messy_reads(&first_wave, READS, 5_000 + s as u64);
                 scope.spawn(move || {
                     let oracles: Vec<_> = dbs
                         .iter()
@@ -364,7 +381,7 @@ fn concurrent_streams_across_reloads_match_single_epoch_oracles() {
                         batch_records: BATCH,
                         ..SessionConfig::default()
                     });
-                    let drained = pump_session(&mut session, &reads, BATCH);
+                    let drained = pump_session(&mut session, &reads, BATCH, drained_total);
                     assert_eq!(
                         drained.len(),
                         reads.len().div_ceil(BATCH),
@@ -395,9 +412,15 @@ fn concurrent_streams_across_reloads_match_single_epoch_oracles() {
             })
             .collect();
 
-        // Fire the reloads while the sessions stream.
+        // Fire reload g once the sessions have drained g/GENERATIONS of all
+        // batches: each lands after that share of the streams.
         for (g, db) in dbs.iter().enumerate().skip(1) {
-            std::thread::sleep(Duration::from_millis(20));
+            let due = g * total_batches / GENERATIONS;
+            wait_for(
+                "the streams' share before a reload",
+                Duration::from_secs(20),
+                || drained_total.load(Ordering::SeqCst) >= due,
+            );
             let generation = engine.reload_backend(HostBackend::new(Arc::clone(db)));
             assert_eq!(generation, g as u64);
         }
@@ -443,14 +466,11 @@ fn old_epoch_database_is_freed_after_reload() {
     // Idle workers wake on the reload notification, release their pins and
     // re-pin the new epoch; no further traffic is required. Allow a
     // generous scheduling window before declaring a leak.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while weak.upgrade().is_some() {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "generation-0 database still alive 5s after the swap"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    wait_for(
+        "generation-0 database freed within 5s of the swap",
+        Duration::from_secs(5),
+        || weak.upgrade().is_none(),
+    );
     // And the engine still serves — on the new epoch.
     let after = session.classify_batch(&reads);
     assert_eq!(after.len(), reads.len());

@@ -16,7 +16,7 @@ use mc_taxonomy::{Rank, Taxonomy};
 use metacache::build::CpuBuilder;
 use metacache::classify::Classification;
 use metacache::query::Classifier;
-use metacache::serving::{EngineConfig, QueueClass, ServingEngine, SessionConfig};
+use metacache::serving::{EngineConfig, ServingEngine};
 use metacache::{Backend, BackendWorker, Database, HostBackend, MetaCacheConfig, ShardPlan};
 
 fn make_seq(len: usize, seed: u64) -> Vec<u8> {
@@ -694,27 +694,22 @@ fn partial_length_prefix_reads_as_disconnect() {
     engine.shutdown();
 }
 
-/// Satellite regression: server-side limits beyond u32 range must saturate
-/// in the handshake, not silently wrap to a tiny credit/batch size.
+/// Regression: engine limits beyond u32 range must saturate in the
+/// handshake, not silently wrap to a tiny credit/batch size.
 #[cfg(target_pointer_width = "64")]
 #[test]
 fn oversized_server_limits_saturate_in_handshake() {
     let (db, _) = shared_database();
-    let engine = test_engine(Arc::clone(&db));
-    let server = NetServer::bind_with(
-        &engine,
-        "127.0.0.1:0",
-        ServerConfig {
-            session: metacache::serving::SessionConfig {
-                // Would wrap to 2 and 5 under `as u32`.
-                batch_records: (u32::MAX as usize) + 3,
-                max_in_flight: (u32::MAX as usize) + 6,
-                ..metacache::serving::SessionConfig::default()
-            },
-            ..ServerConfig::default()
+    let engine = ServingEngine::host_with_config(
+        Arc::clone(&db),
+        EngineConfig {
+            // Would wrap to 2 and 5 under `as u32`.
+            batch_records: (u32::MAX as usize) + 3,
+            session_max_in_flight: (u32::MAX as usize) + 6,
+            ..TEST_CONFIG
         },
-    )
-    .unwrap();
+    );
+    let server = NetServer::bind(&engine, "127.0.0.1:0").unwrap();
     let handle = server.handle();
     let addr = handle.local_addr();
 
@@ -1045,17 +1040,18 @@ fn named_reads(prefix: &str, g: usize, n: usize) -> Vec<SequenceRecord> {
         .collect()
 }
 
-/// Candidate requests schedule like any other request: a bulk-lane
-/// connection flooding multi-batch `Candidates` requests cannot hold an
-/// interactive connection's `ClassifyPacked` request behind more than its
-/// DRR weight. One gated worker; the whole backlog is queued before the
-/// pool runs, so the backend call order is exactly the fair queue's.
+/// Candidate requests schedule like any other request: a connection
+/// flooding multi-batch `Candidates` requests and a connection's later
+/// `ClassifyPacked` request take DRR turns one for one, so the flood cannot
+/// hold the classify request behind its backlog. One gated worker; the
+/// whole backlog is queued before the pool runs, so the backend call order
+/// is exactly the fair queue's.
 #[test]
 fn bulk_candidates_flood_cannot_hold_interactive_classify_beyond_its_weight() {
     let (db, _) = shared_database();
     let gate = Arc::new(Gate::default());
-    // `batch_records: 4` fixes the lane quanta at [4, 1]; both servers open
-    // one-record-batch sessions, so every read is one engine batch.
+    // One-record batches and a one-record quantum: every read is one engine
+    // batch, and every lane visit buys exactly one.
     let engine = ServingEngine::new(
         GatedBackend {
             inner: HostBackend::new(Arc::clone(&db)),
@@ -1064,32 +1060,21 @@ fn bulk_candidates_flood_cannot_hold_interactive_classify_beyond_its_weight() {
         EngineConfig {
             workers: 1,
             queue_capacity: 16,
-            batch_records: 4,
+            batch_records: 1,
             session_max_in_flight: 0,
         },
     );
-    let lane = |class| ServerConfig {
-        session: SessionConfig {
-            batch_records: 1,
-            max_in_flight: 0,
-            class,
-        },
-        ..ServerConfig::default()
-    };
-    let bulk_server = NetServer::bind_with(&engine, "127.0.0.1:0", lane(QueueClass::Bulk)).unwrap();
-    let interactive_server =
-        NetServer::bind_with(&engine, "127.0.0.1:0", lane(QueueClass::Interactive)).unwrap();
-    let handles = [bulk_server.handle(), interactive_server.handle()];
-    let (bulk_addr, interactive_addr) = (handles[0].local_addr(), handles[1].local_addr());
+    let server = NetServer::bind(&engine, "127.0.0.1:0").unwrap();
+    let handle = server.handle();
+    let addr = handle.local_addr();
 
     let bulk_reads = named_reads("bulk", 0, 9);
     let interactive_reads = named_reads("inter", 1, 4);
     std::thread::scope(|scope| {
-        let _guards: Vec<ShutdownOnDrop> = handles.iter().cloned().map(ShutdownOnDrop).collect();
+        let _guard = ShutdownOnDrop(handle.clone());
         // A failed wait must not leave the worker parked behind the gate.
         let _open = OpenOnDrop(&gate);
-        scope.spawn(|| bulk_server.run().unwrap());
-        scope.spawn(|| interactive_server.run().unwrap());
+        scope.spawn(|| server.run().unwrap());
 
         // The flood: three pipelined three-batch Candidates requests. The
         // gated worker takes `bulk0` and blocks; eight batches queue.
@@ -1106,7 +1091,7 @@ fn bulk_candidates_flood_cannot_hold_interactive_classify_beyond_its_weight() {
                     .unwrap()
                 })
                 .collect();
-            raw_exchange(bulk_addr, PROTOCOL_VERSION, &burst)
+            raw_exchange(addr, PROTOCOL_VERSION, &burst)
         });
         wait_for("the flood queued behind the gated worker", || {
             gate.log().len() == 1 && engine.stats().peak_queue_batches >= 8
@@ -1114,7 +1099,7 @@ fn bulk_candidates_flood_cannot_hold_interactive_classify_beyond_its_weight() {
         // The interactive request arrives dead last. 12 queued batches is
         // everything: 13 submitted, one at the gate.
         let interactive = scope.spawn(|| {
-            NetClient::connect(interactive_addr)
+            NetClient::connect(addr)
                 .unwrap()
                 .classify_batch(&interactive_reads)
                 .unwrap()
@@ -1145,25 +1130,18 @@ fn bulk_candidates_flood_cannot_hold_interactive_classify_beyond_its_weight() {
                 other => panic!("expected CandidateResults, got {other:?}"),
             }
         }
-        for handle in &handles {
-            handle.shutdown();
-        }
+        handle.shutdown();
     });
 
-    let order = gate.log();
-    assert_eq!(order.len(), 13, "{order:?}");
-    let last_interactive = order
-        .iter()
-        .rposition(|h| h.starts_with("inter"))
-        .expect("interactive batches classified");
-    // With quanta [4, 1] all four interactive batches land within the first
-    // six backend calls (the bulk head at the gate, one bulk batch per
-    // granted round); a FIFO — or a side pool the lanes do not govern —
-    // would serve them after the whole flood.
-    assert!(
-        last_interactive <= 5,
-        "interactive served as late as position {last_interactive} of {order:?}"
-    );
+    // Walked by hand: `bulk0` is at the gate; then the flood's lane and the
+    // classify lane alternate, one batch per visit, until the classify
+    // request is done. A FIFO — or a side pool the fair queue does not
+    // govern — would serve all four `inter` batches after the whole flood.
+    let expected_order = [
+        "bulk0", "bulk1", "inter0", "bulk2", "inter1", "bulk3", "inter2", "bulk4", "inter3",
+        "bulk5", "bulk6", "bulk7", "bulk8",
+    ];
+    assert_eq!(gate.log(), expected_order);
     let stats = engine.shutdown();
     assert_eq!(stats.batches_classified, 13);
     assert_eq!(stats.records_classified, 13);

@@ -401,7 +401,6 @@ fn per_session_overrides_and_request_reuse() {
     let mut session = engine.session_with(SessionConfig {
         batch_records: 2,
         max_in_flight: 1,
-        ..SessionConfig::default()
     });
     let reads = mixed_reads(20, 40);
     let classifier = Classifier::new(Arc::clone(&db));
