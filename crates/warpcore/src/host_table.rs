@@ -25,13 +25,14 @@
 //!
 //! Buckets are append-only and copied whole when they move, so a bucket's
 //! locations stay in insertion order: *sorted* by (target, window), because
-//! the sketching thread assigns ascending ids. The query phase relies on
-//! this for linear-time merging.
+//! the sketching thread assigns ascending ids. The query's count does not
+//! need the order (it counts by key); the order decides which locations the
+//! per-feature cap keeps, and it is part of the `.cache` bytes.
 
 use mc_kmer::{Feature, Location};
 
 use crate::single_value::SingleValueHashTable;
-use crate::{FeatureStore, TableError};
+use crate::{prefetch, FeatureStore, TableError};
 
 /// Index slots of an empty table.
 const INITIAL_CAPACITY: usize = 1 << 12;
@@ -287,20 +288,28 @@ impl FeatureStore for HostHashTable {
         bucket.len()
     }
 
-    /// Two phases per [`SingleValueHashTable::PROBE_BATCH`] features: resolve
-    /// every bucket reference (the index overlaps the lookups' cache misses,
-    /// and three lookups in four miss once the database is sharded), then
-    /// copy the buckets into space reserved once for all of them.
+    /// A lookup waits on three dependent cache misses: the feature's index
+    /// keys, its bucket reference, then the bucket's head in the arena. Per
+    /// [`SingleValueHashTable::PROBE_BATCH`] features, the index's passes
+    /// ([`SingleValueHashTable::get_batch`]) overlap the first two across
+    /// the chunk; one more pass prefetches every bucket's first arena line
+    /// while it sums the lengths; then the buckets are copied, in feature
+    /// order, into space reserved once for all of them.
     fn query_batch_into(&self, features: &[Feature], out: &mut Vec<Location>) -> usize {
         let before = out.len();
         for features in features.chunks(SingleValueHashTable::PROBE_BATCH) {
             let mut refs = [None; SingleValueHashTable::PROBE_BATCH];
             let refs = &mut refs[..features.len()];
             self.index.get_batch(features, refs);
-            let buckets = refs.iter().flatten().map(|&packed| self.bucket(packed));
-            out.reserve(buckets.clone().map(<[Location]>::len).sum());
-            for bucket in buckets {
-                out.extend_from_slice(bucket);
+            let mut total = 0;
+            for &packed in refs.iter().flatten() {
+                let BucketRef { offset, len, .. } = BucketRef::unpack(packed);
+                prefetch(self.arena.as_ptr().wrapping_add(offset));
+                total += len;
+            }
+            out.reserve(total);
+            for &packed in refs.iter().flatten() {
+                out.extend_from_slice(self.bucket(packed));
             }
         }
         out.len() - before
@@ -569,13 +578,52 @@ mod tests {
                 assert_eq!(&one_by_one[before..], bucket, "feature {feature}");
                 assert_eq!(n, bucket.len());
             }
-            let mut batched = Vec::new();
-            assert_eq!(
-                table.query_batch_into(&features, &mut batched),
-                one_by_one.len()
-            );
-            assert_eq!(batched, one_by_one);
+            // All of them, every chunk edge, and one present feature named
+            // often enough that its repeats cross a chunk boundary.
+            let batch = SingleValueHashTable::PROBE_BATCH;
+            let repeated = oracle.keys().next().map(|&f| vec![f; batch + 3]);
+            let prefixes = [0, 1, batch - 1, batch, batch + 1, 3 * batch + 5]
+                .map(|len| &features[..len.min(features.len())]);
+            let batches = [&features[..]]
+                .into_iter()
+                .chain(prefixes)
+                .chain(repeated.as_deref());
+            for features in batches {
+                assert_batch_equals_one_by_one(table, features);
+            }
         }
+    }
+
+    /// `query_batch_into` appends what `query_into` appends feature by
+    /// feature, and returns the count.
+    fn assert_batch_equals_one_by_one(table: &HostHashTable, features: &[Feature]) {
+        let mut one_by_one = Vec::new();
+        for &feature in features {
+            table.query_into(feature, &mut one_by_one);
+        }
+        let mut batched = Vec::new();
+        let n = table.query_batch_into(features, &mut batched);
+        assert_eq!(batched, one_by_one, "{} features", features.len());
+        assert_eq!(n, one_by_one.len());
+    }
+
+    #[test]
+    fn batch_queries_absent_features_without_an_arena_and_beside_one_bucket() {
+        let absent: Vec<Feature> =
+            (0..3 * SingleValueHashTable::PROBE_BATCH as Feature + 5).collect();
+        let empty = HostHashTable::new(254);
+        let mut out = Vec::new();
+        assert_eq!(empty.query_batch_into(&absent, &mut out), 0);
+        assert!(out.is_empty());
+
+        let location = Location::new(3, 9);
+        let one = HostHashTable::from_packed(254, &[(1 << 20, 1)], vec![location]).unwrap();
+        assert_eq!(one.query_batch_into(&absent, &mut out), 0);
+        assert!(out.is_empty());
+        let mut around = absent;
+        around.insert(SingleValueHashTable::PROBE_BATCH, 1 << 20);
+        assert_eq!(one.query_batch_into(&around, &mut out), 1);
+        assert_eq!(out, vec![location]);
     }
 
     proptest! {

@@ -71,6 +71,22 @@ pub use stats::TableStats;
 
 use mc_kmer::{Feature, Location};
 
+/// Hint the CPU to bring the cache line holding `p` into every cache level,
+/// so that a later load of it does not wait on memory. A no-op on targets
+/// other than x86-64.
+#[inline(always)]
+pub(crate) fn prefetch<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is a hint that never faults, whatever address it is
+    // given, and changes no state the program can observe.
+    unsafe {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(p.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
 /// Errors reported by table insertion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TableError {
@@ -110,10 +126,11 @@ pub trait FeatureStore: Send + Sync {
     /// feature order. Returns the total number appended.
     ///
     /// This is the query-phase hot call: one read looks up its whole sketch
-    /// (`s` features per window) at once, so implementations can amortise
-    /// per-lookup overhead — the host table loads the first index slot of
-    /// every feature before resolving any. The default forwards to
-    /// [`FeatureStore::query_into`] per feature.
+    /// (`s` features per window) at once, so implementations can overlap the
+    /// lookups' cache misses — the host table runs one pass per dependent
+    /// miss (index keys, bucket reference, bucket head) over a chunk of
+    /// features, prefetching for the whole chunk before any of it is waited
+    /// on. The default forwards to [`FeatureStore::query_into`] per feature.
     fn query_batch_into(&self, features: &[Feature], out: &mut Vec<Location>) -> usize {
         features.iter().map(|&f| self.query_into(f, out)).sum()
     }

@@ -8,9 +8,12 @@
 //! Lookups are the query-phase hot call (one per sketch feature per table,
 //! most of them misses once a database is sharded), so [`get`] scans the
 //! key's first probing group in place and touches the double-hashing walk
-//! only when that group overflows, and [`get_batch`] loads the first slot of
-//! every key before resolving any, so the cache misses of a whole sketch
-//! overlap instead of queueing behind one another. Beside the concurrent
+//! only when that group overflows. A lookup waits on two dependent cache
+//! misses, the key's first group and then its slot in the separate `values`
+//! array, so [`get_batch`] runs three passes over a chunk of keys: hint every
+//! key's first group into the cache, walk every key to its slot and hint
+//! that slot's value, then read the values. Each pass issues the misses of
+//! the whole chunk before the next waits on any of them. Beside the concurrent
 //! [`insert`] (`&self`) stands [`entry`], the one-walk update-or-insert of a
 //! single inserter (`&mut self`).
 //!
@@ -25,7 +28,7 @@ use mc_kmer::Feature;
 
 use crate::probing::{ProbeGeometry, ProbingConfig};
 use crate::stats::TableStats;
-use crate::TableError;
+use crate::{prefetch, TableError};
 
 /// Sentinel marking an unoccupied slot.
 const EMPTY: u64 = u64::MAX;
@@ -41,9 +44,10 @@ pub struct SingleValueHashTable {
 }
 
 impl SingleValueHashTable {
-    /// Keys whose first slots [`Self::get_batch`] loads together. A sketch
-    /// (16 features by default) fits one batch; the `(group, key)` pairs of a
-    /// batch take 512 bytes of stack.
+    /// Keys that [`Self::get_batch`] carries through each pass together, and
+    /// so the most cache misses one pass keeps in flight. A sketch (16
+    /// features by default) fits one chunk; a chunk's first groups and slots
+    /// take 768 bytes of stack.
     pub const PROBE_BATCH: usize = 32;
 
     /// What [`Self::entry`] hands out for a key it has just claimed; such a
@@ -123,65 +127,76 @@ impl SingleValueHashTable {
 
     /// Look up a key's value.
     pub fn get(&self, feature: Feature) -> Option<u64> {
-        let first_group = self.geometry.first_group(feature);
-        self.resolve(feature, first_group, self.first_key(first_group))
+        let slot = self.find(feature, self.geometry.first_group(feature))?;
+        self.value_at(slot)
     }
 
     /// Look up every key of `features`, writing `values[i]` for
-    /// `features[i]`. Equivalent to [`Self::get`] per key, but the first
-    /// probing slot of all keys (of each [`Self::PROBE_BATCH`]-sized chunk)
-    /// is loaded before any key is resolved: the loads are independent, so
-    /// the memory system serves their cache misses concurrently.
+    /// `features[i]`. Equivalent to [`Self::get`] per key, but run as three
+    /// passes over each [`Self::PROBE_BATCH`]-sized chunk, each of which
+    /// issues one cache miss per key before the next pass waits on any:
+    /// 1. hash every key to its first group and prefetch that group's keys;
+    /// 2. walk every key to its slot, as `get` does, and prefetch the slot's
+    ///    value;
+    /// 3. read the values.
     ///
     /// # Panics
     ///
     /// If `features` and `values` differ in length.
     pub fn get_batch(&self, features: &[Feature], values: &mut [Option<u64>]) {
         assert_eq!(features.len(), values.len(), "one value slot per key");
+        let group_size = self.geometry.group_size();
         let batches = features
             .chunks(Self::PROBE_BATCH)
             .zip(values.chunks_mut(Self::PROBE_BATCH));
         for (features, values) in batches {
-            let mut firsts = [(0usize, EMPTY); Self::PROBE_BATCH];
-            for (first, &feature) in firsts.iter_mut().zip(features) {
-                let group = self.geometry.first_group(feature);
-                *first = (group, self.first_key(group));
+            let mut groups = [0usize; Self::PROBE_BATCH];
+            for (group, &feature) in groups.iter_mut().zip(features) {
+                *group = self.geometry.first_group(feature);
+                prefetch(self.keys[*group * group_size].as_ptr());
             }
-            for ((value, &feature), &(group, key)) in values.iter_mut().zip(features).zip(&firsts) {
-                *value = self.resolve(feature, group, key);
+            let mut slots = [None; Self::PROBE_BATCH];
+            for ((slot, &feature), &group) in slots.iter_mut().zip(features).zip(&groups) {
+                *slot = self.find(feature, group);
+                if let Some(slot) = *slot {
+                    prefetch(self.values[slot].as_ptr());
+                }
+            }
+            for (value, slot) in values.iter_mut().zip(&slots) {
+                *value = slot.and_then(|slot| self.value_at(slot));
             }
         }
     }
 
-    /// The key stored in the first slot of a probing group.
+    /// The slot holding `feature`, found by walking its probing sequence
+    /// from `first_group`, which must be the key's `first_group`.
     #[inline]
-    fn first_key(&self, group: usize) -> u64 {
-        self.keys[group * self.geometry.group_size()].load(Ordering::Acquire)
-    }
-
-    /// Walk the probing sequence of `feature` from its first group, whose
-    /// first slot holds `current` (already loaded).
-    #[inline]
-    fn resolve(&self, feature: Feature, first_group: usize, mut current: u64) -> Option<u64> {
+    fn find(&self, feature: Feature, first_group: usize) -> Option<usize> {
         let key = feature as u64;
         let group_size = self.geometry.group_size();
         let mut slot = first_group * group_size;
         let mut group_end = slot + group_size;
         let mut later_groups = self.geometry.later_groups(feature, first_group);
         loop {
-            if current == EMPTY {
-                return None;
-            }
-            if current == key {
-                let v = self.values[slot].load(Ordering::Acquire);
-                return if v == EMPTY { None } else { Some(v) };
+            match self.keys[slot].load(Ordering::Acquire) {
+                EMPTY => return None,
+                current if current == key => return Some(slot),
+                _ => {}
             }
             slot += 1;
             if slot == group_end {
                 slot = later_groups.next()?;
                 group_end = slot + group_size;
             }
-            current = self.keys[slot].load(Ordering::Acquire);
+        }
+    }
+
+    /// The value stored in `slot`, if one has been.
+    #[inline]
+    fn value_at(&self, slot: usize) -> Option<u64> {
+        match self.values[slot].load(Ordering::Acquire) {
+            EMPTY => None,
+            value => Some(value),
         }
     }
 
