@@ -1,5 +1,6 @@
 //! Error type of the metacache crate.
 
+use mc_kmer::Feature;
 use mc_taxonomy::TaxonId;
 
 /// Errors raised by database construction, serialization and querying.
@@ -19,6 +20,23 @@ pub enum MetaCacheError {
     Io(std::io::Error),
     /// Malformed database file.
     Format(String),
+    /// A bucket longer than the location cap a load of the database
+    /// enforces: [`crate::serialize::save`] refuses to write it.
+    OverCap {
+        /// The feature of the bucket.
+        feature: Feature,
+        /// Its number of locations.
+        locations: usize,
+        /// The database's `max_locations_per_feature`.
+        cap: usize,
+    },
+    /// A partition index at or past the number of saved partitions.
+    NoSuchPart {
+        /// The partition asked for.
+        part: usize,
+        /// The number of partitions the files hold.
+        part_count: usize,
+    },
     /// Sequence parsing failure.
     SeqIo(mc_seqio::SeqIoError),
 }
@@ -33,6 +51,18 @@ impl std::fmt::Display for MetaCacheError {
             MetaCacheError::Device(e) => write!(f, "device error: {e}"),
             MetaCacheError::Io(e) => write!(f, "I/O error: {e}"),
             MetaCacheError::Format(msg) => write!(f, "database format error: {msg}"),
+            MetaCacheError::OverCap {
+                feature,
+                locations,
+                cap,
+            } => write!(
+                f,
+                "feature {feature} has {locations} locations, over the cap of {cap} a load enforces"
+            ),
+            MetaCacheError::NoSuchPart { part, part_count } => write!(
+                f,
+                "no partition {part}: the database was saved in {part_count}"
+            ),
             MetaCacheError::SeqIo(e) => write!(f, "sequence I/O error: {e}"),
         }
     }

@@ -17,9 +17,16 @@
 //!   for every feature of partition `i`, ascending, the feature, its bucket
 //!   length and the packed locations.
 //!
-//! The files are outside input: [`load`] checks every count against the
+//! A database is built once and loaded where it is served: [`load_parts`]
+//! reads `.meta` and only the `.cache` files asked for — all of them
+//! ([`load`]), partition `k` alone (a shard server's part) or none (the
+//! metadata a router classifies against).
+//!
+//! The files are outside input: a load checks every count against the
 //! file's length before allocating for it, and fails with
 //! [`MetaCacheError::Format`] rather than a panic or an allocation abort.
+//! [`save`] refuses, before it writes a file, a database a load would refuse
+//! for its configuration or a bucket over the location cap.
 
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -64,6 +71,21 @@ pub fn save(
     dir: impl AsRef<Path>,
     name: &str,
 ) -> Result<SaveReport, MetaCacheError> {
+    // What a load of the files would refuse is refused here, before any
+    // file is written: a split of a multi-device build may merge buckets
+    // past the build's cap.
+    let cap = db.config.validated()?.max_locations_per_feature;
+    for partition in &db.partitions {
+        if let Some((feature, locations)) = partition.table.longest_bucket() {
+            if locations > cap {
+                return Err(MetaCacheError::OverCap {
+                    feature,
+                    locations,
+                    cap,
+                });
+            }
+        }
+    }
     let dir = dir.as_ref();
     std::fs::create_dir_all(dir)?;
     let mut report = SaveReport::default();
@@ -108,40 +130,78 @@ pub fn save(
     Ok(report)
 }
 
-/// Load a database saved with [`save`]. Every partition is loaded into a
-/// packed host table (§4.2), as a build or a split leaves it.
+/// Which `.cache` files [`load_parts`] reads; `.meta` is always read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Parts {
+    /// Every partition: the database as it was saved.
+    All,
+    /// Partition `k` alone: the database [`Database::into_parts`] gives as
+    /// part `k` of the saved one, what a shard server holds.
+    One(usize),
+    /// No partition: the database [`Database::metadata_view`] gives, what a
+    /// router classifies against.
+    Metadata,
+}
+
+/// Load a database saved with [`save`]: every partition, through
+/// [`load_parts`].
+pub fn load(dir: impl AsRef<Path>, name: &str) -> Result<Arc<Database>, MetaCacheError> {
+    load_parts(dir, name, Parts::All).map(|(db, _)| db)
+}
+
+/// Load the metadata and the partitions `parts` names of a database saved
+/// with [`save`], and return it with the number of partitions the files
+/// hold. Every partition read is loaded into a packed host table (§4.2), as
+/// a build or a split leaves it. A partition index at or past that number is
+/// [`MetaCacheError::NoSuchPart`].
 ///
 /// The database is returned behind an [`Arc`]: a loaded database is the
 /// shared, read-only artefact the serving stack multiplexes over
 /// (classifiers, backends and the [`crate::serving::ServingEngine`] all
 /// co-own it), so ownership starts shared at the load boundary.
-pub fn load(dir: impl AsRef<Path>, name: &str) -> Result<Arc<Database>, MetaCacheError> {
+pub fn load_parts(
+    dir: impl AsRef<Path>,
+    name: &str,
+    parts: Parts,
+) -> Result<(Arc<Database>, usize), MetaCacheError> {
     let dir = dir.as_ref();
     let meta_path = dir.join(format!("{name}.meta"));
     let meta_json = std::fs::read(&meta_path)?;
-    let meta: MetaFile = serde_json::from_slice(&meta_json)
+    let mut meta: MetaFile = serde_json::from_slice(&meta_json)
         .map_err(|e| MetaCacheError::Format(format!("metadata parse error: {e}")))?;
     // The file is outside input: a configuration no build would accept must
     // fail here, not as a panic in the first classifier over the database.
     let config = meta.config.validated()?;
 
-    let mut partitions = Vec::new();
-    for i in 0..meta.partition_count {
+    let part_count = meta.partition_count;
+    let read = match parts {
+        Parts::All => 0..part_count,
+        Parts::One(part) if part < part_count => part..part + 1,
+        Parts::One(part) => return Err(MetaCacheError::NoSuchPart { part, part_count }),
+        Parts::Metadata => 0..0,
+    };
+    let mut partitions = Vec::with_capacity(read.len());
+    for i in read {
         let path = dir.join(format!("{name}.cache{i}"));
         partitions.push(Partition {
             table: load_table(&path, config.max_locations_per_feature)?,
-            targets: meta.partition_targets.get(i).cloned().unwrap_or_default(),
+            targets: meta
+                .partition_targets
+                .get_mut(i)
+                .map(std::mem::take)
+                .unwrap_or_default(),
         });
     }
 
     let lineages = meta.taxonomy.lineage_cache();
-    Ok(Arc::new(Database {
+    let db = Database {
         config,
         targets: meta.targets,
         taxonomy: meta.taxonomy,
         lineages,
         partitions,
-    }))
+    };
+    Ok((Arc::new(db), part_count))
 }
 
 /// Read one `.cache` file into a packed host table: the buckets, back to

@@ -1,27 +1,30 @@
-//! `mc-serve` — serve a MetaCache database over TCP, or talk to a server.
+//! `mc-serve` — build a MetaCache database once, then serve the saved files
+//! over TCP, or talk to a server.
 //!
 //! ```text
 //! Usage:
-//!   mc-serve serve --refs <fasta> [--listen <addr>] [--workers N]
-//!                  [--batch N] [--queue N]
-//!                  [--shard K --shard-count N]
+//!   mc-serve build --refs <fasta> --db <prefix> [--parts N]
 //!       Build a database from a reference FASTA/FASTQ (every record
-//!       becomes one species-level target) and serve it until stdin closes,
-//!       then drain gracefully. With --shard K --shard-count N, the same
-//!       deterministic build is split round-robin into N target shards and
-//!       only shard K's slice of the hash table is held and served — run N
-//!       such processes (same refs, one per K) behind `mc-serve route`.
+//!       becomes one species-level target), split it round-robin by target
+//!       into N parts (default 1) and save it as <prefix>.meta plus
+//!       <prefix>.cache0 … <prefix>.cache{N-1} (§4.1's layout).
 //!
-//!   mc-serve route --refs <fasta> --shard <addr> [--shard <addr> ...]
+//!   mc-serve serve --db <prefix> [--part K] [--listen <addr>] [--workers N]
+//!                  [--batch N] [--queue N]
+//!       Load a saved database and serve it until stdin closes, then drain
+//!       gracefully. With --part K, load <prefix>.meta and <prefix>.cacheK
+//!       only: the shard server of part K, one process per part behind
+//!       `mc-serve route`. Without it, load every part.
+//!
+//!   mc-serve route --db <prefix> --shard <addr> [--shard <addr> ...]
 //!                  [--listen <addr>] [--workers N] [--batch N] [--queue N]
-//!       Scatter-gather router over N shard servers: every classify batch
-//!       fans out to all shards as candidate queries, the per-shard top-hit
-//!       lists merge losslessly, and the final classification step runs on
-//!       the router. Clients speak the ordinary protocol — a routed
-//!       topology is indistinguishable from a single server (and
-//!       bit-identical to it). --refs must name the same reference file the
-//!       shard servers were built from (the router rebuilds the shared
-//!       metadata deterministically; its hash table is dropped).
+//!       Scatter-gather router over the shard servers of a saved split, one
+//!       --shard per part in part order: every classify batch fans out to
+//!       all shards as candidate queries, the per-shard top-hit lists merge
+//!       losslessly, and the final classification step runs on the router
+//!       against <prefix>.meta, the only file it loads. Clients speak the
+//!       ordinary protocol — a routed topology is indistinguishable from a
+//!       single server (and bit-identical to it).
 //!
 //!   mc-serve classify --addr <host:port> <reads-file>
 //!       Stream a FASTA/FASTQ file through a running server and print one
@@ -29,11 +32,11 @@
 //!
 //!   mc-serve reload --addr <host:port>
 //!       Hot-swap a running server's database with zero downtime: the
-//!       server re-reads its --refs file, builds the next database
-//!       epoch, and swaps it in while in-flight batches finish on the old
-//!       one. Against a router, the swap propagates to every shard server
-//!       (router metadata first, then each shard). Prints the new database
-//!       generation on success.
+//!       server loads its --db files again as at start-up and swaps the
+//!       result in while in-flight batches finish on the old one. Against a
+//!       router, the swap propagates to every shard server (router metadata
+//!       first, then each shard). Prints the new database generation on
+//!       success.
 //!
 //!   mc-serve smoke [--reads N] [--swarm N] [--chaos]
 //!       Self-contained loopback round-trip on a synthetic database:
@@ -49,15 +52,13 @@
 //!       amid the swarm. With --chaos, adds a pass through
 //!       a fault-injecting proxy (truncation, reset, dribble, stall) driven
 //!       by the backoff-retry client — results must still be bit-identical.
+//!       Last, saves a 2-part split as `build` does, serves each part from
+//!       its `serve --part` load behind a router on the `route` load, and
+//!       requires the routed answers ≡ in-process.
 //!       Exit code 0 = pass (CI smoke).
-//!
-//!   mc-serve chaos --upstream <host:port> [--seed N] [--conns N]
-//!       Fault-injection proxy for manual torture: listens on an ephemeral
-//!       loopback port and forwards to the upstream server, applying a
-//!       seeded fault script to the first N connections (later ones pass
-//!       through verbatim). Runs until stdin closes.
 //! ```
 
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -69,12 +70,13 @@ use mc_seqio::{SequenceReader, SequenceRecord};
 use mc_taxonomy::{Rank, Taxonomy, NO_TAXON};
 use metacache::build::CpuBuilder;
 use metacache::query::Classifier;
+use metacache::serialize::{self, Parts};
 use metacache::serving::{EngineConfig, ServingEngine};
 use metacache::{Database, HostBackend, MetaCacheConfig, ShardPlan};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: mc-serve serve --refs <file> [--listen <addr>] [--workers N] [--batch N] [--queue N] [--shard K --shard-count N]\n       mc-serve route --refs <file> --shard <host:port> [--shard <host:port> ...] [--listen <addr>] [--workers N] [--batch N] [--queue N]\n       mc-serve classify --addr <host:port> <reads-file>\n       mc-serve reload --addr <host:port>\n       mc-serve smoke [--reads N] [--swarm N] [--chaos]\n       mc-serve chaos --upstream <host:port> [--seed N] [--conns N]"
+        "usage: mc-serve build --refs <file> --db <prefix> [--parts N]\n       mc-serve serve --db <prefix> [--part K] [--listen <addr>] [--workers N] [--batch N] [--queue N]\n       mc-serve route --db <prefix> --shard <host:port> [--shard <host:port> ...] [--listen <addr>] [--workers N] [--batch N] [--queue N]\n       mc-serve classify --addr <host:port> <reads-file>\n       mc-serve reload --addr <host:port>\n       mc-serve smoke [--reads N] [--swarm N] [--chaos]"
     );
     std::process::exit(2);
 }
@@ -82,12 +84,12 @@ fn usage() -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
+        Some("build") => build(&args[1..]),
         Some("serve") => serve(&args[1..]),
         Some("route") => route(&args[1..]),
         Some("classify") => classify(&args[1..]),
         Some("reload") => reload(&args[1..]),
         Some("smoke") => smoke(&args[1..]),
-        Some("chaos") => chaos(&args[1..]),
         _ => usage(),
     };
     std::process::exit(code);
@@ -130,10 +132,7 @@ fn parsed<T: std::str::FromStr>(values: &[(String, String)], name: &str, default
 }
 
 /// Build a database from a reference file: each record becomes one target
-/// under its own species taxon. The build is deterministic, so every
-/// process given the same file agrees on target ids — the property the
-/// sharded topology rests on (shard servers answer with global target ids
-/// the router resolves against its own build of the same file).
+/// under its own species taxon.
 fn build_from_refs(path: &str) -> Result<Database, String> {
     let mut taxonomy = Taxonomy::with_root();
     let stream = SequenceReader::open(path).map_err(|e| format!("open {path}: {e}"))?;
@@ -162,40 +161,60 @@ fn build_from_refs(path: &str) -> Result<Database, String> {
     Ok(builder.finish())
 }
 
-/// The database `serve` answers from: everything in `refs`, or — given
-/// `(shard, shard_count)` — that shard's slice of it. Start-up and every
-/// reload load through here, so both fail with the same message.
-fn load_slice(refs: &str, slice: Option<(usize, usize)>) -> Result<Arc<Database>, String> {
-    let db = build_from_refs(refs)?;
-    let db = match slice {
-        None => Arc::new(db),
-        Some((shard, shard_count)) => {
-            // Build the full table first, then keep only this shard's
-            // slice: splitting one finished build (instead of building per
-            // shard) keeps the per-feature location cap global, which is
-            // what makes the scatter-gather merge bit-identical (see
-            // metacache::shard).
-            let split = ShardPlan::round_robin(db.target_count(), shard_count)
+/// The directory and base name of a database prefix: `dir/name` names
+/// `dir/name.meta` and `dir/name.cache<i>`.
+fn split_prefix(prefix: &str) -> Result<(&Path, &str), String> {
+    let path = Path::new(prefix);
+    match (
+        path.parent(),
+        path.file_name().and_then(|name| name.to_str()),
+    ) {
+        (Some(dir), Some(name)) => Ok((dir, name)),
+        _ => Err(format!("{prefix}: not a database prefix")),
+    }
+}
+
+/// Save `db` under `prefix`, split round-robin by target into `parts`
+/// partitions when that is more than one: the files `build` writes.
+fn save_parts(db: &Database, prefix: &str, parts: usize) -> Result<(), String> {
+    let (dir, name) = split_prefix(prefix)?;
+    let split = match parts {
+        1 => None,
+        _ => Some(
+            ShardPlan::round_robin(db.target_count(), parts)
                 .and_then(|plan| db.repartition(&plan))
-                .map_err(|e| format!("shard split: {e}"))?;
-            let split_bytes = split.table_bytes();
-            let kept = split.into_parts().swap_remove(shard);
-            eprintln!(
-                "mc-serve: shard {shard}/{shard_count}: {} of {} targets, {} of {} table bytes",
-                kept.partitions[0].targets.len(),
-                kept.target_count(),
-                kept.table_bytes(),
-                split_bytes,
-            );
-            Arc::new(kept)
-        }
+                .map_err(|e| format!("split into {parts} parts: {e}"))?,
+        ),
+    };
+    let report = serialize::save(split.as_ref().unwrap_or(db), dir, name)
+        .map_err(|e| format!("save {prefix}: {e}"))?;
+    eprintln!(
+        "mc-serve: saved {prefix} ({} targets in {parts} parts, {} files, {} bytes)",
+        db.target_count(),
+        report.files.len(),
+        report.total_bytes
+    );
+    Ok(())
+}
+
+/// Load `parts` of the database saved under `prefix`, and the number of
+/// parts its files hold. `serve` and `route` start and reload through here,
+/// so both fail with the same message.
+fn load_parts(prefix: &str, parts: Parts) -> Result<(Arc<Database>, usize), String> {
+    let (dir, name) = split_prefix(prefix)?;
+    let (db, part_count) =
+        serialize::load_parts(dir, name, parts).map_err(|e| format!("load {prefix}: {e}"))?;
+    let read = match parts {
+        Parts::All => "every part".to_string(),
+        Parts::One(part) => format!("part {part}"),
+        Parts::Metadata => "the metadata".to_string(),
     };
     eprintln!(
-        "mc-serve: loaded {refs} ({} targets, {} features)",
+        "mc-serve: loaded {read} of {prefix} ({part_count} parts, {} targets, {} table bytes)",
         db.target_count(),
-        db.total_features()
+        db.table_bytes()
     );
-    Ok(db)
+    Ok((db, part_count))
 }
 
 /// Resolve the engine shape flags shared by `serve` and `route`.
@@ -272,50 +291,60 @@ fn run_engine(
     }
 }
 
+fn build(args: &[String]) -> i32 {
+    let (flags, rest) = parse_flags(args, &["--refs", "--db", "--parts"]);
+    let (Some(refs), Some(prefix), true) = (
+        flag(&flags, "--refs"),
+        flag(&flags, "--db"),
+        rest.is_empty(),
+    ) else {
+        usage()
+    };
+    let parts: usize = parsed(&flags, "--parts", 1);
+    match build_from_refs(refs).and_then(|db| save_parts(&db, prefix, parts)) {
+        Ok(()) => 0,
+        Err(e) => {
+            eprintln!("mc-serve: {e}");
+            1
+        }
+    }
+}
+
 fn serve(args: &[String]) -> i32 {
     let (flags, rest) = parse_flags(
         args,
         &[
-            "--refs",
+            "--db",
+            "--part",
             "--listen",
             "--workers",
             "--batch",
             "--queue",
-            "--shard",
-            "--shard-count",
         ],
     );
-    if !rest.is_empty() {
-        usage();
-    }
-    let Some(refs) = flag(&flags, "--refs") else {
+    let (Some(prefix), true) = (flag(&flags, "--db"), rest.is_empty()) else {
         usage()
     };
     let listen = flag(&flags, "--listen").unwrap_or("127.0.0.1:7878");
     let config = engine_config(&flags);
-    let shard_count: usize = parsed(&flags, "--shard-count", 1);
-    let shard: usize = parsed(&flags, "--shard", 0);
-    let sharded = flag(&flags, "--shard").is_some() || flag(&flags, "--shard-count").is_some();
-    if sharded && shard >= shard_count {
-        eprintln!("mc-serve: --shard {shard} out of range for --shard-count {shard_count}");
-        return 2;
-    }
+    let parts = match flag(&flags, "--part") {
+        None => Parts::All,
+        Some(_) => Parts::One(parsed(&flags, "--part", 0)),
+    };
 
-    let slice = sharded.then_some((shard, shard_count));
-    let db = match load_slice(refs, slice) {
-        Ok(db) => db,
+    let db = match load_parts(prefix, parts) {
+        Ok((db, _)) => db,
         Err(e) => {
             eprintln!("mc-serve: {e}");
             return 1;
         }
     };
-    // The reload hook re-runs the exact build pipeline of startup — same
-    // refs path, same deterministic build, same shard split — and swaps
-    // the result in as the next epoch. In-flight batches finish on the old
-    // database; the swap is the moment new batches observe the new one.
-    let refs_path = refs.to_string();
+    // The reload hook loads the same files as start-up and swaps the result
+    // in as the next epoch. In-flight batches finish on the old database;
+    // the swap is the moment new batches observe the new one.
+    let prefix = prefix.to_string();
     let hook: ReloadHook = Arc::new(move |engine: &ServingEngine| {
-        let db = load_slice(&refs_path, slice)?;
+        let (db, _) = load_parts(&prefix, parts)?;
         Ok(engine.reload_backend(HostBackend::new(db)))
     });
     let engine = ServingEngine::new(HostBackend::new(db), config);
@@ -328,7 +357,7 @@ fn route(args: &[String]) -> i32 {
     let (flags, rest) = parse_flags(
         args,
         &[
-            "--refs",
+            "--db",
             "--listen",
             "--workers",
             "--batch",
@@ -336,13 +365,10 @@ fn route(args: &[String]) -> i32 {
             "--shard",
         ],
     );
-    if !rest.is_empty() {
-        usage();
-    }
-    let Some(refs) = flag(&flags, "--refs") else {
+    let (Some(prefix), true) = (flag(&flags, "--db"), rest.is_empty()) else {
         usage()
     };
-    // --shard repeats, one occurrence per shard server, in scatter order.
+    // --shard repeats, one occurrence per shard server, in part order.
     let shards: Vec<String> = flags
         .iter()
         .filter(|(k, _)| k == "--shard")
@@ -355,20 +381,21 @@ fn route(args: &[String]) -> i32 {
     let config = engine_config(&flags);
 
     // The router needs only the shared metadata (targets, taxonomy,
-    // lineages) — rebuild it deterministically from the same refs the
-    // shard servers use and drop the hash table.
-    let meta = match build_from_refs(refs) {
-        Ok(db) => Arc::new(db.metadata_view()),
+    // lineages): the `.meta` file the shard servers' parts were saved with.
+    let meta = match load_parts(prefix, Parts::Metadata) {
+        Ok((meta, part_count)) if part_count == shards.len() => meta,
+        Ok((_, part_count)) => {
+            eprintln!(
+                "mc-serve: {} --shard addresses for a database saved in {part_count} parts",
+                shards.len()
+            );
+            return 2;
+        }
         Err(e) => {
             eprintln!("mc-serve: {e}");
             return 1;
         }
     };
-    eprintln!(
-        "mc-serve: routing {} targets across {} shard servers",
-        meta.target_count(),
-        shards.len()
-    );
     let router_config = RouterConfig {
         client: ClientConfig {
             connect_timeout: Some(Duration::from_secs(5)),
@@ -384,18 +411,24 @@ fn route(args: &[String]) -> i32 {
             return 1;
         }
     };
-    // Routed reload: rebuild the router's metadata from the refs and swap
-    // it first, then tell every shard server to reload. Order matters —
+    // Routed reload: load the router's metadata again and swap it first,
+    // then tell every shard server to reload. Order matters —
     // new metadata over old shard tables degrades gracefully (old target
     // ids stay valid in the grown target table), whereas new shard tables
     // over old metadata would answer with target ids the merge step cannot
     // resolve. The router workers' generation-agreement re-query bridges
     // the window in which the shard sweep is mid-propagation.
-    let refs_path = refs.to_string();
+    let prefix = prefix.to_string();
     let shard_addrs = shards.clone();
     let hook_config = router_config;
     let hook: ReloadHook = Arc::new(move |engine: &ServingEngine| {
-        let meta = build_from_refs(&refs_path).map(|db| Arc::new(db.metadata_view()))?;
+        let (meta, part_count) = load_parts(&prefix, Parts::Metadata)?;
+        if part_count != shard_addrs.len() {
+            return Err(format!(
+                "{prefix} now holds {part_count} parts, the router {} shards",
+                shard_addrs.len()
+            ));
+        }
         let backend = RouterBackend::new(meta, &shard_addrs, hook_config.clone())
             .map_err(|e| format!("resolve shard addresses: {e}"))?;
         let generation = engine.reload_backend(backend);
@@ -471,8 +504,8 @@ fn classify(args: &[String]) -> i32 {
 }
 
 /// Trigger a zero-downtime database reload on a running server
-/// (`Reload`/`ReloadAck`): the server's reload hook rebuilds its database
-/// and swaps epochs while streams keep flowing.
+/// (`Reload`/`ReloadAck`): the server's reload hook loads its database
+/// files again and swaps epochs while streams keep flowing.
 fn reload(args: &[String]) -> i32 {
     let (flags, rest) = parse_flags(args, &["--addr"]);
     if !rest.is_empty() {
@@ -500,62 +533,6 @@ fn reload(args: &[String]) -> i32 {
     }
 }
 
-/// Fault-injection proxy in front of a running server, for manual torture
-/// (`mc-serve smoke --chaos` is the scripted CI variant of the same idea).
-fn chaos(args: &[String]) -> i32 {
-    let (flags, rest) = parse_flags(args, &["--upstream", "--seed", "--conns"]);
-    if !rest.is_empty() {
-        usage();
-    }
-    let Some(upstream) = flag(&flags, "--upstream") else {
-        usage()
-    };
-    let seed: u64 = parsed(&flags, "--seed", 1);
-    let conns: usize = parsed(&flags, "--conns", 16);
-    let upstream_addr = match std::net::ToSocketAddrs::to_socket_addrs(&upstream)
-        .ok()
-        .and_then(|mut addrs| addrs.next())
-    {
-        Some(addr) => addr,
-        None => {
-            eprintln!("mc-serve chaos: cannot resolve upstream {upstream}");
-            return 1;
-        }
-    };
-    let plans: Vec<ConnPlan> = (0..conns as u64)
-        .map(|i| ConnPlan::seeded(seed ^ i))
-        .collect();
-    for (i, plan) in plans.iter().enumerate() {
-        eprintln!("mc-serve chaos: conn {i}: {plan:?}");
-    }
-    let proxy = match ChaosProxy::start(upstream_addr, plans) {
-        Ok(proxy) => proxy,
-        Err(e) => {
-            eprintln!("mc-serve chaos: start proxy: {e}");
-            return 1;
-        }
-    };
-    eprintln!(
-        "mc-serve chaos: proxying {} -> {} ({} scripted conns, then verbatim); close stdin to stop",
-        proxy.local_addr(),
-        upstream_addr,
-        conns
-    );
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match std::io::stdin().read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) if line.trim() == "quit" => break,
-            Ok(_) => {}
-            Err(_) => break,
-        }
-    }
-    proxy.shutdown();
-    eprintln!("mc-serve chaos: stopped");
-    0
-}
-
 /// This process's live OS thread count (`Threads:` in /proc/self/status);
 /// `None` where procfs is unavailable.
 fn os_thread_count() -> Option<usize> {
@@ -580,6 +557,89 @@ fn synthetic_genome(len: usize, seed: u64) -> Vec<u8> {
             b"ACGT"[(state >> 33) as usize % 4]
         })
         .collect()
+}
+
+/// The smoke's routed pass: save `db` as a 2-part split through `build`'s
+/// [`save_parts`], serve each part from its `serve --part` load and route
+/// over them from the `route` load, all on ephemeral ports; the routed
+/// answers must be ≡ `expected`.
+fn smoke_routed(
+    db: &Database,
+    reads: &[SequenceRecord],
+    expected: &[metacache::Classification],
+) -> Result<(), String> {
+    let dir = std::env::temp_dir().join(format!("mc-serve-smoke-{}", std::process::id()));
+    let prefix = dir.join("smoke");
+    let prefix = prefix.to_str().ok_or("the temp dir is not UTF-8")?;
+    let loaded = save_parts(db, prefix, 2).and_then(|()| {
+        let parts = (0..2)
+            .map(|part| load_parts(prefix, Parts::One(part)).map(|(db, _)| db))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok((parts, load_parts(prefix, Parts::Metadata)?))
+    });
+    std::fs::remove_dir_all(&dir).ok();
+    let (parts, (meta, part_count)) = loaded?;
+    if part_count != 2 {
+        return Err(format!(
+            "saved 2 parts, the metadata load found {part_count}"
+        ));
+    }
+
+    let config = EngineConfig {
+        workers: 1,
+        queue_capacity: 4,
+        batch_records: 32,
+        session_max_in_flight: 0,
+    };
+    let shard_engines: Vec<ServingEngine> = parts
+        .into_iter()
+        .map(|part| ServingEngine::new(HostBackend::new(part), config))
+        .collect();
+    let shard_servers = shard_engines
+        .iter()
+        .map(|engine| NetServer::bind(engine, "127.0.0.1:0"))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| format!("bind shard server: {e}"))?;
+    let shard_handles: Vec<_> = shard_servers.iter().map(NetServer::handle).collect();
+    let shard_addrs: Vec<_> = shard_handles.iter().map(|h| h.local_addr()).collect();
+    let router = RouterBackend::new(meta, &shard_addrs, RouterConfig::default())
+        .map_err(|e| format!("router: {e}"))?;
+    let router_engine = ServingEngine::new(router, config);
+    let router_server =
+        NetServer::bind(&router_engine, "127.0.0.1:0").map_err(|e| format!("bind router: {e}"))?;
+    let router_handle = router_server.handle();
+
+    let verdict = std::thread::scope(|scope| {
+        let runners: Vec<_> = shard_servers
+            .into_iter()
+            .chain([router_server])
+            .map(|server| scope.spawn(|| server.run()))
+            .collect();
+        let routed = NetClient::connect(router_handle.local_addr())
+            .and_then(|mut client| client.classify_batch(reads))
+            .map_err(|e| format!("classify through the router: {e}"));
+        router_handle.shutdown();
+        shard_handles.iter().for_each(|handle| handle.shutdown());
+        for runner in runners {
+            runner
+                .join()
+                .expect("server thread")
+                .map_err(|e| format!("server: {e}"))?;
+        }
+        routed
+    });
+    router_engine.shutdown();
+    shard_engines.into_iter().for_each(|engine| {
+        engine.shutdown();
+    });
+    if verdict? != expected {
+        return Err("routed results diverged from in-process results".into());
+    }
+    eprintln!(
+        "mc-serve smoke: routed pass from 2 saved parts ≡ in-process ({} reads)",
+        reads.len()
+    );
+    Ok(())
 }
 
 /// Self-contained loopback round-trip: synthetic database, ephemeral-port
@@ -823,6 +883,10 @@ fn smoke(args: &[String]) -> i32 {
                     if exact { "" } else { "at least " },
                     floor
                 );
+                return 1;
+            }
+            if let Err(e) = smoke_routed(&db, &reads, &expected) {
+                eprintln!("mc-serve smoke: FAIL: routed pass: {e}");
                 return 1;
             }
             eprintln!(

@@ -45,13 +45,15 @@
 //!   (delays, slow-loris dribble, truncation, stalls, resets, half-closes)
 //!   that turns failure-mode testing into seeded regression tests.
 //!
-//! The `mc-serve` binary wraps all of it: `mc-serve serve` exposes a
-//! database (or one shard of it, `--shard K --shard-count N`) on a socket,
-//! `mc-serve route` fronts N shard servers with a scatter-gather router,
-//! `mc-serve classify` is a command-line client, `mc-serve smoke` runs a
-//! self-contained loopback round-trip (used by CI, `--chaos` adds a
-//! fault-injected pass), and `mc-serve chaos` proxies an address with
-//! scripted faults for manual torture.
+//! The `mc-serve` binary wraps all of it: `mc-serve build` builds a
+//! database once and saves it as `.meta` plus one `.cacheK` per part,
+//! `mc-serve serve` loads and exposes it (or one part of it, `--part K`)
+//! on a socket, `mc-serve route` loads the `.meta` alone and fronts the
+//! part servers with a scatter-gather router, `mc-serve classify` is a
+//! command-line client, `mc-serve reload` makes a server load its files
+//! again, and `mc-serve smoke` runs a self-contained loopback round-trip
+//! (used by CI; `--chaos` adds a fault-injected pass, and a routed pass
+//! serves a saved 2-part split).
 
 pub mod chaos;
 pub mod client;

@@ -2,10 +2,11 @@
 //! out to N shard servers over the wire and merges their candidate lists.
 //!
 //! A [`RouterBackend`] fronts shard servers that each hold one part of a
-//! [`Database::repartition`] (typically `mc-serve serve --shard K
-//! --shard-count N` processes, each serving its
-//! [`Database::into_parts`] part). One batch runs in two steps here and a
-//! third in the engine, mirroring the in-process
+//! [`Database::repartition`] (typically `mc-serve serve --db P --part K`
+//! processes, each loading `.meta` and its own `.cacheK` of a split saved
+//! once by `mc-serve build --parts N`: the [`Database::into_parts`] part).
+//! The router's own database is the `.meta` file alone. One batch runs in
+//! two steps here and a third in the engine, mirroring the in-process
 //! [`metacache::Classifier`] over the repartitioned database:
 //!
 //! 1. **Scatter**: the batch goes to every shard as one
@@ -21,8 +22,9 @@
 //! 3. **Emit**: the merged list is the worker's product, like every other
 //!    backend's. The engine worker loop turns it into what the request
 //!    asked for: a classification (`classify_candidates` against the
-//!    router's metadata-only database — taxonomy + lineages, no hash table
-//!    — the same final step the unsharded path runs) or the list itself,
+//!    router's metadata-only database — targets, taxonomy and lineages
+//!    loaded from `.meta`, no hash table — the same final step the
+//!    unsharded path runs) or the list itself,
 //!    so a router answers `Candidates` frames too and routers nest.
 //!
 //! Because [`RouterBackend`] is just a [`Backend`], a

@@ -273,6 +273,20 @@ impl HostHashTable {
             .try_for_each(|(feature, packed)| f(feature, self.bucket(packed)))
     }
 
+    /// The feature and length of a longest bucket (the first the index walk
+    /// meets), or `None` for an empty table. One pass over the index, no
+    /// sort.
+    pub fn longest_bucket(&self) -> Option<(Feature, usize)> {
+        let mut longest: Option<(Feature, usize)> = None;
+        self.index.for_each(|feature, packed| {
+            let len = BucketRef::unpack(packed).len;
+            if longest.is_none_or(|(_, most)| len > most) {
+                longest = Some((feature, len));
+            }
+        });
+        longest
+    }
+
     /// The bucket a packed reference of the index points at.
     #[inline]
     fn bucket(&self, packed: u64) -> &[Location] {
@@ -347,6 +361,8 @@ mod tests {
         assert!(t.query(3).is_empty());
         assert_eq!(t.key_count(), 2);
         assert_eq!(t.value_count(), 3);
+        assert_eq!(t.longest_bucket(), Some((1, 2)));
+        assert_eq!(HostHashTable::new(254).longest_bucket(), None);
     }
 
     #[test]

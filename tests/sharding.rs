@@ -22,8 +22,10 @@ use mc_kmer::{Feature, Location};
 use mc_seqio::SequenceRecord;
 use mc_taxonomy::{Rank, Taxonomy};
 use metacache::build::CpuBuilder;
+use metacache::classify::classify_candidates;
 use metacache::query::{Classifier, QueryScratch};
-use metacache::{Candidate, Database, MetaCacheConfig, ShardPlan, SketchScratch};
+use metacache::serialize::Parts;
+use metacache::{Candidate, Database, MetaCacheConfig, MetaCacheError, ShardPlan, SketchScratch};
 
 fn make_seq(len: usize, seed: u64) -> Vec<u8> {
     let mut state = seed | 1;
@@ -256,7 +258,9 @@ fn candidate_lists(db: &Database, reads: &[SequenceRecord]) -> Vec<Vec<Candidate
 
 /// `save` of a repartitioned database writes the paper's layout — one
 /// `.meta` and one `.cache<i>` per shard — and `load` gives back the S
-/// partitions, which classify like the unsharded database.
+/// partitions, which classify like the unsharded database. Loading part k
+/// alone gives `into_parts()[k]`, a shard server's database; loading the
+/// metadata alone gives what a router classifies against.
 #[test]
 fn saved_repartition_loads_as_its_partitions() {
     let (db, genomes) = build_db(5, 4_000, 11);
@@ -273,6 +277,10 @@ fn saved_repartition_loads_as_its_partitions() {
         .collect();
     files.sort();
     let loaded = metacache::serialize::load(&dir, "split").unwrap();
+    let load_parts = |parts| metacache::serialize::load_parts(&dir, "split", parts);
+    let part_loads: Vec<_> = (0..3).map(|k| load_parts(Parts::One(k)).unwrap()).collect();
+    let (meta, meta_part_count) = load_parts(Parts::Metadata).unwrap();
+    let past_the_end = load_parts(Parts::One(3));
     std::fs::remove_dir_all(&dir).ok();
 
     assert_eq!(
@@ -292,6 +300,112 @@ fn saved_repartition_loads_as_its_partitions() {
         Classifier::new(&*loaded).classify_batch(&reads),
         Classifier::new(&db).classify_batch(&reads)
     );
+
+    for (k, ((got, part_count), want)) in part_loads.iter().zip(split.into_parts()).enumerate() {
+        assert_eq!(*part_count, 3, "part {k}");
+        assert_eq!(got.partition_count(), 1, "part {k}");
+        assert_eq!(got.targets, want.targets, "part {k}");
+        assert_eq!(
+            got.partitions[0].targets, want.partitions[0].targets,
+            "part {k}"
+        );
+        assert_eq!(got.table_bytes(), want.table_bytes(), "part {k}");
+        assert_eq!(
+            candidate_lists(got, &reads),
+            candidate_lists(&want, &reads),
+            "part {k}"
+        );
+    }
+
+    assert_eq!(meta_part_count, 3);
+    assert_eq!(meta.partition_count(), 0);
+    let view = db.metadata_view();
+    let classifier = Classifier::new(&db);
+    let mut scratch = QueryScratch::new();
+    for read in &reads {
+        let list = classifier.candidates_with(read, &mut scratch);
+        assert_eq!(
+            classify_candidates(&meta, &meta.config, list),
+            classify_candidates(&view, &view.config, list),
+            "read {}",
+            read.id()
+        );
+    }
+
+    assert!(matches!(
+        past_the_end,
+        Err(MetaCacheError::NoSuchPart {
+            part: 3,
+            part_count: 3
+        })
+    ));
+}
+
+/// A split of a multi-device build can merge one feature's buckets from
+/// both devices past the build's cap, which a load refuses. `save` refuses
+/// it first, naming the feature and the cap, and writes no file; the build
+/// itself, every device's bucket within the cap, saves and loads.
+#[test]
+fn save_refuses_a_split_whose_merged_bucket_is_over_the_cap() {
+    let hot: Vec<u8> = make_seq(90, 7)
+        .iter()
+        .cycle()
+        .take(6_000)
+        .copied()
+        .collect();
+    let mut taxonomy = Taxonomy::with_root();
+    taxonomy.add_node(10, 1, Rank::Genus, "G").unwrap();
+    for i in 0..2u32 {
+        taxonomy
+            .add_node(100 + i, 10, Rank::Species, format!("sp{i}"))
+            .unwrap();
+    }
+    let config = MetaCacheConfig {
+        max_locations_per_feature: 3,
+        ..MetaCacheConfig::for_tests()
+    };
+    let system = mc_gpu_sim::MultiGpuSystem::dgx1(2);
+    let mut builder =
+        metacache::build::GpuBuilder::new(config, taxonomy, &system, 200_000).unwrap();
+    for i in 0..2u32 {
+        let genome = [make_seq(3_000, 600 + i as u64), hot.clone()].concat();
+        builder
+            .add_target(SequenceRecord::new(format!("t{i}"), genome), 100 + i)
+            .unwrap();
+    }
+    let gpu_db = builder.finish();
+    assert_eq!(gpu_db.partition_count(), 2);
+    let merged = gpu_db
+        .repartition(&ShardPlan::round_robin(2, 1).unwrap())
+        .unwrap();
+
+    let dir = std::env::temp_dir().join(format!("metacache_overcap_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let refused = metacache::serialize::save(&merged, &dir, "merged");
+    let wrote = dir.exists();
+    let message = refused.as_ref().err().map(ToString::to_string);
+    let Err(MetaCacheError::OverCap {
+        feature,
+        locations,
+        cap: 3,
+    }) = refused
+    else {
+        panic!("the merged split must be refused as over the cap of 3: {refused:?}");
+    };
+    assert!(!wrote, "a refused save writes no file");
+    assert!(locations > 3);
+    let mut hits = Vec::new();
+    assert_eq!(merged.query_feature_into(feature, &mut hits), locations);
+    let message = message.unwrap();
+    assert!(
+        message.contains(&format!("feature {feature} ")) && message.contains("cap of 3"),
+        "{message}"
+    );
+
+    metacache::serialize::save(&gpu_db, &dir, "built").unwrap();
+    let loaded = metacache::serialize::load(&dir, "built");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(loaded.unwrap().total_locations(), gpu_db.total_locations());
 }
 
 /// A 2-device GPU build holds one table per device, and a feature of
