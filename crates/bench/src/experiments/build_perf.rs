@@ -11,10 +11,10 @@
 use serde::Serialize;
 
 use mc_gpu_sim::MultiGpuSystem;
-use metacache::pipeline::DiskModel;
 use metacache::MetaCacheConfig;
 
 use crate::experiments::{fmt_bytes, fmt_secs};
+use crate::pipeline::DiskModel;
 use crate::scale::ExperimentScale;
 use crate::setup::{self, ReferenceSetup};
 

@@ -9,10 +9,10 @@
 use serde::Serialize;
 
 use mc_gpu_sim::MultiGpuSystem;
-use metacache::pipeline::{run_on_the_fly, run_write_load_query, DiskModel, PhaseTimes};
 use metacache::MetaCacheConfig;
 
 use crate::experiments::fmt_secs;
+use crate::pipeline::{run_on_the_fly, run_write_load_query, DiskModel, PhaseTimes};
 use crate::scale::ExperimentScale;
 use crate::setup::{self, records_with_taxa, ReferenceSetup, Workloads};
 

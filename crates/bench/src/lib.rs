@@ -6,6 +6,8 @@
 //! corresponding paper table or figure. The `repro` binary
 //! (`cargo run -p mc-bench --bin repro -- <experiment>`) drives them; the
 //! criterion benches under `benches/` cover the underlying kernels.
+//! [`pipeline`] holds the two end-to-end workflows that Table 5 and Figure 4
+//! compare: write + load, and on the fly.
 //!
 //! All experiments run on synthetic data generated by `mc-datagen` at a
 //! configurable [`ExperimentScale`]. End-to-end and per-layer speed of the
@@ -13,6 +15,7 @@
 //! not here.
 
 pub mod experiments;
+pub mod pipeline;
 pub mod scale;
 pub mod setup;
 

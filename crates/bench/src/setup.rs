@@ -187,7 +187,9 @@ pub fn build_metacache_gpu(
     system.reset_clocks();
     let start = Instant::now();
     let records: Vec<SequenceRecord> = collection.to_records();
-    let expected = estimate_locations(&config, &records) / system.device_count().max(1) + 4096;
+    let expected = estimate_locations(&config, &records).expect("valid config")
+        / system.device_count().max(1)
+        + 4096;
     let mut builder = GpuBuilder::new(config, collection.taxonomy.clone(), system, expected)
         .expect("device memory suffices at experiment scale");
     for target in &collection.targets {

@@ -4,10 +4,10 @@
 //! performance *tables* of the paper. Instead, every simulated kernel and
 //! transfer reports the data volume it actually processed and the
 //! [`CostModel`] converts those volumes into simulated time using
-//! bandwidth/throughput constants of the paper's hardware (V100 GPUs, dual
-//! Xeon host). The accumulated [`DeviceClock`] values drive Tables 3–5 and
-//! Figures 4–5 of the reproduction; EXPERIMENTS.md reports both simulated and
-//! measured host times.
+//! bandwidth/throughput constants of the paper's hardware (V100 GPUs, their
+//! NVLink and PCIe links). The accumulated [`DeviceClock`] values drive
+//! Tables 3–5 and Figures 4–5 of the reproduction; `repro` reports both
+//! simulated device times and measured host times.
 //!
 //! The model is deliberately simple — time = max(bytes / bandwidth,
 //! ops / throughput) + launch overhead — because the paper's headline results
@@ -162,21 +162,6 @@ impl CostModel {
         }
     }
 
-    /// Dual-socket Xeon-like constants (DDR4 ~120 GB/s aggregate, 40 cores).
-    /// The `threads` argument scales the usable op throughput, mirroring how
-    /// the paper runs CPU baselines with different thread counts (80 for
-    /// Kraken2, effectively 1 for the MetaCache-CPU hash-table inserter).
-    pub fn xeon(threads: usize) -> Self {
-        let threads = threads.max(1) as f64;
-        Self {
-            memory_bandwidth: 60e9 + 1.5e9 * threads,
-            op_throughput: 1.5e9 * threads,
-            transfer_bandwidth: 12e9,
-            peer_bandwidth: 12e9,
-            launch_overhead: 0.0,
-        }
-    }
-
     /// Time taken to execute a kernel with the given cost.
     pub fn kernel_time(&self, cost: KernelCost) -> SimDuration {
         let memory_time = (cost.bytes_read + cost.bytes_written) as f64 / self.memory_bandwidth;
@@ -203,8 +188,8 @@ impl Default for CostModel {
 }
 
 /// A monotonically accumulating simulated clock (one per device / per
-/// pipeline stage). Thread safe: kernels running on rayon workers add their
-/// cost concurrently.
+/// pipeline stage). Thread safe: batches classified on several serving
+/// workers add their cost concurrently.
 #[derive(Debug, Default)]
 pub struct DeviceClock {
     nanos: AtomicU64,
@@ -223,16 +208,6 @@ impl DeviceClock {
             .fetch_add(by.as_nanos(), Ordering::Relaxed)
             .saturating_add(by.as_nanos());
         SimDuration::from_nanos(new)
-    }
-
-    /// Advance by the time of a kernel under the given model.
-    pub fn add_kernel(&self, model: &CostModel, cost: KernelCost) -> SimDuration {
-        self.advance(model.kernel_time(cost))
-    }
-
-    /// Advance by a host↔device transfer under the given model.
-    pub fn add_transfer(&self, model: &CostModel, bytes: u64) -> SimDuration {
-        self.advance(model.transfer_time(bytes))
     }
 
     /// Current simulated time.
@@ -300,23 +275,11 @@ mod tests {
     }
 
     #[test]
-    fn gpu_is_much_faster_than_single_threaded_cpu_for_same_volume() {
-        // The core premise of Table 3: hash-table construction is bandwidth/
-        // throughput bound and a V100 has vastly more of both than the single
-        // consumer thread that feeds MetaCache-CPU's hash table.
-        let volume = KernelCost::compute(1_000_000_000, 8_000_000_000, 8_000_000_000);
-        let gpu = CostModel::v100().kernel_time(volume);
-        let cpu1 = CostModel::xeon(1).kernel_time(volume);
-        let ratio = cpu1.as_secs_f64() / gpu.as_secs_f64();
-        assert!(ratio > 20.0, "expected a large build speedup, got {ratio}");
-    }
-
-    #[test]
     fn clock_accumulates_and_resets() {
         let clock = DeviceClock::new();
         let model = CostModel::v100();
-        clock.add_transfer(&model, 12_000_000_000); // ~1 s at 12 GB/s
-        clock.add_kernel(&model, KernelCost::memory(800_000_000_000, 0)); // ~1 s
+        clock.advance(model.transfer_time(12_000_000_000)); // ~1 s at 12 GB/s
+        clock.advance(model.kernel_time(KernelCost::memory(800_000_000_000, 0))); // ~1 s
         let t = clock.now().as_secs_f64();
         assert!(t > 1.9 && t < 2.2, "unexpected simulated time {t}");
         clock.reset();

@@ -7,7 +7,7 @@
 //! against a configurable capacity so the same capacity pressure, and the
 //! same partitioning decisions, arise in the reproduction.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::clock::{CostModel, DeviceClock};
@@ -80,8 +80,6 @@ impl DeviceInfo {
 pub struct Device {
     info: DeviceInfo,
     allocated: AtomicU64,
-    peak_allocated: AtomicU64,
-    allocations: AtomicUsize,
     clock: DeviceClock,
 }
 
@@ -91,20 +89,8 @@ impl Device {
         Arc::new(Self {
             info,
             allocated: AtomicU64::new(0),
-            peak_allocated: AtomicU64::new(0),
-            allocations: AtomicUsize::new(0),
             clock: DeviceClock::new(),
         })
-    }
-
-    /// The device description.
-    pub fn info(&self) -> DeviceInfo {
-        self.info
-    }
-
-    /// Device ordinal.
-    pub fn id(&self) -> usize {
-        self.info.id
     }
 
     /// The device's cost model.
@@ -120,21 +106,6 @@ impl Device {
     /// Currently allocated bytes.
     pub fn allocated(&self) -> u64 {
         self.allocated.load(Ordering::Relaxed)
-    }
-
-    /// Highest allocation watermark observed.
-    pub fn peak_allocated(&self) -> u64 {
-        self.peak_allocated.load(Ordering::Relaxed)
-    }
-
-    /// Remaining free bytes.
-    pub fn available(&self) -> u64 {
-        self.info.memory_capacity.saturating_sub(self.allocated())
-    }
-
-    /// Number of live allocations.
-    pub fn live_allocations(&self) -> usize {
-        self.allocations.load(Ordering::Relaxed)
     }
 
     /// Reserve `bytes` of device memory.
@@ -154,11 +125,7 @@ impl Device {
                 Ordering::AcqRel,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => {
-                    self.allocations.fetch_add(1, Ordering::Relaxed);
-                    self.peak_allocated.fetch_max(new, Ordering::Relaxed);
-                    return Ok(());
-                }
+                Ok(_) => return Ok(()),
                 Err(actual) => current = actual,
             }
         }
@@ -177,10 +144,7 @@ impl Device {
                 Ordering::AcqRel,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => {
-                    self.allocations.fetch_sub(1, Ordering::Relaxed);
-                    return Ok(());
-                }
+                Ok(_) => return Ok(()),
                 Err(actual) => current = actual,
             }
         }
@@ -194,9 +158,9 @@ mod tests {
     #[test]
     fn v100_has_32_gb() {
         let dev = Device::new(DeviceInfo::v100(0));
-        assert_eq!(dev.info().memory_capacity, 32 * (1 << 30));
-        assert_eq!(dev.id(), 0);
-        assert_eq!(dev.available(), 32 * (1 << 30));
+        assert_eq!(dev.allocated(), 0);
+        dev.allocate(32 * (1 << 30)).unwrap();
+        assert!(dev.allocate(1).is_err());
     }
 
     #[test]
@@ -205,12 +169,8 @@ mod tests {
         dev.allocate(400).unwrap();
         dev.allocate(300).unwrap();
         assert_eq!(dev.allocated(), 700);
-        assert_eq!(dev.available(), 300);
-        assert_eq!(dev.live_allocations(), 2);
         dev.free(400).unwrap();
         assert_eq!(dev.allocated(), 300);
-        assert_eq!(dev.peak_allocated(), 700);
-        assert_eq!(dev.live_allocations(), 1);
     }
 
     #[test]
@@ -256,7 +216,7 @@ mod tests {
     fn device_clock_is_per_device() {
         let d0 = Device::new(DeviceInfo::v100(0));
         let d1 = Device::new(DeviceInfo::v100(1));
-        d0.clock().add_transfer(d0.cost_model(), 1 << 30);
+        d0.clock().advance(d0.cost_model().transfer_time(1 << 30));
         assert!(d0.clock().now() > d1.clock().now());
     }
 }

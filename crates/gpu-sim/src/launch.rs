@@ -1,63 +1,16 @@
 //! Kernel launches: a grid of warps executed in parallel on the host.
 //!
 //! A CUDA kernel launch maps a grid of thread blocks onto the device; the
-//! paper's kernels are warp-centric (one window, one read, or one segment per
-//! warp). [`launch_warps`] reproduces this: the caller supplies the number of
-//! warps and a closure that receives a [`Warp`] handle; warps execute in
-//! parallel on the rayon thread pool, which models the device's independent
-//! warp schedulers (and gives real CPU parallelism for the big experiment
-//! runs).
+//! paper's kernels are warp-centric (one window per warp). [`launch_warps_into`]
+//! reproduces this: the caller supplies the number of warps and a closure that
+//! receives a [`Warp`] handle plus the warp's slot of one flat output buffer;
+//! the warps run on one scoped host thread per core, which models the
+//! device's independent warp schedulers (and gives real CPU parallelism for
+//! the big experiment runs).
 
-use rayon::prelude::*;
-
-use crate::clock::{CostModel, DeviceClock, KernelCost, SimDuration};
 use crate::warp::Warp;
 
-/// Configuration of a kernel launch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LaunchConfig {
-    /// Number of warps in the launch grid.
-    pub warps: usize,
-    /// Execute warps sequentially (useful for debugging determinism issues).
-    pub sequential: bool,
-}
-
-impl LaunchConfig {
-    /// A parallel launch with the given number of warps.
-    pub fn new(warps: usize) -> Self {
-        Self {
-            warps,
-            sequential: false,
-        }
-    }
-
-    /// A sequential launch (single host thread).
-    pub fn sequential(warps: usize) -> Self {
-        Self {
-            warps,
-            sequential: true,
-        }
-    }
-}
-
-/// Launch `config.warps` warps, each running `kernel`, and collect the
-/// per-warp results in warp order.
-pub fn launch_warps<R, F>(config: LaunchConfig, kernel: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Warp) -> R + Sync,
-{
-    if config.sequential {
-        (0..config.warps).map(|w| kernel(Warp::new(w))).collect()
-    } else {
-        (0..config.warps)
-            .into_par_iter()
-            .map(|w| kernel(Warp::new(w)))
-            .collect()
-    }
-}
-
-/// Launch warps that write their per-warp output items into one flat
+/// Launch `warps` warps that write their per-warp output items into one flat
 /// pre-allocated buffer instead of returning owned vectors — the device-style
 /// output layout of the paper's kernels, where every warp owns a fixed-stride
 /// slot of a global output array.
@@ -70,7 +23,7 @@ where
 /// `(filled, result)` per warp in warp order; warp `w`'s output lives in
 /// `buffer[w * slots_per_warp .. w * slots_per_warp + filled]`.
 pub fn launch_warps_into<T, R, F>(
-    config: LaunchConfig,
+    warps: usize,
     slots_per_warp: usize,
     buffer: &mut Vec<T>,
     kernel: F,
@@ -82,15 +35,15 @@ where
 {
     let slots = slots_per_warp.max(1);
     buffer.clear();
-    buffer.resize(config.warps * slots, T::default());
-    if config.warps == 0 {
+    buffer.resize(warps * slots, T::default());
+    if warps == 0 {
         return Vec::new();
     }
     let threads = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-        .min(config.warps);
-    if config.sequential || threads <= 1 || config.warps < 2 {
+        .min(warps);
+    if threads <= 1 {
         return buffer
             .chunks_mut(slots)
             .enumerate()
@@ -99,8 +52,8 @@ where
     }
     // Partition the flat buffer into contiguous per-thread regions (disjoint
     // borrows), each covering a contiguous range of warp ids.
-    let warps_per_thread = config.warps.div_ceil(threads);
-    let mut out = Vec::with_capacity(config.warps);
+    let warps_per_thread = warps.div_ceil(threads);
+    let mut out = Vec::with_capacity(warps);
     std::thread::scope(|scope| {
         let handles: Vec<_> = buffer
             .chunks_mut(slots * warps_per_thread)
@@ -124,73 +77,61 @@ where
     out
 }
 
-/// Like [`launch_warps`] but also advances a device clock by the combined
-/// cost reported by every warp, modelling the kernel's execution time.
-///
-/// Each warp returns `(result, cost)`; the costs are summed (the device
-/// executes the warps with massive parallelism, but the *data volume* they
-/// move — which is what the cost model charges for — is additive).
-pub fn launch_warps_with_clock<R, F>(
-    config: LaunchConfig,
-    clock: &DeviceClock,
-    model: &CostModel,
-    kernel: F,
-) -> (Vec<R>, SimDuration)
-where
-    R: Send,
-    F: Fn(Warp) -> (R, KernelCost) + Sync,
-{
-    let pairs = launch_warps(config, kernel);
-    let mut results = Vec::with_capacity(pairs.len());
-    let mut total = KernelCost {
-        launches: 1,
-        ..Default::default()
-    };
-    for (r, c) in pairs {
-        results.push(r);
-        total.bytes_read += c.bytes_read;
-        total.bytes_written += c.bytes_written;
-        total.ops += c.ops;
-    }
-    let elapsed = model.kernel_time(total);
-    clock.advance(elapsed);
-    (results, elapsed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::warp::WARP_SIZE;
 
+    /// The launch as a plain loop over the warps on one thread: the
+    /// reference every parallel launch must reproduce.
+    fn sequential_launch<T: Default + Clone, R>(
+        warps: usize,
+        slots: usize,
+        kernel: impl Fn(Warp, &mut [T]) -> (usize, R),
+    ) -> (Vec<(usize, R)>, Vec<T>) {
+        let mut flat = vec![T::default(); warps * slots];
+        let spans = flat
+            .chunks_mut(slots)
+            .enumerate()
+            .map(|(w, slot)| kernel(Warp::new(w), slot))
+            .collect();
+        (spans, flat)
+    }
+
     #[test]
     fn parallel_and_sequential_launches_agree() {
-        let work = |warp: Warp| {
+        let lane_sum = |warp: Warp, _: &mut [u64]| {
             let regs: [u64; WARP_SIZE] = std::array::from_fn(|l| (warp.warp_id * 100 + l) as u64);
-            warp.reduce_sum(&regs)
+            (0, regs.iter().sum::<u64>())
         };
-        let par = launch_warps(LaunchConfig::new(64), work);
-        let seq = launch_warps(LaunchConfig::sequential(64), work);
-        assert_eq!(par, seq);
+        let mut flat = Vec::new();
+        let par = launch_warps_into(64, 1, &mut flat, lane_sum);
+        assert_eq!(par, sequential_launch(64, 1, lane_sum).0);
         assert_eq!(par.len(), 64);
-        assert_eq!(par[0], (0..32).sum::<u64>());
+        assert_eq!(par[0].1, (0..32).sum::<u64>());
     }
 
     #[test]
     fn empty_launch_returns_nothing() {
-        let out: Vec<u32> = launch_warps(LaunchConfig::new(0), |_| 1u32);
-        assert!(out.is_empty());
+        // A buffer that holds an earlier launch's items is emptied too.
+        let mut flat = vec![7u32; 12];
+        let spans = launch_warps_into(0, 4, &mut flat, |_, _| (0, 1u32));
+        assert!(spans.is_empty());
+        assert!(flat.is_empty());
     }
 
     #[test]
     fn results_are_in_warp_order() {
-        let out = launch_warps(LaunchConfig::new(1000), |w| w.warp_id);
-        assert_eq!(out, (0..1000).collect::<Vec<_>>());
+        let mut flat: Vec<u8> = Vec::new();
+        let out = launch_warps_into(1000, 1, &mut flat, |w: Warp, _: &mut [u8]| (0, w.warp_id));
+        let ids: Vec<usize> = out.into_iter().map(|(_, id)| id).collect();
+        assert_eq!(ids, (0..1000).collect::<Vec<_>>());
     }
 
     #[test]
     fn flat_buffer_launch_matches_owned_launch() {
         // Each warp writes warp_id copies of its id (capped at the slot
-        // count); the flat layout must agree with the owned-Vec launch.
+        // count); the flat layout must agree with the sequential loop.
         let slots = 8usize;
         let work = |warp: Warp, out: &mut [u64]| {
             let n = (warp.warp_id % (slots + 1)).min(out.len());
@@ -200,10 +141,8 @@ mod tests {
             (n, warp.warp_id)
         };
         let mut flat = Vec::new();
-        let spans = launch_warps_into(LaunchConfig::new(100), slots, &mut flat, work);
-        let mut flat_seq = Vec::new();
-        let spans_seq =
-            launch_warps_into(LaunchConfig::sequential(100), slots, &mut flat_seq, work);
+        let spans = launch_warps_into(100, slots, &mut flat, work);
+        let (spans_seq, flat_seq) = sequential_launch(100, slots, work);
         assert_eq!(spans, spans_seq);
         assert_eq!(flat, flat_seq);
         assert_eq!(flat.len(), 100 * slots);
@@ -216,35 +155,15 @@ mod tests {
         }
         // The buffer allocation is reused across launches.
         let cap = flat.capacity();
-        launch_warps_into(LaunchConfig::new(50), slots, &mut flat, work);
+        launch_warps_into(50, slots, &mut flat, work);
         assert_eq!(flat.capacity(), cap);
     }
 
     #[test]
     fn flat_buffer_empty_launch() {
         let mut flat: Vec<u32> = Vec::new();
-        let spans = launch_warps_into(LaunchConfig::new(0), 4, &mut flat, |_, _| (0, ()));
+        let spans = launch_warps_into(0, 4, &mut flat, |_, _| (0, ()));
         assert!(spans.is_empty());
         assert!(flat.is_empty());
-    }
-
-    #[test]
-    fn clocked_launch_accumulates_cost() {
-        let clock = DeviceClock::new();
-        let model = CostModel {
-            memory_bandwidth: 1e9,
-            op_throughput: 1e9,
-            transfer_bandwidth: 1e9,
-            peer_bandwidth: 1e9,
-            launch_overhead: 0.0,
-        };
-        let (results, elapsed) =
-            launch_warps_with_clock(LaunchConfig::new(100), &clock, &model, |w| {
-                (w.warp_id, KernelCost::memory(1_000_000, 0))
-            });
-        assert_eq!(results.len(), 100);
-        // 100 MB at 1 GB/s = 0.1 s.
-        assert!((elapsed.as_secs_f64() - 0.1).abs() < 1e-6);
-        assert_eq!(clock.now(), elapsed);
     }
 }

@@ -1,92 +1,35 @@
-//! RAII device buffers.
+//! RAII device memory reservations.
 //!
-//! A [`DeviceBuffer`] owns host-side storage that *models* a device-resident
-//! array: its size is charged against the owning [`Device`]'s capacity for as
-//! long as it lives. The build/query pipelines allocate their per-batch
-//! staging buffers through this type, which reproduces the memory-occupancy
-//! behaviour described in §5.2 ("allocating memory for all steps needed for
-//! processing a single batch of sequences on each GPU").
+//! A [`Reservation`] charges a number of bytes against a [`Device`]'s
+//! capacity for as long as it lives and holds no data: the simulated
+//! device's arrays live in host memory, only their footprint is accounted.
+//! The GPU builder reserves each device's statically allocated hash table
+//! this way, which reproduces the capacity pressure described in §4.3 and
+//! §5.1: a partition that does not fit fails the build.
 
 use std::sync::Arc;
 
 use crate::device::{Device, DeviceError};
 
-/// A typed device-resident buffer with RAII deallocation.
+/// Bytes of device memory held from creation until drop.
 #[derive(Debug)]
-pub struct DeviceBuffer<T> {
+pub struct Reservation {
     device: Arc<Device>,
-    data: Vec<T>,
     bytes: u64,
 }
 
-impl<T: Default + Clone> DeviceBuffer<T> {
-    /// Allocate a zero-initialised buffer of `len` elements on `device`.
-    pub fn zeroed(device: Arc<Device>, len: usize) -> Result<Self, DeviceError> {
-        let bytes = (len * std::mem::size_of::<T>()) as u64;
+impl Reservation {
+    /// Reserve `bytes` on `device`; fails, charging nothing, if they do not
+    /// fit in the device's remaining memory.
+    pub fn new(device: Arc<Device>, bytes: u64) -> Result<Self, DeviceError> {
         device.allocate(bytes)?;
-        Ok(Self {
-            device,
-            data: vec![T::default(); len],
-            bytes,
-        })
+        Ok(Self { device, bytes })
     }
 }
 
-impl<T> DeviceBuffer<T> {
-    /// "Upload" host data to the device (charges capacity, takes ownership).
-    pub fn from_host(device: Arc<Device>, data: Vec<T>) -> Result<Self, DeviceError> {
-        let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-        device.allocate(bytes)?;
-        Ok(Self {
-            device,
-            data,
-            bytes,
-        })
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Size in bytes charged to the device.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// The owning device.
-    pub fn device(&self) -> &Arc<Device> {
-        &self.device
-    }
-
-    /// Read-only view of the contents.
-    pub fn as_slice(&self) -> &[T] {
-        &self.data
-    }
-
-    /// Mutable view of the contents.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
-    /// "Download" the contents back to the host, freeing the device memory.
-    pub fn into_host(mut self) -> Vec<T> {
-        let _ = self.device.free(self.bytes);
-        self.bytes = 0;
-        std::mem::take(&mut self.data)
-    }
-}
-
-impl<T> Drop for DeviceBuffer<T> {
+impl Drop for Reservation {
     fn drop(&mut self) {
-        if self.bytes > 0 {
-            let _ = self.device.free(self.bytes);
-        }
+        let _ = self.device.free(self.bytes);
     }
 }
 
@@ -99,36 +42,16 @@ mod tests {
     fn allocation_charges_and_drop_releases() {
         let dev = Device::new(DeviceInfo::with_capacity(0, 1 << 20));
         {
-            let buf = DeviceBuffer::<u64>::zeroed(Arc::clone(&dev), 1024).unwrap();
-            assert_eq!(buf.len(), 1024);
-            assert_eq!(buf.bytes(), 8192);
+            let _reservation = Reservation::new(Arc::clone(&dev), 8192).unwrap();
             assert_eq!(dev.allocated(), 8192);
         }
         assert_eq!(dev.allocated(), 0);
     }
 
     #[test]
-    fn from_host_and_into_host_roundtrip() {
-        let dev = Device::new(DeviceInfo::with_capacity(0, 1 << 20));
-        let buf = DeviceBuffer::from_host(Arc::clone(&dev), vec![1u32, 2, 3]).unwrap();
-        assert_eq!(dev.allocated(), 12);
-        let back = buf.into_host();
-        assert_eq!(back, vec![1, 2, 3]);
-        assert_eq!(dev.allocated(), 0);
-    }
-
-    #[test]
     fn oom_when_capacity_exceeded() {
         let dev = Device::new(DeviceInfo::with_capacity(0, 100));
-        assert!(DeviceBuffer::<u64>::zeroed(Arc::clone(&dev), 1000).is_err());
+        assert!(Reservation::new(Arc::clone(&dev), 8000).is_err());
         assert_eq!(dev.allocated(), 0);
-    }
-
-    #[test]
-    fn mutation_through_slice() {
-        let dev = Device::new(DeviceInfo::with_capacity(0, 1 << 20));
-        let mut buf = DeviceBuffer::<u64>::zeroed(Arc::clone(&dev), 8).unwrap();
-        buf.as_mut_slice()[3] = 42;
-        assert_eq!(buf.as_slice()[3], 42);
     }
 }

@@ -4,9 +4,9 @@
 //! NVLink (a DGX-1), queries every partition, and merges the per-device top
 //! hits along a device ring (Figure 2; §4.2 "each GPU generates its own top
 //! hits … which are then sent to the next GPU and merged with its local top
-//! hits"). [`MultiGpuSystem`] models the node: a set of [`Device`]s, a
-//! topology, and helpers for ring/all-to-all transfers whose time is charged
-//! to the participating devices' clocks.
+//! hits"). [`MultiGpuSystem`] models the node: a set of [`Device`]s, one
+//! stream per device, and peer copies whose time is charged to both
+//! participating devices' clocks.
 
 use std::sync::Arc;
 
@@ -14,36 +14,22 @@ use crate::clock::SimDuration;
 use crate::device::{Device, DeviceInfo};
 use crate::stream::Stream;
 
-/// Interconnect topology between the devices of a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Topology {
-    /// All devices pairwise connected with NVLink (DGX-1 style for ≤ 8 GPUs).
-    DenseNvlink,
-    /// Devices connected through host PCIe only.
-    PcieOnly,
-}
-
 /// A node with several simulated devices.
 #[derive(Debug)]
 pub struct MultiGpuSystem {
     devices: Vec<Arc<Device>>,
-    topology: Topology,
 }
 
 impl MultiGpuSystem {
     /// Create a system of `count` V100-like devices.
     pub fn dgx1(count: usize) -> Self {
-        Self::new(
-            (0..count).map(DeviceInfo::v100).collect(),
-            Topology::DenseNvlink,
-        )
+        Self::new((0..count).map(DeviceInfo::v100).collect())
     }
 
     /// Create a system from explicit device descriptions.
-    pub fn new(infos: Vec<DeviceInfo>, topology: Topology) -> Self {
+    pub fn new(infos: Vec<DeviceInfo>) -> Self {
         Self {
             devices: infos.into_iter().map(Device::new).collect(),
-            topology,
         }
     }
 
@@ -62,60 +48,16 @@ impl MultiGpuSystem {
         &self.devices[id]
     }
 
-    /// The topology.
-    pub fn topology(&self) -> Topology {
-        self.topology
-    }
-
-    /// Total memory capacity across all devices.
-    pub fn total_capacity(&self) -> u64 {
-        self.devices.iter().map(|d| d.info().memory_capacity).sum()
-    }
-
-    /// Total memory currently allocated across all devices.
-    pub fn total_allocated(&self) -> u64 {
-        self.devices.iter().map(|d| d.allocated()).sum()
-    }
-
-    /// The id of the next device in the ring (used by the query pipeline's
-    /// top-hit merge chain).
-    pub fn next_in_ring(&self, device_id: usize) -> usize {
-        (device_id + 1) % self.devices.len().max(1)
-    }
-
-    /// Model a peer-to-peer copy of `bytes` from `src` to `dst`, charging the
-    /// time to both devices' clocks. Returns the transfer duration.
+    /// Model a peer-to-peer (NVLink) copy of `bytes` from `src` to `dst`,
+    /// charging the time to both devices' clocks. Returns the transfer
+    /// duration.
     pub fn peer_copy(&self, src: usize, dst: usize, bytes: u64) -> SimDuration {
         let src_dev = &self.devices[src];
         let dst_dev = &self.devices[dst];
-        let duration = match self.topology {
-            Topology::DenseNvlink => src_dev.cost_model().peer_transfer_time(bytes),
-            Topology::PcieOnly => src_dev.cost_model().transfer_time(bytes),
-        };
+        let duration = src_dev.cost_model().peer_transfer_time(bytes);
         src_dev.clock().advance(duration);
         dst_dev.clock().advance(duration);
         duration
-    }
-
-    /// Model an all-to-all exchange where every device sends `bytes_per_pair`
-    /// to every other device (the gossip-style primitive used when sketches
-    /// are broadcast to all partitions). Returns the slowest device's added
-    /// time.
-    pub fn all_to_all(&self, bytes_per_pair: u64) -> SimDuration {
-        let n = self.devices.len();
-        if n < 2 {
-            return SimDuration::ZERO;
-        }
-        let mut max = SimDuration::ZERO;
-        for src in 0..n {
-            for dst in 0..n {
-                if src != dst {
-                    let d = self.peer_copy(src, dst, bytes_per_pair);
-                    max = max.max(d);
-                }
-            }
-        }
-        max
     }
 
     /// Create one stream per device.
@@ -149,15 +91,11 @@ mod tests {
     fn dgx1_has_requested_devices() {
         let sys = MultiGpuSystem::dgx1(8);
         assert_eq!(sys.device_count(), 8);
-        assert_eq!(sys.total_capacity(), 8 * 32 * (1 << 30));
-        assert_eq!(sys.topology(), Topology::DenseNvlink);
-    }
-
-    #[test]
-    fn ring_wraps_around() {
-        let sys = MultiGpuSystem::dgx1(4);
-        assert_eq!(sys.next_in_ring(0), 1);
-        assert_eq!(sys.next_in_ring(3), 0);
+        // Each device holds 32 GB and not one byte more.
+        for device in sys.devices() {
+            device.allocate(32 * (1 << 30)).unwrap();
+            assert!(device.allocate(1).is_err());
+        }
     }
 
     #[test]
@@ -167,23 +105,6 @@ mod tests {
         assert!(d.as_secs_f64() > 0.9 && d.as_secs_f64() < 1.1);
         assert!(sys.device(0).clock().now() >= d);
         assert!(sys.device(1).clock().now() >= d);
-    }
-
-    #[test]
-    fn pcie_topology_is_slower_than_nvlink() {
-        let nv = MultiGpuSystem::dgx1(2);
-        let pcie = MultiGpuSystem::new(
-            vec![DeviceInfo::v100(0), DeviceInfo::v100(1)],
-            Topology::PcieOnly,
-        );
-        let bytes = 10_000_000_000;
-        assert!(pcie.peer_copy(0, 1, bytes) > nv.peer_copy(0, 1, bytes));
-    }
-
-    #[test]
-    fn all_to_all_on_single_device_is_free() {
-        let sys = MultiGpuSystem::dgx1(1);
-        assert_eq!(sys.all_to_all(1 << 30), SimDuration::ZERO);
     }
 
     #[test]
@@ -205,6 +126,14 @@ mod tests {
         let sys = MultiGpuSystem::dgx1(4);
         let streams = sys.streams();
         assert_eq!(streams.len(), 4);
-        assert_eq!(streams[2].device().id(), 2);
+        // Stream 2 runs on device 2: its work advances that clock only.
+        streams[2].transfer(1 << 20);
+        for (d, device) in sys.devices().iter().enumerate() {
+            assert_eq!(
+                device.clock().now() > SimDuration::ZERO,
+                d == 2,
+                "device {d}"
+            );
+        }
     }
 }

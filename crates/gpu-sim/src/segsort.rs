@@ -108,42 +108,6 @@ pub fn segmented_sort(keys: &mut [u64], segments: &[usize]) -> SegmentedSortStat
     stats
 }
 
-/// Sort each segment of `keys` and apply the same permutation to `payload`
-/// (used by tests and by the top-candidate stage when locations carry
-/// auxiliary data).
-pub fn segmented_sort_by_key(
-    keys: &mut [u64],
-    payload: &mut [u64],
-    segments: &[usize],
-) -> SegmentedSortStats {
-    assert_eq!(keys.len(), payload.len());
-    if segments.len() < 2 {
-        return SegmentedSortStats::default();
-    }
-    let stats = SegmentedSortStats {
-        total_keys: keys.len(),
-        ..Default::default()
-    };
-    let mut full = stats;
-    for window in segments.windows(2) {
-        let (start, end) = (window[0], window[1]);
-        let seg_len = end - start;
-        match seg_len {
-            0 | 1 => {}
-            l if l <= WARP_SIZE => full.warp_segments += 1,
-            l if l <= 1024 => full.block_segments += 1,
-            _ => full.global_segments += 1,
-        }
-        let mut idx: Vec<usize> = (start..end).collect();
-        idx.sort_by_key(|&i| keys[i]);
-        let sorted_keys: Vec<u64> = idx.iter().map(|&i| keys[i]).collect();
-        let sorted_payload: Vec<u64> = idx.iter().map(|&i| payload[i]).collect();
-        keys[start..end].copy_from_slice(&sorted_keys);
-        payload[start..end].copy_from_slice(&sorted_payload);
-    }
-    full
-}
-
 /// Sort a segment of at most [`WARP_SIZE`] keys with the warp's register
 /// bitonic network (padding with `u64::MAX`).
 fn warp_sort(seg: &mut [u64]) {
@@ -262,15 +226,6 @@ mod tests {
     fn wrong_final_boundary_panics() {
         let mut keys = vec![3u64, 1, 2];
         segmented_sort(&mut keys, &[0, 2]);
-    }
-
-    #[test]
-    fn sort_by_key_applies_same_permutation() {
-        let mut keys = vec![5u64, 1, 4, 100, 50, 75];
-        let mut payload = vec![50u64, 10, 40, 1000, 500, 750];
-        segmented_sort_by_key(&mut keys, &mut payload, &[0, 3, 6]);
-        assert_eq!(keys, vec![1, 4, 5, 50, 75, 100]);
-        assert_eq!(payload, vec![10, 40, 50, 500, 750, 1000]);
     }
 
     #[test]

@@ -1,12 +1,10 @@
-//! Streams and events.
+//! Streams.
 //!
-//! The GPU pipeline of §5.2 processes batches through a chain of kernels and
-//! uses "CUDA events … to orchestrate the pipeline, signaling when a stream
-//! has to wait or can continue work using the same memory resources as its
-//! predecessor". In the simulation a [`Stream`] is an in-order sequence of
-//! operations on one device's clock, and an [`Event`] records the stream's
-//! simulated timestamp; waiting on an event advances the waiting stream's
-//! clock to at least that timestamp (never backwards).
+//! The GPU pipeline of §5.2 processes batches through a chain of kernels on
+//! per-device streams, so that the transfers and kernels of concurrent
+//! batches overlap. In the simulation a [`Stream`] is an in-order sequence of
+//! transfers and kernels with its own simulated position, each of which also
+//! advances its device's clock.
 
 use std::sync::Arc;
 
@@ -14,19 +12,6 @@ use parking_lot::Mutex;
 
 use crate::clock::{CostModel, KernelCost, SimDuration};
 use crate::device::Device;
-
-/// A recorded synchronisation point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Event {
-    timestamp: SimDuration,
-}
-
-impl Event {
-    /// The simulated time at which the event was recorded.
-    pub fn timestamp(&self) -> SimDuration {
-        self.timestamp
-    }
-}
 
 /// An in-order work queue bound to one device.
 ///
@@ -46,11 +31,6 @@ impl Stream {
             device,
             position: Arc::new(Mutex::new(SimDuration::ZERO)),
         }
-    }
-
-    /// The stream's device.
-    pub fn device(&self) -> &Arc<Device> {
-        &self.device
     }
 
     /// The stream's current simulated position.
@@ -82,31 +62,6 @@ impl Stream {
     pub fn transfer(&self, bytes: u64) -> SimDuration {
         let time = self.cost_model().transfer_time(bytes);
         self.advance(time)
-    }
-
-    /// Enqueue a device↔device (peer) transfer of `bytes`.
-    pub fn peer_transfer(&self, bytes: u64) -> SimDuration {
-        let time = self.cost_model().peer_transfer_time(bytes);
-        self.advance(time)
-    }
-
-    /// Record an event at the stream's current position.
-    pub fn record_event(&self) -> Event {
-        Event {
-            timestamp: self.position(),
-        }
-    }
-
-    /// Make this stream wait for an event recorded on another stream: the
-    /// stream's position is advanced to the event's timestamp if it is
-    /// currently behind it.
-    pub fn wait_event(&self, event: Event) {
-        let mut pos = self.position.lock();
-        if *pos < event.timestamp {
-            let gap = SimDuration::from_nanos(event.timestamp.as_nanos() - pos.as_nanos());
-            *pos = event.timestamp;
-            self.device.clock().advance(gap);
-        }
     }
 }
 
@@ -144,24 +99,6 @@ mod tests {
         let stream = Stream::new(test_device());
         stream.transfer(100_000_000); // 1 s at 1e8 B/s
         assert!((stream.position().as_secs_f64() - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn events_synchronise_streams() {
-        let dev = test_device();
-        let a = Stream::new(Arc::clone(&dev));
-        let b = Stream::new(Arc::clone(&dev));
-        a.launch_kernel(KernelCost::memory(2_000_000_000, 0)); // 2 s
-        let event = a.record_event();
-        assert_eq!(b.position(), SimDuration::ZERO);
-        b.wait_event(event);
-        assert!((b.position().as_secs_f64() - 2.0).abs() < 1e-6);
-        // Waiting on an event in the past does nothing.
-        let early = Event {
-            timestamp: SimDuration::from_secs_f64(0.5),
-        };
-        b.wait_event(early);
-        assert!((b.position().as_secs_f64() - 2.0).abs() < 1e-6);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The warp model: 32 SIMT lanes with shuffles, ballots, reductions and an
-//! in-register bitonic sort.
+//! The warp model: 32 SIMT lanes with an in-register bitonic sort and the
+//! duplicate removal that follows it.
 //!
 //! The paper's kernels are formulated warp-cooperatively: "We employ groups
 //! of 32 threads (so-called warps) to tackle the same problem" (§5.2), k-mers
@@ -24,83 +24,10 @@ pub struct Warp {
 }
 
 impl Warp {
-    /// Create a warp handle (normally done by [`crate::launch::launch_warps`]).
+    /// Create a warp handle (normally done by
+    /// [`crate::launch::launch_warps_into`]).
     pub fn new(warp_id: usize) -> Self {
         Self { warp_id }
-    }
-
-    /// `__shfl_xor_sync`: every lane receives the register of the lane whose
-    /// index differs by `mask`.
-    pub fn shfl_xor<T: Copy>(&self, regs: &[T; WARP_SIZE], mask: usize) -> [T; WARP_SIZE] {
-        std::array::from_fn(|lane| regs[lane ^ (mask & (WARP_SIZE - 1))])
-    }
-
-    /// `__shfl_sync` with an explicit source lane per lane.
-    pub fn shfl_idx<T: Copy>(
-        &self,
-        regs: &[T; WARP_SIZE],
-        src_lane: &[usize; WARP_SIZE],
-    ) -> [T; WARP_SIZE] {
-        std::array::from_fn(|lane| regs[src_lane[lane] & (WARP_SIZE - 1)])
-    }
-
-    /// `__shfl_down_sync`: lane `i` receives the register of lane `i + delta`
-    /// (lanes shifted past the end keep their own value).
-    pub fn shfl_down<T: Copy>(&self, regs: &[T; WARP_SIZE], delta: usize) -> [T; WARP_SIZE] {
-        std::array::from_fn(|lane| {
-            let src = lane + delta;
-            if src < WARP_SIZE {
-                regs[src]
-            } else {
-                regs[lane]
-            }
-        })
-    }
-
-    /// `__shfl_up_sync`: lane `i` receives the register of lane `i - delta`.
-    pub fn shfl_up<T: Copy>(&self, regs: &[T; WARP_SIZE], delta: usize) -> [T; WARP_SIZE] {
-        std::array::from_fn(|lane| {
-            if lane >= delta {
-                regs[lane - delta]
-            } else {
-                regs[lane]
-            }
-        })
-    }
-
-    /// `__ballot_sync`: one bit per lane, set where the predicate holds.
-    pub fn ballot(&self, predicate: &[bool; WARP_SIZE]) -> u32 {
-        predicate
-            .iter()
-            .enumerate()
-            .fold(0u32, |acc, (lane, &p)| acc | ((p as u32) << lane))
-    }
-
-    /// Warp-wide minimum reduction.
-    pub fn reduce_min<T: Copy + Ord>(&self, regs: &[T; WARP_SIZE]) -> T {
-        *regs.iter().min().expect("warp is never empty")
-    }
-
-    /// Warp-wide maximum reduction.
-    pub fn reduce_max<T: Copy + Ord>(&self, regs: &[T; WARP_SIZE]) -> T {
-        *regs.iter().max().expect("warp is never empty")
-    }
-
-    /// Warp-wide sum reduction.
-    pub fn reduce_sum(&self, regs: &[u64; WARP_SIZE]) -> u64 {
-        regs.iter().copied().fold(0u64, u64::wrapping_add)
-    }
-
-    /// Exclusive prefix sum across the warp (lane `i` receives the sum of
-    /// lanes `0..i`).
-    pub fn exclusive_scan(&self, regs: &[u64; WARP_SIZE]) -> [u64; WARP_SIZE] {
-        let mut out = [0u64; WARP_SIZE];
-        let mut acc = 0u64;
-        for lane in 0..WARP_SIZE {
-            out[lane] = acc;
-            acc = acc.wrapping_add(regs[lane]);
-        }
-        out
     }
 
     /// In-register bitonic sort of one value per lane (ascending), as used to
@@ -123,32 +50,6 @@ impl Warp {
                             || (!ascending && regs[i] < regs[partner])
                         {
                             regs.swap(i, partner);
-                        }
-                    }
-                }
-                j /= 2;
-            }
-            k *= 2;
-        }
-    }
-
-    /// Sort `WARP_SIZE` key/payload register pairs by key (ascending) using
-    /// the same bitonic network.
-    pub fn bitonic_sort_pairs(&self, keys: &mut [u64; WARP_SIZE], payload: &mut [u64; WARP_SIZE]) {
-        let n = WARP_SIZE;
-        let mut k = 2;
-        while k <= n {
-            let mut j = k / 2;
-            while j > 0 {
-                for i in 0..n {
-                    let partner = i ^ j;
-                    if partner > i {
-                        let ascending = (i & k) == 0;
-                        if (ascending && keys[i] > keys[partner])
-                            || (!ascending && keys[i] < keys[partner])
-                        {
-                            keys.swap(i, partner);
-                            payload.swap(i, partner);
                         }
                     }
                 }
@@ -189,71 +90,6 @@ mod tests {
         Warp::new(0)
     }
 
-    fn seq_regs() -> [u64; WARP_SIZE] {
-        std::array::from_fn(|i| i as u64)
-    }
-
-    #[test]
-    fn shfl_xor_swaps_pairs() {
-        let w = warp();
-        let out = w.shfl_xor(&seq_regs(), 1);
-        assert_eq!(out[0], 1);
-        assert_eq!(out[1], 0);
-        assert_eq!(out[30], 31);
-        assert_eq!(out[31], 30);
-        // XOR with 16 exchanges half-warps.
-        let out = w.shfl_xor(&seq_regs(), 16);
-        assert_eq!(out[0], 16);
-        assert_eq!(out[16], 0);
-    }
-
-    #[test]
-    fn shfl_up_down_shift_lanes() {
-        let w = warp();
-        let down = w.shfl_down(&seq_regs(), 4);
-        assert_eq!(down[0], 4);
-        assert_eq!(down[27], 31);
-        assert_eq!(down[28], 28); // out of range keeps own value
-        let up = w.shfl_up(&seq_regs(), 4);
-        assert_eq!(up[4], 0);
-        assert_eq!(up[31], 27);
-        assert_eq!(up[0], 0);
-    }
-
-    #[test]
-    fn shfl_idx_gathers() {
-        let w = warp();
-        let src: [usize; WARP_SIZE] = std::array::from_fn(|i| (i + 2) % WARP_SIZE);
-        let out = w.shfl_idx(&seq_regs(), &src);
-        assert_eq!(out[0], 2);
-        assert_eq!(out[31], 1);
-    }
-
-    #[test]
-    fn ballot_sets_lane_bits() {
-        let w = warp();
-        let pred: [bool; WARP_SIZE] = std::array::from_fn(|i| i % 2 == 0);
-        assert_eq!(w.ballot(&pred), 0x5555_5555);
-        let none = [false; WARP_SIZE];
-        assert_eq!(w.ballot(&none), 0);
-        let all = [true; WARP_SIZE];
-        assert_eq!(w.ballot(&all), u32::MAX);
-    }
-
-    #[test]
-    fn reductions_and_scan() {
-        let w = warp();
-        let regs = seq_regs();
-        assert_eq!(w.reduce_min(&regs), 0);
-        assert_eq!(w.reduce_max(&regs), 31);
-        assert_eq!(w.reduce_sum(&regs), (0..32).sum::<u64>());
-        let scan = w.exclusive_scan(&regs);
-        assert_eq!(scan[0], 0);
-        assert_eq!(scan[1], 0);
-        assert_eq!(scan[2], 1);
-        assert_eq!(scan[31], (0..31).sum::<u64>());
-    }
-
     #[test]
     fn bitonic_sort_sorts_any_permutation() {
         let w = warp();
@@ -268,18 +104,6 @@ mod tests {
             w.bitonic_sort(&mut regs);
             assert_eq!(regs, expected);
         }
-    }
-
-    #[test]
-    fn bitonic_sort_pairs_keeps_payload_attached() {
-        let w = warp();
-        let mut keys: [u64; WARP_SIZE] = std::array::from_fn(|i| ((31 - i) as u64) * 10);
-        let mut payload: [u64; WARP_SIZE] = std::array::from_fn(|i| (31 - i) as u64);
-        w.bitonic_sort_pairs(&mut keys, &mut payload);
-        for lane in 0..WARP_SIZE {
-            assert_eq!(keys[lane], payload[lane] * 10);
-        }
-        assert!(keys.windows(2).all(|p| p[0] <= p[1]));
     }
 
     #[test]

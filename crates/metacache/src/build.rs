@@ -27,9 +27,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-use mc_gpu_sim::{
-    launch_warps_into, DeviceBuffer, KernelCost, LaunchConfig, MultiGpuSystem, SimDuration, Warp,
-};
+use mc_gpu_sim::{launch_warps_into, KernelCost, MultiGpuSystem, Reservation, SimDuration, Warp};
 use mc_kmer::{Feature, Location, TargetId};
 use mc_seqio::SequenceRecord;
 use mc_taxonomy::{TaxonId, Taxonomy};
@@ -501,7 +499,7 @@ struct GpuPartitionState {
     targets: Vec<TargetId>,
     /// Keeps the table's bytes charged against the device for the lifetime of
     /// the build.
-    _reservation: DeviceBuffer<u8>,
+    _reservation: Reservation,
 }
 
 impl<'sys> GpuBuilder<'sys> {
@@ -526,7 +524,7 @@ impl<'sys> GpuBuilder<'sys> {
             let table = MultiBucketHashTable::new(table_config);
             // Charge the (statically allocated, §5.1) table against the
             // device's memory; fails if the database partition does not fit.
-            let reservation = DeviceBuffer::<u8>::zeroed(Arc::clone(device), table.bytes())?;
+            let reservation = Reservation::new(Arc::clone(device), table.bytes() as u64)?;
             partitions.push(GpuPartitionState {
                 table,
                 targets: Vec::new(),
@@ -546,8 +544,9 @@ impl<'sys> GpuBuilder<'sys> {
         })
     }
 
-    /// Add one reference target; it is assigned to the least-loaded device
-    /// (by bases inserted so far) and never split across devices.
+    /// Add one reference target; targets are assigned to the devices
+    /// round-robin in the order they are added (the `i`-th target to device
+    /// `i % device_count`), and a target is never split across devices.
     pub fn add_target(
         &mut self,
         record: SequenceRecord,
@@ -576,7 +575,7 @@ impl<'sys> GpuBuilder<'sys> {
         // One warp per window, all features written into one flat per-launch
         // buffer (reused across targets) instead of an owned Vec per window.
         let sketches: Vec<(usize, KernelCost)> = launch_warps_into(
-            LaunchConfig::new(windows as usize),
+            windows as usize,
             sketch_size,
             &mut self.feature_buf,
             |warp: Warp, slot: &mut [mc_kmer::Feature]| {
@@ -671,13 +670,17 @@ impl<'sys> GpuBuilder<'sys> {
 }
 
 /// Estimate the number of (feature, location) pairs a set of records will
-/// insert — used to size the per-device tables before a GPU build.
-pub fn estimate_locations(config: &MetaCacheConfig, records: &[SequenceRecord]) -> usize {
-    let sketcher = Sketcher::new(config).expect("valid config");
-    records
+/// insert — used to size the per-device tables before a GPU build. Fails
+/// with [`MetaCacheError::Config`] on a configuration the builders reject.
+pub fn estimate_locations(
+    config: &MetaCacheConfig,
+    records: &[SequenceRecord],
+) -> Result<usize, MetaCacheError> {
+    let sketcher = Sketcher::new(config)?;
+    Ok(records
         .iter()
         .map(|r| sketcher.num_windows(r.sequence.len()) as usize * config.sketch_size)
-        .sum()
+        .sum())
 }
 
 #[cfg(test)]
@@ -980,7 +983,7 @@ mod tests {
         let records: Vec<SequenceRecord> = (0..8)
             .map(|i| SequenceRecord::new(format!("g{i}"), make_seq(8_000, i as u64 + 10)))
             .collect();
-        let expected = estimate_locations(&MetaCacheConfig::for_tests(), &records);
+        let expected = estimate_locations(&MetaCacheConfig::for_tests(), &records).unwrap();
         let mut builder = GpuBuilder::new(
             MetaCacheConfig::for_tests(),
             taxonomy(),
@@ -988,6 +991,11 @@ mod tests {
             expected / 4 + 1024,
         )
         .unwrap();
+        // While the builder lives, each device holds exactly its table.
+        for (device, partition) in system.devices().iter().zip(&builder.partitions) {
+            assert_eq!(device.allocated(), partition.table.bytes() as u64);
+            assert!(device.allocated() > 0);
+        }
         for record in records {
             let taxon = if record.id().as_bytes()[1] % 2 == 0 {
                 100
@@ -1000,6 +1008,10 @@ mod tests {
         assert!(stats.sim_build_time > SimDuration::ZERO);
         assert!(stats.bytes_to_device >= 8 * 8_000);
         let db = builder.finish();
+        // `finish` releases every device's reservation.
+        for device in system.devices() {
+            assert_eq!(device.allocated(), 0);
+        }
         assert_eq!(db.partition_count(), 4);
         assert_eq!(db.target_count(), 8);
         // Every partition got 2 of the 8 targets (round-robin assignment).
@@ -1026,7 +1038,6 @@ mod tests {
             (0..2)
                 .map(|i| mc_gpu_sim::DeviceInfo::with_capacity(i, 1 << 20))
                 .collect(),
-            mc_gpu_sim::Topology::DenseNvlink,
         );
         let result = GpuBuilder::new(
             MetaCacheConfig::for_tests(),
@@ -1035,6 +1046,20 @@ mod tests {
             10_000_000,
         );
         assert!(matches!(result, Err(MetaCacheError::Device(_))));
+        // Device 0 holds its table, device 1 does not: the build fails at
+        // device 1 and releases what device 0 had reserved.
+        let system = MultiGpuSystem::new(vec![
+            mc_gpu_sim::DeviceInfo::v100(0),
+            mc_gpu_sim::DeviceInfo::with_capacity(1, 1 << 20),
+        ]);
+        let result = GpuBuilder::new(
+            MetaCacheConfig::for_tests(),
+            taxonomy(),
+            &system,
+            10_000_000,
+        );
+        assert!(matches!(result, Err(MetaCacheError::Device(_))));
+        assert_eq!(system.device(0).allocated(), 0);
     }
 
     #[test]
@@ -1045,7 +1070,7 @@ mod tests {
             .collect();
         let config = MetaCacheConfig::for_tests();
         let mut cpu = CpuBuilder::new(config, taxonomy());
-        let expected = estimate_locations(&config, &records);
+        let expected = estimate_locations(&config, &records).unwrap();
         let mut gpu = GpuBuilder::new(config, taxonomy(), &system, expected).unwrap();
         for record in records {
             cpu.add_target(record.clone(), 100).unwrap();
@@ -1090,7 +1115,7 @@ mod tests {
             })
             .collect();
         let system = MultiGpuSystem::dgx1(2);
-        let expected = estimate_locations(&config, &records);
+        let expected = estimate_locations(&config, &records).unwrap();
         let mut builder = GpuBuilder::new(config, taxonomy(), &system, expected).unwrap();
         for (i, record) in records.into_iter().enumerate() {
             builder.add_target(record, 100 + i as TaxonId % 2).unwrap();
@@ -1195,7 +1220,16 @@ mod tests {
         let records: Vec<SequenceRecord> = (0..3)
             .map(|i| SequenceRecord::new(format!("e{i}"), make_seq(20_000, i as u64 + 50)))
             .collect();
-        let estimate = estimate_locations(&config, &records);
+        let estimate = estimate_locations(&config, &records).unwrap();
+        // A configuration the builders reject is an error, not a panic.
+        let invalid = MetaCacheConfig {
+            sketch_size: 0,
+            ..config
+        };
+        assert!(matches!(
+            estimate_locations(&invalid, &records),
+            Err(MetaCacheError::Config(_))
+        ));
         let mut builder = CpuBuilder::new(config, taxonomy());
         for record in records {
             builder.add_target(record, 100).unwrap();

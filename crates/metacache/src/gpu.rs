@@ -22,11 +22,9 @@
 use std::ops::Deref;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use mc_gpu_sim::{
-    launch_warps_into, segmented_sort, KernelCost, LaunchConfig, MultiGpuSystem, SimDuration,
-    Stream, Warp, WARP_SIZE,
+    launch_warps_into, segmented_sort, KernelCost, MultiGpuSystem, SimDuration, Stream, Warp,
+    WARP_SIZE,
 };
 use mc_kmer::{hash64, Feature, KmerParams, Location};
 use mc_seqio::SequenceRecord;
@@ -69,8 +67,8 @@ thread_local! {
 }
 
 /// Run `f` with this thread's reusable [`WarpSketchScratch`] — per-warp
-/// scratch reuse inside `launch_warps` closures, which execute on a thread
-/// pool and therefore cannot share one mutable scratch.
+/// scratch reuse inside [`launch_warps_into`] kernels, which execute on
+/// several host threads and therefore cannot share one mutable scratch.
 pub fn with_warp_scratch<R>(f: impl FnOnce(&mut WarpSketchScratch) -> R) -> R {
     WARP_SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
 }
@@ -266,7 +264,6 @@ where
     db: D,
     system: S,
     sketcher: Sketcher,
-    breakdown: Mutex<StageBreakdown>,
 }
 
 impl<D, S> GpuClassifier<D, S>
@@ -282,7 +279,6 @@ where
             db,
             system,
             sketcher,
-            breakdown: Mutex::new(StageBreakdown::default()),
         }
     }
 
@@ -294,16 +290,6 @@ where
     /// The simulated device system batches are issued to.
     pub fn system(&self) -> &MultiGpuSystem {
         &self.system
-    }
-
-    /// The accumulated per-stage breakdown over all batches classified so far.
-    pub fn breakdown(&self) -> StageBreakdown {
-        *self.breakdown.lock()
-    }
-
-    /// Reset the accumulated breakdown.
-    pub fn reset_breakdown(&self) {
-        *self.breakdown.lock() = StageBreakdown::default();
     }
 
     /// Classify a batch of reads, returning one classification per read and
@@ -396,7 +382,7 @@ where
         let mut feature_buf: Vec<Feature> =
             QUERY_FEATURE_BUF.with(|b| std::mem::take(&mut *b.borrow_mut()));
         let sketch_spans: Vec<(usize, (usize, KernelCost))> = launch_warps_into(
-            LaunchConfig::new(read_windows.len()),
+            read_windows.len(),
             sketch_size,
             &mut feature_buf,
             |warp: Warp, slot: &mut [Feature]| {
@@ -541,7 +527,6 @@ where
         // Hand the launch buffer back for the thread's next batch.
         QUERY_FEATURE_BUF.with(|b| *b.borrow_mut() = feature_buf);
 
-        self.breakdown.lock().accumulate(&batch_breakdown);
         (per_read_candidates, batch_breakdown)
     }
 
@@ -710,15 +695,14 @@ mod tests {
             .collect();
         let (_, b1) = gpu.classify_batch(&reads);
         let (_, b2) = gpu.classify_batch(&reads);
-        let total = gpu.breakdown();
+        let mut total = b1;
+        total.accumulate(&b2);
         assert_eq!(
             total.total().as_nanos(),
             (b1.total() + b2.total()).as_nanos()
         );
         let shares = total.shares();
         assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        gpu.reset_breakdown();
-        assert_eq!(gpu.breakdown().total(), SimDuration::ZERO);
     }
 
     #[test]

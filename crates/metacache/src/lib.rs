@@ -14,10 +14,12 @@
 //!   count statistic, a sliding-window scan produces candidate regions, and
 //!   the read is assigned either to the top candidate's taxon or to the
 //!   lowest common ancestor of all near-best candidates.
-//! * **Database partitioning** (§4.3) across multiple (simulated) GPUs, the
-//!   **on-the-fly mode** that queries the in-memory table right after
-//!   building, database **serialization** into the `.meta` / `.cache`
-//!   layout, and **abundance estimation** (§6.5).
+//! * **Database partitioning** (§4.3) across multiple (simulated) GPUs, a
+//!   freshly built database that is queried as it is (**on the fly**, with
+//!   no write and load), database **serialization** into the `.meta` /
+//!   `.cache` layout, and **abundance estimation** (§6.5). The runners that
+//!   time the on-the-fly and write + load workflows against each other
+//!   (Table 5, Figure 4) are `mc_bench::pipeline`'s.
 //!
 //! Two execution back ends share the same algorithms:
 //!

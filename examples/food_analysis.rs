@@ -7,6 +7,7 @@
 //!
 //! Run with: `cargo run --release --example food_analysis`
 
+use mc_bench::pipeline::run_on_the_fly;
 use mc_datagen::community::{AfsLikeSpec, RefSeqLikeSpec, ReferenceCollection};
 use mc_datagen::profiles::DatasetProfile;
 use mc_datagen::reads::ReadSimulator;
@@ -14,7 +15,6 @@ use mc_datagen::taxonomy_gen::TaxonomySpec;
 use mc_gpu_sim::MultiGpuSystem;
 use mc_taxonomy::TaxonId;
 use metacache::abundance::AbundanceProfile;
-use metacache::pipeline::run_on_the_fly;
 use metacache::MetaCacheConfig;
 
 fn main() {

@@ -61,7 +61,7 @@ fn main() {
     // MetaCache GPU (4 simulated devices).
     let system = MultiGpuSystem::dgx1(4);
     let records = collection.to_records();
-    let expected = estimate_locations(&config, &records) / 4 + 4096;
+    let expected = estimate_locations(&config, &records).expect("valid config") / 4 + 4096;
     let mut gpu_builder =
         GpuBuilder::new(config, collection.taxonomy.clone(), &system, expected).unwrap();
     for t in &collection.targets {

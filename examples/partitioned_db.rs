@@ -5,12 +5,12 @@
 //!
 //! Run with: `cargo run --release --example partitioned_db`
 
+use mc_bench::pipeline::{run_on_the_fly, run_write_load_query, DiskModel};
 use mc_datagen::community::{RefSeqLikeSpec, ReferenceCollection};
 use mc_datagen::profiles::DatasetProfile;
 use mc_datagen::reads::ReadSimulator;
 use mc_datagen::taxonomy_gen::TaxonomySpec;
 use mc_gpu_sim::MultiGpuSystem;
-use metacache::pipeline::{run_on_the_fly, run_write_load_query, DiskModel};
 use metacache::MetaCacheConfig;
 
 fn main() {

@@ -42,7 +42,7 @@ fn partition_count_does_not_change_classifications_without_capping() {
     let mut calls_per_devices = Vec::new();
     for devices in [1usize, 2, 4] {
         let system = MultiGpuSystem::dgx1(devices);
-        let expected = estimate_locations(&config, &records) / devices + 4096;
+        let expected = estimate_locations(&config, &records).unwrap() / devices + 4096;
         let mut builder =
             GpuBuilder::new(config, collection.taxonomy.clone(), &system, expected).unwrap();
         for t in &collection.targets {
@@ -77,7 +77,7 @@ fn cpu_and_gpu_builders_lead_to_agreeing_classifiers() {
 
     let system = MultiGpuSystem::dgx1(2);
     let records = collection.to_records();
-    let expected = estimate_locations(&config, &records) / 2 + 4096;
+    let expected = estimate_locations(&config, &records).unwrap() / 2 + 4096;
     let mut gpu_builder =
         GpuBuilder::new(config, collection.taxonomy.clone(), &system, expected).unwrap();
     for t in &collection.targets {

@@ -2,6 +2,7 @@
 //! generation → database build → (serialization) → classification →
 //! evaluation, for both execution back ends.
 
+use mc_bench::pipeline::{run_on_the_fly, run_write_load_query, DiskModel};
 use mc_datagen::community::{RefSeqLikeSpec, ReferenceCollection};
 use mc_datagen::profiles::DatasetProfile;
 use mc_datagen::reads::ReadSimulator;
@@ -12,7 +13,6 @@ use metacache::build::{estimate_locations, CpuBuilder, GpuBuilder};
 use metacache::candidate::{accumulate_locations_into, top_candidates_into};
 use metacache::classify::{classify_candidates, ClassificationEvaluation};
 use metacache::gpu::GpuClassifier;
-use metacache::pipeline::{run_on_the_fly, run_write_load_query, DiskModel};
 use metacache::query::Classifier;
 use metacache::{serialize, CandidateList, MetaCacheConfig};
 
@@ -108,7 +108,7 @@ fn gpu_pipeline_matches_cpu_classifications_on_same_database() {
     // Build one multi-partition database and classify with both paths.
     let system = MultiGpuSystem::dgx1(3);
     let records = collection.to_records();
-    let expected = estimate_locations(&config, &records) / 3 + 4096;
+    let expected = estimate_locations(&config, &records).unwrap() / 3 + 4096;
     let mut builder =
         GpuBuilder::new(config, collection.taxonomy.clone(), &system, expected).unwrap();
     for t in &collection.targets {
