@@ -134,9 +134,41 @@ fn bench_query(c: &mut Criterion) {
     group.finish();
 }
 
+/// The fill a load ends in: `HostHashTable::from_packed` over 2^20 buckets
+/// of `workload` in ascending feature order, the order a `.cache` file lists
+/// them (random in hash order). Each iteration hands over a fresh copy of
+/// the arena, as a load does.
+fn bench_load(c: &mut Criterion) {
+    let features = 1 << 20;
+    // `workload` draws 31 locations per 10 features.
+    let mut pairs = workload(features / 10 * 31 + 31);
+    pairs.sort_by_key(|&(feature, _)| feature);
+    let mut buckets: Vec<(u32, u32)> = Vec::new();
+    for &(feature, _) in &pairs {
+        match buckets.last_mut() {
+            Some((last, len)) if *last == feature => *len += 1,
+            _ => buckets.push((feature, 1)),
+        }
+    }
+    buckets.truncate(features);
+    assert_eq!(buckets.len(), features);
+    let locations: usize = buckets.iter().map(|&(_, len)| len as usize).sum();
+    let arena: Vec<Location> = pairs[..locations].iter().map(|&(_, l)| l).collect();
+
+    let mut group = c.benchmark_group("hashtable_load");
+    group.throughput(Throughput::Elements(buckets.len() as u64));
+    group.bench_function("host_table", |b| {
+        b.iter(|| {
+            let table = HostHashTable::from_packed(254, &buckets, arena.clone()).unwrap();
+            table.key_count()
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_insert, bench_query
+    targets = bench_insert, bench_query, bench_load
 }
 criterion_main!(benches);

@@ -173,8 +173,8 @@ fn gpu_build(
     system: &MultiGpuSystem,
 ) -> Result<(Database, SimDuration), MetaCacheError> {
     system.reset_clocks();
-    let records: Vec<SequenceRecord> = references.iter().map(|(r, _)| r.clone()).collect();
-    let expected = estimate_locations(&config, &records)? / system.device_count().max(1) + 1024;
+    let lengths = references.iter().map(|(record, _)| record.sequence.len());
+    let expected = estimate_locations(&config, lengths)? / system.device_count().max(1) + 1024;
     let mut builder = GpuBuilder::new(config, taxonomy, system, expected)?;
     for (record, taxon) in references {
         builder.add_target(record.clone(), *taxon)?;

@@ -186,8 +186,8 @@ pub fn build_metacache_gpu(
 ) -> BuiltDatabase {
     system.reset_clocks();
     let start = Instant::now();
-    let records: Vec<SequenceRecord> = collection.to_records();
-    let expected = estimate_locations(&config, &records).expect("valid config")
+    let lengths = collection.targets.iter().map(|t| t.sequence.len());
+    let expected = estimate_locations(&config, lengths).expect("valid config")
         / system.device_count().max(1)
         + 4096;
     let mut builder = GpuBuilder::new(config, collection.taxonomy.clone(), system, expected)

@@ -199,11 +199,6 @@ impl ReferenceCollection {
         self.targets.iter().map(|t| t.sequence.len()).sum()
     }
 
-    /// All targets as [`SequenceRecord`]s (for the parsing pipeline).
-    pub fn to_records(&self) -> Vec<SequenceRecord> {
-        self.targets.iter().map(|t| t.to_record()).collect()
-    }
-
     /// The species taxon of a target id (index into `targets`).
     pub fn taxon_of_target(&self, target_index: usize) -> Option<TaxonId> {
         self.targets.get(target_index).map(|t| t.taxon)
@@ -317,8 +312,8 @@ mod tests {
     #[test]
     fn records_conversion_preserves_headers() {
         let coll = ReferenceCollection::refseq_like(RefSeqLikeSpec::default());
-        let records = coll.to_records();
-        assert_eq!(records.len(), coll.target_count());
-        assert_eq!(records[0].header, coll.targets[0].header);
+        let record = coll.targets[0].to_record();
+        assert_eq!(record.header, coll.targets[0].header);
+        assert_eq!(record.sequence, coll.targets[0].sequence);
     }
 }

@@ -669,17 +669,18 @@ impl<'sys> GpuBuilder<'sys> {
     }
 }
 
-/// Estimate the number of (feature, location) pairs a set of records will
-/// insert — used to size the per-device tables before a GPU build. Fails
-/// with [`MetaCacheError::Config`] on a configuration the builders reject.
+/// Estimate the number of (feature, location) pairs that sequences of the
+/// given `lengths` will insert — used to size the per-device tables before a
+/// GPU build. Fails with [`MetaCacheError::Config`] on a configuration the
+/// builders reject.
 pub fn estimate_locations(
     config: &MetaCacheConfig,
-    records: &[SequenceRecord],
+    lengths: impl IntoIterator<Item = usize>,
 ) -> Result<usize, MetaCacheError> {
     let sketcher = Sketcher::new(config)?;
-    Ok(records
-        .iter()
-        .map(|r| sketcher.num_windows(r.sequence.len()) as usize * config.sketch_size)
+    Ok(lengths
+        .into_iter()
+        .map(|len| sketcher.num_windows(len) as usize * config.sketch_size)
         .sum())
 }
 
@@ -698,6 +699,10 @@ mod tests {
                 b"ACGT"[(state >> 33) as usize % 4]
             })
             .collect()
+    }
+
+    fn lengths(records: &[SequenceRecord]) -> impl Iterator<Item = usize> + '_ {
+        records.iter().map(|record| record.sequence.len())
     }
 
     fn taxonomy() -> Taxonomy {
@@ -983,7 +988,8 @@ mod tests {
         let records: Vec<SequenceRecord> = (0..8)
             .map(|i| SequenceRecord::new(format!("g{i}"), make_seq(8_000, i as u64 + 10)))
             .collect();
-        let expected = estimate_locations(&MetaCacheConfig::for_tests(), &records).unwrap();
+        let expected =
+            estimate_locations(&MetaCacheConfig::for_tests(), lengths(&records)).unwrap();
         let mut builder = GpuBuilder::new(
             MetaCacheConfig::for_tests(),
             taxonomy(),
@@ -1070,7 +1076,7 @@ mod tests {
             .collect();
         let config = MetaCacheConfig::for_tests();
         let mut cpu = CpuBuilder::new(config, taxonomy());
-        let expected = estimate_locations(&config, &records).unwrap();
+        let expected = estimate_locations(&config, lengths(&records)).unwrap();
         let mut gpu = GpuBuilder::new(config, taxonomy(), &system, expected).unwrap();
         for record in records {
             cpu.add_target(record.clone(), 100).unwrap();
@@ -1115,7 +1121,7 @@ mod tests {
             })
             .collect();
         let system = MultiGpuSystem::dgx1(2);
-        let expected = estimate_locations(&config, &records).unwrap();
+        let expected = estimate_locations(&config, lengths(&records)).unwrap();
         let mut builder = GpuBuilder::new(config, taxonomy(), &system, expected).unwrap();
         for (i, record) in records.into_iter().enumerate() {
             builder.add_target(record, 100 + i as TaxonId % 2).unwrap();
@@ -1220,14 +1226,14 @@ mod tests {
         let records: Vec<SequenceRecord> = (0..3)
             .map(|i| SequenceRecord::new(format!("e{i}"), make_seq(20_000, i as u64 + 50)))
             .collect();
-        let estimate = estimate_locations(&config, &records).unwrap();
+        let estimate = estimate_locations(&config, lengths(&records)).unwrap();
         // A configuration the builders reject is an error, not a panic.
         let invalid = MetaCacheConfig {
             sketch_size: 0,
             ..config
         };
         assert!(matches!(
-            estimate_locations(&invalid, &records),
+            estimate_locations(&invalid, lengths(&records)),
             Err(MetaCacheError::Config(_))
         ));
         let mut builder = CpuBuilder::new(config, taxonomy());

@@ -22,6 +22,10 @@
 //! ([`load`]), partition `k` alone (a shard server's part) or none (the
 //! metadata a router classifies against).
 //!
+//! A load reads each `.cache` file front to back in 64 KiB blocks, eight
+//! times the default buffer, checking every bucket as it enters, and fills
+//! the table's index only once the whole arena is read.
+//!
 //! The files are outside input: a load checks every count against the
 //! file's length before allocating for it, and fails with
 //! [`MetaCacheError::Format`] rather than a panic or an allocation abort.
@@ -44,6 +48,13 @@ use crate::error::MetaCacheError;
 
 /// Magic bytes at the start of every `.cache` partition file.
 const CACHE_MAGIC: &[u8; 8] = b"MCCACHE1";
+
+/// Bytes a load reads from a `.cache` file at a time. A bucket is 8 bytes of
+/// header and 8 per location, so the default 8 KiB buffer refills every two
+/// hundred or so buckets of a dense file, each refill a system call; 64 KiB
+/// makes eight times fewer, without holding the file in memory beside the
+/// arena it becomes.
+const READ_BLOCK: usize = 64 << 10;
 
 /// The JSON metadata stored in `<name>.meta`.
 #[derive(Debug, Serialize, Deserialize)]
@@ -173,7 +184,16 @@ pub fn load_parts(
     // fail here, not as a panic in the first classifier over the database.
     let config = meta.config.validated()?;
 
+    // `save` writes one target list per partition; a count that disagrees
+    // must not size the allocation below.
     let part_count = meta.partition_count;
+    if part_count != meta.partition_targets.len() {
+        return Err(MetaCacheError::Format(format!(
+            "{}: {part_count} partitions but {} target lists",
+            meta_path.display(),
+            meta.partition_targets.len()
+        )));
+    }
     let read = match parts {
         Parts::All => 0..part_count,
         Parts::One(part) if part < part_count => part..part + 1,
@@ -185,11 +205,7 @@ pub fn load_parts(
         let path = dir.join(format!("{name}.cache{i}"));
         partitions.push(Partition {
             table: load_table(&path, config.max_locations_per_feature)?,
-            targets: meta
-                .partition_targets
-                .get_mut(i)
-                .map(std::mem::take)
-                .unwrap_or_default(),
+            targets: std::mem::take(&mut meta.partition_targets[i]),
         });
     }
 
@@ -214,7 +230,7 @@ fn load_table(path: &Path, max_locations: usize) -> Result<HostHashTable, MetaCa
     let bad = |what: String| MetaCacheError::Format(format!("{}: {what}", path.display()));
     let file = std::fs::File::open(path)?;
     let file_bytes = file.metadata()?.len();
-    let mut reader = BufReader::new(file);
+    let mut reader = BufReader::with_capacity(READ_BLOCK, file);
     let mut word = [0u8; 8];
     let has_magic = file_bytes >= 16 && {
         reader.read_exact(&mut word)?;
@@ -520,6 +536,64 @@ mod tests {
         assert_eq!(loaded.total_locations(), cap as usize);
         let loaded = load_corrupted("cap_plus_one", |cache| *cache = one_bucket_file(cap + 1));
         assert!(is_format_error(loaded));
+        // A `.meta` partition count its target lists do not match: one no
+        // allocation could hold, and one more than the file lists.
+        for count in [1u64 << 60, 2] {
+            let (db, _) = build_db();
+            let dir = temp_dir("partition_count");
+            save(&db, &dir, "db").unwrap();
+            let meta_path = dir.join("db.meta");
+            let meta = std::fs::read_to_string(&meta_path).unwrap();
+            let one = "\"partition_count\":1}";
+            assert!(
+                meta.contains(one),
+                "fixture .meta spells one partition as {one}"
+            );
+            let hostile = format!("\"partition_count\":{count}}}");
+            std::fs::write(&meta_path, meta.replace(one, &hostile)).unwrap();
+            assert!(is_format_error(load(&dir, "db")), "{count} partitions");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn a_cache_file_of_many_read_blocks_round_trips() {
+        // Four targets of 40 kb: a `.cache` of over three read blocks, so
+        // that buckets straddle the reader's refills.
+        let mut taxonomy = Taxonomy::with_root();
+        for taxon in 100..104 {
+            taxonomy.add_node(taxon, 1, Rank::Species, "s").unwrap();
+        }
+        let genomes: Vec<Vec<u8>> = (0..4).map(|i| make_seq(40_000, 10 + i)).collect();
+        let mut builder = CpuBuilder::new(MetaCacheConfig::for_tests(), taxonomy);
+        for (taxon, genome) in (100..).zip(&genomes) {
+            let record = SequenceRecord::new(format!("t{taxon}"), genome.clone());
+            builder.add_target(record, taxon).unwrap();
+        }
+        let db = builder.finish();
+        let dir = temp_dir("blocks");
+        let first = save(&db, &dir, "first").unwrap();
+        let cache_bytes = std::fs::metadata(&first.files[1]).unwrap().len();
+        assert!(cache_bytes > 3 * READ_BLOCK as u64, "{cache_bytes} bytes");
+        let loaded = load(&dir, "first").unwrap();
+        let second = save(&loaded, &dir, "second").unwrap();
+        for (a, b) in first.files.iter().zip(&second.files) {
+            assert_eq!(std::fs::read(a).unwrap(), std::fs::read(b).unwrap());
+        }
+        let (source, reloaded) = (Classifier::new(&db), Classifier::new(Arc::clone(&loaded)));
+        for (i, genome) in genomes.iter().enumerate() {
+            for offset in (0..genome.len() - 150).step_by(4_999) {
+                let read = SequenceRecord::new("r", genome[offset..offset + 150].to_vec());
+                let candidates = source.candidates(&read);
+                assert!(!candidates.is_empty(), "target {i} at {offset}");
+                assert_eq!(
+                    candidates,
+                    reloaded.candidates(&read),
+                    "target {i} at {offset}"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -13,9 +13,12 @@
 //! the arena's end with doubled capacity, leaving a hole;
 //! [`HostHashTable::compact`] lays every bucket out at its exact length
 //! again, the state in which [`HostHashTable::from_packed`] takes over a
-//! loaded arena. Locations per feature are capped (254 by default, §4.1) and
-//! the index is rebuilt at twice the size when its load factor passes 0.8 —
-//! "the buckets holding the values are preserved".
+//! loaded arena. It fills the index in two passes per chunk of buckets —
+//! hint every feature's first group into the cache, then claim the slots in
+//! order — so that, as in a batch lookup, the chunk's misses overlap.
+//! Locations per feature are capped (254 by default, §4.1) and the index is
+//! rebuilt at twice the size when its load factor passes 0.8 — "the buckets
+//! holding the values are preserved".
 //!
 //! The original CPU table "does not support concurrent insertion", so each
 //! table has one writer — insertion takes `&mut self` and queries take
@@ -106,9 +109,14 @@ impl HostHashTable {
     /// back, `buckets` the feature and length of each in that order (one over
     /// the cap is refused). The index gets the size that many insertions would
     /// have grown it to, so the table is laid out like a built and compacted
-    /// one. Filling it is a load's only random memory access, hence one tight
-    /// loop here, where the misses of consecutive features overlap, and not a
-    /// probe walk between two reads of a file, each waiting out its own miss.
+    /// one. Filling it is a load's only random memory access — a file lists
+    /// its features in ascending order, which is random in hash order — so it
+    /// runs here, once the file is read, in two passes per
+    /// [`SingleValueHashTable::PROBE_BATCH`] buckets: the first hashes every
+    /// feature and prefetches its first group's keys and values, the second
+    /// claims the slots one by one, in the order given, with
+    /// [`SingleValueHashTable::entry`]. The chunk's misses overlap, and the
+    /// index comes out slot for slot as one claim after the other leaves it.
     ///
     /// # Panics
     ///
@@ -133,21 +141,26 @@ impl HostHashTable {
             max_locations_per_key: max_locations_per_key.clamp(1, Self::MAX_BUCKET_LEN),
         };
         let mut offset = 0;
-        for &(feature, len) in buckets {
-            let len = len as usize;
-            if len > table.max_locations_per_key {
-                return Err(TableError::ValueLimitReached);
+        for chunk in buckets.chunks(SingleValueHashTable::PROBE_BATCH) {
+            table
+                .index
+                .prefetch_first_groups(chunk.iter().map(|&(feature, _)| feature));
+            for &(feature, len) in chunk {
+                let len = len as usize;
+                if len > table.max_locations_per_key {
+                    return Err(TableError::ValueLimitReached);
+                }
+                let slot = table.index.entry(feature)?;
+                let new = len != 0 && *slot == SingleValueHashTable::VACANT;
+                assert!(new, "feature {feature}: an empty bucket, or named twice");
+                *slot = BucketRef {
+                    offset,
+                    len,
+                    capacity: len,
+                }
+                .pack();
+                offset += len;
             }
-            let slot = table.index.entry(feature)?;
-            let new = len != 0 && *slot == SingleValueHashTable::VACANT;
-            assert!(new, "feature {feature}: an empty bucket, or named twice");
-            *slot = BucketRef {
-                offset,
-                len,
-                capacity: len,
-            }
-            .pack();
-            offset += len;
         }
         assert_eq!(offset, table.values, "bucket lengths add up to the arena");
         Ok(table)
@@ -347,6 +360,7 @@ impl FeatureStore for HostHashTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probing::{ProbeGeometry, ProbingConfig};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
@@ -415,6 +429,30 @@ mod tests {
         assert_eq!(t.insert(9, arena[0]), Err(TableError::ValueLimitReached));
         t.insert(2, arena[0]).unwrap();
         assert_eq!(t.query(2), vec![arena[4], arena[0]]);
+
+        // Every chunk edge of the fill, features in scrambled order.
+        let batch = SingleValueHashTable::PROBE_BATCH;
+        for count in [0, 1, batch - 1, batch, batch + 1, 101] {
+            let buckets: Vec<(Feature, u32)> = (0..count as u32)
+                .map(|i| (i.wrapping_mul(2_654_435_761), 1 + i % 4))
+                .collect();
+            assert_fill_is_one_claim_after_the_other(4, &buckets);
+        }
+        // Features that share a first group, enough to overflow it several
+        // times, so that later claims walk on past earlier ones.
+        let geometry = ProbeGeometry::new(INITIAL_CAPACITY, ProbingConfig::default());
+        let crowded: Vec<(Feature, u32)> = (0..)
+            .filter(|&f| geometry.first_group(f) == geometry.first_group(0))
+            .take(3 * geometry.group_size() + 5)
+            .map(|f| (f, 1 + f % 3))
+            .collect();
+        assert_fill_is_one_claim_after_the_other(4, &crowded);
+        // A bucket over the cap in the middle of the second chunk.
+        let mut buckets: Vec<(Feature, u32)> = (0..101).map(|f| (f, 1)).collect();
+        buckets[batch + batch / 2].1 = 5;
+        let arena = vec![Location::default(); buckets.iter().map(|&(_, len)| len as usize).sum()];
+        let over = HostHashTable::from_packed(4, &buckets, arena);
+        assert_eq!(over.err(), Some(TableError::ValueLimitReached));
     }
 
     #[test]
@@ -533,6 +571,59 @@ mod tests {
             };
             assert_eq!(BucketRef::unpack(bucket.pack()), bucket);
             assert_ne!(bucket.pack(), SingleValueHashTable::VACANT);
+        }
+    }
+
+    /// The index as [`HostHashTable::from_packed`] filled it before it ran
+    /// in passes: sized alike, then one [`SingleValueHashTable::entry`] walk
+    /// per bucket, in the order given.
+    fn one_claim_after_the_other(buckets: &[(Feature, u32)]) -> SingleValueHashTable {
+        let mut capacity = INITIAL_CAPACITY;
+        while buckets.len() > max_keys(capacity) {
+            capacity *= 2;
+        }
+        let mut index = SingleValueHashTable::new(capacity);
+        let mut offset = 0;
+        for &(feature, len) in buckets {
+            let len = len as usize;
+            let slot = index.entry(feature).unwrap();
+            assert_eq!(*slot, SingleValueHashTable::VACANT, "feature {feature}");
+            *slot = BucketRef {
+                offset,
+                len,
+                capacity: len,
+            }
+            .pack();
+            offset += len;
+        }
+        index
+    }
+
+    /// Every (feature, packed reference) pair of an index, in slot order.
+    fn slot_order(index: &SingleValueHashTable) -> Vec<(Feature, u64)> {
+        let mut pairs = Vec::with_capacity(index.len());
+        index.for_each(|feature, packed| pairs.push((feature, packed)));
+        pairs
+    }
+
+    /// `from_packed` over `buckets` (distinct locations, so every bucket
+    /// shows where it was cut) fills the index slot for slot as the oracle
+    /// does, and every bucket reads back its share of the arena.
+    fn assert_fill_is_one_claim_after_the_other(cap: usize, buckets: &[(Feature, u32)]) {
+        let total: u32 = buckets.iter().map(|&(_, len)| len).sum();
+        let arena: Vec<Location> = (0..total).map(|i| Location::new(i, 0)).collect();
+        let table = HostHashTable::from_packed(cap, buckets, arena.clone()).unwrap();
+        assert_eq!(
+            slot_order(&table.index),
+            slot_order(&one_claim_after_the_other(buckets)),
+            "{} buckets",
+            buckets.len()
+        );
+        let mut offset = 0;
+        for &(feature, len) in buckets {
+            let len = len as usize;
+            assert_eq!(table.query(feature), arena[offset..offset + len]);
+            offset += len;
         }
     }
 
@@ -679,6 +770,9 @@ mod tests {
                 oracle.insert(feature, bucket);
             }
             let table = HostHashTable::from_packed(cap, &buckets, arena).unwrap();
+            // Filled in passes, slot for slot as one claim after the other.
+            let one_by_one = one_claim_after_the_other(&buckets);
+            prop_assert_eq!(slot_order(&table.index), slot_order(&one_by_one));
             let mut checked = Checked { table, oracle, cap };
             checked.check();
             // A bulk-filled table is laid out like a built and compacted one.

@@ -15,7 +15,8 @@
 //! that slot's value, then read the values. Each pass issues the misses of
 //! the whole chunk before the next waits on any of them. Beside the concurrent
 //! [`insert`] (`&self`) stands [`entry`], the one-walk update-or-insert of a
-//! single inserter (`&mut self`).
+//! single inserter (`&mut self`); an inserter that claims many keys in a row
+//! hints each chunk's first groups, keys and values, before it walks any.
 //!
 //! [`get`]: SingleValueHashTable::get
 //! [`get_batch`]: SingleValueHashTable::get_batch
@@ -165,6 +166,22 @@ impl SingleValueHashTable {
             for (value, slot) in values.iter_mut().zip(&slots) {
                 *value = slot.and_then(|slot| self.value_at(slot));
             }
+        }
+    }
+
+    /// Hint every key's first probing group into the cache: the line of its
+    /// keys and the line of its values. A single inserter that claims a run
+    /// of slots ([`crate::HostHashTable::from_packed`]) runs this over
+    /// [`Self::PROBE_BATCH`] keys before it calls [`Self::entry`] on each,
+    /// so that the misses of the whole chunk overlap; [`Self::get_batch`]'s
+    /// first pass hints only the keys, as a lookup reads a value only once
+    /// it has found the key.
+    pub(crate) fn prefetch_first_groups(&self, features: impl IntoIterator<Item = Feature>) {
+        let group_size = self.geometry.group_size();
+        for feature in features {
+            let slot = self.geometry.first_group(feature) * group_size;
+            prefetch(self.keys[slot].as_ptr());
+            prefetch(self.values[slot].as_ptr());
         }
     }
 

@@ -60,8 +60,8 @@ fn main() {
 
     // MetaCache GPU (4 simulated devices).
     let system = MultiGpuSystem::dgx1(4);
-    let records = collection.to_records();
-    let expected = estimate_locations(&config, &records).expect("valid config") / 4 + 4096;
+    let lengths = collection.targets.iter().map(|t| t.sequence.len());
+    let expected = estimate_locations(&config, lengths).expect("valid config") / 4 + 4096;
     let mut gpu_builder =
         GpuBuilder::new(config, collection.taxonomy.clone(), &system, expected).unwrap();
     for t in &collection.targets {

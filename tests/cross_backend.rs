@@ -37,12 +37,12 @@ fn partition_count_does_not_change_classifications_without_capping() {
         .with_seed(10)
         .simulate(&collection);
     let config = MetaCacheConfig::default();
-    let records = collection.to_records();
+    let lengths = || collection.targets.iter().map(|t| t.sequence.len());
 
     let mut calls_per_devices = Vec::new();
     for devices in [1usize, 2, 4] {
         let system = MultiGpuSystem::dgx1(devices);
-        let expected = estimate_locations(&config, &records).unwrap() / devices + 4096;
+        let expected = estimate_locations(&config, lengths()).unwrap() / devices + 4096;
         let mut builder =
             GpuBuilder::new(config, collection.taxonomy.clone(), &system, expected).unwrap();
         for t in &collection.targets {
@@ -76,8 +76,8 @@ fn cpu_and_gpu_builders_lead_to_agreeing_classifiers() {
     let cpu_calls = Classifier::new(&cpu_db).classify_batch(&reads.reads);
 
     let system = MultiGpuSystem::dgx1(2);
-    let records = collection.to_records();
-    let expected = estimate_locations(&config, &records).unwrap() / 2 + 4096;
+    let lengths = collection.targets.iter().map(|t| t.sequence.len());
+    let expected = estimate_locations(&config, lengths).unwrap() / 2 + 4096;
     let mut gpu_builder =
         GpuBuilder::new(config, collection.taxonomy.clone(), &system, expected).unwrap();
     for t in &collection.targets {

@@ -107,8 +107,8 @@ fn gpu_pipeline_matches_cpu_classifications_on_same_database() {
 
     // Build one multi-partition database and classify with both paths.
     let system = MultiGpuSystem::dgx1(3);
-    let records = collection.to_records();
-    let expected = estimate_locations(&config, &records).unwrap() / 3 + 4096;
+    let lengths = collection.targets.iter().map(|t| t.sequence.len());
+    let expected = estimate_locations(&config, lengths).unwrap() / 3 + 4096;
     let mut builder =
         GpuBuilder::new(config, collection.taxonomy.clone(), &system, expected).unwrap();
     for t in &collection.targets {
