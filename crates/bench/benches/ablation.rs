@@ -7,7 +7,7 @@ use mc_kmer::{hash32, Location};
 use mc_warpcore::{
     ConcurrentInsert, FeatureStore, MultiBucketConfig, MultiBucketHashTable, ProbingConfig,
 };
-use metacache::{MetaCacheConfig, Sketcher};
+use metacache::{MetaCacheConfig, SketchScratch, Sketcher};
 
 fn make_seq(len: usize, seed: u64) -> Vec<u8> {
     let mut state = seed | 1;
@@ -31,12 +31,14 @@ fn bench_sketch_size(c: &mut Criterion) {
         };
         let sketcher = Sketcher::new(&config).unwrap();
         group.bench_with_input(BenchmarkId::from_parameter(s), &s, |b, _| {
+            let mut scratch = SketchScratch::with_capacity(s);
             b.iter(|| {
-                sketcher
-                    .sketch_reference(&genome)
-                    .iter()
-                    .map(|(_, sk)| sk.len())
-                    .sum::<usize>()
+                let mut features = 0;
+                sketcher.for_each_window_sketch(&genome, &mut scratch, |_, sketch| {
+                    features += sketch.len();
+                    std::ops::ControlFlow::Continue(())
+                });
+                features
             })
         });
     }

@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use mc_gpu_sim::Warp;
-use metacache::gpu::{warp_sketch_window_into, WarpSketchScratch};
+use metacache::gpu::warp_sketch_to_slot;
 use metacache::{MetaCacheConfig, SketchScratch, Sketcher};
 
 fn make_seq(len: usize, seed: u64) -> Vec<u8> {
@@ -57,23 +57,11 @@ fn bench_sketch(c: &mut Criterion) {
     group.bench_function("warp_kernel", |b| {
         let warp = Warp::new(0);
         let kmer = sketcher.window_params().kmer();
-        let mut scratch = WarpSketchScratch::new();
-        let mut features = Vec::with_capacity(config.sketch_size);
+        let mut slot = vec![0; config.sketch_size];
         b.iter(|| {
             windows
                 .iter()
-                .map(|w| {
-                    features.clear();
-                    warp_sketch_window_into(
-                        &warp,
-                        w,
-                        kmer,
-                        config.sketch_size,
-                        &mut scratch,
-                        &mut features,
-                    );
-                    features.len()
-                })
+                .map(|w| warp_sketch_to_slot(&warp, w, kmer, config.sketch_size, &mut slot).0)
                 .sum::<usize>()
         })
     });
@@ -86,9 +74,6 @@ fn bench_reference_sketching(c: &mut Criterion) {
     let genome = make_seq(500_000, 7);
     let mut group = c.benchmark_group("reference_sketching");
     group.throughput(Throughput::Bytes(genome.len() as u64));
-    group.bench_function("sketch_reference_500kb", |b| {
-        b.iter(|| sketcher.sketch_reference(&genome).len())
-    });
     group.bench_function("visitor_scratch_500kb", |b| {
         let mut scratch = SketchScratch::with_capacity(config.sketch_size);
         b.iter(|| {

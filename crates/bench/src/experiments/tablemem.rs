@@ -16,7 +16,7 @@ use mc_warpcore::{
     BucketListConfig, BucketListHashTable, ConcurrentInsert, MultiBucketConfig,
     MultiBucketHashTable, MultiValueConfig, MultiValueHashTable,
 };
-use metacache::sketch::Sketcher;
+use metacache::sketch::{SketchScratch, Sketcher};
 use metacache::MetaCacheConfig;
 
 use crate::scale::ExperimentScale;
@@ -76,13 +76,15 @@ fn workload(scale: &ExperimentScale) -> Vec<(u32, Location)> {
     let _ = ReferenceSetup::generate; // shared setup kept for the other experiments
     let config = MetaCacheConfig::default();
     let sketcher = Sketcher::new(&config).expect("valid config");
+    let mut scratch = SketchScratch::with_capacity(config.sketch_size);
     let mut pairs = Vec::new();
     for (target_id, target) in collection.targets.iter().enumerate() {
-        for (window, sketch) in sketcher.sketch_reference(&target.sequence) {
-            for &feature in sketch.features() {
+        sketcher.for_each_window_sketch(&target.sequence, &mut scratch, |window, features| {
+            for &feature in features {
                 pairs.push((feature, Location::new(target_id as u32, window)));
             }
-        }
+            std::ops::ControlFlow::Continue(())
+        });
     }
     pairs
 }
@@ -172,7 +174,8 @@ pub fn run(scale: &ExperimentScale) -> TableMemResult {
         };
         let sketcher = Sketcher::new(&config).expect("valid");
         let window: Vec<u8> = (0..127).map(|i| b"ACGT"[(i * 7 + i / 3) % 4]).collect();
-        let features = sketcher.sketch_window(&window).len();
+        let features =
+            sketcher.sketch_window_into(&window, &mut SketchScratch::new(), &mut Vec::new());
         result.ablation.push(AblationRow {
             parameter: "sketch size".into(),
             value: sketch_size as u64,

@@ -177,7 +177,7 @@ fn gpu_build(
     let expected = estimate_locations(&config, lengths)? / system.device_count().max(1) + 1024;
     let mut builder = GpuBuilder::new(config, taxonomy, system, expected)?;
     for (record, taxon) in references {
-        builder.add_target(record.clone(), *taxon)?;
+        builder.add_target(record, *taxon)?;
     }
     let build_time = system.makespan();
     Ok((builder.finish(), build_time))

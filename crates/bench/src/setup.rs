@@ -1,7 +1,6 @@
 //! Shared experiment setup: reference collections, read workloads and
 //! database construction helpers used by several experiments.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -116,23 +115,6 @@ pub fn records_with_taxa(collection: &ReferenceCollection) -> Vec<(SequenceRecor
         .collect()
 }
 
-/// A taxon lookup closure for builders that take records only.
-pub fn taxon_lookup(collection: &ReferenceCollection) -> HashMap<String, TaxonId> {
-    collection
-        .targets
-        .iter()
-        .map(|t| {
-            let id = t
-                .header
-                .split_whitespace()
-                .next()
-                .unwrap_or(&t.header)
-                .to_string();
-            (id, t.taxon)
-        })
-        .collect()
-}
-
 /// Result of building a database with one method: the database handle plus
 /// the timing/size measurements reported in Table 3.
 ///
@@ -194,7 +176,7 @@ pub fn build_metacache_gpu(
         .expect("device memory suffices at experiment scale");
     for target in &collection.targets {
         builder
-            .add_target(target.to_record(), target.taxon)
+            .add_target(&target.to_record(), target.taxon)
             .expect("valid target");
     }
     let sim_time = builder.stats().sim_build_time;

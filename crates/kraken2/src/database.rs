@@ -130,25 +130,6 @@ impl Kraken2Builder {
         Ok(())
     }
 
-    /// Add many records, resolving each record's taxon with `taxon_of`.
-    pub fn add_records<'a, I, F>(
-        &mut self,
-        records: I,
-        mut taxon_of: F,
-    ) -> Result<usize, Kraken2Error>
-    where
-        I: IntoIterator<Item = &'a SequenceRecord>,
-        F: FnMut(&SequenceRecord) -> TaxonId,
-    {
-        let mut added = 0;
-        for record in records {
-            let taxon = taxon_of(record);
-            self.add_target(record, taxon)?;
-            added += 1;
-        }
-        Ok(added)
-    }
-
     /// Finish the build.
     pub fn finish(self) -> Kraken2Database {
         Kraken2Database {

@@ -549,7 +549,7 @@ impl<'sys> GpuBuilder<'sys> {
     /// `i % device_count`), and a target is never split across devices.
     pub fn add_target(
         &mut self,
-        record: SequenceRecord,
+        record: &SequenceRecord,
         taxon: TaxonId,
     ) -> Result<TargetId, MetaCacheError> {
         if !self.taxonomy.contains(taxon) {
@@ -755,16 +755,18 @@ mod tests {
     ) -> SketchCounts {
         let sketcher = Sketcher::new(config).unwrap();
         let mut counts = SketchCounts::default();
-        for (window, sketch) in sketcher.sketch_reference(&record.sequence) {
+        let mut scratch = SketchScratch::new();
+        sketcher.for_each_window_sketch(&record.sequence, &mut scratch, |window, features| {
             counts.windows += 1;
-            for &feature in sketch.features() {
+            for &feature in features {
                 match table.insert(feature, Location::new(target_id, window)) {
                     Ok(()) => counts.inserted += 1,
                     Err(TableError::ValueLimitReached) => counts.dropped += 1,
                     Err(e) => panic!("fatal table error: {e}"),
                 }
             }
-        }
+            std::ops::ControlFlow::Continue(())
+        });
         counts
     }
 
@@ -1008,7 +1010,7 @@ mod tests {
             } else {
                 101
             };
-            builder.add_target(record, taxon).unwrap();
+            builder.add_target(&record, taxon).unwrap();
         }
         let stats = builder.stats();
         assert!(stats.sim_build_time > SimDuration::ZERO);
@@ -1079,8 +1081,8 @@ mod tests {
         let expected = estimate_locations(&config, lengths(&records)).unwrap();
         let mut gpu = GpuBuilder::new(config, taxonomy(), &system, expected).unwrap();
         for record in records {
-            cpu.add_target(record.clone(), 100).unwrap();
-            gpu.add_target(record, 100).unwrap();
+            gpu.add_target(&record, 100).unwrap();
+            cpu.add_target(record, 100).unwrap();
         }
         assert_eq!(
             cpu.stats().locations_inserted + cpu.stats().locations_dropped,
@@ -1124,7 +1126,7 @@ mod tests {
         let expected = estimate_locations(&config, lengths(&records)).unwrap();
         let mut builder = GpuBuilder::new(config, taxonomy(), &system, expected).unwrap();
         for (i, record) in records.into_iter().enumerate() {
-            builder.add_target(record, 100 + i as TaxonId % 2).unwrap();
+            builder.add_target(&record, 100 + i as TaxonId % 2).unwrap();
         }
         let stats = builder.stats();
         let mut delta = crate::DatabaseDelta::new();

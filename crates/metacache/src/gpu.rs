@@ -3,12 +3,14 @@
 //! This module contains the warp-level kernels and the batched multi-device
 //! query pipeline:
 //!
-//! * [`warp_sketch_window`] — steps (1)–(3) of the pipeline of §5.2/§5.3: a
+//! * [`warp_sketch_to_slot`] — steps (1)–(3) of the pipeline of §5.2/§5.3: a
 //!   warp encodes a window, generates and hashes its canonical k-mers (four
 //!   k-mer start positions per lane), sorts the hashes with the in-register
 //!   bitonic network, removes duplicates and keeps the `s` smallest as the
-//!   minhash sketch. The result is bit-identical to the host
-//!   [`crate::sketch::Sketcher`] (asserted by tests).
+//!   minhash sketch, written into a slot of a per-launch feature buffer. The
+//!   GPU build and the GPU query both sketch through it, and the result is
+//!   bit-identical to the host [`crate::sketch::Sketcher`] (asserted by
+//!   tests).
 //! * [`GpuClassifier`] — steps (4)–(8): hash-table lookup, location list
 //!   compaction, segmented sort, window-count accumulation and warp-level
 //!   top-candidate generation, followed by the cross-device top-hit merge of
@@ -35,12 +37,12 @@ use crate::database::Database;
 use crate::sketch::Sketcher;
 
 /// Reusable scratch buffers of the warp sketching kernel — the "device
-/// buffers" of §5.3. One scratch per simulated warp scheduler (in practice:
-/// per worker thread, see [`with_warp_scratch`]) removes all steady-state
-/// heap allocation from warp sketching, mirroring the host
-/// [`crate::sketch::SketchScratch`].
-#[derive(Debug, Clone, Default)]
-pub struct WarpSketchScratch {
+/// buffers" of §5.3. One per host thread removes all steady-state heap
+/// allocation from warp sketching, mirroring the host
+/// [`crate::sketch::SketchScratch`]: [`launch_warps_into`] kernels execute on
+/// several host threads and therefore cannot share one mutable scratch.
+#[derive(Debug, Default)]
+struct WarpSketchScratch {
     /// Hash of the canonical k-mer at each window position (`u64::MAX` for
     /// positions whose k-mer overlaps an ambiguous base).
     hashes_by_pos: Vec<u64>,
@@ -48,16 +50,9 @@ pub struct WarpSketchScratch {
     pool: Vec<u64>,
 }
 
-impl WarpSketchScratch {
-    /// Create an empty scratch; buffers size themselves on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 thread_local! {
     static WARP_SCRATCH: std::cell::RefCell<WarpSketchScratch> =
-        std::cell::RefCell::new(WarpSketchScratch::new());
+        std::cell::RefCell::new(WarpSketchScratch::default());
     /// Flat per-launch feature buffer of the query pipeline's sketch stage,
     /// reused across the batches a thread classifies (serving workers
     /// classify many batches per thread; per-call allocation would undo the
@@ -66,35 +61,12 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Run `f` with this thread's reusable [`WarpSketchScratch`] — per-warp
-/// scratch reuse inside [`launch_warps_into`] kernels, which execute on
-/// several host threads and therefore cannot share one mutable scratch.
-pub fn with_warp_scratch<R>(f: impl FnOnce(&mut WarpSketchScratch) -> R) -> R {
-    WARP_SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
-}
-
-/// Sketch one window with this thread's reusable warp scratch into a slot of
-/// a flat pre-allocated feature buffer (the per-launch output array handed
-/// out by [`mc_gpu_sim::launch_warps_into`]), returning how many slots were
-/// filled plus the kernel cost. Used by both the query pipeline and the GPU
-/// builder so the scratch protocol lives in one place; windows no longer
-/// allocate an owned `Vec<Feature>` each.
-pub fn warp_sketch_to_slot(
-    warp: &Warp,
-    window: &[u8],
-    kmer: KmerParams,
-    sketch_size: usize,
-    slot: &mut [Feature],
-) -> (usize, KernelCost) {
-    with_warp_scratch(|scratch| {
-        warp_sketch_window_to_slice(warp, window, kmer, sketch_size, scratch, slot)
-    })
-}
-
-/// Sketch one window with a warp into a caller-owned feature buffer,
-/// returning the modelled kernel cost. Appends the sketch's features to
-/// `out`; reuses `scratch`, so steady-state execution is allocation-free
-/// (apart from `out` growth up to the sketch size).
+/// Sketch one window with a warp into a slot of a flat pre-allocated feature
+/// buffer (the per-launch output array handed out by
+/// [`mc_gpu_sim::launch_warps_into`]), returning how many slots were filled
+/// plus the modelled kernel cost. The slot must hold at least `sketch_size`
+/// features. Reuses this thread's warp scratch, so steady-state execution is
+/// allocation-free.
 ///
 /// Lane `i` is responsible for the k-mers starting at positions
 /// `4·i … 4·i + 3` of the window (§5.3); each round sorts one hash per lane
@@ -102,41 +74,26 @@ pub fn warp_sketch_to_slot(
 /// combined, deduplicated and truncated to the sketch size. The result is
 /// bit-identical to the host [`crate::sketch::Sketcher`] (asserted by tests
 /// in this module and in `tests/property_tests.rs`).
-pub fn warp_sketch_window_into(
+pub fn warp_sketch_to_slot(
     warp: &Warp,
     window: &[u8],
     kmer: KmerParams,
     sketch_size: usize,
-    scratch: &mut WarpSketchScratch,
-    out: &mut Vec<Feature>,
-) -> KernelCost {
-    let cost = warp_sketch_window_core(warp, window, kmer, sketch_size, scratch);
-    out.extend(scratch.pool.iter().map(|&h| (h >> 32) as Feature));
-    cost
-}
-
-/// Sketch one window with a warp into a caller-owned feature *slice* (a slot
-/// of a flat per-launch buffer), returning how many features were written and
-/// the modelled kernel cost. The slice must hold at least `sketch_size`
-/// slots. Bit-identical to [`warp_sketch_window_into`].
-pub fn warp_sketch_window_to_slice(
-    warp: &Warp,
-    window: &[u8],
-    kmer: KmerParams,
-    sketch_size: usize,
-    scratch: &mut WarpSketchScratch,
-    out: &mut [Feature],
+    slot: &mut [Feature],
 ) -> (usize, KernelCost) {
-    let cost = warp_sketch_window_core(warp, window, kmer, sketch_size, scratch);
-    for (slot, &h) in out.iter_mut().zip(scratch.pool.iter()) {
-        *slot = (h >> 32) as Feature;
-    }
-    (scratch.pool.len(), cost)
+    WARP_SCRATCH.with(|scratch| {
+        let scratch = &mut *scratch.borrow_mut();
+        let cost = warp_sketch_window_core(warp, window, kmer, sketch_size, scratch);
+        for (feature, &h) in slot.iter_mut().zip(scratch.pool.iter()) {
+            *feature = (h >> 32) as Feature;
+        }
+        (scratch.pool.len(), cost)
+    })
 }
 
-/// The shared kernel body: leaves the sketch's hashes (sorted, deduplicated,
+/// The kernel body: leaves the sketch's hashes (sorted, deduplicated,
 /// truncated to `sketch_size`) in `scratch.pool` and returns the modelled
-/// cost; the public wrappers only differ in how they copy the features out.
+/// cost.
 fn warp_sketch_window_core(
     warp: &Warp,
     window: &[u8],
@@ -186,22 +143,6 @@ fn warp_sketch_window_core(
         ops: positions as u64 + sort_ops,
         launches: 0,
     }
-}
-
-/// Sketch one window with a warp, returning the sketch features and the
-/// modelled kernel cost. Convenience form of [`warp_sketch_window_into`]
-/// that allocates its own scratch and output.
-pub fn warp_sketch_window(
-    warp: &Warp,
-    window: &[u8],
-    kmer: KmerParams,
-    sketch_size: usize,
-) -> (Vec<Feature>, KernelCost) {
-    let mut scratch = WarpSketchScratch::new();
-    let mut features = Vec::with_capacity(sketch_size);
-    let cost =
-        warp_sketch_window_into(warp, window, kmer, sketch_size, &mut scratch, &mut features);
-    (features, cost)
 }
 
 /// Simulated time spent in each stage of the GPU query pipeline — the
@@ -350,27 +291,13 @@ where
         //     hash-table queries. ---
         let kmer = self.sketcher.window_params().kmer();
         let sketch_size = self.sketcher.sketch_size();
-        let window_len = self.sketcher.window_params().window_len() as usize;
 
-        // Collect every window of every read (both mates) with its read index.
-        let mut read_windows: Vec<(usize, Vec<u8>)> = Vec::new();
+        // Every window of every read (both mates), borrowed from the records,
+        // with its read index: the host query's read split.
+        let mut read_windows: Vec<(usize, &[u8])> = Vec::new();
         for (read_idx, record) in records.iter().enumerate() {
-            for seq in
-                std::iter::once(&record.sequence).chain(record.mate.as_ref().map(|m| &m.sequence))
-            {
-                if seq.len() < kmer.k() as usize {
-                    continue;
-                }
-                if seq.len() <= window_len {
-                    read_windows.push((read_idx, seq.clone()));
-                } else {
-                    let params = self.sketcher.window_params();
-                    for w in 0..mc_kmer::window::num_windows(seq.len(), params) {
-                        let (start, end) = mc_kmer::window::window_range(w, seq.len(), params);
-                        read_windows.push((read_idx, seq[start..end].to_vec()));
-                    }
-                }
-            }
+            self.sketcher
+                .for_each_read_window(record, |window| read_windows.push((read_idx, window)));
         }
 
         // Launch one warp per window for sketch generation; each worker
@@ -386,9 +313,9 @@ where
             sketch_size,
             &mut feature_buf,
             |warp: Warp, slot: &mut [Feature]| {
-                let (read_idx, window) = &read_windows[warp.warp_id];
+                let (read_idx, window) = read_windows[warp.warp_id];
                 let (filled, cost) = warp_sketch_to_slot(&warp, window, kmer, sketch_size, slot);
-                (filled, (*read_idx, cost))
+                (filled, (read_idx, cost))
             },
         );
         // Flat (offset, len, read_idx) view of each warp's slot.
@@ -565,6 +492,7 @@ mod tests {
     use crate::build::CpuBuilder;
     use crate::config::MetaCacheConfig;
     use crate::query::Classifier;
+    use crate::sketch::SketchScratch;
     use mc_taxonomy::{Rank, Taxonomy};
 
     fn make_seq(len: usize, seed: u64) -> Vec<u8> {
@@ -585,11 +513,16 @@ mod tests {
         let sketcher = Sketcher::new(&config).unwrap();
         let warp = Warp::new(0);
         let kmer = sketcher.window_params().kmer();
+        let mut scratch = SketchScratch::new();
+        let mut host = Vec::new();
+        let mut slot = vec![0; config.sketch_size];
         for seed in 0..20u64 {
             let window = make_seq(127, seed + 1);
-            let (gpu_features, cost) = warp_sketch_window(&warp, &window, kmer, config.sketch_size);
-            let host = sketcher.sketch_window(&window);
-            assert_eq!(gpu_features, host.features(), "seed {seed}");
+            let (filled, cost) =
+                warp_sketch_to_slot(&warp, &window, kmer, config.sketch_size, &mut slot);
+            host.clear();
+            sketcher.sketch_window_into(&window, &mut scratch, &mut host);
+            assert_eq!(slot[..filled], host[..], "seed {seed}");
             assert!(cost.ops > 0 && cost.bytes_read == 127);
         }
     }
@@ -600,27 +533,21 @@ mod tests {
         let sketcher = Sketcher::new(&config).unwrap();
         let warp = Warp::new(0);
         let kmer = sketcher.window_params().kmer();
-        let mut scratch = WarpSketchScratch::new();
-        let mut features = Vec::new();
+        let mut scratch = SketchScratch::new();
+        let mut host = Vec::new();
+        let mut slot = vec![0; config.sketch_size];
         for seed in 0..30u64 {
-            // Window lengths vary so the scratch shrinks and grows.
+            // Window lengths vary so this thread's warp scratch shrinks and
+            // grows between calls.
             let window = make_seq(60 + (seed as usize * 17) % 120, seed + 1);
-            features.clear();
-            warp_sketch_window_into(
-                &warp,
-                &window,
-                kmer,
-                config.sketch_size,
-                &mut scratch,
-                &mut features,
-            );
+            let (filled, _) =
+                warp_sketch_to_slot(&warp, &window, kmer, config.sketch_size, &mut slot);
+            host.clear();
+            sketcher.sketch_window_into(&window, &mut scratch, &mut host);
+            assert_eq!(slot[..filled], host[..]);
             assert_eq!(
-                features.as_slice(),
-                sketcher.sketch_window(&window).features()
-            );
-            assert_eq!(
-                features.as_slice(),
-                sketcher.sketch_window_baseline(&window).features(),
+                slot[..filled],
+                sketcher.sketch_window_baseline(&window)[..],
                 "seed {seed}"
             );
         }
@@ -632,17 +559,20 @@ mod tests {
         let sketcher = Sketcher::new(&config).unwrap();
         let warp = Warp::new(0);
         let kmer = sketcher.window_params().kmer();
-        let (f, _) = warp_sketch_window(&warp, b"ACGTACGT", kmer, 16);
-        assert!(f.is_empty());
+        let mut slot = [0; 16];
+        let (filled, _) = warp_sketch_to_slot(&warp, b"ACGTACGT", kmer, 16, &mut slot);
+        assert_eq!(filled, 0);
         let all_n = vec![b'N'; 127];
-        let (f, _) = warp_sketch_window(&warp, &all_n, kmer, 16);
-        assert!(f.is_empty());
+        let (filled, _) = warp_sketch_to_slot(&warp, &all_n, kmer, 16, &mut slot);
+        assert_eq!(filled, 0);
         let mut mixed = make_seq(127, 5);
         for i in (0..127).step_by(9) {
             mixed[i] = b'N';
         }
-        let (f, _) = warp_sketch_window(&warp, &mixed, kmer, 16);
-        assert_eq!(f, sketcher.sketch_window(&mixed).features());
+        let (filled, _) = warp_sketch_to_slot(&warp, &mixed, kmer, 16, &mut slot);
+        let mut host = Vec::new();
+        sketcher.sketch_window_into(&mixed, &mut SketchScratch::new(), &mut host);
+        assert_eq!(slot[..filled], host[..]);
     }
 
     fn small_db() -> (Database, Vec<u8>, Vec<u8>) {

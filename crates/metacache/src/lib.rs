@@ -129,7 +129,7 @@ pub use serving::{
     EngineConfig, EngineStats, Epoch, EpochStore, ServingEngine, Session, SessionConfig,
 };
 pub use shard::ShardPlan;
-pub use sketch::{ReadSketch, Sketch, SketchScratch, Sketcher};
+pub use sketch::{SketchScratch, Sketcher};
 
 #[doc(hidden)]
 pub use frozen_benchmark::{ShardedClassifier, ShardedDatabase};

@@ -39,61 +39,16 @@
 //! The seed's collect→sort→dedup→truncate formulation is retained as
 //! [`Sketcher::sketch_window_baseline`]: it is the reference oracle the
 //! property tests compare against bit-for-bit, and the baseline the
-//! `sketch` criterion bench measures speedups over. The convenience APIs
-//! ([`Sketcher::sketch_window`], `sketch_record`, …) allocate fresh buffers
-//! per call and are kept for tests, examples and one-off use.
+//! `sketch` criterion bench measures speedups over;
+//! [`Sketcher::sketch_record_baseline`] applies it to every window of a read.
+//! There is no allocating convenience form of the hot path. A read is split
+//! into windows in one place, which the hot path, its oracle and the GPU
+//! query pipeline share, so they cannot disagree on a read's windows.
 
 use mc_kmer::window::{num_windows, window_range, WindowParams};
 use mc_kmer::{hash64, Feature};
 
 use crate::config::MetaCacheConfig;
-
-/// A minhash sketch: up to `s` features, sorted ascending by hash value.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Sketch {
-    features: Vec<Feature>,
-}
-
-impl Sketch {
-    /// The sketch features (ascending, distinct).
-    pub fn features(&self) -> &[Feature] {
-        &self.features
-    }
-
-    /// Number of features in the sketch.
-    pub fn len(&self) -> usize {
-        self.features.len()
-    }
-
-    /// Whether the sketch is empty (window had no valid k-mer).
-    pub fn is_empty(&self) -> bool {
-        self.features.is_empty()
-    }
-}
-
-/// The sketch of one read (or read pair): the sketches of all its windows.
-#[derive(Debug, Clone, Default)]
-pub struct ReadSketch {
-    /// One sketch per read window (mate windows appended after mate-1 windows).
-    pub windows: Vec<Sketch>,
-    /// Total length (both mates) of the read, used to size the sliding window
-    /// during candidate generation.
-    pub total_len: usize,
-}
-
-impl ReadSketch {
-    /// Total number of features over all windows.
-    pub fn feature_count(&self) -> usize {
-        self.windows.iter().map(|s| s.len()).sum()
-    }
-
-    /// Iterate over all features of all windows.
-    pub fn all_features(&self) -> impl Iterator<Item = Feature> + '_ {
-        self.windows
-            .iter()
-            .flat_map(|s| s.features().iter().copied())
-    }
-}
 
 /// Reusable scratch state for allocation-free sketching.
 ///
@@ -260,27 +215,14 @@ impl Sketcher {
     /// is bit-identical to it, the `sketch` bench measures the hot
     /// path's speedup against it, and it documents the §4.1 definition
     /// directly.
-    pub fn sketch_window_baseline(&self, window: &[u8]) -> Sketch {
+    pub fn sketch_window_baseline(&self, window: &[u8]) -> Vec<Feature> {
         let mut hashes: Vec<u64> = mc_kmer::KmerIter::new(window, self.params.kmer())
             .map(|k| hash64(k.canonical().value()))
             .collect();
         hashes.sort_unstable();
         hashes.dedup();
         hashes.truncate(self.sketch_size);
-        Sketch {
-            features: hashes.into_iter().map(|h| (h >> 32) as Feature).collect(),
-        }
-    }
-
-    /// Sketch one window (an arbitrary subsequence): hash all canonical
-    /// k-mers with `h1` and keep the `s` smallest distinct values, truncated
-    /// to 32-bit features. Convenience form of [`Self::sketch_window_into`]
-    /// that allocates its own buffers.
-    pub fn sketch_window(&self, window: &[u8]) -> Sketch {
-        let mut scratch = SketchScratch::with_capacity(self.sketch_size);
-        let mut features = Vec::with_capacity(self.sketch_size);
-        self.sketch_window_into(window, &mut scratch, &mut features);
-        Sketch { features }
+        hashes.into_iter().map(|h| (h >> 32) as Feature).collect()
     }
 
     /// Number of windows a reference sequence of `len` bases produces.
@@ -314,50 +256,36 @@ impl Sketcher {
         scratch.features = features;
     }
 
-    /// Sketch every window of a reference sequence; returns `(window_id,
-    /// sketch)` pairs for non-empty sketches. Convenience form of
-    /// [`Self::for_each_window_sketch`] that allocates per window.
-    pub fn sketch_reference(&self, sequence: &[u8]) -> Vec<(u32, Sketch)> {
-        let mut scratch = SketchScratch::with_capacity(self.sketch_size);
-        let mut out = Vec::new();
-        self.for_each_window_sketch(sequence, &mut scratch, |w, features| {
-            out.push((
-                w,
-                Sketch {
-                    features: features.to_vec(),
-                },
-            ));
-            std::ops::ControlFlow::Continue(())
-        });
-        out
-    }
-
-    /// Sketch every window of one read sequence into `out` (flat, windows
-    /// concatenated in order), returning the number of windows that produced
-    /// a non-empty sketch. Short reads (length ≤ window length) form a single
-    /// window; reads shorter than `k` produce nothing.
-    fn sketch_sequence_into(
+    /// The read split (§4.2): visit the windows a read and, after them, its
+    /// mate are queried with. A sequence shorter than `k` gives no window,
+    /// one of at most `w` bases gives itself, and a longer one gives the
+    /// reference windows of [`num_windows`] / [`window_range`]. The query
+    /// hot path, its baseline oracle and the GPU query pipeline all split
+    /// reads here.
+    pub(crate) fn for_each_read_window<'r>(
         &self,
-        sequence: &[u8],
-        scratch: &mut SketchScratch,
-        out: &mut Vec<Feature>,
-    ) -> usize {
-        if sequence.len() < self.params.k() as usize {
-            return 0;
-        }
+        record: &'r mc_seqio::SequenceRecord,
+        mut f: impl FnMut(&'r [u8]),
+    ) {
+        let k = self.params.k() as usize;
         let window_len = self.params.window_len() as usize;
-        if sequence.len() <= window_len {
-            let appended = self.sketch_window_into(sequence, scratch, out);
-            return usize::from(appended > 0);
-        }
-        let mut windows = 0;
-        for w in 0..self.num_windows(sequence.len()) {
-            let (start, end) = window_range(w, sequence.len(), self.params);
-            if self.sketch_window_into(&sequence[start..end], scratch, out) > 0 {
-                windows += 1;
+        let mut split = |sequence: &'r [u8]| {
+            if sequence.len() < k {
+                return;
             }
+            if sequence.len() <= window_len {
+                f(sequence);
+                return;
+            }
+            for w in 0..self.num_windows(sequence.len()) {
+                let (start, end) = window_range(w, sequence.len(), self.params);
+                f(&sequence[start..end]);
+            }
+        };
+        split(&record.sequence);
+        if let Some(mate) = &record.mate {
+            split(&mate.sequence);
         }
-        windows
     }
 
     /// Sketch a read and (if present) its mate into a caller-owned flat
@@ -374,86 +302,25 @@ impl Sketcher {
         scratch: &mut SketchScratch,
         out: &mut Vec<Feature>,
     ) -> usize {
-        let mut windows = self.sketch_sequence_into(&record.sequence, scratch, out);
-        if let Some(mate) = &record.mate {
-            windows += self.sketch_sequence_into(&mate.sequence, scratch, out);
-        }
+        let mut windows = 0;
+        self.for_each_read_window(record, |window| {
+            if self.sketch_window_into(window, scratch, out) > 0 {
+                windows += 1;
+            }
+        });
         windows
     }
 
-    /// Split a read into windows of the database window length and sketch
-    /// each window. Convenience form that allocates per window.
-    pub fn sketch_read(&self, sequence: &[u8]) -> Vec<Sketch> {
-        if sequence.len() < self.params.k() as usize {
-            return Vec::new();
-        }
-        let window_len = self.params.window_len() as usize;
-        if sequence.len() <= window_len {
-            let s = self.sketch_window(sequence);
-            return if s.is_empty() { Vec::new() } else { vec![s] };
-        }
-        let n = self.num_windows(sequence.len());
-        (0..n)
-            .filter_map(|w| {
-                let (start, end) = window_range(w, sequence.len(), self.params);
-                let s = self.sketch_window(&sequence[start..end]);
-                if s.is_empty() {
-                    None
-                } else {
-                    Some(s)
-                }
-            })
-            .collect()
-    }
-
-    /// Sketch a read and (if present) its mate into one [`ReadSketch`].
-    /// Convenience form of [`Self::sketch_record_into`] that allocates.
-    pub fn sketch_record(&self, record: &mc_seqio::SequenceRecord) -> ReadSketch {
-        let mut windows = self.sketch_read(&record.sequence);
-        if let Some(mate) = &record.mate {
-            windows.extend(self.sketch_read(&mate.sequence));
-        }
-        ReadSketch {
-            windows,
-            total_len: record.total_len(),
-        }
-    }
-
-    /// Reference oracle counterpart of [`Self::sketch_record`]: every window
-    /// sketched with [`Self::sketch_window_baseline`]. The collect-sort
-    /// baseline `tests/end_to_end.rs` holds the hot path to.
-    pub fn sketch_record_baseline(&self, record: &mc_seqio::SequenceRecord) -> ReadSketch {
-        let mut windows = self.sketch_read_baseline(&record.sequence);
-        if let Some(mate) = &record.mate {
-            windows.extend(self.sketch_read_baseline(&mate.sequence));
-        }
-        ReadSketch {
-            windows,
-            total_len: record.total_len(),
-        }
-    }
-
-    fn sketch_read_baseline(&self, sequence: &[u8]) -> Vec<Sketch> {
-        if sequence.len() < self.params.k() as usize {
-            return Vec::new();
-        }
-        let window_len = self.params.window_len() as usize;
-        if sequence.len() <= window_len {
-            let s = self.sketch_window_baseline(sequence);
-            return if s.is_empty() { Vec::new() } else { vec![s] };
-        }
-        let n = self.num_windows(sequence.len());
-        (0..n)
-            .filter_map(|w| {
-                let (start, end) = window_range(w, sequence.len(), self.params);
-                let s = self.sketch_window_baseline(&sequence[start..end]);
-                if s.is_empty() {
-                    None
-                } else {
-                    Some(s)
-                }
-            })
-            .collect()
+    /// Reference oracle counterpart of [`Self::sketch_record_into`]: the
+    /// features of every read window sketched with
+    /// [`Self::sketch_window_baseline`], flat and in window order. The
+    /// collect-sort baseline `tests/end_to_end.rs` holds the hot path to.
+    pub fn sketch_record_baseline(&self, record: &mc_seqio::SequenceRecord) -> Vec<Feature> {
+        let mut features = Vec::new();
+        self.for_each_read_window(record, |window| {
+            features.extend(self.sketch_window_baseline(window));
+        });
+        features
     }
 }
 
@@ -483,10 +350,10 @@ mod tests {
     fn sketch_has_at_most_s_distinct_sorted_features() {
         let s = sketcher();
         let window = make_seq(127, 1);
-        let sketch = s.sketch_window(&window);
-        assert!(sketch.len() <= 16);
-        assert!(!sketch.is_empty());
-        let f = sketch.features();
+        let mut f = Vec::new();
+        s.sketch_window_into(&window, &mut SketchScratch::new(), &mut f);
+        assert!(f.len() <= 16);
+        assert!(!f.is_empty());
         assert!(
             f.windows(2).all(|p| p[0] < p[1]),
             "features must be sorted distinct"
@@ -497,7 +364,8 @@ mod tests {
     fn sketch_is_smallest_hashes() {
         let s = sketcher();
         let window = make_seq(127, 2);
-        let sketch = s.sketch_window(&window);
+        let mut sketch = Vec::new();
+        s.sketch_window_into(&window, &mut SketchScratch::new(), &mut sketch);
         // Recompute all hashes; the sketch must equal the s smallest distinct,
         // truncated to 32 bits.
         let mut hashes: Vec<u64> = CanonicalKmerIter::new(&window, s.window_params().kmer())
@@ -510,7 +378,7 @@ mod tests {
             .take(16)
             .map(|h| (h >> 32) as Feature)
             .collect();
-        assert_eq!(sketch.features(), expected.as_slice());
+        assert_eq!(sketch, expected);
     }
 
     #[test]
@@ -522,11 +390,7 @@ mod tests {
             let window = make_seq(40 + (seed as usize * 13) % 200, seed + 1);
             features.clear();
             s.sketch_window_into(&window, &mut scratch, &mut features);
-            assert_eq!(
-                features.as_slice(),
-                s.sketch_window_baseline(&window).features(),
-                "seed {seed}"
-            );
+            assert_eq!(features, s.sketch_window_baseline(&window), "seed {seed}");
         }
     }
 
@@ -543,10 +407,7 @@ mod tests {
         let before = fallbacks();
         s.sketch_window_into(&repeat, &mut scratch, &mut features);
         assert_eq!(fallbacks(), before + 1, "the fallback branch was not taken");
-        assert_eq!(
-            features.as_slice(),
-            s.sketch_window_baseline(&repeat).features()
-        );
+        assert_eq!(features, s.sketch_window_baseline(&repeat));
         assert!(features.len() <= 2);
 
         // A random full window keeps ≈ 2s survivors and does not fall back;
@@ -557,10 +418,7 @@ mod tests {
             s.sketch_window_into(&window, &mut scratch, &mut features);
             assert_eq!(fallbacks(), before, "window of {} bases", window.len());
             assert_eq!(features.len(), 16);
-            assert_eq!(
-                features.as_slice(),
-                s.sketch_window_baseline(&window).features()
-            );
+            assert_eq!(features, s.sketch_window_baseline(&window));
         }
     }
 
@@ -597,7 +455,7 @@ mod tests {
         features.clear();
         s.sketch_window_into(&a, &mut scratch, &mut features);
         assert_eq!(features, first_a);
-        assert_eq!(first_a.as_slice(), s.sketch_window_baseline(&a).features());
+        assert_eq!(first_a, s.sketch_window_baseline(&a));
     }
 
     #[test]
@@ -605,13 +463,20 @@ mod tests {
         let s = sketcher();
         let mut scratch = SketchScratch::new();
         let mut features = Vec::new();
-        let r = SequenceRecord::new("r/1", make_seq(250, 11))
-            .with_mate(SequenceRecord::new("r/2", make_seq(101, 12)));
+        let read = make_seq(250, 11);
+        let mate = make_seq(101, 12);
+        let r = SequenceRecord::new("r/1", read.clone())
+            .with_mate(SequenceRecord::new("r/2", mate.clone()));
         let windows = s.sketch_record_into(&r, &mut scratch, &mut features);
-        let reference = s.sketch_record(&r);
-        assert_eq!(windows, reference.windows.len());
-        let expected: Vec<Feature> = reference.all_features().collect();
+        // 250 bases at stride 112: the reference windows [0, 127),
+        // [112, 239), [224, 250); then the 101-base mate as one window.
+        let expected: Vec<Feature> = [&read[0..127], &read[112..239], &read[224..], &mate[..]]
+            .into_iter()
+            .flat_map(|window| s.sketch_window_baseline(window))
+            .collect();
+        assert_eq!(windows, 4);
         assert_eq!(features, expected);
+        assert_eq!(s.sketch_record_baseline(&r), expected);
     }
 
     #[test]
@@ -623,14 +488,13 @@ mod tests {
         for i in [10usize, 40, 80, 120] {
             b[i] = if b[i] == b'A' { b'C' } else { b'A' };
         }
-        let sa = s.sketch_window(&a);
-        let sb = s.sketch_window(&b);
-        assert_eq!(sa, s.sketch_window(&a));
-        let shared = sa
-            .features()
-            .iter()
-            .filter(|f| sb.features().contains(f))
-            .count();
+        let mut scratch = SketchScratch::new();
+        let [mut sa, mut sb, mut again] = [(); 3].map(|_| Vec::new());
+        s.sketch_window_into(&a, &mut scratch, &mut sa);
+        s.sketch_window_into(&b, &mut scratch, &mut sb);
+        s.sketch_window_into(&a, &mut scratch, &mut again);
+        assert_eq!(sa, again);
+        let shared = sa.iter().filter(|f| sb.contains(f)).count();
         assert!(shared >= 4, "mutated window shares only {shared} features");
         assert!(shared < 16, "mutation should change some features");
     }
@@ -638,10 +502,11 @@ mod tests {
     #[test]
     fn window_shorter_than_k_yields_empty() {
         let s = sketcher();
-        assert!(s.sketch_window(b"ACGTACGT").is_empty());
-        assert!(s.sketch_read(b"ACGTACGT").is_empty());
         let mut scratch = SketchScratch::new();
         let mut features = Vec::new();
+        assert!(s.sketch_window_baseline(b"ACGTACGT").is_empty());
+        let read = SequenceRecord::new("r", b"ACGTACGT".to_vec());
+        assert_eq!(s.sketch_record_into(&read, &mut scratch, &mut features), 0);
         assert_eq!(
             s.sketch_window_into(b"ACGTACGT", &mut scratch, &mut features),
             0
@@ -653,7 +518,9 @@ mod tests {
     fn all_n_window_yields_empty_sketch() {
         let s = sketcher();
         let window = vec![b'N'; 127];
-        assert!(s.sketch_window(&window).is_empty());
+        let mut features = Vec::new();
+        s.sketch_window_into(&window, &mut SketchScratch::new(), &mut features);
+        assert!(features.is_empty());
         assert!(s.sketch_window_baseline(&window).is_empty());
     }
 
@@ -661,40 +528,42 @@ mod tests {
     fn reference_sketching_covers_all_windows() {
         let s = sketcher();
         let genome = make_seq(10_000, 7);
-        let sketches = s.sketch_reference(&genome);
+        let mut ids = Vec::new();
+        s.for_each_window_sketch(&genome, &mut SketchScratch::new(), |w, _| {
+            ids.push(w);
+            std::ops::ControlFlow::Continue(())
+        });
         let expected_windows = s.num_windows(genome.len());
-        assert_eq!(sketches.len(), expected_windows as usize);
-        assert_eq!(sketches[0].0, 0);
-        assert_eq!(sketches.last().unwrap().0, expected_windows - 1);
+        assert_eq!(ids.len(), expected_windows as usize);
+        assert_eq!(ids[0], 0);
+        assert_eq!(*ids.last().unwrap(), expected_windows - 1);
     }
 
     #[test]
     fn visitor_and_allocating_reference_sketching_agree() {
         let s = sketcher();
         let genome = make_seq(8_000, 17);
-        let allocated = s.sketch_reference(&genome);
-        let mut scratch = SketchScratch::new();
-        let mut visited: Vec<(u32, Vec<Feature>)> = Vec::new();
-        s.for_each_window_sketch(&genome, &mut scratch, |w, features| {
-            visited.push((w, features.to_vec()));
+        let mut visited = 0;
+        s.for_each_window_sketch(&genome, &mut SketchScratch::new(), |w, features| {
+            let (start, end) = window_range(w, genome.len(), s.window_params());
+            assert_eq!(features, s.sketch_window_baseline(&genome[start..end]));
+            visited += 1;
             std::ops::ControlFlow::Continue(())
         });
-        assert_eq!(allocated.len(), visited.len());
-        for ((w_a, sketch), (w_b, features)) in allocated.iter().zip(&visited) {
-            assert_eq!(w_a, w_b);
-            assert_eq!(sketch.features(), features.as_slice());
-        }
+        assert_eq!(visited, s.num_windows(genome.len()));
     }
 
     #[test]
     fn short_read_is_single_window_long_read_splits() {
         let s = sketcher();
-        let short = make_seq(100, 9);
-        assert_eq!(s.sketch_read(&short).len(), 1);
-        let long = make_seq(250, 9);
+        let mut scratch = SketchScratch::new();
+        let mut features = Vec::new();
+        let short = SequenceRecord::new("short", make_seq(100, 9));
+        assert_eq!(s.sketch_record_into(&short, &mut scratch, &mut features), 1);
+        let long = SequenceRecord::new("long", make_seq(250, 9));
         // 250 bases at stride 112 -> 3 windows (paper: MiSeq reads split into
         // two or more windows).
-        assert!(s.sketch_read(&long).len() >= 2);
+        assert!(s.sketch_record_into(&long, &mut scratch, &mut features) >= 2);
     }
 
     #[test]
@@ -702,11 +571,11 @@ mod tests {
         let s = sketcher();
         let r = SequenceRecord::new("r/1", make_seq(101, 11))
             .with_mate(SequenceRecord::new("r/2", make_seq(101, 12)));
-        let sketch = s.sketch_record(&r);
-        assert_eq!(sketch.windows.len(), 2);
-        assert_eq!(sketch.total_len, 202);
-        assert!(sketch.feature_count() > 16);
-        assert_eq!(sketch.all_features().count(), sketch.feature_count());
+        let mut features = Vec::new();
+        let windows = s.sketch_record_into(&r, &mut SketchScratch::new(), &mut features);
+        assert_eq!(windows, 2);
+        assert!(features.len() > 16);
+        assert_eq!(features, s.sketch_record_baseline(&r));
     }
 
     #[test]
@@ -715,21 +584,17 @@ mod tests {
         // from a reference window shares most sketch features with it.
         let s = sketcher();
         let genome = make_seq(5_000, 21);
-        let read = &genome[1_120..1_220]; // aligned with window 10 (stride 112)
-        let read_sketch = s.sketch_read(read);
-        assert_eq!(read_sketch.len(), 1);
-        let ref_sketches = s.sketch_reference(&genome);
-        let best_overlap = ref_sketches
-            .iter()
-            .map(|(_, sk)| {
-                read_sketch[0]
-                    .features()
-                    .iter()
-                    .filter(|f| sk.features().contains(f))
-                    .count()
-            })
-            .max()
-            .unwrap();
+        // Aligned with window 10 (stride 112).
+        let read = SequenceRecord::new("r", genome[1_120..1_220].to_vec());
+        let mut read_sketch = Vec::new();
+        let windows = s.sketch_record_into(&read, &mut SketchScratch::new(), &mut read_sketch);
+        assert_eq!(windows, 1);
+        let mut best_overlap = 0;
+        s.for_each_window_sketch(&genome, &mut SketchScratch::new(), |_, sk| {
+            let overlap = read_sketch.iter().filter(|f| sk.contains(f)).count();
+            best_overlap = best_overlap.max(overlap);
+            std::ops::ControlFlow::Continue(())
+        });
         assert!(
             best_overlap >= 8,
             "best window overlap only {best_overlap}/16"

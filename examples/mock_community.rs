@@ -65,7 +65,7 @@ fn main() {
     let mut gpu_builder =
         GpuBuilder::new(config, collection.taxonomy.clone(), &system, expected).unwrap();
     for t in &collection.targets {
-        gpu_builder.add_target(t.to_record(), t.taxon).unwrap();
+        gpu_builder.add_target(&t.to_record(), t.taxon).unwrap();
     }
     println!(
         "GPU build simulated device time: {}",

@@ -10,12 +10,15 @@ use mc_datagen::profiles::DatasetProfile;
 use mc_datagen::reads::ReadSimulator;
 use mc_datagen::taxonomy_gen::TaxonomySpec;
 use mc_gpu_sim::MultiGpuSystem;
+use mc_kmer::{Feature, Location};
 use mc_kraken2::{Kraken2Builder, Kraken2Classifier, Kraken2Config};
+use mc_seqio::SequenceRecord;
 use mc_taxonomy::TaxonId;
 use metacache::build::{estimate_locations, CpuBuilder, GpuBuilder};
+use metacache::candidate::{accumulate_locations_into, top_candidates_into};
 use metacache::gpu::GpuClassifier;
 use metacache::query::Classifier;
-use metacache::MetaCacheConfig;
+use metacache::{CandidateList, Database, MetaCacheConfig, Sketcher};
 
 fn collection() -> ReferenceCollection {
     ReferenceCollection::refseq_like(RefSeqLikeSpec {
@@ -46,7 +49,7 @@ fn partition_count_does_not_change_classifications_without_capping() {
         let mut builder =
             GpuBuilder::new(config, collection.taxonomy.clone(), &system, expected).unwrap();
         for t in &collection.targets {
-            builder.add_target(t.to_record(), t.taxon).unwrap();
+            builder.add_target(&t.to_record(), t.taxon).unwrap();
         }
         let db = builder.finish();
         assert_eq!(db.partition_count(), devices);
@@ -81,7 +84,7 @@ fn cpu_and_gpu_builders_lead_to_agreeing_classifiers() {
     let mut gpu_builder =
         GpuBuilder::new(config, collection.taxonomy.clone(), &system, expected).unwrap();
     for t in &collection.targets {
-        gpu_builder.add_target(t.to_record(), t.taxon).unwrap();
+        gpu_builder.add_target(&t.to_record(), t.taxon).unwrap();
     }
     let gpu_db = gpu_builder.finish();
     let gpu_calls = Classifier::new(&gpu_db).classify_batch(&reads.reads);
@@ -160,4 +163,134 @@ fn experiment_harness_runs_at_tiny_scale() {
     assert_eq!(bd.rows.len(), 3);
     let t5 = ttq::run(&scale);
     assert_eq!(t5.bars.len(), 4);
+}
+
+/// The seed's reference stages over a flat feature list: probe every
+/// feature, one comparison sort, accumulate, scan.
+fn oracle_candidates(db: &Database, features: &[Feature], read_len: usize) -> CandidateList {
+    let mut locations: Vec<Location> = Vec::new();
+    for &feature in features {
+        db.query_feature_into(feature, &mut locations);
+    }
+    locations.sort_unstable_by_key(|l| l.pack());
+    let mut counts = Vec::new();
+    accumulate_locations_into(&locations, &mut counts);
+    let mut candidates = CandidateList::new(db.config.top_candidates);
+    top_candidates_into(
+        &counts,
+        db.config.sliding_window_size(read_len),
+        &mut candidates,
+    );
+    candidates
+}
+
+/// Reads of k − 1, k, w, w + 1 and w + stride bases, each alone and with a
+/// mate, give one candidate list through the host classifier, the GPU
+/// pipeline and the baseline oracle, and that list is the one of the windows
+/// the read split is specified to give, written out here by hand.
+fn read_split_edges_agree_across_backends(stride: usize) {
+    const K: usize = 16;
+    const W: usize = 127;
+    let config = MetaCacheConfig {
+        window_stride: stride as u32,
+        ..MetaCacheConfig::default()
+    };
+    let collection = collection();
+    let mut builder = CpuBuilder::new(config, collection.taxonomy.clone());
+    for t in &collection.targets {
+        builder.add_target(t.to_record(), t.taxon).unwrap();
+    }
+    let db = builder.finish();
+    let sketcher = Sketcher::new(&config).unwrap();
+
+    // Under k bases no window; up to w bases the whole read — also at
+    // stride 100, where the reference split would give a read of w bases
+    // two windows; beyond w the reference windows, the last one cut short.
+    let longest = match stride {
+        112 => vec![(0, W), (112, W + 112)],
+        100 => vec![(0, W), (100, W + 100), (200, W + 100)],
+        _ => unreachable!("windows spelled out for strides 112 and 100"),
+    };
+    let cases: Vec<(usize, Vec<(usize, usize)>)> = vec![
+        (K - 1, vec![]),
+        (K, vec![(0, K)]),
+        (W, vec![(0, W)]),
+        (W + 1, vec![(0, W), (stride, W + 1)]),
+        (W + stride, longest),
+    ];
+
+    let genome = |i: usize| &collection.targets[i % collection.targets.len()].sequence;
+    let mut reads = Vec::new();
+    let mut expected = Vec::new();
+    // A read of k bases has one k-mer: start it, and its mate, where that
+    // k-mer is in the database so that its list is not empty either (a read
+    // under k bases has no k-mer and starts at `from`).
+    let hits = |seq: &[u8]| {
+        let mut locations = Vec::new();
+        for feature in sketcher.sketch_window_baseline(seq) {
+            db.query_feature_into(feature, &mut locations);
+        }
+        !locations.is_empty()
+    };
+    let start_at = |genome: &[u8], from: usize, len: usize| {
+        (from..genome.len() - len)
+            .find(|&start| hits(&genome[start..start + len]))
+            .unwrap_or(from)
+    };
+    for (i, (len, windows)) in cases.iter().enumerate() {
+        let genome = genome(i);
+        let (read_start, mate_start) =
+            (start_at(genome, 1_000, *len), start_at(genome, 5_000, *len));
+        let read = genome[read_start..read_start + len].to_vec();
+        let mate = genome[mate_start..mate_start + len].to_vec();
+        let features = |seq: &[u8]| -> Vec<Feature> {
+            windows
+                .iter()
+                .flat_map(|&(start, end)| sketcher.sketch_window_baseline(&seq[start..end]))
+                .collect()
+        };
+        let alone = features(&read);
+        let paired = [alone.clone(), features(&mate)].concat();
+        expected.push(oracle_candidates(&db, &alone, *len));
+        expected.push(oracle_candidates(&db, &paired, 2 * len));
+        reads.push(SequenceRecord::new(format!("r{i}"), read.clone()));
+        reads.push(
+            SequenceRecord::new(format!("r{i}/1"), read)
+                .with_mate(SequenceRecord::new(format!("r{i}/2"), mate)),
+        );
+    }
+    assert!(expected[0].is_empty() && expected[1].is_empty());
+    assert!(expected[2..].iter().all(|list| !list.is_empty()));
+    // The rule this test holds the split to shows: at stride 100 the
+    // reference windows of a read of w bases give another list.
+    if stride == 100 {
+        let read = &reads[4].sequence;
+        let two_windows = [&read[..], &read[100..]].map(|w| sketcher.sketch_window_baseline(w));
+        assert_ne!(
+            oracle_candidates(&db, &two_windows.concat(), W),
+            expected[4]
+        );
+    }
+
+    let host = Classifier::new(&db);
+    let system = MultiGpuSystem::dgx1(2);
+    let (gpu, _) = GpuClassifier::new(&db, &system).candidates_batch_on(&reads, 0);
+    for ((read, expected), gpu) in reads.iter().zip(&expected).zip(&gpu) {
+        let len = read.sequence.len();
+        let baseline = host.sketcher().sketch_record_baseline(read);
+        let baseline = oracle_candidates(&db, &baseline, read.total_len());
+        assert_eq!(&host.candidates(read), expected, "host, {len} bases");
+        assert_eq!(gpu, expected, "GPU, {len} bases");
+        assert_eq!(&baseline, expected, "baseline oracle, {len} bases");
+    }
+}
+
+#[test]
+fn read_split_edges_agree_across_backends_at_the_default_stride() {
+    read_split_edges_agree_across_backends(112);
+}
+
+#[test]
+fn read_split_edges_agree_across_backends_at_stride_100() {
+    read_split_edges_agree_across_backends(100);
 }

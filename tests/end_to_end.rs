@@ -79,15 +79,15 @@ fn scratch_hot_path_matches_the_collect_sort_baseline() {
     let baseline: Vec<_> = reads
         .iter()
         .map(|read| {
-            let sketch = classifier.sketcher().sketch_record_baseline(read);
+            let features = classifier.sketcher().sketch_record_baseline(read);
             let mut locations = Vec::new();
-            for feature in sketch.all_features() {
+            for feature in features {
                 db.query_feature_into(feature, &mut locations);
             }
             locations.sort_unstable_by_key(|l| l.pack());
             let mut counts = Vec::new();
             accumulate_locations_into(&locations, &mut counts);
-            let sws = db.config.sliding_window_size(sketch.total_len);
+            let sws = db.config.sliding_window_size(read.total_len());
             let mut candidates = CandidateList::new(db.config.top_candidates);
             top_candidates_into(&counts, sws, &mut candidates);
             classify_candidates(&db, &db.config, &candidates)
@@ -112,7 +112,7 @@ fn gpu_pipeline_matches_cpu_classifications_on_same_database() {
     let mut builder =
         GpuBuilder::new(config, collection.taxonomy.clone(), &system, expected).unwrap();
     for t in &collection.targets {
-        builder.add_target(t.to_record(), t.taxon).unwrap();
+        builder.add_target(&t.to_record(), t.taxon).unwrap();
     }
     let db = builder.finish();
 

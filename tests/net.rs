@@ -778,10 +778,10 @@ fn candidates_over_the_wire_match_in_process() {
         )
         .expect("tables fit");
         builder
-            .add_target(SequenceRecord::new("refA", genomes[0].clone()), 100)
+            .add_target(&SequenceRecord::new("refA", genomes[0].clone()), 100)
             .unwrap();
         builder
-            .add_target(SequenceRecord::new("refB", genomes[1].clone()), 101)
+            .add_target(&SequenceRecord::new("refB", genomes[1].clone()), 101)
             .unwrap();
         Arc::new(builder.finish())
     };

@@ -19,7 +19,7 @@ use mc_warpcore::{
 };
 use metacache::build::CpuBuilder;
 use metacache::candidate::{accumulate_locations_into, top_candidates_into, WindowCounter};
-use metacache::gpu::{warp_sketch_window_into, WarpSketchScratch};
+use metacache::gpu::warp_sketch_to_slot;
 use metacache::query::{Classifier, QueryScratch};
 use metacache::{CandidateList, Database, MetaCacheConfig, SketchScratch, Sketcher};
 
@@ -195,7 +195,7 @@ proptest! {
             features.clear();
             sketcher.sketch_window_into(&window, &mut scratch, &mut features);
             let oracle = sketcher.sketch_window_baseline(&window);
-            prop_assert_eq!(&features, oracle.features(), "sketch size {}", sketch_size);
+            prop_assert_eq!(&features, &oracle, "sketch size {}", sketch_size);
         }
     }
 
@@ -251,7 +251,7 @@ proptest! {
                 let oracle = sketcher.sketch_window_baseline(window);
                 prop_assert_eq!(appended, oracle.len());
                 prop_assert_eq!(
-                    &features, oracle.features(),
+                    &features, &oracle,
                     "sketch size {}, window {:?}", sketch_size, String::from_utf8_lossy(window)
                 );
             }
@@ -260,7 +260,7 @@ proptest! {
                 .with_mate(SequenceRecord::new("r/2", windows[2].clone()));
             features.clear();
             sketcher.sketch_record_into(&record, &mut scratch, &mut features);
-            let oracle: Vec<_> = sketcher.sketch_record_baseline(&record).all_features().collect();
+            let oracle = sketcher.sketch_record_baseline(&record);
             prop_assert_eq!(&features, &oracle, "sketch size {}", sketch_size);
         }
     }
@@ -274,17 +274,15 @@ proptest! {
         let config = MetaCacheConfig { sketch_size, ..MetaCacheConfig::default() };
         let sketcher = Sketcher::new(&config).unwrap();
         let kmer = sketcher.window_params().kmer();
-        let mut warp_scratch = WarpSketchScratch::new();
-        let mut warp_features = Vec::new();
-        warp_sketch_window_into(
-            &Warp::new(0), &window, kmer, sketch_size, &mut warp_scratch, &mut warp_features,
-        );
+        let mut slot = vec![0; sketch_size];
+        let (filled, _) = warp_sketch_to_slot(&Warp::new(0), &window, kmer, sketch_size, &mut slot);
+        let warp_features = &slot[..filled];
         let mut host_scratch = SketchScratch::new();
         let mut host_features = Vec::new();
         sketcher.sketch_window_into(&window, &mut host_scratch, &mut host_features);
         let oracle = sketcher.sketch_window_baseline(&window);
-        prop_assert_eq!(&warp_features, &host_features);
-        prop_assert_eq!(&warp_features, oracle.features());
+        prop_assert_eq!(warp_features, &host_features[..]);
+        prop_assert_eq!(warp_features, &oracle[..]);
     }
 
     #[test]
@@ -323,10 +321,12 @@ proptest! {
         // the same window (monotonicity of "s smallest distinct hashes").
         let small_cfg = MetaCacheConfig { sketch_size: s, ..MetaCacheConfig::default() };
         let large_cfg = MetaCacheConfig { sketch_size: s + 8, ..MetaCacheConfig::default() };
-        let small = Sketcher::new(&small_cfg).unwrap().sketch_window(&seq);
-        let large = Sketcher::new(&large_cfg).unwrap().sketch_window(&seq);
+        let mut scratch = SketchScratch::new();
+        let [mut small, mut large] = [Vec::new(), Vec::new()];
+        Sketcher::new(&small_cfg).unwrap().sketch_window_into(&seq, &mut scratch, &mut small);
+        Sketcher::new(&large_cfg).unwrap().sketch_window_into(&seq, &mut scratch, &mut large);
         prop_assert!(small.len() <= large.len());
-        prop_assert_eq!(small.features(), &large.features()[..small.len()]);
+        prop_assert_eq!(&small[..], &large[..small.len()]);
     }
 
     #[test]

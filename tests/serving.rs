@@ -358,10 +358,10 @@ fn gpu_engine_matches_host_engine_and_classify_batch() {
     let mut builder = GpuBuilder::new(MetaCacheConfig::for_tests(), taxonomy, &system, 200_000)
         .expect("tables fit");
     builder
-        .add_target(SequenceRecord::new("refA", genomes[0].clone()), 100)
+        .add_target(&SequenceRecord::new("refA", genomes[0].clone()), 100)
         .unwrap();
     builder
-        .add_target(SequenceRecord::new("refB", genomes[1].clone()), 101)
+        .add_target(&SequenceRecord::new("refB", genomes[1].clone()), 101)
         .unwrap();
     let db = Arc::new(builder.finish());
     let reads = mixed_reads(45, 123);

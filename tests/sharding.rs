@@ -370,7 +370,7 @@ fn save_refuses_a_split_whose_merged_bucket_is_over_the_cap() {
     for i in 0..2u32 {
         let genome = [make_seq(3_000, 600 + i as u64), hot.clone()].concat();
         builder
-            .add_target(SequenceRecord::new(format!("t{i}"), genome), 100 + i)
+            .add_target(&SequenceRecord::new(format!("t{i}"), genome), 100 + i)
             .unwrap();
     }
     let gpu_db = builder.finish();
@@ -431,7 +431,7 @@ fn repartition_of_a_two_device_build_is_bit_identical() {
     for (i, g) in genomes.iter().enumerate() {
         builder
             .add_target(
-                SequenceRecord::new(format!("t{i}"), g.clone()),
+                &SequenceRecord::new(format!("t{i}"), g.clone()),
                 100 + i as u32,
             )
             .unwrap();

@@ -261,10 +261,10 @@ fn streaming_matches_gpu_built_database() {
     let mut builder =
         GpuBuilder::new(MetaCacheConfig::for_tests(), taxonomy, &system, 1 << 16).expect("builder");
     builder
-        .add_target(SequenceRecord::new("refA", genomes[0].clone()), 100)
+        .add_target(&SequenceRecord::new("refA", genomes[0].clone()), 100)
         .unwrap();
     builder
-        .add_target(SequenceRecord::new("refB", genomes[1].clone()), 101)
+        .add_target(&SequenceRecord::new("refB", genomes[1].clone()), 101)
         .unwrap();
     let db = Arc::new(builder.finish());
 
