@@ -18,7 +18,9 @@ use metacache::build::{estimate_locations, CpuBuilder, GpuBuilder};
 use metacache::candidate::{accumulate_locations_into, top_candidates_into};
 use metacache::gpu::GpuClassifier;
 use metacache::query::Classifier;
-use metacache::{CandidateList, Database, MetaCacheConfig, Sketcher};
+use metacache::{
+    Backend, CandidateList, Database, GpuBackend, MetaCacheConfig, ShardPlan, Sketcher,
+};
 
 fn collection() -> ReferenceCollection {
     ReferenceCollection::refseq_like(RefSeqLikeSpec {
@@ -293,4 +295,130 @@ fn read_split_edges_agree_across_backends_at_the_default_stride() {
 #[test]
 fn read_split_edges_agree_across_backends_at_stride_100() {
     read_split_edges_agree_across_backends(100);
+}
+
+/// The GPU model's figures on one seeded workload, pinned in simulated
+/// nanoseconds: every stage of each batch's `StageBreakdown`, the system's
+/// makespan and every device's clock, at 1, 2 and 4 devices over
+/// a database of five partitions (more partitions than devices), for two
+/// successive batches issued on devices 0 and 1. The batches hold reads
+/// shorter than k, a read with no hits, a chimera whose hits span several
+/// partitions, a read long enough for the sort's global class and a pair;
+/// the GPU worker's candidate lists must equal the host's.
+#[test]
+fn gpu_model_figures_are_pinned() {
+    let collection = collection();
+    let mut builder = CpuBuilder::new(MetaCacheConfig::default(), collection.taxonomy.clone());
+    for t in &collection.targets {
+        builder.add_target(t.to_record(), t.taxon).unwrap();
+    }
+    let whole = builder.finish();
+    let plan = ShardPlan::round_robin(whole.target_count(), 5).unwrap();
+    let db = whole.repartition(&plan).unwrap();
+    assert_eq!(db.partition_count(), 5);
+
+    let genome = |i: usize| &collection.targets[i % collection.targets.len()].sequence[..];
+    let mut state = 0x9E37_79B9_u64;
+    let mut alien = |len: usize| -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                b"ACGT"[(state >> 33) as usize % 4]
+            })
+            .collect()
+    };
+    let batches: Vec<Vec<SequenceRecord>> = (0..2usize)
+        .map(|b| {
+            let mut reads: Vec<SequenceRecord> = (0..12usize)
+                .map(|i| {
+                    let at = 500 + 997 * i + 3001 * b;
+                    let len = [100, 150, 260][i % 3];
+                    let seq = genome(i + b)[at..at + len].to_vec();
+                    SequenceRecord::new(format!("b{b}r{i}"), seq)
+                })
+                .collect();
+            let chimera: Vec<u8> = (0..4)
+                .flat_map(|t| genome(t + b)[1_000..1_130].iter().copied())
+                .collect();
+            reads.push(SequenceRecord::new("short", genome(b)[..10].to_vec()));
+            reads.push(SequenceRecord::new("alien", alien(150 + 50 * b)));
+            reads.push(SequenceRecord::new("chimera", chimera));
+            reads.push(SequenceRecord::new(
+                "long",
+                genome(b + 3)[2_000..11_000].to_vec(),
+            ));
+            reads.push(
+                SequenceRecord::new("pair/1", genome(b + 1)[7_000..7_150].to_vec()).with_mate(
+                    SequenceRecord::new("pair/2", genome(b + 2)[9_000..9_150].to_vec()),
+                ),
+            );
+            reads
+        })
+        .collect();
+
+    // The batches reach what the workload is built to reach.
+    let host = Classifier::new(&db);
+    for batch in &batches {
+        let lists: Vec<CandidateList> = batch.iter().map(|r| host.candidates(r)).collect();
+        let named = |name: &str| &lists[batch.iter().position(|r| r.header == name).unwrap()];
+        assert!(named("short").is_empty() && named("alien").is_empty());
+        let parts: std::collections::BTreeSet<u32> = named("chimera")
+            .as_slice()
+            .iter()
+            .map(|c| c.target % 5)
+            .collect();
+        assert!(parts.len() >= 3, "chimera hits partitions {parts:?}");
+    }
+
+    let mut figures = Vec::new();
+    for devices in [1usize, 2, 4] {
+        let system = MultiGpuSystem::dgx1(devices);
+        let gpu = GpuClassifier::new(&db, &system);
+        for (issue, batch) in batches.iter().enumerate() {
+            let (calls, b) = gpu.classify_batch_on(batch, issue);
+            assert_eq!(calls, host.classify_batch(batch));
+            let mut row = vec![devices as u64, issue as u64];
+            row.extend(
+                [
+                    b.transfer,
+                    b.sketch_query,
+                    b.compact,
+                    b.sort,
+                    b.top_candidates,
+                ]
+                .map(|t| t.as_nanos()),
+            );
+            row.push(system.makespan().as_nanos());
+            row.extend(system.devices().iter().map(|d| d.clock().now().as_nanos()));
+            figures.push(row);
+        }
+
+        // The serving worker answers with the host's lists.
+        let backend_system = MultiGpuSystem::dgx1(devices);
+        let backend = GpuBackend::new(&db, &backend_system);
+        let mut worker = backend.worker();
+        for batch in &batches {
+            let mut lists = Vec::new();
+            worker.candidates_each(batch, &mut |list| lists.push(list.clone()));
+            let expected: Vec<CandidateList> = batch.iter().map(|r| host.candidates(r)).collect();
+            assert_eq!(lists, expected, "{devices} devices");
+        }
+    }
+    // (devices, issue, transfer, sketch+query, compact, sort, top
+    // candidates, makespan, device clocks…), all in nanoseconds.
+    let pinned: Vec<Vec<u64>> = vec![
+        vec![1, 0, 6001, 10284, 5035, 15106, 10062, 46488, 46488],
+        vec![1, 1, 6005, 10285, 5036, 15109, 10063, 92986, 92986],
+        vec![2, 0, 6001, 10233, 5008, 10017, 5004, 46326, 46326, 45277],
+        vec![2, 1, 6005, 10213, 5003, 10004, 5001, 91655, 91655, 91566],
+        vec![
+            4, 0, 6001, 10212, 5002, 10004, 5001, 46283, 46283, 40147, 45165, 40251,
+        ],
+        vec![
+            4, 1, 6005, 10193, 5000, 5000, 9042, 91586, 91586, 81408, 85312, 85401,
+        ],
+    ];
+    assert_eq!(figures, pinned, "{figures:?}");
 }
