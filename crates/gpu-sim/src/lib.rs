@@ -20,8 +20,9 @@
 //!   converts the data volumes actually moved by the simulated kernels into
 //!   simulated execution times; this drives the performance tables/figures
 //!   of the reproduction,
-//! * [`segsort`] — the segmented key-only sort of Hou et al. adapted in §5.5,
-//!   with per-segment kernel selection by size,
+//! * [`segsort`] — the cost model of the segmented key-only sort of Hou et
+//!   al. adapted in §5.5: segments counted per size class and charged from
+//!   their lengths (nothing is sorted),
 //! * [`multi_gpu::MultiGpuSystem`] — a node with several devices and the
 //!   peer copies of the top-hit merge ring (Figure 2).
 //!
@@ -52,6 +53,6 @@ pub use device::{Device, DeviceError, DeviceInfo};
 pub use launch::launch_warps_into;
 pub use memory::Reservation;
 pub use multi_gpu::MultiGpuSystem;
-pub use segsort::{segmented_sort, SegmentedSortStats};
+pub use segsort::SegmentedSortStats;
 pub use stream::Stream;
 pub use warp::{Warp, WARP_SIZE};

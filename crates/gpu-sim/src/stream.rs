@@ -18,10 +18,10 @@ use crate::device::Device;
 /// The stream keeps its own simulated timeline (`position`) so that several
 /// streams on the same device can overlap, exactly like CUDA streams; the
 /// device clock records the furthest point any stream has reached.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Stream {
     device: Arc<Device>,
-    position: Arc<Mutex<SimDuration>>,
+    position: Mutex<SimDuration>,
 }
 
 impl Stream {
@@ -29,7 +29,7 @@ impl Stream {
     pub fn new(device: Arc<Device>) -> Self {
         Self {
             device,
-            position: Arc::new(Mutex::new(SimDuration::ZERO)),
+            position: Mutex::new(SimDuration::ZERO),
         }
     }
 

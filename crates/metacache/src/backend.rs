@@ -212,8 +212,9 @@ where
         // One shared cursor across all workers: successive batches rotate
         // over the devices, whichever worker issues them.
         let issue = self.backend.next_issue.fetch_add(1, Ordering::Relaxed);
-        let (lists, _) = self.backend.classifier.candidates_batch_on(records, issue);
-        lists.iter().for_each(emit);
+        self.backend
+            .classifier
+            .candidates_batch_on(records, issue, emit);
     }
 }
 

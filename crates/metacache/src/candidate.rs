@@ -127,12 +127,20 @@ impl CandidateList {
         self.candidates.insert(at, candidate);
     }
 
-    /// Merge another candidate list into this one (used when combining the
-    /// per-partition top hits of a multi-GPU query, Figure 2).
-    pub fn merge(&mut self, other: &CandidateList) {
-        for c in other.as_slice() {
-            self.insert(*c);
+    /// Insert every candidate of `other`, in order: the top-hit merge of
+    /// Figure 2, which a router runs on each read's per-shard lists. Lists
+    /// of one capacity over disjoint targets merge, in any order, into the
+    /// list of all their candidates (the lemma the tests below check).
+    pub fn merge(&mut self, other: impl AsRef<[Candidate]>) {
+        for &c in other.as_ref() {
+            self.insert(c);
         }
+    }
+}
+
+impl AsRef<[Candidate]> for CandidateList {
+    fn as_ref(&self) -> &[Candidate] {
+        &self.candidates
     }
 }
 
@@ -728,16 +736,16 @@ mod tests {
     #[test]
     fn duplicate_targets_keep_best_and_incumbent_on_ties() {
         let mut a = list_of(4, &[cand(7, 0, 5)]);
-        a.merge(&list_of(4, &[cand(7, 9, 8)]));
+        a.merge(list_of(4, &[cand(7, 9, 8)]));
         assert_eq!(a.as_slice(), &[cand(7, 9, 8)], "higher hits replace");
 
         let mut tie = list_of(4, &[cand(7, 0, 5)]);
-        tie.merge(&list_of(4, &[cand(7, 9, 5)]));
+        tie.merge(list_of(4, &[cand(7, 9, 5)]));
         assert_eq!(tie.as_slice(), &[cand(7, 0, 5)], "ties keep incumbent");
 
         // With distinct hits the collapse is order-independent.
         let mut rev = list_of(4, &[cand(7, 9, 8)]);
-        rev.merge(&list_of(4, &[cand(7, 0, 5)]));
+        rev.merge(list_of(4, &[cand(7, 0, 5)]));
         assert_eq!(rev.as_slice(), &[cand(7, 9, 8)]);
     }
 

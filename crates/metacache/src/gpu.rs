@@ -14,24 +14,29 @@
 //! * [`GpuClassifier`] — steps (4)–(8): hash-table lookup, location list
 //!   compaction, segmented sort, window-count accumulation and warp-level
 //!   top-candidate generation, followed by the cross-device top-hit merge of
-//!   Figure 2. Per-stage simulated times are recorded in a
-//!   [`StageBreakdown`], which is what Figure 5 of the paper plots.
+//!   Figure 2. These steps execute the host's stages — every partition
+//!   answers a read's features into one location list
+//!   ([`crate::database::Partition::query_batch_into`]) and the host's
+//!   [`WindowCounter`] turns it into the read's candidates — and each
+//!   device's kernels are charged from the counts those stages saw: features
+//!   probed, locations returned, one sort segment per read. Per-stage
+//!   simulated times are recorded in a [`StageBreakdown`], which is what
+//!   Figure 5 of the paper plots.
 //!
-//! The classifications produced by the GPU pipeline are identical to the host
-//! query path when run against the same database; only the execution / cost
-//! model differs.
+//! The GPU pipeline's candidate lists are therefore the host query path's
+//! by construction; only the cost model differs.
 
 use std::ops::Deref;
 use std::sync::Arc;
 
 use mc_gpu_sim::{
-    launch_warps_into, segmented_sort, KernelCost, MultiGpuSystem, SimDuration, Stream, Warp,
+    launch_warps_into, KernelCost, MultiGpuSystem, SegmentedSortStats, SimDuration, Stream, Warp,
     WARP_SIZE,
 };
 use mc_kmer::{hash64, Feature, KmerParams, Location};
 use mc_seqio::SequenceRecord;
 
-use crate::candidate::{accumulate_locations_into, top_candidates_into, CandidateList};
+use crate::candidate::{CandidateList, WindowCounter};
 use crate::classify::{classify_candidates, Classification};
 use crate::database::Database;
 use crate::sketch::Sketcher;
@@ -53,12 +58,36 @@ struct WarpSketchScratch {
 thread_local! {
     static WARP_SCRATCH: std::cell::RefCell<WarpSketchScratch> =
         std::cell::RefCell::new(WarpSketchScratch::default());
-    /// Flat per-launch feature buffer of the query pipeline's sketch stage,
-    /// reused across the batches a thread classifies (serving workers
-    /// classify many batches per thread; per-call allocation would undo the
-    /// launch buffer's cross-launch reuse).
-    static QUERY_FEATURE_BUF: std::cell::RefCell<Vec<Feature>> =
-        const { std::cell::RefCell::new(Vec::new()) };
+    /// The query pipeline's buffers, reused across the batches a thread
+    /// issues (serving workers issue many batches per thread).
+    static BATCH_SCRATCH: std::cell::RefCell<BatchScratch> =
+        std::cell::RefCell::new(BatchScratch::default());
+}
+
+/// Buffers of [`GpuClassifier::candidates_batch_on`]; every one is at its
+/// high-water mark after the largest batch a thread has issued.
+#[derive(Default)]
+struct BatchScratch {
+    /// The batch's windows with their read index; empty between batches.
+    windows: Vec<(usize, &'static [u8])>,
+    /// The sketch launch's slots, then each read's features back to back.
+    features: Vec<Feature>,
+    /// One read's locations, partition-major, and the host's stage 3.
+    locations: Vec<Location>,
+    counter: WindowCounter,
+    candidates: CandidateList,
+    /// Per device: the current read's locations, and its sort's segments.
+    segment: Vec<usize>,
+    sorts: Vec<SegmentedSortStats>,
+}
+
+/// Hand an emptied vector's allocation to a vector of another element type
+/// of the same size and alignment: collecting a mapped `IntoIter` reuses
+/// its buffer in place. [`BatchScratch::windows`] keeps borrowed windows
+/// across batches this way without holding a borrow.
+fn reuse<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!()).collect()
 }
 
 /// Sketch one window with a warp into a slot of a flat pre-allocated feature
@@ -245,25 +274,25 @@ where
     }
 
     /// Classify a batch of reads with the transfer + sketching stage issued
-    /// on `issue_device`: the host-side final step over
-    /// [`GpuClassifier::candidates_batch_on`]'s merged lists.
+    /// on `issue_device`: the host-side final step over each list
+    /// [`GpuClassifier::candidates_batch_on`] emits.
     pub fn classify_batch_on(
         &self,
         records: &[SequenceRecord],
         issue_device: usize,
     ) -> (Vec<Classification>, StageBreakdown) {
-        let (lists, breakdown) = self.candidates_batch_on(records, issue_device);
-        let classifications = lists
-            .iter()
-            .map(|cands| classify_candidates(&self.db, &self.db.config, cands))
-            .collect();
+        let mut classifications = Vec::with_capacity(records.len());
+        let breakdown = self.candidates_batch_on(records, issue_device, &mut |cands| {
+            classifications.push(classify_candidates(&self.db, &self.db.config, cands))
+        });
         (classifications, breakdown)
     }
 
     /// Run the device pipeline for a batch of reads — transfer + sketching
     /// issued on `issue_device` (wrapped modulo the device count), the
-    /// top-hit merge ring starting there — and return each read's merged
-    /// top-candidate list. The lists are independent of the issue device —
+    /// top-hit merge ring starting there — hand each read's top-candidate
+    /// list to `emit`, in read order, and return the batch's simulated
+    /// per-stage times. The lists are independent of the issue device —
     /// only the simulated stream occupancy differs — so concurrent callers
     /// (the serving engine's GPU backend) can round-robin batches across
     /// devices to model the paper's per-GPU copy/compute overlap.
@@ -271,63 +300,56 @@ where
         &self,
         records: &[SequenceRecord],
         issue_device: usize,
-    ) -> (Vec<CandidateList>, StageBreakdown) {
+        emit: &mut dyn FnMut(&CandidateList),
+    ) -> StageBreakdown {
         let mut batch_breakdown = StageBreakdown::default();
         if records.is_empty() {
-            return (Vec::new(), batch_breakdown);
+            return batch_breakdown;
         }
         let devices = self.system.device_count().max(1);
         let issue = issue_device % devices;
         let streams: Vec<Stream> = self.system.streams();
         let first = &streams[issue];
 
-        // --- Stage: host -> device transfer of the read windows (device 0). ---
+        // --- Stage: host -> device transfer of the read windows. ---
         let batch_bytes: u64 = records.iter().map(|r| r.total_len() as u64).sum();
         let t0 = first.position();
         first.transfer(batch_bytes);
         batch_breakdown.transfer = diff(first.position(), t0);
 
-        // --- Stage: sketching (device 0) + broadcast of sketches + per-device
-        //     hash-table queries. ---
+        // --- Stage: sketching on the issue device + broadcast of sketches +
+        //     per-device hash-table queries. ---
         let kmer = self.sketcher.window_params().kmer();
         let sketch_size = self.sketcher.sketch_size();
+        // Taken, not borrowed: `emit` may start another batch on this thread.
+        let mut scratch = BATCH_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
 
         // Every window of every read (both mates), borrowed from the records,
         // with its read index: the host query's read split.
-        let mut read_windows: Vec<(usize, &[u8])> = Vec::new();
+        let mut windows: Vec<(usize, &[u8])> = reuse(std::mem::take(&mut scratch.windows));
         for (read_idx, record) in records.iter().enumerate() {
             self.sketcher
-                .for_each_read_window(record, |window| read_windows.push((read_idx, window)));
+                .for_each_read_window(record, |window| windows.push((read_idx, window)));
         }
 
         // Launch one warp per window for sketch generation; each worker
         // thread reuses its warp scratch across the windows it executes, and
         // every warp writes its features into a fixed-stride slot of one flat
-        // per-launch buffer (no owned Vec per window). The buffer itself is
-        // thread-local so repeated batches on one serving worker reuse its
-        // allocation.
-        let mut feature_buf: Vec<Feature> =
-            QUERY_FEATURE_BUF.with(|b| std::mem::take(&mut *b.borrow_mut()));
-        let sketch_spans: Vec<(usize, (usize, KernelCost))> = launch_warps_into(
-            read_windows.len(),
+        // per-launch buffer.
+        let sketch_spans: Vec<(usize, KernelCost)> = launch_warps_into(
+            windows.len(),
             sketch_size,
-            &mut feature_buf,
+            &mut scratch.features,
             |warp: Warp, slot: &mut [Feature]| {
-                let (read_idx, window) = read_windows[warp.warp_id];
-                let (filled, cost) = warp_sketch_to_slot(&warp, window, kmer, sketch_size, slot);
-                (filled, (read_idx, cost))
+                let (_, window) = windows[warp.warp_id];
+                warp_sketch_to_slot(&warp, window, kmer, sketch_size, slot)
             },
         );
-        // Flat (offset, len, read_idx) view of each warp's slot.
-        let window_sketch = |w: usize| -> &[Feature] {
-            let (filled, _) = sketch_spans[w];
-            &feature_buf[w * sketch_size..w * sketch_size + filled]
-        };
         let mut sketch_cost = KernelCost {
             launches: 1,
             ..Default::default()
         };
-        for (_, (_, c)) in &sketch_spans {
+        for (_, c) in &sketch_spans {
             // Per-warp costs carry no launch overhead of their own; the whole
             // sketching stage counts as a single kernel launch.
             sketch_cost = sketch_cost.merge(*c);
@@ -344,98 +366,87 @@ where
             self.system.peer_copy(src, dst, sketch_bytes);
         }
 
-        // Per-device hash-table queries: partition p is resident on device
-        // p % devices. Collect per-read locations per partition.
-        let mut per_read_candidates: Vec<CandidateList> = (0..records.len())
-            .map(|_| CandidateList::new(self.db.config.top_candidates))
-            .collect();
-        let mut query_cost_per_device: Vec<KernelCost> = vec![
-            KernelCost {
-                launches: 1,
-                ..Default::default()
-            };
-            devices
-        ];
-        let mut total_locations_per_device: Vec<Vec<(usize, Location)>> = vec![Vec::new(); devices];
-        let mut scratch = Vec::new();
-        for (p, partition) in self.db.partitions.iter().enumerate() {
-            let device = p % devices;
-            for (w, (_, (read_idx, _))) in sketch_spans.iter().enumerate() {
-                for &feature in window_sketch(w) {
-                    scratch.clear();
-                    partition.query_into(feature, &mut scratch);
-                    query_cost_per_device[device].ops += 8; // probing group traversal
-                    query_cost_per_device[device].bytes_read += 8 + scratch.len() as u64 * 8;
-                    for &loc in &scratch {
-                        total_locations_per_device[device].push((*read_idx, loc));
-                    }
-                }
-            }
+        // Close the slots' gaps: each read's features back to back, in
+        // window order — the flat list the host sketches the read into.
+        let mut features = 0;
+        for (w, &(filled, _)) in sketch_spans.iter().enumerate() {
+            let slot = w * sketch_size;
+            scratch.features.copy_within(slot..slot + filled, features);
+            features += filled;
         }
-        for (d, cost) in query_cost_per_device.iter().enumerate() {
-            streams[d].launch_kernel(*cost);
+
+        // Per read: every partition answers its features into one list
+        // (partition p is resident on device p % devices), the window
+        // counter turns it into the read's candidates, and each device's
+        // share of the list is one segment of that device's sort.
+        let s = &mut scratch;
+        s.segment.clear();
+        s.segment.resize(devices, 0);
+        s.sorts.clear();
+        s.sorts.resize(devices, SegmentedSortStats::default());
+        let mut spans = windows
+            .iter()
+            .zip(&sketch_spans)
+            .map(|(&(read_idx, _), &(filled, _))| (read_idx, filled))
+            .peekable();
+        let mut end = 0;
+        for (read_idx, record) in records.iter().enumerate() {
+            let start = end;
+            while let Some((_, filled)) = spans.next_if(|&(r, _)| r == read_idx) {
+                end += filled;
+            }
+            s.locations.clear();
+            for (p, partition) in self.db.partitions.iter().enumerate() {
+                s.segment[p % devices] +=
+                    partition.query_batch_into(&s.features[start..end], &mut s.locations);
+            }
+            for (sort, len) in s.sorts.iter_mut().zip(&mut s.segment) {
+                sort.add_segment(std::mem::take(len));
+            }
+            s.candidates.reset(self.db.config.top_candidates);
+            let sliding_window = self.db.config.sliding_window_size(record.total_len());
+            s.counter
+                .top_candidates_into(&s.locations, sliding_window, &mut s.candidates);
+            emit(&s.candidates);
+        }
+        let sorts = &scratch.sorts;
+
+        // Charge the query kernels: a probe (8 ops, 8 bytes) per feature per
+        // resident partition, plus the locations returned.
+        let features = features as u64;
+        let partitions = self.db.partitions.len();
+        for (d, stream) in streams.iter().enumerate() {
+            let probes = features * (d..partitions).step_by(devices).len() as u64;
+            stream.launch_kernel(KernelCost {
+                ops: 8 * probes,
+                bytes_read: 8 * probes + 8 * sorts[d].total_keys as u64,
+                bytes_written: 0,
+                launches: 1,
+            });
         }
         batch_breakdown.sketch_query = diff(max_position(&streams), t1);
 
         // --- Stage: compaction (prefix sum + dense copy per device). ---
         let t2 = max_position(&streams);
-        for (d, locs) in total_locations_per_device.iter().enumerate() {
-            let bytes = locs.len() as u64 * 8;
-            streams[d].launch_kernel(KernelCost::memory(bytes, bytes));
+        for (stream, sort) in streams.iter().zip(sorts) {
+            let bytes = sort.total_keys as u64 * 8;
+            stream.launch_kernel(KernelCost::memory(bytes, bytes));
         }
         batch_breakdown.compact = diff(max_position(&streams), t2);
 
         // --- Stage: segmented sort per device (one segment per read). ---
         let t3 = max_position(&streams);
-        let mut sorted_per_device: Vec<Vec<(usize, Vec<Location>)>> = Vec::with_capacity(devices);
-        for (d, locs) in total_locations_per_device.iter().enumerate() {
-            // Group locations by read to form segments.
-            let mut by_read: Vec<Vec<u64>> = vec![Vec::new(); records.len()];
-            for (read_idx, loc) in locs {
-                by_read[*read_idx].push(loc.pack());
-            }
-            let mut flat: Vec<u64> = Vec::with_capacity(locs.len());
-            let mut segments = vec![0usize];
-            for keys in &by_read {
-                flat.extend_from_slice(keys);
-                segments.push(flat.len());
-            }
-            let stats = segmented_sort(&mut flat, &segments);
-            streams[d].launch_kernel(stats.cost());
-            // Unflatten back into per-read sorted location lists.
-            let mut out = Vec::with_capacity(records.len());
-            for (read_idx, window) in segments.windows(2).enumerate() {
-                let slice = &flat[window[0]..window[1]];
-                out.push((
-                    read_idx,
-                    slice.iter().map(|&p| Location::unpack(p)).collect(),
-                ));
-            }
-            sorted_per_device.push(out);
+        for (stream, sort) in streams.iter().zip(sorts) {
+            stream.launch_kernel(sort.cost());
         }
         batch_breakdown.sort = diff(max_position(&streams), t3);
 
         // --- Stage: accumulation + sliding-window top candidates per device,
         //     then ring merge of the per-device top lists. ---
         let t4 = max_position(&streams);
-        let mut counts = Vec::new();
-        let mut local = CandidateList::new(self.db.config.top_candidates);
-        for (d, per_read) in sorted_per_device.iter().enumerate() {
-            let mut ops = 0u64;
-            for (read_idx, sorted_locations) in per_read {
-                if sorted_locations.is_empty() {
-                    continue;
-                }
-                ops += sorted_locations.len() as u64;
-                accumulate_locations_into(sorted_locations, &mut counts);
-                let sws = self
-                    .db
-                    .config
-                    .sliding_window_size(records[*read_idx].total_len());
-                top_candidates_into(&counts, sws, &mut local);
-                per_read_candidates[*read_idx].merge(&local);
-            }
-            streams[d].launch_kernel(KernelCost::compute(ops, ops * 8, 0));
+        for (stream, sort) in streams.iter().zip(sorts) {
+            let ops = sort.total_keys as u64;
+            stream.launch_kernel(KernelCost::compute(ops, ops * 8, 0));
         }
         // Ring merge: each device sends its per-read top lists to the next
         // device along the ring starting at the issue device.
@@ -451,10 +462,10 @@ where
         streams[(issue + devices - 1) % devices].transfer((records.len() * 32) as u64);
         batch_breakdown.top_candidates = diff(max_position(&streams), t4);
 
-        // Hand the launch buffer back for the thread's next batch.
-        QUERY_FEATURE_BUF.with(|b| *b.borrow_mut() = feature_buf);
-
-        (per_read_candidates, batch_breakdown)
+        // Hand the buffers back for the thread's next batch.
+        scratch.windows = reuse(windows);
+        BATCH_SCRATCH.with(|s| *s.borrow_mut() = scratch);
+        batch_breakdown
     }
 
     /// Classify all reads in batches of the configured batch size, returning

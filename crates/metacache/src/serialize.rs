@@ -22,9 +22,9 @@
 //! ([`load`]), partition `k` alone (a shard server's part) or none (the
 //! metadata a router classifies against).
 //!
-//! A load reads each `.cache` file front to back in 64 KiB blocks, eight
-//! times the default buffer, checking every bucket as it enters, and fills
-//! the table's index only once the whole arena is read.
+//! A load reads each `.cache` file front to back in 64 KiB blocks and parses
+//! headers and locations straight from each block, checking every bucket as
+//! it enters, and fills the table's index only once the whole arena is read.
 //!
 //! The files are outside input: a load checks every count against the
 //! file's length before allocating for it, and fails with
@@ -32,7 +32,7 @@
 //! [`save`] refuses, before it writes a file, a database a load would refuse
 //! for its configuration or a bucket over the location cap.
 
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -49,11 +49,11 @@ use crate::error::MetaCacheError;
 /// Magic bytes at the start of every `.cache` partition file.
 const CACHE_MAGIC: &[u8; 8] = b"MCCACHE1";
 
-/// Bytes a load reads from a `.cache` file at a time. A bucket is 8 bytes of
-/// header and 8 per location, so the default 8 KiB buffer refills every two
-/// hundred or so buckets of a dense file, each refill a system call; 64 KiB
-/// makes eight times fewer, without holding the file in memory beside the
-/// arena it becomes.
+/// Bytes a load reads from a `.cache` file at a time, then parses from the
+/// block's slice. A bucket is 8 bytes of header and 8 per location, so an
+/// 8 KiB block would end every two hundred or so buckets of a dense file,
+/// each refill a system call; 64 KiB makes eight times fewer, without
+/// holding the file in memory beside the arena it becomes.
 const READ_BLOCK: usize = 64 << 10;
 
 /// The JSON metadata stored in `<name>.meta`.
@@ -228,21 +228,19 @@ pub fn load_parts(
 /// feature order (no feature twice).
 fn load_table(path: &Path, max_locations: usize) -> Result<HostHashTable, MetaCacheError> {
     let bad = |what: String| MetaCacheError::Format(format!("{}: {what}", path.display()));
-    let file = std::fs::File::open(path)?;
+    let mut file = std::fs::File::open(path)?;
     let file_bytes = file.metadata()?.len();
-    let mut reader = BufReader::with_capacity(READ_BLOCK, file);
-    let mut word = [0u8; 8];
+    let mut head = [0u8; 16];
     let has_magic = file_bytes >= 16 && {
-        reader.read_exact(&mut word)?;
-        &word == CACHE_MAGIC
+        file.read_exact(&mut head)?;
+        head[..8] == CACHE_MAGIC[..]
     };
     if !has_magic {
         return Err(bad("not a MetaCache cache file".into()));
     }
-    reader.read_exact(&mut word)?;
-    let bucket_count = u64::from_le_bytes(word);
+    let bucket_count = u64::from_le_bytes(head[8..].try_into().expect("8-byte word"));
     // 16 bytes of file header, 8 of header per bucket, 8 per location.
-    let mut locations_left = bucket_count
+    let locations = bucket_count
         .checked_mul(8)
         .and_then(|headers| (file_bytes - 16).checked_sub(headers))
         .filter(|bytes| bytes % 8 == 0)
@@ -252,30 +250,68 @@ fn load_table(path: &Path, max_locations: usize) -> Result<HostHashTable, MetaCa
             ))
         })?
         / 8;
+    let body = file.take(file_bytes - 16);
+    read_table(body, bucket_count, locations, max_locations, bad)
+}
 
+/// Parse the `bucket_count` buckets of a `.cache` body holding `locations`
+/// locations in all, reading [`READ_BLOCK`] bytes at a time and taking the
+/// headers and locations out of each block's slice. A word cut by a block's
+/// edge is carried to the front of the next block, and a bucket's locations
+/// continue there.
+fn read_table(
+    mut body: impl Read,
+    bucket_count: u64,
+    mut locations_left: u64,
+    max_locations: usize,
+    bad: impl Fn(String) -> MetaCacheError,
+) -> Result<HostHashTable, MetaCacheError> {
     let mut buckets = Vec::with_capacity(bucket_count as usize);
     let mut arena = Vec::with_capacity(locations_left as usize);
+    let mut block = vec![0u8; READ_BLOCK];
+    // Bytes of a cut word at the front of `block`, and the locations the
+    // last bucket read still has to come.
+    let (mut carried, mut bucket_left) = (0, 0u64);
     let mut previous = None;
-    let mut bucket_bytes = Vec::new();
-    for _ in 0..bucket_count {
-        // Little-endian: the feature is the low half, the length the high.
-        reader.read_exact(&mut word)?;
-        let header = u64::from_le_bytes(word);
-        let (feature, len) = (header as Feature, header >> 32);
-        let in_order = previous.replace(feature).is_none_or(|p| p < feature);
-        if !in_order || len == 0 || len > max_locations as u64 || len > locations_left {
-            return Err(bad(format!(
-                "feature {feature} is out of order, or its bucket of {len} locations is empty, \
-                 over the cap of {max_locations} or longer than the rest of the file"
-            )));
+    while buckets.len() as u64 != bucket_count || bucket_left != 0 {
+        let read = body.read(&mut block[carried..])?;
+        if read == 0 {
+            return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into());
         }
-        locations_left -= len;
-        bucket_bytes.resize(len as usize * 8, 0);
-        reader.read_exact(&mut bucket_bytes)?;
-        arena.extend(bucket_bytes.chunks_exact(8).map(|bytes| {
-            Location::unpack(u64::from_le_bytes(bytes.try_into().expect("8-byte chunk")))
-        }));
-        buckets.push((feature, len as u32));
+        let filled = carried + read;
+        let whole = filled - filled % 8;
+        let mut words = &block[..whole];
+        while !words.is_empty() {
+            if bucket_left == 0 {
+                if buckets.len() as u64 == bucket_count {
+                    break;
+                }
+                let (word, rest) = words.split_at(8);
+                words = rest;
+                // Little-endian: the feature is the low half, the length the high.
+                let header = u64::from_le_bytes(word.try_into().expect("8-byte word"));
+                let (feature, len) = (header as Feature, header >> 32);
+                let in_order = previous.replace(feature).is_none_or(|p| p < feature);
+                if !in_order || len == 0 || len > max_locations as u64 || len > locations_left {
+                    return Err(bad(format!(
+                        "feature {feature} is out of order, or its bucket of {len} locations is \
+                         empty, over the cap of {max_locations} or longer than the rest of the file"
+                    )));
+                }
+                locations_left -= len;
+                bucket_left = len;
+                buckets.push((feature, len as u32));
+            }
+            let take = (words.len() / 8).min(bucket_left as usize);
+            let (locations, rest) = words.split_at(8 * take);
+            arena.extend(locations.chunks_exact(8).map(|bytes| {
+                Location::unpack(u64::from_le_bytes(bytes.try_into().expect("8-byte chunk")))
+            }));
+            words = rest;
+            bucket_left -= take as u64;
+        }
+        block.copy_within(whole..filled, 0);
+        carried = filled - whole;
     }
     if locations_left != 0 {
         return Err(bad(format!(
@@ -594,6 +630,79 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A reader that hands out at most `step` bytes per call, so that block
+    /// edges fall inside words.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.step).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn buckets_across_block_edges_load_whole() {
+        // In words after the file header, blocks end every 8192: the first
+        // bucket (16 383 locations) is longer than a block and ends where
+        // the third block starts with the second header; the third header
+        // is the last word of the third block, its locations in the fourth.
+        let per_block = (READ_BLOCK / 8) as u32;
+        let lengths = [2 * per_block - 1, per_block - 2, 3, 1, 700, 2];
+        let cap = HostHashTable::MAX_BUCKET_LEN;
+        let mut file = CACHE_MAGIC.to_vec();
+        file.extend_from_slice(&(lengths.len() as u64).to_le_bytes());
+        let mut expected = Vec::new();
+        for (i, &len) in lengths.iter().enumerate() {
+            let feature = 10 + 7 * i as Feature;
+            file.extend_from_slice(&feature.to_le_bytes());
+            file.extend_from_slice(&len.to_le_bytes());
+            let bucket: Vec<Location> = (0..len).map(|w| Location::new(i as u32, w)).collect();
+            for location in &bucket {
+                file.extend_from_slice(&location.pack().to_le_bytes());
+            }
+            expected.push((feature, bucket));
+        }
+        // The second and third headers' word indices.
+        assert_eq!(1 + lengths[0], 2 * per_block);
+        assert_eq!(2 + lengths[0] + lengths[1], 3 * per_block - 1);
+
+        let dir = temp_dir("block_edges");
+        let path = dir.join("edges.cache0");
+        std::fs::write(&path, &file).unwrap();
+        let from_file = load_table(&path, cap).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let contents = |table: &HostHashTable| {
+            let mut all = Vec::new();
+            table
+                .for_each_bucket(|feature, bucket| {
+                    all.push((feature, bucket.to_vec()));
+                    Ok::<(), ()>(())
+                })
+                .unwrap();
+            all
+        };
+        assert_eq!(contents(&from_file), expected);
+        // Reads that end inside words: headers and locations across edges.
+        for step in [4_093, 8_005, READ_BLOCK - 3] {
+            let body = Trickle {
+                data: &file[16..],
+                step,
+            };
+            let total = expected.iter().map(|(_, b)| b.len() as u64).sum();
+            let table = read_table(body, lengths.len() as u64, total, cap, |what| {
+                MetaCacheError::Format(what)
+            })
+            .unwrap();
+            assert_eq!(contents(&table), expected, "step {step}");
+        }
     }
 
     #[test]

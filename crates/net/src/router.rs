@@ -209,9 +209,7 @@ impl BackendWorker for RouterWorker {
         for read in 0..records.len() {
             self.merged.reset(self.top_candidates);
             for lists in &per_shard {
-                for &candidate in &lists[read] {
-                    self.merged.insert(candidate);
-                }
+                self.merged.merge(&lists[read]);
             }
             emit(&self.merged);
         }

@@ -3,7 +3,8 @@
 //! (fresh, loaded and sharded database) and the serving path's
 //! `BackendWorker::candidates_each` (host and sharded) in steady state
 //! (scratch reused, buffers at their high-water mark) and asserts **zero**
-//! allocations.
+//! allocations. The GPU model's worker spawns its sketch launch's threads on
+//! every batch; its count is asserted not to grow with devices or reads.
 //!
 //! This is the acceptance check for the scratch-buffer refactor: the sketch
 //! kernel's hash buffers, location gathering, the window counter's table and
@@ -13,12 +14,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use mc_gpu_sim::MultiGpuSystem;
 use mc_seqio::SequenceRecord;
 use mc_taxonomy::{Rank, Taxonomy};
 use metacache::build::CpuBuilder;
 use metacache::classify::classify_candidates;
 use metacache::query::{Classifier, QueryScratch};
-use metacache::{Backend, HostBackend, MetaCacheConfig, ShardPlan, SketchScratch};
+use metacache::{Backend, GpuBackend, HostBackend, MetaCacheConfig, ShardPlan, SketchScratch};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -257,4 +259,63 @@ fn steady_state_hot_path_performs_zero_allocations() {
             5 * reads.len()
         );
     }
+
+    // --- Part 5: the GPU model's worker. ------------------------------------
+    // A batch allocates only for its sketch launch — the launch's threads,
+    // their result vectors and the warp scratch each fresh thread fills —
+    // and for `MultiGpuSystem::streams()`'s one vector: the same count at
+    // any device count, and at most `READS_SLACK` more for four times the
+    // reads (a launch thread's buffers may grow once or twice more).
+    const READS_SLACK: u64 = 8;
+    let four_parts = db
+        .repartition(&ShardPlan::round_robin(db.target_count(), 4).unwrap())
+        .unwrap();
+    let batch = |n: usize| -> Vec<SequenceRecord> {
+        (0..n)
+            .map(|i| {
+                let genome = if i % 2 == 0 { &genome_a } else { &genome_b };
+                let (offset, len) = (100 + i * 61, if i % 5 == 0 { 260 } else { 120 });
+                let read =
+                    SequenceRecord::new(format!("g{i}"), genome[offset..offset + len].to_vec());
+                if i % 16 == 3 {
+                    let mate = genome[offset + 300..offset + 400].to_vec();
+                    read.with_mate(SequenceRecord::new(format!("g{i}/2"), mate))
+                } else {
+                    read
+                }
+            })
+            .collect()
+    };
+    let gpu_allocations = |devices: usize, reads: &[SequenceRecord]| -> u64 {
+        let expected = Classifier::new(&four_parts).classify_all_sequential(reads);
+        let system = MultiGpuSystem::dgx1(devices);
+        let backend = GpuBackend::new(&four_parts, &system);
+        let mut worker = backend.worker();
+        let mut out = Vec::with_capacity(reads.len());
+        let mut run = |out: &mut Vec<_>| {
+            out.clear();
+            worker.candidates_each(reads, &mut |list| {
+                out.push(classify_candidates(&four_parts, &four_parts.config, list))
+            });
+        };
+        run(&mut out); // warm-up
+        let allocs = min_allocations_over_attempts(|| run(&mut out));
+        assert_eq!(out, expected, "{devices} devices, {} reads", reads.len());
+        allocs
+    };
+    let (small, large) = (batch(64), batch(256));
+    let counts = [(1, &small), (4, &small), (1, &large), (4, &large)]
+        .map(|(devices, reads)| gpu_allocations(devices, reads));
+    let [one_small, four_small, one_large, four_large] = counts;
+    assert_eq!(
+        (one_small, one_large),
+        (four_small, four_large),
+        "GPU worker allocations grow with devices: {counts:?} \
+         (1 and 4 devices × 64 and 256 reads)"
+    );
+    assert!(
+        four_large <= four_small + READS_SLACK,
+        "GPU worker allocations grow with reads: {counts:?} \
+         (1 and 4 devices × 64 and 256 reads)"
+    );
 }

@@ -276,7 +276,9 @@ fn read_split_edges_agree_across_backends(stride: usize) {
 
     let host = Classifier::new(&db);
     let system = MultiGpuSystem::dgx1(2);
-    let (gpu, _) = GpuClassifier::new(&db, &system).candidates_batch_on(&reads, 0);
+    let mut gpu = Vec::new();
+    GpuClassifier::new(&db, &system)
+        .candidates_batch_on(&reads, 0, &mut |list| gpu.push(list.clone()));
     for ((read, expected), gpu) in reads.iter().zip(&expected).zip(&gpu) {
         let len = read.sequence.len();
         let baseline = host.sketcher().sketch_record_baseline(read);

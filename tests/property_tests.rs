@@ -1,13 +1,12 @@
 //! Property-based tests (proptest) of the core invariants:
 //! encoding round-trips, canonical k-mer strand independence, hash-table
-//! insert/query consistency across every variant, segmented-sort correctness,
-//! sketch stability, LCA algebra and the window counter against the
-//! reference candidate scan.
+//! insert/query consistency across every variant, sketch stability, LCA
+//! algebra and the window counter against the reference candidate scan.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use mc_gpu_sim::{segmented_sort, Warp};
+use mc_gpu_sim::Warp;
 use mc_kmer::{
     canonical, reverse_complement, CanonicalKmerIter, EncodedSequence, KmerParams, Location,
 };
@@ -148,26 +147,6 @@ proptest! {
         for probe in 1000u32..1010 {
             prop_assert!(mb.query(probe).is_empty());
             prop_assert!(host.query(probe).is_empty());
-        }
-    }
-
-    #[test]
-    fn segmented_sort_sorts_each_segment(
-        keys in vec(any::<u64>(), 0..2000),
-        cuts in vec(0usize..2000, 0..8)
-    ) {
-        let n = keys.len();
-        let mut bounds: Vec<usize> = cuts.into_iter().map(|c| c.min(n)).collect();
-        bounds.push(0);
-        bounds.push(n);
-        bounds.sort_unstable();
-        let mut data = keys.clone();
-        segmented_sort(&mut data, &bounds);
-        // Each segment is sorted and is a permutation of the original segment.
-        for w in bounds.windows(2) {
-            let mut original = keys[w[0]..w[1]].to_vec();
-            original.sort_unstable();
-            prop_assert_eq!(&data[w[0]..w[1]], original.as_slice());
         }
     }
 
