@@ -424,3 +424,76 @@ fn gpu_model_figures_are_pinned() {
     ];
     assert_eq!(figures, pinned, "{figures:?}");
 }
+
+/// The GPU build's figures on one seeded reference set, pinned: the
+/// builder's `BuildStats` (simulated build time in nanoseconds, windows,
+/// locations inserted and dropped, bytes sent to the devices), the
+/// makespan and every device clock, at 1, 2 and 4 devices. The targets
+/// outnumber the devices and include one shorter than k, one whose last
+/// window is truncated, one with a run of `N` covering whole windows, and a
+/// short-period repeat the per-feature cap bites on.
+#[test]
+fn gpu_build_figures_are_pinned() {
+    let collection = collection();
+    let genome = |i: usize| &collection.targets[i].sequence[..];
+    let mut masked = genome(1)[..4_000].to_vec();
+    masked[1_200..1_600].fill(b'N');
+    let repeat: Vec<u8> = genome(2)[..90]
+        .iter()
+        .cycle()
+        .take(6_000)
+        .copied()
+        .collect();
+    let targets: Vec<SequenceRecord> = [
+        genome(0)[..5_000].to_vec(),
+        masked,
+        genome(3)[..10].to_vec(),
+        repeat,
+        genome(4)[..3_333].to_vec(),
+        genome(5)[..2_000].to_vec(),
+        genome(0)[9_000..16_777].to_vec(),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, sequence)| SequenceRecord::new(format!("t{i}"), sequence))
+    .collect();
+    let config = MetaCacheConfig {
+        max_locations_per_feature: 8,
+        ..MetaCacheConfig::default()
+    };
+    let taxon = collection.targets[0].taxon;
+
+    let mut figures = Vec::new();
+    for devices in [1usize, 2, 4] {
+        let system = MultiGpuSystem::dgx1(devices);
+        let lengths = targets.iter().map(|t| t.sequence.len());
+        let expected = estimate_locations(&config, lengths).unwrap() / devices + 4096;
+        let mut builder =
+            GpuBuilder::new(config, collection.taxonomy.clone(), &system, expected).unwrap();
+        for target in &targets {
+            builder.add_target(target, taxon).unwrap();
+        }
+        let stats = builder.stats();
+        let mut row = vec![
+            devices as u64,
+            stats.sim_build_time.as_nanos(),
+            stats.windows,
+            stats.locations_inserted,
+            stats.locations_dropped,
+            stats.bytes_to_device,
+            system.makespan().as_nanos(),
+        ];
+        row.extend(system.devices().iter().map(|d| d.clock().now().as_nanos()));
+        figures.push(row);
+    }
+    // (devices, build time, windows, inserted, dropped, bytes to device,
+    // makespan, device clocks…), times in nanoseconds.
+    let pinned: Vec<Vec<u64>> = vec![
+        vec![1, 72769, 253, 3269, 731, 28120, 72769, 72769],
+        vec![2, 41587, 253, 3269, 731, 28120, 41587, 41587, 31182],
+        vec![
+            4, 20820, 253, 3269, 731, 28120, 20820, 20820, 20590, 20767, 10592,
+        ],
+    ];
+    assert_eq!(figures, pinned, "{figures:?}");
+}
