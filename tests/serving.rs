@@ -4,7 +4,7 @@
 //! panic isolation (a panicking sink or a panicking backend worker never
 //! deadlocks other sessions); graceful shutdown with idle drain.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use mc_gpu_sim::MultiGpuSystem;
 use mc_seqio::SequenceRecord;
@@ -199,6 +199,39 @@ fn panicking_sink_does_not_deadlock_other_sessions() {
     engine.shutdown();
 }
 
+type PanicHook = Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Sync + Send>;
+
+/// A silent panic hook, installed until the guard drops and the previous
+/// hook is put back. The hook is process-wide and the harness runs tests on
+/// several threads, so each guard holds one lock for its lifetime: two
+/// tests swapping at once could restore each other's silent hook and leave
+/// it silent.
+struct SilencedPanics {
+    previous: Option<PanicHook>,
+    _swap: MutexGuard<'static, ()>,
+}
+
+impl SilencedPanics {
+    fn new() -> Self {
+        static SWAP: Mutex<()> = Mutex::new(());
+        let swap = SWAP.lock().unwrap_or_else(PoisonError::into_inner);
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        Self {
+            previous: Some(previous),
+            _swap: swap,
+        }
+    }
+}
+
+impl Drop for SilencedPanics {
+    fn drop(&mut self) {
+        if let Some(previous) = self.previous.take() {
+            std::panic::set_hook(previous);
+        }
+    }
+}
+
 /// A backend whose workers panic on a marked record — exercises worker
 /// replacement and per-session failure reporting through the public trait,
 /// over any inner backend (host, sharded, …).
@@ -260,8 +293,7 @@ fn worker_panic_is_isolated_and_reported() {
     let expected = Classifier::new(Arc::clone(&db)).classify_batch(&clean);
 
     // Suppress the injected panic's default backtrace spam.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
+    let silenced = SilencedPanics::new();
     std::thread::scope(|scope| {
         let engine_ref = &engine;
         let clean_ref = &clean;
@@ -283,10 +315,16 @@ fn worker_panic_is_isolated_and_reported() {
             );
             // The other output kind fails the same way — candidates ride
             // the same loop, so a fault on a candidates batch is caught,
-            // flagged and carries no partial lists.
-            session
-                .try_submit_owned(poisoned[10..14].to_vec(), OutputKind::Candidates)
-                .expect("an idle session has credits");
+            // flagged and carries no partial lists. The healthy session
+            // streams meanwhile and may fill the shared queue: retry until
+            // the queue takes the batch, checking on every try that this
+            // session itself still has a credit.
+            let mut batch = poisoned[10..14].to_vec();
+            while let Err(back) = session.try_submit_owned(batch, OutputKind::Candidates) {
+                assert!(session.can_submit(), "an idle session has credits");
+                batch = back;
+                std::thread::yield_now();
+            }
             let done = loop {
                 match session.try_drain_owned() {
                     Some(done) => break done,
@@ -307,7 +345,7 @@ fn worker_panic_is_isolated_and_reported() {
             );
         });
     });
-    std::panic::set_hook(prev_hook);
+    drop(silenced);
 
     // The pool replaced the worker and keeps serving.
     let mut session = engine.session();
@@ -484,8 +522,7 @@ fn sharded_worker_panic_is_isolated() {
         },
     );
 
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
+    let silenced = SilencedPanics::new();
     std::thread::scope(|scope| {
         let engine_ref = &engine;
         let clean_ref = &clean;
@@ -508,7 +545,7 @@ fn sharded_worker_panic_is_isolated() {
             assert_eq!(&got, expected_ref, "healthy session affected");
         });
     });
-    std::panic::set_hook(prev_hook);
+    drop(silenced);
 
     let mut session = engine.session();
     let (got, _) = session.classify_iter(clean.iter().cloned());
