@@ -1,6 +1,6 @@
 //! Criterion benchmarks of minhash sketching: the retained collect-sort
-//! baseline vs the hash → cut → sort scratch path (host), and the warp-kernel
-//! formulation (steps 1–3 of the GPU pipeline, §5.3).
+//! baseline vs the hash → cut → sort scratch path that the CPU and GPU
+//! pipelines both run.
 //!
 //! `host_baseline` allocates, canonicalises per k-mer and sorts all of a
 //! window's hashes; `host_scratch` is the kernel every workload runs
@@ -9,8 +9,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use mc_gpu_sim::Warp;
-use metacache::gpu::warp_sketch_to_slot;
 use metacache::{MetaCacheConfig, SketchScratch, Sketcher};
 
 fn make_seq(len: usize, seed: u64) -> Vec<u8> {
@@ -51,17 +49,6 @@ fn bench_sketch(c: &mut Criterion) {
                     features.clear();
                     sketcher.sketch_window_into(w, &mut scratch, &mut features)
                 })
-                .sum::<usize>()
-        })
-    });
-    group.bench_function("warp_kernel", |b| {
-        let warp = Warp::new(0);
-        let kmer = sketcher.window_params().kmer();
-        let mut slot = vec![0; config.sketch_size];
-        b.iter(|| {
-            windows
-                .iter()
-                .map(|w| warp_sketch_to_slot(&warp, w, kmer, config.sketch_size, &mut slot).0)
                 .sum::<usize>()
         })
     });

@@ -18,7 +18,10 @@
 //! every location (`metacache::candidate::WindowCounter`).
 
 use crate::clock::KernelCost;
-use crate::warp::WARP_SIZE;
+
+/// Number of lanes per warp (fixed by the CUDA architecture): the longest
+/// segment one warp's register bitonic network sorts.
+pub const WARP_SIZE: usize = 32;
 
 /// Per-launch statistics of a segmented sort.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -14,10 +14,10 @@
 //!   same ones and the build is bit-identical for any W.
 //! * [`GpuBuilder`] — the GPU build (§5): reference targets are distributed
 //!   over the devices of a [`MultiGpuSystem`] (a target never spans devices),
-//!   each device sketches its windows with warp kernels and inserts into its
-//!   own multi-bucket hash table, and all data movement / kernel work is
-//!   charged to the device clocks so that the simulated build times of
-//!   Table 3 can be reproduced. `finish` packs each device's table into a
+//!   each target's windows are sketched as the CPU build sketches them and
+//!   inserted into its device's own multi-bucket hash table, and all data
+//!   movement / kernel work is charged to the device clocks so that the
+//!   simulated build times of Table 3 can be reproduced. `finish` packs each device's table into a
 //!   host table, the one table type a database holds at rest.
 
 use std::collections::VecDeque;
@@ -27,7 +27,7 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-use mc_gpu_sim::{launch_warps_into, KernelCost, MultiGpuSystem, Reservation, SimDuration, Warp};
+use mc_gpu_sim::{KernelCost, MultiGpuSystem, Reservation, SimDuration};
 use mc_kmer::{Feature, Location, TargetId};
 use mc_seqio::SequenceRecord;
 use mc_taxonomy::{TaxonId, Taxonomy};
@@ -39,7 +39,7 @@ use mc_warpcore::{
 use crate::config::MetaCacheConfig;
 use crate::database::{Database, Partition, TargetInfo};
 use crate::error::MetaCacheError;
-use crate::gpu::warp_sketch_to_slot;
+use crate::gpu::window_sketch_cost;
 use crate::sketch::{SketchScratch, Sketcher};
 
 /// Statistics of a finished build.
@@ -489,9 +489,10 @@ pub struct GpuBuilder<'sys> {
     partitions: Vec<GpuPartitionState>,
     stats: BuildStats,
     next_device: usize,
-    /// Flat per-launch feature buffer (one `sketch_size` slot per window),
-    /// reused across targets so warp sketching never allocates per window.
-    feature_buf: Vec<mc_kmer::Feature>,
+    /// The sketch kernel's buffers and one window's features, reused
+    /// across targets so sketching never allocates per window.
+    sketch: SketchScratch,
+    features: Vec<Feature>,
 }
 
 struct GpuPartitionState {
@@ -540,7 +541,8 @@ impl<'sys> GpuBuilder<'sys> {
             partitions,
             stats: BuildStats::default(),
             next_device: 0,
-            feature_buf: Vec::new(),
+            sketch: SketchScratch::with_capacity(config.sketch_size),
+            features: Vec::with_capacity(config.sketch_size),
         })
     }
 
@@ -565,34 +567,29 @@ impl<'sys> GpuBuilder<'sys> {
         stream.transfer(record.sequence.len() as u64);
         self.stats.bytes_to_device += record.sequence.len() as u64;
 
-        // One warp per window: encode, hash, sort, sketch (steps 1–3), then
-        // insert the sketch features into the device's multi-bucket table.
+        // Per window: encode, hash, sort, sketch (steps 1–3), charged to the
+        // one sketch kernel, then insert the sketch features into the
+        // device's multi-bucket table. Windows without a feature are charged
+        // too: the kernel reads them all.
         let params = self.sketcher.window_params();
-        let kmer = params.kmer();
-        let sketch_size = self.config.sketch_size;
-        let windows = self.sketcher.num_windows(record.sequence.len());
+        let k = params.k() as usize;
         let sequence = &record.sequence;
-        // One warp per window, all features written into one flat per-launch
-        // buffer (reused across targets) instead of an owned Vec per window.
-        let sketches: Vec<(usize, KernelCost)> = launch_warps_into(
-            windows as usize,
-            sketch_size,
-            &mut self.feature_buf,
-            |warp: Warp, slot: &mut [mc_kmer::Feature]| {
-                let w = warp.warp_id as u32;
-                let (start, end) = mc_kmer::window::window_range(w, sequence.len(), params);
-                warp_sketch_to_slot(&warp, &sequence[start..end], kmer, sketch_size, slot)
-            },
-        );
+        let windows = self.sketcher.num_windows(sequence.len());
         let mut kernel_cost = KernelCost {
             launches: 1,
             ..Default::default()
         };
         let partition = &mut self.partitions[device_idx];
-        for (window, &(filled, cost)) in (0u32..).zip(&sketches) {
-            kernel_cost = kernel_cost.merge(cost);
-            let slot = window as usize * sketch_size;
-            for &feature in &self.feature_buf[slot..slot + filled] {
+        for window in 0..windows {
+            let (start, end) = mc_kmer::window::window_range(window, sequence.len(), params);
+            self.features.clear();
+            let features = self.sketcher.sketch_window_into(
+                &sequence[start..end],
+                &mut self.sketch,
+                &mut self.features,
+            );
+            kernel_cost = kernel_cost.merge(window_sketch_cost(k, end - start, features));
+            for &feature in &self.features {
                 // Warp-aggregated insertion: charge one probe-group traversal
                 // plus the value write.
                 kernel_cost.ops += 8;
@@ -607,7 +604,6 @@ impl<'sys> GpuBuilder<'sys> {
                 }
             }
         }
-        kernel_cost.launches = 1;
         stream.launch_kernel(kernel_cost);
 
         partition.targets.push(target_id);
@@ -619,7 +615,7 @@ impl<'sys> GpuBuilder<'sys> {
             num_windows: windows,
         });
         self.stats.targets += 1;
-        self.stats.windows += sketches.len() as u64;
+        self.stats.windows += u64::from(windows);
         Ok(target_id)
     }
 

@@ -1,16 +1,16 @@
 //! The GPU pipeline (paper §5) on the simulated device substrate.
 //!
-//! This module contains the warp-level kernels and the batched multi-device
-//! query pipeline:
+//! This module contains the batched multi-device query pipeline and the
+//! cost of the paper's sketching kernel:
 //!
-//! * [`warp_sketch_to_slot`] — steps (1)–(3) of the pipeline of §5.2/§5.3: a
-//!   warp encodes a window, generates and hashes its canonical k-mers (four
-//!   k-mer start positions per lane), sorts the hashes with the in-register
-//!   bitonic network, removes duplicates and keeps the `s` smallest as the
-//!   minhash sketch, written into a slot of a per-launch feature buffer. The
-//!   GPU build and the GPU query both sketch through it, and the result is
-//!   bit-identical to the host [`crate::sketch::Sketcher`] (asserted by
-//!   tests).
+//! * Steps (1)–(3) of §5.2/§5.3 — encode a window, hash its canonical
+//!   k-mers, sort them with a warp's register bitonic network, drop
+//!   duplicates and keep the `s` smallest — are the host's
+//!   [`Sketcher::sketch_window_into`]; the GPU build and the GPU query
+//!   sketch through it and charge each window's kernel from its length and
+//!   feature count (four k-mer positions per lane, one 32-lane sort per
+//!   round of 32 positions). The kernel itself is kept, executed, in
+//!   `tests/property_tests.rs`, where it is held to the host's sketches.
 //! * [`GpuClassifier`] — steps (4)–(8): hash-table lookup, location list
 //!   compaction, segmented sort, window-count accumulation and warp-level
 //!   top-candidate generation, followed by the cross-device top-hit merge of
@@ -23,41 +23,22 @@
 //!   simulated times are recorded in a [`StageBreakdown`], which is what
 //!   Figure 5 of the paper plots.
 //!
-//! The GPU pipeline's candidate lists are therefore the host query path's
-//! by construction; only the cost model differs.
+//! The GPU pipeline's sketches and candidate lists are therefore the host
+//! query path's by construction; only the cost model differs.
 
 use std::ops::Deref;
 use std::sync::Arc;
 
-use mc_gpu_sim::{
-    launch_warps_into, KernelCost, MultiGpuSystem, SegmentedSortStats, SimDuration, Stream, Warp,
-    WARP_SIZE,
-};
-use mc_kmer::{hash64, Feature, KmerParams, Location};
+use mc_gpu_sim::{KernelCost, MultiGpuSystem, SegmentedSortStats, SimDuration, Stream, WARP_SIZE};
+use mc_kmer::{Feature, Location};
 use mc_seqio::SequenceRecord;
 
 use crate::candidate::{CandidateList, WindowCounter};
 use crate::classify::{classify_candidates, Classification};
 use crate::database::Database;
-use crate::sketch::Sketcher;
-
-/// Reusable scratch buffers of the warp sketching kernel — the "device
-/// buffers" of §5.3. One per host thread removes all steady-state heap
-/// allocation from warp sketching, mirroring the host
-/// [`crate::sketch::SketchScratch`]: [`launch_warps_into`] kernels execute on
-/// several host threads and therefore cannot share one mutable scratch.
-#[derive(Debug, Default)]
-struct WarpSketchScratch {
-    /// Hash of the canonical k-mer at each window position (`u64::MAX` for
-    /// positions whose k-mer overlaps an ambiguous base).
-    hashes_by_pos: Vec<u64>,
-    /// Pool of per-round sorted, deduplicated register contents.
-    pool: Vec<u64>,
-}
+use crate::sketch::{SketchScratch, Sketcher};
 
 thread_local! {
-    static WARP_SCRATCH: std::cell::RefCell<WarpSketchScratch> =
-        std::cell::RefCell::new(WarpSketchScratch::default());
     /// The query pipeline's buffers, reused across the batches a thread
     /// issues (serving workers issue many batches per thread).
     static BATCH_SCRATCH: std::cell::RefCell<BatchScratch> =
@@ -68,10 +49,11 @@ thread_local! {
 /// high-water mark after the largest batch a thread has issued.
 #[derive(Default)]
 struct BatchScratch {
-    /// The batch's windows with their read index; empty between batches.
-    windows: Vec<(usize, &'static [u8])>,
-    /// The sketch launch's slots, then each read's features back to back.
+    /// The sketch kernel's buffers, the batch's features back to back, and
+    /// where each read's features end.
+    sketch: SketchScratch,
     features: Vec<Feature>,
+    ends: Vec<usize>,
     /// One read's locations, partition-major, and the host's stage 3.
     locations: Vec<Location>,
     counter: WindowCounter,
@@ -79,99 +61,6 @@ struct BatchScratch {
     /// Per device: the current read's locations, and its sort's segments.
     segment: Vec<usize>,
     sorts: Vec<SegmentedSortStats>,
-}
-
-/// Hand an emptied vector's allocation to a vector of another element type
-/// of the same size and alignment: collecting a mapped `IntoIter` reuses
-/// its buffer in place. [`BatchScratch::windows`] keeps borrowed windows
-/// across batches this way without holding a borrow.
-fn reuse<T, U>(mut v: Vec<T>) -> Vec<U> {
-    v.clear();
-    v.into_iter().map(|_| unreachable!()).collect()
-}
-
-/// Sketch one window with a warp into a slot of a flat pre-allocated feature
-/// buffer (the per-launch output array handed out by
-/// [`mc_gpu_sim::launch_warps_into`]), returning how many slots were filled
-/// plus the modelled kernel cost. The slot must hold at least `sketch_size`
-/// features. Reuses this thread's warp scratch, so steady-state execution is
-/// allocation-free.
-///
-/// Lane `i` is responsible for the k-mers starting at positions
-/// `4·i … 4·i + 3` of the window (§5.3); each round sorts one hash per lane
-/// with the warp's register bitonic network, then the per-round minima are
-/// combined, deduplicated and truncated to the sketch size. The result is
-/// bit-identical to the host [`crate::sketch::Sketcher`] (asserted by tests
-/// in this module and in `tests/property_tests.rs`).
-pub fn warp_sketch_to_slot(
-    warp: &Warp,
-    window: &[u8],
-    kmer: KmerParams,
-    sketch_size: usize,
-    slot: &mut [Feature],
-) -> (usize, KernelCost) {
-    WARP_SCRATCH.with(|scratch| {
-        let scratch = &mut *scratch.borrow_mut();
-        let cost = warp_sketch_window_core(warp, window, kmer, sketch_size, scratch);
-        for (feature, &h) in slot.iter_mut().zip(scratch.pool.iter()) {
-            *feature = (h >> 32) as Feature;
-        }
-        (scratch.pool.len(), cost)
-    })
-}
-
-/// The kernel body: leaves the sketch's hashes (sorted, deduplicated,
-/// truncated to `sketch_size`) in `scratch.pool` and returns the modelled
-/// cost.
-fn warp_sketch_window_core(
-    warp: &Warp,
-    window: &[u8],
-    kmer: KmerParams,
-    sketch_size: usize,
-    scratch: &mut WarpSketchScratch,
-) -> KernelCost {
-    let k = kmer.k() as usize;
-    let positions = window.len().saturating_sub(k.saturating_sub(1));
-    // Hash all canonical k-mers once (the lanes' work), keyed by position.
-    scratch.hashes_by_pos.clear();
-    scratch.hashes_by_pos.resize(positions, u64::MAX);
-    {
-        let hashes_by_pos = &mut scratch.hashes_by_pos;
-        mc_kmer::for_each_canonical_kmer(window, kmer, |offset, packed| {
-            if offset < positions {
-                hashes_by_pos[offset] = hash64(packed);
-            }
-        });
-    }
-    // Rounds of warp-register sorting: each round takes one hash per lane
-    // (4 rounds cover 4 positions per lane for the default 127-base window).
-    let rounds = positions.div_ceil(WARP_SIZE).max(1);
-    scratch.pool.clear();
-    for round in 0..rounds {
-        let mut regs = [u64::MAX; WARP_SIZE];
-        for (lane, reg) in regs.iter_mut().enumerate() {
-            let pos = round * WARP_SIZE + lane;
-            if pos < positions {
-                *reg = scratch.hashes_by_pos[pos];
-            }
-        }
-        warp.bitonic_sort(&mut regs);
-        let unique = warp.dedup_sorted(&mut regs);
-        scratch.pool.extend_from_slice(&regs[..unique]);
-    }
-    // Merge the per-round sorted runs, dedup, keep the s smallest.
-    scratch.pool.sort_unstable();
-    scratch.pool.dedup();
-    scratch.pool.truncate(sketch_size);
-    let emitted = scratch.pool.len();
-
-    let sort_ops = (rounds * WARP_SIZE * 25) as u64; // 32·log²32 compare-exchanges per round
-    KernelCost {
-        bytes_read: window.len() as u64,
-        bytes_written: (emitted * 4) as u64,
-        ops: positions as u64 + sort_ops,
-        launches: 0,
-    }
 }
 
 /// Simulated time spent in each stage of the GPU query pipeline — the
@@ -217,6 +106,24 @@ impl StageBreakdown {
         self.compact = self.compact + other.compact;
         self.sort = self.sort + other.sort;
         self.top_candidates = self.top_candidates + other.top_candidates;
+    }
+}
+
+/// The modelled cost of the §5.3 sketching kernel on one window of `len`
+/// bases that gives `features` features, for k-mers of `k` bases: every
+/// base is read, each of the window's k-mer positions is hashed (four per
+/// lane), each round of 32 positions is sorted by one 32-lane register
+/// bitonic network (32 · log²32 = 800 compare-exchanges), and the features
+/// are written. A window's kernel has no launch of its own: the caller
+/// charges one launch for all the windows it sketches.
+pub(crate) fn window_sketch_cost(k: usize, len: usize, features: usize) -> KernelCost {
+    let positions = len.saturating_sub(k.saturating_sub(1));
+    let rounds = positions.div_ceil(WARP_SIZE).max(1);
+    KernelCost {
+        bytes_read: len as u64,
+        bytes_written: 4 * features as u64,
+        ops: (positions + rounds * WARP_SIZE * 25) as u64,
+        launches: 0,
     }
 }
 
@@ -319,82 +226,52 @@ where
 
         // --- Stage: sketching on the issue device + broadcast of sketches +
         //     per-device hash-table queries. ---
-        let kmer = self.sketcher.window_params().kmer();
-        let sketch_size = self.sketcher.sketch_size();
         // Taken, not borrowed: `emit` may start another batch on this thread.
         let mut scratch = BATCH_SCRATCH.with(|s| std::mem::take(&mut *s.borrow_mut()));
+        let s = &mut scratch;
 
-        // Every window of every read (both mates), borrowed from the records,
-        // with its read index: the host query's read split.
-        let mut windows: Vec<(usize, &[u8])> = reuse(std::mem::take(&mut scratch.windows));
-        for (read_idx, record) in records.iter().enumerate() {
-            self.sketcher
-                .for_each_read_window(record, |window| windows.push((read_idx, window)));
-        }
-
-        // Launch one warp per window for sketch generation; each worker
-        // thread reuses its warp scratch across the windows it executes, and
-        // every warp writes its features into a fixed-stride slot of one flat
-        // per-launch buffer.
-        let sketch_spans: Vec<(usize, KernelCost)> = launch_warps_into(
-            windows.len(),
-            sketch_size,
-            &mut scratch.features,
-            |warp: Warp, slot: &mut [Feature]| {
-                let (_, window) = windows[warp.warp_id];
-                warp_sketch_to_slot(&warp, window, kmer, sketch_size, slot)
-            },
-        );
+        // Sketch every window of every read (both mates) — the host query's
+        // read split — into one flat feature list, each read's features
+        // ending at its entry of `ends`, and charge each window's share of
+        // the one sketch kernel.
+        let k = self.sketcher.window_params().k() as usize;
         let mut sketch_cost = KernelCost {
             launches: 1,
             ..Default::default()
         };
-        for (_, c) in &sketch_spans {
-            // Per-warp costs carry no launch overhead of their own; the whole
-            // sketching stage counts as a single kernel launch.
-            sketch_cost = sketch_cost.merge(*c);
+        s.features.clear();
+        s.ends.clear();
+        for record in records {
+            self.sketcher.for_each_read_window(record, |window| {
+                let features =
+                    self.sketcher
+                        .sketch_window_into(window, &mut s.sketch, &mut s.features);
+                sketch_cost = sketch_cost.merge(window_sketch_cost(k, window.len(), features));
+            });
+            s.ends.push(s.features.len());
         }
         let t1 = first.position();
         first.launch_kernel(sketch_cost);
 
         // Broadcast sketches to the other devices along the ring starting at
         // the issue device (ring forwarding, Figure 2).
-        let sketch_bytes: u64 = sketch_spans.iter().map(|(f, _)| (*f * 4) as u64).sum();
+        let sketch_bytes = 4 * s.features.len() as u64;
         for i in 1..devices {
             let src = (issue + i - 1) % devices;
             let dst = (issue + i) % devices;
             self.system.peer_copy(src, dst, sketch_bytes);
         }
 
-        // Close the slots' gaps: each read's features back to back, in
-        // window order — the flat list the host sketches the read into.
-        let mut features = 0;
-        for (w, &(filled, _)) in sketch_spans.iter().enumerate() {
-            let slot = w * sketch_size;
-            scratch.features.copy_within(slot..slot + filled, features);
-            features += filled;
-        }
-
         // Per read: every partition answers its features into one list
         // (partition p is resident on device p % devices), the window
         // counter turns it into the read's candidates, and each device's
         // share of the list is one segment of that device's sort.
-        let s = &mut scratch;
         s.segment.clear();
         s.segment.resize(devices, 0);
         s.sorts.clear();
         s.sorts.resize(devices, SegmentedSortStats::default());
-        let mut spans = windows
-            .iter()
-            .zip(&sketch_spans)
-            .map(|(&(read_idx, _), &(filled, _))| (read_idx, filled))
-            .peekable();
-        let mut end = 0;
-        for (read_idx, record) in records.iter().enumerate() {
-            let start = end;
-            while let Some((_, filled)) = spans.next_if(|&(r, _)| r == read_idx) {
-                end += filled;
-            }
+        let mut start = 0;
+        for (record, &end) in records.iter().zip(&s.ends) {
             s.locations.clear();
             for (p, partition) in self.db.partitions.iter().enumerate() {
                 s.segment[p % devices] +=
@@ -408,12 +285,13 @@ where
             s.counter
                 .top_candidates_into(&s.locations, sliding_window, &mut s.candidates);
             emit(&s.candidates);
+            start = end;
         }
+        let features = s.features.len() as u64;
         let sorts = &scratch.sorts;
 
         // Charge the query kernels: a probe (8 ops, 8 bytes) per feature per
         // resident partition, plus the locations returned.
-        let features = features as u64;
         let partitions = self.db.partitions.len();
         for (d, stream) in streams.iter().enumerate() {
             let probes = features * (d..partitions).step_by(devices).len() as u64;
@@ -463,7 +341,6 @@ where
         batch_breakdown.top_candidates = diff(max_position(&streams), t4);
 
         // Hand the buffers back for the thread's next batch.
-        scratch.windows = reuse(windows);
         BATCH_SCRATCH.with(|s| *s.borrow_mut() = scratch);
         batch_breakdown
     }
@@ -503,7 +380,6 @@ mod tests {
     use crate::build::CpuBuilder;
     use crate::config::MetaCacheConfig;
     use crate::query::Classifier;
-    use crate::sketch::SketchScratch;
     use mc_taxonomy::{Rank, Taxonomy};
 
     fn make_seq(len: usize, seed: u64) -> Vec<u8> {
@@ -519,71 +395,19 @@ mod tests {
     }
 
     #[test]
-    fn warp_sketch_matches_host_sketcher() {
-        let config = MetaCacheConfig::default();
-        let sketcher = Sketcher::new(&config).unwrap();
-        let warp = Warp::new(0);
-        let kmer = sketcher.window_params().kmer();
-        let mut scratch = SketchScratch::new();
-        let mut host = Vec::new();
-        let mut slot = vec![0; config.sketch_size];
-        for seed in 0..20u64 {
-            let window = make_seq(127, seed + 1);
-            let (filled, cost) =
-                warp_sketch_to_slot(&warp, &window, kmer, config.sketch_size, &mut slot);
-            host.clear();
-            sketcher.sketch_window_into(&window, &mut scratch, &mut host);
-            assert_eq!(slot[..filled], host[..], "seed {seed}");
-            assert!(cost.ops > 0 && cost.bytes_read == 127);
-        }
-    }
-
-    #[test]
-    fn warp_scratch_reuse_is_bit_identical_to_host_and_oracle() {
-        let config = MetaCacheConfig::default();
-        let sketcher = Sketcher::new(&config).unwrap();
-        let warp = Warp::new(0);
-        let kmer = sketcher.window_params().kmer();
-        let mut scratch = SketchScratch::new();
-        let mut host = Vec::new();
-        let mut slot = vec![0; config.sketch_size];
-        for seed in 0..30u64 {
-            // Window lengths vary so this thread's warp scratch shrinks and
-            // grows between calls.
-            let window = make_seq(60 + (seed as usize * 17) % 120, seed + 1);
-            let (filled, _) =
-                warp_sketch_to_slot(&warp, &window, kmer, config.sketch_size, &mut slot);
-            host.clear();
-            sketcher.sketch_window_into(&window, &mut scratch, &mut host);
-            assert_eq!(slot[..filled], host[..]);
-            assert_eq!(
-                slot[..filled],
-                sketcher.sketch_window_baseline(&window)[..],
-                "seed {seed}"
-            );
-        }
-    }
-
-    #[test]
-    fn warp_sketch_handles_short_and_ambiguous_windows() {
-        let config = MetaCacheConfig::default();
-        let sketcher = Sketcher::new(&config).unwrap();
-        let warp = Warp::new(0);
-        let kmer = sketcher.window_params().kmer();
-        let mut slot = [0; 16];
-        let (filled, _) = warp_sketch_to_slot(&warp, b"ACGTACGT", kmer, 16, &mut slot);
-        assert_eq!(filled, 0);
-        let all_n = vec![b'N'; 127];
-        let (filled, _) = warp_sketch_to_slot(&warp, &all_n, kmer, 16, &mut slot);
-        assert_eq!(filled, 0);
-        let mut mixed = make_seq(127, 5);
-        for i in (0..127).step_by(9) {
-            mixed[i] = b'N';
-        }
-        let (filled, _) = warp_sketch_to_slot(&warp, &mixed, kmer, 16, &mut slot);
-        let mut host = Vec::new();
-        sketcher.sketch_window_into(&mixed, &mut SketchScratch::new(), &mut host);
-        assert_eq!(slot[..filled], host[..]);
+    fn window_sketch_cost_is_the_warp_kernels_charge() {
+        // A full window: 112 k-mer positions in four rounds of 32 lanes.
+        let full = window_sketch_cost(16, 127, 16);
+        assert_eq!(
+            (full.bytes_read, full.bytes_written, full.ops, full.launches),
+            (127, 64, 112 + 4 * 32 * 25, 0)
+        );
+        // A window under k still runs one round.
+        let short = window_sketch_cost(16, 8, 0);
+        assert_eq!(
+            (short.bytes_read, short.bytes_written, short.ops),
+            (8, 0, 800)
+        );
     }
 
     fn small_db() -> (Database, Vec<u8>, Vec<u8>) {

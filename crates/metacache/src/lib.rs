@@ -27,10 +27,11 @@
 //!   MetaCache behaviour (254-location bucket cap; the build sketches on the
 //!   calling thread and inserts on one thread per feature range, fused into
 //!   one hash table),
-//! * [`gpu`] — the GPU pipeline of §5 running on the [`mc_gpu_sim`]
-//!   substrate: warp-level sketching kernels, the multi-bucket hash table,
-//!   segmented sort, top-candidate generation, multi-device partitioning and
-//!   an analytical device clock that models V100 execution times.
+//! * [`gpu`] — the GPU pipeline of §5 charged to the [`mc_gpu_sim`] cost
+//!   model: the host's sketches, probes and window counts, with the warp
+//!   sketching kernels, multi-bucket hash table, segmented sort,
+//!   top-candidate generation and multi-device partitioning timed by an
+//!   analytical device clock that models V100 execution times.
 //!
 //! Reads can be classified from a fully materialised slice
 //! ([`query::Classifier::classify_batch`]) or streamed through the resident

@@ -2,10 +2,10 @@
 //!
 //! A window's sketch is the set of the `s` smallest *distinct* hash values of
 //! its canonical k-mers (§4.1). Reads are sketched the same way after being
-//! split into windows of the database's window length (§4.2). The host
-//! implementation here is the reference; the warp-kernel version in
-//! [`crate::gpu`] produces identical sketches (asserted by tests) while
-//! modelling the device execution of §5.3.
+//! split into windows of the database's window length (§4.2). The GPU
+//! build and query ([`crate::gpu`]) sketch here too and only charge the
+//! cost of the paper's warp kernel (§5.3); the kernel itself runs in
+//! `tests/property_tests.rs`, held to the sketches made here.
 //!
 //! # The zero-allocation hot path
 //!

@@ -6,9 +6,10 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use mc_gpu_sim::Warp;
+use mc_gpu_sim::WARP_SIZE;
 use mc_kmer::{
-    canonical, reverse_complement, CanonicalKmerIter, EncodedSequence, KmerParams, Location,
+    canonical, hash64, reverse_complement, CanonicalKmerIter, EncodedSequence, Feature, KmerParams,
+    Location,
 };
 use mc_seqio::SequenceRecord;
 use mc_taxonomy::{Rank, Taxonomy};
@@ -18,7 +19,6 @@ use mc_warpcore::{
 };
 use metacache::build::CpuBuilder;
 use metacache::candidate::{accumulate_locations_into, top_candidates_into, WindowCounter};
-use metacache::gpu::warp_sketch_to_slot;
 use metacache::query::{Classifier, QueryScratch};
 use metacache::{CandidateList, Database, MetaCacheConfig, SketchScratch, Sketcher};
 
@@ -46,6 +46,176 @@ fn make_seq(len: usize, seed: u64) -> Vec<u8> {
             b"ACGT"[(state >> 33) as usize % 4]
         })
         .collect()
+}
+
+/// The paper's warp sketching kernel (§5.3), executed lane for lane. Round
+/// `r` loads the hash of the canonical k-mer at position `32·r + l` into
+/// lane `l`'s register (four rounds, four positions per lane, for a full
+/// 127-base window; `u64::MAX` where no k-mer starts or one overlaps an
+/// ambiguous base), sorts the 32 registers with the register bitonic
+/// network and drops duplicates; the round minima are then merged,
+/// deduplicated and cut to the `sketch_size` smallest. The library sketches
+/// with the host's `Sketcher` and only charges this kernel's cost; the tests
+/// below hold the kernel to the host's sketches and to the oracle.
+fn warp_sketch(window: &[u8], kmer: KmerParams, sketch_size: usize) -> Vec<Feature> {
+    let positions = window.len().saturating_sub(kmer.k() as usize - 1);
+    let mut hashes_by_pos = vec![u64::MAX; positions];
+    mc_kmer::for_each_canonical_kmer(window, kmer, |offset, packed| {
+        if offset < positions {
+            hashes_by_pos[offset] = hash64(packed);
+        }
+    });
+    let mut pool = Vec::new();
+    for round in 0..positions.div_ceil(WARP_SIZE).max(1) {
+        let mut regs: [u64; WARP_SIZE] = std::array::from_fn(|lane| {
+            *hashes_by_pos
+                .get(round * WARP_SIZE + lane)
+                .unwrap_or(&u64::MAX)
+        });
+        bitonic_sort(&mut regs);
+        let unique = dedup_sorted(&mut regs);
+        pool.extend_from_slice(&regs[..unique]);
+    }
+    pool.sort_unstable();
+    pool.dedup();
+    pool.truncate(sketch_size);
+    pool.into_iter().map(|h| (h >> 32) as Feature).collect()
+}
+
+/// A warp's in-register bitonic sort of one value per lane, ascending: the
+/// power-of-two compare-exchange network the lanes run with XOR shuffles
+/// (log²32 = 25 stages), applied to the whole register array.
+fn bitonic_sort(regs: &mut [u64; WARP_SIZE]) {
+    let mut k = 2;
+    while k <= WARP_SIZE {
+        let mut j = k / 2;
+        while j > 0 {
+            for i in 0..WARP_SIZE {
+                let partner = i ^ j;
+                if partner > i {
+                    let ascending = (i & k) == 0;
+                    if (ascending && regs[i] > regs[partner])
+                        || (!ascending && regs[i] < regs[partner])
+                    {
+                        regs.swap(i, partner);
+                    }
+                }
+            }
+            j /= 2;
+        }
+        k *= 2;
+    }
+}
+
+/// Remove duplicates from sorted registers, compacting the unique values to
+/// the front and filling the remaining lanes with `u64::MAX`; returns the
+/// number of unique values. `u64::MAX` marks an empty lane and ends the run.
+fn dedup_sorted(regs: &mut [u64; WARP_SIZE]) -> usize {
+    let mut unique = 0usize;
+    for i in 0..WARP_SIZE {
+        let v = regs[i];
+        if v == u64::MAX {
+            break;
+        }
+        if unique == 0 || regs[unique - 1] != v {
+            regs[unique] = v;
+            unique += 1;
+        }
+    }
+    for r in regs.iter_mut().skip(unique) {
+        *r = u64::MAX;
+    }
+    unique
+}
+
+#[test]
+fn bitonic_sort_sorts_any_permutation() {
+    let mut state = 0xABCDu64;
+    for _ in 0..50 {
+        let mut regs: [u64; WARP_SIZE] = std::array::from_fn(|_| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            state >> 16
+        });
+        let mut expected = regs;
+        expected.sort_unstable();
+        bitonic_sort(&mut regs);
+        assert_eq!(regs, expected);
+    }
+}
+
+#[test]
+fn dedup_sorted_compacts_unique_values() {
+    let mut regs = [u64::MAX; WARP_SIZE];
+    let values = [1u64, 1, 2, 3, 3, 3, 7, 9, 9, 10];
+    regs[..values.len()].copy_from_slice(&values);
+    let unique = dedup_sorted(&mut regs);
+    assert_eq!(unique, 6);
+    assert_eq!(&regs[..6], &[1, 2, 3, 7, 9, 10]);
+    assert!(regs[6..].iter().all(|&v| v == u64::MAX));
+}
+
+#[test]
+fn dedup_of_empty_registers() {
+    let mut regs = [u64::MAX; WARP_SIZE];
+    assert_eq!(dedup_sorted(&mut regs), 0);
+}
+
+#[test]
+fn warp_sketch_matches_host_sketcher() {
+    let config = MetaCacheConfig::default();
+    let sketcher = Sketcher::new(&config).unwrap();
+    let kmer = sketcher.window_params().kmer();
+    let mut scratch = SketchScratch::new();
+    let mut host = Vec::new();
+    for seed in 0..20u64 {
+        let window = make_seq(127, seed + 1);
+        host.clear();
+        sketcher.sketch_window_into(&window, &mut scratch, &mut host);
+        assert_eq!(
+            warp_sketch(&window, kmer, config.sketch_size),
+            host,
+            "seed {seed}"
+        );
+    }
+}
+
+#[test]
+fn warp_scratch_reuse_is_bit_identical_to_host_and_oracle() {
+    let config = MetaCacheConfig::default();
+    let sketcher = Sketcher::new(&config).unwrap();
+    let kmer = sketcher.window_params().kmer();
+    let mut scratch = SketchScratch::new();
+    let mut host = Vec::new();
+    for seed in 0..30u64 {
+        // Window lengths vary (60–179 bases) so the host's reused scratch
+        // sees shorter and longer windows between calls.
+        let window = make_seq(60 + (seed as usize * 17) % 120, seed + 1);
+        let warp = warp_sketch(&window, kmer, config.sketch_size);
+        host.clear();
+        sketcher.sketch_window_into(&window, &mut scratch, &mut host);
+        assert_eq!(warp, host);
+        assert_eq!(
+            warp,
+            sketcher.sketch_window_baseline(&window),
+            "seed {seed}"
+        );
+    }
+}
+
+#[test]
+fn warp_sketch_handles_short_and_ambiguous_windows() {
+    let config = MetaCacheConfig::default();
+    let sketcher = Sketcher::new(&config).unwrap();
+    let kmer = sketcher.window_params().kmer();
+    assert!(warp_sketch(b"ACGTACGT", kmer, 16).is_empty());
+    assert!(warp_sketch(&[b'N'; 127], kmer, 16).is_empty());
+    let mut mixed = make_seq(127, 5);
+    for i in (0..127).step_by(9) {
+        mixed[i] = b'N';
+    }
+    let mut host = Vec::new();
+    sketcher.sketch_window_into(&mixed, &mut SketchScratch::new(), &mut host);
+    assert_eq!(warp_sketch(&mixed, kmer, 16), host);
 }
 
 /// A two-species database shared across property cases (building one per
@@ -252,10 +422,7 @@ proptest! {
         let sketch_size = [1usize, 16, 64][sketch_size_choice];
         let config = MetaCacheConfig { sketch_size, ..MetaCacheConfig::default() };
         let sketcher = Sketcher::new(&config).unwrap();
-        let kmer = sketcher.window_params().kmer();
-        let mut slot = vec![0; sketch_size];
-        let (filled, _) = warp_sketch_to_slot(&Warp::new(0), &window, kmer, sketch_size, &mut slot);
-        let warp_features = &slot[..filled];
+        let warp_features = &warp_sketch(&window, sketcher.window_params().kmer(), sketch_size)[..];
         let mut host_scratch = SketchScratch::new();
         let mut host_features = Vec::new();
         sketcher.sketch_window_into(&window, &mut host_scratch, &mut host_features);
