@@ -17,8 +17,9 @@
 //!   each target's windows are sketched as the CPU build sketches them and
 //!   inserted into its device's own multi-bucket hash table, and all data
 //!   movement / kernel work is charged to the device clocks so that the
-//!   simulated build times of Table 3 can be reproduced. `finish` packs each device's table into a
-//!   host table, the one table type a database holds at rest.
+//!   simulated build times of Table 3 can be reproduced. `finish` packs
+//!   each device's table into a host table, the one table type a database
+//!   holds at rest.
 
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;

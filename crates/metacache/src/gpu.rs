@@ -111,11 +111,11 @@ impl StageBreakdown {
 
 /// The modelled cost of the §5.3 sketching kernel on one window of `len`
 /// bases that gives `features` features, for k-mers of `k` bases: every
-/// base is read, each of the window's k-mer positions is hashed (four per
-/// lane), each round of 32 positions is sorted by one 32-lane register
-/// bitonic network (32 · log²32 = 800 compare-exchanges), and the features
-/// are written. A window's kernel has no launch of its own: the caller
-/// charges one launch for all the windows it sketches.
+/// base is read, each k-mer position is hashed, the positions go to the 32
+/// lanes in rounds of 32 (at least one round) and each round is sorted by
+/// one register bitonic network (32 · log²32 = 800 compare-exchanges), and
+/// the features are written. A window's kernel has no launch of its own:
+/// the caller charges one launch for all the windows it sketches.
 pub(crate) fn window_sketch_cost(k: usize, len: usize, features: usize) -> KernelCost {
     let positions = len.saturating_sub(k.saturating_sub(1));
     let rounds = positions.div_ceil(WARP_SIZE).max(1);

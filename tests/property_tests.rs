@@ -1,7 +1,8 @@
 //! Property-based tests (proptest) of the core invariants:
 //! encoding round-trips, canonical k-mer strand independence, hash-table
-//! insert/query consistency across every variant, sketch stability, LCA
-//! algebra and the window counter against the reference candidate scan.
+//! insert/query consistency across every variant, sketch stability, the
+//! paper's warp sketching kernel against the host sketch, LCA algebra and
+//! the window counter against the reference candidate scan.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
